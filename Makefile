@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DIR ?= bench-results
 BASELINE_DIR ?= bench-results/baseline
 
-.PHONY: build test vet fmt-check staticcheck test-race bench bench-smoke bench-json bench-gate bench-json-gate bench-baseline chaos ci clean
+.PHONY: build test vet fmt-check staticcheck test-race bench bench-smoke bench-json bench-gate bench-json-gate bench-baseline chaos provload-quick provload ci clean
 
 build:
 	$(GO) build ./...
@@ -74,8 +74,21 @@ chaos:
 bench-json-gate:
 	$(GO) run ./cmd/provbench -json $(BENCH_DIR) -check $(BASELINE_DIR)
 
+# provload smoke: every workload of the serving-path benchmark at tiny
+# sizes, oracle checks included, in about five seconds (bench/README.md).
+provload-quick:
+	$(GO) run ./bench/provload -quick
+
+# A full provload run (about six minutes: every workload untraced, then
+# traced), written under $(BENCH_DIR) so nothing under bench/ changes, then
+# compared metric by metric with the committed baseline.
+provload:
+	mkdir -p $(BENCH_DIR)
+	$(GO) run ./bench/provload -out $(BENCH_DIR)/provload.json -results $(BENCH_DIR)
+	$(GO) run ./bench/provload -compare bench/results/baseline.json $(BENCH_DIR)/provload.json
+
 # Everything the CI workflow gates on, runnable locally.
-ci: fmt-check build vet staticcheck test-race chaos bench-smoke bench-gate
+ci: fmt-check build vet staticcheck test-race chaos bench-smoke provload-quick bench-gate
 
 clean:
 	find $(BENCH_DIR) -maxdepth 1 -name 'BENCH_*.json' -delete

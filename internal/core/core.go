@@ -24,6 +24,7 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/query/datalog"
 	"repro/internal/query/pql"
+	"repro/internal/query/scan"
 	"repro/internal/store"
 	"repro/internal/store/closurecache"
 	"repro/internal/store/shardedstore"
@@ -213,9 +214,13 @@ func (s *System) InvalidatedArtifacts(entityID string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	ents, err := store.Entities(scan.Unwrap(s.Store), deps)
+	if err != nil {
+		return nil, err
+	}
 	var out []string
-	for _, id := range deps {
-		if _, err := s.Store.Artifact(id); err == nil {
+	for i, id := range deps {
+		if ents[i].Artifact != nil {
 			out = append(out, id)
 		}
 	}

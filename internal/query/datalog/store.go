@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/provenance"
+	"repro/internal/query/scan"
 	"repro/internal/store"
 )
 
@@ -21,20 +22,9 @@ import (
 //	partOfRun(Entity, Run)      entity belongs to run
 //	agent(Run, Agent)           run executed on behalf of agent
 func LoadStore(p *Program, s store.Store) error {
-	runs, err := s.Runs()
-	if err != nil {
-		return err
-	}
-	for _, runID := range runs {
-		l, err := s.RunLog(runID)
-		if err != nil {
-			return err
-		}
-		if err := LogFacts(l, p.AddFact); err != nil {
-			return err
-		}
-	}
-	return nil
+	return scan.Logs(s, func(l *provenance.RunLog) error {
+		return LogFacts(l, p.AddFact)
+	})
 }
 
 // LogFacts flattens one run log into the extensional schema above,

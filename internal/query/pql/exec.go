@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/provenance"
+	"repro/internal/query/scan"
 	"repro/internal/store"
 )
 
@@ -109,18 +110,25 @@ func ExecuteEager(s store.Store, q *Query) (*Result, error) {
 	return nil, fmt.Errorf("pql: empty query")
 }
 
+// closureResult renders a closure's members with their kind and detail.
+// Entity records are immutable, so they are fetched in one batch from the
+// store beneath any wrappers: a log-backed store reads each owning run
+// once, however many members it holds.
 func closureResult(s store.Store, ids []string) (*Result, error) {
-	res := &Result{Columns: []string{"id", "kind", "detail"}}
-	for _, id := range ids {
-		if a, err := s.Artifact(id); err == nil {
-			res.Rows = append(res.Rows, []string{id, "artifact", a.Type})
-			continue
+	ents, err := store.Entities(scan.Unwrap(s), ids)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Columns: []string{"id", "kind", "detail"}, Rows: make([][]string, 0, len(ids))}
+	for i, id := range ids {
+		switch e := ents[i]; {
+		case e.Artifact != nil:
+			res.Rows = append(res.Rows, []string{id, "artifact", e.Artifact.Type})
+		case e.Execution != nil:
+			res.Rows = append(res.Rows, []string{id, "execution", e.Execution.ModuleID})
+		default:
+			res.Rows = append(res.Rows, []string{id, "unknown", ""})
 		}
-		if e, err := s.Execution(id); err == nil {
-			res.Rows = append(res.Rows, []string{id, "execution", e.ModuleID})
-			continue
-		}
-		res.Rows = append(res.Rows, []string{id, "unknown", ""})
 	}
 	return res, nil
 }
@@ -326,10 +334,6 @@ func equijoin(sel *SelectStmt, lschema []string, lrows []map[string]string,
 
 // scanTable materializes the virtual table rows from the store's run logs.
 func scanTable(s store.Store, table string, schema []string) ([]map[string]string, error) {
-	runs, err := s.Runs()
-	if err != nil {
-		return nil, err
-	}
 	var rows []map[string]string
 	add := func(vals ...string) {
 		row := make(map[string]string, len(schema))
@@ -338,11 +342,7 @@ func scanTable(s store.Store, table string, schema []string) ([]map[string]strin
 		}
 		rows = append(rows, row)
 	}
-	for _, runID := range runs {
-		l, err := s.RunLog(runID)
-		if err != nil {
-			return nil, err
-		}
+	err := scan.Logs(s, func(l *provenance.RunLog) error {
 		switch table {
 		case "runs":
 			add(l.Run.ID, l.Run.WorkflowID, l.Run.WorkflowHash, l.Run.Agent, string(l.Run.Status))
@@ -371,8 +371,9 @@ func scanTable(s store.Store, table string, schema []string) ([]map[string]strin
 				add(an.Subject, an.Key, an.Value, an.Author)
 			}
 		}
-	}
-	return rows, nil
+		return nil
+	})
+	return rows, err
 }
 
 func (e *cmpExpr) eval(row map[string]string) (bool, error) {

@@ -1,28 +1,17 @@
 // Package scan streams run logs out of any provenance store for the query
-// engines' leaf table scans. On a plain store it pulls logs lazily one run
-// at a time; when the store (after unwrapping caches and tracing shims) is
-// a sharded router, it scatters the log fetches across shards in parallel
-// — each shard worker reads only its own runs, exploiting the per-shard
-// locality the router's hash placement guarantees — then replays them in
-// the router's global accepted order so results are deterministic and
-// identical to the sequential scan.
+// engines' leaf table scans. It peels layering wrappers (closure cache,
+// standing-query tap, tracing shims) off the store and iterates what is
+// underneath through store.ScanLogs: one sequential pass over a file
+// store's log, one such pass per shard in parallel on a sharded router
+// (merged into the router's global accepted order, so results are
+// deterministic and identical to a sequential scan), and a run-at-a-time
+// walk on the resident backends.
 package scan
 
 import (
-	"sync"
-
 	"repro/internal/provenance"
 	"repro/internal/store"
 )
-
-// sharded is the structural view of shardedstore.Router (matched without
-// importing the package, so scan stays backend-agnostic and cache wrappers
-// can forward it if they ever choose to).
-type sharded interface {
-	NumShards() int
-	Shard(i int) store.Store
-	Runs() ([]string, error)
-}
 
 // unwrapper is implemented by layering stores (closure cache, tracing
 // shims) that delegate run-log storage to an inner store.
@@ -43,98 +32,20 @@ func Unwrap(s store.Store) store.Store {
 }
 
 // Logs invokes fn once per stored run log, in the store's global insertion
-// order. fn must not retain the log. On a sharded router the per-shard
-// fetches run concurrently (ParallelShards reports whether they did); the
-// emit order is still the global one. Iteration stops at fn's first error.
+// order. fn must not modify the log (a resident backend hands out its own
+// copy). On a sharded router the per-shard scans run concurrently
+// (ShardedLogs reports how many); the emit order is still the global one.
+// Iteration stops at fn's first error.
 func Logs(s store.Store, fn func(*provenance.RunLog) error) error {
-	_, err := logs(s, fn)
-	return err
+	return store.ScanLogs(Unwrap(s), 0, fn)
 }
 
 // ShardedLogs is Logs plus a report of how many shards were scanned in
 // parallel (0 for an unsharded store) — the explain surfaces print it.
 func ShardedLogs(s store.Store, fn func(*provenance.RunLog) error) (shards int, err error) {
-	return logs(s, fn)
-}
-
-func logs(s store.Store, fn func(*provenance.RunLog) error) (int, error) {
 	base := Unwrap(s)
-	if r, ok := base.(sharded); ok && r.NumShards() > 1 {
-		return r.NumShards(), shardedScan(r, fn)
+	if r, ok := base.(interface{ NumShards() int }); ok && r.NumShards() > 1 {
+		shards = r.NumShards()
 	}
-	runs, err := base.Runs()
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range runs {
-		l, err := base.RunLog(id)
-		if err != nil {
-			return 0, err
-		}
-		if err := fn(l); err != nil {
-			return 0, err
-		}
-	}
-	return 0, nil
-}
-
-// shardedScan fetches each shard's logs with one goroutine per shard, then
-// emits them in the router's global order. Runs accepted by a shard but
-// not yet visible in the router's global order (or vice versa, mid-ingest)
-// are skipped: under quiescence — the only state queries are specified for
-// — the two views agree and the scan is exact.
-func shardedScan(r sharded, fn func(*provenance.RunLog) error) error {
-	n := r.NumShards()
-	type shardResult struct {
-		logs map[string]*provenance.RunLog
-		err  error
-	}
-	results := make([]shardResult, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := r.Shard(i)
-			runs, err := sh.Runs()
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			logs := make(map[string]*provenance.RunLog, len(runs))
-			for _, id := range runs {
-				l, err := sh.RunLog(id)
-				if err != nil {
-					results[i].err = err
-					return
-				}
-				logs[id] = l
-			}
-			results[i].logs = logs
-		}(i)
-	}
-	wg.Wait()
-	byRun := map[string]*provenance.RunLog{}
-	for i := range results {
-		if results[i].err != nil {
-			return results[i].err
-		}
-		for id, l := range results[i].logs {
-			byRun[id] = l
-		}
-	}
-	// Global order is captured after the shard scans complete, so every
-	// run it lists was already fetched above (stores are append-only).
-	order, err := r.Runs()
-	if err != nil {
-		return err
-	}
-	for _, id := range order {
-		if l, ok := byRun[id]; ok {
-			if err := fn(l); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return shards, store.ScanLogs(base, 0, fn)
 }

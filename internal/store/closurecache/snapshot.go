@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/provenance"
+	"repro/internal/query/scan"
 	"repro/internal/store"
 	"repro/internal/store/wal"
 )
@@ -134,17 +135,17 @@ func (c *Cache) loadSnapshot() {
 	c.generation = snap.Generation
 
 	// Replay the suffix the snapshot missed, exactly as live ingests
-	// would have patched it.
-	for _, runID := range runs[snap.RunCount:] {
-		l, err := c.s.RunLog(runID)
-		if err != nil {
-			// A half-readable store: drop everything rather than serve
-			// closures that missed a patch.
-			c.flushLocked()
-			return
-		}
+	// would have patched it: one scan from the snapshot's run count on,
+	// so the prefix it covers is never read.
+	err = store.ScanLogs(scan.Unwrap(c.s), snap.RunCount, func(l *provenance.RunLog) error {
 		c.applyDeltaLocked(l, c.residentRegenHazardsLocked(l))
 		c.generation++
+		return nil
+	})
+	if err != nil {
+		// A half-readable store: drop everything rather than serve
+		// closures that missed a patch.
+		c.flushLocked()
 	}
 }
 

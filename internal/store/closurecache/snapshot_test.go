@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/provenance"
 	"repro/internal/store"
+	"repro/internal/store/shardedstore"
 )
 
 // extRun builds a run consuming `in` and generating `out` (plus an
@@ -91,64 +92,88 @@ func TestSnapshotWarmRestart(t *testing.T) {
 // TestSnapshotSuffixReplay takes a snapshot, ingests more runs (bypassing
 // any future cache), reopens, and asserts the restored closures were
 // patched with the suffix — equal to NaiveClosure on the current graph.
+// The suffix streams through the store's scanner: from a file store's log,
+// and merged across shards from a router under its trace wrapper.
 func TestSnapshotSuffixReplay(t *testing.T) {
-	dir := t.TempDir()
-	l, head, tail := chainLog(16)
+	open := map[string]func(dir string) (store.Store, error){
+		"file": func(dir string) (store.Store, error) { return store.OpenFileStore(dir) },
+		"sharded": func(dir string) (store.Store, error) {
+			r, err := shardedstore.Open(dir, 4, false)
+			if err != nil {
+				return nil, err
+			}
+			return r.WithTrace(func(shardedstore.ClosureTrace) {}), nil
+		},
+	}
+	for name, open := range open {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, head, tail := chainLog(16)
 
-	fs, err := store.OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(fs, Options{SnapshotDir: dir})
-	if err := c.PutRunLog(l); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Closure(head, store.Down); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Two more runs land after the snapshot, extending the chain's tail.
-	if err := c.PutRunLog(extRun("suffix-1", tail, "sx-art-1", "")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PutRunLog(extRun("suffix-2", "sx-art-1", "sx-art-2", "")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
+			fs, err := open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := New(fs, Options{SnapshotDir: dir})
+			if err := c.PutRunLog(l); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.PutRunLog(extRun("prefix-1", "px-in", "px-out", "")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Closure(head, store.Down); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			// More runs land after the snapshot, extending the chain's tail
+			// (enough of them to spread over every shard).
+			const suffix = 8
+			prev := tail
+			for i := 1; i <= suffix; i++ {
+				next := fmt.Sprintf("sx-art-%d", i)
+				if err := c.PutRunLog(extRun(fmt.Sprintf("suffix-%d", i), prev, next, "")); err != nil {
+					t.Fatal(err)
+				}
+				prev = next
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	fs2, err := store.OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := New(fs2, Options{SnapshotDir: dir})
-	defer c2.Close()
-	if m := c2.Metrics(); m.Restored == 0 {
-		t.Fatalf("nothing restored: %+v", m)
-	}
-	got, err := c2.Closure(head, store.Down)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := c2.Metrics(); m.ClosureHits != 1 {
-		t.Fatalf("suffix-replayed closure was not a hit: %+v", m)
-	}
-	want, err := store.NaiveClosure(fs2, head, store.Down)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(got)
-	sort.Strings(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("suffix replay diverged:\n got %v\nwant %v", got, want)
-	}
-	for _, must := range []string{"sx-art-1", "sx-art-2"} {
-		if sort.SearchStrings(got, must) == len(got) || got[sort.SearchStrings(got, must)] != must {
-			t.Fatalf("suffix node %s missing from restored closure %v", must, got)
-		}
+			fs2, err := open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c2 := New(fs2, Options{SnapshotDir: dir})
+			defer c2.Close()
+			if m := c2.Metrics(); m.Restored == 0 {
+				t.Fatalf("nothing restored: %+v", m)
+			}
+			got, err := c2.Closure(head, store.Down)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := c2.Metrics(); m.ClosureHits != 1 {
+				t.Fatalf("suffix-replayed closure was not a hit: %+v", m)
+			}
+			want, err := store.NaiveClosure(fs2, head, store.Down)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("suffix replay diverged:\n got %v\nwant %v", got, want)
+			}
+			for i := 1; i <= suffix; i++ {
+				must := fmt.Sprintf("sx-art-%d", i)
+				if at := sort.SearchStrings(got, must); at == len(got) || got[at] != must {
+					t.Fatalf("suffix node %s missing from restored closure %v", must, got)
+				}
+			}
+		})
 	}
 }
 

@@ -328,7 +328,13 @@ func chaosScenario(t *testing.T, seed int64) {
 			ft.Heal()
 		}
 	}()
-	for i := 0; i < 80; i++ {
+	// At least 80 runs, and on until the flapping link has refused an
+	// exchange: a fixed count of fast ingests can fit between two of the
+	// follower's polls, and then no poll ever meets a partition.
+	for i := 0; i < 80 || ft.Stats().Partitioned == 0; i++ {
+		if i == 20000 {
+			t.Fatal("no exchange met a partition in 20000 ingests")
+		}
 		put(ps, fmt.Sprintf("chaos-%03d", i))
 		if i%16 == 0 {
 			time.Sleep(time.Millisecond)

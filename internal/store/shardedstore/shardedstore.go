@@ -105,6 +105,8 @@ type Router struct {
 
 var _ store.Store = (*Router)(nil)
 var _ store.Checkpointer = (*Router)(nil)
+var _ store.LogScanner = (*Router)(nil)
+var _ store.EntityBatcher = (*Router)(nil)
 
 // New builds a router over the given shards (at least one). The shards
 // should be empty or previously populated through a router with the same
@@ -327,9 +329,9 @@ func (r *Router) Checkpoint() error {
 }
 
 // rebuild reconstructs the routing and entity indexes: shard contents are
-// replayed in the manifest's global order where the journal has them, then
-// any journal-missed runs in shard-scan order, and the manifest is
-// rewritten to the recovered order.
+// scanned in parallel and replayed in the manifest's global order where the
+// journal has them, then any journal-missed runs in shard-scan order, and
+// the manifest is rewritten to the recovered order.
 func (r *Router) rebuild(dir string) error {
 	manifestPath := filepath.Join(dir, manifestFileName)
 	var manifestOrder []string
@@ -345,11 +347,10 @@ func (r *Router) rebuild(dir string) error {
 		}
 	}
 
-	type rec struct {
-		l     *provenance.RunLog
-		shard int
-	}
-	byRun := map[string]rec{}
+	// Shard membership comes from the shards' resident run lists, which
+	// fixes the replay order before any record is read; the logs then
+	// stream through the merge and fold as they arrive, none retained.
+	home := map[string]int{}
 	var shardOrder []string
 	for si, s := range r.shards {
 		runs, err := s.Runs()
@@ -357,26 +358,25 @@ func (r *Router) rebuild(dir string) error {
 			return fmt.Errorf("shardedstore: rebuild shard %d: %w", si, err)
 		}
 		for _, runID := range runs {
-			l, err := s.RunLog(runID)
-			if err != nil {
-				return fmt.Errorf("shardedstore: rebuild run %s: %w", runID, err)
+			home[runID] = si
+		}
+		shardOrder = append(shardOrder, runs...)
+	}
+	order := make([]string, 0, len(home))
+	seen := make(map[string]bool, len(home))
+	for _, runs := range [][]string{manifestOrder, shardOrder} {
+		for _, runID := range runs {
+			if _, stored := home[runID]; stored && !seen[runID] {
+				seen[runID] = true
+				order = append(order, runID)
 			}
-			byRun[runID] = rec{l, si}
-			shardOrder = append(shardOrder, runID)
 		}
 	}
-	seen := map[string]bool{}
-	replay := func(runID string) {
-		if rc, ok := byRun[runID]; ok && !seen[runID] {
-			seen[runID] = true
-			r.indexLocked(rc.l, rc.shard)
-		}
-	}
-	for _, runID := range manifestOrder {
-		replay(runID)
-	}
-	for _, runID := range shardOrder {
-		replay(runID)
+	err := mergeLogs(r.shards, make([]int, len(r.shards)), order,
+		func(runID string) int { return home[runID] },
+		func(l *provenance.RunLog, shard int) error { r.indexLocked(l, shard); return nil })
+	if err != nil {
+		return fmt.Errorf("shardedstore: rebuild: %w", err)
 	}
 
 	// Rewrite the journal to the recovered order and keep it open for
@@ -568,6 +568,188 @@ func (r *Router) Execution(id string) (*provenance.Execution, error) {
 		return nil, fmt.Errorf("%w: execution %q", store.ErrNotFound, id)
 	}
 	return r.shards[shard].Execution(id)
+}
+
+// Entities implements store.EntityBatcher: each ID routes to the shard
+// Artifact or Execution would ask (the latest declaring shard, artifact
+// classification first), and every shard answers its share in one batch.
+func (r *Router) Entities(ids []string) ([]store.Entity, error) {
+	perShard := make([][]int, len(r.shards)) // shard -> indexes into ids
+	r.mu.RLock()
+	for i, id := range ids {
+		shard, ok := r.artLatest[id]
+		if !ok {
+			shard, ok = r.execLatest[id]
+		}
+		if ok {
+			perShard[shard] = append(perShard[shard], i)
+		}
+	}
+	r.mu.RUnlock()
+	out := make([]store.Entity, len(ids))
+	for shard, idx := range perShard {
+		if len(idx) == 0 {
+			continue
+		}
+		sub := make([]string, len(idx))
+		for j, i := range idx {
+			sub[j] = ids[i]
+		}
+		ents, err := store.Entities(r.shards[shard], sub)
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range idx {
+			out[i] = ents[j]
+		}
+	}
+	return out, nil
+}
+
+// --- Store: whole-store scan -------------------------------------------------
+
+// ScanLogs implements store.LogScanner: the shards stream their logs in
+// parallel and the merge emits them in the router's accepted order, the
+// order a run-at-a-time walk of Runs() would visit.
+func (r *Router) ScanLogs(skip int, fn func(*provenance.RunLog) error) error {
+	// The accepted order is read before the shard scans start, so every
+	// run it lists is already below its shard's watermark. Elements below
+	// the captured length never change (the order only appends), so the
+	// suffix is safe to walk after the lock is released.
+	r.mu.RLock()
+	order := r.order[min(max(skip, 0), len(r.order)):]
+	r.mu.RUnlock()
+	if len(order) == 0 {
+		return nil
+	}
+	skips := make([]int, len(r.shards))
+	if skip > 0 {
+		var err error
+		if skips, err = r.shardSkips(order); err != nil {
+			return err
+		}
+	}
+	home := func(runID string) int {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return r.runShard[runID]
+	}
+	return mergeLogs(r.shards, skips, order, home,
+		func(l *provenance.RunLog, _ int) error { return fn(l) })
+}
+
+// shardSkips finds, per shard, the position in that shard's own log of the
+// earliest run in suffix (a tail of the accepted order): where its scan
+// must start to cover the suffix. Walking each shard's run list backwards
+// until it has met all of the shard's suffix runs costs O(len(suffix))
+// however long the history before it.
+func (r *Router) shardSkips(suffix []string) ([]int, error) {
+	want := make(map[string]bool, len(suffix))
+	left := make([]int, len(r.shards)) // suffix runs per shard not yet met
+	r.mu.RLock()
+	for _, runID := range suffix {
+		want[runID] = true
+		left[r.runShard[runID]]++
+	}
+	r.mu.RUnlock()
+	skips := make([]int, len(r.shards))
+	for si, s := range r.shards {
+		runs, err := s.Runs()
+		if err != nil {
+			return nil, err
+		}
+		at := len(runs)
+		for left[si] > 0 && at > 0 {
+			at--
+			if want[runs[at]] {
+				left[si]--
+			}
+		}
+		skips[si] = at
+	}
+	return skips, nil
+}
+
+// mergeAhead is how many decoded logs a shard's scan may run ahead of the
+// merge. Hash placement interleaves the shards' runs in the global order,
+// so the merge asks each shard for a record every few steps; this much
+// slack keeps every shard decoding while the merge drains the others,
+// without ever holding more than shards × mergeAhead decoded logs.
+const mergeAhead = 32
+
+var errMergeStopped = errors.New("shardedstore: merge stopped")
+
+// mergeLogs replays the shards' run logs along order (runs home knows the
+// shard of), calling fn with each log and its shard. One goroutine per
+// shard scans that shard's log from its skips[i]-th record; the calling
+// goroutine walks order and pulls each run from its home shard's stream. A shard's log order agrees with the
+// global order except where concurrent ingests to one shard reached the
+// router's index out of commit order, so a record that arrives ahead of
+// its turn is parked until order reaches it and the parked set stays
+// within the ingest concurrency. A run the home shard's scan does not
+// surface is skipped. The scans are stopped and waited for on return.
+func mergeLogs(shards []store.Store, skips []int, order []string,
+	home func(runID string) (shard int),
+	fn func(l *provenance.RunLog, shard int) error) error {
+
+	type stream struct {
+		ch  chan *provenance.RunLog
+		err error // the scan's failure; written before ch closes
+	}
+	streams := make([]stream, len(shards))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range shards {
+		streams[i].ch = make(chan *provenance.RunLog, mergeAhead)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer close(streams[i].ch)
+			err := store.ScanLogs(shards[i], skips[i], func(l *provenance.RunLog) error {
+				select {
+				case streams[i].ch <- l:
+					return nil
+				case <-stop:
+					return errMergeStopped
+				}
+			})
+			if !errors.Is(err, errMergeStopped) {
+				streams[i].err = err
+			}
+		}(i)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	parked := map[string]*provenance.RunLog{}
+	for _, runID := range order {
+		shard := home(runID)
+		l, found := parked[runID]
+		for !found {
+			next, open := <-streams[shard].ch
+			if !open {
+				if err := streams[shard].err; err != nil {
+					return err
+				}
+				break
+			}
+			if next.Run.ID == runID {
+				l, found = next, true
+			} else {
+				parked[next.Run.ID] = next
+			}
+		}
+		if !found {
+			continue
+		}
+		delete(parked, runID)
+		if err := fn(l, shard); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // GeneratorOf implements Store: generator edges are last-write-wins across
