@@ -603,9 +603,10 @@ func BenchmarkE15WAL(b *testing.B) {
 // BenchmarkE16ClosurePushdown measures the depth-128 chain lineage of
 // experiment E16 three ways: the single FileStore's one-lock BFS, the
 // sharded router's pre-pushdown per-hop scatter/gather
-// (ClosureViaExpand), and the closure pushdown (local fixpoint per shard +
-// cross-shard frontier exchange). Allocations are reported — the pooled
-// per-shard buffers are the E16 micro-opt observable.
+// (store.CloseOverExpand over Router.Expand), and the closure pushdown
+// (local fixpoint per shard + cross-shard frontier exchange). Allocations
+// are reported — the pooled per-shard buffers are the E16 micro-opt
+// observable.
 func BenchmarkE16ClosurePushdown(b *testing.B) {
 	const chainRuns = 128
 	logs := make([]*provenance.RunLog, chainRuns)
@@ -643,7 +644,7 @@ func BenchmarkE16ClosurePushdown(b *testing.B) {
 	b.Run("mode=sharded-perhop", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := r.ClosureViaExpand(tail, store.Up); err != nil {
+			if _, err := store.CloseOverExpand(r.Expand, tail, store.Up); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -659,12 +660,11 @@ func BenchmarkE16ClosurePushdown(b *testing.B) {
 }
 
 // BenchmarkE17StreamingExec replays experiment E17's multi-join PQL
-// battery over the 64-run synthetic store through the eager reference
-// executor, the streaming executor, and the streaming executor over a
-// 4-shard router (parallel leaf scans), plus the Datalog provenance
-// fixpoint under both evaluators. Allocations are reported — the
-// pipelined iterators' avoided intermediate materialization is the
-// headline observable.
+// battery over the 64-run synthetic store through the executor on a
+// MemStore and over a 4-shard router (parallel leaf scans), plus the
+// Datalog provenance fixpoint (derived facts reported). Allocations are
+// reported — the pipelined iterators' avoided intermediate
+// materialization is the headline observable.
 func BenchmarkE17StreamingExec(b *testing.B) {
 	const nRuns, execsPerRun = 64, 6
 	mem := store.NewMemStore()
@@ -685,37 +685,33 @@ func BenchmarkE17StreamingExec(b *testing.B) {
 		}
 		queries[i] = q
 	}
-	battery := func(s store.Store, exec func(store.Store, *pql.Query) (*pql.Result, error)) func(*testing.B) {
+	battery := func(s store.Store) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := exec(s, q); err != nil {
+					if _, err := pql.Execute(s, q); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
 		}
 	}
-	b.Run("mode=eager", battery(mem, pql.ExecuteEager))
-	b.Run("mode=streaming", battery(mem, pql.Execute))
-	b.Run("mode=streaming-sharded", battery(sharded, pql.Execute))
+	b.Run("store=mem", battery(mem))
+	b.Run("store=sharded", battery(sharded))
 
-	fixpoint := func(reference bool) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, err := datalog.NewProvenanceProgram(mem)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.ReferenceEval = reference
-				p.Evaluate()
+	b.Run("datalog", func(b *testing.B) {
+		b.ReportAllocs()
+		derived := 0
+		for i := 0; i < b.N; i++ {
+			p, err := datalog.NewProvenanceProgram(mem)
+			if err != nil {
+				b.Fatal(err)
 			}
+			derived = p.Evaluate()
 		}
-	}
-	b.Run("datalog=reference", fixpoint(true))
-	b.Run("datalog=streaming", fixpoint(false))
+		b.ReportMetric(float64(derived), "derived-facts")
+	})
 }
 
 // BenchmarkE18Replication measures the log-shipping replication path on

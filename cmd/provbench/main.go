@@ -64,18 +64,6 @@ var gates = []struct {
 	// a tight floor: it collapses to ~1 only if the pushdown stops
 	// exchanging frontiers and degrades to per-hop rounds.
 	{"E16", "deep_closure_rounds_reduction_x", 0.9},
-	// Streaming executor vs eager materialization on the E17 join
-	// battery: wall-clock and allocation ratios both collapse toward 1.0
-	// if the planner stops pushing selections below joins or the
-	// iterators start materializing intermediates again. Loose floors
-	// absorb shared-runner noise; the baseline ratios are ~3x.
-	{"E17", "exec_streaming_speedup_x", 0.3},
-	{"E17", "exec_alloc_reduction_x", 0.3},
-	// The Datalog fixpoint ratio is an order of magnitude (hash joins vs
-	// nested unification), so even the loose floor only trips on an
-	// architectural regression such as falling back to the reference
-	// evaluator.
-	{"E17", "datalog_streaming_speedup_x", 0.3},
 	// Log-shipping replication: aggregate read capacity with two followers
 	// over the unreplicated baseline, node-at-a-time windows summed. The
 	// baseline ratio is ~2x on a one-core runner (~3x with real cores);
@@ -130,7 +118,7 @@ func main() {
 			"E14 sharded store: ingest + closure scaling vs shard count",
 			"E15 WAL group commit + checkpoint: durable ingest and warm restarts",
 			"E16 closure pushdown: deep sharded lineage, local fixpoints + frontier exchange",
-			"E17 streaming query executor: lazy iterators + pushdown vs eager materialization",
+			"E17 streaming query executor: join battery and Datalog fixpoint, absolute",
 			"E18 log-shipping replication: follower read scale-out + ingest retention",
 			"E19 observability overhead: instrumented vs gated-off, percentiles from live histograms",
 			"E20 standing queries: incremental maintenance vs per-ingest re-query",

@@ -1,11 +1,10 @@
 // Command provd serves the collaboratory's HTTP API: workflow sharing,
 // full-text search, run-log retrieval, lineage/dependents closure queries
 // and batch frontier expansion (/expand), PQL, and recommendations (see
-// internal/collab for routes — all under the versioned /v1/ prefix, with
-// the unversioned paths kept as deprecated aliases). Closure endpoints
-// run on the storage layer's pushed-down batch traversal, so they cost
-// O(hops) store operations on every backend — including the durable file
-// store.
+// internal/collab for routes — all under the versioned /v1/ prefix).
+// Closure endpoints run on the storage layer's pushed-down batch traversal,
+// so they cost O(hops) store operations on every backend — including the
+// durable file store.
 //
 // Usage:
 //

@@ -5,13 +5,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"net/http"
 	"net/http/httptest"
 
 	"repro/internal/collab"
+	"repro/internal/collab/api"
 	"repro/internal/store"
 )
 
@@ -64,17 +63,14 @@ func main() {
 	srv := httptest.NewServer(collab.NewHandler(repo))
 	defer srv.Close()
 
+	client := api.NewClient(srv.URL, nil)
+
 	fmt.Println("\nHTTP API:")
-	resp, err := http.Get(srv.URL + "/stats")
+	stats, err := client.Stats()
 	if err != nil {
 		log.Fatal(err)
 	}
-	var stats collab.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("  GET /stats -> %+v\n", stats)
+	fmt.Printf("  GET /v1/stats -> %+v\n", stats)
 
 	// Lineage of a shared run's final artifact, over the wire.
 	runs := repo.RunsOf("medimg")
@@ -87,27 +83,17 @@ func main() {
 			log.Fatal(err)
 		}
 		target := l.Artifacts[len(l.Artifacts)-1].ID
-		resp, err := http.Get(srv.URL + "/lineage?id=" + target)
+		lineage, err := client.Lineage(target)
 		if err != nil {
 			log.Fatal(err)
 		}
-		var lineage []string
-		if err := json.NewDecoder(resp.Body).Decode(&lineage); err != nil {
-			log.Fatal(err)
-		}
-		resp.Body.Close()
-		fmt.Printf("  GET /lineage?id=%s -> %d upstream entities\n", target, len(lineage))
+		fmt.Printf("  GET /v1/lineage?id=%s -> %d upstream entities\n", target, len(lineage))
 	}
 
 	// PQL across every run anyone published.
-	resp, err = http.Get(srv.URL + "/query?q=SELECT%20moduleType,%20status%20FROM%20executions%20WHERE%20status%20%3D%20%27failed%27")
+	qres, err := client.Query("SELECT moduleType, status FROM executions WHERE status = 'failed'")
 	if err != nil {
 		log.Fatal(err)
 	}
-	var qres struct{ Rows [][]string }
-	if err := json.NewDecoder(resp.Body).Decode(&qres); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("  GET /query (failed executions) -> %d rows\n", len(qres.Rows))
+	fmt.Printf("  GET /v1/query (failed executions) -> %d rows\n", len(qres.Rows))
 }

@@ -12,8 +12,7 @@ import (
 	"repro/internal/workflow"
 )
 
-// V1Prefix roots every current provd route; the bare legacy routes are
-// deprecated aliases that delegate here.
+// V1Prefix roots every provd route; nothing is served outside it.
 const V1Prefix = "/v1"
 
 // Error codes carried in the shared envelope, stable across versions —

@@ -492,15 +492,10 @@ func (c *Client) StreamLogContext(ctx context.Context, shard int, from int64, ma
 	return data, committed, nil
 }
 
-// ShardCheckpoint fetches the raw checkpoint snapshot of a primary
-// shard, ok=false when the shard has none yet. New followers install it
-// before opening their store so only the post-checkpoint log suffix
-// replays.
-func (c *Client) ShardCheckpoint(shard int) ([]byte, bool, error) {
-	return c.ShardCheckpointContext(context.Background(), shard)
-}
-
-// ShardCheckpointContext is ShardCheckpoint bounded by ctx.
+// ShardCheckpointContext fetches the raw checkpoint snapshot of a primary
+// shard, bounded by ctx; ok=false when the shard has none yet. New followers
+// install it before opening their store so only the post-checkpoint log
+// suffix replays.
 func (c *Client) ShardCheckpointContext(ctx context.Context, shard int) ([]byte, bool, error) {
 	u := fmt.Sprintf("%s/replication/checkpoint?shard=%d", V1Prefix, shard)
 	resp, err := c.do(ctx, c.hc, http.MethodGet, u, nil, nil)

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/collab/api"
 	"repro/internal/engine"
 	"repro/internal/provenance"
 	"repro/internal/store"
@@ -215,7 +216,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	getJSON := func(path string, into any) int {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
+		resp, err := http.Get(srv.URL + api.V1Prefix + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +316,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/workflows", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+api.V1Prefix+"/workflows", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("publish: %d", resp.StatusCode)
 	}
 	// Rate over HTTP.
-	resp, err = http.Post(srv.URL+"/workflows/medimg/rating", "application/json",
+	resp, err = http.Post(srv.URL+api.V1Prefix+"/workflows/medimg/rating", "application/json",
 		bytes.NewReader([]byte(`{"user":"u1","stars":5}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +364,7 @@ func TestHTTPSearch(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewHandler(r))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/workflows?q=isosurface")
+	resp, err := http.Get(srv.URL + api.V1Prefix + "/workflows?q=isosurface")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestHTTPClosureEndpointsCached(t *testing.T) {
 
 	getJSON := func(path string, into any) int {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
+		resp, err := http.Get(srv.URL + api.V1Prefix + path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,11 +19,10 @@ import (
 )
 
 // NewHandler exposes the repository and lineage service over HTTP (the
-// collaboratory's Web face). All current routes live under the versioned
-// /v1 prefix and answer failures with the shared envelope
-// {"error": ..., "code": ...} (codes in internal/collab/api); the bare
-// legacy paths remain as deprecated aliases that delegate to their v1
-// twin. Endpoints (all JSON unless noted):
+// collaboratory's Web face). Every route lives under the versioned /v1
+// prefix and answers failures with the shared envelope
+// {"error": ..., "code": ...} (codes in internal/collab/api); any other
+// path is a 404. Endpoints (all JSON unless noted):
 //
 //	GET  /v1/workflows                  list IDs (optionally ?q= full-text search)
 //	POST /v1/workflows                  publish {workflow, owner, description, tags}
@@ -188,9 +187,7 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 	}
 	hobs := &httpObs{reg: reg, log: opts.RequestLog, slow: opts.SlowRequest}
 	mux := http.NewServeMux()
-	// Every v1 route registers through the observability middleware; the
-	// legacy aliases re-dispatch into these handlers, so each request is
-	// counted exactly once, under its v1 route label.
+	// Every route registers through the observability middleware.
 	v1 := func(pattern string, fn http.HandlerFunc) {
 		route := api.V1Prefix + pattern
 		mux.HandleFunc(route, hobs.instrument(route, fn))
@@ -299,7 +296,7 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 			}
 			ids, err := repo.Store().Closure(id, dir)
 			if err != nil {
-				writeError(w, http.StatusNotFound, api.CodeNotFound, err)
+				writeStoreError(w, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, ids)
@@ -361,27 +358,28 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 			writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: q parameter required"))
 			return
 		}
-		if opts.ExplainQueries != nil {
-			parsed, err := pql.Parse(q)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
-				return
-			}
-			res, ex, err := pql.ExecuteExplain(repo.Store(), parsed)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
-				return
-			}
-			opts.ExplainQueries(q, ex.String())
-			writeJSON(w, http.StatusOK, res)
-			return
-		}
-		res, err := pql.Run(repo.Store(), q)
+		parsed, err := pql.Parse(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		var res *pql.Result
+		if opts.ExplainQueries != nil {
+			var ex *pql.Explain
+			if res, ex, err = pql.ExecuteExplain(repo.Store(), parsed); err == nil {
+				opts.ExplainQueries(q, ex.String())
+			}
+		} else {
+			res, err = pql.Execute(repo.Store(), parsed)
+		}
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusOK, res)
+		case errors.Is(err, pql.ErrInvalid):
+			writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+		default:
+			writeStoreError(w, err)
+		}
 	})
 
 	v1("/stats", func(w http.ResponseWriter, req *http.Request) {
@@ -484,20 +482,6 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 	v1("/subscriptions", subscriptionsHandler(opts.Standing))
 	v1("/subscriptions/", subscriptionHandler(opts.Standing))
 
-	// Deprecated bare aliases: each legacy path delegates to its v1 twin
-	// by prefix rewrite, so there is exactly one implementation per
-	// route.
-	for _, p := range []string{
-		"/workflows", "/workflows/", "/runs/", "/lineage", "/dependents",
-		"/expand", "/recommend", "/query", "/stats",
-	} {
-		mux.HandleFunc(p, func(w http.ResponseWriter, req *http.Request) {
-			r2 := req.Clone(req.Context())
-			r2.URL.Path = api.V1Prefix + req.URL.Path
-			mux.ServeHTTP(w, r2)
-		})
-	}
-
 	if !opts.ReadOnly && opts.Lag == nil && opts.Failover == nil {
 		return mux
 	}
@@ -594,6 +578,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // through here so clients can rely on {"error", "code"} uniformly.
 func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, api.Error{Message: err.Error(), Code: code})
+}
+
+// writeStoreError answers a failed store read: 404 for an entity the store
+// does not hold, 500 for anything else — a log that could not be read is
+// the server's fault, not the client's.
+func writeStoreError(w http.ResponseWriter, err error) {
+	if errors.Is(err, store.ErrNotFound) {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, err)
+		return
+	}
+	writeError(w, http.StatusInternalServerError, api.CodeInternal, err)
 }
 
 func methodNotAllowed(w http.ResponseWriter, allow string) {

@@ -53,8 +53,8 @@ func TestRequestIDMiddleware(t *testing.T) {
 }
 
 // TestPerRouteCounters: requests land in prov_http_requests_total under
-// their v1 route label and status code — including legacy-alias requests,
-// which re-dispatch into the v1 handler and must be counted exactly once.
+// their v1 route label and status code; a bare path is no route and
+// counts under none.
 func TestPerRouteCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := NewHandlerWith(NewRepository(store.NewMemStore()), HandlerOptions{Metrics: reg})
@@ -70,8 +70,8 @@ func TestPerRouteCounters(t *testing.T) {
 	}
 
 	if got := reg.Counter("prov_http_requests_total", "",
-		obs.L("route", "/v1/stats"), obs.L("code", "200")).Value(); got != 3 {
-		t.Errorf("stats 200 counter = %d, want 3 (two direct + one legacy alias)", got)
+		obs.L("route", "/v1/stats"), obs.L("code", "200")).Value(); got != 2 {
+		t.Errorf("stats 200 counter = %d, want 2 (the bare /stats is a 404 outside /v1)", got)
 	}
 	if got := reg.Counter("prov_http_requests_total", "",
 		obs.L("route", "/v1/runs/"), obs.L("code", "404")).Value(); got != 1 {
@@ -79,8 +79,8 @@ func TestPerRouteCounters(t *testing.T) {
 	}
 	if hist, ok := reg.FindHistogram("prov_http_request_seconds", obs.L("route", "/v1/stats")); !ok {
 		t.Error("no latency histogram for /v1/stats")
-	} else if n := hist.Snapshot().Count; n != 3 {
-		t.Errorf("latency histogram count = %d, want 3", n)
+	} else if n := hist.Snapshot().Count; n != 2 {
+		t.Errorf("latency histogram count = %d, want 2", n)
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/collab/api"
+	"repro/internal/provenance"
 	"repro/internal/store"
 	"repro/internal/workloads"
 )
@@ -64,13 +66,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	decodeEnvelope(t, resp, http.StatusBadRequest, api.CodeBadRequest)
-
-	// Legacy aliases share the handler, so they share the envelope too.
-	resp, err = http.Get(srv.URL + "/workflows/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeEnvelope(t, resp, http.StatusNotFound, api.CodeNotFound)
 }
 
 func TestV1MethodChecks(t *testing.T) {
@@ -99,47 +94,73 @@ func TestV1MethodChecks(t *testing.T) {
 	}
 }
 
-// TestV1LegacyAliases checks every bare legacy route answers exactly like
-// its v1 twin.
-func TestV1LegacyAliases(t *testing.T) {
+// TestBareRoutesAreNotServed: /v1 is the API; the paths that used to alias
+// into it answer 404.
+func TestBareRoutesAreNotServed(t *testing.T) {
 	srv, _ := seededServer(t, HandlerOptions{})
-	// GET /workflows/{id} is excluded: it counts downloads, so two
-	// consecutive fetches legitimately differ — checked separately below.
 	for _, path := range []string{
-		"/workflows",
-		"/workflows/medimg/runs",
-		"/stats",
-		"/query?q=" + strings.ReplaceAll("SELECT module FROM executions", " ", "+"),
+		"/workflows", "/workflows/medimg", "/runs/x", "/lineage?id=x", "/dependents?id=x",
+		"/expand?ids=x", "/recommend?user=u", "/query?q=SELECT+*+FROM+runs", "/stats",
 	} {
-		legacy, err := http.Get(srv.URL + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacyBody, _ := io.ReadAll(legacy.Body)
-		legacy.Body.Close()
-		v1, err := http.Get(srv.URL + api.V1Prefix + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1Body, _ := io.ReadAll(v1.Body)
-		v1.Body.Close()
-		if legacy.StatusCode != v1.StatusCode || string(legacyBody) != string(v1Body) {
-			t.Errorf("%s: legacy (%d, %q) != v1 (%d, %q)",
-				path, legacy.StatusCode, legacyBody, v1.StatusCode, v1Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
+}
 
-	resp, err := http.Get(srv.URL + "/workflows/medimg")
-	if err != nil {
-		t.Fatal(err)
+// faultyStore is a store whose reads below the resident indexes fail: the
+// log scan PQL's leaf tables run on, and the closure traversal.
+type faultyStore struct {
+	store.Store
+}
+
+var errDisk = errors.New("read provlog.jsonl: input/output error")
+
+func (faultyStore) ScanLogs(int, func(*provenance.RunLog) error) error { return errDisk }
+func (faultyStore) Closure(string, store.Direction) ([]string, error)  { return nil, errDisk }
+
+// TestV1ErrorClasses: a query the client got wrong is 400, an entity the
+// store does not hold is 404, and a read the store failed is 500 — on the
+// closure routes and on /v1/query, with and without the explain hook.
+func TestV1ErrorClasses(t *testing.T) {
+	get := func(srv *httptest.Server, path, pqlSrc string) *http.Response {
+		t.Helper()
+		u := srv.URL + api.V1Prefix + path
+		if pqlSrc != "" {
+			u += "?q=" + url.QueryEscape(pqlSrc)
+		}
+		resp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	var e Entry
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || e.Owner != "juliana" {
-		t.Fatalf("legacy workflow fetch: status %d, entry %+v", resp.StatusCode, e)
+	for _, explain := range []func(string, string){nil, func(string, string) {}} {
+		healthy, _ := seededServer(t, HandlerOptions{ExplainQueries: explain})
+		decodeEnvelope(t, get(healthy, "/query", "SELEC id FROM runs"), http.StatusBadRequest, api.CodeBadRequest)
+		decodeEnvelope(t, get(healthy, "/query", "SELECT nope FROM runs"), http.StatusBadRequest, api.CodeBadRequest)
+		decodeEnvelope(t, get(healthy, "/query", "SELECT id FROM runs ORDER BY nope"), http.StatusBadRequest, api.CodeBadRequest)
+		decodeEnvelope(t, get(healthy, "/query", "LINEAGE OF 'ghost'"), http.StatusNotFound, api.CodeNotFound)
+		decodeEnvelope(t, get(healthy, "/lineage?id=ghost", ""), http.StatusNotFound, api.CodeNotFound)
+
+		faulty := httptest.NewServer(NewHandlerWith(
+			NewRepository(faultyStore{store.NewMemStore()}), HandlerOptions{ExplainQueries: explain}))
+		t.Cleanup(faulty.Close)
+		for _, q := range []string{"SELECT id FROM runs", "LINEAGE OF 'x'", "DEPENDENTS OF 'x'"} {
+			env := decodeEnvelope(t, get(faulty, "/query", q), http.StatusInternalServerError, api.CodeInternal)
+			if !strings.Contains(env.Message, errDisk.Error()) {
+				t.Errorf("%s: message %q does not carry the store's error", q, env.Message)
+			}
+		}
+		// Validation still wins over the fault: it runs before any read.
+		decodeEnvelope(t, get(faulty, "/query", "SELECT nope FROM runs"), http.StatusBadRequest, api.CodeBadRequest)
+		decodeEnvelope(t, get(faulty, "/lineage?id=x", ""), http.StatusInternalServerError, api.CodeInternal)
+		decodeEnvelope(t, get(faulty, "/dependents?id=x", ""), http.StatusInternalServerError, api.CodeInternal)
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -67,16 +66,4 @@ func (r *Registry) Lookup(moduleType string) (Func, error) {
 		return nil, fmt.Errorf("engine: no implementation registered for module type %q", moduleType)
 	}
 	return fn, nil
-}
-
-// Types returns the registered module type names, sorted.
-func (r *Registry) Types() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.funcs))
-	for t := range r.funcs {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

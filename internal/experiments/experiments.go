@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/analogy"
 	"repro/internal/collab"
-	"repro/internal/dbprov"
 	"repro/internal/engine"
 	"repro/internal/evolution"
 	"repro/internal/interop"
@@ -1245,7 +1244,7 @@ func E16() Result {
 		return errResult("E16", err)
 	}
 	legacy := timeRunsExact(func() {
-		if _, err := r.ClosureViaExpand(tail, store.Up); err != nil {
+		if _, err := store.CloseOverExpand(r.Expand, tail, store.Up); err != nil {
 			panic(err)
 		}
 	}, 21)
@@ -1378,17 +1377,16 @@ var E17Queries = []string{
 	"SELECT COUNT(*) FROM executions JOIN uses ON executions.id = exec WHERE status = 'ok'",
 }
 
-// E17 measures the streaming executor against the eager reference on a
-// multi-join PQL workload plus the Datalog provenance fixpoint, over a
-// 64-run synthetic store (384 executions, ~832 use/gen events). The
-// eager path materializes every intermediate relation (with its hash
-// index and witness sets) before filtering; the streaming path pushes
-// selections below the join, pipelines non-blocking operators, and
-// scans store leaves once per query. The experiment first asserts both
-// paths return byte-identical results (and equal Datalog fixpoints),
-// then reports median latency, allocated bytes per battery, and the two
-// gated ratios: exec_streaming_speedup_x and exec_alloc_reduction_x. A
-// 4-shard router rerun reports the parallel leaf-scan latency.
+// E17 measures the query executors in absolute units on a multi-join PQL
+// workload plus the Datalog provenance fixpoint, over a 64-run synthetic
+// store (384 executions, ~832 use/gen events): median battery latency on
+// a MemStore and behind a 4-shard router (parallel leaf scan), allocated
+// bytes per battery, and the fixpoint's latency and derived-fact count.
+// The sharded answers are checked against the unsharded ones first. What
+// the retired ratio gates guarded — selections pushed below the join, no
+// materialized intermediates — is pinned by deterministic tests in
+// internal/query/pql (per-operator row counts and an allocation ceiling
+// on this same store and battery).
 func E17() Result {
 	const (
 		nRuns       = 64
@@ -1415,104 +1413,65 @@ func E17() Result {
 		queries[i] = q
 	}
 
-	// Equivalence first: the speedup is meaningless if the answers drift.
 	var rows int
 	for i, q := range queries {
-		want, err := pql.ExecuteEager(mem, q)
+		want, err := pql.Execute(mem, q)
 		if err != nil {
 			return errResult("E17", err)
 		}
-		got, err := pql.Execute(mem, q)
+		got, err := pql.Execute(sharded, q)
 		if err != nil {
 			return errResult("E17", err)
 		}
 		if fmt.Sprint(want.Columns) != fmt.Sprint(got.Columns) || fmt.Sprint(want.Rows) != fmt.Sprint(got.Rows) {
-			return errResult("E17", fmt.Errorf("query %d: streaming diverged from eager", i))
-		}
-		gotSharded, err := pql.Execute(sharded, q)
-		if err != nil {
-			return errResult("E17", err)
-		}
-		if fmt.Sprint(want.Rows) != fmt.Sprint(gotSharded.Rows) {
-			return errResult("E17", fmt.Errorf("query %d: sharded streaming diverged from eager", i))
+			return errResult("E17", fmt.Errorf("query %d: sharded answer diverged from unsharded", i))
 		}
 		rows += len(want.Rows)
 	}
 
-	battery := func(s store.Store, exec func(store.Store, *pql.Query) (*pql.Result, error)) func() {
+	battery := func(s store.Store) func() {
 		return func() {
 			for _, q := range queries {
-				if _, err := exec(s, q); err != nil {
+				if _, err := pql.Execute(s, q); err != nil {
 					panic(err)
 				}
 			}
 		}
 	}
-	eagerFn := battery(mem, pql.ExecuteEager)
-	streamFn := battery(mem, pql.Execute)
-	shardedFn := battery(sharded, pql.Execute)
+	memT := timeRunsExact(battery(mem), 21)
+	shardedT := timeRunsExact(battery(sharded), 21)
+	allocBytes := allocBytesPerRun(battery(mem), 8)
 
-	eager := timeRunsExact(eagerFn, 21)
-	streaming := timeRunsExact(streamFn, 21)
-	shardedT := timeRunsExact(shardedFn, 21)
-
-	eagerBytes := allocBytesPerRun(eagerFn, 8)
-	streamBytes := allocBytesPerRun(streamFn, 8)
-
-	// Datalog provenance fixpoint over the same store: reference
-	// evaluator (per-delta nested unification against full fact maps) vs
-	// the relalg-backed semi-naive rounds. Program build cost is inside
-	// both timings, so the reported ratio understates the raw join win.
-	datalogRun := func(reference bool) func() int {
-		return func() int {
-			p, err := datalog.NewProvenanceProgram(mem)
-			if err != nil {
-				panic(err)
-			}
-			p.ReferenceEval = reference
-			return p.Evaluate()
+	// Datalog provenance fixpoint over the same store; program build cost
+	// is inside the timing.
+	derived := 0
+	fixpoint := func() {
+		p, err := datalog.NewProvenanceProgram(mem)
+		if err != nil {
+			panic(err)
 		}
+		derived = p.Evaluate()
 	}
-	refDerived := datalogRun(true)()
-	strDerived := datalogRun(false)()
-	if refDerived != strDerived {
-		return errResult("E17", fmt.Errorf("datalog fixpoints diverged: %d (streaming) vs %d (reference)", strDerived, refDerived))
-	}
-	dlRef := timeRunsExact(func() { datalogRun(true)() }, 7)
-	dlStream := timeRunsExact(func() { datalogRun(false)() }, 7)
-
-	speedup := float64(eager) / float64(streaming)
-	allocReduction := float64(eagerBytes) / float64(streamBytes)
-	dlSpeedup := float64(dlRef) / float64(dlStream)
+	dlT := timeRunsExact(fixpoint, 7)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-56s %14s\n", fmt.Sprintf("measure (%d runs, %d-query join battery, %d rows)", nRuns, len(queries), rows), "value")
-	fmt.Fprintf(&b, "%-56s %14s\n", "eager battery (materialize + filter)", eager)
-	fmt.Fprintf(&b, "%-56s %14s\n", "streaming battery (pushdown + pipeline)", streaming)
-	fmt.Fprintf(&b, "%-56s %13.1fx\n", "streaming speedup", speedup)
-	fmt.Fprintf(&b, "%-56s %14d\n", "eager alloc bytes / battery", eagerBytes)
-	fmt.Fprintf(&b, "%-56s %14d\n", "streaming alloc bytes / battery", streamBytes)
-	fmt.Fprintf(&b, "%-56s %13.1fx\n", "alloc reduction", allocReduction)
-	fmt.Fprintf(&b, "%-56s %14s\n", "streaming battery, 4-shard parallel scan", shardedT)
-	fmt.Fprintf(&b, "%-56s %14s\n", fmt.Sprintf("datalog fixpoint, reference (%d derived)", refDerived), dlRef)
-	fmt.Fprintf(&b, "%-56s %14s\n", "datalog fixpoint, streaming joins", dlStream)
-	fmt.Fprintf(&b, "%-56s %13.1fx\n", "datalog speedup (incl. program build)", dlSpeedup)
-	fmt.Fprintf(&b, "%-56s %14s\n", "streaming results == eager results", "verified")
+	fmt.Fprintf(&b, "%-56s %14s\n", "battery, MemStore", memT)
+	fmt.Fprintf(&b, "%-56s %14s\n", "battery, 4-shard parallel scan", shardedT)
+	fmt.Fprintf(&b, "%-56s %14d\n", "alloc bytes / battery", allocBytes)
+	fmt.Fprintf(&b, "%-56s %14s\n", "datalog fixpoint (incl. program build)", dlT)
+	fmt.Fprintf(&b, "%-56s %14d\n", "datalog derived facts", derived)
+	fmt.Fprintf(&b, "%-56s %14s\n", "sharded results == unsharded results", "verified")
 	return Result{
 		ID:    "E17",
-		Title: "streaming executor: lazy iterators + pushdown vs eager materialization",
+		Title: "streaming query executor: join battery and Datalog fixpoint, absolute",
 		Table: b.String(),
 		Metrics: []Metric{
-			{Name: "exec_eager_ns", Value: float64(eager.Nanoseconds()), Unit: "ns"},
-			{Name: "exec_streaming_ns", Value: float64(streaming.Nanoseconds()), Unit: "ns"},
-			{Name: "exec_streaming_speedup_x", Value: speedup, Unit: "x"},
-			{Name: "exec_eager_alloc_bytes", Value: float64(eagerBytes), Unit: "B"},
-			{Name: "exec_streaming_alloc_bytes", Value: float64(streamBytes), Unit: "B"},
-			{Name: "exec_alloc_reduction_x", Value: allocReduction, Unit: "x"},
+			{Name: "exec_streaming_ns", Value: float64(memT.Nanoseconds()), Unit: "ns"},
 			{Name: "exec_streaming_sharded_ns", Value: float64(shardedT.Nanoseconds()), Unit: "ns"},
-			{Name: "datalog_reference_ns", Value: float64(dlRef.Nanoseconds()), Unit: "ns"},
-			{Name: "datalog_streaming_ns", Value: float64(dlStream.Nanoseconds()), Unit: "ns"},
-			{Name: "datalog_streaming_speedup_x", Value: dlSpeedup, Unit: "x"},
+			{Name: "exec_streaming_alloc_bytes", Value: float64(allocBytes), Unit: "B"},
+			{Name: "datalog_streaming_ns", Value: float64(dlT.Nanoseconds()), Unit: "ns"},
+			{Name: "datalog_derived_facts", Value: float64(derived), Unit: "facts"},
 		},
 	}
 }
@@ -1529,14 +1488,6 @@ func allocBytesPerRun(fn func(), n int) uint64 {
 	}
 	runtime.ReadMemStats(&m1)
 	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(n)
-}
-
-// DBProvEndToEnd exercises the dbprov cross-level lineage as a sanity line
-// appended to E9's table context (kept separate for test use).
-func DBProvEndToEnd() error {
-	reg := engine.NewRegistry()
-	dbprov.RegisterRelationalModules(reg)
-	return nil
 }
 
 // --- helpers -----------------------------------------------------------------

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // MatchOptions controls subgraph matching.
 type MatchOptions struct {
 	// NodeMatches decides whether a pattern node may map to a target node.
@@ -218,15 +216,4 @@ func multisetJaccard(a, b map[string]int) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-// SortedKeys returns the keys of a string-keyed count map in sorted order.
-// Exported for reuse by higher layers that report signature histograms.
-func SortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -59,10 +59,6 @@ type Program struct {
 	// the rule's shape — so nothing ever invalidates an entry; rules are
 	// append-only, keeping indexes stable.
 	plans map[planKey]*rulePlan
-	// ReferenceEval switches Evaluate to the original nested-loop
-	// joinBody evaluator, kept as the conformance reference for the
-	// streaming executor (see exec.go). Both reach the same fixpoint.
-	ReferenceEval bool
 }
 
 // NewProgram returns an empty program.
@@ -140,102 +136,6 @@ func (p *Program) FactCount(pred string) int { return len(p.facts[pred]) }
 // binding maps variable names to constants.
 type binding map[string]string
 
-// Evaluate runs semi-naive bottom-up evaluation to fixpoint, materializing
-// all derivable facts for rule-head predicates. It returns the total number
-// of derived facts. By default each rule body is compiled into a streaming
-// relational-algebra plan with greedy hash-join ordering (exec.go); set
-// ReferenceEval for the original nested-loop evaluator.
-func (p *Program) Evaluate() int {
-	if !p.ReferenceEval {
-		return p.evaluateStreaming()
-	}
-	return p.evaluateReference()
-}
-
-// evaluateReference is the original per-binding nested-loop semi-naive
-// evaluator, retained as the conformance reference.
-func (p *Program) evaluateReference() int {
-	derived := 0
-	// delta holds facts new in the previous iteration, per predicate.
-	delta := map[string]map[string]bool{}
-	for pred, m := range p.facts {
-		delta[pred] = map[string]bool{}
-		for k := range m {
-			delta[pred][k] = true
-		}
-	}
-	for {
-		next := map[string]map[string]bool{}
-		for _, r := range p.rules {
-			// Semi-naive: for each body position, require that atom to match
-			// the delta and the others the full store.
-			for focus := range r.Body {
-				if len(delta[r.Body[focus].Pred]) == 0 {
-					continue
-				}
-				p.joinBody(r, focus, delta, func(b binding) {
-					vals := make([]string, len(r.Head.Args))
-					for i, t := range r.Head.Args {
-						if t.IsVar {
-							vals[i] = b[t.Value]
-						} else {
-							vals[i] = t.Value
-						}
-					}
-					key := encodeTuple(vals)
-					if p.facts[r.Head.Pred] == nil {
-						p.facts[r.Head.Pred] = map[string]bool{}
-					}
-					if !p.facts[r.Head.Pred][key] {
-						p.facts[r.Head.Pred][key] = true
-						p.appendTuple(r.Head.Pred, vals)
-						if next[r.Head.Pred] == nil {
-							next[r.Head.Pred] = map[string]bool{}
-						}
-						next[r.Head.Pred][key] = true
-						derived++
-					}
-				})
-			}
-		}
-		if len(next) == 0 {
-			return derived
-		}
-		delta = next
-	}
-}
-
-// joinBody enumerates bindings satisfying the rule body, with the atom at
-// index focus restricted to delta facts.
-func (p *Program) joinBody(r Rule, focus int, delta map[string]map[string]bool, emit func(binding)) {
-	var step func(i int, b binding)
-	step = func(i int, b binding) {
-		if i == len(r.Body) {
-			emit(b)
-			return
-		}
-		atom := r.Body[i]
-		var source map[string]bool
-		if i == focus {
-			source = delta[atom.Pred]
-		} else {
-			source = p.facts[atom.Pred]
-		}
-		for key := range source {
-			vals := decodeTuple(key)
-			if len(vals) != len(atom.Args) {
-				continue
-			}
-			nb, ok := unify(atom, vals, b)
-			if !ok {
-				continue
-			}
-			step(i+1, nb)
-		}
-	}
-	step(0, binding{})
-}
-
 func unify(atom Atom, vals []string, b binding) (binding, bool) {
 	nb := b
 	copied := false
@@ -278,6 +178,12 @@ func (p *Program) Query(q Atom) (*QueryResult, error) {
 		return nil, fmt.Errorf("datalog: query arity mismatch for %s", q.Pred)
 	}
 	p.Evaluate()
+	return p.match(q), nil
+}
+
+// match returns the stored facts that unify with the query atom, one sorted
+// distinct row per binding of its variables.
+func (p *Program) match(q Atom) *QueryResult {
 	var vars []string
 	seen := map[string]bool{}
 	for _, t := range q.Args {
@@ -310,5 +216,5 @@ func (p *Program) Query(q Atom) (*QueryResult, error) {
 	sort.Slice(res.Rows, func(i, j int) bool {
 		return encodeTuple(res.Rows[i]) < encodeTuple(res.Rows[j])
 	})
-	return res, nil
+	return res
 }

@@ -31,6 +31,9 @@ func TestParseAtom(t *testing.T) {
 	if _, err := ParseAtom("(x)"); err == nil {
 		t.Fatal("empty predicate parsed")
 	}
+	if _, err := ParseAtom("p(?, a)"); err == nil {
+		t.Fatal("variable without a name parsed")
+	}
 }
 
 func TestParseTermForms(t *testing.T) {

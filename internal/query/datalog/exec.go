@@ -1,6 +1,8 @@
 package datalog
 
 import (
+	"fmt"
+
 	"repro/internal/relalg"
 )
 
@@ -9,10 +11,9 @@ import (
 // iterator layer — one leaf per body atom, the focus atom bound to the
 // previous round's delta — and let the planner push constant/repeated-
 // variable selections into the leaf scans and order the hash joins
-// greedily (smallest relation first, bound-variable preference). The
-// nested-loop joinBody evaluator in datalog.go stays as the conformance
-// reference; both reach the same fixpoint and derived-fact count, since a
-// fact is counted once no matter which round derives it.
+// greedily (smallest relation first, bound-variable preference). It is the
+// package's only evaluator; the nested-loop evaluator it replaced is the
+// in-package test reference (reference_test.go).
 //
 // Each (rule, focus) pair's compiled shape — selections, bind positions,
 // join order — is prepared once (relalg.PrepareConj) and cached on the
@@ -23,7 +24,7 @@ import (
 // appendTuple mirrors a newly inserted fact into the planner's leaf
 // relation for its predicate. Slices are append-only, so plans compiled
 // earlier in a round keep their snapshot while later plans see the new
-// facts — the same monotonic visibility the reference evaluator has.
+// facts.
 func (p *Program) appendTuple(pred string, vals []string) {
 	vs := make([]relalg.Val, len(vals))
 	for i, v := range vals {
@@ -32,8 +33,11 @@ func (p *Program) appendTuple(pred string, vals []string) {
 	p.rel[pred] = append(p.rel[pred], relalg.Tuple{Values: vs})
 }
 
-// evaluateStreaming is Evaluate's default engine.
-func (p *Program) evaluateStreaming() int {
+// Evaluate runs semi-naive bottom-up evaluation to fixpoint, materializing
+// all derivable facts for rule-head predicates. It returns the total number
+// of derived facts. Each rule body is compiled into a streaming
+// relational-algebra plan with greedy hash-join ordering.
+func (p *Program) Evaluate() int {
 	derived := 0
 	// delta holds the tuples new in the previous round, per predicate.
 	delta := map[string][]relalg.Tuple{}
@@ -64,14 +68,11 @@ type planKey struct {
 }
 
 // rulePlan is one cached compilation: the rebindable plan plus the head
-// projection derived from the rule. bad marks a shape PrepareConj
-// rejected, so every round takes the joinBody fallback without retrying
-// compilation.
+// projection derived from the rule.
 type rulePlan struct {
 	pc      *relalg.PreparedConj
 	outVars []string
 	varAt   map[string]int
-	bad     bool
 }
 
 // preparedPlan returns the cached plan for (rule, focus), compiling on
@@ -106,11 +107,13 @@ func (p *Program) preparedPlan(ri int, r Rule, focus int) *rulePlan {
 			}
 		}
 	}
+	// Compilation cannot fail here: PrepareConj rejects only an empty body,
+	// which the caller's loop over body atoms never reaches, and a head
+	// variable no body atom binds, which AddRule refuses. A failure is a bug
+	// in this package, not in the program being evaluated.
 	pc, err := relalg.PrepareConj(leaves, rp.outVars)
 	if err != nil {
-		// Compilation can only fail on malformed rules AddRule would have
-		// rejected; fall back to the reference evaluator to be safe.
-		rp.bad = true
+		panic(fmt.Sprintf("datalog: compile %s: %v", r.Head, err))
 	}
 	rp.pc = pc
 	if p.plans == nil {
@@ -125,39 +128,24 @@ func (p *Program) preparedPlan(ri int, r Rule, focus int) *rulePlan {
 // Returns the number of new facts.
 func (p *Program) runRule(ri int, r Rule, focus int, delta, next map[string][]relalg.Tuple) int {
 	rp := p.preparedPlan(ri, r, focus)
-	var plan *relalg.Plan
-	if !rp.bad {
-		tuples := make([][]relalg.Tuple, len(r.Body))
-		for i, atom := range r.Body {
-			if i == focus {
-				tuples[i] = delta[atom.Pred]
-			} else {
-				tuples[i] = p.rel[atom.Pred]
-			}
-		}
-		var err error
-		plan, err = rp.pc.Bind(tuples, relalg.PlanOptions{})
-		if err != nil {
-			plan = nil
+	tuples := make([][]relalg.Tuple, len(r.Body))
+	for i, atom := range r.Body {
+		if i == focus {
+			tuples[i] = delta[atom.Pred]
+		} else {
+			tuples[i] = p.rel[atom.Pred]
 		}
 	}
-	if plan == nil {
-		n := 0
-		p.joinBody(r, focus, deltaKeys(delta), func(b binding) {
-			vals := make([]string, len(r.Head.Args))
-			for i, t := range r.Head.Args {
-				if t.IsVar {
-					vals[i] = b[t.Value]
-				} else {
-					vals[i] = t.Value
-				}
-			}
-			n += p.insertDerived(r.Head.Pred, vals, next)
-		})
-		return n
+	// Bind gets one slice per leaf and projects variables preparedPlan
+	// checked; the plan's leaves are in-memory scans and emit returns nil.
+	// Neither call can fail short of a bug here, so neither error has a
+	// caller to go to.
+	plan, err := rp.pc.Bind(tuples, relalg.PlanOptions{})
+	if err != nil {
+		panic(fmt.Sprintf("datalog: bind %s: %v", r.Head, err))
 	}
 	n := 0
-	_ = plan.Run(func(vals []relalg.Val, _ []relalg.Witness) error {
+	err = plan.Run(func(vals []relalg.Val, _ []relalg.Witness) error {
 		out := make([]string, len(r.Head.Args))
 		for i, t := range r.Head.Args {
 			if t.IsVar {
@@ -169,6 +157,9 @@ func (p *Program) runRule(ri int, r Rule, focus int, delta, next map[string][]re
 		n += p.insertDerived(r.Head.Pred, out, next)
 		return nil
 	})
+	if err != nil {
+		panic(fmt.Sprintf("datalog: run %s: %v", r.Head, err))
+	}
 	return n
 }
 
@@ -187,21 +178,4 @@ func (p *Program) insertDerived(pred string, vals []string, next map[string][]re
 	tups := p.rel[pred]
 	next[pred] = append(next[pred], tups[len(tups)-1])
 	return 1
-}
-
-// deltaKeys re-encodes a tuple delta into the map form joinBody consumes.
-func deltaKeys(delta map[string][]relalg.Tuple) map[string]map[string]bool {
-	out := make(map[string]map[string]bool, len(delta))
-	for pred, tups := range delta {
-		m := make(map[string]bool, len(tups))
-		for _, t := range tups {
-			vals := make([]string, len(t.Values))
-			for i, v := range t.Values {
-				vals[i] = v.(string)
-			}
-			m[encodeTuple(vals)] = true
-		}
-		out[pred] = m
-	}
-	return out
 }

@@ -159,7 +159,13 @@ func ParseAtom(s string) (Atom, error) {
 	}
 	a := Atom{Pred: pred}
 	for _, arg := range args {
-		a.Args = append(a.Args, parseTerm(arg))
+		t := parseTerm(arg)
+		if t.IsVar && t.Value == "" {
+			// A bare '?' would reach the planner as a variable with no
+			// name, which it reads as a constant.
+			return Atom{}, fmt.Errorf("datalog: variable without a name in %q", s)
+		}
+		a.Args = append(a.Args, t)
 	}
 	return a, nil
 }

@@ -16,7 +16,7 @@ import (
 // equivStores builds a MemStore and a 4-shard router holding the same
 // multi-workflow provenance, so equivalence runs over both an unsharded
 // and a parallel-scanned backend.
-func equivStores(t *testing.T) []store.Store {
+func equivStores(t testing.TB) []store.Store {
 	t.Helper()
 	col := provenance.NewCollector()
 	reg := engine.NewRegistry()
@@ -72,31 +72,47 @@ func equivStores(t *testing.T) []store.Store {
 	return []store.Store{mem, sharded}
 }
 
+// equivQueries spans scans, pushdown-eligible WHEREs, joins, COUNT, ORDER
+// BY and LIMIT, avoiding the two documented divergences (ORDER BY
+// unselected columns; data-dependent unknown-column errors).
+var equivQueries = []string{
+	"SELECT * FROM runs",
+	"SELECT * FROM executions",
+	"SELECT id, module FROM executions WHERE status = 'ok' ORDER BY id",
+	"SELECT module FROM executions WHERE moduleType = 'Contour' OR moduleType = 'Render'",
+	"SELECT COUNT(*) FROM artifacts",
+	"SELECT COUNT(*) FROM executions WHERE status = 'ok'",
+	"SELECT id, type FROM artifacts ORDER BY id DESC LIMIT 3",
+	"SELECT * FROM gens JOIN artifacts ON artifact = artifacts.id",
+	"SELECT exec, port, type FROM gens JOIN artifacts ON artifact = artifacts.id WHERE type = 'image' ORDER BY port",
+	"SELECT module, artifact FROM executions JOIN gens ON executions.id = exec ORDER BY artifact",
+	"SELECT module, artifact FROM executions JOIN uses ON executions.id = exec WHERE status = 'ok' ORDER BY artifact DESC LIMIT 4",
+	"SELECT COUNT(*) FROM executions JOIN gens ON executions.id = exec WHERE moduleType LIKE '%o%'",
+	"SELECT workflow, module FROM runs JOIN executions ON runs.id = run ORDER BY module LIMIT 10",
+	"SELECT runs.id, executions.id FROM runs JOIN executions ON runs.id = run WHERE workflow LIKE 'medical%' ORDER BY executions.id",
+	"SELECT subject, value FROM annotations",
+}
+
+// invalidQueries parse, and fail validation on both executors.
+var invalidQueries = []string{
+	"SELECT * FROM ghosts",
+	"SELECT nope FROM runs",
+	"SELECT id FROM runs WHERE ghost = '1'",
+	"SELECT * FROM runs JOIN ghosts ON id = id",
+	"SELECT * FROM runs JOIN executions ON ghost = run",
+	"SELECT * FROM runs JOIN executions ON id = id",
+	"SELECT * FROM executions JOIN gens ON exec = exec",
+	"SELECT id FROM runs ORDER BY ghost",
+}
+
 // TestStreamingMatchesEagerEndToEnd pins Execute (streaming) to
 // ExecuteEager (reference) over MemStore and the 4-shard router on a
 // battery spanning scans, pushdown-eligible WHEREs, joins, COUNT, ORDER
 // BY and LIMIT. Queries avoid the two documented divergences (ORDER BY
 // unselected columns; data-dependent unknown-column errors).
 func TestStreamingMatchesEagerEndToEnd(t *testing.T) {
-	queries := []string{
-		"SELECT * FROM runs",
-		"SELECT * FROM executions",
-		"SELECT id, module FROM executions WHERE status = 'ok' ORDER BY id",
-		"SELECT module FROM executions WHERE moduleType = 'Contour' OR moduleType = 'Render'",
-		"SELECT COUNT(*) FROM artifacts",
-		"SELECT COUNT(*) FROM executions WHERE status = 'ok'",
-		"SELECT id, type FROM artifacts ORDER BY id DESC LIMIT 3",
-		"SELECT * FROM gens JOIN artifacts ON artifact = artifacts.id",
-		"SELECT exec, port, type FROM gens JOIN artifacts ON artifact = artifacts.id WHERE type = 'image' ORDER BY port",
-		"SELECT module, artifact FROM executions JOIN gens ON executions.id = exec ORDER BY artifact",
-		"SELECT module, artifact FROM executions JOIN uses ON executions.id = exec WHERE status = 'ok' ORDER BY artifact DESC LIMIT 4",
-		"SELECT COUNT(*) FROM executions JOIN gens ON executions.id = exec WHERE moduleType LIKE '%o%'",
-		"SELECT workflow, module FROM runs JOIN executions ON runs.id = run ORDER BY module LIMIT 10",
-		"SELECT runs.id, executions.id FROM runs JOIN executions ON runs.id = run WHERE workflow LIKE 'medical%' ORDER BY executions.id",
-		"SELECT subject, value FROM annotations",
-	}
 	for si, s := range equivStores(t) {
-		for _, src := range queries {
+		for _, src := range equivQueries {
 			q, err := Parse(src)
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
@@ -128,16 +144,7 @@ func TestStreamingMatchesEagerEndToEnd(t *testing.T) {
 // tables/columns and bad ON references fail on both paths.
 func TestStreamingErrorParity(t *testing.T) {
 	s := equivStores(t)[0]
-	for _, src := range []string{
-		"SELECT * FROM ghosts",
-		"SELECT nope FROM runs",
-		"SELECT id FROM runs WHERE ghost = '1'",
-		"SELECT * FROM runs JOIN ghosts ON id = id",
-		"SELECT * FROM runs JOIN executions ON ghost = run",
-		"SELECT * FROM runs JOIN executions ON id = id",
-		"SELECT * FROM executions JOIN gens ON exec = exec",
-		"SELECT id FROM runs ORDER BY ghost",
-	} {
+	for _, src := range invalidQueries {
 		q, err := Parse(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)

@@ -37,10 +37,12 @@ type JoinClause struct {
 	Right string
 }
 
-// Expr is a boolean expression over row fields.
-type Expr interface {
-	eval(row map[string]string) (bool, error)
-}
+// Expr is a boolean expression over row fields, a *cmpExpr or a *binExpr,
+// which the executor compiles into a tuple predicate (compilePred).
+type Expr interface{ isExpr() }
+
+func (*cmpExpr) isExpr() {}
+func (*binExpr) isExpr() {}
 
 // cmpExpr compares a column to a constant.
 type cmpExpr struct {

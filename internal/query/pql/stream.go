@@ -18,10 +18,12 @@ import (
 // (one small slice per row instead of a map with qualified and bare keys),
 // WHERE conjuncts that touch only one side of a join are pushed below it,
 // the sort key is carried through the pipeline so ORDER BY works on any
-// addressable column (not just selected ones — the old re-scan wart), and
-// leaf scans go through internal/query/scan, which fans out across shards
-// in parallel on a sharded store. The eager path in exec.go stays as the
-// conformance reference (ExecuteEager); Execute routes here.
+// addressable column, not just selected ones, and leaf scans go through
+// internal/query/scan, which fans out across shards in parallel on a
+// sharded store. Every validation error — unknown table or
+// column, bad ON reference — is raised before the first leaf scan, so a
+// query that fails validation reads nothing. The eager evaluator this
+// replaced is the in-package test reference (reference_test.go).
 
 // Explain reports how a streaming query ran: the join roles chosen, every
 // operator's emitted-row count, the parallel scan width, and bytes
@@ -92,21 +94,21 @@ func executeWith(s store.Store, q *Query, ex *Explain) (*Result, error) {
 	case q.Select != nil:
 		return execSelectStream(s, q.Select, ex)
 	}
-	return nil, fmt.Errorf("pql: empty query")
+	return nil, invalidf("pql: empty query")
 }
 
-// execSelectStream is the streaming counterpart of execSelect.
+// execSelectStream compiles and runs one SELECT.
 func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, error) {
 	lschema, ok := tableSchemas[sel.Table]
 	if !ok {
-		return nil, fmt.Errorf("pql: unknown table %q (have %s)", sel.Table, strings.Join(Tables(), ", "))
+		return nil, invalidf("pql: unknown table %q (have %s)", sel.Table, strings.Join(Tables(), ", "))
 	}
 	tables := []string{sel.Table}
 	var rschema []string
 	if sel.Join != nil {
 		rschema, ok = tableSchemas[sel.Join.Table]
 		if !ok {
-			return nil, fmt.Errorf("pql: unknown JOIN table %q", sel.Join.Table)
+			return nil, invalidf("pql: unknown JOIN table %q", sel.Join.Table)
 		}
 		tables = append(tables, sel.Join.Table)
 	}
@@ -114,8 +116,7 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 	// Column addressing: physical pipeline columns are qualified when a
 	// join is present; addrIdx maps every addressable reference (bare when
 	// unambiguous, plus qualified forms) to its physical position, and
-	// addressable lists them in the same order the eager path exposes for
-	// SELECT *.
+	// addressable lists them in SELECT * order.
 	var physSchema, addressable []string
 	addrIdx := map[string]int{}
 	leftAddr := map[string]int{}  // refs resolving into the FROM table, local index
@@ -165,8 +166,7 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 	// WHERE pushdown: split the top-level AND conjunction; conjuncts whose
 	// columns all resolve into one side run below the join, the rest after
 	// it. Column resolution happens here at compile time, so an unknown
-	// column is an error even when the eager evaluator's short-circuit
-	// might have skipped it.
+	// column is an error whether or not any row would reach it.
 	var leftPred, rightPred, postPred relalg.Pred
 	if sel.Where != nil {
 		for _, conj := range splitAnd(sel.Where) {
@@ -197,7 +197,6 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 		}
 	}
 
-	// ON resolution mirrors the eager equijoin exactly.
 	var li, ri int
 	if sel.Join != nil {
 		lc, rc, err := resolveOn(sel, lschema, rschema)
@@ -208,8 +207,32 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 		ri = indexOf(rschema, rc)
 	}
 
-	// Leaf scans: one pass over the run logs fills every needed table
-	// (the eager path re-scans the logs per table).
+	// ORDER BY and SELECT columns resolve here, with the rest of validation,
+	// so a query naming a column that does not exist scans nothing.
+	oi := -1
+	var cols []string
+	var idx []int
+	if !sel.Count {
+		if sel.OrderBy != "" {
+			if oi, ok = addrIdx[sel.OrderBy]; !ok {
+				return nil, invalidf("pql: ORDER BY column %q not in table %s", sel.OrderBy, sel.Table)
+			}
+		}
+		cols = sel.Columns
+		if cols == nil {
+			cols = addressable
+		}
+		idx = make([]int, len(cols))
+		for i, c := range cols {
+			j, ok := addrIdx[c]
+			if !ok {
+				return nil, invalidf("pql: no column %q (have %s)", c, strings.Join(addressable, ", "))
+			}
+			idx[i] = j
+		}
+	}
+
+	// Leaf scans: one pass over the run logs fills every needed table.
 	leaves, shards, err := scanLeaves(s, tables)
 	if err != nil {
 		return nil, err
@@ -264,10 +287,6 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 	// ORDER BY runs before projection, carrying the sort key through the
 	// pipeline: any addressable column works, selected or not.
 	if sel.OrderBy != "" {
-		oi, ok := addrIdx[sel.OrderBy]
-		if !ok {
-			return nil, fmt.Errorf("pql: ORDER BY column %q not in table %s", sel.OrderBy, sel.Table)
-		}
 		desc := sel.Desc
 		sit, err := relalg.StreamSortBy(it, physSchema[oi], func(a, b relalg.Val) bool {
 			less := compareLiteral(a.(string), b.(string)) < 0
@@ -285,18 +304,6 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 		it = wrap(relalg.StreamLimit(it, sel.Limit), fmt.Sprintf("limit(%d)", sel.Limit))
 	}
 
-	cols := sel.Columns
-	if cols == nil {
-		cols = addressable
-	}
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		j, ok := addrIdx[c]
-		if !ok {
-			return nil, fmt.Errorf("pql: no column %q (have %s)", c, strings.Join(addressable, ", "))
-		}
-		idx[i] = j
-	}
 	it = wrap(relalg.StreamBind(it, idx, cols), "project("+strings.Join(cols, ",")+")")
 
 	res := &Result{Columns: append([]string(nil), cols...)}
@@ -314,8 +321,9 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 	return res, nil
 }
 
-// resolveOn applies the eager equijoin's ON-reference rules and returns
-// the join columns normalized so the first belongs to the FROM table.
+// resolveOn resolves the ON references (bare when unambiguous, or
+// table-qualified; one per table) and returns the join columns normalized
+// so the first belongs to the FROM table.
 func resolveOn(sel *SelectStmt, lschema, rschema []string) (lc, rc string, err error) {
 	lcount := map[string]int{}
 	for _, c := range lschema {
@@ -325,7 +333,7 @@ func resolveOn(sel *SelectStmt, lschema, rschema []string) (lc, rc string, err e
 		if i := strings.IndexByte(ref, '.'); i > 0 {
 			table, col = strings.ToLower(ref[:i]), ref[i+1:]
 			if table != sel.Table && table != sel.Join.Table {
-				return "", "", fmt.Errorf("pql: ON references unknown table %q", table)
+				return "", "", invalidf("pql: ON references unknown table %q", table)
 			}
 			return table, col, nil
 		}
@@ -333,13 +341,13 @@ func resolveOn(sel *SelectStmt, lschema, rschema []string) (lc, rc string, err e
 		inR := indexOf(rschema, ref) >= 0
 		switch {
 		case inL && inR:
-			return "", "", fmt.Errorf("pql: ON column %q is ambiguous; qualify it", ref)
+			return "", "", invalidf("pql: ON column %q is ambiguous; qualify it", ref)
 		case inL:
 			return sel.Table, ref, nil
 		case inR:
 			return sel.Join.Table, ref, nil
 		}
-		return "", "", fmt.Errorf("pql: ON column %q not found", ref)
+		return "", "", invalidf("pql: ON column %q not found", ref)
 	}
 	lt, lcol, err := resolve(sel.Join.Left)
 	if err != nil {
@@ -350,16 +358,16 @@ func resolveOn(sel *SelectStmt, lschema, rschema []string) (lc, rc string, err e
 		return "", "", err
 	}
 	if lt == rt {
-		return "", "", fmt.Errorf("pql: ON must reference both tables")
+		return "", "", invalidf("pql: ON must reference both tables")
 	}
 	if lt != sel.Table {
 		lcol, rcol = rcol, lcol
 	}
 	if indexOf(lschema, lcol) < 0 {
-		return "", "", fmt.Errorf("pql: ON column %q not in table %s", lcol, sel.Table)
+		return "", "", invalidf("pql: ON column %q not in table %s", lcol, sel.Table)
 	}
 	if indexOf(rschema, rcol) < 0 {
-		return "", "", fmt.Errorf("pql: ON column %q not in table %s", rcol, sel.Join.Table)
+		return "", "", invalidf("pql: ON column %q not in table %s", rcol, sel.Join.Table)
 	}
 	return lcol, rcol, nil
 }
@@ -402,7 +410,7 @@ func compilePred(e Expr, idx map[string]int) (relalg.Pred, error) {
 	case *cmpExpr:
 		i, ok := idx[x.col]
 		if !ok {
-			return nil, fmt.Errorf("pql: unknown column %q in predicate", x.col)
+			return nil, invalidf("pql: unknown column %q in predicate", x.col)
 		}
 		op, want := x.op, x.val
 		switch op {
@@ -457,7 +465,7 @@ func andPred(a, b relalg.Pred) relalg.Pred {
 
 // scanLeaves fills the requested virtual tables in ONE pass over the run
 // logs (parallel across shards on a sharded store), producing flat value
-// tuples instead of the eager path's per-row maps.
+// tuples.
 func scanLeaves(s store.Store, tables []string) (map[string][]relalg.Tuple, int, error) {
 	out := make(map[string][]relalg.Tuple, len(tables))
 	want := map[string]bool{}

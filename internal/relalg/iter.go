@@ -8,13 +8,14 @@ import (
 )
 
 // Iterator is the pull-based streaming form of a relation: a schema plus a
-// sequence of tuples produced on demand. It is the executor-side dual of
-// the eager operators in operators.go — every streaming operator produces
-// the same tuples (values AND why-provenance witness sets) its eager
-// counterpart materializes, but pipelined operators (select, rename, bag
-// projection, the probe side of a join) hold no intermediate relation at
-// all, and the blocking operators (set projection, union, group-by, sort)
-// buffer only their own dedup or group state.
+// sequence of tuples produced on demand. The operators in this file are
+// the only implementation of each: the relation-at-a-time entry points in
+// operators.go materialize them, and stream_test.go pins their tuples
+// (values AND why-provenance witness sets) to independent eager
+// references. Pipelined operators (select, rename, bag projection, the
+// probe side of a join) hold no intermediate relation at all, and the
+// blocking operators (set projection, union, group-by, sort) buffer only
+// their own dedup or group state.
 //
 // Contract: Next returns the next tuple, or nil at end of stream; once nil
 // or an error is returned the iterator stays exhausted. Returned tuples
@@ -60,40 +61,6 @@ func (s *scanIter) Next() (*Tuple, error) {
 	return t, nil
 }
 
-// funcIter adapts a generator function to an Iterator: the leaf form for
-// lazily produced rows (PQL's run-log table scans pull one run log at a
-// time through it).
-type funcIter struct {
-	schema []string
-	next   func() (*Tuple, error)
-	close  func() error
-	done   bool
-}
-
-// NewFuncIter builds an iterator from a generator: next returns nil at end
-// of stream; close may be nil.
-func NewFuncIter(schema []string, next func() (*Tuple, error), close func() error) Iterator {
-	return &funcIter{schema: schema, next: next, close: close}
-}
-
-func (f *funcIter) Schema() []string { return f.schema }
-func (f *funcIter) Close() error {
-	if f.close != nil {
-		return f.close()
-	}
-	return nil
-}
-func (f *funcIter) Next() (*Tuple, error) {
-	if f.done {
-		return nil, nil
-	}
-	t, err := f.next()
-	if t == nil || err != nil {
-		f.done = true
-	}
-	return t, err
-}
-
 // --- pipelined operators -----------------------------------------------------
 
 type selectIter struct {
@@ -101,8 +68,8 @@ type selectIter struct {
 	pred Pred
 }
 
-// StreamSelect filters tuples by pred without copying them (the streaming
-// σ; witnesses pass through unchanged, as in Select).
+// StreamSelect filters tuples by pred without copying them (σ; witnesses
+// pass through unchanged: selection does not combine tuples).
 func StreamSelect(in Iterator, pred Pred) Iterator {
 	return &selectIter{in: in, pred: pred}
 }
@@ -243,10 +210,9 @@ func (l *limitIter) Next() (*Tuple, error) {
 
 // joinIter is the shared streaming hash join: it drains and indexes the
 // build side once, then probes with the (streaming) outer side, emitting
-// combined tuples in outer-major order — exactly the order the eager Join
-// produces, since eager Join also indexes its right input and iterates the
-// left. Output Values rows are freshly allocated; witness sets are
-// cross-merged as in Join.
+// combined tuples in outer-major order. Output Values rows are freshly
+// allocated; witness sets are cross-merged (a joined tuple is justified by
+// one witness from each side).
 type joinIter struct {
 	outer     Iterator
 	buildIdx  map[string][]int
@@ -263,9 +229,9 @@ type joinIter struct {
 	build   func() error
 }
 
-// StreamJoin hash-joins two iterators on leftCol = rightCol with the same
-// output schema as the eager Join (right columns colliding with left ones
-// are prefixed with rightName). The right side is materialized as the hash
+// StreamJoin hash-joins two iterators on leftCol = rightCol; the output
+// schema is left's columns followed by right's (right columns colliding
+// with left ones are prefixed with rightName). The right side is materialized as the hash
 // build side; the left streams through as the probe side.
 func StreamJoin(l, r Iterator, leftCol, rightCol, rightName string) (Iterator, error) {
 	li, err := colIndex(l.Schema(), leftCol)
@@ -413,10 +379,10 @@ func (d *drainIter) Next() (*Tuple, error) {
 }
 
 // StreamProject keeps the named columns with set semantics: duplicate rows
-// merge and their witness sets union, exactly as the eager Project. The
+// merge and their witness sets union (alternative justifications). The
 // operator consumes its input one tuple at a time and buffers only the
 // deduplicated output (memory proportional to distinct rows, not input
-// rows); output order is first-occurrence order, matching Project.
+// rows); output order is first-occurrence order.
 func StreamProject(in Iterator, cols ...string) (Iterator, error) {
 	idx, err := colIndexes(in.Schema(), cols)
 	if err != nil {
@@ -454,8 +420,7 @@ func StreamProject(in Iterator, cols ...string) (Iterator, error) {
 }
 
 // StreamUnion computes the set union of two same-schema streams, unioning
-// witness sets of value-equal tuples like the eager Union. Buffers only
-// the deduplicated output.
+// witness sets of value-equal tuples. Buffers only the deduplicated output.
 func StreamUnion(a, b Iterator) (Iterator, error) {
 	if err := schemaNamesEqual(a.Schema(), b.Schema()); err != nil {
 		return nil, err
@@ -495,9 +460,8 @@ func StreamUnion(a, b Iterator) (Iterator, error) {
 }
 
 // StreamGroupBy folds the input stream into groups one tuple at a time
-// (never materializing the input) and emits the same [key, agg] rows in
-// the same sorted-key order as the eager GroupBy, with each group's
-// witness sets unioned.
+// (never materializing the input) and emits [key, agg] rows in sorted-key
+// order, with each group's witness sets unioned.
 func StreamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iterator, error) {
 	ki, err := colIndex(in.Schema(), keyCol)
 	if err != nil {
@@ -589,7 +553,7 @@ func StreamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iter
 }
 
 // StreamSort drains the input and streams it back ordered by col ascending
-// (stable, like the eager Sort). Sorting is inherently blocking; memory is
+// (stable). Sorting is inherently blocking; memory is
 // one tuple header per input row (values are not copied).
 func StreamSort(in Iterator, col string) (Iterator, error) {
 	return streamSortBy(in, col, func(a, b Val) bool { return compareVals(a, b) < 0 })
@@ -745,7 +709,7 @@ func schemaNamesEqual(a, b []string) error {
 	return nil
 }
 
-// joinSchema reproduces the eager Join's output schema: left columns, then
+// joinSchema builds a join's output schema: left columns, then
 // right columns with collisions prefixed by the right relation's name.
 func joinSchema(ls, rs []string, rightName string) []string {
 	schema := append([]string(nil), ls...)

@@ -5,6 +5,11 @@ import (
 	"sort"
 )
 
+// The operators in this file that take and return whole relations —
+// Select, Project, Semijoin, Rename, Join, Union, GroupBy, Sort — are the
+// streaming operators of iter.go run over a scan and materialized: each
+// has one body, in iter.go, and these fix only the result's name.
+
 // Pred is a selection predicate over a tuple's values (indexed by the
 // relation's schema).
 type Pred func(vals []Val) bool
@@ -12,15 +17,8 @@ type Pred func(vals []Val) bool
 // Select returns the tuples satisfying pred. Witnesses pass through
 // unchanged: selection does not combine tuples.
 func Select(r *Relation, pred Pred) *Relation {
-	out := derived("σ("+r.Name+")", r.Schema)
-	for _, t := range r.Tuples {
-		if pred(t.Values) {
-			out.Tuples = append(out.Tuples, Tuple{
-				Values: append([]Val(nil), t.Values...),
-				Prov:   cloneWitnesses(t.Prov),
-			})
-		}
-	}
+	// A selection over a relation scan has no failing step.
+	out, _ := Materialize(StreamSelect(NewScan(r), pred), "σ("+r.Name+")")
 	return out
 }
 
@@ -37,30 +35,11 @@ func Eq(r *Relation, col string, want Val) (Pred, error) {
 // the witnesses of merged duplicates are unioned (alternative
 // justifications).
 func Project(r *Relation, cols ...string) (*Relation, error) {
-	idx := make([]int, len(cols))
-	for j, c := range cols {
-		i, err := r.Col(c)
-		if err != nil {
-			return nil, err
-		}
-		idx[j] = i
+	it, err := StreamProject(NewScan(r), cols...)
+	if err != nil {
+		return nil, err
 	}
-	out := derived("π("+r.Name+")", cols)
-	byKey := map[string]int{}
-	for _, t := range r.Tuples {
-		vals := make([]Val, len(idx))
-		for j, i := range idx {
-			vals[j] = t.Values[i]
-		}
-		k := valueKey(vals)
-		if at, ok := byKey[k]; ok {
-			out.Tuples[at].Prov = unionWitnessSets(out.Tuples[at].Prov, t.Prov)
-			continue
-		}
-		byKey[k] = len(out.Tuples)
-		out.Tuples = append(out.Tuples, Tuple{Values: vals, Prov: cloneWitnesses(t.Prov)})
-	}
-	return out, nil
+	return Materialize(it, "π("+r.Name+")")
 }
 
 // Semijoin returns the tuples of r whose col value is a member of keys
@@ -71,42 +50,26 @@ func Project(r *Relation, cols ...string) (*Relation, error) {
 // path (store.RelStore.Expand) evaluates the same semijoin inline over
 // its base rows to avoid materializing tuples and witness sets per hop.
 func Semijoin(r *Relation, col string, keys map[Val]bool) (*Relation, error) {
-	i, err := r.Col(col)
+	it, err := StreamSemijoin(NewScan(r), col, keys)
 	if err != nil {
 		return nil, err
 	}
-	out := derived("("+r.Name+"⋉)", r.Schema)
-	for _, t := range r.Tuples {
-		if keys[t.Values[i]] {
-			out.Tuples = append(out.Tuples, Tuple{
-				Values: append([]Val(nil), t.Values...),
-				Prov:   cloneWitnesses(t.Prov),
-			})
-		}
-	}
-	return out, nil
+	return Materialize(it, "("+r.Name+"⋉)")
 }
 
 // Rename returns a copy of the relation with a column renamed.
 func Rename(r *Relation, from, to string) (*Relation, error) {
-	if _, err := r.Col(from); err != nil {
+	it, err := StreamRename(NewScan(r), from, to)
+	if err != nil {
 		return nil, err
 	}
-	schema := append([]string(nil), r.Schema...)
-	for i, c := range schema {
-		if c == from {
-			schema[i] = to
-		}
+	out, err := Materialize(it, r.Name)
+	if err != nil {
+		return nil, err
 	}
-	out := &Relation{Name: r.Name, Schema: schema}
+	// A rename can collide with a column the relation already has.
 	if err := out.buildIndex(); err != nil {
 		return nil, err
-	}
-	for _, t := range r.Tuples {
-		out.Tuples = append(out.Tuples, Tuple{
-			Values: append([]Val(nil), t.Values...),
-			Prov:   cloneWitnesses(t.Prov),
-		})
 	}
 	return out, nil
 }
@@ -117,89 +80,27 @@ func Rename(r *Relation, from, to string) (*Relation, error) {
 // tuples are cross-merged: a joined tuple is justified by one witness from
 // each side.
 func Join(l, r *Relation, leftCol, rightCol string) (*Relation, error) {
-	li, err := l.Col(leftCol)
+	it, err := StreamJoin(NewScan(l), NewScan(r), leftCol, rightCol, r.Name)
 	if err != nil {
 		return nil, err
 	}
-	ri, err := r.Col(rightCol)
-	if err != nil {
-		return nil, err
-	}
-	schema := append([]string(nil), l.Schema...)
-	used := map[string]bool{}
-	for _, c := range schema {
-		used[c] = true
-	}
-	rightMap := make([]string, len(r.Schema))
-	for i, c := range r.Schema {
-		name := c
-		if used[name] {
-			name = r.Name + "." + c
-		}
-		if used[name] {
-			name = fmt.Sprintf("%s#%d", name, i)
-		}
-		used[name] = true
-		rightMap[i] = name
-	}
-	schema = append(schema, rightMap...)
-	out := derived("("+l.Name+"⋈"+r.Name+")", schema)
-
-	// Hash join on the right side.
-	index := map[string][]int{}
-	for i, t := range r.Tuples {
-		k := valueKey([]Val{t.Values[ri]})
-		index[k] = append(index[k], i)
-	}
-	for _, lt := range l.Tuples {
-		k := valueKey([]Val{lt.Values[li]})
-		for _, i := range index[k] {
-			rt := r.Tuples[i]
-			vals := make([]Val, 0, len(lt.Values)+len(rt.Values))
-			vals = append(vals, lt.Values...)
-			vals = append(vals, rt.Values...)
-			out.Tuples = append(out.Tuples, Tuple{
-				Values: vals,
-				Prov:   mergeWitnessSets(lt.Prov, rt.Prov),
-			})
-		}
-	}
-	return out, nil
+	return Materialize(it, "("+l.Name+"⋈"+r.Name+")")
 }
 
 // Union computes set union of two relations with identical schemas,
 // unioning witness sets of value-equal tuples.
 func Union(a, b *Relation) (*Relation, error) {
-	if err := schemasEqual(a, b); err != nil {
+	it, err := StreamUnion(NewScan(a), NewScan(b))
+	if err != nil {
 		return nil, err
 	}
-	out := derived("("+a.Name+"∪"+b.Name+")", a.Schema)
-	byKey := map[string]int{}
-	add := func(t Tuple) {
-		k := valueKey(t.Values)
-		if at, ok := byKey[k]; ok {
-			out.Tuples[at].Prov = unionWitnessSets(out.Tuples[at].Prov, t.Prov)
-			return
-		}
-		byKey[k] = len(out.Tuples)
-		out.Tuples = append(out.Tuples, Tuple{
-			Values: append([]Val(nil), t.Values...),
-			Prov:   cloneWitnesses(t.Prov),
-		})
-	}
-	for _, t := range a.Tuples {
-		add(t)
-	}
-	for _, t := range b.Tuples {
-		add(t)
-	}
-	return out, nil
+	return Materialize(it, "("+a.Name+"∪"+b.Name+")")
 }
 
 // Difference computes a − b (set semantics). Witnesses of surviving tuples
 // pass through from a; why-provenance of absent tuples is not modeled.
 func Difference(a, b *Relation) (*Relation, error) {
-	if err := schemasEqual(a, b); err != nil {
+	if err := schemaNamesEqual(a.Schema, b.Schema); err != nil {
 		return nil, err
 	}
 	drop := map[string]bool{}
@@ -222,18 +123,6 @@ func Difference(a, b *Relation) (*Relation, error) {
 	return out, nil
 }
 
-func schemasEqual(a, b *Relation) error {
-	if len(a.Schema) != len(b.Schema) {
-		return fmt.Errorf("relalg: schema arity mismatch %v vs %v", a.Schema, b.Schema)
-	}
-	for i := range a.Schema {
-		if a.Schema[i] != b.Schema[i] {
-			return fmt.Errorf("relalg: schema mismatch at %d: %q vs %q", i, a.Schema[i], b.Schema[i])
-		}
-	}
-	return nil
-}
-
 // AggFunc names an aggregate.
 type AggFunc string
 
@@ -250,80 +139,11 @@ const (
 // is [key, agg(col)]; each group's provenance is the union of its members'
 // witnesses (every contributing tuple is part of why).
 func GroupBy(r *Relation, keyCol string, agg AggFunc, aggCol string) (*Relation, error) {
-	ki, err := r.Col(keyCol)
+	it, err := StreamGroupBy(NewScan(r), keyCol, agg, aggCol)
 	if err != nil {
 		return nil, err
 	}
-	ai := -1
-	if agg != AggCount {
-		ai, err = r.Col(aggCol)
-		if err != nil {
-			return nil, err
-		}
-	}
-	type group struct {
-		key    Val
-		count  int64
-		sum    float64
-		min    float64
-		max    float64
-		first  bool
-		prov   []Witness
-		keyStr string
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, t := range r.Tuples {
-		k := valueKey([]Val{t.Values[ki]})
-		g, ok := groups[k]
-		if !ok {
-			g = &group{key: t.Values[ki], first: true, keyStr: k}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.count++
-		if ai >= 0 {
-			f, err := toFloat(t.Values[ai])
-			if err != nil {
-				return nil, fmt.Errorf("relalg: groupby %s: %w", agg, err)
-			}
-			g.sum += f
-			if g.first || f < g.min {
-				g.min = f
-			}
-			if g.first || f > g.max {
-				g.max = f
-			}
-			g.first = false
-		}
-		g.prov = unionWitnessSets(g.prov, t.Prov)
-	}
-	sort.Strings(order)
-	outCol := string(agg)
-	if aggCol != "" {
-		outCol = string(agg) + "_" + aggCol
-	}
-	out := derived("γ("+r.Name+")", []string{keyCol, outCol})
-	for _, k := range order {
-		g := groups[k]
-		var v Val
-		switch agg {
-		case AggCount:
-			v = g.count
-		case AggSum:
-			v = g.sum
-		case AggMin:
-			v = g.min
-		case AggMax:
-			v = g.max
-		case AggAvg:
-			v = g.sum / float64(g.count)
-		default:
-			return nil, fmt.Errorf("relalg: unknown aggregate %q", agg)
-		}
-		out.Tuples = append(out.Tuples, Tuple{Values: []Val{g.key, v}, Prov: g.prov})
-	}
-	return out, nil
+	return Materialize(it, "γ("+r.Name+")")
 }
 
 func toFloat(v Val) (float64, error) {
@@ -338,20 +158,11 @@ func toFloat(v Val) (float64, error) {
 
 // Sort returns a copy ordered by the named column ascending.
 func Sort(r *Relation, col string) (*Relation, error) {
-	i, err := r.Col(col)
+	it, err := StreamSort(NewScan(r), col)
 	if err != nil {
 		return nil, err
 	}
-	out := derived(r.Name, r.Schema)
-	out.Name = r.Name
-	out.Tuples = make([]Tuple, len(r.Tuples))
-	for j, t := range r.Tuples {
-		out.Tuples[j] = Tuple{Values: append([]Val(nil), t.Values...), Prov: cloneWitnesses(t.Prov)}
-	}
-	sort.SliceStable(out.Tuples, func(a, b int) bool {
-		return compareVals(out.Tuples[a].Values[i], out.Tuples[b].Values[i]) < 0
-	})
-	return out, nil
+	return Materialize(it, r.Name)
 }
 
 // WhyProvenance returns the why-provenance of the first tuple whose values

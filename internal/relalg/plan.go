@@ -349,19 +349,3 @@ func mExecOperatorRows(kind string) *obs.Counter {
 	return obs.Default().Counter("prov_exec_operator_rows_total",
 		"Rows emitted per operator kind in instrumented plans.", obs.L("op", kind))
 }
-
-// MaterializePlan runs the plan into a relation (mostly for tests).
-func (p *Plan) MaterializePlan(name string) (*Relation, error) {
-	return Materialize(p.root, name)
-}
-
-// ExplainString renders the chosen join order and per-operator row counts
-// (populated only when the plan was built with Instrument).
-func (p *Plan) ExplainString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "join order: %s\n", strings.Join(p.Order, " ⋈ "))
-	for _, st := range p.Stats {
-		fmt.Fprintf(&b, "  %-40s rows=%d\n", st.Label, st.Rows)
-	}
-	return b.String()
-}

@@ -67,6 +67,19 @@ func mustEqual(t *testing.T, op string, eager *Relation, it Iterator) {
 	}
 }
 
+// mustEqualRel is mustEqual for a relation-at-a-time entry point: the
+// relation it returns must also carry the reference's name.
+func mustEqualRel(t *testing.T, op string, eager, got *Relation, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", op, err)
+	}
+	if got.Name != eager.Name {
+		t.Fatalf("%s: name %q vs %q", op, got.Name, eager.Name)
+	}
+	mustEqual(t, op, eager, NewScan(got))
+}
+
 // witnessSetKey canonicalizes a witness set (order-independent).
 func witnessSetKey(ws []Witness) string {
 	keys := make([]string, len(ws))
@@ -78,7 +91,9 @@ func witnessSetKey(ws []Witness) string {
 }
 
 // TestStreamingMatchesEagerOps is the randomized property test pinning
-// every streaming operator to its eager reference.
+// every streaming operator to its eager reference (the ref* functions at
+// the end of this file), and every relation-at-a-time entry point of
+// operators.go to the same reference, result name included.
 func TestStreamingMatchesEagerOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 200; iter++ {
@@ -89,7 +104,9 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		ci := rng.Intn(len(a.Schema))
 		want := Val(fmt.Sprintf("v%d", rng.Intn(4)))
 		pred := func(vals []Val) bool { return compareVals(vals[ci], want) == 0 }
-		mustEqual(t, "select", Select(a, pred), StreamSelect(NewScan(a), pred))
+		esel := refSelect(a, pred)
+		mustEqual(t, "select", esel, StreamSelect(NewScan(a), pred))
+		mustEqualRel(t, "Select", esel, Select(a, pred), nil)
 
 		// Project onto a random non-empty column subset (dups merge,
 		// witnesses union).
@@ -102,7 +119,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if len(cols) == 0 {
 			cols = []string{a.Schema[0]}
 		}
-		ep, err := Project(a, cols...)
+		ep, err := refProject(a, cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,9 +128,11 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqual(t, "project", ep, sp)
+		got, err := Project(a, cols...)
+		mustEqualRel(t, "Project", ep, got, err)
 
 		// Rename.
-		er, err := Rename(a, a.Schema[0], "renamed")
+		er, err := refRename(a, a.Schema[0], "renamed")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,10 +141,12 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqual(t, "rename", er, sr)
+		got, err = Rename(a, a.Schema[0], "renamed")
+		mustEqualRel(t, "Rename", er, got, err)
 
 		// Join on random columns (witness sets cross-merge).
 		lj, rj := rng.Intn(len(a.Schema)), rng.Intn(len(b.Schema))
-		ej, err := Join(a, b, a.Schema[lj], b.Schema[rj])
+		ej, err := refJoin(a, b, a.Schema[lj], b.Schema[rj])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,6 +155,8 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqual(t, "join", ej, sj)
+		got, err = Join(a, b, a.Schema[lj], b.Schema[rj])
+		mustEqualRel(t, "Join", ej, got, err)
 
 		// Union over two same-schema relations (value-equal tuples union
 		// their witness sets).
@@ -142,7 +165,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err := a2.buildIndex(); err != nil {
 			t.Fatal(err)
 		}
-		eu, err := Union(a, a2)
+		eu, err := refUnion(a, a2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,6 +174,8 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqual(t, "union", eu, su)
+		got, err = Union(a, a2)
+		mustEqualRel(t, "Union", eu, got, err)
 
 		// Semijoin against a random key set.
 		keys := map[Val]bool{}
@@ -158,7 +183,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 			keys[fmt.Sprintf("v%d", rng.Intn(4))] = true
 			keys[int64(rng.Intn(4))] = true
 		}
-		es, err := Semijoin(a, a.Schema[ci], keys)
+		es, err := refSemijoin(a, a.Schema[ci], keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,9 +192,11 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqual(t, "semijoin", es, ss)
+		got, err = Semijoin(a, a.Schema[ci], keys)
+		mustEqualRel(t, "Semijoin", es, got, err)
 
 		// Sort (stable, same comparator).
-		eso, err := Sort(a, a.Schema[ci])
+		eso, err := refSort(a, a.Schema[ci])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,9 +205,11 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqual(t, "sort", eso, sso)
+		got, err = Sort(a, a.Schema[ci])
+		mustEqualRel(t, "Sort", eso, got, err)
 
 		// GroupBy count (always defined) on a random key column.
-		eg, err := GroupBy(a, a.Schema[ci], AggCount, "")
+		eg, err := refGroupBy(a, a.Schema[ci], AggCount, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,6 +218,8 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqual(t, "groupby", eg, sg)
+		got, err = GroupBy(a, a.Schema[ci], AggCount, "")
+		mustEqualRel(t, "GroupBy", eg, got, err)
 	}
 }
 
@@ -207,7 +238,7 @@ func TestGroupByNumericAggregates(t *testing.T) {
 		}
 		for _, agg := range []AggFunc{AggSum, AggMin, AggMax, AggAvg} {
 			for _, col := range []string{"n", "f"} {
-				eg, err := GroupBy(rel, "k", agg, col)
+				eg, err := refGroupBy(rel, "k", agg, col)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -340,4 +371,287 @@ func TestPlannerMatchesNaiveConj(t *testing.T) {
 			}
 		}
 	}
+}
+
+// --- eager reference operators ------------------------------------------------
+//
+// The original relation-at-a-time operator bodies, moved here unchanged
+// when operators.go became Materialize over the streaming operators. They
+// share no loop with iter.go, which is what makes the comparison above
+// mean something.
+
+// refSelect returns the tuples satisfying pred. Witnesses pass through
+// unchanged: selection does not combine tuples.
+func refSelect(r *Relation, pred Pred) *Relation {
+	out := derived("σ("+r.Name+")", r.Schema)
+	for _, t := range r.Tuples {
+		if pred(t.Values) {
+			out.Tuples = append(out.Tuples, Tuple{
+				Values: append([]Val(nil), t.Values...),
+				Prov:   cloneWitnesses(t.Prov),
+			})
+		}
+	}
+	return out
+}
+
+// refProject keeps the named columns, eliminating duplicate rows set-style;
+// the witnesses of merged duplicates are unioned (alternative
+// justifications).
+func refProject(r *Relation, cols ...string) (*Relation, error) {
+	idx := make([]int, len(cols))
+	for j, c := range cols {
+		i, err := r.Col(c)
+		if err != nil {
+			return nil, err
+		}
+		idx[j] = i
+	}
+	out := derived("π("+r.Name+")", cols)
+	byKey := map[string]int{}
+	for _, t := range r.Tuples {
+		vals := make([]Val, len(idx))
+		for j, i := range idx {
+			vals[j] = t.Values[i]
+		}
+		k := valueKey(vals)
+		if at, ok := byKey[k]; ok {
+			out.Tuples[at].Prov = unionWitnessSets(out.Tuples[at].Prov, t.Prov)
+			continue
+		}
+		byKey[k] = len(out.Tuples)
+		out.Tuples = append(out.Tuples, Tuple{Values: vals, Prov: cloneWitnesses(t.Prov)})
+	}
+	return out, nil
+}
+
+// refSemijoin returns the tuples of r whose col value is a member of keys
+// (r ⋉ keys): one scan answers membership for an entire key set, where
+// repeated Select/Eq calls would scan once per key. Witnesses pass
+// through unchanged, as in Select. This is the algebra-level form of the
+// plan the provenance store runs for frontier expansion; the store's hot
+// path (store.RelStore.Expand) evaluates the same semijoin inline over
+// its base rows to avoid materializing tuples and witness sets per hop.
+func refSemijoin(r *Relation, col string, keys map[Val]bool) (*Relation, error) {
+	i, err := r.Col(col)
+	if err != nil {
+		return nil, err
+	}
+	out := derived("("+r.Name+"⋉)", r.Schema)
+	for _, t := range r.Tuples {
+		if keys[t.Values[i]] {
+			out.Tuples = append(out.Tuples, Tuple{
+				Values: append([]Val(nil), t.Values...),
+				Prov:   cloneWitnesses(t.Prov),
+			})
+		}
+	}
+	return out, nil
+}
+
+// refRename returns a copy of the relation with a column renamed.
+func refRename(r *Relation, from, to string) (*Relation, error) {
+	if _, err := r.Col(from); err != nil {
+		return nil, err
+	}
+	schema := append([]string(nil), r.Schema...)
+	for i, c := range schema {
+		if c == from {
+			schema[i] = to
+		}
+	}
+	out := &Relation{Name: r.Name, Schema: schema}
+	if err := out.buildIndex(); err != nil {
+		return nil, err
+	}
+	for _, t := range r.Tuples {
+		out.Tuples = append(out.Tuples, Tuple{
+			Values: append([]Val(nil), t.Values...),
+			Prov:   cloneWitnesses(t.Prov),
+		})
+	}
+	return out, nil
+}
+
+// refJoin computes the natural equijoin on leftCol = rightCol. The output
+// schema is left's columns followed by right's (right's join column
+// prefixed with the relation name on collision). Witness sets of joined
+// tuples are cross-merged: a joined tuple is justified by one witness from
+// each side.
+func refJoin(l, r *Relation, leftCol, rightCol string) (*Relation, error) {
+	li, err := l.Col(leftCol)
+	if err != nil {
+		return nil, err
+	}
+	ri, err := r.Col(rightCol)
+	if err != nil {
+		return nil, err
+	}
+	schema := append([]string(nil), l.Schema...)
+	used := map[string]bool{}
+	for _, c := range schema {
+		used[c] = true
+	}
+	rightMap := make([]string, len(r.Schema))
+	for i, c := range r.Schema {
+		name := c
+		if used[name] {
+			name = r.Name + "." + c
+		}
+		if used[name] {
+			name = fmt.Sprintf("%s#%d", name, i)
+		}
+		used[name] = true
+		rightMap[i] = name
+	}
+	schema = append(schema, rightMap...)
+	out := derived("("+l.Name+"⋈"+r.Name+")", schema)
+
+	// Hash join on the right side.
+	index := map[string][]int{}
+	for i, t := range r.Tuples {
+		k := valueKey([]Val{t.Values[ri]})
+		index[k] = append(index[k], i)
+	}
+	for _, lt := range l.Tuples {
+		k := valueKey([]Val{lt.Values[li]})
+		for _, i := range index[k] {
+			rt := r.Tuples[i]
+			vals := make([]Val, 0, len(lt.Values)+len(rt.Values))
+			vals = append(vals, lt.Values...)
+			vals = append(vals, rt.Values...)
+			out.Tuples = append(out.Tuples, Tuple{
+				Values: vals,
+				Prov:   mergeWitnessSets(lt.Prov, rt.Prov),
+			})
+		}
+	}
+	return out, nil
+}
+
+// refUnion computes set union of two relations with identical schemas,
+// unioning witness sets of value-equal tuples.
+func refUnion(a, b *Relation) (*Relation, error) {
+	if err := schemaNamesEqual(a.Schema, b.Schema); err != nil {
+		return nil, err
+	}
+	out := derived("("+a.Name+"∪"+b.Name+")", a.Schema)
+	byKey := map[string]int{}
+	add := func(t Tuple) {
+		k := valueKey(t.Values)
+		if at, ok := byKey[k]; ok {
+			out.Tuples[at].Prov = unionWitnessSets(out.Tuples[at].Prov, t.Prov)
+			return
+		}
+		byKey[k] = len(out.Tuples)
+		out.Tuples = append(out.Tuples, Tuple{
+			Values: append([]Val(nil), t.Values...),
+			Prov:   cloneWitnesses(t.Prov),
+		})
+	}
+	for _, t := range a.Tuples {
+		add(t)
+	}
+	for _, t := range b.Tuples {
+		add(t)
+	}
+	return out, nil
+}
+
+// refGroupBy groups by a key column and aggregates another. The output schema
+// is [key, agg(col)]; each group's provenance is the union of its members'
+// witnesses (every contributing tuple is part of why).
+func refGroupBy(r *Relation, keyCol string, agg AggFunc, aggCol string) (*Relation, error) {
+	ki, err := r.Col(keyCol)
+	if err != nil {
+		return nil, err
+	}
+	ai := -1
+	if agg != AggCount {
+		ai, err = r.Col(aggCol)
+		if err != nil {
+			return nil, err
+		}
+	}
+	type group struct {
+		key    Val
+		count  int64
+		sum    float64
+		min    float64
+		max    float64
+		first  bool
+		prov   []Witness
+		keyStr string
+	}
+	groups := map[string]*group{}
+	var order []string
+	for _, t := range r.Tuples {
+		k := valueKey([]Val{t.Values[ki]})
+		g, ok := groups[k]
+		if !ok {
+			g = &group{key: t.Values[ki], first: true, keyStr: k}
+			groups[k] = g
+			order = append(order, k)
+		}
+		g.count++
+		if ai >= 0 {
+			f, err := toFloat(t.Values[ai])
+			if err != nil {
+				return nil, fmt.Errorf("relalg: groupby %s: %w", agg, err)
+			}
+			g.sum += f
+			if g.first || f < g.min {
+				g.min = f
+			}
+			if g.first || f > g.max {
+				g.max = f
+			}
+			g.first = false
+		}
+		g.prov = unionWitnessSets(g.prov, t.Prov)
+	}
+	sort.Strings(order)
+	outCol := string(agg)
+	if aggCol != "" {
+		outCol = string(agg) + "_" + aggCol
+	}
+	out := derived("γ("+r.Name+")", []string{keyCol, outCol})
+	for _, k := range order {
+		g := groups[k]
+		var v Val
+		switch agg {
+		case AggCount:
+			v = g.count
+		case AggSum:
+			v = g.sum
+		case AggMin:
+			v = g.min
+		case AggMax:
+			v = g.max
+		case AggAvg:
+			v = g.sum / float64(g.count)
+		default:
+			return nil, fmt.Errorf("relalg: unknown aggregate %q", agg)
+		}
+		out.Tuples = append(out.Tuples, Tuple{Values: []Val{g.key, v}, Prov: g.prov})
+	}
+	return out, nil
+}
+
+// refSort returns a copy ordered by the named column ascending.
+func refSort(r *Relation, col string) (*Relation, error) {
+	i, err := r.Col(col)
+	if err != nil {
+		return nil, err
+	}
+	out := derived(r.Name, r.Schema)
+	out.Name = r.Name
+	out.Tuples = make([]Tuple, len(r.Tuples))
+	for j, t := range r.Tuples {
+		out.Tuples[j] = Tuple{Values: append([]Val(nil), t.Values...), Prov: cloneWitnesses(t.Prov)}
+	}
+	sort.SliceStable(out.Tuples, func(a, b int) bool {
+		return compareVals(out.Tuples[a].Values[i], out.Tuples[b].Values[i]) < 0
+	})
+	return out, nil
 }

@@ -124,15 +124,6 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	return OpenFileStoreWith(dir, FileOptions{})
 }
 
-// OpenFileStoreDurable is OpenFileStore with per-append fsync: every
-// PutRunLog syncs the log to stable storage before returning, so an
-// accepted ingest survives power loss, at the cost of one commit latency
-// per run. For concurrent writers, DurabilityGroup (OpenFileStoreWith)
-// amortizes that latency across a whole batch.
-func OpenFileStoreDurable(dir string) (*FileStore, error) {
-	return OpenFileStoreWith(dir, FileOptions{Durability: DurabilityFsync})
-}
-
 // OpenFileStoreWith opens (or creates) a file store rooted at dir with
 // explicit durability and checkpoint configuration, loading a checkpoint
 // snapshot when one is present so only the log suffix replays.

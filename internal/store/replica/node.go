@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/collab/api"
 	"repro/internal/obs"
@@ -294,16 +293,4 @@ func (n *Node) LagWithin(max int64) bool {
 	}
 	_, behind := f.Lag()
 	return behind <= max
-}
-
-// RequestTimeoutOf exposes the follower's per-request timeout for
-// callers composing their own deadlines around node operations.
-func (n *Node) RequestTimeoutOf() time.Duration {
-	n.mu.Lock()
-	f := n.follower
-	n.mu.Unlock()
-	if f == nil {
-		return 10 * time.Second
-	}
-	return f.opt.RequestTimeout
 }

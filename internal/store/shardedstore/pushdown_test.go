@@ -6,9 +6,9 @@ package shardedstore
 // last-write-wins case whose stale edges a shard's local walk may follow —
 // the pushdown must answer exactly like the per-edge reference BFS
 // (store.NaiveClosure) and the pre-pushdown per-hop path
-// (ClosureViaExpand), and its round count must stay within the cross-shard
-// crossing bound. Run under -race in CI: the query phase below exercises
-// concurrent pushdowns against live ingest.
+// (store.CloseOverExpand over Router.Expand), and its round count must stay
+// within the cross-shard crossing bound. Run under -race in CI: the query
+// phase below exercises concurrent pushdowns against live ingest.
 
 import (
 	"fmt"
@@ -131,7 +131,7 @@ func assertPushdownConformance(t *testing.T, r *Router, logs []*provenance.RunLo
 	for _, id := range entitiesOf(logs) {
 		for _, dir := range []store.Direction{store.Up, store.Down} {
 			want, werr := store.NaiveClosure(r, id, dir)
-			legacy, lerr := r.ClosureViaExpand(id, dir)
+			legacy, lerr := store.CloseOverExpand(r.Expand, id, dir)
 			got, _, gerr := r.TracedClosure(id, dir)
 			if (werr == nil) != (gerr == nil) || (lerr == nil) != (gerr == nil) {
 				t.Logf("%s %v: Closure(%s) errs: naive %v, legacy %v, pushdown %v", label, dir, id, werr, lerr, gerr)

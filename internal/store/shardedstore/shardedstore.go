@@ -29,9 +29,10 @@
 //     (the entity→shard and generator-edge indexes already know), batches
 //     each round's probes per destination shard, and finally replays the
 //     gathered subgraph in memory to reproduce the exact single-store BFS
-//     order. ClosureViaExpand keeps the per-hop path as the conformance
-//     and benchmarking reference; TracedClosure exposes the round
-//     structure (-trace-rounds, experiment E16).
+//     order. TracedClosure exposes the round structure (-trace-rounds,
+//     experiment E16); the per-hop traversal this replaced is
+//     store.CloseOverExpand over Router.Expand, which the conformance
+//     tests and E16 still compare against.
 //
 // The router holds no edges of its own: shards own the graph, the router
 // owns only the routing and membership maps, so its resident footprint is
@@ -199,7 +200,7 @@ func validateLayout(dir string, n int) error {
 // Open opens (or creates) n file-backed shards under dir/shard-000 …
 // dir/shard-N-1 and rebuilds the router's run and entity indexes from the
 // shards' logs. With durable set, every ingest fsyncs its home shard's log
-// before returning (see store.OpenFileStoreDurable) — the configuration
+// before returning (store.DurabilityFsync) — the configuration
 // experiment E14 measures. OpenWith exposes the full durability and
 // checkpoint configuration, including group commit.
 //
@@ -982,14 +983,6 @@ type ClosureTrace struct {
 func (r *Router) Closure(seed string, dir store.Direction) ([]string, error) {
 	order, _, err := r.TracedClosure(seed, dir)
 	return order, err
-}
-
-// ClosureViaExpand is the pre-pushdown traversal: one scatter/gather
-// Expand round per BFS hop. Kept as the reference path the conformance
-// tests pin the pushdown against and the baseline experiment E16 measures
-// the pushdown over.
-func (r *Router) ClosureViaExpand(seed string, dir store.Direction) ([]string, error) {
-	return store.CloseOverExpand(r.Expand, seed, dir)
 }
 
 // pdNode is one entity's traversal state during a pushdown closure.

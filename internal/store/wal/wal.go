@@ -167,13 +167,6 @@ func NewWriter(f *os.File, off int64, opt Options) *Writer {
 // Policy reports the writer's sync policy.
 func (w *Writer) Policy() SyncPolicy { return w.opt.Policy }
 
-// Offset reports the file offset the next accepted record will start at.
-func (w *Writer) Offset() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextOff
-}
-
 // Metrics snapshots the writer's counters.
 func (w *Writer) Metrics() Metrics {
 	w.mu.Lock()

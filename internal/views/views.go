@@ -63,16 +63,6 @@ func (v *View) GroupOf(moduleID string) string {
 	return moduleID
 }
 
-// Groups returns group names in sorted order (explicit groups only).
-func (v *View) Groups() []string {
-	out := make([]string, 0, len(v.groups))
-	for g := range v.groups {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Members returns the module IDs of a group, sorted.
 func (v *View) Members(group string) []string {
 	out := append([]string(nil), v.groups[group]...)
