@@ -34,14 +34,18 @@ staticcheck:
 	fi
 
 # Run the testing.B benchmark suite (one benchmark per experiment, plus the
-# E4b batch-vs-per-edge and E13 closure-cache comparisons).
+# E4b batch-vs-per-edge, E13 closure-cache and cold-closure comparisons).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# One-iteration benchmark smoke for CI: proves the lineage benchmark paths
-# still run without paying full measurement time.
+# Benchmark smoke for CI: one iteration of E4b proves the lineage benchmark
+# paths still run, and ColdClosure prints the absolute ns/op, B/op and
+# allocs/op of a cold closure over 4 file shards (depth-128 chain, cache
+# off and on a miss) — the figure E13's warm÷cold ratio used to stand in
+# for.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
+	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
 
 # Run the full experiment suite and write machine-readable BENCH_<ID>.json
 # files so successive PRs can track a perf trajectory. CI uploads these as
@@ -50,13 +54,17 @@ bench-json:
 	$(GO) run ./cmd/provbench -json $(BENCH_DIR)
 
 # Bench regression gate: re-run the gated experiments and fail when a gated
-# metric (machine-independent speedup ratios, e.g. E13's warm-closure
-# speedup or E14's mixed-load ingest speedup) regresses beyond its
-# tolerance against the committed baseline in $(BASELINE_DIR). E17 is not
-# in the list: its gates divided by evaluators that now exist only as test
-# references; internal/query/pql's plan-shape and allocation tests and
-# provload's analytics workload cover what they guarded.
-GATED := E13,E14,E15,E16,E18,E19,E20,E21
+# metric (machine-independent speedup ratios, e.g. E14's mixed-load ingest
+# speedup or E16's pushdown speedup) regresses beyond its tolerance against
+# the committed baseline in $(BASELINE_DIR). E17 is not in the list: its
+# gates divided by evaluators that now exist only as test references;
+# internal/query/pql's plan-shape and allocation tests and provload's
+# analytics workload cover what they guarded. Nor is E13: warm ÷ cold
+# closure time fails when the cold closure gets faster; closurecache's
+# deterministic tests (a hit makes no backend call and one allocation, a
+# patch touches only entries holding an attachment point) and
+# BenchmarkColdClosure's absolute figures replaced it.
+GATED := E14,E15,E16,E18,E19,E20,E21
 bench-gate:
 	$(GO) run ./cmd/provbench -e $(GATED) -check $(BASELINE_DIR)
 

@@ -452,6 +452,53 @@ func BenchmarkE13ClosureCache(b *testing.B) {
 	})
 }
 
+// BenchmarkColdClosure reports what a cold lineage closure costs in
+// absolute terms — ns/op, B/op, allocs/op under -benchmem — on the
+// serving shape: a depth-128 chain spread over 4 file-backed shards.
+// cache=off is the router's pushdown alone; cache=miss adds the closure
+// cache on a query that misses, so each iteration also admits the result
+// and evicts the one before it. `make bench-smoke` prints both in CI.
+func BenchmarkColdClosure(b *testing.B) {
+	const chainRuns = 128
+	r, err := shardedstore.Open(b.TempDir(), 4, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < chainRuns; i++ {
+		if err := r.PutRunLog(experiments.E16ChainRun(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Two seeds at the chain's tail: alternating them through a one-entry
+	// cache makes every query a miss. It is also the reverse index's worst
+	// case — each eviction empties it, so each admission rebuilds every
+	// postings list — where a cache at a realistic capacity appends to
+	// lists that already exist.
+	seeds := [2]string{fmt.Sprintf("e16-art-%06d", chainRuns), fmt.Sprintf("e16-art-%06d", chainRuns-1)}
+	b.Run("cache=off", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Closure(seeds[i&1], store.Up); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cache=miss", func(b *testing.B) {
+		cached := closurecache.New(r, closurecache.Options{MaxClosures: 1})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cached.Closure(seeds[i&1], store.Up); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if m := cached.Metrics(); m.ClosureHits != 0 {
+			b.Fatalf("%d of %d queries hit the cache", m.ClosureHits, b.N)
+		}
+	})
+}
+
 // BenchmarkE14Sharding measures the sharded store router at 1/2/4/8
 // durable file-backed shards on the E14 wide-DAG workload: mode=ingest is
 // one batch of 16 runs pushed by 8 concurrent publishers per iteration

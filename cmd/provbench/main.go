@@ -43,7 +43,6 @@ var gates = []struct {
 	metric     string
 	minRatio   float64
 }{
-	{"E13", "closure_warm_speedup_file_d128", 0.4},
 	// Wall-clock-window metric on shared CI runners: the loose tolerance
 	// keeps the floor below the 1.5x acceptance threshold (it guards
 	// against sharding collapsing toward parity, not against noise).

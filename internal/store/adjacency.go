@@ -12,12 +12,14 @@ const (
 	kindExecution
 )
 
-// adjacency is the event-fold and neighbor-resolution core shared by
-// MemStore and FileStore (and, through MergeNeighbors, the sharded
-// router's gather step): the one place the traversal tie-break and dedup
-// rules live. Generator edges are last-write-wins (a later run re-declaring
-// an artifact's generator rewrites the Up edge); consumer/used/generated
-// lists accumulate across runs and are served sorted and deduplicated.
+// adjacency is MemStore's event fold and neighbor resolution: small,
+// map-based, sorting at read time. It is deliberately not shared with
+// FileStore, whose entity table folds and walks the same graph another
+// way — MemStore is the oracle the table is tested against, and an oracle
+// that shared the fold would agree with its bugs. Generator edges are
+// last-write-wins (a later run re-declaring an artifact's generator
+// rewrites the Up edge); consumer/used/generated lists accumulate across
+// runs and are served sorted and deduplicated.
 type adjacency struct {
 	genBy     map[string]string   // artifact -> execution
 	consumers map[string][]string // artifact -> executions
@@ -75,8 +77,7 @@ func (a *adjacency) neighbors(id string, dir Direction, kind entityKind) ([]stri
 
 // MergeNeighbors merges sorted-unique neighbor lists from multiple
 // backends into one list preserving the Expand contract (sorted,
-// deduplicated) — the sharded router's gather step, kept next to the
-// adjacency fold so the dedup rules stay in one package.
+// deduplicated) — the sharded router's gather step.
 func MergeNeighbors(lists ...[]string) []string {
 	switch len(lists) {
 	case 0:

@@ -1,0 +1,311 @@
+package closurecache
+
+// Tests of the reverse index's bookkeeping: postings with tombstoned
+// eviction, the sweep bound, the lazily built member set, and what a hit, a
+// miss and a patch are allowed to cost.
+
+import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/store"
+)
+
+// countingStore counts the traversal calls that reach the backend.
+type countingStore struct {
+	store.Store
+	closures, expands atomic.Int64
+}
+
+func (s *countingStore) Closure(seed string, dir store.Direction) ([]string, error) {
+	s.closures.Add(1)
+	return s.Store.Closure(seed, dir)
+}
+
+func (s *countingStore) Expand(ids []string, dir store.Direction) (map[string][]string, error) {
+	s.expands.Add(1)
+	return s.Store.Expand(ids, dir)
+}
+
+// checkIndex recomputes the reverse index's counters from its contents.
+func checkIndex(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	live := 0
+	for k, e := range c.closures {
+		if e.dead || e.key != k {
+			t.Fatalf("closures[%v] holds entry %v (dead=%v)", k, e.key, e.dead)
+		}
+		live += 1 + len(e.order)
+	}
+	held, heldLive := 0, 0
+	for node, ps := range c.postings {
+		if len(ps) == 0 {
+			t.Fatalf("empty postings list kept for %s", node)
+		}
+		held += len(ps)
+		for _, e := range ps {
+			if !e.dead {
+				heldLive++
+			}
+		}
+	}
+	if live != c.nLive || heldLive != c.nLive || held != c.nPostings {
+		t.Fatalf("index counters: nLive=%d nPostings=%d; entries hold %d members, postings hold %d (%d live)",
+			c.nLive, c.nPostings, live, held, heldLive)
+	}
+}
+
+func artID(i int) string { return fmt.Sprintf("c-art-%04d", i) }
+
+// TestHitTouchesNothing replaces the warm÷cold ratio E13 used to gate: a
+// hit is one map probe and one copy — no backend call, one allocation —
+// whatever a cold closure costs.
+func TestHitTouchesNothing(t *testing.T) {
+	l, _, tail := chainLog(128)
+	fs, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := &countingStore{Store: fs}
+	c := Wrap(backend)
+	defer c.Close()
+	if err := c.PutRunLog(l); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Closure(tail, store.Up)
+	if err != nil || len(want) != 256 {
+		t.Fatalf("cold closure: %d entities, %v", len(want), err)
+	}
+	calls := backend.closures.Load() + backend.expands.Load()
+	var got []string
+	allocs := testing.AllocsPerRun(200, func() {
+		got, _ = c.Closure(tail, store.Up)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("hit returned %d entities, cold %d", len(got), len(want))
+	}
+	if n := backend.closures.Load() + backend.expands.Load() - calls; n != 0 {
+		t.Fatalf("hits made %d backend calls", n)
+	}
+	if allocs > 1 {
+		t.Fatalf("a hit allocates %v objects, want ≤ 1 (the caller's copy)", allocs)
+	}
+	if e := c.closures[key{tail, store.Up}]; e.set != nil {
+		t.Fatal("reads built a member set; only a patch needs one")
+	}
+}
+
+// TestPatchTouchesOnlyAttachedEntries: an ingest attaching to chain A
+// extends exactly the cached closures that contain its attachment point —
+// one Expand per BFS level each — and leaves every other entry, and its
+// unbuilt member set, alone.
+func TestPatchTouchesOnlyAttachedEntries(t *testing.T) {
+	backend := &countingStore{Store: store.NewMemStore()}
+	c := Wrap(backend)
+	if err := c.PutRunLog(extRun("a-1", "a-0", "a-1-out", "")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutRunLog(extRun("a-2", "a-1-out", "a-2-out", "")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutRunLog(extRun("b-1", "b-0", "b-1-out", "")); err != nil {
+		t.Fatal(err)
+	}
+	attached := []key{{"a-0", store.Down}, {"a-1-out", store.Down}, {"a-2-out", store.Down}}
+	others := []key{{"b-0", store.Down}, {"b-1-out", store.Up}, {"a-2-out", store.Up}, {"a-0", store.Up}}
+	for _, k := range append(append([]key{}, attached...), others...) {
+		if _, err := c.Closure(k.id, k.dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := map[key][]string{}
+	for _, k := range others {
+		before[k] = c.closures[k].order
+	}
+	patched, expands := c.Metrics().Patched, backend.expands.Load()
+
+	// a-2-out -> a-3-exec -> a-3-out: two new entities below the A chain.
+	if err := c.PutRunLog(extRun("a-3", "a-2-out", "a-3-out", "")); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Metrics().Patched - patched; got != uint64(len(attached)) {
+		t.Fatalf("ingest patched %d entries, want the %d holding a-2-out", got, len(attached))
+	}
+	// Each patch walks a-2-out, a-3-exec, a-3-out: three levels.
+	if got := backend.expands.Load() - expands; got != int64(3*len(attached)) {
+		t.Fatalf("patching made %d Expand calls, want %d", got, 3*len(attached))
+	}
+	for _, k := range others {
+		e := c.closures[k]
+		if e.set != nil || len(e.order) != len(before[k]) || (len(e.order) > 0 && &e.order[0] != &before[k][0]) {
+			t.Fatalf("entry %v was touched by an ingest that does not reach it", k)
+		}
+	}
+	for _, k := range attached {
+		got, _ := c.Closure(k.id, k.dir)
+		want, _ := store.NaiveClosure(backend.Store, k.id, k.dir)
+		if !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
+			t.Fatalf("patched %v = %v, want %v", k, got, want)
+		}
+	}
+	checkIndex(t, c)
+}
+
+// TestReadmittedKeyPatchedOnce: after an evict-and-readmit the reverse
+// index holds the key twice at every member — a tombstone and the live
+// entry. An ingest must patch the live one, once.
+func TestReadmittedKeyPatchedOnce(t *testing.T) {
+	l, head, tail := chainLog(32)
+	mem := store.NewMemStore()
+	c := Wrap(mem)
+	if err := c.PutRunLog(l); err != nil {
+		t.Fatal(err)
+	}
+	k := key{head, store.Down}
+	if _, err := c.Closure(tail, store.Up); err != nil { // a second live entry over the same members
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // admit, evict, readmit, evict, readmit
+		if _, err := c.Closure(k.id, k.dir); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			c.mu.Lock()
+			c.evictLocked(c.closures[k])
+			c.mu.Unlock()
+		}
+	}
+	if c.nPostings != c.nLive+2*(1+64) {
+		t.Fatalf("expected two dead generations of %v in the index: nPostings=%d nLive=%d", k, c.nPostings, c.nLive)
+	}
+	checkIndex(t, c)
+
+	patched := c.Metrics().Patched
+	if err := c.PutRunLog(extRun("ext", tail, "ext-out", "")); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Metrics().Patched - patched; got != 1 {
+		t.Fatalf("ingest patched %d entries, want 1 (the live %v)", got, k)
+	}
+	got, _ := c.Closure(k.id, k.dir)
+	want, _ := mem.Closure(k.id, k.dir)
+	if len(got) != len(want) || !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
+		t.Fatalf("readmitted closure after the patch has %d entities (%v), cold has %d", len(got), got, len(want))
+	}
+	checkIndex(t, c)
+}
+
+// TestTombstonesOnlyOverEvict: an artifact whose only postings are
+// tombstones still reads as resident (residentUpLocked does not look
+// inside the list), so an ingest re-generating it takes the hazard path —
+// which must find nothing live to evict there and leave every cached
+// answer equal to a cold one.
+func TestTombstonesOnlyOverEvict(t *testing.T) {
+	mem := store.NewMemStore()
+	c := Wrap(mem)
+	for _, l := range []string{"a", "b"} {
+		if err := c.PutRunLog(extRun(l+"-1", l+"-0", l+"-1-out", "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := key{"b-1-out", store.Up}
+	for _, k := range []key{{"a-1-out", store.Up}, keep} {
+		if _, err := c.Closure(k.id, k.dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	c.evictLocked(c.closures[key{"a-1-out", store.Up}])
+	c.mu.Unlock()
+	// A different execution re-generates a-1-out: a generator replacement
+	// on an artifact the index only remembers through a dead entry.
+	if err := c.PutRunLog(extRun("a-2", "a-0", "a-2-out", "a-1-out")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.closures[keep]; !ok {
+		t.Fatalf("hazard on a tombstone evicted the unrelated live entry %v", keep)
+	}
+	for _, k := range []key{{"a-1-out", store.Up}, keep, {"a-0", store.Down}} {
+		got, err := c.Closure(k.id, k.dir)
+		want, _ := mem.Closure(k.id, k.dir)
+		if err != nil || !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
+			t.Fatalf("Closure%v = %v, %v; cold %v", k, got, err, want)
+		}
+	}
+	checkIndex(t, c)
+}
+
+// TestPostingsBoundedUnderChurn runs 200 000 admissions through a cache at
+// capacity — every one a miss that evicts — and holds the reverse index to
+// its bound throughout: postings held never exceed twice the live ones, on
+// the index's own counters, which checkIndex ties to its contents.
+func TestPostingsBoundedUnderChurn(t *testing.T) {
+	l, _, _ := chainLog(16)
+	mem := store.NewMemStore()
+	c := New(mem, Options{MaxClosures: 8})
+	if err := c.PutRunLog(l); err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 200_000
+	for i := 0; i < cycles; i++ {
+		// 34 keys against 8 slots; the stride keeps a key from returning
+		// before it has been evicted.
+		n := (i * 7) % 34
+		if _, err := c.Closure(artID(n/2), dirOf(n)); err != nil {
+			t.Fatal(err)
+		}
+		if c.nPostings > 2*c.nLive {
+			t.Fatalf("cycle %d: %d postings held for %d live", i, c.nPostings, c.nLive)
+		}
+		if i%20_000 == 0 {
+			checkIndex(t, c)
+		}
+	}
+	checkIndex(t, c)
+	if m := c.Metrics(); m.ClosureEntries != 8 || m.Evicted < cycles/2 {
+		t.Fatalf("the workload did not churn: %+v", m)
+	}
+}
+
+// sliceStore answers every Closure with the same slice, so a miss through
+// it allocates only what the cache itself allocates.
+type sliceStore struct {
+	store.Store
+	order []string
+}
+
+func (s *sliceStore) Closure(string, store.Direction) ([]string, error) { return s.order, nil }
+
+// TestMissAllocations: admitting a closure of n members costs the entry,
+// its copy of the order and whatever postings lists happen to grow — not a
+// set entry, an index entry and a map per member, which was three
+// allocations-or-inserts per member before and after.
+func TestMissAllocations(t *testing.T) {
+	const n = 256
+	order := make([]string, n)
+	for i := range order {
+		order[i] = artID(i)
+	}
+	c := New(&sliceStore{order: order}, Options{MaxClosures: 8})
+	seed := 0
+	miss := func() {
+		seed++
+		if _, err := c.Closure(fmt.Sprintf("seed-%d", seed), store.Up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // reach capacity and steady-state list capacities
+		miss()
+	}
+	allocs := testing.AllocsPerRun(200, miss)
+	// The seed string, the entry, its order, the seed's own postings list;
+	// a list of the shared members doubling now and then.
+	if allocs > 12 {
+		t.Fatalf("a miss of %d members allocates %v objects, want a constant (≤ 12)", n, allocs)
+	}
+	checkIndex(t, c)
+}

@@ -11,10 +11,10 @@
 // where the log re-declares a shared artifact (a content-addressed input
 // produced by an earlier run). The cache exploits that monotonicity:
 //
-//   - Every cached closure (root, direction) carries its node set. A
-//     reverse node index maps each entity to the cached closures containing
-//     it, so an ingest inspects only the entries its delta edges actually
-//     touch — per-root dependency tracking, not a cache-wide scan.
+//   - A reverse index maps each entity to the cached closures (root,
+//     direction) containing it, so an ingest inspects only the entries its
+//     delta edges actually touch — per-root dependency tracking, not a
+//     cache-wide scan.
 //   - Each new edge (src -> dst in some direction) whose src lies inside a
 //     cached closure extends that closure with a bounded BFS from src over
 //     the post-ingest graph, appending only newly reachable nodes. Entries
@@ -41,6 +41,25 @@
 // edges append to cached neighbor lists, and the ingest's new triples are
 // matched against cached patterns (store.TriplesOf is the shared
 // flattening), so the SPARQL-like engine's probes stay warm too.
+//
+// # Bookkeeping cost
+//
+// Berkholz et al. get constant update time from structures addressed in
+// O(1) per element, and the bookkeeping here is held to the same budget: a
+// miss-heavy read workload admits and evicts whole closures continuously,
+// so every per-member step of that cycle is work no query asked for.
+//
+//   - The reverse index is a postings slice per entity (pointers to the
+//     entries holding it). Admission is one append per member — one string
+//     hash — and copies the closure once.
+//   - Eviction is O(1): the entry is marked dead and its postings stay
+//     behind as tombstones, which every reader of the index skips. When
+//     tombstones outnumber live postings one sweep drops them all, so the
+//     index settles at no more than twice its live postings and the
+//     sweep's cost is already paid for by the evictions that caused it.
+//   - An entry's member set exists only to dedup a patch's BFS against the
+//     closure; it is built from the order slice by the first patch that
+//     reaches the entry. A read-only workload never builds one.
 //
 // # Ordering
 //
@@ -71,7 +90,7 @@ var (
 	mCacheClosureMisses = obs.Default().Counter("prov_cache_closure_misses_total", "Closure queries recomputed on the backing store.")
 	mCacheExpandHits    = obs.Default().Counter("prov_cache_expand_hits_total", "Expand seeds answered from memoized neighbor lists.")
 	mCacheExpandMisses  = obs.Default().Counter("prov_cache_expand_misses_total", "Expand seeds forwarded to the backing store.")
-	mCacheEvictions     = obs.Default().Counter("prov_cache_evictions_total", "Memoized closures evicted by ingest hazards.")
+	mCacheEvictions     = obs.Default().Counter("prov_cache_evictions_total", "Memoized closures evicted: capacity (a miss admitted at MaxClosures), generator-replacement hazards, patch errors.")
 	mCachePatchSecs     = obs.Default().Histogram("prov_cache_patch_seconds", "Per-ingest delta patch latency (hazard eviction + additive patching).")
 )
 
@@ -139,10 +158,27 @@ type key struct {
 }
 
 // entry is one memoized closure. order is the cached visit order (BFS plus
-// patch appendices); set indexes it for membership tests during patching.
+// patch appendices). set indexes it for membership tests during patching
+// and is nil until the first patch (see memberSet). An evicted entry is
+// dead: unreachable through closures, skipped wherever the reverse index
+// still points at it.
 type entry struct {
+	key   key
 	order []string
 	set   map[string]struct{}
+	dead  bool
+}
+
+// memberSet returns the entry's membership index, building it from order
+// on first use.
+func (e *entry) memberSet() map[string]struct{} {
+	if e.set == nil {
+		e.set = make(map[string]struct{}, len(e.order))
+		for _, n := range e.order {
+			e.set[n] = struct{}{}
+		}
+	}
+	return e.set
 }
 
 // tripleMatcher is the triple-pattern face of store.TripleStore; the cache
@@ -170,9 +206,16 @@ type Cache struct {
 	mu         sync.RWMutex
 	generation uint64
 	closures   map[key]*entry
-	nodeIndex  map[string]map[key]struct{} // entity -> closures containing it (roots included)
-	hot        map[key][]string            // entity -> memoized Expand neighbors
+	hot        map[key][]string // entity -> memoized Expand neighbors
 	patterns   map[store.Triple][]store.Triple
+
+	// Reverse index: entity -> entries whose closure contains it (roots
+	// included), one posting per (entity, entry) membership. Postings of
+	// evicted entries stay as tombstones until sweepLocked; nPostings
+	// counts every posting held and nLive those of live entries.
+	postings  map[string][]*entry
+	nPostings int
+	nLive     int
 
 	// pending queues committed-but-unapplied additive deltas; whichever
 	// ingester holds mu drains the whole queue, so concurrent additive
@@ -200,12 +243,12 @@ var _ store.Checkpointer = (*Cache)(nil)
 // query.
 func New(s store.Store, opt Options) *Cache {
 	c := &Cache{
-		s:         s,
-		opt:       opt.withDefaults(),
-		closures:  map[key]*entry{},
-		nodeIndex: map[string]map[key]struct{}{},
-		hot:       map[key][]string{},
-		patterns:  map[store.Triple][]store.Triple{},
+		s:        s,
+		opt:      opt.withDefaults(),
+		closures: map[key]*entry{},
+		postings: map[string][]*entry{},
+		hot:      map[key][]string{},
+		patterns: map[store.Triple][]store.Triple{},
 		autoCkpt: store.NewAutoCheckpointPolicy(store.CheckpointPolicy{
 			EveryRuns: opt.CheckpointEvery,
 			Interval:  opt.CheckpointInterval,
@@ -265,7 +308,8 @@ func (c *Cache) Flush() {
 func (c *Cache) flushLocked() {
 	c.generation++
 	c.closures = map[key]*entry{}
-	c.nodeIndex = map[string]map[key]struct{}{}
+	c.postings = map[string][]*entry{}
+	c.nPostings, c.nLive = 0, 0
 	c.hot = map[key][]string{}
 	c.patterns = map[store.Triple][]store.Triple{}
 }
@@ -419,11 +463,12 @@ func (c *Cache) generatorHazardsLocked(l *provenance.RunLog) map[string]bool {
 }
 
 // residentUpLocked reports whether an artifact can hold memoized upstream
-// state — membership in any cached closure (via the reverse node index)
-// or a memoized Up frontier. Both hazard detectors key on it: only a
-// resident artifact can carry a stale generator edge worth evicting.
+// state — membership in any cached closure (via the reverse index) or a
+// memoized Up frontier. Both hazard detectors key on it: only a resident
+// artifact can carry a stale generator edge worth evicting. Tombstones
+// count as membership, which can only report a hazard that evicts nothing.
 func (c *Cache) residentUpLocked(id string) bool {
-	if _, ok := c.nodeIndex[id]; ok {
+	if len(c.postings[id]) > 0 {
 		return true
 	}
 	_, ok := c.hot[key{id, store.Up}]
@@ -438,9 +483,10 @@ func (c *Cache) applyDeltaLocked(l *provenance.RunLog, hazards map[string]bool) 
 	defer mCachePatchSecs.ObserveSince(start)
 	for art := range hazards {
 		delete(c.hot, key{art, store.Up})
-		for k := range c.nodeIndex[art] {
-			if k.dir == store.Up {
-				c.evictLocked(k)
+		// Evictions only mark entries, so the list is stable under the loop.
+		for _, e := range c.postings[art] {
+			if e.key.dir == store.Up {
+				c.evictLocked(e) // a no-op on a tombstone
 			}
 		}
 	}
@@ -471,50 +517,48 @@ func (c *Cache) applyDeltaLocked(l *provenance.RunLog, hazards map[string]bool) 
 		}
 		// Memoized closures: collect attachment points per touched entry,
 		// then extend each with one bounded BFS over the post-ingest graph.
-		work := map[key][]string{}
+		work := map[*entry][]string{}
 		for src := range edges {
-			for k := range c.nodeIndex[src] {
-				if k.dir == dir {
-					work[k] = append(work[k], src)
+			for _, e := range c.postings[src] {
+				if !e.dead && e.key.dir == dir {
+					work[e] = append(work[e], src)
 				}
 			}
 		}
-		for k, sources := range work {
-			c.extendLocked(k, sources)
+		for e, sources := range work {
+			c.extendLocked(e, sources)
 		}
 	}
 
 	c.patchPatternsLocked(l)
+	c.sweepLocked()
 }
 
 // extendLocked grows one cached closure from the attachment points a delta
 // touched: a BFS over the current graph that only walks past nodes the
 // entry has not seen. On a backend error the entry is evicted instead.
-func (c *Cache) extendLocked(k key, sources []string) {
-	e, ok := c.closures[k]
-	if !ok {
-		return
-	}
+func (c *Cache) extendLocked(e *entry, sources []string) {
+	set := e.memberSet()
 	grew := false
 	frontier := sources
 	for len(frontier) > 0 {
-		adj, err := c.s.Expand(frontier, k.dir)
+		adj, err := c.s.Expand(frontier, e.key.dir)
 		if err != nil {
-			c.evictLocked(k)
+			c.evictLocked(e)
 			return
 		}
 		var next []string
 		for _, id := range frontier {
 			for _, n := range adj[id] {
-				// No special case for n == k.id: the backends' BFS never
+				// No special case for n == e.key.id: the backends' BFS never
 				// pre-marks the seed, so a cycle-creating ingest puts the
 				// root into its own closure — the patch must match that.
-				if _, seen := e.set[n]; seen {
+				if _, seen := set[n]; seen {
 					continue
 				}
-				e.set[n] = struct{}{}
+				set[n] = struct{}{}
 				e.order = append(e.order, n)
-				c.indexLocked(n, k)
+				c.postLocked(n, e)
 				next = append(next, n)
 				grew = true
 			}
@@ -557,37 +601,51 @@ func matchesPattern(p, t store.Triple) bool {
 	return (p.S == "" || p.S == t.S) && (p.P == "" || p.P == t.P) && (p.O == "" || p.O == t.O)
 }
 
-// evictLocked drops one closure entry and its reverse-index references.
-func (c *Cache) evictLocked(k key) {
-	e, ok := c.closures[k]
-	if !ok {
+// evictLocked drops one closure entry in O(1): the entry is marked dead
+// and its postings become tombstones. It never touches the postings lists,
+// so callers may evict while ranging over one; they call sweepLocked once
+// they are done.
+func (c *Cache) evictLocked(e *entry) {
+	if e.dead {
 		return
 	}
-	delete(c.closures, k)
-	c.unindexLocked(k.id, k)
-	for _, n := range e.order {
-		c.unindexLocked(n, k)
-	}
+	e.dead = true
+	delete(c.closures, e.key)
+	c.nLive -= 1 + len(e.order)
+	e.order, e.set = nil, nil // the tombstones keep e itself reachable
 	c.evicted.Add(1)
 	mCacheEvictions.Inc()
 }
 
-func (c *Cache) indexLocked(node string, k key) {
-	m, ok := c.nodeIndex[node]
-	if !ok {
-		m = map[key]struct{}{}
-		c.nodeIndex[node] = m
-	}
-	m[k] = struct{}{}
+// postLocked records that e's closure contains node.
+func (c *Cache) postLocked(node string, e *entry) {
+	c.postings[node] = append(c.postings[node], e)
+	c.nPostings++
+	c.nLive++
 }
 
-func (c *Cache) unindexLocked(node string, k key) {
-	if m, ok := c.nodeIndex[node]; ok {
-		delete(m, k)
-		if len(m) == 0 {
-			delete(c.nodeIndex, node)
-		}
+// sweepLocked removes every tombstone from the reverse index once they
+// outnumber the live postings, so the index stays within twice its live
+// size at an amortized O(1) per evicted member.
+func (c *Cache) sweepLocked() {
+	if c.nPostings <= 2*c.nLive {
+		return
 	}
+	for node, ps := range c.postings {
+		live := ps[:0]
+		for _, e := range ps {
+			if !e.dead {
+				live = append(live, e)
+			}
+		}
+		if len(live) == 0 {
+			delete(c.postings, node)
+			continue
+		}
+		clear(ps[len(live):]) // drop the tail's references to dead entries
+		c.postings[node] = live
+	}
+	c.nPostings = c.nLive
 }
 
 // --- Store: memoized reads ---------------------------------------------------
@@ -624,26 +682,23 @@ func (c *Cache) Closure(seed string, dir store.Direction) ([]string, error) {
 	return order, nil
 }
 
-// admitClosureLocked inserts a freshly computed closure, evicting an
-// arbitrary entry when at capacity.
+// admitClosureLocked inserts a freshly computed closure under a key not
+// cached, evicting an arbitrary entry when at capacity. It keeps its own
+// copy of order (the caller's goes back to the client): one copy and one
+// posting per member.
 func (c *Cache) admitClosureLocked(k key, order []string) {
 	if len(c.closures) >= c.opt.MaxClosures {
-		for victim := range c.closures {
+		for _, victim := range c.closures {
 			c.evictLocked(victim)
 			break
 		}
+		c.sweepLocked()
 	}
-	e := &entry{
-		order: append([]string(nil), order...),
-		set:   make(map[string]struct{}, len(order)),
-	}
-	for _, n := range order {
-		e.set[n] = struct{}{}
-	}
+	e := &entry{key: k, order: append([]string(nil), order...)}
 	c.closures[k] = e
-	c.indexLocked(k.id, k)
+	c.postLocked(k.id, e)
 	for _, n := range order {
-		c.indexLocked(n, k)
+		c.postLocked(n, e)
 	}
 }
 

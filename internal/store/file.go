@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,7 +23,7 @@ var (
 	mStoreIngests       = obs.Default().Counter("prov_store_ingest_total", "Run logs accepted by file stores.")
 	mStoreIngestErrors  = obs.Default().Counter("prov_store_ingest_errors_total", "Run-log ingests rejected (validation, duplicate, I/O).")
 	mStoreIngestSeconds = obs.Default().Histogram("prov_store_ingest_seconds", "FileStore PutRunLog latency: validate, append, index fold.")
-	mStoreClosureSecs   = obs.Default().Histogram("prov_store_closure_seconds", "FileStore transitive-closure latency on the resident adjacency index.")
+	mStoreClosureSecs   = obs.Default().Histogram("prov_store_closure_seconds", "FileStore transitive-closure latency on the resident entity table.")
 	mStoreExpandSecs    = obs.Default().Histogram("prov_store_expand_seconds", "FileStore one-hop Expand latency.")
 	mStoreLoadSeconds   = obs.Default().Histogram("prov_store_runlog_load_seconds", "FileStore single-record load latency: positional read plus JSON decode (RunLog, Artifact, Execution, Entities).")
 	mStoreScanRecords   = obs.Default().Counter("prov_store_scan_records_total", "Run-log records decoded by FileStore sequential scans.")
@@ -33,11 +32,15 @@ var (
 
 // FileStore persists run logs to an append-only JSON-lines file, the
 // file-dialect storage approach (§2.2: "XML dialects that are stored as
-// files"). An in-memory index maps run IDs to byte offsets and entity IDs
-// to their runs, and a resident adjacency index — rebuilt at open/ingest
-// time from the same records — serves graph navigation (GeneratorOf,
-// ConsumersOf, Used, Generated, Expand, Closure) without re-reading the
-// log, so closure queries perform zero disk reads after open.
+// files"). An in-memory index maps run IDs to byte offsets, and one
+// resident entity table (entityTable) — rebuilt at open/ingest time from
+// the same records — maps every entity ID to a dense handle and a record
+// of its kind, owning runs, generator and neighbour lists. It serves graph
+// navigation (GeneratorOf, ConsumersOf, Used, Generated, Expand, Closure,
+// CloseLocal) without re-reading the log: a traversal hashes each ID that
+// enters it once, walks integer handles with a pooled visited array, and
+// allocates only the strings it returns, so closure queries perform zero
+// disk reads after open and a constant number of allocations.
 //
 // Full-entity and run-log retrieval read the owning record from disk
 // through one read path. A single record (RunLog, Artifact, Execution,
@@ -61,11 +64,14 @@ var (
 //
 // Reopening a store directory rebuilds the indexes by scanning the log,
 // truncating any torn trailing record (crash recovery); a truncated record
-// is never indexed, so the adjacency index stays consistent with the
-// surviving bytes. When a checkpoint file is present (see Checkpoint), the
-// scan starts at the checkpointed offset instead of zero: the snapshot
-// restores the folded indexes and only the log suffix replays, making
-// restarts O(suffix) instead of O(history). The pre-checkpoint prefix is
+// is never indexed, so the entity table stays consistent with the
+// surviving bytes. When a checkpoint file is present (see Checkpoint and
+// fileCheckpoint for its format), the scan starts at the checkpointed
+// offset instead of zero: the snapshot restores the folded indexes and
+// only the log suffix replays, making restarts O(suffix) instead of
+// O(history). A checkpoint this version cannot read — torn, corrupt, or
+// written in the earlier map-per-index format — is no checkpoint: the open
+// falls back to the full scan and the next Checkpoint overwrites it. The pre-checkpoint prefix is
 // never read at open — only index recovery is prefix-free; full-record
 // retrieval (RunLog/Artifact/Execution) still reads the owning record's
 // bytes, so archiving the prefix sacrifices retrieval of those runs while
@@ -92,14 +98,12 @@ type FileStore struct {
 	autoCkpt  *AutoCheckpoint
 	lastCkpt  int64 // LogOffset of the last checkpoint written (-1: none)
 
-	// Resident adjacency and entity-kind index: navigation never touches
-	// disk. Owners are tracked per kind so an ID stored as an artifact by
-	// one run and as an execution by another keeps both entities
-	// addressable, with artifact classification winning for traversal
-	// (matching the other backends).
-	artOwner  map[string]string // artifact ID -> runID
-	execOwner map[string]string // execution ID -> runID
-	adj       adjacency
+	// Resident entity table: navigation never touches disk. Owning runs
+	// are tracked per kind so an ID stored as an artifact by one run and as
+	// an execution by another keeps both entities addressable, with
+	// artifact classification winning for traversal (matching the other
+	// backends).
+	tab *entityTable
 
 	// Resident counters so Stats does not re-read the log.
 	nEvents int
@@ -148,10 +152,8 @@ func OpenFileStoreWith(dir string, opt FileOptions) (*FileStore, error) {
 			EveryBytes: opt.CheckpointBytes,
 			Interval:   opt.CheckpointInterval,
 		}),
-		lastCkpt:  -1,
-		artOwner:  map[string]string{},
-		execOwner: map[string]string{},
-		adj:       newAdjacency(),
+		lastCkpt: -1,
+		tab:      newEntityTable(),
 	}
 	s.foldCond = sync.NewCond(&s.mu)
 	if err := s.recover(); err != nil {
@@ -173,26 +175,10 @@ func OpenFileStoreWith(dir string, opt FileOptions) (*FileStore, error) {
 	return s, nil
 }
 
-// fileCheckpoint is the on-disk snapshot of a FileStore's folded state:
-// everything recover would rebuild by scanning the log up to LogOffset.
-type fileCheckpoint struct {
-	LogOffset int64               `json:"log_offset"`
-	Order     []string            `json:"order"`
-	Offsets   map[string]int64    `json:"offsets"`
-	ArtOwner  map[string]string   `json:"art_owner"`
-	ExecOwner map[string]string   `json:"exec_owner"`
-	GenBy     map[string]string   `json:"gen_by"`
-	Consumers map[string][]string `json:"consumers"`
-	Used      map[string][]string `json:"used"`
-	Generated map[string][]string `json:"generated"`
-	Events    int                 `json:"events"`
-	Anns      int                 `json:"annotations"`
-}
-
 // recover restores the indexes: from the checkpoint snapshot when a valid
 // one exists (replaying only the log suffix past its offset), otherwise by
 // scanning the whole log. A torn trailing record is truncated; only
-// records surviving truncation reach index(), so the adjacency index never
+// records surviving truncation reach index(), so the entity table never
 // holds edges from torn bytes.
 func (s *FileStore) recover() error {
 	fi, err := s.f.Stat()
@@ -205,32 +191,16 @@ func (s *FileStore) recover() error {
 	var ck fileCheckpoint
 	if ok, err := wal.LoadCheckpoint(filepath.Join(s.dir, checkpointFileName), &ck); err != nil {
 		return err
-	} else if ok && ck.LogOffset <= logSize && s.alignedOffset(ck.LogOffset) {
-		// The snapshot is authoritative for the prefix: restore it and
-		// replay only the suffix. The prefix bytes are never read here.
-		s.offsets = ck.Offsets
-		s.order = ck.Order
-		s.artOwner = ck.ArtOwner
-		s.execOwner = ck.ExecOwner
-		s.adj = adjacency{genBy: ck.GenBy, consumers: ck.Consumers, used: ck.Used, generated: ck.Generated}
-		ensureAdjacency(&s.adj)
-		if s.offsets == nil {
-			s.offsets = map[string]int64{}
-		}
-		if s.artOwner == nil {
-			s.artOwner = map[string]string{}
-		}
-		if s.execOwner == nil {
-			s.execOwner = map[string]string{}
-		}
-		s.nEvents = ck.Events
-		s.nAnns = ck.Anns
+	} else if ok && ck.LogOffset <= logSize && s.alignedOffset(ck.LogOffset) && s.restore(&ck) {
+		// The snapshot is authoritative for the prefix: it is restored and
+		// only the suffix replays. The prefix bytes are never read here.
 		s.lastCkpt = ck.LogOffset
 		from = ck.LogOffset
 	}
 	// A checkpoint claiming more log than exists, or an offset that does
 	// not land on a record boundary, is stale (the log was replaced or
-	// truncated by hand): fall back to the full scan with fresh state,
+	// truncated by hand), and one that fails restore's checks is not a
+	// snapshot of any log: fall back to the full scan with fresh state,
 	// which the zero `from` above already encodes. Without the boundary
 	// check a misaligned suffix scan would misparse its first line and
 	// truncate valid records — the log is authoritative, so a suspect
@@ -281,36 +251,13 @@ func (s *FileStore) alignedOffset(off int64) bool {
 	return b[0] == '\n'
 }
 
-// ensureAdjacency replaces nil maps from a decoded checkpoint (empty maps
-// marshal to null) with empty ones.
-func ensureAdjacency(a *adjacency) {
-	if a.genBy == nil {
-		a.genBy = map[string]string{}
-	}
-	if a.consumers == nil {
-		a.consumers = map[string][]string{}
-	}
-	if a.used == nil {
-		a.used = map[string][]string{}
-	}
-	if a.generated == nil {
-		a.generated = map[string][]string{}
-	}
-}
-
 // index records a run log's offset and folds its entities and events into
-// the resident adjacency index. Called from PutRunLog and recover only,
+// the resident entity table. Called from the fold queue and recover only,
 // with complete (non-torn) records.
 func (s *FileStore) index(l *provenance.RunLog, offset int64) {
 	s.offsets[l.Run.ID] = offset
+	s.tab.fold(l, int32(len(s.order)))
 	s.order = append(s.order, l.Run.ID)
-	for _, a := range l.Artifacts {
-		s.artOwner[a.ID] = l.Run.ID
-	}
-	for _, e := range l.Executions {
-		s.execOwner[e.ID] = l.Run.ID
-	}
-	s.adj.fold(l.Events)
 	s.nEvents += len(l.Events)
 	s.nAnns += len(l.Annotations)
 }
@@ -462,33 +409,6 @@ func (s *FileStore) LastCheckpoint() (int64, bool) {
 	return s.lastCkpt, s.lastCkpt >= 0
 }
 
-// snapshotLocked deep-copies the folded state; the caller holds at least
-// a read lock, and the watermark invariant guarantees every record below
-// s.size is indexed.
-func (s *FileStore) snapshotLocked() *fileCheckpoint {
-	return &fileCheckpoint{
-		LogOffset: s.size,
-		Order:     append([]string(nil), s.order...),
-		Offsets:   maps.Clone(s.offsets),
-		ArtOwner:  maps.Clone(s.artOwner),
-		ExecOwner: maps.Clone(s.execOwner),
-		GenBy:     maps.Clone(s.adj.genBy),
-		Consumers: copyListMap(s.adj.consumers),
-		Used:      copyListMap(s.adj.used),
-		Generated: copyListMap(s.adj.generated),
-		Events:    s.nEvents,
-		Anns:      s.nAnns,
-	}
-}
-
-func copyListMap(m map[string][]string) map[string][]string {
-	out := make(map[string][]string, len(m))
-	for k, v := range m {
-		out[k] = append([]string(nil), v...)
-	}
-	return out
-}
-
 // recordChunk is the first positional read of a single-record load: it
 // covers a typical run log (1–7 KB) in one pread, and a longer record
 // grows the buffer geometrically from there.
@@ -616,8 +536,8 @@ func (s *FileStore) ScanLogs(skip int, fn func(*provenance.RunLog) error) error 
 // this loads the owning run from disk.
 func (s *FileStore) Artifact(id string) (*provenance.Artifact, error) {
 	s.mu.RLock()
-	// No stored run has an empty ID, so an unowned entity misses here too.
-	off, ok := s.offsets[s.artOwner[id]]
+	run, _ := s.tab.owners(id)
+	off, ok := s.runOffsetLocked(run)
 	end := s.size
 	s.mu.RUnlock()
 	if ok {
@@ -635,7 +555,8 @@ func (s *FileStore) Artifact(id string) (*provenance.Artifact, error) {
 // Execution implements Store.
 func (s *FileStore) Execution(id string) (*provenance.Execution, error) {
 	s.mu.RLock()
-	off, ok := s.offsets[s.execOwner[id]]
+	_, run := s.tab.owners(id)
+	off, ok := s.runOffsetLocked(run)
 	end := s.size
 	s.mu.RUnlock()
 	if ok {
@@ -650,8 +571,18 @@ func (s *FileStore) Execution(id string) (*provenance.Execution, error) {
 	return nil, fmt.Errorf("%w: execution %q", ErrNotFound, id)
 }
 
+// runOffsetLocked resolves an owning run from the entity table to its
+// record's log offset, ok=false for noRun; the caller holds at least a
+// read lock.
+func (s *FileStore) runOffsetLocked(run int32) (int64, bool) {
+	if run == noRun {
+		return 0, false
+	}
+	return s.offsets[s.order[run]], true
+}
+
 // Entities implements EntityBatcher: every ID's kind and owning run
-// resolve from the resident owner indexes under one lock hold, then each
+// resolve from the resident entity table under one lock hold, then each
 // distinct owning record is read and decoded once.
 func (s *FileStore) Entities(ids []string) ([]Entity, error) {
 	type ref struct {
@@ -663,11 +594,12 @@ func (s *FileStore) Entities(ids []string) ([]Entity, error) {
 	s.mu.RLock()
 	end := s.size
 	for i, id := range ids {
-		runID, isArt := s.artOwner[id]
+		run, execRun := s.tab.owners(id)
+		isArt := run != noRun
 		if !isArt {
-			runID = s.execOwner[id]
+			run = execRun
 		}
-		off, ok := s.offsets[runID]
+		off, ok := s.runOffsetLocked(run)
 		if !ok {
 			continue
 		}
@@ -695,116 +627,97 @@ func (s *FileStore) Entities(ids []string) ([]Entity, error) {
 	return out, nil
 }
 
-// known reports whether an ID names any stored entity; the caller holds
-// at least a read lock.
-func (s *FileStore) known(id string) bool {
-	_, isArt := s.artOwner[id]
-	_, isExec := s.execOwner[id]
-	return isArt || isExec
+// entityLocked resolves an ID to its table record, ErrNotFound when no
+// run stored it; the caller holds at least a read lock.
+func (s *FileStore) entityLocked(id string) (*entity, error) {
+	if e := s.tab.lookup(id); e != nil {
+		return e, nil
+	}
+	return nil, fmt.Errorf("%w: entity %q", ErrNotFound, id)
 }
 
-// GeneratorOf implements Store, answered from the resident adjacency
-// index without touching disk.
+// GeneratorOf implements Store, answered from the resident entity table
+// without touching disk.
 func (s *FileStore) GeneratorOf(artifactID string) (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.known(artifactID) {
-		return "", fmt.Errorf("%w: entity %q", ErrNotFound, artifactID)
+	e, err := s.entityLocked(artifactID)
+	if err != nil {
+		return "", err
 	}
-	g, ok := s.adj.genBy[artifactID]
-	if !ok {
+	if e.gen[0] == noGen {
 		return "", fmt.Errorf("%w: generator of %q", ErrNotFound, artifactID)
 	}
-	return g, nil
+	return s.tab.ents[e.gen[0]].id, nil
 }
 
-// ConsumersOf implements Store, answered from the resident index.
+// ConsumersOf implements Store, answered from the resident table.
 func (s *FileStore) ConsumersOf(artifactID string) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.known(artifactID) {
-		return nil, fmt.Errorf("%w: entity %q", ErrNotFound, artifactID)
+	e, err := s.entityLocked(artifactID)
+	if err != nil {
+		return nil, err
 	}
-	return sortedUnique(s.adj.consumers[artifactID]), nil
+	return s.tab.names(e.consumers), nil
 }
 
-// Used implements Store, answered from the resident index.
+// Used implements Store, answered from the resident table.
 func (s *FileStore) Used(execID string) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.known(execID) {
-		return nil, fmt.Errorf("%w: entity %q", ErrNotFound, execID)
+	e, err := s.entityLocked(execID)
+	if err != nil {
+		return nil, err
 	}
-	return sortedUnique(s.adj.used[execID]), nil
+	return s.tab.names(e.used), nil
 }
 
-// Generated implements Store, answered from the resident index.
+// Generated implements Store, answered from the resident table.
 func (s *FileStore) Generated(execID string) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.known(execID) {
-		return nil, fmt.Errorf("%w: entity %q", ErrNotFound, execID)
+	e, err := s.entityLocked(execID)
+	if err != nil {
+		return nil, err
 	}
-	return sortedUnique(s.adj.generated[execID]), nil
-}
-
-// kindLocked classifies an ID for traversal; the caller holds at least a
-// read lock. Artifact classification wins for an ID stored as both kinds,
-// matching the other backends.
-func (s *FileStore) kindLocked(id string) entityKind {
-	if _, isArt := s.artOwner[id]; isArt {
-		return kindArtifact
-	}
-	if _, isExec := s.execOwner[id]; isExec {
-		return kindExecution
-	}
-	return kindUnknown
-}
-
-// neighborsLocked resolves one entity's frontier neighbors from the shared
-// adjacency core over the resident index; the caller holds at least a read
-// lock.
-func (s *FileStore) neighborsLocked(id string, dir Direction) ([]string, bool) {
-	return s.adj.neighbors(id, dir, s.kindLocked(id))
+	return s.tab.names(e.generated), nil
 }
 
 // Expand implements Store: the whole frontier is served from the resident
-// index under one shared-lock acquisition, zero disk reads.
+// table under one shared-lock acquisition, zero disk reads.
 func (s *FileStore) Expand(ids []string, dir Direction) (map[string][]string, error) {
 	start := obs.Now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string][]string, len(ids))
-	for _, id := range ids {
-		if ns, ok := s.neighborsLocked(id, dir); ok {
-			out[id] = ns
-		}
-	}
+	out := s.tab.expand(ids, dir)
 	mStoreExpandSecs.ObserveSince(start)
 	return out, nil
 }
 
-// Closure implements Store: the full BFS runs on the resident adjacency
-// index under a shared lock — zero disk reads after open, and concurrent
-// closure sweeps proceed in parallel instead of queueing on one mutex.
+// Closure implements Store: the full BFS runs over table handles under a
+// shared lock — zero disk reads after open, and concurrent closure sweeps
+// proceed in parallel instead of queueing on one mutex.
 func (s *FileStore) Closure(seed string, dir Direction) ([]string, error) {
 	start := obs.Now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out, err := bfsClosure(seed, dir, s.neighborsLocked)
-	if err == nil {
-		mStoreClosureSecs.ObserveSince(start)
+	e, err := s.entityLocked(seed)
+	if err != nil {
+		return nil, err
 	}
-	return out, err
+	out := s.tab.closure(e, dir)
+	mStoreClosureSecs.ObserveSince(start)
+	return out, nil
 }
 
-// CloseLocal implements LocalCloser: the local fixpoint runs on the
-// resident adjacency index under one shared-lock acquisition, zero disk
-// reads (the sharded router's closure-pushdown primitive).
+// CloseLocal implements LocalCloser: the local fixpoint runs over table
+// handles under one shared-lock acquisition, zero disk reads (the sharded
+// router's closure-pushdown primitive).
 func (s *FileStore) CloseLocal(seeds []string, dir Direction, skip func(string) bool, buf []LocalNeighbors) ([]LocalNeighbors, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return localCloseBFS(seeds, dir, skip, s.neighborsLocked, buf), nil
+	return s.tab.closeLocal(seeds, dir, skip, buf), nil
 }
 
 // Stats implements Store, answered from resident counters.
@@ -813,8 +726,8 @@ func (s *FileStore) Stats() (Stats, error) {
 	defer s.mu.RUnlock()
 	return Stats{
 		Runs:        len(s.order),
-		Executions:  len(s.execOwner),
-		Artifacts:   len(s.artOwner),
+		Executions:  s.tab.nExec,
+		Artifacts:   s.tab.nArt,
 		Events:      s.nEvents,
 		Annotations: s.nAnns,
 		Bytes:       s.size,

@@ -9,7 +9,8 @@ import (
 )
 
 // MemStore keeps provenance in native maps with adjacency indexes: the
-// fastest backend and the reference implementation for the others.
+// reference implementation for the others, and the differential oracle of
+// the property tests and of provload.
 type MemStore struct {
 	mu        sync.RWMutex
 	logs      map[string]*provenance.RunLog

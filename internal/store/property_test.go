@@ -7,10 +7,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/provenance"
@@ -335,5 +340,408 @@ func TestQuickLineageDependentsConverse(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// --- table-indexed FileStore ≡ MemStore ≡ NaiveClosure -----------------------
+//
+// MemStore keeps the small map-based adjacency fold and is the oracle; the
+// file store answers from its entity table. The two share no fold and no
+// walk, so agreement on generated workloads — live, restored from a
+// checkpoint, and rebuilt by a full scan — is the table's correctness test.
+
+// runBuilder assembles one valid run log edge by edge, declaring every
+// entity an event names.
+type runBuilder struct {
+	l     *provenance.RunLog
+	arts  map[string]bool
+	execs map[string]bool
+}
+
+func newRun(id string) *runBuilder {
+	l := &provenance.RunLog{}
+	l.Run = provenance.Run{ID: id, WorkflowID: "wf", Status: provenance.StatusOK}
+	return &runBuilder{l: l, arts: map[string]bool{}, execs: map[string]bool{}}
+}
+
+func (b *runBuilder) artifact(id string) {
+	if !b.arts[id] {
+		b.arts[id] = true
+		b.l.Artifacts = append(b.l.Artifacts, &provenance.Artifact{ID: id, RunID: b.l.Run.ID, Type: "blob"})
+	}
+}
+
+func (b *runBuilder) execution(id string) {
+	if !b.execs[id] {
+		b.execs[id] = true
+		b.l.Executions = append(b.l.Executions, &provenance.Execution{ID: id, RunID: b.l.Run.ID, ModuleID: "m", ModuleType: "T", Status: provenance.StatusOK})
+	}
+}
+
+func (b *runBuilder) event(kind provenance.EventKind, exec, art string) {
+	b.execution(exec)
+	b.artifact(art)
+	b.l.Events = append(b.l.Events, provenance.Event{
+		Seq: uint64(len(b.l.Events) + 1), RunID: b.l.Run.ID, Kind: kind, ExecutionID: exec, ArtifactID: art,
+	})
+}
+
+func (b *runBuilder) used(exec, art string) { b.event(provenance.EventArtifactUsed, exec, art) }
+func (b *runBuilder) gen(exec, art string)  { b.event(provenance.EventArtifactGen, exec, art) }
+
+// generatedWorkload draws runs over a small shared ID pool, so that later
+// runs re-declare earlier entities: generators get replaced, events repeat
+// within and across runs, use/gen edges close cycles, and the "x" IDs are
+// stored as artifacts by some runs and as executions by others.
+func generatedWorkload(rng *rand.Rand, runs int) []*provenance.RunLog {
+	pick := func(prefix string, n int) string { return fmt.Sprintf("%s%02d", prefix, rng.Intn(n)) }
+	art := func() string {
+		if rng.Intn(6) == 0 {
+			return pick("x", 4)
+		}
+		return pick("a", 14)
+	}
+	exec := func() string {
+		if rng.Intn(6) == 0 {
+			return pick("x", 4)
+		}
+		return pick("e", 10)
+	}
+	var logs []*provenance.RunLog
+	for r := 0; r < runs; r++ {
+		b := newRun(fmt.Sprintf("run-%03d", r))
+		generator := map[string]string{} // one generator per artifact within a run
+		for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+			e, a := exec(), art()
+			if rng.Intn(3) == 0 {
+				if g, ok := generator[a]; ok {
+					e = g
+				}
+				generator[a] = e
+				b.gen(e, a)
+			} else {
+				b.used(e, a)
+			}
+			if rng.Intn(4) == 0 { // the same event again
+				last := b.l.Events[len(b.l.Events)-1]
+				b.event(last.Kind, last.ExecutionID, last.ArtifactID)
+			}
+		}
+		if rng.Intn(5) == 0 { // declared, never referenced
+			b.artifact(art())
+			b.execution(exec())
+		}
+		logs = append(logs, b.l)
+	}
+	return logs
+}
+
+// tableScenarios are the cases ISSUE 17 names, each small enough to read,
+// next to the generated workloads that mix them.
+func tableScenarios() map[string][]*provenance.RunLog {
+	dual := newRun("r1")
+	dual.used("e1", "both") // "both" is an artifact here…
+	dual.gen("e1", "a2")
+	dual2 := newRun("r2")
+	dual2.used("both", "a2") // …and an execution here
+	dual2.gen("both", "a3")
+
+	regen1 := newRun("r1")
+	regen1.used("e1", "a0")
+	regen1.gen("e1", "a1")
+	regen2 := newRun("r2")
+	regen2.used("e2", "b0")
+	regen2.gen("e2", "a1") // replaces e1 as a1's generator
+	regen3 := newRun("r3")
+	regen3.used("e3", "a1")
+	regen3.gen("e3", "a2")
+
+	dup := newRun("r1")
+	for i := 0; i < 3; i++ {
+		dup.used("e1", "a0")
+		dup.used("e1", "a9")
+		dup.gen("e1", "a1")
+	}
+	dup2 := newRun("r2")
+	dup2.used("e1", "a0")
+	dup2.used("e1", "a5")
+	dup2.gen("e1", "a1")
+
+	cyc := newRun("r1")
+	cyc.used("e1", "a1")
+	cyc.gen("e1", "a2")
+	cyc2 := newRun("r2")
+	cyc2.used("e2", "a2")
+	cyc2.gen("e2", "a1") // a1 -> e2 -> a2 -> e1 -> a1
+
+	scenarios := map[string][]*provenance.RunLog{
+		"both kinds":            {dual.l, dual2.l},
+		"generator replacement": {regen1.l, regen2.l, regen3.l},
+		"duplicate events":      {dup.l, dup2.l},
+		"cycle through seed":    {cyc.l, cyc2.l},
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		scenarios[fmt.Sprintf("generated seed %d", seed)] = generatedWorkload(rand.New(rand.NewSource(seed)), 24)
+	}
+	return scenarios
+}
+
+// sortedUniqueStrings reports whether a list is strictly increasing.
+func sortedUniqueStrings(s []string) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i-1] >= s[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkTableAgainstOracle compares every read of fs with the MemStore
+// oracle over ids (all stored) plus an unknown one. Every slice a read
+// returns is scribbled on afterwards: a result that aliased the table
+// would corrupt the reads that follow.
+func checkTableAgainstOracle(t *testing.T, fs *FileStore, mem *MemStore, ids []string) {
+	t.Helper()
+	const ghost = "ghost-entity"
+	scribble := func(s []string) {
+		for i := range s {
+			s[i] = "scribbled"
+		}
+	}
+	lists := []struct {
+		name     string
+		fs, mem  func(string) ([]string, error)
+		scribble bool
+	}{
+		{"ConsumersOf", fs.ConsumersOf, mem.ConsumersOf, true},
+		{"Used", fs.Used, mem.Used, true},
+		{"Generated", fs.Generated, mem.Generated, true},
+	}
+	for _, id := range ids {
+		for _, nav := range lists {
+			got, err := nav.fs(id)
+			want, _ := nav.mem(id)
+			if err != nil || !slices.Equal(got, want) || !sortedUniqueStrings(got) {
+				t.Fatalf("%s(%s) = %v, %v; oracle %v", nav.name, id, got, err, want)
+			}
+			scribble(got)
+		}
+		got, gerr := fs.GeneratorOf(id)
+		want, werr := mem.GeneratorOf(id)
+		if (gerr == nil) != (werr == nil) || got != want {
+			t.Fatalf("GeneratorOf(%s) = %q, %v; oracle %q, %v", id, got, gerr, want, werr)
+		}
+	}
+	for _, nav := range lists {
+		if _, err := nav.fs(ghost); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s(unknown) err = %v, want ErrNotFound", nav.name, err)
+		}
+	}
+	if _, err := fs.GeneratorOf(ghost); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GeneratorOf(unknown) err = %v, want ErrNotFound", err)
+	}
+
+	frontier := append(slices.Clone(ids), ghost, ids[0]) // an unknown ID and a repeated one
+	for _, dir := range []Direction{Up, Down} {
+		want, _ := mem.Expand(frontier, dir)
+		for round := 0; round < 2; round++ { // the second round reads after the scribble
+			got, err := fs.Expand(frontier, dir)
+			if err != nil || encodeAdj(got) != encodeAdj(want) {
+				t.Fatalf("Expand %v:\n got %s\nwant %s (%v)", dir, encodeAdj(got), encodeAdj(want), err)
+			}
+			for _, ns := range got {
+				_ = append(ns, "appended") // must not land in another entity's list
+			}
+			if encodeAdj(got) != encodeAdj(want) {
+				t.Fatalf("Expand %v: appending to one list changed another: %s", dir, encodeAdj(got))
+			}
+			for _, ns := range got {
+				scribble(ns)
+			}
+		}
+		for i, id := range ids {
+			naive, err := NaiveClosure(mem, id, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := mem.Closure(id, dir)
+			got, err := fs.Closure(id, dir)
+			if err != nil || !slices.Equal(got, naive) || !slices.Equal(want, naive) {
+				t.Fatalf("Closure(%s, %v) = %v, %v; MemStore %v; NaiveClosure %v", id, dir, got, err, want, naive)
+			}
+			scribble(got)
+
+			// The local fixpoint from two seeds, stopping at every third ID:
+			// same entities, same discovery order, same lists.
+			seeds := []string{id, ids[(i+1)%len(ids)], ghost}
+			skip := func(n string) bool { return n != id && len(n)%3 == 0 }
+			wantLocal, _ := mem.CloseLocal(seeds, dir, skip, nil)
+			gotLocal, err := fs.CloseLocal(seeds, dir, skip, nil)
+			if err != nil || !reflect.DeepEqual(gotLocal, wantLocal) {
+				t.Fatalf("CloseLocal(%v, %v) = %v, %v; oracle %v", seeds, dir, gotLocal, err, wantLocal)
+			}
+			for _, ln := range gotLocal {
+				_ = append(ln.Neighbors, "appended") // must not land in the next list
+			}
+			if !reflect.DeepEqual(gotLocal, wantLocal) {
+				t.Fatalf("CloseLocal(%v, %v): appending to one list changed another: %v", seeds, dir, gotLocal)
+			}
+			for _, ln := range gotLocal {
+				scribble(ln.Neighbors)
+			}
+		}
+		if _, err := fs.Closure(ghost, dir); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Closure(unknown, %v) err = %v, want ErrNotFound", dir, err)
+		}
+	}
+}
+
+// TestTableMatchesOracle holds the table-indexed FileStore to the MemStore
+// oracle and the per-edge reference BFS after every ingest state that
+// matters: live, reopened from a checkpoint taken mid-history (snapshot
+// restore plus suffix replay), and reopened by full scan.
+func TestTableMatchesOracle(t *testing.T) {
+	for name, logs := range tableScenarios() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := NewMemStore()
+			seen := map[string]bool{}
+			var ids []string
+			for i, l := range logs {
+				if err := fs.PutRunLog(l); err != nil {
+					t.Fatal(err)
+				}
+				if err := mem.PutRunLog(l); err != nil {
+					t.Fatal(err)
+				}
+				if i == len(logs)/2 {
+					if err := fs.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, a := range l.Artifacts {
+					if !seen[a.ID] {
+						seen[a.ID] = true
+						ids = append(ids, a.ID)
+					}
+				}
+				for _, e := range l.Executions {
+					if !seen[e.ID] {
+						seen[e.ID] = true
+						ids = append(ids, e.ID)
+					}
+				}
+			}
+			checkTableAgainstOracle(t, fs, mem, ids)
+			wantStats, _ := fs.Stats()
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, mode := range []string{"checkpoint + suffix", "full scan"} {
+				if mode == "full scan" {
+					if err := os.Remove(CheckpointPath(dir)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				re, err := OpenFileStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := re.LastCheckpoint(); ok != (mode != "full scan") {
+					t.Fatalf("%s: LastCheckpoint ok = %v", mode, ok)
+				}
+				if st, _ := re.Stats(); st != wantStats {
+					t.Fatalf("%s: Stats = %+v, want %+v", mode, st, wantStats)
+				}
+				checkTableAgainstOracle(t, re, mem, ids)
+				re.Close()
+			}
+		})
+	}
+}
+
+// TestHubFoldOutOfOrder folds a hub artifact's 10 000 consumers in shuffled
+// order, half of them twice. Keeping the list sorted at fold time must not
+// cost a sort (or a linear dedup scan) per insert: that fold takes tens of
+// seconds at this size, the binary-search insert tens of milliseconds, and
+// the ceiling sits between with room for a loaded machine.
+func TestHubFoldOutOfOrder(t *testing.T) {
+	const n = 10000
+	order := rand.New(rand.NewSource(17)).Perm(n)
+	b := newRun("hub-run")
+	for _, i := range order {
+		b.used(fmt.Sprintf("e-%05d", i), "hub")
+		if i%2 == 0 {
+			b.used(fmt.Sprintf("e-%05d", i), "hub")
+		}
+	}
+	fs, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	mem := NewMemStore()
+	if err := mem.PutRunLog(b.l); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.PutRunLog(b.l); err != nil { // validates, encodes, appends: the same work at any fold cost
+		t.Fatal(err)
+	}
+	fresh := newEntityTable()
+	start := time.Now()
+	fresh.fold(b.l, 0)
+	if d := time.Since(start); d > 3*time.Second {
+		t.Fatalf("folding a %d-consumer hub out of order took %v", n, d)
+	}
+	got, err := fs.ConsumersOf("hub")
+	want, _ := mem.ConsumersOf("hub")
+	if err != nil || len(got) != n || !slices.Equal(got, want) {
+		t.Fatalf("hub consumers: %d IDs, %v; oracle %d", len(got), err, len(want))
+	}
+	down, err := fs.Closure("hub", Down)
+	if err != nil || !slices.Equal(down, want) {
+		t.Fatalf("hub dependents: %d IDs, %v; want its %d consumers in ID order", len(down), err, n)
+	}
+}
+
+// TestClosureAllocations pins the allocation profile the table buys: a
+// closure over a 256-entity chain allocates a constant handful of objects
+// (the result and whatever the pooled walk grows the first time) where the
+// map-based walk allocated per entity visited.
+func TestClosureAllocations(t *testing.T) {
+	fs, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	prev := "art-000"
+	for i := 1; i <= 128; i++ { // 128 executions + 129 artifacts
+		out := fmt.Sprintf("art-%03d", i)
+		if err := fs.PutRunLog(synthRun(fmt.Sprintf("run-%03d", i), []string{prev}, []string{out})); err != nil {
+			t.Fatal(err)
+		}
+		prev = out
+	}
+	if lin, err := fs.Closure(prev, Up); err != nil || len(lin) != 256 {
+		t.Fatalf("chain lineage = %d entities, %v; want 256", len(lin), err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := fs.Closure(prev, Up); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 8 {
+		t.Fatalf("Closure over a 256-entity chain: %v allocations per call, want ≤ 8", allocs)
+	}
+	seeds := []string{prev}
+	var buf []LocalNeighbors
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf, _ = fs.CloseLocal(seeds, Up, nil, buf[:0])
+	}); allocs > 8 {
+		t.Fatalf("CloseLocal over a 256-entity chain: %v allocations per call, want ≤ 8", allocs)
 	}
 }

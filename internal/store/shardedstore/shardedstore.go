@@ -1042,10 +1042,13 @@ func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, Clos
 	// Node state lives in a flat arena addressed by index: the name map
 	// carries int32 values (no write barrier per insert, half the lookups
 	// of a two-map design), and the arena grows only between scatter
-	// phases, so pointers taken into it within one phase stay valid.
-	arena := make([]pdNode, 1, 256)
+	// phases, so pointers taken into it within one phase stay valid. Both
+	// start small and grow with the closure: the median closure is a
+	// handful of entities, and sizing every call for hundreds made these
+	// two allocations half of the bytes a cold closure allocates.
+	arena := make([]pdNode, 1, 16)
 	arena[0] = pdNode{allowed: seedAllowed}
-	nodes := make(map[string]int32, 256)
+	nodes := make(map[string]int32, 16)
 	nodes[seed] = 0
 
 	sc := r.getScratch()

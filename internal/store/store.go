@@ -2,15 +2,16 @@
 // one Store interface with four backends mirroring the storage spectrum the
 // paper surveys —
 //
-//   - MemStore: native in-memory graph (adjacency indexes), the fastest
-//     baseline;
+//   - MemStore: native in-memory graph (adjacency maps), the baseline and
+//     the oracle the other backends are tested against;
 //   - RelStore: provenance as tuples in relational tables (systems like [3]
 //     store provenance in an RDBMS), built on internal/relalg;
 //   - TripleStore: provenance as (subject, predicate, object) triples with
 //     SPO/POS/OSP indexes, the Semantic-Web/RDF approach of [46, 26, 22];
 //   - FileStore: provenance as append-only log files with an offset index
-//     and a resident adjacency index, the XML/file-dialect approach, with
-//     crash recovery on reopen.
+//     and a resident entity table (interned IDs, handle-addressed
+//     records), the XML/file-dialect approach, with crash recovery on
+//     reopen.
 //
 // Query engines (package query) are written against the interface, so every
 // language runs on every backend.
@@ -23,8 +24,8 @@
 // O(hops) backend round-trips instead of O(edges). Each backend implements
 // the pair natively (MemStore and TripleStore serve whole closures under a
 // single read lock; RelStore expands a hop with one semijoin scan per
-// table; FileStore navigates a resident adjacency index and never touches
-// disk). Lineage and Dependents are thin wrappers over Closure;
+// table; FileStore walks its resident entity table by handle and never
+// touches disk). Lineage and Dependents are thin wrappers over Closure;
 // NaiveClosure preserves the per-edge reference BFS that conformance tests
 // and benchmarks compare against.
 package store
@@ -182,8 +183,8 @@ type LocalNeighbors struct {
 // fresh one) — a deep traversal's driver calls this once per round, and
 // the container reuse is what keeps rounds allocation-flat.
 //
-// MemStore, FileStore and TripleStore implement it natively over their
-// resident indexes; backends without the capability (RelStore) are served
+// MemStore and TripleStore implement it natively over their resident
+// indexes through localCloseBFS, FileStore over its entity table; backends without the capability (RelStore) are served
 // by LocalCloseOverExpand, which drives the same contract through batched
 // Expand calls.
 type LocalCloser interface {
@@ -340,8 +341,8 @@ func CloseOverExpand(expand func([]string, Direction) (map[string][]string, erro
 }
 
 // bfsClosure runs the same BFS over a per-node neighbor function; backends
-// that can hold one lock across the whole traversal (mem, triple, file)
-// use it with their locked lookup. neighbors reports ok=false for unknown
+// that can hold one lock across the whole traversal (mem, triple, and rel
+// over its one-scan adjacency) use it with their locked lookup. neighbors reports ok=false for unknown
 // entities.
 func bfsClosure(seed string, dir Direction, neighbors func(id string, dir Direction) ([]string, bool)) ([]string, error) {
 	if _, known := neighbors(seed, dir); !known {

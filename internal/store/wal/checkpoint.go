@@ -18,18 +18,28 @@ import (
 // checkpointMagic guards against loading a file that is not a checkpoint.
 const checkpointMagic = "provckpt1"
 
+// EncodeCheckpoint frames payload (JSON-encoded) as checkpoint file
+// contents: the integrity header, then the body.
+func EncodeCheckpoint(payload any) ([]byte, error) {
+	body, err := json.Marshal(payload)
+	if err != nil {
+		return nil, fmt.Errorf("wal: encode checkpoint: %w", err)
+	}
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%s %08x %d\n", checkpointMagic, crc32.ChecksumIEEE(body), len(body))
+	buf.Write(body)
+	return buf.Bytes(), nil
+}
+
 // SaveCheckpoint atomically writes payload (JSON-encoded) to path with an
 // integrity header. The file is fsynced before the rename and the
 // directory after it, so a crash leaves either the old checkpoint or the
 // new one, never a torn mix.
 func SaveCheckpoint(path string, payload any) error {
-	body, err := json.Marshal(payload)
+	data, err := EncodeCheckpoint(payload)
 	if err != nil {
-		return fmt.Errorf("wal: encode checkpoint: %w", err)
+		return err
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %08x %d\n", checkpointMagic, crc32.ChecksumIEEE(body), len(body))
-	buf.Write(body)
 
 	dir := filepath.Dir(path)
 	// Sweep temp files a crashed earlier save left behind — the deferred
@@ -48,7 +58,7 @@ func SaveCheckpoint(path string, payload any) error {
 		return fmt.Errorf("wal: checkpoint temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("wal: write checkpoint: %w", err)
 	}
@@ -77,24 +87,27 @@ func LoadCheckpoint(path string, dst any) (ok bool, err error) {
 	if err != nil {
 		return false, nil
 	}
+	return DecodeCheckpoint(data, dst), nil
+}
+
+// DecodeCheckpoint decodes checkpoint file contents into dst, reporting
+// false for anything but an intact frame around a payload dst accepts.
+func DecodeCheckpoint(data []byte, dst any) bool {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return false, nil
+		return false
 	}
 	var magic string
 	var sum uint32
 	var size int
 	if _, err := fmt.Sscanf(string(data[:nl]), "%s %x %d", &magic, &sum, &size); err != nil || magic != checkpointMagic {
-		return false, nil
+		return false
 	}
 	body := data[nl+1:]
 	if len(body) != size || crc32.ChecksumIEEE(body) != sum {
-		return false, nil
+		return false
 	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		return false, nil
-	}
-	return true, nil
+	return json.Unmarshal(body, dst) == nil
 }
 
 // RemoveCheckpoint deletes a checkpoint file if present (tests and tools
