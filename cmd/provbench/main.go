@@ -76,12 +76,6 @@ var gates = []struct {
 	// metrics hot path — an extra allocation, a lock, an unconditional
 	// clock read.
 	{"E19", "obs_overhead_ratio", 0.95},
-	// Standing queries: incremental maintenance vs re-running all 64
-	// subscriptions after every ingest. The baseline ratio is two orders
-	// of magnitude, so the loose floor only trips on an architectural
-	// regression — maintenance degrading to per-sub re-evaluation or the
-	// pattern index stopping to narrow the affected set.
-	{"E20", "standing_delta_vs_requery_speedup_x", 0.3},
 	// Failover: these are correctness-style ratios (1.0 by construction),
 	// so the floors are tight. A convergence drop means log shipping tore
 	// or skipped bytes under injected faults; a fence drop means a cutover

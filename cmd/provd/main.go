@@ -57,8 +57,9 @@
 // cache (internal/store/closurecache): /lineage and /dependents hit
 // memoized closures, /expand hits memoized frontiers, and each published
 // run patches the affected entries at ingest instead of flushing them. On
-// a follower the replication apply hook feeds the same delta path, so
-// cached closures stay warm as replicated runs fold.
+// a follower the cache observes each replicated run (replica.Follower's
+// observer list) and applies the same delta path, so cached closures stay
+// warm as replicated runs fold.
 //
 // With -shards N the store is partitioned across N hash-routed shards
 // (internal/store/shardedstore): published runs route whole to a home
@@ -100,7 +101,7 @@
 // /v1/subscriptions/{id}/events then streams its add/remove deltas as
 // Server-Sent Events (Last-Event-ID resumes; ?poll=1 long-polls) as
 // publishes fold into the result incrementally. Followers host
-// subscriptions too, fed by the replication apply hook. provctl watch is
+// subscriptions too, as a second replication observer. provctl watch is
 // the matching operator command.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener stops,
@@ -236,13 +237,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("provd: open follower: %v", err)
 		}
-		// Followers host standing subscriptions too: the replication apply
-		// hook feeds each shipped run into the manager, composed after the
-		// closure-cache hook core may have installed. The tap covers the
+		// Followers host standing subscriptions too: the manager observes
+		// each shipped run after the closure cache core may have registered
+		// (observers run in registration order). The tap covers the
 		// other write path — local publishes after a promotion — which is
 		// disjoint from replication apply, so no run is counted twice.
 		mgr := standing.NewManager(fst, standing.Options{})
-		f.AddOnApply(mgr.ApplyDelta)
+		f.Observe(mgr.ApplyDelta)
 		st = standing.NewTap(fst, mgr)
 		hopts.Standing = mgr
 		hopts.ReadOnly = true

@@ -101,10 +101,15 @@ type Options struct {
 // ValidatePersistence rejects option combinations that would silently
 // drop a requested durability guarantee: Durability or CheckpointEvery
 // without a store to persist (no StoreDir and no caller-assembled Store)
-// would configure an in-memory system that persists nothing. Both CLIs
-// call this after flag parsing; NewSystem does not, because the zero
-// Options legitimately describe the plain in-memory system.
+// would configure an in-memory system that persists nothing. It also
+// rejects a shard count the router cannot serve, before anything — the
+// in-memory router included — is built with it. Both CLIs call this after
+// flag parsing; NewSystem does not, because the zero Options legitimately
+// describe the plain in-memory system.
 func (o Options) ValidatePersistence() error {
+	if err := shardedstore.CheckShards(o.Shards); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	if o.StoreDir != "" || o.Store != nil {
 		return nil
 	}

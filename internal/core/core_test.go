@@ -213,6 +213,19 @@ func TestShardedSystem(t *testing.T) {
 	}
 }
 
+// A shard count the router cannot serve is a flag-validation error, raised
+// before the in-memory router is built with it.
+func TestValidateRejectsTooManyShards(t *testing.T) {
+	if err := (Options{Shards: 64}).ValidatePersistence(); err != nil {
+		t.Fatalf("64 shards rejected: %v", err)
+	}
+	for _, opt := range []Options{{Shards: 65}, {Shards: 65, StoreDir: t.TempDir()}} {
+		if err := opt.ValidatePersistence(); err == nil {
+			t.Fatalf("%d shards (store dir %q) passed validation", opt.Shards, opt.StoreDir)
+		}
+	}
+}
+
 func TestAnnotateReachesCollector(t *testing.T) {
 	s := newSystem(t, Options{})
 	res, _, err := s.Run(context.Background(), workloads.MedicalImaging(), nil)

@@ -83,8 +83,8 @@ func OpenPersistentStore(opt Options) (store.Store, func() error, error) {
 // follower role serves from: a local store bootstrapped from — and kept
 // a byte prefix of — the primary at Options.Primary (see
 // internal/store/replica), optionally topped with a closure cache whose
-// memoized closures patch live as replicated runs fold (the follower's
-// apply hook feeds the cache's delta path). The background shipper is
+// memoized closures patch live as replicated runs fold (the cache's delta
+// path is the follower's first observer). The background shipper is
 // already started; the returned cleanup stops it and closes the stack.
 func OpenFollowerStore(opt Options) (store.Store, *replica.Follower, func() error, error) {
 	if opt.StoreDir == "" {
@@ -120,7 +120,7 @@ func OpenFollowerStore(opt Options) (store.Store, *replica.Follower, func() erro
 			CheckpointEvery:    opt.CheckpointEvery,
 			CheckpointInterval: opt.CheckpointInterval,
 		})
-		f.SetOnApply(c.ApplyDelta)
+		f.Observe(c.ApplyDelta)
 		st = c
 		// The cache owns the close chain (its Close drains the auto
 		// checkpointer and closes the backing store), so the follower only

@@ -14,10 +14,12 @@ import (
 	"repro/internal/store"
 )
 
-// E20 gates the standing-query subsystem's reason to exist: incremental
-// maintenance must beat the alternative a client actually has — re-running
-// the query after every ingest — by a wide margin once more than a
-// handful of subscriptions watch the store.
+// E20 measures the standing-query subsystem against the alternative a
+// client actually has — re-running the query after every ingest — once
+// more than a handful of subscriptions watch the store. It reports both
+// arms' absolute times and their ratio; nothing gates on the ratio (that
+// maintenance narrows to the affected subscriptions is a deterministic
+// test in internal/query/standing).
 //
 // Both arms ingest the same live stream of runs into the same seeded
 // lineage DAG (8 chains, 12 links deep) with 64 registered standing
@@ -40,7 +42,7 @@ import (
 // subscription's maintained result must be set-equal to the fresh
 // re-query on the final store. The acceptance metric is the median of
 // the paired per-round speedups (the arms alternate over the identical
-// live stream), gated at >= 10x.
+// live stream).
 func E20() Result {
 	const (
 		chains  = 8
@@ -156,7 +158,7 @@ func E20() Result {
 		rs = append(rs, fmt.Sprintf("%.1f", r))
 	}
 	fmt.Fprintf(&b, "per-round requery/delta ratios: %s\n", strings.Join(rs, " "))
-	fmt.Fprintf(&b, "speedup: %.1fx median (gate >= 10x)\n", speedup)
+	fmt.Fprintf(&b, "speedup: %.1fx median\n", speedup)
 	fmt.Fprintf(&b, "subscriptions: %d closure, %d triple, %d conjunctive; %d delta items delivered\n",
 		e20ClosureSubs(chains), e20TripleSubs(chains), e20ConjSubs(), delivered)
 	fmt.Fprintf(&b, "all %d maintained results verified set-equal to a fresh re-query of the final store\n", len(specs))

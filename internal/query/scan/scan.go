@@ -13,23 +13,8 @@ import (
 	"repro/internal/store"
 )
 
-// unwrapper is implemented by layering stores (closure cache, tracing
-// shims) that delegate run-log storage to an inner store.
-type unwrapper interface {
-	Underlying() store.Store
-}
-
-// Unwrap peels layering wrappers off a store until it reaches one that
-// stores run logs itself.
-func Unwrap(s store.Store) store.Store {
-	for {
-		u, ok := s.(unwrapper)
-		if !ok {
-			return s
-		}
-		s = u.Underlying()
-	}
-}
+// Unwrap is store.Unwrap.
+func Unwrap(s store.Store) store.Store { return store.Unwrap(s) }
 
 // Logs invokes fn once per stored run log, in the store's global insertion
 // order. fn must not modify the log (a resident backend hands out its own

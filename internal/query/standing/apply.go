@@ -8,14 +8,15 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/query/scan"
 	"repro/internal/store"
+	"repro/internal/store/closurecache"
 )
 
 // ApplyDelta folds one accepted run log into every affected subscription.
-// The Tap calls it after each local commit; a follower's replication-apply
-// hook calls it for each shipped log. Cost is proportional to the
-// subscriptions the delta touches (via the node/predicate indexes), never
-// to the total registered — and never blocks on consumers: events land in
-// bounded replay rings.
+// The Tap calls it after each local commit; a follower calls it, as one of
+// its observers, for each shipped log. Cost is proportional to the
+// subscriptions the delta touches (via the closure/predicate indexes),
+// never to the total registered — and never blocks on consumers: events
+// land in bounded replay rings.
 func (m *Manager) ApplyDelta(l *provenance.RunLog) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -25,7 +26,7 @@ func (m *Manager) ApplyDelta(l *provenance.RunLog) {
 	start := obs.Now()
 	defer mStandingPatch.ObserveSince(start)
 	m.applyTriplesLocked(l)
-	m.applyClosuresLocked(l)
+	m.patchClosuresLocked(l)
 	m.applyConjLocked(l)
 }
 
@@ -78,136 +79,61 @@ func matchTriple(p, t store.Triple) bool {
 
 // --- closure membership -------------------------------------------------------
 
-// applyClosuresLocked patches closure subscriptions: the non-monotone
-// hazard (a generation event touching a resident entity — possibly a
-// generator replacement rewriting edges) recomputes the subscription
-// fresh and diffs; everything else extends from the delta's attachment
-// points with a bounded BFS, exactly the closure cache's patching model.
-func (m *Manager) applyClosuresLocked(l *provenance.RunLog) {
-	if len(m.nodeIdx) == 0 {
+// patchClosuresLocked folds the log into the closure subscriptions through
+// the shared index: members an additive patch gained go out as one add
+// event per watching subscription; a suspect entry is recomputed.
+func (m *Manager) patchClosuresLocked(l *provenance.RunLog) {
+	if m.closures.Len() == 0 {
 		return
 	}
-	recomputed := map[*sub]bool{}
-	for _, ev := range l.Events {
-		if ev.Kind != provenance.EventArtifactGen {
+	for _, ch := range m.closures.Apply(closurecache.DeltaOf(l), m.st.Expand) {
+		if ch.Suspect {
+			m.recomputeClosureLocked(ch.Entry)
 			continue
 		}
-		// Conservative, like the cache's resident-regen rule: the
-		// pre-ingest generator is unknowable here, so any gen event on a
-		// resident artifact triggers a recompute-and-diff. Fresh artifacts
-		// are not resident, so the common all-new ingest pays nothing.
-		for s := range m.nodeIdx[ev.ArtifactID] {
-			if !recomputed[s] {
-				recomputed[s] = true
-				m.recomputeClosureLocked(s)
-			}
+		adds := sortedCopy(ch.Gained)
+		for _, s := range m.watchers[ch.Entry.Key] {
+			m.publishLocked(s, EventAdd, adds)
 		}
 	}
-
-	delta := deltaEdges(l)
-	for dir, edges := range delta {
-		work := map[*sub][]string{}
-		for src := range edges {
-			for s := range m.nodeIdx[src] {
-				if s.spec.Dir != dir || recomputed[s] {
-					continue
-				}
-				work[s] = append(work[s], src)
-			}
-		}
-		for s, sources := range work {
-			m.extendClosureLocked(s, sources)
-		}
-	}
+	m.closures.Sweep()
 }
 
-// deltaEdges is the adjacency a run log introduces, per direction —
-// shared shape with closurecache.applyDeltaLocked.
-func deltaEdges(l *provenance.RunLog) map[store.Direction]map[string][]string {
-	delta := map[store.Direction]map[string][]string{
-		store.Up:   {},
-		store.Down: {},
-	}
-	for _, ev := range l.Events {
-		switch ev.Kind {
-		case provenance.EventArtifactGen:
-			delta[store.Up][ev.ArtifactID] = append(delta[store.Up][ev.ArtifactID], ev.ExecutionID)
-			delta[store.Down][ev.ExecutionID] = append(delta[store.Down][ev.ExecutionID], ev.ArtifactID)
-		case provenance.EventArtifactUsed:
-			delta[store.Up][ev.ExecutionID] = append(delta[store.Up][ev.ExecutionID], ev.ArtifactID)
-			delta[store.Down][ev.ArtifactID] = append(delta[store.Down][ev.ArtifactID], ev.ExecutionID)
-		}
-	}
-	return delta
-}
-
-// extendClosureLocked grows one closure subscription from the attachment
-// points a delta touched: a BFS over the current graph that only walks
-// past nodes the result has not seen. New nodes are published as one add
-// event.
-func (m *Manager) extendClosureLocked(s *sub, sources []string) {
-	var adds []string
-	frontier := sources
-	for len(frontier) > 0 {
-		adj, err := m.st.Expand(frontier, s.spec.Dir)
-		if err != nil {
-			// Transient backend failure: keep current state; the next
-			// hazard or delta touching this subscription retries.
-			return
-		}
-		var next []string
-		for _, id := range frontier {
-			for _, n := range adj[id] {
-				if _, seen := s.set[n]; seen {
-					continue
-				}
-				s.set[n] = struct{}{}
-				m.indexNodeLocked(n, s)
-				adds = append(adds, n)
-				next = append(next, n)
-			}
-		}
-		frontier = next
-	}
-	if len(adds) > 0 {
-		sort.Strings(adds)
-		m.publishLocked(s, EventAdd, adds)
-	}
-}
-
-// recomputeClosureLocked re-runs the closure fresh and publishes the diff
-// against the accumulated result — the non-monotone path.
-func (m *Manager) recomputeClosureLocked(s *sub) {
-	order, err := m.st.Closure(s.spec.Root, s.spec.Dir)
+// recomputeClosureLocked re-runs a suspect entry's closure fresh, replaces
+// the entry and publishes the difference to its subscriptions — the
+// non-monotone path. On a backend failure the entry, and with it what the
+// subscribers have been told, stays as it was.
+func (m *Manager) recomputeClosureLocked(old *closurecache.Entry) {
+	k := old.Key
+	order, err := m.st.Closure(k.ID, k.Dir)
 	if err != nil && !errors.Is(err, store.ErrNotFound) {
-		return // keep current state on a transient backend failure
+		return
 	}
-	fresh := make(map[string]struct{}, len(order))
-	for _, id := range order {
-		fresh[id] = struct{}{}
+	had := make(map[string]struct{}, len(old.Members()))
+	for _, id := range old.Members() {
+		had[id] = struct{}{}
 	}
 	var adds, removes []string
-	for id := range fresh {
-		if _, have := s.set[id]; !have {
+	for _, id := range order {
+		if _, ok := had[id]; ok {
+			delete(had, id) // what is left of had is what the closure lost
+		} else {
 			adds = append(adds, id)
-			m.indexNodeLocked(id, s)
 		}
 	}
-	for id := range s.set {
-		if _, keep := fresh[id]; !keep {
-			removes = append(removes, id)
-			if id != s.spec.Root {
-				m.unindexNodeLocked(id, s)
-			}
+	for id := range had {
+		removes = append(removes, id)
+	}
+	m.closures.Evict(old)
+	m.closures.Admit(k, order)
+	sort.Strings(adds)
+	sort.Strings(removes)
+	for _, s := range m.watchers[k] {
+		if len(removes) > 0 {
+			m.publishLocked(s, EventRemove, removes)
 		}
-	}
-	s.set = fresh
-	if len(removes) > 0 {
-		sort.Strings(removes)
-		m.publishLocked(s, EventRemove, removes)
-	}
-	if len(adds) > 0 {
-		sort.Strings(adds)
-		m.publishLocked(s, EventAdd, adds)
+		if len(adds) > 0 {
+			m.publishLocked(s, EventAdd, adds)
+		}
 	}
 }

@@ -3,9 +3,8 @@
 // membership of an entity (its lineage or dependents), or a conjunctive
 // Datalog query over the extensional provenance schema — and receives an
 // initial result snapshot plus a stream of add/remove deltas as ingest
-// proceeds. This generalizes the one-shape incremental maintenance of
-// internal/store/closurecache into the "millions of users watching
-// lineage" serving layer the ROADMAP names, in the FO+MOD
+// proceeds. This is the "millions of users watching lineage" serving
+// layer the ROADMAP names, in the FO+MOD
 // queries-under-updates direction (Berkholz et al.): each accepted run
 // log is folded into every affected subscription at delta cost, never by
 // re-running the query.
@@ -16,13 +15,15 @@
 //     (store.TriplesOf, the same flattening the triple backend and the
 //     closure cache use) against a predicate-bucketed index, so an ingest
 //     touches only the subscriptions whose predicate it mentions.
-//   - Closure subscriptions reuse the closure cache's delta-BFS
-//     attachment-point patching: a reverse node index maps entities to the
-//     subscriptions containing them, each new edge whose source lies
-//     inside a result set extends it with a bounded BFS over the
-//     post-ingest graph, and the one non-monotone case (a generation
-//     event touching a resident entity, possibly a generator replacement)
-//     recomputes that subscription fresh and emits the add/remove diff.
+//   - Closure subscriptions are entries of a closurecache.Index — the
+//     same maintenance index, delta path and hazard rule the closure cache
+//     keeps its memoized closures fresh with; only the answer to a suspect
+//     entry differs. Members an ingest's delta adds are published as one
+//     add event; an entry the index reports suspect (a generation event
+//     named a member of an upstream closure — possibly a generator
+//     replacement — or the patch's traversal failed) is recomputed fresh
+//     and the add/remove difference published, where the cache evicts.
+//     Subscriptions on the same (root, direction) share one entry.
 //   - Conjunctive subscriptions are compiled once through the streaming
 //     planner (relalg.PrepareConj) and re-evaluated semi-naive style per
 //     ingest: for each body atom whose predicate gained facts, the plan
@@ -47,6 +48,7 @@ package standing
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +56,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relalg"
 	"repro/internal/store"
+	"repro/internal/store/closurecache"
 )
 
 // Subscription observability, surfaced via /v1/metrics.
@@ -145,8 +148,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// sub is one registered subscription: its accumulated result set, the
-// reverse-indexed spec, and the bounded replay ring.
+// sub is one registered subscription: its spec, its accumulated result set
+// (triple and conjunctive kinds; a closure subscription's result is its
+// index entry's members) and the bounded replay ring.
 type sub struct {
 	id   string
 	spec Spec
@@ -159,7 +163,22 @@ type sub struct {
 	conj *conjSub // conjunctive compilation, nil otherwise
 }
 
-func (s *sub) items() []string {
+// closureKey addresses a closure subscription's entry in the shared index.
+func (s *sub) closureKey() closurecache.Key {
+	return closurecache.Key{ID: s.spec.Root, Dir: s.spec.Dir}
+}
+
+// closureMembersLocked returns a closure subscription's result: its index
+// entry's own slice, unsorted.
+func (m *Manager) closureMembersLocked(s *sub) []string {
+	return m.closures.Lookup(s.closureKey()).Members()
+}
+
+// itemsLocked returns the subscription's current result, sorted.
+func (m *Manager) itemsLocked(s *sub) []string {
+	if s.spec.Kind == KindClosure {
+		return sortedCopy(m.closureMembersLocked(s))
+	}
 	out := make([]string, 0, len(s.set))
 	for it := range s.set {
 		out = append(out, it)
@@ -168,10 +187,16 @@ func (s *sub) items() []string {
 	return out
 }
 
+func sortedCopy(items []string) []string {
+	out := append(make([]string, 0, len(items)), items...)
+	sort.Strings(out)
+	return out
+}
+
 // Manager owns the subscriptions and folds ingest deltas into them. Place
-// it at the top of the store stack with NewTap (or feed a follower's
-// replication-apply hook to ApplyDelta) so every accepted run log reaches
-// it exactly once.
+// it at the top of the store stack with NewTap (or register ApplyDelta as a
+// follower's observer, after the closure cache's) so every accepted run log
+// reaches it exactly once.
 type Manager struct {
 	st  store.Store
 	opt Options
@@ -180,10 +205,11 @@ type Manager struct {
 	subs   map[string]*sub
 	nextID uint64
 
-	// nodeIdx maps entities to the closure subscriptions whose result set
-	// (or root) contains them — the attachment-point index, mirroring the
-	// closure cache's reverse node index.
-	nodeIdx map[string]map[*sub]struct{}
+	// closures maintains the closure subscriptions' results — one entry
+	// per watched (root, direction) — and watchers maps each entry's key to
+	// the subscriptions on it.
+	closures *closurecache.Index
+	watchers map[closurecache.Key][]*sub
 	// tripleIdx buckets triple subscriptions by pattern predicate (""
 	// holds predicate wildcards), so an ingest's triples probe only the
 	// subscriptions naming their predicate.
@@ -208,7 +234,8 @@ func NewManager(st store.Store, opt Options) *Manager {
 		st:        st,
 		opt:       opt.withDefaults(),
 		subs:      map[string]*sub{},
-		nodeIdx:   map[string]map[*sub]struct{}{},
+		closures:  closurecache.NewIndex(),
+		watchers:  map[closurecache.Key][]*sub{},
 		tripleIdx: map[string]map[*sub]struct{}{},
 		conjIdx:   map[string]map[*sub]struct{}{},
 		base:      map[string][]relalg.Tuple{},
@@ -233,14 +260,14 @@ func (m *Manager) Subscribe(spec Spec) (Snapshot, error) {
 		if spec.Root == "" {
 			return Snapshot{}, errors.New("standing: closure subscription needs a root entity")
 		}
-		order, err := m.st.Closure(spec.Root, spec.Dir)
-		if err != nil && !errors.Is(err, store.ErrNotFound) {
-			return Snapshot{}, err
-		}
-		// An unknown root is an empty result, not an error: the
-		// subscription attaches when the entity first appears.
-		for _, id := range order {
-			s.set[id] = struct{}{}
+		if k := s.closureKey(); m.closures.Lookup(k) == nil {
+			order, err := m.st.Closure(spec.Root, spec.Dir)
+			if err != nil && !errors.Is(err, store.ErrNotFound) {
+				return Snapshot{}, err
+			}
+			// An unknown root is an empty result, not an error: the
+			// subscription attaches when the entity first appears.
+			m.closures.Admit(k, order)
 		}
 	case KindTriple:
 		if err := m.tripleSnapshotLocked(s); err != nil {
@@ -267,7 +294,7 @@ func (m *Manager) Subscribe(spec Spec) (Snapshot, error) {
 	m.subs[s.id] = s
 	m.indexLocked(s)
 	mStandingActive.Set(int64(len(m.subs)))
-	return Snapshot{ID: s.id, Seq: 0, Items: s.items()}, nil
+	return Snapshot{ID: s.id, Seq: 0, Items: m.itemsLocked(s)}, nil
 }
 
 // Unsubscribe removes a subscription; its waiters wake and observe the
@@ -292,7 +319,11 @@ func (m *Manager) List() []Info {
 	defer m.mu.Unlock()
 	out := make([]Info, 0, len(m.subs))
 	for _, s := range m.subs {
-		out = append(out, Info{ID: s.id, Spec: s.spec, Seq: s.last, Size: len(s.set)})
+		size := len(s.set)
+		if s.spec.Kind == KindClosure {
+			size = len(m.closureMembersLocked(s))
+		}
+		out = append(out, Info{ID: s.id, Spec: s.spec, Seq: s.last, Size: size})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -307,7 +338,7 @@ func (m *Manager) Snapshot(id string) (Snapshot, bool) {
 	if !ok {
 		return Snapshot{}, false
 	}
-	return Snapshot{ID: s.id, Seq: s.last, Items: s.items()}, true
+	return Snapshot{ID: s.id, Seq: s.last, Items: m.itemsLocked(s)}, true
 }
 
 // EventsSince returns the events published after sequence `after`, or —
@@ -332,7 +363,7 @@ func (m *Manager) EventsSince(id string, after uint64) ([]Event, bool) {
 		mStandingDropped.Inc()
 		return []Event{
 			{Seq: s.last, Type: EventGap},
-			{Seq: s.last, Type: EventSnapshot, Items: s.items()},
+			{Seq: s.last, Type: EventSnapshot, Items: m.itemsLocked(s)},
 		}, true
 	}
 	out := make([]Event, 0, s.last-after)
@@ -385,10 +416,8 @@ func (m *Manager) publishLocked(s *sub, typ string, items []string) {
 func (m *Manager) indexLocked(s *sub) {
 	switch s.spec.Kind {
 	case KindClosure:
-		m.indexNodeLocked(s.spec.Root, s)
-		for id := range s.set {
-			m.indexNodeLocked(id, s)
-		}
+		k := s.closureKey()
+		m.watchers[k] = append(m.watchers[k], s)
 	case KindTriple:
 		bucket := m.tripleIdx[s.spec.Pattern.P]
 		if bucket == nil {
@@ -411,10 +440,15 @@ func (m *Manager) indexLocked(s *sub) {
 func (m *Manager) unindexLocked(s *sub) {
 	switch s.spec.Kind {
 	case KindClosure:
-		m.unindexNodeLocked(s.spec.Root, s)
-		for id := range s.set {
-			m.unindexNodeLocked(id, s)
+		k := s.closureKey()
+		rest := slices.DeleteFunc(m.watchers[k], func(w *sub) bool { return w == s })
+		if len(rest) > 0 {
+			m.watchers[k] = rest
+			break
 		}
+		delete(m.watchers, k)
+		m.closures.Evict(m.closures.Lookup(k))
+		m.closures.Sweep()
 	case KindTriple:
 		if bucket, ok := m.tripleIdx[s.spec.Pattern.P]; ok {
 			delete(bucket, s)
@@ -430,24 +464,6 @@ func (m *Manager) unindexLocked(s *sub) {
 					delete(m.conjIdx, pred)
 				}
 			}
-		}
-	}
-}
-
-func (m *Manager) indexNodeLocked(id string, s *sub) {
-	bucket, ok := m.nodeIdx[id]
-	if !ok {
-		bucket = map[*sub]struct{}{}
-		m.nodeIdx[id] = bucket
-	}
-	bucket[s] = struct{}{}
-}
-
-func (m *Manager) unindexNodeLocked(id string, s *sub) {
-	if bucket, ok := m.nodeIdx[id]; ok {
-		delete(bucket, s)
-		if len(bucket) == 0 {
-			delete(m.nodeIdx, id)
 		}
 	}
 }

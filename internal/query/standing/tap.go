@@ -7,25 +7,24 @@ import (
 
 // Tap sits at the top of a store stack (above the closure cache) and
 // feeds every accepted ingest to a Manager, so standing subscriptions are
-// maintained on the primary's local write path. Reads delegate untouched.
-// Followers don't need a Tap: their ingests arrive through the
-// replication applier, whose per-log hook feeds Manager.ApplyDelta
-// directly.
+// maintained on the primary's local write path. Everything else is the
+// embedded store's. Followers don't need a Tap: their ingests arrive
+// through the replication applier, whose observer list feeds
+// Manager.ApplyDelta directly.
 type Tap struct {
-	s store.Store
-	m *Manager
+	store.Store // the wrapped stack
+	m           *Manager
 }
 
-var _ store.Store = (*Tap)(nil)
 var _ store.Checkpointer = (*Tap)(nil)
 
 // NewTap wraps s. The manager should have been built over the same s (or
 // an outer wrapper of it), so its delta BFS sees every committed edge.
-func NewTap(s store.Store, m *Manager) *Tap { return &Tap{s: s, m: m} }
+func NewTap(s store.Store, m *Manager) *Tap { return &Tap{Store: s, m: m} }
 
-// Underlying returns the wrapped store (scan.Unwrap and the replication
-// source peel the Tap off through this).
-func (t *Tap) Underlying() store.Store { return t.s }
+// Underlying returns the wrapped store (store.Unwrap peels the Tap off
+// through this).
+func (t *Tap) Underlying() store.Store { return t.Store }
 
 // Manager returns the subscription manager the tap feeds.
 func (t *Tap) Manager() *Manager { return t.m }
@@ -33,85 +32,18 @@ func (t *Tap) Manager() *Manager { return t.m }
 // PutRunLog implements Store: commit first, then fold the delta into the
 // subscriptions. A failed commit reaches no subscription.
 func (t *Tap) PutRunLog(l *provenance.RunLog) error {
-	if err := t.s.PutRunLog(l); err != nil {
+	if err := t.Store.PutRunLog(l); err != nil {
 		return err
 	}
 	t.m.ApplyDelta(l)
 	return nil
 }
 
-// RunLog implements Store.
-func (t *Tap) RunLog(runID string) (*provenance.RunLog, error) { return t.s.RunLog(runID) }
-
-// Runs implements Store.
-func (t *Tap) Runs() ([]string, error) { return t.s.Runs() }
-
-// Artifact implements Store.
-func (t *Tap) Artifact(id string) (*provenance.Artifact, error) { return t.s.Artifact(id) }
-
-// Execution implements Store.
-func (t *Tap) Execution(id string) (*provenance.Execution, error) { return t.s.Execution(id) }
-
-// GeneratorOf implements Store.
-func (t *Tap) GeneratorOf(artifactID string) (string, error) { return t.s.GeneratorOf(artifactID) }
-
-// ConsumersOf implements Store.
-func (t *Tap) ConsumersOf(artifactID string) ([]string, error) { return t.s.ConsumersOf(artifactID) }
-
-// Used implements Store.
-func (t *Tap) Used(execID string) ([]string, error) { return t.s.Used(execID) }
-
-// Generated implements Store.
-func (t *Tap) Generated(execID string) ([]string, error) { return t.s.Generated(execID) }
-
-// Expand implements Store.
-func (t *Tap) Expand(ids []string, dir store.Direction) (map[string][]string, error) {
-	return t.s.Expand(ids, dir)
-}
-
-// Closure implements Store.
-func (t *Tap) Closure(seed string, dir store.Direction) ([]string, error) {
-	return t.s.Closure(seed, dir)
-}
-
-// Stats implements Store.
-func (t *Tap) Stats() (store.Stats, error) { return t.s.Stats() }
-
-// Name implements Store.
-func (t *Tap) Name() string { return t.s.Name() }
-
-// Close implements Store.
-func (t *Tap) Close() error { return t.s.Close() }
-
 // Checkpoint forwards to the wrapped store's checkpointer when it has
 // one; a memory-backed stack has nothing to checkpoint.
 func (t *Tap) Checkpoint() error {
-	if ck, ok := t.s.(store.Checkpointer); ok {
+	if ck, ok := t.Store.(store.Checkpointer); ok {
 		return ck.Checkpoint()
 	}
 	return nil
-}
-
-// tripleMatcher is the triple-pattern face of store.TripleStore; the Tap
-// forwards it when the wrapped stack has one, mirroring the closure
-// cache.
-type tripleMatcher interface {
-	Match(subj, pred, obj string) []store.Triple
-	MatchBatch(patterns []store.Triple) [][]store.Triple
-}
-
-// Match forwards the triple face when present.
-func (t *Tap) Match(subj, pred, obj string) []store.Triple {
-	if m, ok := t.s.(tripleMatcher); ok {
-		return m.Match(subj, pred, obj)
-	}
-	return nil
-}
-
-// MatchBatch forwards the triple face when present.
-func (t *Tap) MatchBatch(patterns []store.Triple) [][]store.Triple {
-	if m, ok := t.s.(tripleMatcher); ok {
-		return m.MatchBatch(patterns)
-	}
-	return make([][]store.Triple, len(patterns))
 }

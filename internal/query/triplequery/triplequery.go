@@ -165,8 +165,7 @@ func tokenize(src string) ([]string, error) {
 }
 
 // Matcher is the triple-pattern source the engine evaluates against: the
-// native *store.TripleStore, or a closurecache.Cache wrapping one, whose
-// memoized patterns are patched incrementally on ingest.
+// native *store.TripleStore.
 type Matcher interface {
 	// Match returns triples matching a pattern; empty strings wildcard.
 	Match(subj, pred, obj string) []store.Triple

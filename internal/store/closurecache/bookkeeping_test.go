@@ -35,14 +35,14 @@ func checkIndex(t *testing.T, c *Cache) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	live := 0
-	for k, e := range c.closures {
-		if e.dead || e.key != k {
-			t.Fatalf("closures[%v] holds entry %v (dead=%v)", k, e.key, e.dead)
+	for k, e := range c.idx.entries {
+		if e.dead || e.Key != k {
+			t.Fatalf("closures[%v] holds entry %v (dead=%v)", k, e.Key, e.dead)
 		}
 		live += 1 + len(e.order)
 	}
 	held, heldLive := 0, 0
-	for node, ps := range c.postings {
+	for node, ps := range c.idx.postings {
 		if len(ps) == 0 {
 			t.Fatalf("empty postings list kept for %s", node)
 		}
@@ -53,9 +53,9 @@ func checkIndex(t *testing.T, c *Cache) {
 			}
 		}
 	}
-	if live != c.nLive || heldLive != c.nLive || held != c.nPostings {
+	if live != c.idx.nLive || heldLive != c.idx.nLive || held != c.idx.nPostings {
 		t.Fatalf("index counters: nLive=%d nPostings=%d; entries hold %d members, postings hold %d (%d live)",
-			c.nLive, c.nPostings, live, held, heldLive)
+			c.idx.nLive, c.idx.nPostings, live, held, heldLive)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestHitTouchesNothing(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("a hit allocates %v objects, want ≤ 1 (the caller's copy)", allocs)
 	}
-	if e := c.closures[key{tail, store.Up}]; e.set != nil {
+	if e := c.idx.entries[Key{tail, store.Up}]; e.set != nil {
 		t.Fatal("reads built a member set; only a patch needs one")
 	}
 }
@@ -115,16 +115,16 @@ func TestPatchTouchesOnlyAttachedEntries(t *testing.T) {
 	if err := c.PutRunLog(extRun("b-1", "b-0", "b-1-out", "")); err != nil {
 		t.Fatal(err)
 	}
-	attached := []key{{"a-0", store.Down}, {"a-1-out", store.Down}, {"a-2-out", store.Down}}
-	others := []key{{"b-0", store.Down}, {"b-1-out", store.Up}, {"a-2-out", store.Up}, {"a-0", store.Up}}
-	for _, k := range append(append([]key{}, attached...), others...) {
-		if _, err := c.Closure(k.id, k.dir); err != nil {
+	attached := []Key{{"a-0", store.Down}, {"a-1-out", store.Down}, {"a-2-out", store.Down}}
+	others := []Key{{"b-0", store.Down}, {"b-1-out", store.Up}, {"a-2-out", store.Up}, {"a-0", store.Up}}
+	for _, k := range append(append([]Key{}, attached...), others...) {
+		if _, err := c.Closure(k.ID, k.Dir); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := map[key][]string{}
+	before := map[Key][]string{}
 	for _, k := range others {
-		before[k] = c.closures[k].order
+		before[k] = c.idx.entries[k].order
 	}
 	patched, expands := c.Metrics().Patched, backend.expands.Load()
 
@@ -140,14 +140,14 @@ func TestPatchTouchesOnlyAttachedEntries(t *testing.T) {
 		t.Fatalf("patching made %d Expand calls, want %d", got, 3*len(attached))
 	}
 	for _, k := range others {
-		e := c.closures[k]
+		e := c.idx.entries[k]
 		if e.set != nil || len(e.order) != len(before[k]) || (len(e.order) > 0 && &e.order[0] != &before[k][0]) {
 			t.Fatalf("entry %v was touched by an ingest that does not reach it", k)
 		}
 	}
 	for _, k := range attached {
-		got, _ := c.Closure(k.id, k.dir)
-		want, _ := store.NaiveClosure(backend.Store, k.id, k.dir)
+		got, _ := c.Closure(k.ID, k.Dir)
+		want, _ := store.NaiveClosure(backend.Store, k.ID, k.Dir)
 		if !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
 			t.Fatalf("patched %v = %v, want %v", k, got, want)
 		}
@@ -165,22 +165,22 @@ func TestReadmittedKeyPatchedOnce(t *testing.T) {
 	if err := c.PutRunLog(l); err != nil {
 		t.Fatal(err)
 	}
-	k := key{head, store.Down}
+	k := Key{head, store.Down}
 	if _, err := c.Closure(tail, store.Up); err != nil { // a second live entry over the same members
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // admit, evict, readmit, evict, readmit
-		if _, err := c.Closure(k.id, k.dir); err != nil {
+		if _, err := c.Closure(k.ID, k.Dir); err != nil {
 			t.Fatal(err)
 		}
 		if i < 2 {
 			c.mu.Lock()
-			c.evictLocked(c.closures[k])
+			c.evictLocked(c.idx.entries[k])
 			c.mu.Unlock()
 		}
 	}
-	if c.nPostings != c.nLive+2*(1+64) {
-		t.Fatalf("expected two dead generations of %v in the index: nPostings=%d nLive=%d", k, c.nPostings, c.nLive)
+	if c.idx.nPostings != c.idx.nLive+2*(1+64) {
+		t.Fatalf("expected two dead generations of %v in the index: nPostings=%d nLive=%d", k, c.idx.nPostings, c.idx.nLive)
 	}
 	checkIndex(t, c)
 
@@ -191,8 +191,8 @@ func TestReadmittedKeyPatchedOnce(t *testing.T) {
 	if got := c.Metrics().Patched - patched; got != 1 {
 		t.Fatalf("ingest patched %d entries, want 1 (the live %v)", got, k)
 	}
-	got, _ := c.Closure(k.id, k.dir)
-	want, _ := mem.Closure(k.id, k.dir)
+	got, _ := c.Closure(k.ID, k.Dir)
+	want, _ := mem.Closure(k.ID, k.Dir)
 	if len(got) != len(want) || !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
 		t.Fatalf("readmitted closure after the patch has %d entities (%v), cold has %d", len(got), got, len(want))
 	}
@@ -200,10 +200,9 @@ func TestReadmittedKeyPatchedOnce(t *testing.T) {
 }
 
 // TestTombstonesOnlyOverEvict: an artifact whose only postings are
-// tombstones still reads as resident (residentUpLocked does not look
-// inside the list), so an ingest re-generating it takes the hazard path —
-// which must find nothing live to evict there and leave every cached
-// answer equal to a cold one.
+// tombstones is still in the reverse index, so an ingest re-generating it
+// walks the hazard rule over that list — which must find nothing live to
+// evict there and leave every cached answer equal to a cold one.
 func TestTombstonesOnlyOverEvict(t *testing.T) {
 	mem := store.NewMemStore()
 	c := Wrap(mem)
@@ -212,26 +211,26 @@ func TestTombstonesOnlyOverEvict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keep := key{"b-1-out", store.Up}
-	for _, k := range []key{{"a-1-out", store.Up}, keep} {
-		if _, err := c.Closure(k.id, k.dir); err != nil {
+	keep := Key{"b-1-out", store.Up}
+	for _, k := range []Key{{"a-1-out", store.Up}, keep} {
+		if _, err := c.Closure(k.ID, k.Dir); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.mu.Lock()
-	c.evictLocked(c.closures[key{"a-1-out", store.Up}])
+	c.evictLocked(c.idx.entries[Key{"a-1-out", store.Up}])
 	c.mu.Unlock()
 	// A different execution re-generates a-1-out: a generator replacement
 	// on an artifact the index only remembers through a dead entry.
 	if err := c.PutRunLog(extRun("a-2", "a-0", "a-2-out", "a-1-out")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.closures[keep]; !ok {
+	if _, ok := c.idx.entries[keep]; !ok {
 		t.Fatalf("hazard on a tombstone evicted the unrelated live entry %v", keep)
 	}
-	for _, k := range []key{{"a-1-out", store.Up}, keep, {"a-0", store.Down}} {
-		got, err := c.Closure(k.id, k.dir)
-		want, _ := mem.Closure(k.id, k.dir)
+	for _, k := range []Key{{"a-1-out", store.Up}, keep, {"a-0", store.Down}} {
+		got, err := c.Closure(k.ID, k.Dir)
+		want, _ := mem.Closure(k.ID, k.Dir)
 		if err != nil || !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
 			t.Fatalf("Closure%v = %v, %v; cold %v", k, got, err, want)
 		}
@@ -258,8 +257,8 @@ func TestPostingsBoundedUnderChurn(t *testing.T) {
 		if _, err := c.Closure(artID(n/2), dirOf(n)); err != nil {
 			t.Fatal(err)
 		}
-		if c.nPostings > 2*c.nLive {
-			t.Fatalf("cycle %d: %d postings held for %d live", i, c.nPostings, c.nLive)
+		if c.idx.nPostings > 2*c.idx.nLive {
+			t.Fatalf("cycle %d: %d postings held for %d live", i, c.idx.nPostings, c.idx.nLive)
 		}
 		if i%20_000 == 0 {
 			checkIndex(t, c)

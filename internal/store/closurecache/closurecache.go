@@ -11,7 +11,8 @@
 // where the log re-declares a shared artifact (a content-addressed input
 // produced by an earlier run). The cache exploits that monotonicity:
 //
-//   - A reverse index maps each entity to the cached closures (root,
+//   - A reverse index (Index, shared with standing-query closure
+//     subscriptions) maps each entity to the cached closures (root,
 //     direction) containing it, so an ingest inspects only the entries its
 //     delta edges actually touch — per-root dependency tracking, not a
 //     cache-wide scan.
@@ -22,25 +23,32 @@
 //   - The one non-monotone case is a generator replacement: a log that
 //     re-declares an existing artifact as generated by a different
 //     execution rewrites (on the mem and file backends) the artifact's
-//     upstream edge instead of adding one. The cache detects this before
-//     delegating the ingest (one GeneratorOf probe per cache-resident
-//     re-generated artifact — normally zero) and evicts the upstream
-//     entries containing that artifact; everything else is still patched.
-//     Ingests classified additive re-check at apply time: any generation
-//     event touching a cache-resident artifact conservatively evicts that
-//     artifact's upstream entries, so two concurrent declarers racing for
-//     the same previously generator-less artifact can over-evict but never
-//     leave the losing edge cached.
+//     upstream edge instead of adding one. There is one hazard rule, the
+//     same on a primary, on a follower and in snapshot replay, and it
+//     never asks the store what the generator used to be: any generation
+//     event naming a member of a cached upstream closure evicts that
+//     closure (Index.Apply reports it suspect); everything else is
+//     patched. Fresh artifacts are members of nothing, so the common
+//     all-new-IDs ingest pays nothing, and two concurrent declarers racing
+//     for the same artifact can over-evict but never leave the losing edge
+//     cached.
 //   - A generation counter, bumped once per ingest, keeps concurrent
 //     readers safe: a closure computed from the backend while an ingest was
 //     in flight is returned to the caller but never inserted into the
 //     cache, so no entry can miss a patch it raced with.
 //
-// Memoized Expand frontiers (per-entity neighbor lists) and — on triple
-// backends — MatchBatch pattern results are patched the same way: delta
-// edges append to cached neighbor lists, and the ingest's new triples are
-// matched against cached patterns (store.TriplesOf is the shared
-// flattening), so the SPARQL-like engine's probes stay warm too.
+// Memoized Expand frontiers (per-entity neighbor lists) follow the same
+// delta: the frontier of every entity it gives a new edge is dropped and
+// memoized again by the next Expand.
+//
+// # One ingest path
+//
+// PutRunLog commits to the backing store and then applies the delta;
+// ApplyDelta is the second half alone, for run logs someone else committed
+// (a follower's replication applier). The cache lock is never held across
+// the backing store's commit — and so never across an fsync — so readers
+// keep hitting while a commit is in flight and concurrent ingests reach the
+// store's group-commit WAL together.
 //
 // # Bookkeeping cost
 //
@@ -72,7 +80,6 @@
 package closurecache
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,9 +109,6 @@ type Options struct {
 	// MaxNeighbors bounds memoized per-entity Expand frontiers (default
 	// 65536 entries).
 	MaxNeighbors int
-	// MaxPatterns bounds memoized MatchBatch pattern results on triple
-	// backends (default 4096).
-	MaxPatterns int
 	// SnapshotDir, when set, persists the memoized closures and the
 	// generation counter to a checkpoint file in this directory (next to
 	// a file-backed store's log): New restores the snapshot — replaying
@@ -127,9 +131,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxNeighbors <= 0 {
 		o.MaxNeighbors = 65536
 	}
-	if o.MaxPatterns <= 0 {
-		o.MaxPatterns = 4096
-	}
 	return o
 }
 
@@ -139,95 +140,47 @@ type Metrics struct {
 	ClosureMisses  uint64 // Closure computed by the backend
 	ExpandHits     uint64 // per-entity frontier lookups served from cache
 	ExpandMisses   uint64 // per-entity frontier lookups sent to the backend
-	PatternHits    uint64 // MatchBatch patterns served from cache
-	PatternMisses  uint64 // MatchBatch patterns sent to the backend
-	Ingests        uint64 // PutRunLog calls accepted
+	Ingests        uint64 // run logs applied (PutRunLog and ApplyDelta)
 	Patched        uint64 // cached closures extended in place by an ingest
 	Evicted        uint64 // cached closures dropped (hazard, capacity, error)
 	Restored       uint64 // closures restored from a persisted snapshot
-	Batched        uint64 // additive deltas applied under another ingest's lock acquisition
+	Batched        uint64 // deltas applied under another ingest's lock acquisition
 	Generation     uint64 // ingests observed (the invalidation clock)
 	ClosureEntries int    // currently cached closures
 }
 
-// key addresses one memoized result: a closure rooted at an entity, or the
-// neighbor frontier of an entity, in one direction.
-type key struct {
-	id  string
-	dir store.Direction
-}
-
-// entry is one memoized closure. order is the cached visit order (BFS plus
-// patch appendices). set indexes it for membership tests during patching
-// and is nil until the first patch (see memberSet). An evicted entry is
-// dead: unreachable through closures, skipped wherever the reverse index
-// still points at it.
-type entry struct {
-	key   key
-	order []string
-	set   map[string]struct{}
-	dead  bool
-}
-
-// memberSet returns the entry's membership index, building it from order
-// on first use.
-func (e *entry) memberSet() map[string]struct{} {
-	if e.set == nil {
-		e.set = make(map[string]struct{}, len(e.order))
-		for _, n := range e.order {
-			e.set[n] = struct{}{}
-		}
-	}
-	return e.set
-}
-
-// tripleMatcher is the triple-pattern face of store.TripleStore; the cache
-// forwards (and memoizes) it when the wrapped backend has one.
-type tripleMatcher interface {
-	Match(subj, pred, obj string) []store.Triple
-	MatchBatch(patterns []store.Triple) [][]store.Triple
-}
-
-// Cache wraps a Store with incrementally maintained closure, frontier and
-// triple-pattern memoization. It implements store.Store and is safe for
-// concurrent readers with writers (writers serialize on the cache's lock).
+// Cache wraps a Store with incrementally maintained closure and frontier
+// memoization. It implements store.Store — every method it does not
+// memoize or patch is the embedded backing store's, so it stays a drop-in
+// replacement in tables and logs — and is safe for concurrent readers with
+// writers (delta applies serialize on the cache's lock).
 type Cache struct {
-	s   store.Store
-	opt Options
+	store.Store // the backing store
+	opt         Options
 
 	// ingestGate brackets every ingest from store commit through delta
 	// apply (readers), so a snapshot (writer) can quiesce the window in
 	// which a run is committed to the backing store but its delta is not
-	// yet folded into the memoized state — the additive PutRunLog path
-	// commits without holding mu, so mu alone cannot exclude that window.
+	// yet folded into the memoized state — PutRunLog commits without
+	// holding mu, so mu alone cannot exclude that window.
 	// Lock order: ingestGate before mu.
 	ingestGate sync.RWMutex
 
 	mu         sync.RWMutex
 	generation uint64
-	closures   map[key]*entry
-	hot        map[key][]string // entity -> memoized Expand neighbors
-	patterns   map[store.Triple][]store.Triple
+	idx        *Index           // memoized closures and their reverse index
+	hot        map[Key][]string // entity -> memoized Expand neighbors
 
-	// Reverse index: entity -> entries whose closure contains it (roots
-	// included), one posting per (entity, entry) membership. Postings of
-	// evicted entries stay as tombstones until sweepLocked; nPostings
-	// counts every posting held and nLive those of live entries.
-	postings  map[string][]*entry
-	nPostings int
-	nLive     int
-
-	// pending queues committed-but-unapplied additive deltas; whichever
-	// ingester holds mu drains the whole queue, so concurrent additive
-	// ingests fold into one lock acquisition instead of serializing
-	// per-delta (see enqueueDelta). Lock order: pendMu is a leaf — taken
-	// with or without mu, never around it.
+	// pending queues committed-but-unapplied deltas; whichever ingester
+	// holds mu drains the whole queue, so concurrent ingests fold into one
+	// lock acquisition instead of serializing per-delta (see enqueueDelta).
+	// Lock order: pendMu is a leaf — taken with or without mu, never
+	// around it.
 	pendMu  sync.Mutex
 	pending []*provenance.RunLog
 
 	closureHits, closureMisses atomic.Uint64
 	expandHits, expandMisses   atomic.Uint64
-	patternHits, patternMisses atomic.Uint64
 	ingests, patched, evicted  atomic.Uint64
 	restored, batched          atomic.Uint64
 	autoCkpt                   *store.AutoCheckpoint
@@ -243,12 +196,10 @@ var _ store.Checkpointer = (*Cache)(nil)
 // query.
 func New(s store.Store, opt Options) *Cache {
 	c := &Cache{
-		s:        s,
-		opt:      opt.withDefaults(),
-		closures: map[key]*entry{},
-		postings: map[string][]*entry{},
-		hot:      map[key][]string{},
-		patterns: map[store.Triple][]store.Triple{},
+		Store: s,
+		opt:   opt.withDefaults(),
+		idx:   NewIndex(),
+		hot:   map[Key][]string{},
 		autoCkpt: store.NewAutoCheckpointPolicy(store.CheckpointPolicy{
 			EveryRuns: opt.CheckpointEvery,
 			Interval:  opt.CheckpointInterval,
@@ -264,7 +215,7 @@ func New(s store.Store, opt Options) *Cache {
 func Wrap(s store.Store) *Cache { return New(s, Options{}) }
 
 // Underlying returns the wrapped store.
-func (c *Cache) Underlying() store.Store { return c.s }
+func (c *Cache) Underlying() store.Store { return c.Store }
 
 // Generation returns the number of ingests the cache has applied: the
 // invalidation clock patches and insert-checks are ordered by.
@@ -277,7 +228,7 @@ func (c *Cache) Generation() uint64 {
 // Metrics snapshots cache activity.
 func (c *Cache) Metrics() Metrics {
 	c.mu.RLock()
-	entries := len(c.closures)
+	entries := c.idx.Len()
 	gen := c.generation
 	c.mu.RUnlock()
 	return Metrics{
@@ -285,8 +236,6 @@ func (c *Cache) Metrics() Metrics {
 		ClosureMisses:  c.closureMisses.Load(),
 		ExpandHits:     c.expandHits.Load(),
 		ExpandMisses:   c.expandMisses.Load(),
-		PatternHits:    c.patternHits.Load(),
-		PatternMisses:  c.patternMisses.Load(),
 		Ingests:        c.ingests.Load(),
 		Patched:        c.patched.Load(),
 		Evicted:        c.evicted.Load(),
@@ -307,70 +256,59 @@ func (c *Cache) Flush() {
 
 func (c *Cache) flushLocked() {
 	c.generation++
-	c.closures = map[key]*entry{}
-	c.postings = map[string][]*entry{}
-	c.nPostings, c.nLive = 0, 0
-	c.hot = map[key][]string{}
-	c.patterns = map[store.Triple][]store.Triple{}
+	c.idx = NewIndex()
+	c.hot = map[Key][]string{}
 }
 
 // --- Store: ingest with incremental patching ---------------------------------
 
-// PutRunLog implements Store: it delegates the ingest, then patches every
-// memoized result the new log's edges touch instead of flushing the cache.
+// PutRunLog implements Store: it commits the log to the backing store, then
+// patches every memoized result the log's edges touch instead of flushing
+// the cache. The commit runs WITHOUT the cache lock, whatever the log
+// declares: readers keep hitting across the store's fsync, and concurrent
+// ingests reach its group-commit WAL together and coalesce into shared
+// batches; only the post-commit delta patch takes the write lock.
 //
-// Concurrency: the common all-additive ingest (no event re-declares an
-// artifact's existing generator) delegates to the backing store WITHOUT
-// holding the cache lock, so concurrent ingests reach the store's
-// group-commit WAL together and coalesce into shared fsync batches; only
-// the post-commit delta patch takes the write lock. A log that does
-// replace an existing generator — the non-monotone case — takes the
-// serialized path, where the pre-ingest hazard probe and the store commit
-// are atomic. The additive classification itself is a lock-free probe, so
-// two concurrent logs declaring a generator for the SAME previously
-// generator-less artifact can both classify additive; the additive path
-// therefore re-checks at apply time with the conservative hazard rule
-// (every gen event touching a cache-resident artifact evicts that
-// artifact's upstream entries), which costs zero probes for the common
-// all-fresh-IDs ingest and over-evicts — never staleness — on the race.
-//
-// Both paths hold the ingest gate (shared) from store commit through
-// delta apply, so a snapshot can quiesce the committed-but-unapplied
-// window; see saveSnapshot.
+// The ingest gate is held (shared) from store commit through delta apply,
+// so a snapshot can quiesce the committed-but-unapplied window; see
+// saveSnapshot.
 func (c *Cache) PutRunLog(l *provenance.RunLog) error {
 	c.ingestGate.RLock()
-	defer c.ingestGate.RUnlock()
-	if c.regeneratesExisting(l) {
-		c.mu.Lock()
-		c.drainPendingLocked()
-		hazards := c.generatorHazardsLocked(l)
-		if err := c.s.PutRunLog(l); err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		c.generation++
-		c.ingests.Add(1)
-		c.applyDeltaLocked(l, hazards)
-		c.mu.Unlock()
-	} else {
-		if err := c.s.PutRunLog(l); err != nil {
-			return err
-		}
+	err := c.Store.PutRunLog(l)
+	if err == nil {
 		c.enqueueDelta(l)
+	}
+	c.ingestGate.RUnlock()
+	if err != nil {
+		return err
 	}
 	c.autoCkpt.Tick(0, c.Checkpoint)
 	return nil
 }
 
-// enqueueDelta queues one committed additive log and guarantees its delta
-// is folded into the memoized state before returning. The queue is what
-// batches writer concurrency: the ingester that holds mu drains every
-// queued delta in that single critical section, so N concurrent additive
-// ingests racing for the lock apply as one acquisition's worth of work —
-// the latecomers find their delta already applied and their own mu
-// acquisition is an empty no-op. Callers hold the ingest gate (shared)
-// across enqueue + drain, so a snapshot quiescing the gate (saveSnapshot)
-// still observes a fully drained queue.
+// ApplyDelta patches the cache for a run log that was committed to the
+// backing store by someone other than this cache's PutRunLog — the
+// replication applier, which folds shipped WAL batches directly into the
+// underlying store. It is PutRunLog without the store commit: the same
+// generation bump and hazard rule, under the same ingest gate, so memoized
+// closures on a follower stay exactly as fresh as they would under local
+// ingest.
+func (c *Cache) ApplyDelta(l *provenance.RunLog) {
+	c.ingestGate.RLock()
+	c.enqueueDelta(l)
+	c.ingestGate.RUnlock()
+	c.autoCkpt.Tick(0, c.Checkpoint)
+}
+
+// enqueueDelta queues one committed log and guarantees its delta is folded
+// into the memoized state before returning. The queue is what batches
+// writer concurrency: the ingester that holds mu drains every queued delta
+// in that single critical section, so N concurrent ingests racing for the
+// lock apply as one acquisition's worth of work — the latecomers find
+// their delta already applied and their own mu acquisition is an empty
+// no-op. Callers hold the ingest gate (shared) across enqueue + drain, so a
+// snapshot quiescing the gate (saveSnapshot) still observes a fully drained
+// queue.
 func (c *Cache) enqueueDelta(l *provenance.RunLog) {
 	c.pendMu.Lock()
 	c.pending = append(c.pending, l)
@@ -382,9 +320,7 @@ func (c *Cache) enqueueDelta(l *provenance.RunLog) {
 
 // drainPendingLocked applies every queued delta, re-checking the queue
 // until it stays empty (deltas enqueued while a batch applied are drained
-// by the same holder). Hazards are the conservative resident-regen rule —
-// the additive path's classification is lock-free, so the pre-ingest
-// generator state is unknowable here.
+// by the same holder).
 func (c *Cache) drainPendingLocked() {
 	for {
 		c.pendMu.Lock()
@@ -400,252 +336,46 @@ func (c *Cache) drainPendingLocked() {
 		for _, l := range batch {
 			c.generation++
 			c.ingests.Add(1)
-			c.applyDeltaLocked(l, c.residentRegenHazardsLocked(l))
+			c.applyDeltaLocked(l)
 		}
 	}
 }
 
-// ApplyDelta patches the cache for a run log that was committed to the
-// backing store by someone other than this cache's PutRunLog — the
-// replication applier, which folds shipped WAL batches directly into the
-// underlying store. It is PutRunLog's additive patch path without the
-// store commit: the same generation bump and conservative resident-regen
-// hazard eviction, under the same ingest gate, so memoized closures on a
-// follower stay exactly as fresh as they would under local ingest.
-func (c *Cache) ApplyDelta(l *provenance.RunLog) {
-	c.ingestGate.RLock()
-	c.enqueueDelta(l)
-	c.ingestGate.RUnlock()
-	c.autoCkpt.Tick(0, c.Checkpoint)
-}
-
-// regeneratesExisting reports whether any gen event in the log targets an
-// artifact that already has a generator edge in the store — the only
-// ingests that can rewrite (rather than extend) the graph and therefore
-// need the serialized hazard path. The probe hits the store's in-memory
-// adjacency index, no disk.
-func (c *Cache) regeneratesExisting(l *provenance.RunLog) bool {
-	for _, ev := range l.Events {
-		if ev.Kind != provenance.EventArtifactGen {
-			continue
-		}
-		if _, err := c.s.GeneratorOf(ev.ArtifactID); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// generatorHazardsLocked detects the non-monotone ingest case before the
-// log is stored: artifacts the log re-declares as generated by a different
-// execution than the store already records. Only cache-resident artifacts
-// are probed, so the common all-fresh-IDs ingest costs zero backend calls.
-func (c *Cache) generatorHazardsLocked(l *provenance.RunLog) map[string]bool {
-	var hazards map[string]bool
-	seen := map[string]bool{}
-	for _, ev := range l.Events {
-		if ev.Kind != provenance.EventArtifactGen || seen[ev.ArtifactID] {
-			continue
-		}
-		seen[ev.ArtifactID] = true
-		if !c.residentUpLocked(ev.ArtifactID) {
-			continue
-		}
-		prev, err := c.s.GeneratorOf(ev.ArtifactID)
-		if err == nil && prev != ev.ExecutionID {
-			if hazards == nil {
-				hazards = map[string]bool{}
-			}
-			hazards[ev.ArtifactID] = true
-		}
-	}
-	return hazards
-}
-
-// residentUpLocked reports whether an artifact can hold memoized upstream
-// state — membership in any cached closure (via the reverse index) or a
-// memoized Up frontier. Both hazard detectors key on it: only a resident
-// artifact can carry a stale generator edge worth evicting. Tombstones
-// count as membership, which can only report a hazard that evicts nothing.
-func (c *Cache) residentUpLocked(id string) bool {
-	if len(c.postings[id]) > 0 {
-		return true
-	}
-	_, ok := c.hot[key{id, store.Up}]
-	return ok
-}
-
-// applyDeltaLocked folds one accepted run log into the memoized state:
-// hazard evictions first, then additive patching of neighbor lists, cached
-// closures and triple patterns.
-func (c *Cache) applyDeltaLocked(l *provenance.RunLog, hazards map[string]bool) {
+// applyDeltaLocked folds one committed run log into the memoized state.
+// The neighbor list of every entity the delta gives an edge is dropped, not
+// merged — the next Expand memoizes it again: whether a delta edge shows in
+// its source's frontier is the backend's call (a replaced generator edge
+// does not add, and an ID stored as both kinds is walked as an artifact,
+// whatever the edge says). The closures go through the shared index:
+// extended where the delta attaches, evicted where it reports them suspect.
+func (c *Cache) applyDeltaLocked(l *provenance.RunLog) {
 	start := obs.Now()
 	defer mCachePatchSecs.ObserveSince(start)
-	for art := range hazards {
-		delete(c.hot, key{art, store.Up})
-		// Evictions only mark entries, so the list is stable under the loop.
-		for _, e := range c.postings[art] {
-			if e.key.dir == store.Up {
-				c.evictLocked(e) // a no-op on a tombstone
-			}
-		}
-	}
-
-	// Delta adjacency introduced by this log, per direction.
-	delta := map[store.Direction]map[string][]string{
-		store.Up:   {},
-		store.Down: {},
-	}
-	for _, ev := range l.Events {
-		switch ev.Kind {
-		case provenance.EventArtifactGen:
-			delta[store.Up][ev.ArtifactID] = append(delta[store.Up][ev.ArtifactID], ev.ExecutionID)
-			delta[store.Down][ev.ExecutionID] = append(delta[store.Down][ev.ExecutionID], ev.ArtifactID)
-		case provenance.EventArtifactUsed:
-			delta[store.Up][ev.ExecutionID] = append(delta[store.Up][ev.ExecutionID], ev.ArtifactID)
-			delta[store.Down][ev.ArtifactID] = append(delta[store.Down][ev.ArtifactID], ev.ExecutionID)
-		}
-	}
-
-	for dir, edges := range delta {
-		// Memoized frontiers: append the new neighbors in place.
-		for src, targets := range edges {
-			k := key{src, dir}
-			if ns, ok := c.hot[k]; ok {
-				c.hot[k] = mergeSorted(ns, targets)
-			}
-		}
-		// Memoized closures: collect attachment points per touched entry,
-		// then extend each with one bounded BFS over the post-ingest graph.
-		work := map[*entry][]string{}
+	d := DeltaOf(l)
+	for dir, edges := range d.Edges {
 		for src := range edges {
-			for _, e := range c.postings[src] {
-				if !e.dead && e.key.dir == dir {
-					work[e] = append(work[e], src)
-				}
-			}
-		}
-		for e, sources := range work {
-			c.extendLocked(e, sources)
+			delete(c.hot, Key{src, store.Direction(dir)})
 		}
 	}
-
-	c.patchPatternsLocked(l)
-	c.sweepLocked()
+	for _, ch := range c.idx.Apply(d, c.Store.Expand) {
+		if ch.Suspect {
+			c.evictLocked(ch.Entry)
+		} else {
+			c.patched.Add(1)
+		}
+	}
+	c.idx.Sweep()
 }
 
-// extendLocked grows one cached closure from the attachment points a delta
-// touched: a BFS over the current graph that only walks past nodes the
-// entry has not seen. On a backend error the entry is evicted instead.
-func (c *Cache) extendLocked(e *entry, sources []string) {
-	set := e.memberSet()
-	grew := false
-	frontier := sources
-	for len(frontier) > 0 {
-		adj, err := c.s.Expand(frontier, e.key.dir)
-		if err != nil {
-			c.evictLocked(e)
-			return
-		}
-		var next []string
-		for _, id := range frontier {
-			for _, n := range adj[id] {
-				// No special case for n == e.key.id: the backends' BFS never
-				// pre-marks the seed, so a cycle-creating ingest puts the
-				// root into its own closure — the patch must match that.
-				if _, seen := set[n]; seen {
-					continue
-				}
-				set[n] = struct{}{}
-				e.order = append(e.order, n)
-				c.postLocked(n, e)
-				next = append(next, n)
-				grew = true
-			}
-		}
-		frontier = next
-	}
-	if grew {
-		c.patched.Add(1)
-	}
-}
-
-// patchPatternsLocked appends an ingest's new triples to every memoized
-// pattern they match. Triple flattening is shared with the triple backend
-// (store.TriplesOf), so the patched results are exactly what a cold
-// MatchBatch would now return.
-func (c *Cache) patchPatternsLocked(l *provenance.RunLog) {
-	if len(c.patterns) == 0 {
-		return
-	}
-	if _, ok := c.s.(tripleMatcher); !ok {
-		return
-	}
-	news := store.TriplesOf(l)
-	for p, have := range c.patterns {
-		added := false
-		for _, t := range news {
-			if matchesPattern(p, t) {
-				have = append(have, t)
-				added = true
-			}
-		}
-		if added {
-			store.SortTriples(have)
-			c.patterns[p] = have
-		}
-	}
-}
-
-func matchesPattern(p, t store.Triple) bool {
-	return (p.S == "" || p.S == t.S) && (p.P == "" || p.P == t.P) && (p.O == "" || p.O == t.O)
-}
-
-// evictLocked drops one closure entry in O(1): the entry is marked dead
-// and its postings become tombstones. It never touches the postings lists,
-// so callers may evict while ranging over one; they call sweepLocked once
-// they are done.
-func (c *Cache) evictLocked(e *entry) {
+// evictLocked drops one closure entry (see Index.Evict: O(1), safe while
+// ranging over the index; callers Sweep once they are done).
+func (c *Cache) evictLocked(e *Entry) {
 	if e.dead {
 		return
 	}
-	e.dead = true
-	delete(c.closures, e.key)
-	c.nLive -= 1 + len(e.order)
-	e.order, e.set = nil, nil // the tombstones keep e itself reachable
+	c.idx.Evict(e)
 	c.evicted.Add(1)
 	mCacheEvictions.Inc()
-}
-
-// postLocked records that e's closure contains node.
-func (c *Cache) postLocked(node string, e *entry) {
-	c.postings[node] = append(c.postings[node], e)
-	c.nPostings++
-	c.nLive++
-}
-
-// sweepLocked removes every tombstone from the reverse index once they
-// outnumber the live postings, so the index stays within twice its live
-// size at an amortized O(1) per evicted member.
-func (c *Cache) sweepLocked() {
-	if c.nPostings <= 2*c.nLive {
-		return
-	}
-	for node, ps := range c.postings {
-		live := ps[:0]
-		for _, e := range ps {
-			if !e.dead {
-				live = append(live, e)
-			}
-		}
-		if len(live) == 0 {
-			delete(c.postings, node)
-			continue
-		}
-		clear(ps[len(live):]) // drop the tail's references to dead entries
-		c.postings[node] = live
-	}
-	c.nPostings = c.nLive
 }
 
 // --- Store: memoized reads ---------------------------------------------------
@@ -654,9 +384,9 @@ func (c *Cache) sweepLocked() {
 // miss computes through the backend and memoizes the result only if no
 // ingest intervened, so a racing reader can never cache a pre-patch view.
 func (c *Cache) Closure(seed string, dir store.Direction) ([]string, error) {
-	k := key{seed, dir}
+	k := Key{seed, dir}
 	c.mu.RLock()
-	if e, ok := c.closures[k]; ok {
+	if e := c.idx.Lookup(k); e != nil {
 		out := append([]string(nil), e.order...)
 		c.mu.RUnlock()
 		c.closureHits.Add(1)
@@ -668,38 +398,30 @@ func (c *Cache) Closure(seed string, dir store.Direction) ([]string, error) {
 	c.closureMisses.Add(1)
 	mCacheClosureMisses.Inc()
 
-	order, err := c.s.Closure(seed, dir)
+	order, err := c.Store.Closure(seed, dir)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if c.generation == gen {
-		if _, exists := c.closures[k]; !exists {
-			c.admitClosureLocked(k, order)
-		}
+	if c.generation == gen && c.idx.Lookup(k) == nil {
+		c.admitClosureLocked(k, order)
 	}
 	c.mu.Unlock()
 	return order, nil
 }
 
 // admitClosureLocked inserts a freshly computed closure under a key not
-// cached, evicting an arbitrary entry when at capacity. It keeps its own
-// copy of order (the caller's goes back to the client): one copy and one
-// posting per member.
-func (c *Cache) admitClosureLocked(k key, order []string) {
-	if len(c.closures) >= c.opt.MaxClosures {
-		for _, victim := range c.closures {
+// cached, evicting an arbitrary entry when at capacity. The index keeps its
+// own copy of order (the caller's goes back to the client).
+func (c *Cache) admitClosureLocked(k Key, order []string) {
+	if c.idx.Len() >= c.opt.MaxClosures {
+		for _, victim := range c.idx.entries {
 			c.evictLocked(victim)
 			break
 		}
-		c.sweepLocked()
+		c.idx.Sweep()
 	}
-	e := &entry{key: k, order: append([]string(nil), order...)}
-	c.closures[k] = e
-	c.postLocked(k.id, e)
-	for _, n := range order {
-		c.postLocked(n, e)
-	}
+	c.idx.Admit(k, order)
 }
 
 // Expand implements Store, serving each requested entity from the memoized
@@ -713,7 +435,7 @@ func (c *Cache) Expand(ids []string, dir store.Direction) (map[string][]string, 
 		if _, have := out[id]; have {
 			continue
 		}
-		if ns, ok := c.hot[key{id, dir}]; ok {
+		if ns, ok := c.hot[Key{id, dir}]; ok {
 			out[id] = append([]string(nil), ns...)
 			c.expandHits.Add(1)
 			mCacheExpandHits.Inc()
@@ -727,7 +449,7 @@ func (c *Cache) Expand(ids []string, dir store.Direction) (map[string][]string, 
 	if len(missing) == 0 {
 		return out, nil
 	}
-	adj, err := c.s.Expand(missing, dir)
+	adj, err := c.Store.Expand(missing, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -737,7 +459,7 @@ func (c *Cache) Expand(ids []string, dir store.Direction) (map[string][]string, 
 			if len(c.hot) >= c.opt.MaxNeighbors {
 				break
 			}
-			c.hot[key{id, dir}] = append([]string(nil), ns...)
+			c.hot[Key{id, dir}] = append([]string(nil), ns...)
 		}
 	}
 	c.mu.Unlock()
@@ -747,108 +469,9 @@ func (c *Cache) Expand(ids []string, dir store.Direction) (map[string][]string, 
 	return out, nil
 }
 
-// --- triple-pattern face (SPARQL-like engine) --------------------------------
-
-// MatchBatch serves triple patterns through the cache when the wrapped
-// backend is a triple store, memoizing per-pattern results with the same
-// generation discipline as closures. On other backends every pattern
-// resolves to no matches, mirroring a triple store that holds no triples.
-func (c *Cache) MatchBatch(patterns []store.Triple) [][]store.Triple {
-	m, ok := c.s.(tripleMatcher)
-	if !ok {
-		return make([][]store.Triple, len(patterns))
-	}
-	out := make([][]store.Triple, len(patterns))
-	var missing []store.Triple
-	var missingAt []int
-	c.mu.RLock()
-	gen := c.generation
-	for i, p := range patterns {
-		if ts, ok := c.patterns[p]; ok {
-			out[i] = append([]store.Triple(nil), ts...)
-			c.patternHits.Add(1)
-		} else {
-			missing = append(missing, p)
-			missingAt = append(missingAt, i)
-			c.patternMisses.Add(1)
-		}
-	}
-	c.mu.RUnlock()
-	if len(missing) == 0 {
-		return out
-	}
-	res := m.MatchBatch(missing)
-	c.mu.Lock()
-	if c.generation == gen {
-		for j, p := range missing {
-			if len(c.patterns) >= c.opt.MaxPatterns {
-				break
-			}
-			c.patterns[p] = append([]store.Triple(nil), res[j]...)
-		}
-	}
-	c.mu.Unlock()
-	for j, i := range missingAt {
-		out[i] = res[j]
-	}
-	return out
-}
-
-// Match serves one pattern via MatchBatch.
-func (c *Cache) Match(subj, pred, obj string) []store.Triple {
-	return c.MatchBatch([]store.Triple{{S: subj, P: pred, O: obj}})[0]
-}
-
-// --- Store: delegated reads --------------------------------------------------
-
-// RunLog implements Store.
-func (c *Cache) RunLog(runID string) (*provenance.RunLog, error) { return c.s.RunLog(runID) }
-
-// Runs implements Store.
-func (c *Cache) Runs() ([]string, error) { return c.s.Runs() }
-
-// Artifact implements Store.
-func (c *Cache) Artifact(id string) (*provenance.Artifact, error) { return c.s.Artifact(id) }
-
-// Execution implements Store.
-func (c *Cache) Execution(id string) (*provenance.Execution, error) { return c.s.Execution(id) }
-
-// GeneratorOf implements Store.
-func (c *Cache) GeneratorOf(artifactID string) (string, error) { return c.s.GeneratorOf(artifactID) }
-
-// ConsumersOf implements Store.
-func (c *Cache) ConsumersOf(artifactID string) ([]string, error) { return c.s.ConsumersOf(artifactID) }
-
-// Used implements Store.
-func (c *Cache) Used(execID string) ([]string, error) { return c.s.Used(execID) }
-
-// Generated implements Store.
-func (c *Cache) Generated(execID string) ([]string, error) { return c.s.Generated(execID) }
-
-// Stats implements Store.
-func (c *Cache) Stats() (store.Stats, error) { return c.s.Stats() }
-
-// Name implements Store, reporting the wrapped backend's name so the cache
-// stays a drop-in replacement in tables and logs.
-func (c *Cache) Name() string { return c.s.Name() }
-
 // Close implements Store, draining any in-flight auto-checkpoint before
 // closing the wrapped store (whose own Close drains its trigger too).
 func (c *Cache) Close() error {
 	c.autoCkpt.Drain()
-	return c.s.Close()
-}
-
-// mergeSorted folds additions into an already-sorted, deduplicated
-// neighbor list, preserving the sorted-unique invariant of Expand results.
-func mergeSorted(have, add []string) []string {
-	out := append(append([]string(nil), have...), add...)
-	sort.Strings(out)
-	dedup := out[:0]
-	for i, s := range out {
-		if i == 0 || s != out[i-1] {
-			dedup = append(dedup, s)
-		}
-	}
-	return dedup
+	return c.Store.Close()
 }

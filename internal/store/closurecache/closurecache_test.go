@@ -369,42 +369,6 @@ func dirOf(i int) store.Direction {
 	return store.Down
 }
 
-// TestMatchBatchMemoizationPatched checks the triple-pattern face: cached
-// pattern results are patched on ingest to exactly what a cold triple store
-// would answer.
-func TestMatchBatchMemoizationPatched(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	b := &dagBuilder{}
-	ts := store.NewTripleStore()
-	c := Wrap(ts)
-	patterns := []store.Triple{
-		{P: store.PredGenerated},             // every gen edge
-		{P: store.PredType, O: "Artifact"},   // every artifact
-		{S: "exec-00001", P: store.PredUsed}, // one execution's inputs
-	}
-	for step := 0; step < 6; step++ {
-		if err := c.PutRunLog(b.buildLog(rng, step, 0)); err != nil {
-			t.Fatal(err)
-		}
-		got := c.MatchBatch(patterns)
-		for i, p := range patterns {
-			want := ts.Match(p.S, p.P, p.O)
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("step %d pattern %v:\n got %v\nwant %v", step, p, got[i], want)
-			}
-		}
-	}
-	m := c.Metrics()
-	if m.PatternHits == 0 {
-		t.Fatalf("patterns never served warm: %+v", m)
-	}
-	// Non-triple backends answer no matches rather than failing.
-	cm := Wrap(store.NewMemStore())
-	if res := cm.MatchBatch(patterns); len(res) != len(patterns) || res[0] != nil {
-		t.Fatalf("non-triple MatchBatch = %v", res)
-	}
-}
-
 // TestConcurrentReadersWithWriter runs closure/expand readers against an
 // ingesting writer; the race detector checks the locking discipline, and a
 // final sweep checks the cache settled on the true closures.

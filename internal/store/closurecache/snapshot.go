@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/provenance"
-	"repro/internal/query/scan"
 	"repro/internal/store"
 	"repro/internal/store/wal"
 )
@@ -49,7 +48,7 @@ func SnapshotPath(dir string) string { return filepath.Join(dir, snapshotFileNam
 // generation counter next to the log. With no SnapshotDir configured only
 // the store checkpoint happens.
 func (c *Cache) Checkpoint() error {
-	if ck, ok := c.s.(store.Checkpointer); ok {
+	if ck, ok := c.Store.(store.Checkpointer); ok {
 		if err := ck.Checkpoint(); err != nil {
 			return err
 		}
@@ -62,8 +61,7 @@ func (c *Cache) Checkpoint() error {
 
 // saveSnapshot writes the current closures and generation to the snapshot
 // file. Holding the ingest gate exclusively quiesces in-flight ingests:
-// an additive PutRunLog commits to the backing store before taking the
-// cache lock, so without the gate Runs() could already include a run
+// PutRunLog commits to the backing store before taking the cache lock, so without the gate Runs() could already include a run
 // whose delta patch is still pending — the snapshot would record a
 // RunCount covering that run while its closures miss the delta, and
 // loadSnapshot (which replays only runs[RunCount:]) would serve those
@@ -78,7 +76,7 @@ func (c *Cache) Checkpoint() error {
 func (c *Cache) saveSnapshot() error {
 	c.ingestGate.Lock()
 	c.mu.RLock()
-	runs, err := c.s.Runs()
+	runs, err := c.Store.Runs()
 	c.ingestGate.Unlock()
 	if err != nil {
 		c.mu.RUnlock()
@@ -91,10 +89,10 @@ func (c *Cache) saveSnapshot() error {
 	if len(runs) > 0 {
 		snap.LastRun = runs[len(runs)-1]
 	}
-	for k, e := range c.closures {
+	for k, e := range c.idx.entries {
 		snap.Closures = append(snap.Closures, snapshotEntry{
-			ID:    k.id,
-			Dir:   int(k.dir),
+			ID:    k.ID,
+			Dir:   int(k.Dir),
 			Order: append([]string(nil), e.order...),
 		})
 	}
@@ -105,8 +103,8 @@ func (c *Cache) saveSnapshot() error {
 // loadSnapshot restores a persisted snapshot at construction time: the
 // saved prefix must match the store's current run list; any suffix runs
 // ingested after the snapshot replay through the live delta-patching path
-// (with conservative hazard eviction, since the pre-ingest generator state
-// is gone). Best-effort: a missing, corrupt or diverged snapshot leaves
+// (the one hazard rule never needed the pre-ingest generator state, which
+// is gone here). Best-effort: a missing, corrupt or diverged snapshot leaves
 // the cache cold, never broken.
 func (c *Cache) loadSnapshot() {
 	var snap cacheSnapshot
@@ -114,7 +112,7 @@ func (c *Cache) loadSnapshot() {
 	if err != nil || !ok {
 		return
 	}
-	runs, err := c.s.Runs()
+	runs, err := c.Store.Runs()
 	if err != nil || len(runs) < snap.RunCount {
 		return
 	}
@@ -125,11 +123,10 @@ func (c *Cache) loadSnapshot() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, se := range snap.Closures {
-		k := key{id: se.ID, dir: store.Direction(se.Dir)}
-		if len(c.closures) >= c.opt.MaxClosures {
+		if c.idx.Len() >= c.opt.MaxClosures {
 			break
 		}
-		c.admitClosureLocked(k, se.Order)
+		c.idx.Admit(Key{ID: se.ID, Dir: store.Direction(se.Dir)}, se.Order)
 		c.restored.Add(1)
 	}
 	c.generation = snap.Generation
@@ -137,8 +134,8 @@ func (c *Cache) loadSnapshot() {
 	// Replay the suffix the snapshot missed, exactly as live ingests
 	// would have patched it: one scan from the snapshot's run count on,
 	// so the prefix it covers is never read.
-	err = store.ScanLogs(scan.Unwrap(c.s), snap.RunCount, func(l *provenance.RunLog) error {
-		c.applyDeltaLocked(l, c.residentRegenHazardsLocked(l))
+	err = store.ScanLogs(store.Unwrap(c.Store), snap.RunCount, func(l *provenance.RunLog) error {
+		c.applyDeltaLocked(l)
 		c.generation++
 		return nil
 	})
@@ -147,30 +144,4 @@ func (c *Cache) loadSnapshot() {
 		// closures that missed a patch.
 		c.flushLocked()
 	}
-}
-
-// residentRegenHazardsLocked over-approximates generator hazards when the
-// pre-ingest generator state is unknowable — snapshot suffix replay (the
-// pre-ingest edge is gone) and the additive ingest path (its lock-free
-// classification can race a concurrent declarer for the same artifact):
-// every generation event touching a cache-resident artifact is treated as
-// a replacement and evicts the upstream entries containing it. The common
-// all-fresh-IDs ingest touches no resident artifact, so this costs
-// nothing; on the rare hit, over-eviction costs warmth, never
-// correctness.
-func (c *Cache) residentRegenHazardsLocked(l *provenance.RunLog) map[string]bool {
-	var hazards map[string]bool
-	for _, ev := range l.Events {
-		if ev.Kind != provenance.EventArtifactGen {
-			continue
-		}
-		if !c.residentUpLocked(ev.ArtifactID) {
-			continue
-		}
-		if hazards == nil {
-			hazards = map[string]bool{}
-		}
-		hazards[ev.ArtifactID] = true
-	}
-	return hazards
 }

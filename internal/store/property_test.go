@@ -189,21 +189,11 @@ func TestQuickExpandClosureConformance(t *testing.T) {
 	}
 }
 
-// closeLocal resolves a backend's LocalCloser face, falling back to the
-// Expand-based implementation the sharded router uses for backends
-// without the capability (RelStore), and flattens the result to a map —
+// closeLocal runs a backend's CloseLocal and flattens the result to a map —
 // asserting each expanded entity appears exactly once on the way.
 func closeLocal(t *testing.T, s Store, seeds []string, dir Direction, skip func(string) bool) (map[string][]string, error) {
 	t.Helper()
-	var (
-		res []LocalNeighbors
-		err error
-	)
-	if lc, ok := s.(LocalCloser); ok {
-		res, err = lc.CloseLocal(seeds, dir, skip, nil)
-	} else {
-		res, err = LocalCloseOverExpand(s.Expand, seeds, dir, skip, nil)
-	}
+	res, err := s.(LocalCloser).CloseLocal(seeds, dir, skip, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +207,8 @@ func closeLocal(t *testing.T, s Store, seeds []string, dir Direction, skip func(
 	return out, nil
 }
 
-// Property: every backend's CloseLocal (native or via the Expand
-// fallback) expands exactly the seed's reachable set — the seed plus its
+// Property: every LocalCloser backend's CloseLocal expands exactly the
+// seed's reachable set — the seed plus its
 // Closure — and reports each expanded entity's neighbors exactly as
 // Expand would; a skip boundary covering everything but the seed stops
 // the walk after one expansion. On a single backend the local fixpoint
@@ -232,7 +222,7 @@ func TestQuickCloseLocalConformance(t *testing.T) {
 			return false
 		}
 		defer fs.Close()
-		backends := []Store{NewMemStore(), NewRelStore(), NewTripleStore(), fs}
+		backends := []Store{NewMemStore(), NewTripleStore(), fs}
 		for _, s := range backends {
 			if err := s.PutRunLog(log); err != nil {
 				return false

@@ -6,11 +6,25 @@ import (
 	"repro/internal/provenance"
 )
 
+// Unwrap peels layering wrappers (closure cache, standing-query tap,
+// tracing shims — anything with an Underlying method) off a store until it
+// reaches the one that stores run logs itself: the store optional
+// capabilities (LogScanner, EntityBatcher, the replication log) resolve on.
+func Unwrap(s Store) Store {
+	for {
+		u, ok := s.(interface{ Underlying() Store })
+		if !ok {
+			return s
+		}
+		s = u.Underlying()
+	}
+}
+
 // LogScanner is the optional capability of a backend that can stream its
 // run logs sequentially instead of one RunLog call per run: the file store
 // (one pass over the committed log prefix) and the sharded router (one
 // such pass per shard, in parallel, merged into global order). Wrappers do
-// not forward it; resolve it on the unwrapped store (scan.Unwrap) or go
+// not forward it; resolve it on the unwrapped store (Unwrap) or go
 // through ScanLogs.
 type LogScanner interface {
 	// ScanLogs invokes fn once per stored run log, in Runs() order,

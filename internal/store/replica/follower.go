@@ -64,11 +64,6 @@ type Options struct {
 	BackoffSeed int64
 	// MaxBatchBytes caps one shipped chunk (0: 1 MiB).
 	MaxBatchBytes int
-	// OnApply, when set, observes every replicated run log after it
-	// folds into the store — the closure-cache delta patch hook. Also
-	// settable later via SetOnApply (the cache wraps the store only
-	// after Open returns it).
-	OnApply func(*provenance.RunLog)
 }
 
 // Follower is a read replica: a local store kept an exact prefix of the
@@ -87,10 +82,10 @@ type Follower struct {
 	baseCancel context.CancelFunc
 
 	mu               sync.Mutex
-	onApply          func(*provenance.RunLog)
-	primaryCommitted []int64 // last-seen primary committed size per shard
-	lastErr          error   // most recent shipper failure (transient; retried)
-	consecFails      int     // failed exchanges since the last success
+	observers        []func(*provenance.RunLog) // append-only, see Observe
+	primaryCommitted []int64                    // last-seen primary committed size per shard
+	lastErr          error                      // most recent shipper failure (transient; retried)
+	consecFails      int                        // failed exchanges since the last success
 	lastContact      time.Time
 	rng              *rand.Rand // jitter source, guarded by mu
 
@@ -169,7 +164,6 @@ func Open(opt Options) (*Follower, error) {
 		sharded:          rs.Sharded,
 		baseCtx:          baseCtx,
 		baseCancel:       baseCancel,
-		onApply:          opt.OnApply,
 		primaryCommitted: make([]int64, n),
 		lastContact:      time.Now(),
 		rng:              rand.New(rand.NewSource(seed)),
@@ -293,35 +287,19 @@ func (f *Follower) Sharded() bool { return f.sharded }
 // it has observed there is the fleet's, which promotion builds on.
 func (f *Follower) Client() *api.Client { return f.client }
 
-// SetOnApply installs (or replaces) the per-record apply hook — wired
-// to closurecache.(*Cache).ApplyDelta when a cache layers the follower's
-// store, so memoized closures patch live as replicated runs fold.
-func (f *Follower) SetOnApply(fn func(*provenance.RunLog)) {
+// Observe registers fn to see every replicated run log after it folds
+// into the store: the one way derived state above the store — the closure
+// cache's delta patch (closurecache.(*Cache).ApplyDelta), standing-query
+// subscriptions (standing.(*Manager).ApplyDelta) — learns of runs that
+// arrive by replication rather than through PutRunLog. Observers are only
+// ever added, and run in registration order on the applying goroutine,
+// one shard's runs in that shard's log order: register a layer before the
+// layers that read through it (the cache before the manager). An observer
+// sees the runs applied after it registers, before or after Start.
+func (f *Follower) Observe(fn func(*provenance.RunLog)) {
 	f.mu.Lock()
-	f.onApply = fn
+	f.observers = append(f.observers, fn)
 	f.mu.Unlock()
-}
-
-// AddOnApply composes fn onto the existing apply hook (if any), so
-// several consumers — the closure cache, standing-query subscriptions —
-// can observe replicated runs without clobbering each other.
-func (f *Follower) AddOnApply(fn func(*provenance.RunLog)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if prev := f.onApply; prev != nil {
-		f.onApply = func(l *provenance.RunLog) {
-			prev(l)
-			fn(l)
-		}
-		return
-	}
-	f.onApply = fn
-}
-
-func (f *Follower) applyHook() func(*provenance.RunLog) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.onApply
 }
 
 // CatchUp streams and applies every shard to the primary's committed
@@ -386,9 +364,12 @@ func (f *Follower) catchUpShard(ctx context.Context, i int) error {
 		mReplShippedBytes.Add(uint64(len(data)))
 		mReplShippedRecs.Add(uint64(len(logs)))
 		f.noteErr(nil)
-		if hook := f.applyHook(); hook != nil {
-			for _, l := range logs {
-				hook(l)
+		f.mu.Lock()
+		observers := f.observers // append-only: this prefix never changes
+		f.mu.Unlock()
+		for _, l := range logs {
+			for _, observe := range observers {
+				observe(l)
 			}
 		}
 	}

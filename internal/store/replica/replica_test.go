@@ -360,7 +360,7 @@ func TestFollowerPropertyShardedWithCache(t *testing.T) {
 	}
 	defer f1.Close()
 	cache := closurecache.Wrap(f1.Store())
-	f1.SetOnApply(cache.ApplyDelta)
+	f1.Observe(cache.ApplyDelta)
 	f1.Start()
 
 	for i := 40; i < 140; i++ {

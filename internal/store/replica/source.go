@@ -25,6 +25,11 @@
 // independent stream, and the follower's router folds routing indexes
 // from the shipped placements (both sides run the same routing hash, so
 // placements agree).
+//
+// State derived from the store — the closure cache, standing-query
+// subscriptions — reaches replicated runs through one hook: the follower's
+// append-only observer list (Follower.Observe), called with every run log
+// after it folds into the store.
 package replica
 
 import (
@@ -49,14 +54,7 @@ type Source struct {
 // shipping. Memory-backed stores are rejected: replication ships a
 // durable log.
 func NewSource(s store.Store) (*Source, error) {
-	type underlier interface{ Underlying() store.Store }
-	for {
-		u, ok := s.(underlier)
-		if !ok {
-			break
-		}
-		s = u.Underlying()
-	}
+	s = store.Unwrap(s)
 	switch st := s.(type) {
 	case *store.FileStore:
 		return &Source{shards: []*store.FileStore{st}}, nil

@@ -53,6 +53,27 @@ func TestShardCountMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestTooManyShardsRejected: the pushdown's probed mask covers maxShards
+// shards, so a larger count is refused where it enters — before a directory
+// is created for it — not served by a slower path nobody runs.
+func TestTooManyShardsRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wide")
+	if _, err := OpenWith(dir, maxShards+1, store.FileOptions{}); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Fatalf("OpenWith(%d shards) = %v, want a shard-count error", maxShards+1, err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("the rejected open left %s behind (stat: %v)", dir, err)
+	}
+	if _, err := New(make([]Shard, maxShards+1)); err == nil {
+		t.Fatal("New accepted more than maxShards shards")
+	}
+	r := NewMem(maxShards)
+	defer r.Close()
+	if r.NumShards() != maxShards {
+		t.Fatalf("NewMem(%d) has %d shards", maxShards, r.NumShards())
+	}
+}
+
 // TestUnshardedDirRejected asserts an unsharded FileStore directory is not
 // silently treated as an empty sharded store.
 func TestUnshardedDirRejected(t *testing.T) {

@@ -16,11 +16,10 @@ func (r *Router) FileShard(i int) (*store.FileStore, error) {
 	if i < 0 || i >= len(r.shards) {
 		return nil, fmt.Errorf("shardedstore: shard %d outside [0,%d)", i, len(r.shards))
 	}
-	fs, ok := r.shards[i].(*store.FileStore)
-	if !ok {
+	if r.files == nil {
 		return nil, fmt.Errorf("shardedstore: shard %d is %s, not file-backed — replication needs a durable log", i, r.shards[i].Name())
 	}
-	return fs, nil
+	return r.files[i], nil
 }
 
 // ApplyReplicated folds a shipped batch of the given shard's primary log

@@ -1,7 +1,8 @@
-// Package shardedstore partitions runs across N store.Store shards behind
-// one router that itself implements store.Store, so every query engine —
-// and the closure cache, which wraps any Store — runs over a partitioned
-// store unchanged. The pieces:
+// Package shardedstore partitions runs across N shards (in-memory or
+// file-backed stores: what provd and provctl serve from) behind one router
+// that itself implements store.Store, so every query engine — and the
+// closure cache, which wraps any Store — runs over a partitioned store
+// unchanged. The pieces:
 //
 //   - Deterministic hash routing: a run's home shard is FNV-1a(runID) mod
 //     N. Whole runs live on one shard, so a run log is one shard append and
@@ -21,9 +22,9 @@
 //     generator's shard).
 //   - Closure pushdown: instead of one scatter/gather round per BFS hop,
 //     each shard runs its local closure to fixpoint inside its own lock
-//     (store.LocalCloser, with a store.LocalCloseOverExpand fallback for
-//     backends without the capability) and only the frontier of entities
-//     whose edges continue on another shard is exchanged between rounds.
+//     (store.LocalCloser, part of the Shard contract) and only the frontier
+//     of entities whose edges continue on another shard is exchanged
+//     between rounds.
 //     Synchronization rounds drop from O(depth) to O(cross-shard boundary
 //     crossings): the router skips frontier entities with no remote edges
 //     (the entity→shard and generator-edge indexes already know), batches
@@ -69,13 +70,26 @@ var (
 	mRouterFanout      = obs.Default().ValueHistogram("prov_router_scatter_shards", "Shards probed per scatter/gather Expand.")
 )
 
-// Router implements store.Store over N underlying shards (any mix of
-// backends). Reads scatter to the shards named by the entity index and
+// Shard is what the router needs of a backend: a store that can also run a
+// closure to its local fixpoint under one lock acquisition. MemStore and
+// FileStore — the backends provd and provctl shard — both are.
+type Shard interface {
+	store.Store
+	store.LocalCloser
+}
+
+// maxShards bounds a router's shard count: the closure pushdown tracks
+// which shards have expanded an entity in a 64-bit mask.
+const maxShards = 64
+
+// Router implements store.Store over N underlying shards (memory- or
+// file-backed). Reads scatter to the shards named by the entity index and
 // gather under the shared merge rules; ingests route whole runs to their
 // home shard. Safe for concurrent readers and concurrent writers: writers
 // serialize per shard (plus a brief global index update), not globally.
 type Router struct {
-	shards []store.Store
+	shards []Shard
+	files  []*store.FileStore // the same shards, for routers opened over a directory (nil otherwise)
 	name   string
 	dir    string // store directory for file-backed routers ("" otherwise)
 
@@ -109,12 +123,24 @@ var _ store.Checkpointer = (*Router)(nil)
 var _ store.LogScanner = (*Router)(nil)
 var _ store.EntityBatcher = (*Router)(nil)
 
-// New builds a router over the given shards (at least one). The shards
-// should be empty or previously populated through a router with the same
-// shard count and order; use Open to reopen file-backed shards.
-func New(shards []store.Store) (*Router, error) {
+// CheckShards rejects a shard count the router cannot serve.
+func CheckShards(n int) error {
+	if n > maxShards {
+		return fmt.Errorf("shardedstore: %d shards requested, at most %d are supported", n, maxShards)
+	}
+	return nil
+}
+
+// New builds a router over the given shards (at least one, at most
+// maxShards). The shards should be empty or previously populated through a
+// router with the same shard count and order; use Open to reopen
+// file-backed shards.
+func New(shards []Shard) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shardedstore: need at least one shard")
+	}
+	if err := CheckShards(len(shards)); err != nil {
+		return nil, err
 	}
 	r := &Router{
 		shards:      shards,
@@ -136,16 +162,21 @@ func New(shards []store.Store) (*Router, error) {
 }
 
 // NewMem returns a router over n fresh in-memory shards (n < 1 is treated
-// as 1).
+// as 1). A count from outside the program goes through CheckShards first
+// (core.Options.ValidatePersistence does, for both CLIs); n above maxShards
+// here is a caller's bug and panics.
 func NewMem(n int) *Router {
 	if n < 1 {
 		n = 1
 	}
-	shards := make([]store.Store, n)
+	shards := make([]Shard, n)
 	for i := range shards {
 		shards[i] = store.NewMemStore()
 	}
-	r, _ := New(shards)
+	r, err := New(shards)
+	if err != nil {
+		panic(err)
+	}
 	return r
 }
 
@@ -241,6 +272,9 @@ func OpenWith(dir string, n int, opt store.FileOptions) (*Router, error) {
 	if n < 1 {
 		n = 1
 	}
+	if err := CheckShards(n); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shardedstore: create dir: %w", err)
 	}
@@ -252,22 +286,23 @@ func OpenWith(dir string, n int, opt store.FileOptions) (*Router, error) {
 	shardOpt.CheckpointEvery = 0
 	shardOpt.CheckpointInterval = 0
 	shardOpt.CheckpointBytes = 0
-	shards := make([]store.Store, n)
+	shards := make([]Shard, n)
+	files := make([]*store.FileStore, n)
 	for i := range shards {
 		fs, err := store.OpenFileStoreWith(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)), shardOpt)
 		if err != nil {
-			for _, s := range shards[:i] {
+			for _, s := range files[:i] {
 				s.Close()
 			}
 			return nil, fmt.Errorf("shardedstore: open shard %d: %w", i, err)
 		}
-		shards[i] = fs
+		shards[i], files[i] = fs, fs
 	}
 	r, err := New(shards)
 	if err != nil {
 		return nil, err
 	}
-	r.dir = dir
+	r.dir, r.files = dir, files
 	// Byte-based triggering stays per-FileStore (the router does not see
 	// append sizes); router-wide checkpoints trigger on runs and time.
 	r.autoCkpt = store.NewAutoCheckpointPolicy(store.CheckpointPolicy{
@@ -291,36 +326,31 @@ func (r *Router) writeMeta() error {
 	if r.dir == "" {
 		return nil
 	}
-	meta := routerMeta{Shards: len(r.shards)}
-	for _, s := range r.shards {
+	meta := routerMeta{Shards: len(r.files)}
+	for _, fs := range r.files {
 		var off int64 = -1
-		if fs, ok := s.(*store.FileStore); ok {
-			if o, has := fs.LastCheckpoint(); has {
-				off = o
-			}
+		if o, has := fs.LastCheckpoint(); has {
+			off = o
 		}
 		meta.Checkpoints = append(meta.Checkpoints, off)
 	}
 	return wal.SaveCheckpoint(filepath.Join(r.dir, metaFileName), meta)
 }
 
-// Checkpoint implements store.Checkpointer: every shard checkpoints in
+// Checkpoint implements store.Checkpointer: every file shard checkpoints in
 // parallel (snapshot + log fsync each), then the meta record captures the
 // new checkpoint positions. Closure-cache layers above the router persist
-// their own snapshot on top of this.
+// their own snapshot on top of this. A memory router has nothing to
+// checkpoint.
 func (r *Router) Checkpoint() error {
-	errs := make([]error, len(r.shards))
+	errs := make([]error, len(r.files))
 	var wg sync.WaitGroup
-	for i, s := range r.shards {
-		ck, ok := s.(store.Checkpointer)
-		if !ok {
-			continue
-		}
+	for i, fs := range r.files {
 		wg.Add(1)
-		go func(i int, ck store.Checkpointer) {
+		go func(i int, fs *store.FileStore) {
 			defer wg.Done()
-			errs[i] = ck.Checkpoint()
-		}(i, ck)
+			errs[i] = fs.Checkpoint()
+		}(i, fs)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
@@ -689,7 +719,7 @@ var errMergeStopped = errors.New("shardedstore: merge stopped")
 // its turn is parked until order reaches it and the parked set stays
 // within the ingest concurrency. A run the home shard's scan does not
 // surface is skipped. The scans are stopped and waited for on return.
-func mergeLogs(shards []store.Store, skips []int, order []string,
+func mergeLogs(shards []Shard, skips []int, order []string,
 	home func(runID string) (shard int),
 	fn func(l *provenance.RunLog, shard int) error) error {
 
@@ -991,11 +1021,9 @@ func (r *Router) Closure(seed string, dir store.Direction) ([]string, error) {
 // generator edge's shard; everything else: every holding shard) — lists
 // returned by other shards are dropped, so a stale generator edge or a
 // diverging local kind on a shard that re-declared the ID never leaks
-// into the merged adjacency. probed tracks (as a bitmask — the pushdown
-// driver serves routers up to 64 shards and falls back to the per-hop
-// path beyond) which shards have locally expanded the entity; an entity
-// with allowed ⊆ probed has no remote edges left and is never exchanged
-// again.
+// into the merged adjacency. probed tracks (as a bitmask, hence maxShards)
+// which shards have locally expanded the entity; an entity with allowed ⊆
+// probed has no remote edges left and is never exchanged again.
 type pdNode struct {
 	allowed []int    // accepted source shards (global classification)
 	probed  uint64   // shards whose local fixpoint expanded the node
@@ -1017,21 +1045,6 @@ func (r *Router) TracedClosure(seed string, dir store.Direction) ([]string, Clos
 
 func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, ClosureTrace, error) {
 	tr := ClosureTrace{Seed: seed, Dir: dir}
-	if len(r.shards) > 64 {
-		// The pushdown's probed bitmask covers 64 shards; beyond that the
-		// per-hop path serves (every hop is a global exchange, so the
-		// trace reports one crossing per round past the first).
-		order, err := store.CloseOverExpand(func(ids []string, d store.Direction) (map[string][]string, error) {
-			tr.Rounds++
-			tr.Probes = append(tr.Probes, len(ids))
-			return r.Expand(ids, d)
-		}, seed, dir)
-		if tr.Rounds > 1 {
-			tr.Crossings = tr.Rounds - 1
-		}
-		tr.Nodes = len(order)
-		return order, tr, err
-	}
 	r.mu.RLock()
 	seedAllowed, known := r.allowedShardsLocked(seed, dir)
 	r.mu.RUnlock()
@@ -1065,32 +1078,19 @@ func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, Clos
 	}
 	enqueue(seed, &arena[0])
 
-	// The per-shard skip predicates and probe closures are built once:
-	// during a round the driver does not mutate nodes, so the shard
-	// goroutines' reads of the map race nothing.
+	// The per-shard skip predicates are built once: during a round the
+	// driver does not mutate nodes, so the shard goroutines' reads of the
+	// map race nothing.
 	skips := make([]func(string) bool, len(r.shards))
-	probes := make([]func([]string) ([]store.LocalNeighbors, error), len(r.shards))
 	for si := range r.shards {
-		si := si
 		mask := uint64(1) << uint(si)
 		skips[si] = func(id string) bool {
 			idx, ok := nodes[id]
 			return ok && arena[idx].probed&mask != 0
 		}
-		if lc, ok := r.shards[si].(store.LocalCloser); ok {
-			probes[si] = func(seeds []string) ([]store.LocalNeighbors, error) {
-				return lc.CloseLocal(seeds, dir, skips[si], sc.local[si][:0])
-			}
-		} else {
-			expand := r.shards[si].Expand
-			probes[si] = func(seeds []string) ([]store.LocalNeighbors, error) {
-				return store.LocalCloseOverExpand(expand, seeds, dir, skips[si], sc.local[si][:0])
-			}
-		}
 	}
-
 	probeFn := func(si int, seeds []string) ([]store.LocalNeighbors, error) {
-		return probes[si](seeds)
+		return r.shards[si].CloseLocal(seeds, dir, skips[si], sc.local[si][:0])
 	}
 
 	var discovered []string // this round's new entity names…

@@ -244,7 +244,7 @@ func TestShardedMixedBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New([]store.Store{store.NewMemStore(), fs, store.NewMemStore()})
+	r, err := New([]Shard{store.NewMemStore(), fs, store.NewMemStore()})
 	if err != nil {
 		t.Fatal(err)
 	}

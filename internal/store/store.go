@@ -184,9 +184,8 @@ type LocalNeighbors struct {
 // the container reuse is what keeps rounds allocation-flat.
 //
 // MemStore and TripleStore implement it natively over their resident
-// indexes through localCloseBFS, FileStore over its entity table; backends without the capability (RelStore) are served
-// by LocalCloseOverExpand, which drives the same contract through batched
-// Expand calls.
+// indexes through localCloseBFS, FileStore over its entity table. The
+// sharded router requires it of every shard (shardedstore.Shard).
 type LocalCloser interface {
 	CloseLocal(seeds []string, dir Direction, skip func(id string) bool, buf []LocalNeighbors) ([]LocalNeighbors, error)
 }
@@ -257,52 +256,6 @@ func localCloseBFS(seeds []string, dir Direction, skip func(string) bool, neighb
 		which ^= 1
 	}
 	return out
-}
-
-// LocalCloseOverExpand implements the LocalCloser contract for backends
-// that only offer batched Expand (RelStore behind the sharded router): one
-// Expand per local hop, accumulating each expanded entity's neighbor list
-// until the local fixpoint. Costs O(local hops) backend calls where the
-// native implementations pay one lock acquisition total, but preserves the
-// same results.
-func LocalCloseOverExpand(expand func([]string, Direction) (map[string][]string, error), seeds []string, dir Direction, skip func(id string) bool, buf []LocalNeighbors) ([]LocalNeighbors, error) {
-	out := buf[:0]
-	seen := make(map[string]struct{}, len(seeds)*2)
-	pending := make([]string, 0, len(seeds))
-	for _, id := range seeds {
-		if skip == nil || !skip(id) {
-			pending = append(pending, id)
-		}
-	}
-	for len(pending) > 0 {
-		adj, err := expand(pending, dir)
-		if err != nil {
-			return nil, err
-		}
-		var next []string
-		for _, id := range pending {
-			if _, done := seen[id]; done {
-				continue
-			}
-			ns, known := adj[id]
-			if !known {
-				continue // unknown locally
-			}
-			seen[id] = struct{}{}
-			out = append(out, LocalNeighbors{ID: id, Neighbors: ns})
-			for _, n := range ns {
-				if _, done := seen[n]; done {
-					continue
-				}
-				if skip != nil && skip(n) {
-					continue
-				}
-				next = append(next, n)
-			}
-		}
-		pending = next
-	}
-	return out, nil
 }
 
 // CloseOverExpand is the shared Closure fallback for minimal Store
