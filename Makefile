@@ -39,13 +39,16 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Benchmark smoke for CI: one iteration of E4b proves the lineage benchmark
-# paths still run, and ColdClosure prints the absolute ns/op, B/op and
+# paths still run, ColdClosure prints the absolute ns/op, B/op and
 # allocs/op of a cold closure over 4 file shards (depth-128 chain, cache
 # off and on a miss) — the figure E13's warm÷cold ratio used to stand in
-# for.
+# for — and ShardedReopen those of opening 4 file shards holding 2 048
+# runs, by full scan and from checkpoints, which E15's warm÷cold reopen
+# ratio used to stand in for.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
+	$(GO) test -run '^$$' -bench ShardedReopen -benchtime 10x -benchmem .
 
 # Run the full experiment suite and write machine-readable BENCH_<ID>.json
 # files so successive PRs can track a perf trajectory. CI uploads these as

@@ -499,6 +499,53 @@ func BenchmarkColdClosure(b *testing.B) {
 	})
 }
 
+// BenchmarkShardedReopen reports what opening a sharded store directory
+// costs in absolute terms — ns/op, B/op, allocs/op — on 4 file shards
+// holding 2 048 runs of one chain (every artifact is declared on two
+// shards, so the directory derivation has claims to settle). fullscan
+// opens a directory without checkpoints: every record is decoded, once,
+// the shards side by side. checkpointed opens one whose shards
+// checkpointed after the last run: snapshots only, no log byte read.
+// `make bench-smoke` prints both in CI.
+func BenchmarkShardedReopen(b *testing.B) {
+	const runs = 2048
+	for _, arm := range []string{"fullscan", "checkpointed"} {
+		dir := b.TempDir()
+		r, err := shardedstore.Open(dir, 4, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < runs; i++ {
+			if err := r.PutRunLog(experiments.E16ChainRun(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if arm == "checkpointed" {
+			if err := r.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(arm, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := shardedstore.Open(dir, 4, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if st, _ := r.Stats(); st.Runs != runs {
+					b.Fatalf("reopened %d runs, want %d", st.Runs, runs)
+				}
+				r.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkE14Sharding measures the sharded store router at 1/2/4/8
 // durable file-backed shards on the E14 wide-DAG workload: mode=ingest is
 // one batch of 16 runs pushed by 8 concurrent publishers per iteration

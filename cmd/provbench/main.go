@@ -53,8 +53,6 @@ var gates = []struct {
 	// fsync cost; both collapse toward 1.0 if batching breaks.
 	{"E15", "ingest_group_speedup_x", 0.3},
 	{"E15", "fsync_reduction_x", 0.3},
-	// Warm restart: reopen-from-checkpoint vs full log replay.
-	{"E15", "reopen_warm_speedup_x", 0.3},
 	// Closure pushdown vs the per-hop scatter/gather path on the deep
 	// chain; wall-clock ratio on shared runners gets a loose floor.
 	{"E16", "deep_closure_pushdown_speedup_x", 0.3},

@@ -1118,7 +1118,6 @@ func E15() Result {
 	if coldLen != warmLen || coldLen != len(want) {
 		return errResult("E15", fmt.Errorf("warm closure diverged: cold %d, warm %d, built %d nodes", coldLen, warmLen, len(want)))
 	}
-	warmSpeedup := float64(reopenCold) / float64(reopenWarm)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-52s %14s\n", "measure", "value")
@@ -1130,7 +1129,6 @@ func E15() Result {
 	fmt.Fprintf(&b, "%-52s %13.1fx\n", "fsync reduction (≈ achieved batch size)", fsyncReduction)
 	fmt.Fprintf(&b, "%-52s %14s\n", fmt.Sprintf("cold reopen + closure (%d-run log, full scan)", chainLen), reopenCold.Round(time.Microsecond))
 	fmt.Fprintf(&b, "%-52s %14s\n", "reopen from checkpoint + warm closure", reopenWarm.Round(time.Microsecond))
-	fmt.Fprintf(&b, "%-52s %13.1fx\n", "warm-restart speedup", warmSpeedup)
 	fmt.Fprintf(&b, "%-52s %14s\n", "warm closure == cold closure", "verified")
 	return Result{
 		ID:    "E15",
@@ -1143,7 +1141,6 @@ func E15() Result {
 			{Name: "fsync_reduction_x", Value: fsyncReduction, Unit: "x"},
 			{Name: "reopen_cold_ns", Value: float64(reopenCold.Nanoseconds()), Unit: "ns"},
 			{Name: "reopen_warm_ns", Value: float64(reopenWarm.Nanoseconds()), Unit: "ns"},
-			{Name: "reopen_warm_speedup_x", Value: warmSpeedup, Unit: "x"},
 		},
 	}
 }

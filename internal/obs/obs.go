@@ -255,27 +255,33 @@ func (r *Registry) FindHistogram(name string, labels ...Label) (*Histogram, bool
 	return s.h, true
 }
 
-// snapshotFamilies returns the families and their series in deterministic
-// (sorted) order for exposition.
-func (r *Registry) snapshotFamilies() []*family {
+// familySnapshot is one family with a copy of its series, sorted by label
+// signature, as they stood when the registry lock was held.
+type familySnapshot struct {
+	*family
+	series []series
+}
+
+// snapshotFamilies copies the families and their series under the registry
+// lock — lookup inserts series and GaugeFunc swaps callbacks under the same
+// lock, so exposition never reads a map or a field a registration is
+// writing — and returns them in deterministic (sorted) order.
+func (r *Registry) snapshotFamilies() []familySnapshot {
 	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]familySnapshot, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		ss := make([]series, 0, len(f.series))
+		for _, s := range f.series {
+			ss = append(ss, *s)
+		}
+		fams = append(fams, familySnapshot{f, ss})
 	}
 	r.mu.RUnlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
-}
-
-// sortedSeries returns a family's series sorted by label signature.
-func (f *family) sortedSeries() []*series {
-	out := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		out = append(out, s)
+	for _, f := range fams {
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].key < f.series[j].key })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
+	return fams
 }
 
 // labelKey renders a label set into its registration identity.

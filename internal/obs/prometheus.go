@@ -30,7 +30,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			bw.WriteString("# HELP " + f.name + " " + escapeHelp(f.help) + "\n")
 		}
 		bw.WriteString("# TYPE " + f.name + " " + f.kind + "\n")
-		for _, s := range f.sortedSeries() {
+		for _, s := range f.series {
 			switch {
 			case s.c != nil:
 				bw.WriteString(f.name + renderLabels(s.labels, "") + " " +

@@ -28,6 +28,7 @@ var (
 	mStoreLoadSeconds   = obs.Default().Histogram("prov_store_runlog_load_seconds", "FileStore single-record load latency: positional read plus JSON decode (RunLog, Artifact, Execution, Entities).")
 	mStoreScanRecords   = obs.Default().Counter("prov_store_scan_records_total", "Run-log records decoded by FileStore sequential scans.")
 	mStoreScanBytes     = obs.Default().Counter("prov_store_scan_bytes_total", "Log bytes read by FileStore sequential scans.")
+	mStoreRecovered     = obs.Default().Counter("prov_store_recovered_records_total", "Run-log records decoded by FileStore open-time recovery (the log suffix past the checkpoint, or the whole log without one).")
 )
 
 // FileStore persists run logs to an append-only JSON-lines file, the
@@ -70,12 +71,17 @@ var (
 // offset instead of zero: the snapshot restores the folded indexes and
 // only the log suffix replays, making restarts O(suffix) instead of
 // O(history). A checkpoint this version cannot read — torn, corrupt, or
-// written in the earlier map-per-index format — is no checkpoint: the open
-// falls back to the full scan and the next Checkpoint overwrites it. The pre-checkpoint prefix is
-// never read at open — only index recovery is prefix-free; full-record
-// retrieval (RunLog/Artifact/Execution) still reads the owning record's
-// bytes, so archiving the prefix sacrifices retrieval of those runs while
-// navigation and closures stay fully served.
+// written in an earlier format (fileCheckpointVersion) — is no checkpoint:
+// the open falls back to the full scan and the next Checkpoint overwrites
+// it. The pre-checkpoint prefix is never read at open — only index recovery
+// is prefix-free; full-record retrieval (RunLog/Artifact/Execution) still
+// reads the owning record's bytes, so archiving the prefix sacrifices
+// retrieval of those runs while navigation and closures stay fully served.
+// That recovery is the only decoding an open does, under a sharded router
+// too (prov_store_recovered_records_total counts it): the router learns
+// which shard holds what from the recovered table (EntityOwners), which is
+// why an entity records the run that set its generator as well as the runs
+// that own it.
 type FileStore struct {
 	mu  sync.RWMutex
 	dir string
@@ -206,8 +212,10 @@ func (s *FileStore) recover() error {
 	// truncate valid records — the log is authoritative, so a suspect
 	// checkpoint must never cost log bytes.
 
-	r := bufio.NewReaderSize(io.NewSectionReader(s.f, from, logSize-from), 1<<20)
+	r := bufio.NewReaderSize(io.NewSectionReader(s.f, from, logSize-from), int(min(logSize-from, 1<<20)))
 	offset := from
+	records := 0
+	defer func() { mStoreRecovered.Add(uint64(records)) }()
 	for {
 		line, err := r.ReadBytes('\n')
 		if err == io.EOF {
@@ -232,6 +240,7 @@ func (s *FileStore) recover() error {
 			break
 		}
 		s.index(&l, offset)
+		records++
 		offset += int64(len(line))
 	}
 	s.size = offset
@@ -569,6 +578,26 @@ func (s *FileStore) Execution(id string) (*provenance.Execution, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: execution %q", ErrNotFound, id)
+}
+
+// EntityOwners calls fn once per ID in the resident entity table with the
+// runs that own it, as indexes into Runs(): the last run that declared it
+// as an artifact, the last that declared it as an execution, and the run
+// whose generation event named its current generator, -1 for each the ID
+// has none of. It is how the sharded router learns which shard holds what
+// without reading a log. fn runs under the store's read lock and must not
+// call back into the store.
+func (s *FileStore) EntityOwners(fn func(id string, artRun, execRun, genRun int32)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i := range s.tab.ents {
+		e := &s.tab.ents[i]
+		genRun := noRun
+		if e.gen[0] != noGen {
+			genRun = e.genRun
+		}
+		fn(e.id, e.artRun, e.execRun, genRun)
+	}
 }
 
 // runOffsetLocked resolves an owning run from the entity table to its

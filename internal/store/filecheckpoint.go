@@ -5,8 +5,11 @@ import "slices"
 // fileCheckpointVersion is the format this build writes and the only one
 // it restores. Version 1 (before the entity table) wrote one string-keyed
 // JSON object per index and carried no version field, so it decodes here
-// as version 0 and is refused like any other unreadable checkpoint.
-const fileCheckpointVersion = 2
+// as version 0; version 2 lacks the gen_run column, without which a sharded
+// router cannot place an artifact's generator edge. Either is refused like
+// any other unreadable checkpoint: the open scans the whole log and the
+// next Checkpoint overwrites the file.
+const fileCheckpointVersion = 3
 
 // fileCheckpoint is the on-disk snapshot of a FileStore's folded state:
 // everything recover would rebuild by scanning the log up to LogOffset, as
@@ -26,6 +29,7 @@ type fileCheckpoint struct {
 	ArtRun    []int32     `json:"art_run"`  // index into Runs; noRun: not stored as an artifact
 	ExecRun   []int32     `json:"exec_run"` // index into Runs; noRun: not stored as an execution
 	Gen       []int32     `json:"gen"`      // generator handle, noGen when none
+	GenRun    []int32     `json:"gen_run"`  // index into Runs of the run that set Gen, one per handle that has a generator, in handle order
 	Consumers handleLists `json:"consumers"`
 	Used      handleLists `json:"used"`
 	Generated handleLists `json:"generated"`
@@ -71,6 +75,9 @@ func (s *FileStore) snapshotLocked() *fileCheckpoint {
 		ck.ArtRun[h] = e.artRun
 		ck.ExecRun[h] = e.execRun
 		ck.Gen[h] = e.gen[0]
+		if e.gen[0] != noGen {
+			ck.GenRun = append(ck.GenRun, e.genRun)
+		}
 		ck.Consumers.add(e.consumers)
 		ck.Used.add(e.used)
 		ck.Generated.add(e.generated)
@@ -82,7 +89,9 @@ func (s *FileStore) snapshotLocked() *fileCheckpoint {
 // reporting false — and leaving the store untouched — unless the payload
 // is something snapshotLocked could have produced: the right version,
 // columns of one length, distinct IDs, every run index and handle in
-// range, every list sorted by ID without duplicates. The CRC already
+// range, one generating run per generator and none later than the
+// artifact's last declaration (a generation event names an artifact its own
+// run declares), every list sorted by ID without duplicates. The CRC already
 // rules out torn bytes; these checks rule out a snapshot from a build
 // with other invariants, which would otherwise surface as a panic or a
 // wrong answer long after open.
@@ -105,12 +114,19 @@ func (s *FileStore) restore(ck *fileCheckpoint) bool {
 	}
 
 	t := &entityTable{handles: make(map[string]int32, n), ents: make([]entity, n)}
+	genRuns := ck.GenRun
 	for h, id := range ck.IDs {
 		e := &t.ents[h]
 		*e = entity{id: id, artRun: ck.ArtRun[h], execRun: ck.ExecRun[h], gen: [1]int32{ck.Gen[h]}}
 		if e.artRun < noRun || int(e.artRun) >= nRuns || e.execRun < noRun || int(e.execRun) >= nRuns ||
 			e.gen[0] < noGen || int(e.gen[0]) >= n {
 			return false
+		}
+		if e.gen[0] != noGen {
+			if len(genRuns) == 0 || genRuns[0] < 0 || genRuns[0] > e.artRun {
+				return false
+			}
+			e.genRun, genRuns = genRuns[0], genRuns[1:]
 		}
 		if e.artRun != noRun {
 			t.nArt++
@@ -120,8 +136,8 @@ func (s *FileStore) restore(ck *fileCheckpoint) bool {
 		}
 		t.handles[id] = int32(h)
 	}
-	if len(t.handles) != n {
-		return false // a dictionary duplicate
+	if len(t.handles) != n || len(genRuns) != 0 {
+		return false // a dictionary duplicate, or generating runs without a generator
 	}
 	ok := t.unpack(&ck.Consumers, func(e *entity) *[]int32 { return &e.consumers }) &&
 		t.unpack(&ck.Used, func(e *entity) *[]int32 { return &e.used }) &&

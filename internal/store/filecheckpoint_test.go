@@ -81,7 +81,26 @@ func checkpointMutations(t testing.TB, valid *fileCheckpoint) map[string][]byte 
 	}
 	n := int32(len(valid.IDs))
 	return map[string][]byte{
-		"version 1":              mutate(func(ck *fileCheckpoint) { ck.Version = 1 }),
+		"version 1":                   mutate(func(ck *fileCheckpoint) { ck.Version = 1 }),
+		"version 2":                   mutate(func(ck *fileCheckpoint) { ck.Version = 2 }),
+		"generating run missing":      mutate(func(ck *fileCheckpoint) { ck.GenRun = ck.GenRun[1:] }),
+		"generating run to spare":     mutate(func(ck *fileCheckpoint) { ck.GenRun = append(ck.GenRun, 0) }),
+		"generating run out of range": mutate(func(ck *fileCheckpoint) { ck.GenRun[0] = int32(len(ck.Runs)) }),
+		"negative generating run":     mutate(func(ck *fileCheckpoint) { ck.GenRun[0] = -1 }),
+		"generated after its last declaration": mutate(func(ck *fileCheckpoint) {
+			at := 0
+			for h, g := range ck.Gen {
+				if g == noGen {
+					continue
+				}
+				if int(ck.ArtRun[h])+1 < len(ck.Runs) {
+					ck.GenRun[at] = ck.ArtRun[h] + 1
+					return
+				}
+				at++
+			}
+			t.Fatal("fixture has no generated artifact last declared before the final run")
+		}),
 		"handle out of range":    mutate(func(ck *fileCheckpoint) { ck.Used.Refs[0] = n }),
 		"negative handle":        mutate(func(ck *fileCheckpoint) { ck.Consumers.Refs[0] = -1 }),
 		"generator out of range": mutate(func(ck *fileCheckpoint) { ck.Gen[0] = n }),
@@ -191,19 +210,29 @@ func TestV1CheckpointIsNoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	openIgnoresCheckpoint(t, dir, mem, prev, "run-06-exec", v1.LogOffset)
+}
+
+// openIgnoresCheckpoint opens dir, whose checkpoint file this build must
+// not trust, and checks the open scanned the log instead: no checkpoint
+// restored, art's lineage and generator as the oracle has them. It then
+// checkpoints, and expects a file of the current version that the next
+// open restores at logEnd with the same answers.
+func openIgnoresCheckpoint(t *testing.T, dir string, mem *MemStore, art, generator string, logEnd int64) {
+	t.Helper()
 	re, err := OpenFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off, ok := re.LastCheckpoint(); ok {
-		t.Fatalf("a v1 checkpoint was restored (offset %d)", off)
+		t.Fatalf("the stale checkpoint was restored (offset %d)", off)
 	}
-	want, _ := NaiveClosure(mem, prev, Up)
-	if got, err := re.Closure(prev, Up); err != nil || !slices.Equal(got, want) {
+	want, _ := NaiveClosure(mem, art, Up)
+	if got, err := re.Closure(art, Up); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("lineage after the full-scan open = %v, %v; want %v", got, err, want)
 	}
-	if g, err := re.GeneratorOf(prev); err != nil || g != "run-06-exec" {
-		t.Fatalf("GeneratorOf(%s) = %q, %v", prev, g, err)
+	if g, err := re.GeneratorOf(art); err != nil || g != generator {
+		t.Fatalf("GeneratorOf(%s) = %q, %v; want %q", art, g, err, generator)
 	}
 	if err := re.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -219,12 +248,58 @@ func TestV1CheckpointIsNoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer warm.Close()
-	if off, ok := warm.LastCheckpoint(); !ok || off != v1.LogOffset {
-		t.Fatalf("reopen after Checkpoint: LastCheckpoint = %d, %v; want %d", off, ok, v1.LogOffset)
+	if off, ok := warm.LastCheckpoint(); !ok || off != logEnd {
+		t.Fatalf("reopen after Checkpoint: LastCheckpoint = %d, %v; want %d", off, ok, logEnd)
 	}
-	if got, err := warm.Closure(prev, Up); err != nil || !slices.Equal(got, want) {
+	if got, err := warm.Closure(art, Up); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("lineage after the checkpointed open = %v, %v; want %v", got, err, want)
 	}
+}
+
+// TestV2CheckpointIsNoCheckpoint: a version-2 file — this build's columns
+// without gen_run — is refused like a v1 one. The file here covers the
+// whole log but names a wrong generator, so trusting it would show.
+func TestV2CheckpointIsNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemStore()
+	prev := "art-00"
+	for i := 1; i <= 6; i++ {
+		out := fmt.Sprintf("art-%02d", i)
+		l := synthRun(fmt.Sprintf("run-%02d", i), []string{prev}, []string{out})
+		if err := fs.PutRunLog(l); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.PutRunLog(l); err != nil {
+			t.Fatal(err)
+		}
+		prev = out
+	}
+	fs.mu.RLock()
+	ck := fs.snapshotLocked()
+	fs.mu.RUnlock()
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wrong := fs.tab.handles["run-01-exec"]
+	for h, g := range ck.Gen {
+		if g != noGen {
+			ck.Gen[h] = wrong
+		}
+	}
+	var v2 map[string]any
+	if err := json.Unmarshal(mustMarshal(t, ck), &v2); err != nil {
+		t.Fatal(err)
+	}
+	v2["version"] = 2
+	delete(v2, "gen_run")
+	if err := wal.SaveCheckpoint(CheckpointPath(dir), v2); err != nil {
+		t.Fatal(err)
+	}
+	openIgnoresCheckpoint(t, dir, mem, prev, "run-06-exec", ck.LogOffset)
 }
 
 // FuzzCheckpointLoad feeds the checkpoint decoder arbitrary bytes twice
@@ -246,6 +321,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 	}
 	f.Add(mustMarshal(f, v1Checkpoint{LogOffset: 10, Order: []string{"r"}, Offsets: map[string]int64{"r": 0}}))
 	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"version":3}`))
 	f.Add([]byte("provckpt1 00000000 2\n{}"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -263,6 +339,9 @@ func FuzzCheckpointLoad(f *testing.F) {
 				if !sortedUniqueStrings(s.tab.names(list)) {
 					t.Fatalf("restored list of %q is not sorted-unique: %v", e.id, s.tab.names(list))
 				}
+			}
+			if e.gen[0] != noGen && (e.genRun < 0 || e.genRun > e.artRun) {
+				t.Fatalf("restored %q: generated in run %d, last declared in run %d", e.id, e.genRun, e.artRun)
 			}
 			if s.tab.lookup(e.id) == nil {
 				continue

@@ -8,12 +8,17 @@
 //     N. Whole runs live on one shard, so a run log is one shard append and
 //     one shard read, and runs with different homes ingest concurrently
 //     under per-shard locking instead of one global writer.
-//   - A global entity→shard index: artifacts and executions that appear in
-//     runs on multiple shards (shared, content-addressed inputs) are
-//     tracked per kind, so the router knows exactly which shards to ask
-//     about any entity — and which single shard holds an artifact's current
-//     generator edge (generator edges are last-write-wins; the router
-//     remembers the shard of the most recent re-declaration).
+//   - One directory, entity ID → routeEntry: the shards holding the ID as
+//     an artifact and as an execution (shared, content-addressed inputs
+//     appear in runs on several shards) as two bit masks, the shard of its
+//     latest declaration of each kind, and the single shard holding an
+//     artifact's current generator edge (generator edges are
+//     last-write-wins). Every routed read is one lookup in it. Ingest folds
+//     each accepted run into it; opening a directory derives it from the
+//     shards' resident entity tables (store.FileStore.EntityOwners) in
+//     O(entities), so the router reads no log and keeps no snapshot file of
+//     its own: each shard's checkpoint already restores the table the
+//     directory is derived from.
 //   - Parallel scatter/gather Expand: one BFS frontier fans out to every
 //     shard holding any frontier entity — one goroutine per shard with
 //     work — and the per-shard neighbor lists merge under the same
@@ -27,17 +32,17 @@
 //     between rounds.
 //     Synchronization rounds drop from O(depth) to O(cross-shard boundary
 //     crossings): the router skips frontier entities with no remote edges
-//     (the entity→shard and generator-edge indexes already know), batches
-//     each round's probes per destination shard, and finally replays the
-//     gathered subgraph in memory to reproduce the exact single-store BFS
-//     order. TracedClosure exposes the round structure (-trace-rounds,
-//     experiment E16); the per-hop traversal this replaced is
-//     store.CloseOverExpand over Router.Expand, which the conformance
-//     tests and E16 still compare against.
+//     (the directory already knows), batches each round's probes per
+//     destination shard, and finally replays the gathered subgraph in
+//     memory to reproduce the exact single-store BFS order. TracedClosure
+//     exposes the round structure (-trace-rounds, experiment E16); the
+//     per-hop traversal this replaced is store.CloseOverExpand over
+//     Router.Expand, which the conformance tests and E16 still compare
+//     against.
 //
 // The router holds no edges of its own: shards own the graph, the router
-// owns only the routing and membership maps, so its resident footprint is
-// O(entities), not O(edges). (A pushdown closure transiently gathers the
+// owns only the run placement and the directory, so its resident footprint
+// is O(entities), not O(edges). (A pushdown closure transiently gathers the
 // traversed subgraph's edges for the ordering replay, released when the
 // query returns.)
 package shardedstore
@@ -46,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,15 +84,15 @@ type Shard interface {
 	store.LocalCloser
 }
 
-// maxShards bounds a router's shard count: the closure pushdown tracks
-// which shards have expanded an entity in a 64-bit mask.
+// maxShards bounds a router's shard count: the directory's shard sets and
+// the closure pushdown's probed sets are 64-bit masks.
 const maxShards = 64
 
 // Router implements store.Store over N underlying shards (memory- or
-// file-backed). Reads scatter to the shards named by the entity index and
+// file-backed). Reads scatter to the shards named by the directory and
 // gather under the shared merge rules; ingests route whole runs to their
 // home shard. Safe for concurrent readers and concurrent writers: writers
-// serialize per shard (plus a brief global index update), not globally.
+// serialize per shard (plus a brief directory update), not globally.
 type Router struct {
 	shards []Shard
 	files  []*store.FileStore // the same shards, for routers opened over a directory (nil otherwise)
@@ -97,25 +103,58 @@ type Router struct {
 
 	// scratch pools the per-shard request/response buffers Expand and the
 	// pushdown closure driver need every round, so deep traversals and
-	// wide fan-out hops stop reallocating them per hop. single holds the
-	// precomputed one-shard sets ({0}, {1}, …) traversal planning hands
-	// out for generator-edge lookups without allocating.
+	// wide fan-out hops stop reallocating them per hop.
 	scratch sync.Pool
-	single  [][]int
 
-	mu         sync.RWMutex
-	manifest   *os.File         // global accepted-run order journal (file-backed routers)
-	runShard   map[string]int   // run -> home shard
-	order      []string         // runs in accepted order
-	artShards  map[string][]int // artifact -> shards holding it (sorted)
-	execShards map[string][]int // execution -> shards holding it (sorted)
-	// entityShard collapses both kind indexes for the pushdown's hot
-	// classification path: the one shard an entity lives on, or -1 once
-	// it spans shards or kinds (then the full per-kind indexes decide).
-	entityShard map[string]int32
-	artLatest   map[string]int // artifact -> shard of its latest declaration
-	execLatest  map[string]int // execution -> shard of its latest declaration
-	genShard    map[string]int // artifact -> shard of its current generator edge
+	mu       sync.RWMutex
+	manifest *os.File              // global accepted-run order journal (file-backed routers)
+	runShard map[string]int        // run -> home shard
+	order    []string              // runs in accepted order
+	entities map[string]routeEntry // the directory, entity -> where it lives: the only per-entity state
+	nArt     int                   // directory entries stored as an artifact
+	nExec    int                   // directory entries stored as an execution
+}
+
+// routeEntry is the directory's record of one entity ID. Shard sets are bit
+// masks (bit i: shard i; CheckShards keeps the count within 64), so an
+// entry is a value: folding a run copies no slice, and a reader may hold a
+// mask after the lock is released. The zero value is an ID no run declared.
+//
+// Entity records and generator edges are last-write-wins across the store,
+// so beside the shard that holds the latest artifact declaration, the
+// latest execution declaration and the current generator edge, an entry
+// keeps where in the accepted order (1-based; 0: no such run) the run
+// behind each stands. A claim from a later run takes the field over, one
+// from an earlier run does not: the one rule both producers of the
+// directory apply (claimLocked), indexLocked to runs arriving in order and
+// rebuild to what each shard's entity table remembers, in any order.
+type routeEntry struct {
+	arts, execs          uint64 // shards holding the ID as an artifact, as an execution
+	artAt, execAt, genAt int32  // accepted position of the run behind art, exec, gen
+	art, exec            uint8  // shard of the latest artifact / execution declaration (when arts / execs != 0)
+	gen                  uint8  // 1 + shard of the current generator edge; 0: no run generated it
+}
+
+// known reports whether any run declared the ID; an entry holding only a
+// generator edge (an event naming an artifact its run never declared, which
+// validated ingest rules out) is unknown to every read.
+func (e routeEntry) known() bool { return e.arts|e.execs != 0 }
+
+// allowed reports which shards may contribute the entity's neighbor lists
+// in a direction — the plan rule Expand and the pushdown closure share:
+// artifact Up edges only from the current generator edge's shard (none for
+// an artifact no run generated), everything else from every holding shard,
+// artifact classification winning for an ID stored as both kinds.
+func (e routeEntry) allowed(dir store.Direction) uint64 {
+	switch {
+	case e.arts == 0:
+		return e.execs
+	case dir == store.Down:
+		return e.arts
+	case e.gen == 0:
+		return 0
+	}
+	return 1 << (e.gen - 1)
 }
 
 var _ store.Store = (*Router)(nil)
@@ -143,21 +182,12 @@ func New(shards []Shard) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
-		shards:      shards,
-		name:        fmt.Sprintf("sharded(%d×%s)", len(shards), shards[0].Name()),
-		runShard:    map[string]int{},
-		artShards:   map[string][]int{},
-		execShards:  map[string][]int{},
-		entityShard: map[string]int32{},
-		artLatest:   map[string]int{},
-		execLatest:  map[string]int{},
-		genShard:    map[string]int{},
+		shards:   shards,
+		name:     fmt.Sprintf("sharded(%d×%s)", len(shards), shards[0].Name()),
+		runShard: map[string]int{},
+		entities: map[string]routeEntry{},
 	}
 	r.scratch.New = func() any { return &expandScratch{} }
-	r.single = make([][]int, len(shards))
-	for i := range r.single {
-		r.single[i] = []int{i}
-	}
 	return r, nil
 }
 
@@ -229,11 +259,11 @@ func validateLayout(dir string, n int) error {
 }
 
 // Open opens (or creates) n file-backed shards under dir/shard-000 …
-// dir/shard-N-1 and rebuilds the router's run and entity indexes from the
-// shards' logs. With durable set, every ingest fsyncs its home shard's log
-// before returning (store.DurabilityFsync) — the configuration
-// experiment E14 measures. OpenWith exposes the full durability and
-// checkpoint configuration, including group commit.
+// dir/shard-N-1 and rebuilds the router's run placement and directory from
+// the shards' recovered state. With durable set, every ingest fsyncs its
+// home shard's log before returning (store.DurabilityFsync) — the
+// configuration experiment E14 measures. OpenWith exposes the full
+// durability and checkpoint configuration, including group commit.
 //
 // A small manifest journal (dir/router-manifest.log, one run ID per
 // accepted ingest) preserves the global cross-shard ingest order, so a
@@ -241,11 +271,11 @@ func validateLayout(dir string, n int) error {
 // tie-breaks exactly in the common case. The manifest is advisory, not
 // authoritative: runs the journal misses (a crash between the shard append
 // and the manifest append, or a failed journal write) are recovered from
-// the shard scan and replayed after the journaled runs, stale or torn
-// entries are dropped, and the journal is rewritten to the recovered order
-// so later reopens are stable. Run data thus never depends on the journal;
-// the one observable skew is that a journal-missed run replays last, which
-// can flip a generator tie-break for an artifact whose generator was
+// the shards' run lists and ordered after the journaled runs, stale or torn
+// entries are dropped, and a journal that differs from the recovered order
+// is rewritten to it so later reopens are stable. Run data thus never
+// depends on the journal; the one observable skew is that a journal-missed
+// run orders last, which can flip a generator tie-break for an artifact whose generator was
 // re-declared across shards (journaling durably would need an fsync per
 // ingest on a shared file — exactly the serialization sharding removes).
 func Open(dir string, n int, durable bool) (*Router, error) {
@@ -286,20 +316,41 @@ func OpenWith(dir string, n int, opt store.FileOptions) (*Router, error) {
 	shardOpt.CheckpointEvery = 0
 	shardOpt.CheckpointInterval = 0
 	shardOpt.CheckpointBytes = 0
-	shards := make([]Shard, n)
+	// Recovery — a checkpoint restore plus a decode per log-suffix record —
+	// is the whole cost of an open, and the shards share nothing: they
+	// recover concurrently.
 	files := make([]*store.FileStore, n)
-	for i := range shards {
-		fs, err := store.OpenFileStoreWith(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)), shardOpt)
-		if err != nil {
-			for _, s := range files[:i] {
-				s.Close()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range files {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if files[i], err = store.OpenFileStoreWith(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)), shardOpt); err != nil {
+				errs[i] = fmt.Errorf("shardedstore: open shard %d: %w", i, err)
 			}
-			return nil, fmt.Errorf("shardedstore: open shard %d: %w", i, err)
+		}(i)
+	}
+	wg.Wait()
+	closeOpened := func() {
+		for _, fs := range files {
+			if fs != nil {
+				fs.Close()
+			}
 		}
-		shards[i], files[i] = fs, fs
+	}
+	if err := errors.Join(errs...); err != nil {
+		closeOpened()
+		return nil, err
+	}
+	shards := make([]Shard, n)
+	for i, fs := range files {
+		shards[i] = fs
 	}
 	r, err := New(shards)
 	if err != nil {
+		closeOpened()
 		return nil, err
 	}
 	r.dir, r.files = dir, files
@@ -359,72 +410,77 @@ func (r *Router) Checkpoint() error {
 	return r.writeMeta()
 }
 
-// rebuild reconstructs the routing and entity indexes: shard contents are
-// scanned in parallel and replayed in the manifest's global order where the
-// journal has them, then any journal-missed runs in shard-scan order, and
-// the manifest is rewritten to the recovered order.
+// rebuild reconstructs the run placement, the accepted order and the
+// directory from the recovered shards without reading a log. The order is
+// the manifest's where the journal has the run, then any journal-missed
+// runs in shard order. The directory comes from the shards' entity tables:
+// each names, per ID, the local run that last declared it as an artifact,
+// last declared it as an execution, and set its current generator; across
+// shards the claim whose run stands later in the accepted order wins, which
+// is where folding the runs one by one in that order (indexLocked) ends up.
+// The two agree wherever a shard's log order agrees with the accepted
+// order. Where two concurrent ingests to one shard reached the router in
+// the opposite of their commit order and both declared an ID, the shard's
+// table remembers the one it committed last and the fold the one accepted
+// last, so the derived entry carries the earlier of their two positions.
+// That moves the routing only if a run on another shard declared the ID
+// between the two — and there the live router already contradicts its own
+// Runs(): it routes to the shard of the run accepted last, which answers
+// from the run it committed last.
 func (r *Router) rebuild(dir string) error {
 	manifestPath := filepath.Join(dir, manifestFileName)
-	var manifestOrder []string
-	if data, err := os.ReadFile(manifestPath); err == nil {
-		lines := strings.Split(string(data), "\n")
-		if len(lines) > 0 && !strings.HasSuffix(string(data), "\n") {
-			lines = lines[:len(lines)-1] // torn trailing entry
-		}
-		for _, l := range lines {
-			if l != "" {
-				manifestOrder = append(manifestOrder, l)
-			}
-		}
+	journal, err := os.ReadFile(manifestPath)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("shardedstore: read manifest: %w", err)
 	}
+	manifestOrder := strings.Split(string(journal), "\n")
+	manifestOrder = manifestOrder[:len(manifestOrder)-1] // the empty tail, or a torn trailing entry
 
-	// Shard membership comes from the shards' resident run lists, which
-	// fixes the replay order before any record is read; the logs then
-	// stream through the merge and fold as they arrive, none retained.
-	home := map[string]int{}
-	var shardOrder []string
-	for si, s := range r.shards {
-		runs, err := s.Runs()
-		if err != nil {
+	shardRuns := make([][]string, len(r.files))
+	for si, fs := range r.files {
+		if shardRuns[si], err = fs.Runs(); err != nil {
 			return fmt.Errorf("shardedstore: rebuild shard %d: %w", si, err)
 		}
-		for _, runID := range runs {
-			home[runID] = si
+		for _, runID := range shardRuns[si] {
+			r.runShard[runID] = si
 		}
-		shardOrder = append(shardOrder, runs...)
 	}
-	order := make([]string, 0, len(home))
-	seen := make(map[string]bool, len(home))
-	for _, runs := range [][]string{manifestOrder, shardOrder} {
+	at := make(map[string]int32, len(r.runShard)) // run -> 1 + position in the accepted order
+	r.order = make([]string, 0, len(r.runShard))
+	for _, runs := range append([][]string{manifestOrder}, shardRuns...) {
 		for _, runID := range runs {
-			if _, stored := home[runID]; stored && !seen[runID] {
-				seen[runID] = true
-				order = append(order, runID)
+			if _, stored := r.runShard[runID]; stored && at[runID] == 0 {
+				r.order = append(r.order, runID)
+				at[runID] = int32(len(r.order))
 			}
 		}
 	}
-	err := mergeLogs(r.shards, make([]int, len(r.shards)), order,
-		func(runID string) int { return home[runID] },
-		func(l *provenance.RunLog, shard int) error { r.indexLocked(l, shard); return nil })
-	if err != nil {
-		return fmt.Errorf("shardedstore: rebuild: %w", err)
+
+	for si, fs := range r.files {
+		ats := make([]int32, 1+len(shardRuns[si])) // 1 + local run -> accepted position; ats[0]: no run
+		for i, runID := range shardRuns[si] {
+			ats[1+i] = at[runID]
+		}
+		fs.EntityOwners(func(id string, artRun, execRun, genRun int32) {
+			r.claimLocked(id, si, ats[1+artRun], ats[1+execRun], ats[1+genRun])
+		})
 	}
 
-	// Rewrite the journal to the recovered order and keep it open for
-	// appends.
+	// A journal that is not the recovered order, byte for byte, is
+	// rewritten; either way it stays open for appends.
 	var b strings.Builder
 	for _, runID := range r.order {
 		b.WriteString(runID)
 		b.WriteByte('\n')
 	}
-	if err := os.WriteFile(manifestPath, []byte(b.String()), 0o644); err != nil {
-		return fmt.Errorf("shardedstore: rewrite manifest: %w", err)
+	if b.String() != string(journal) {
+		if err := os.WriteFile(manifestPath, []byte(b.String()), 0o644); err != nil {
+			return fmt.Errorf("shardedstore: rewrite manifest: %w", err)
+		}
 	}
-	f, err := os.OpenFile(manifestPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if r.manifest, err = os.OpenFile(manifestPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644); err != nil {
 		return fmt.Errorf("shardedstore: open manifest: %w", err)
 	}
-	r.manifest = f
 	return nil
 }
 
@@ -460,63 +516,58 @@ func (r *Router) HomeShard(runID string) int { return r.shardOf(runID) }
 // Shard exposes one underlying shard (tests and stats tooling).
 func (r *Router) Shard(i int) store.Store { return r.shards[i] }
 
-// indexLocked folds one accepted run into the routing and entity indexes;
-// the caller holds the write lock (or has exclusive access during rebuild).
+// indexLocked folds one accepted run into the run placement and the
+// directory; the caller holds the write lock.
 func (r *Router) indexLocked(l *provenance.RunLog, shard int) {
 	r.runShard[l.Run.ID] = shard
 	r.order = append(r.order, l.Run.ID)
-	single := func(id string) {
-		if es, ok := r.entityShard[id]; !ok {
-			r.entityShard[id] = int32(shard)
-		} else if es != int32(shard) {
-			r.entityShard[id] = -1
-		}
-	}
+	at := int32(len(r.order))
 	for _, a := range l.Artifacts {
-		r.artShards[a.ID] = addShard(r.artShards[a.ID], shard)
-		r.artLatest[a.ID] = shard
-		single(a.ID)
+		r.claimLocked(a.ID, shard, at, 0, 0)
 	}
-	for _, e := range l.Executions {
-		r.execShards[e.ID] = addShard(r.execShards[e.ID], shard)
-		r.execLatest[e.ID] = shard
-		single(e.ID)
+	for _, x := range l.Executions {
+		r.claimLocked(x.ID, shard, 0, at, 0)
 	}
 	for _, ev := range l.Events {
 		if ev.Kind == provenance.EventArtifactGen {
-			r.genShard[ev.ArtifactID] = shard
+			r.claimLocked(ev.ArtifactID, shard, 0, 0, at)
 		}
 	}
 }
 
-// addShard inserts a shard index into a small sorted set. Insertion always
-// allocates a fresh backing array: published sets are read outside the
-// router lock (Expand plans and the pushdown closure's allowed-shard sets
-// hold them across rounds), so an in-place insert would race those readers.
-func addShard(set []int, shard int) []int {
-	for i, s := range set {
-		if s == shard {
-			return set
+// claimLocked records in the directory what a run stored on shard did to
+// id: declared it as an artifact, declared it as an execution, generated
+// it — each given as the run's accepted position (1-based), 0 where it did
+// not. The shard joins the holding sets; it takes over the latest
+// declaration or the generator edge only from a run accepted earlier. The
+// caller holds the write lock (or is the only user, during rebuild).
+func (r *Router) claimLocked(id string, shard int, artAt, execAt, genAt int32) {
+	if artAt|execAt|genAt == 0 {
+		return
+	}
+	e := r.entities[id]
+	if artAt > 0 {
+		if e.arts == 0 {
+			r.nArt++
 		}
-		if s > shard {
-			out := make([]int, 0, len(set)+1)
-			out = append(out, set[:i]...)
-			out = append(out, shard)
-			return append(out, set[i:]...)
+		e.arts |= 1 << uint(shard)
+		if artAt > e.artAt {
+			e.artAt, e.art = artAt, uint8(shard)
 		}
 	}
-	out := make([]int, 0, len(set)+1)
-	return append(append(out, set...), shard)
-}
-
-// containsShard reports membership in a small sorted shard set.
-func containsShard(set []int, shard int) bool {
-	for _, s := range set {
-		if s == shard {
-			return true
+	if execAt > 0 {
+		if e.execs == 0 {
+			r.nExec++
+		}
+		e.execs |= 1 << uint(shard)
+		if execAt > e.execAt {
+			e.execAt, e.exec = execAt, uint8(shard)
 		}
 	}
-	return false
+	if genAt > e.genAt {
+		e.genAt, e.gen = genAt, uint8(shard)+1
+	}
+	r.entities[id] = e
 }
 
 // --- Store: ingest -----------------------------------------------------------
@@ -581,24 +632,27 @@ func (r *Router) Runs() ([]string, error) {
 // declared the artifact — entity records are last-write-wins on every
 // single-store backend, and the router preserves that across shards.
 func (r *Router) Artifact(id string) (*provenance.Artifact, error) {
-	r.mu.RLock()
-	shard, ok := r.artLatest[id]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entry(id)
+	if e.arts == 0 {
 		return nil, fmt.Errorf("%w: artifact %q", store.ErrNotFound, id)
 	}
-	return r.shards[shard].Artifact(id)
+	return r.shards[e.art].Artifact(id)
+}
+
+// entry reads one directory entry, the zero entry for an unknown ID.
+func (r *Router) entry(id string) routeEntry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.entities[id]
 }
 
 // Execution implements Store, served by the latest declaring shard.
 func (r *Router) Execution(id string) (*provenance.Execution, error) {
-	r.mu.RLock()
-	shard, ok := r.execLatest[id]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entry(id)
+	if e.execs == 0 {
 		return nil, fmt.Errorf("%w: execution %q", store.ErrNotFound, id)
 	}
-	return r.shards[shard].Execution(id)
+	return r.shards[e.exec].Execution(id)
 }
 
 // Entities implements store.EntityBatcher: each ID routes to the shard
@@ -608,12 +662,11 @@ func (r *Router) Entities(ids []string) ([]store.Entity, error) {
 	perShard := make([][]int, len(r.shards)) // shard -> indexes into ids
 	r.mu.RLock()
 	for i, id := range ids {
-		shard, ok := r.artLatest[id]
-		if !ok {
-			shard, ok = r.execLatest[id]
-		}
-		if ok {
-			perShard[shard] = append(perShard[shard], i)
+		switch e := r.entities[id]; {
+		case e.arts != 0:
+			perShard[e.art] = append(perShard[e.art], i)
+		case e.execs != 0:
+			perShard[e.exec] = append(perShard[e.exec], i)
 		}
 	}
 	r.mu.RUnlock()
@@ -787,41 +840,37 @@ func mergeLogs(shards []Shard, skips []int, order []string,
 // the whole store, and the router remembers which shard holds the current
 // edge, so the answer is a single routed call.
 func (r *Router) GeneratorOf(artifactID string) (string, error) {
-	r.mu.RLock()
-	shard, ok := r.genShard[artifactID]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entry(artifactID)
+	if e.gen == 0 {
 		return "", fmt.Errorf("%w: generator of %q", store.ErrNotFound, artifactID)
 	}
-	return r.shards[shard].GeneratorOf(artifactID)
+	return r.shards[e.gen-1].GeneratorOf(artifactID)
 }
 
 // ConsumersOf implements Store: consumer lists accumulate across runs, so
 // the answer is the merge of every holding shard's list.
 func (r *Router) ConsumersOf(artifactID string) ([]string, error) {
-	return r.mergedNav(artifactID, r.artShards, store.Store.ConsumersOf)
+	return r.mergedNav(artifactID, r.entry(artifactID).arts, store.Store.ConsumersOf)
 }
 
 // Used implements Store.
 func (r *Router) Used(execID string) ([]string, error) {
-	return r.mergedNav(execID, r.execShards, store.Store.Used)
+	return r.mergedNav(execID, r.entry(execID).execs, store.Store.Used)
 }
 
 // Generated implements Store.
 func (r *Router) Generated(execID string) ([]string, error) {
-	return r.mergedNav(execID, r.execShards, store.Store.Generated)
+	return r.mergedNav(execID, r.entry(execID).execs, store.Store.Generated)
 }
 
 // mergedNav gathers one navigation list from every shard holding the
-// entity and merges under the shared dedup rules. Unknown entities resolve
-// to an empty list, mirroring the in-memory reference backend.
-func (r *Router) mergedNav(id string, index map[string][]int, nav func(store.Store, string) ([]string, error)) ([]string, error) {
-	r.mu.RLock()
-	shards := append([]int(nil), index[id]...)
-	r.mu.RUnlock()
-	lists := make([][]string, 0, len(shards))
-	for _, si := range shards {
-		ns, err := nav(r.shards[si], id)
+// entity and merges under the shared dedup rules. Unknown entities (an
+// empty shard set) resolve to an empty list, mirroring the in-memory
+// reference backend.
+func (r *Router) mergedNav(id string, shards uint64, nav func(store.Store, string) ([]string, error)) ([]string, error) {
+	lists := make([][]string, 0, bits.OnesCount64(shards))
+	for ; shards != 0; shards &= shards - 1 {
+		ns, err := nav(r.shards[bits.TrailingZeros64(shards)], id)
 		if err != nil {
 			return nil, err
 		}
@@ -881,34 +930,23 @@ func (r *Router) getScratch() *expandScratch {
 func (r *Router) Expand(ids []string, dir store.Direction) (map[string][]string, error) {
 	sc := r.getScratch()
 	defer r.scratch.Put(sc)
-	plan := make(map[string][]int, len(ids))
+	plan := make(map[string]uint64, len(ids))
 	r.mu.RLock()
 	for _, id := range ids {
 		if _, done := plan[id]; done {
 			continue
 		}
-		if shards, isArt := r.artShards[id]; isArt {
-			// Artifact classification wins for an ID stored as both kinds.
-			if dir == store.Up {
-				if gs, ok := r.genShard[id]; ok {
-					plan[id] = r.single[gs]
-					sc.perShard[gs] = append(sc.perShard[gs], id)
-				} else {
-					plan[id] = nil // known artifact, no generator: empty entry
-				}
-			} else {
-				plan[id] = shards
-				for _, si := range shards {
-					sc.perShard[si] = append(sc.perShard[si], id)
-				}
-			}
-		} else if shards, isExec := r.execShards[id]; isExec {
+		// Unknown IDs stay absent from the plan and the result; a known
+		// artifact without a generator plans no shard going Up and gets an
+		// empty entry.
+		if e := r.entities[id]; e.known() {
+			shards := e.allowed(dir)
 			plan[id] = shards
-			for _, si := range shards {
+			for m := shards; m != 0; m &= m - 1 {
+				si := bits.TrailingZeros64(m)
 				sc.perShard[si] = append(sc.perShard[si], id)
 			}
 		}
-		// Unknown IDs stay absent from the plan and the result.
 	}
 	r.mu.RUnlock()
 
@@ -934,8 +972,8 @@ func (r *Router) Expand(ids []string, dir store.Direction) (map[string][]string,
 	out := make(map[string][]string, len(ids))
 	for id, shards := range plan {
 		lists := sc.lists[:0]
-		for _, si := range shards {
-			if ns, ok := sc.results[si][id]; ok {
+		for ; shards != 0; shards &= shards - 1 {
+			if ns, ok := sc.results[bits.TrailingZeros64(shards)][id]; ok {
 				lists = append(lists, ns)
 			}
 		}
@@ -1005,11 +1043,11 @@ type ClosureTrace struct {
 // Closure implements Store with per-shard closure pushdown: every round,
 // each probed shard runs its local closure to fixpoint inside its own lock
 // (store.LocalCloser) and only entities whose edges continue on another
-// shard — known from the entity→shard and generator-edge indexes — are
-// exchanged for the next round, batched per destination shard. The visit
-// order still matches the single-store backends exactly (per-node sorted
-// neighbors merged under the shared tie-break rules, seed excluded): the
-// gathered subgraph is replayed in memory to reconstruct the global BFS.
+// shard — known from the directory — are exchanged for the next round,
+// batched per destination shard. The visit order still matches the
+// single-store backends exactly (per-node sorted neighbors merged under the
+// shared tie-break rules, seed excluded): the gathered subgraph is replayed
+// in memory to reconstruct the global BFS.
 func (r *Router) Closure(seed string, dir store.Direction) ([]string, error) {
 	order, _, err := r.TracedClosure(seed, dir)
 	return order, err
@@ -1017,15 +1055,15 @@ func (r *Router) Closure(seed string, dir store.Direction) ([]string, error) {
 
 // pdNode is one entity's traversal state during a pushdown closure.
 // allowed holds the shards the entity's edges may legitimately come from
-// under the global classification rules (artifact Up: only the current
-// generator edge's shard; everything else: every holding shard) — lists
+// under the global classification rules (routeEntry.allowed) — lists
 // returned by other shards are dropped, so a stale generator edge or a
 // diverging local kind on a shard that re-declared the ID never leaks
-// into the merged adjacency. probed tracks (as a bitmask, hence maxShards)
-// which shards have locally expanded the entity; an entity with allowed ⊆
-// probed has no remote edges left and is never exchanged again.
+// into the merged adjacency. probed tracks which shards have locally
+// expanded the entity; both are bit masks (hence maxShards), and an entity
+// with allowed ⊆ probed has no remote edges left and is never exchanged
+// again.
 type pdNode struct {
-	allowed []int    // accepted source shards (global classification)
+	allowed uint64   // accepted source shards (global classification)
 	probed  uint64   // shards whose local fixpoint expanded the node
 	adj     []string // accepted, globally merged neighbor list
 	visited bool     // reached by the ordering replay
@@ -1045,10 +1083,8 @@ func (r *Router) TracedClosure(seed string, dir store.Direction) ([]string, Clos
 
 func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, ClosureTrace, error) {
 	tr := ClosureTrace{Seed: seed, Dir: dir}
-	r.mu.RLock()
-	seedAllowed, known := r.allowedShardsLocked(seed, dir)
-	r.mu.RUnlock()
-	if !known {
+	seedEntry := r.entry(seed)
+	if !seedEntry.known() {
 		return nil, tr, fmt.Errorf("%w: entity %q", store.ErrNotFound, seed)
 	}
 
@@ -1060,7 +1096,7 @@ func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, Clos
 	// handful of entities, and sizing every call for hundreds made these
 	// two allocations half of the bytes a cold closure allocates.
 	arena := make([]pdNode, 1, 16)
-	arena[0] = pdNode{allowed: seedAllowed}
+	arena[0] = pdNode{allowed: seedEntry.allowed(dir)}
 	nodes := make(map[string]int32, 16)
 	nodes[seed] = 0
 
@@ -1069,11 +1105,10 @@ func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, Clos
 	pending := sc.perShard
 	npending := 0
 	enqueue := func(id string, st *pdNode) {
-		for _, si := range st.allowed {
-			if st.probed&(1<<uint(si)) == 0 {
-				pending[si] = append(pending[si], id)
-				npending++
-			}
+		for m := st.allowed &^ st.probed; m != 0; m &= m - 1 {
+			si := bits.TrailingZeros64(m)
+			pending[si] = append(pending[si], id)
+			npending++
 		}
 	}
 	enqueue(seed, &arena[0])
@@ -1131,13 +1166,11 @@ func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, Clos
 				stash = append(stash, idx)
 			}
 		}
-		// Classify this round's discoveries under one index lock. The
-		// returned sets are immutable (addShard copies on insert, single
-		// is precomputed), so holding them across rounds is safe.
+		// Classify this round's discoveries under one directory lock.
 		if len(discovered) > 0 {
 			r.mu.RLock()
 			for i, n := range discovered {
-				arena[discIdx[i]].allowed, _ = r.allowedShardsLocked(n, dir)
+				arena[discIdx[i]].allowed = r.entities[n].allowed(dir)
 			}
 			r.mu.RUnlock()
 		}
@@ -1146,10 +1179,11 @@ func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, Clos
 		// shards.
 		k := 0
 		for si, res := range sc.local {
+			mask := uint64(1) << uint(si)
 			for i := range res {
 				st := &arena[stash[k]]
 				k++
-				if !containsShard(st.allowed, si) {
+				if st.allowed&mask == 0 {
 					continue
 				}
 				if st.adj == nil {
@@ -1204,35 +1238,6 @@ func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, Clos
 	return order, tr, nil
 }
 
-// allowedShardsLocked reports which shards may contribute an entity's
-// neighbor lists in a direction — the plan rule shared with Expand:
-// artifact Up edges only from the current generator edge's shard,
-// everything else from every holding shard. known=false for IDs absent
-// from the entity index. The caller holds at least a read lock; returned
-// slices are immutable once published (see addShard) and safe to hold
-// after the lock is released.
-func (r *Router) allowedShardsLocked(id string, dir store.Direction) (shards []int, known bool) {
-	// Fast path: an entity on a single shard (and single kind) gets that
-	// shard whatever the direction — its generator edge, if any, lives
-	// there too, and local kind classification agrees with the global one.
-	if es, ok := r.entityShard[id]; ok && es >= 0 {
-		return r.single[es], true
-	}
-	if shards, isArt := r.artShards[id]; isArt {
-		if dir == store.Up {
-			if gs, ok := r.genShard[id]; ok {
-				return r.single[gs], true
-			}
-			return nil, true
-		}
-		return shards, true
-	}
-	if shards, isExec := r.execShards[id]; isExec {
-		return shards, true
-	}
-	return nil, false
-}
-
 // WithTrace wraps the router so every pushdown Closure that executes
 // reports its round trace through report — the -trace-rounds debug
 // surface of provctl and provd. All other Store methods pass through.
@@ -1265,14 +1270,14 @@ func (t *tracedRouter) Underlying() store.Store { return t.Router }
 
 // --- Store: aggregates -------------------------------------------------------
 
-// Stats implements Store: entity counts come from the global index (shared
+// Stats implements Store: entity counts come from the directory (shared
 // entities counted once), volumes sum across shards.
 func (r *Router) Stats() (store.Stats, error) {
 	r.mu.RLock()
 	st := store.Stats{
 		Runs:       len(r.runShard),
-		Artifacts:  len(r.artShards),
-		Executions: len(r.execShards),
+		Artifacts:  r.nArt,
+		Executions: r.nExec,
 	}
 	r.mu.RUnlock()
 	for _, s := range r.shards {

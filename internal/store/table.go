@@ -38,12 +38,15 @@ const (
 // run did. An ID declared as both keeps both, and traversal classifies it
 // as an artifact (see adjacent), the rule every backend shares; a record
 // with neither was only ever referenced by an event and is unknown to
-// every read.
+// every read. genRun is the run whose generation event set gen — not
+// artRun, which a later run moves by re-declaring the artifact without
+// generating it — and means nothing while gen is noGen.
 type entity struct {
 	id        string
 	artRun    int32
 	execRun   int32
 	gen       [1]int32 // generator handle, last write wins; noGen when none (an array so adjacent can slice it)
+	genRun    int32    // fills what was padding: the record stays 104 bytes
 	consumers []int32  // executions that used this artifact
 	used      []int32  // artifacts this execution consumed
 	generated []int32  // artifacts this execution produced
@@ -110,7 +113,7 @@ func (t *entityTable) fold(l *provenance.RunLog, run int32) {
 		switch ev.Kind {
 		case provenance.EventArtifactGen:
 			a, x := t.intern(ev.ArtifactID), t.intern(ev.ExecutionID)
-			t.ents[a].gen[0] = x
+			t.ents[a].gen[0], t.ents[a].genRun = x, run
 			t.insert(&t.ents[x].generated, a)
 		case provenance.EventArtifactUsed:
 			a, x := t.intern(ev.ArtifactID), t.intern(ev.ExecutionID)
