@@ -43,24 +43,12 @@ var gates = []struct {
 	metric     string
 	minRatio   float64
 }{
-	// Wall-clock-window metric on shared CI runners: the loose tolerance
-	// keeps the floor below the 1.5x acceptance threshold (it guards
-	// against sharding collapsing toward parity, not against noise).
-	{"E14", "ingest_mixed_speedup_shards4", 0.3},
 	// Group commit: the fsync-reduction ratio is scheduling-dependent
 	// (how many writers join a batch while the previous fsync is in
 	// flight), the ingest speedup additionally depends on the host's
 	// fsync cost; both collapse toward 1.0 if batching breaks.
 	{"E15", "ingest_group_speedup_x", 0.3},
 	{"E15", "fsync_reduction_x", 0.3},
-	// Closure pushdown vs the per-hop scatter/gather path on the deep
-	// chain; wall-clock ratio on shared runners gets a loose floor.
-	{"E16", "deep_closure_pushdown_speedup_x", 0.3},
-	// Rounds executed are deterministic for the fixed E16 chain (hash
-	// placement does not move between runs), so the reduction ratio gets
-	// a tight floor: it collapses to ~1 only if the pushdown stops
-	// exchanging frontiers and degrades to per-hop rounds.
-	{"E16", "deep_closure_rounds_reduction_x", 0.9},
 	// Log-shipping replication: aggregate read capacity with two followers
 	// over the unreplicated baseline, node-at-a-time windows summed. The
 	// baseline ratio is ~2x on a one-core runner (~3x with real cores);

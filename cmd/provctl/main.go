@@ -30,8 +30,8 @@
 // queries hit memoized closures, and ingests patch the affected entries in
 // place instead of invalidating the cache.
 //
-// -shards N partitions the store across N hash-routed shards
-// (internal/store/shardedstore): with -store DIR the shards are file-backed
+// -shards N partitions the store across N shards, each run placed with the
+// runs it consumes from (internal/store/shardedstore): with -store DIR the shards are file-backed
 // under DIR/shard-000…, otherwise in-memory. A store directory must be
 // reopened with the same shard count it was written with — any mismatch is
 // rejected loudly. -cache wraps the sharded router unchanged.

@@ -16,7 +16,7 @@
 //	provd -checkpoint-interval 30s         # …and at most 30s after a write
 //	provd -checkpoint-bytes 4194304        # …and every ~4MiB of log growth
 //	provd -cache                           # incremental closure cache
-//	provd -shards 4                        # hash-partitioned sharded store
+//	provd -shards 4                        # sharded store, runs placed with their inputs
 //	provd -pprof                           # net/http/pprof at /debug/pprof/
 //	provd -slow-query 250ms                # slow-query log threshold
 //	provd -log-requests                    # structured per-request log
@@ -61,9 +61,10 @@
 // observer list) and applies the same delta path, so cached closures stay
 // warm as replicated runs fold.
 //
-// With -shards N the store is partitioned across N hash-routed shards
-// (internal/store/shardedstore): published runs route whole to a home
-// shard (ingests of different runs proceed under per-shard locking),
+// With -shards N the store is partitioned across N shards
+// (internal/store/shardedstore): a published run is placed whole on the
+// shard holding most of its inputs' generators (ingests on different shards
+// proceed under per-shard locking),
 // /expand scatter/gathers one frontier across the shards in parallel, and
 // /lineage and /dependents run the closure pushdown — each shard computes
 // its local fixpoint and only cross-shard frontiers are exchanged between
@@ -140,7 +141,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		storeDir     = flag.String("store", "", "directory for a durable file store (default: in-memory)")
 		cache        = flag.Bool("cache", false, "maintain closures incrementally across ingests (closure cache)")
-		shards       = flag.Int("shards", 1, "partition the store across N hash-routed shards")
+		shards       = flag.Int("shards", 1, "partition the store across N shards, each run placed with the runs it consumes from")
 		durability   = flag.String("durability", "none", "ingest durability with -store: none, fsync, or group (group-commit WAL)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "with -store: snapshot the store (and cache) every N published runs")
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "with -store: snapshot at most this long after a write dirties the store")

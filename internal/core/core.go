@@ -34,11 +34,12 @@ import (
 // Options configures a System.
 type Options struct {
 	// Store persists run logs; nil means a fresh in-memory store (sharded
-	// across Shards hash-routed partitions when Shards > 1).
+	// across Shards partitions when Shards > 1).
 	Store store.Store
 	// Shards partitions a nil-Store system across this many in-memory
-	// shards behind internal/store/shardedstore: runs hash-route to a home
-	// shard, ingests of different runs proceed under per-shard locking, and
+	// shards behind internal/store/shardedstore: each run is placed whole on
+	// the shard holding most of its inputs' generators, ingests on different
+	// shards proceed under per-shard locking, and
 	// traversals scatter/gather one frontier per hop. 0 or 1 keeps a single
 	// unsharded store. File-backed sharding follows the same idiom as the
 	// single FileStore: assemble it with shardedstore.Open and pass it as

@@ -1,11 +1,12 @@
 package closurecache
 
-// Tests of the reverse index's bookkeeping: postings with tombstoned
-// eviction, the sweep bound, the lazily built member set, and what a hit, a
-// miss and a patch are allowed to cost.
+// Tests of the reverse index's bookkeeping: postings built at the first
+// ingest, tombstoned eviction, the sweep bound, the lazily built member set,
+// and what a hit, a miss and a patch are allowed to cost.
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -29,17 +30,36 @@ func (s *countingStore) Expand(ids []string, dir store.Direction) (map[string][]
 	return s.Store.Expand(ids, dir)
 }
 
-// checkIndex recomputes the reverse index's counters from its contents.
+// checkIndex recomputes the reverse index's counters from its contents:
+// posted entries are counted in the postings, and every live entry not yet
+// posted waits in the pending list, which stays within its bound.
 func checkIndex(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	live := 0
+	live, waiting := 0, 0
 	for k, e := range c.idx.entries {
 		if e.dead || e.Key != k {
 			t.Fatalf("closures[%v] holds entry %v (dead=%v)", k, e.Key, e.dead)
 		}
-		live += 1 + len(e.order)
+		if e.posted {
+			live += 1 + len(e.order)
+		} else {
+			waiting++
+		}
+	}
+	pending := 0
+	for _, e := range c.idx.pending {
+		if e.posted {
+			t.Fatalf("posted entry %v still pending", e.Key)
+		}
+		if !e.dead {
+			pending++
+		}
+	}
+	if pending != waiting || len(c.idx.pending) > 2*len(c.idx.entries)+16 {
+		t.Fatalf("pending list: %d entries, %d of them live; %d live entries unposted of %d",
+			len(c.idx.pending), pending, waiting, len(c.idx.entries))
 	}
 	held, heldLive := 0, 0
 	for node, ps := range c.idx.postings {
@@ -179,8 +199,14 @@ func TestReadmittedKeyPatchedOnce(t *testing.T) {
 			c.mu.Unlock()
 		}
 	}
-	if c.idx.nPostings != c.idx.nLive+2*(1+64) {
-		t.Fatalf("expected two dead generations of %v in the index: nPostings=%d nLive=%d", k, c.idx.nPostings, c.idx.nLive)
+	dead := 0
+	for _, e := range c.idx.pending {
+		if e.Key == k && e.dead {
+			dead++
+		}
+	}
+	if dead != 2 || c.idx.nPostings != 0 {
+		t.Fatalf("expected two dead generations of %v waiting and nothing posted: %d dead, nPostings=%d", k, dead, c.idx.nPostings)
 	}
 	checkIndex(t, c)
 
@@ -216,6 +242,11 @@ func TestTombstonesOnlyOverEvict(t *testing.T) {
 		if _, err := c.Closure(k.ID, k.Dir); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// An unrelated ingest posts both entries, so the eviction leaves
+	// tombstones behind.
+	if err := c.PutRunLog(extRun("c-1", "c-0", "c-1-out", "")); err != nil {
+		t.Fatal(err)
 	}
 	c.mu.Lock()
 	c.evictLocked(c.idx.entries[Key{"a-1-out", store.Up}])
@@ -307,4 +338,104 @@ func TestMissAllocations(t *testing.T) {
 		t.Fatalf("a miss of %d members allocates %v objects, want a constant (≤ 12)", n, allocs)
 	}
 	checkIndex(t, c)
+}
+
+// TestReadOnlyCacheBuildsNoIndex: a cache nothing is ingested through posts
+// no member — 10 000 misses churning a 64-entry cache leave the reverse
+// index empty, and the list of entries waiting for the first ingest within
+// its bound.
+func TestReadOnlyCacheBuildsNoIndex(t *testing.T) {
+	order := make([]string, 32)
+	for i := range order {
+		order[i] = artID(i)
+	}
+	c := New(&sliceStore{order: order}, Options{MaxClosures: 64})
+	for i := 0; i < 10_000; i++ {
+		if _, err := c.Closure(fmt.Sprintf("seed-%d", i), store.Up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.idx.postings) != 0 || c.idx.nPostings != 0 {
+		t.Fatalf("read-only cache built a reverse index: %d lists, %d postings", len(c.idx.postings), c.idx.nPostings)
+	}
+	if m := c.Metrics(); m.ClosureEntries != 64 || m.Evicted < 10_000-64 {
+		t.Fatalf("the workload did not churn: %+v", m)
+	}
+	checkIndex(t, c)
+}
+
+// TestFirstIngestIndexesResidentEntries: entries admitted while nothing was
+// ingested — some evicted before the ingest arrives — are posted by the
+// first ingest and patched or evicted by it exactly as with postings made at
+// admission: a twin cache whose index is posted after every admission ends
+// each step with the same entries, members and counters, and both answer
+// every cached key as NaiveClosure does.
+func TestFirstIngestIndexesResidentEntries(t *testing.T) {
+	for _, seed := range []int64{3, 11, 29} {
+		rng := rand.New(rand.NewSource(seed))
+		b := &dagBuilder{}
+		lazy, eager := store.NewMemStore(), store.NewMemStore()
+		// Room for every admission: a victim chosen at capacity is arbitrary.
+		lc, ec := New(lazy, Options{MaxClosures: 1 << 10}), New(eager, Options{MaxClosures: 1 << 10})
+		var entities []string
+		for step := 0; step < 10; step++ {
+			l := b.buildLog(rng, step, 4)
+			for _, c := range []*Cache{lc, ec} {
+				if err := c.PutRunLog(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, a := range l.Artifacts {
+				entities = append(entities, a.ID)
+			}
+			for _, x := range l.Executions {
+				entities = append(entities, x.ID)
+			}
+			for q := 0; q < 12; q++ {
+				k := Key{entities[rng.Intn(len(entities))], store.Direction(rng.Intn(2))}
+				for _, c := range []*Cache{lc, ec} {
+					if _, err := c.Closure(k.ID, k.Dir); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ec.idx.postPending()
+				if q%5 == 4 { // evict the same key from both while lazy's is still unposted
+					for _, c := range []*Cache{lc, ec} {
+						if e := c.idx.entries[k]; e != nil {
+							c.evictLocked(e)
+						}
+					}
+				}
+			}
+			checkIndex(t, lc)
+		}
+		// One more ingest posts lazy's last admissions; then compare.
+		l := b.buildLog(rng, 10, 2)
+		for _, c := range []*Cache{lc, ec} {
+			if err := c.PutRunLog(l); err != nil {
+				t.Fatal(err)
+			}
+			checkIndex(t, c)
+		}
+		lm, em := lc.Metrics(), ec.Metrics()
+		if lm.Patched != em.Patched || lm.Evicted != em.Evicted || lm.ClosureEntries != em.ClosureEntries {
+			t.Fatalf("seed %d: lazy index %+v, eager %+v", seed, lm, em)
+		}
+		if em.Patched == 0 {
+			t.Fatalf("seed %d: no ingest patched a cached closure: %+v", seed, em)
+		}
+		if lc.idx.nLive != ec.idx.nLive {
+			t.Fatalf("seed %d: lazy index holds %d live postings, eager %d", seed, lc.idx.nLive, ec.idx.nLive)
+		}
+		for k, e := range ec.idx.entries {
+			le := lc.idx.entries[k]
+			if le == nil || !reflect.DeepEqual(sortedCopy(le.order), sortedCopy(e.order)) {
+				t.Fatalf("seed %d: %v lazily indexed = %v, eagerly %v", seed, k, le, e.order)
+			}
+			want, _ := store.NaiveClosure(lazy, k.ID, k.Dir)
+			if !reflect.DeepEqual(sortedCopy(le.order), sortedCopy(want)) {
+				t.Fatalf("seed %d: cached %v = %v, naive %v", seed, k, sortedCopy(le.order), sortedCopy(want))
+			}
+		}
+	}
 }

@@ -58,8 +58,11 @@
 // so every per-member step of that cycle is work no query asked for.
 //
 //   - The reverse index is a postings slice per entity (pointers to the
-//     entries holding it). Admission is one append per member — one string
-//     hash — and copies the closure once.
+//     entries holding it), built at the first ingest after an entry's
+//     admission: only a delta reads it, so admission copies the closure once
+//     and hashes nothing, and a read-only cache never builds an index or
+//     sweeps one. The ingest posts each waiting entry with one append per
+//     member — one string hash.
 //   - Eviction is O(1): the entry is marked dead and its postings stay
 //     behind as tombstones, which every reader of the index skips. When
 //     tombstones outnumber live postings one sweep drops them all, so the

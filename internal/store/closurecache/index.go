@@ -1,6 +1,8 @@
 package closurecache
 
 import (
+	"slices"
+
 	"repro/internal/provenance"
 	"repro/internal/store"
 )
@@ -15,13 +17,15 @@ type Key struct {
 // Entry is one maintained closure. order is the visit order (the admitted
 // closure plus each patch's newly reached nodes in discovery order). set
 // indexes it for membership tests during patching and is nil until the
-// first patch (see memberSet). An evicted entry is dead: unreachable through
-// Lookup, skipped wherever the reverse index still points at it.
+// first patch (see memberSet). An entry is posted into the reverse index by
+// the first Apply after its admission. An evicted entry is dead: unreachable
+// through Lookup, skipped wherever the reverse index still points at it.
 type Entry struct {
-	Key   Key
-	order []string
-	set   map[string]struct{}
-	dead  bool
+	Key    Key
+	order  []string
+	set    map[string]struct{}
+	dead   bool
+	posted bool
 }
 
 // Members returns the closure's current members in visit order. The slice
@@ -90,13 +94,19 @@ type Change struct {
 type Index struct {
 	entries map[Key]*Entry
 
-	// Reverse index: entity -> entries whose closure contains it (roots
-	// included), one posting per (entity, entry) membership. Postings of
-	// evicted entries stay as tombstones until Sweep; nPostings counts
-	// every posting held and nLive those of live entries.
+	// Reverse index: entity -> posted entries whose closure contains it
+	// (roots included), one posting per (entity, entry) membership.
+	// Postings of evicted entries stay as tombstones until Sweep;
+	// nPostings counts every posting held and nLive those of live entries.
 	postings  map[string][]*Entry
 	nPostings int
 	nLive     int
+
+	// pending holds the entries admitted since the last Apply, which posts
+	// them: Apply is the only reader of postings, so an owner that never
+	// ingests hashes no member and never sweeps. Dead entries stay listed
+	// until the list outgrows twice the live entries.
+	pending []*Entry
 }
 
 // NewIndex returns an empty index.
@@ -111,29 +121,47 @@ func (ix *Index) Len() int { return len(ix.entries) }
 func (ix *Index) Lookup(k Key) *Entry { return ix.entries[k] }
 
 // Admit inserts a freshly computed closure under a key that has no live
-// entry. It keeps its own copy of order: one copy and one posting per
-// member.
+// entry. It keeps its own copy of order and leaves the postings to the next
+// Apply.
 func (ix *Index) Admit(k Key, order []string) *Entry {
 	e := &Entry{Key: k, order: append([]string(nil), order...)}
 	ix.entries[k] = e
-	ix.post(k.ID, e)
-	for _, n := range order {
-		ix.post(n, e)
+	if len(ix.pending) >= 2*len(ix.entries)+16 {
+		ix.pending = slices.DeleteFunc(ix.pending, func(p *Entry) bool { return p.dead })
 	}
+	ix.pending = append(ix.pending, e)
 	return e
 }
 
-// Evict drops one entry in O(1): the entry is marked dead and its postings
-// become tombstones. It never touches the postings lists; callers call
-// Sweep once they are done evicting.
+// Evict drops one entry in O(1): the entry is marked dead and its postings,
+// if it has any yet, become tombstones. It never touches the postings
+// lists; callers call Sweep once they are done evicting.
 func (ix *Index) Evict(e *Entry) {
 	if e.dead {
 		return
 	}
 	e.dead = true
 	delete(ix.entries, e.Key)
-	ix.nLive -= 1 + len(e.order)
+	if e.posted {
+		ix.nLive -= 1 + len(e.order)
+	}
 	e.order, e.set = nil, nil // the tombstones keep e itself reachable
+}
+
+// postPending posts every live entry admitted since the last Apply.
+func (ix *Index) postPending() {
+	for _, e := range ix.pending {
+		if e.dead {
+			continue
+		}
+		e.posted = true
+		ix.post(e.Key.ID, e)
+		for _, n := range e.order {
+			ix.post(n, e)
+		}
+	}
+	clear(ix.pending)
+	ix.pending = ix.pending[:0]
 }
 
 // post records that e's closure contains node.
@@ -185,6 +213,7 @@ func (ix *Index) Sweep() {
 // delta's edge sources that lie inside it — with a BFS over expand that
 // only walks past nodes the entry has not seen.
 func (ix *Index) Apply(d Delta, expand func([]string, store.Direction) (map[string][]string, error)) []Change {
+	ix.postPending()
 	if len(ix.entries) == 0 {
 		return nil
 	}

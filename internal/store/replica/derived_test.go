@@ -272,13 +272,23 @@ func TestObserversSeeEveryAppliedRun(t *testing.T) {
 			t.Fatalf("call %d went to observer %q, want %q: observers must run in registration order, run by run", i, name, want)
 		}
 	}
+	shardOf := map[string]int{}
+	for si := 0; si < shards; si++ {
+		ids, err := pr.Shard(si).Runs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			shardOf[id] = si
+		}
+	}
 	for _, name := range []string{"before", "after"} {
 		if len(saw[name]) != runs {
 			t.Fatalf("observer %q saw %d runs, want %d", name, len(saw[name]), runs)
 		}
 		perShard := make([][]string, shards)
 		for _, id := range saw[name] {
-			si := pr.HomeShard(id)
+			si := shardOf[id]
 			perShard[si] = append(perShard[si], id)
 		}
 		for si := range perShard {

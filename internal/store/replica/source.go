@@ -22,9 +22,9 @@
 //     the same O(suffix) path a primary reopen takes.
 //
 // Sharded primaries replicate per shard: each shard's log ships as an
-// independent stream, and the follower's router folds routing indexes
-// from the shipped placements (both sides run the same routing hash, so
-// placements agree).
+// independent stream, and the follower's router adopts the primary's
+// placement — a shipped run lands on the shard it was shipped from — and
+// folds its directory and per-shard run counts from it.
 //
 // State derived from the store — the closure cache, standing-query
 // subscriptions — reaches replicated runs through one hook: the follower's

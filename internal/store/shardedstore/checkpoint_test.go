@@ -122,11 +122,7 @@ func TestRouterCheckpointReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	logs := synthLogs(11, 8)
-	for _, l := range logs {
-		if err := r.PutRunLog(l); err != nil {
-			t.Fatal(err)
-		}
-	}
+	putAll(t, r, logs, true) // a small connected history would stay on one shard
 	wantRuns, _ := r.Runs()
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)

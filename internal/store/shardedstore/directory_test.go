@@ -21,15 +21,6 @@ import (
 	"repro/internal/store"
 )
 
-// runIDOn returns a run ID starting with prefix that routes to shard.
-func runIDOn(r *Router, shard int, prefix string) string {
-	for i := 0; ; i++ {
-		if id := fmt.Sprintf("%s-%d", prefix, i); r.shardOf(id) == shard {
-			return id
-		}
-	}
-}
-
 // directoryWorkload is synthLogs' random history with the cases a derived
 // directory can get wrong spliced in, on chosen shards of a 4-shard router:
 //
@@ -49,20 +40,28 @@ func runIDOn(r *Router, shard int, prefix string) string {
 // snapshots: on the reopen nothing of x replays from a log, so only the
 // snapshots' gen_run column can tell shard 0's last declaration of x from
 // its last generation of it.
+//
+// The spliced runs are pinned to their shards; the rest go where placement
+// sends them, or round-robin across the shards when spread is set, which
+// puts most of synthLogs' edges across shards.
 type directoryWorkload struct {
 	before, after []*provenance.RunLog
 	early2, late2 *provenance.RunLog
 	regen1        string // the run whose manifest entry the journal-missed variant drops
+	pinned        map[*provenance.RunLog]int
+	spread        bool
 }
 
-func newDirectoryWorkload(r *Router, seed int64) *directoryWorkload {
+func newDirectoryWorkload(seed int64, spread bool) *directoryWorkload {
 	tag := fmt.Sprintf("w%d", seed)
 	id := func(name string) string { return tag + "-" + name }
+	w := &directoryWorkload{pinned: map[*provenance.RunLog]int{}, spread: spread}
 	run := func(shard int, name string, uses, gens []string) *provenance.RunLog {
-		return shapedRun(runIDOn(r, shard, id(name)), id(name+"-exec"), uses, gens)
+		l := shapedRun(id(name), id(name+"-exec"), uses, gens)
+		w.pinned[l] = shard
+		return l
 	}
 	base := synthLogs(seed, 36)
-	w := &directoryWorkload{}
 	regen1 := run(1, "regen1", nil, []string{id("x")})
 	w.regen1 = regen1.Run.ID
 	w.before = append(slices.Clone(base[:12]),
@@ -70,9 +69,11 @@ func newDirectoryWorkload(r *Router, seed int64) *directoryWorkload {
 		regen1,
 		run(0, "use0", []string{id("x")}, []string{id("x-derived")}),
 	)
+	exec3 := shapedRun(id("exec3"), id("both"), []string{id("x-derived")}, []string{id("z")})
+	w.pinned[exec3] = 3
 	w.after = append(slices.Clone(base[12:24]),
 		run(2, "art2", nil, []string{id("both")}),
-		shapedRun(runIDOn(r, 3, id("exec3")), id("both"), []string{id("x-derived")}, []string{id("z")}),
+		exec3,
 		run(1, "src1", nil, []string{id("y")}),
 	)
 	w.early2 = run(2, "early2", []string{id("y")}, []string{id("y-early")})
@@ -92,10 +93,22 @@ func (w *directoryWorkload) logs() []*provenance.RunLog {
 // router and journaled in the other.
 func (w *directoryWorkload) ingest(t *testing.T, r *Router, checkpoint bool) {
 	t.Helper()
+	n := 0
 	put := func(l *provenance.RunLog) {
-		if err := r.PutRunLog(l); err != nil {
+		shard, pinned := w.pinned[l]
+		var err error
+		switch {
+		case pinned:
+			err = putOn(r, l, shard)
+		case w.spread:
+			err = putOn(r, l, n%r.NumShards())
+		default:
+			err = r.PutRunLog(l)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
+		n++
 	}
 	for _, l := range w.before {
 		put(l)
@@ -216,8 +229,9 @@ func checkAgainstFold(t *testing.T, label string, r *Router, logs []*provenance.
 	t.Helper()
 	runs, _ := r.Runs()
 	folded, oracle := NewMem(r.NumShards()), store.NewMemStore()
+	shardOf := membership(t, r)
 	for _, l := range inOrder(t, logs, runs) {
-		folded.indexLocked(l, folded.shardOf(l.Run.ID))
+		folded.indexLocked(l, shardOf[l.Run.ID])
 		if err := oracle.PutRunLog(l); err != nil {
 			t.Fatal(err)
 		}
@@ -267,17 +281,19 @@ func replicate(t *testing.T, primary *Router, dir string) *Router {
 // one a follower folds from shipped records, and the one derived when the
 // journal lost a run are each the fold of the runs in that router's own
 // accepted order, entry by entry, and every read agrees with a MemStore
-// fed in that order.
+// fed in that order — with the unpinned runs where placement puts them,
+// and spread round-robin.
 func TestDerivedDirectoryMatchesLiveFold(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		for _, checkpoint := range []bool{false, true} {
-			label := fmt.Sprintf("seed %d, checkpoint %v", seed, checkpoint)
+		for _, cs := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			checkpoint, spread := cs[0], cs[1]
+			label := fmt.Sprintf("seed %d, checkpoint %v, spread %v", seed, checkpoint, spread)
 			dir := t.TempDir()
 			live, err := Open(dir, 4, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := newDirectoryWorkload(live, seed)
+			w := newDirectoryWorkload(seed, spread)
 			w.ingest(t, live, checkpoint)
 			checkAgainstFold(t, label+", live", live, w.logs())
 			gen := live.entities[fmt.Sprintf("w%d-x", seed)]
@@ -348,7 +364,7 @@ func TestShardedReopenReadsNoPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newDirectoryWorkload(r, 9)
+	w := newDirectoryWorkload(9, true)
 	w.ingest(t, r, true)
 	oracle := store.NewMemStore()
 	runs, _ := r.Runs()

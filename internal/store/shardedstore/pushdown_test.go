@@ -151,42 +151,26 @@ func assertPushdownConformance(t *testing.T, r *Router, logs []*provenance.RunLo
 }
 
 // The pushdown's round structure, pinned against ground truth that the
-// traversal cannot influence: on a pure chain (no re-declarations), the
-// upstream walk from the tail hands off between shards exactly where
-// consecutive runs were placed on different home shards, so rounds must
-// equal that placement-derived crossing count + 1. A pushdown that
-// degrades toward one hop per round inflates its rounds well past this
-// bound and fails here (the trace's own Crossings counter would keep
-// pace, which is why it is not the reference).
+// traversal cannot influence: on a pure chain (no re-declarations) forced
+// to alternate across the shards, the upstream walk from the tail hands
+// off between shards exactly where consecutive runs live on different
+// shards, so rounds must equal that membership-derived crossing count + 1.
+// A pushdown that degrades toward one hop per round inflates its rounds
+// well past this bound and fails here (the trace's own Crossings counter
+// would keep pace, which is why it is not the reference).
 func TestPushdownRoundsMatchChainCrossings(t *testing.T) {
 	const n = 40
 	for _, nShards := range []int{2, 4} {
 		logs := chainShape(rand.New(rand.NewSource(1)), fmt.Sprintf("cx%d", nShards), n)[:n+1] // src + n runs, no redecls
 		r := NewMem(nShards)
-		for _, l := range logs {
-			if err := r.PutRunLog(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		crossings := 0
-		for i := 2; i < len(logs); i++ { // consecutive chain runs (logs[0] is the source)
-			if r.HomeShard(logs[i].Run.ID) != r.HomeShard(logs[i-1].Run.ID) {
-				crossings++
-			}
-		}
+		putAll(t, r, logs, true)
+		crossings := chainSplits(membership(t, r), logs)
 		tail := fmt.Sprintf("cx%d-art-%03d", nShards, n)
 		_, tr, err := r.TracedClosure(tail, store.Up)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The source run's segment merges into the first chain run's
-		// segment iff they share a home; its hand-off is part of the
-		// chain-run pair loop above only from logs[2] on, so account for
-		// the src→run-0 boundary explicitly.
-		if r.HomeShard(logs[1].Run.ID) != r.HomeShard(logs[0].Run.ID) {
-			crossings++
-		}
-		if tr.Rounds != crossings+1 || tr.Crossings != crossings {
+		if crossings != n || tr.Rounds != crossings+1 || tr.Crossings != crossings {
 			t.Fatalf("shards=%d: pushdown executed %d rounds / %d crossings; run placement implies exactly %d crossings (+1 round)",
 				nShards, tr.Rounds, tr.Crossings, crossings)
 		}
@@ -195,7 +179,9 @@ func TestPushdownRoundsMatchChainCrossings(t *testing.T) {
 
 // Property: on chain, star and diamond DAGs with cross-shard generator
 // re-declarations, the pushdown Closure ≡ NaiveClosure ≡ the per-hop path
-// at 1, 2 and 4 shards.
+// at 1, 2 and 4 shards — with runs where placement puts them (these small
+// shapes mostly on one shard) and spread round-robin, which puts chains,
+// generator re-declarations and fan-ins across shards.
 func TestQuickPushdownMatchesNaiveClosure(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -211,15 +197,12 @@ func TestQuickPushdownMatchesNaiveClosure(t *testing.T) {
 			n := 6 + rng.Intn(10)
 			logs := shape.build(rng, fmt.Sprintf("%s-%d", shape.name, seed), n)
 			for _, nShards := range []int{1, 2, 4} {
-				r := NewMem(nShards)
-				for _, l := range logs {
-					if err := r.PutRunLog(l); err != nil {
-						t.Logf("%s shards=%d ingest: %v", shape.name, nShards, err)
+				for _, spread := range []bool{false, true} {
+					r := NewMem(nShards)
+					putAll(t, r, logs, spread)
+					if !assertPushdownConformance(t, r, logs, fmt.Sprintf("%s shards=%d spread=%v", shape.name, nShards, spread)) {
 						return false
 					}
-				}
-				if !assertPushdownConformance(t, r, logs, fmt.Sprintf("%s shards=%d", shape.name, nShards)) {
-					return false
 				}
 			}
 		}

@@ -23,12 +23,12 @@ func (r *Router) FileShard(i int) (*store.FileStore, error) {
 }
 
 // ApplyReplicated folds a shipped batch of the given shard's primary log
-// into that shard and then into the router's own routing and entity
-// indexes, returning the decoded run logs and the shard's new committed
-// offset. Shard placement is the primary's: the batch lands on the shard
-// it was shipped for, with no re-hashing (both sides run the same
-// routing hash at the same count, enforced by the meta record, so the
-// placements agree anyway).
+// into that shard and then into the router's own placement and directory,
+// returning the decoded run logs and the shard's new committed offset.
+// Shard placement is the primary's: the batch lands on the shard it was
+// shipped for, whatever the follower's own placement rule would pick, and
+// the per-shard run counts follow it, so a promoted follower places its
+// first runs as the primary would have.
 //
 // The manifest journal records the runs in apply order. Per-shard
 // streams are independent, so a follower's cross-shard manifest order

@@ -4,9 +4,10 @@
 // closure cache, which wraps any Store — runs over a partitioned store
 // unchanged. The pieces:
 //
-//   - Deterministic hash routing: a run's home shard is FNV-1a(runID) mod
-//     N. Whole runs live on one shard, so a run log is one shard append and
-//     one shard read, and runs with different homes ingest concurrently
+//   - Affinity placement (placeLocked): a run goes whole to the shard
+//     holding the generator edges of most of the artifacts it uses, so a
+//     lineage walk stays on one shard. A run log is one shard append and
+//     one shard read, and runs on different shards ingest concurrently
 //     under per-shard locking instead of one global writer.
 //   - One directory, entity ID → routeEntry: the shards holding the ID as
 //     an artifact and as an execution (shared, content-addressed inputs
@@ -50,10 +51,10 @@ package shardedstore
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -74,7 +75,13 @@ var (
 	mRouterRounds      = obs.Default().ValueHistogram("prov_router_closure_rounds", "Pushdown rounds per sharded closure.")
 	mRouterCrossings   = obs.Default().ValueHistogram("prov_router_closure_crossings", "Cross-shard frontier crossings per sharded closure.")
 	mRouterFanout      = obs.Default().ValueHistogram("prov_router_scatter_shards", "Shards probed per scatter/gather Expand.")
+	// Runs placed, by the placeLocked rule that picked their shard.
+	mPlacedByInputs   = obs.Default().Counter("prov_router_placements_total", placementsHelp, obs.L("reason", "inputs"))
+	mPlacedForBalance = obs.Default().Counter("prov_router_placements_total", placementsHelp, obs.L("reason", "balance"))
+	mPlacedLeastLoad  = obs.Default().Counter("prov_router_placements_total", placementsHelp, obs.L("reason", "least_loaded"))
 )
+
+const placementsHelp = "Runs placed: with most of their inputs, on the least-loaded shard past the balance guard, or there because they use nothing stored."
 
 // Shard is what the router needs of a backend: a store that can also run a
 // closure to its local fixpoint under one lock acquisition. MemStore and
@@ -90,9 +97,10 @@ const maxShards = 64
 
 // Router implements store.Store over N underlying shards (memory- or
 // file-backed). Reads scatter to the shards named by the directory and
-// gather under the shared merge rules; ingests route whole runs to their
-// home shard. Safe for concurrent readers and concurrent writers: writers
-// serialize per shard (plus a brief directory update), not globally.
+// gather under the shared merge rules; ingests place whole runs on one
+// shard. Safe for concurrent readers and concurrent writers: writers
+// serialize per shard (plus a brief placement and directory update), not
+// globally.
 type Router struct {
 	shards []Shard
 	files  []*store.FileStore // the same shards, for routers opened over a directory (nil otherwise)
@@ -108,7 +116,9 @@ type Router struct {
 
 	mu       sync.RWMutex
 	manifest *os.File              // global accepted-run order journal (file-backed routers)
-	runShard map[string]int        // run -> home shard
+	runShard map[string]int        // run -> the shard holding it
+	reserved map[string]struct{}   // runs placed whose shard commit is in flight
+	loads    []int                 // runs held per shard, what placement balances
 	order    []string              // runs in accepted order
 	entities map[string]routeEntry // the directory, entity -> where it lives: the only per-entity state
 	nArt     int                   // directory entries stored as an artifact
@@ -185,9 +195,18 @@ func New(shards []Shard) (*Router, error) {
 		shards:   shards,
 		name:     fmt.Sprintf("sharded(%d×%s)", len(shards), shards[0].Name()),
 		runShard: map[string]int{},
+		reserved: map[string]struct{}{},
+		loads:    make([]int, len(shards)),
 		entities: map[string]routeEntry{},
 	}
 	r.scratch.New = func() any { return &expandScratch{} }
+	for i := range shards {
+		obs.Default().GaugeFunc("prov_router_shard_runs", "Runs placed on each shard of the router opened last.", func() float64 {
+			r.mu.RLock()
+			defer r.mu.RUnlock()
+			return float64(r.loads[i])
+		}, obs.L("shard", strconv.Itoa(i)))
+	}
 	return r, nil
 }
 
@@ -217,8 +236,9 @@ const (
 
 // routerMeta is the durable record of a sharded store directory's layout:
 // the shard count it was written with (reopening with any other count is
-// rejected loudly — hash routing would silently misroute every run) and
-// the per-shard checkpoint positions of the last Checkpoint, so operators
+// rejected loudly — a shard left out of the count would silently drop the
+// runs placed on it) and the per-shard checkpoint positions of the last
+// Checkpoint, so operators
 // and tools can see how much log each shard replays at reopen.
 type routerMeta struct {
 	Shards      int     `json:"shards"`
@@ -253,7 +273,7 @@ func validateLayout(dir string, n int) error {
 		return fmt.Errorf("shardedstore: %s holds an unsharded store log; open it without shards or reshard it offline", dir)
 	}
 	if existing > 0 && existing != n {
-		return fmt.Errorf("shardedstore: %s was written with %d shards, refusing to open with %d (hash routing would misroute runs; reshard offline instead)", dir, existing, n)
+		return fmt.Errorf("shardedstore: %s was written with %d shards, refusing to open with %d (runs live on the shards they were placed on; reshard offline instead)", dir, existing, n)
 	}
 	return nil
 }
@@ -261,7 +281,7 @@ func validateLayout(dir string, n int) error {
 // Open opens (or creates) n file-backed shards under dir/shard-000 …
 // dir/shard-N-1 and rebuilds the router's run placement and directory from
 // the shards' recovered state. With durable set, every ingest fsyncs its
-// home shard's log before returning (store.DurabilityFsync) — the
+// shard's log before returning (store.DurabilityFsync) — the
 // configuration experiment E14 measures. OpenWith exposes the full
 // durability and checkpoint configuration, including group commit.
 //
@@ -296,8 +316,8 @@ func Open(dir string, n int, durable bool) (*Router, error) {
 //
 // A store directory must be reopened with the shard count it was written
 // with: any mismatch (including opening an unsharded log as sharded) is
-// rejected loudly, because hash routing at the wrong count would silently
-// misroute every run.
+// rejected loudly, because a shard missing from the count would silently
+// drop the runs placed on it.
 func OpenWith(dir string, n int, opt store.FileOptions) (*Router, error) {
 	if n < 1 {
 		n = 1
@@ -444,6 +464,7 @@ func (r *Router) rebuild(dir string) error {
 		for _, runID := range shardRuns[si] {
 			r.runShard[runID] = si
 		}
+		r.loads[si] = len(shardRuns[si])
 	}
 	at := make(map[string]int32, len(r.runShard)) // run -> 1 + position in the accepted order
 	r.order = make([]string, 0, len(r.runShard))
@@ -484,34 +505,8 @@ func (r *Router) rebuild(dir string) error {
 	return nil
 }
 
-// shardOf is the deterministic routing function: FNV-1a of the run ID,
-// finished with one avalanche round. FNV-1a's low-order bits mix weakly
-// and shard selection is a modulo, so without the finalizer sequential run
-// IDs land in near-alternating patterns that maximize cross-shard
-// boundaries on chain-shaped lineages (measurably more pushdown rounds
-// than random placement); the finalizer restores uniform dispersion.
-// Changing the function is safe for existing directories: reopen rebuilds
-// the run→shard index from actual shard contents, never from the hash.
-func (r *Router) shardOf(runID string) int {
-	h := fnv.New32a()
-	h.Write([]byte(runID))
-	x := h.Sum32()
-	x ^= x >> 16
-	x *= 0x7feb352d
-	x ^= x >> 15
-	x *= 0x846ca68b
-	x ^= x >> 16
-	return int(x % uint32(len(r.shards)))
-}
-
 // NumShards reports the shard count.
 func (r *Router) NumShards() int { return len(r.shards) }
-
-// HomeShard reports the shard a run ID routes to — the deterministic hash
-// placement, exposed so ingest pipelines can partition work per shard
-// (one producer per shard never contends on a shard lock) and operators
-// can locate a run's log on disk.
-func (r *Router) HomeShard(runID string) int { return r.shardOf(runID) }
 
 // Shard exposes one underlying shard (tests and stats tooling).
 func (r *Router) Shard(i int) store.Store { return r.shards[i] }
@@ -520,6 +515,7 @@ func (r *Router) Shard(i int) store.Store { return r.shards[i] }
 // directory; the caller holds the write lock.
 func (r *Router) indexLocked(l *provenance.RunLog, shard int) {
 	r.runShard[l.Run.ID] = shard
+	r.loads[shard]++
 	r.order = append(r.order, l.Run.ID)
 	at := int32(len(r.order))
 	for _, a := range l.Artifacts {
@@ -572,45 +568,108 @@ func (r *Router) claimLocked(id string, shard int, artAt, execAt, genAt int32) {
 
 // --- Store: ingest -----------------------------------------------------------
 
-// PutRunLog implements Store: the run routes whole to its home shard, and
-// runs whose homes differ ingest concurrently — the shard serializes its
-// own appends and rejects duplicates, so the router only takes its global
-// lock for the brief index update after the shard accepts the log.
-// Validation is the shard's: every backend validates before storing, and a
-// second router-side pass would serialize that CPU across all writers.
+// PutRunLog implements Store: the run is placed whole on one shard
+// (placeLocked), and runs on different shards ingest concurrently. The
+// router's lock is held to tally votes and reserve the run ID — a racing
+// put of the same ID fails here, whatever shard its inputs would pick — and
+// for the directory update after the shard accepts the log. Validation is
+// the shard's: every backend validates before storing, and a second
+// router-side pass would serialize that CPU across all writers.
 func (r *Router) PutRunLog(l *provenance.RunLog) error {
 	start := obs.Now()
-	shard := r.shardOf(l.Run.ID)
-	r.mu.RLock()
-	_, dup := r.runShard[l.Run.ID]
-	r.mu.RUnlock()
-	if dup {
-		return fmt.Errorf("store: run %q already stored", l.Run.ID)
-	}
-	// Concurrent puts of the same run ID race to the same home shard, which
-	// accepts exactly one; the loser returns the shard's duplicate error.
-	if err := r.shards[shard].PutRunLog(l); err != nil {
+	r.mu.Lock()
+	shard, placed := r.placeLocked(l)
+	err := r.reserveLocked(l.Run.ID, shard)
+	r.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.indexLocked(l, shard)
-	if r.manifest != nil {
-		// Advisory order journal; never fail the ingest the shard already
-		// committed over it. A missed append costs this run its place in
-		// the reopen ordering: it replays after the journaled runs, which
-		// can flip a cross-shard generator tie-break if another run
-		// re-declared the same artifact's generator (see Open).
-		_, _ = r.manifest.WriteString(l.Run.ID + "\n")
+	if err := r.commit(l, shard); err != nil {
+		return err
 	}
-	r.mu.Unlock()
-	r.autoCkpt.Tick(0, r.Checkpoint)
+	placed.Inc()
 	mRouterIngestSecs.ObserveSince(start)
 	return nil
 }
 
+// placeLocked picks a new run's shard. Each use of an artifact whose
+// generator edge is stored votes for the shard holding that edge, where an
+// upstream walk from the run continues; the most votes win, ties go to
+// fewer runs, then the lower index. A run that uses nothing stored, or
+// whose winner would then hold more than 5/4 of the mean run count plus 64
+// (the allowance keeps small stores and single chains whole), goes to the
+// shard holding the fewest runs. Placement reads only the directory and the
+// counts: ingest order, never ID bytes. The caller holds the write lock.
+func (r *Router) placeLocked(l *provenance.RunLog) (shard int, placed *obs.Counter) {
+	var votes [maxShards]int
+	for _, ev := range l.Events {
+		if ev.Kind == provenance.EventArtifactUsed {
+			if g := r.entities[ev.ArtifactID].gen; g != 0 {
+				votes[g-1]++
+			}
+		}
+	}
+	best, least := -1, 0
+	for si, n := range r.loads {
+		if n < r.loads[least] {
+			least = si
+		}
+		if v := votes[si]; v > 0 && (best < 0 || v > votes[best] || v == votes[best] && n < r.loads[best]) {
+			best = si
+		}
+	}
+	switch n := len(r.loads); {
+	case best < 0:
+		return least, mPlacedLeastLoad
+	case 4*n*(r.loads[best]+1) > 5*(len(r.runShard)+len(r.reserved)+1)+256*n:
+		return least, mPlacedForBalance
+	}
+	return best, mPlacedByInputs
+}
+
+// reserveLocked claims a run ID for one in-flight put to shard, counting it
+// in the shard's load so concurrent placements see it; RunLog, Runs and
+// Stats see the run only once commit folds it in. The caller holds the
+// write lock.
+func (r *Router) reserveLocked(runID string, shard int) error {
+	_, stored := r.runShard[runID]
+	_, inFlight := r.reserved[runID]
+	if stored || inFlight {
+		return fmt.Errorf("store: run %q already stored", runID)
+	}
+	r.reserved[runID] = struct{}{}
+	r.loads[shard]++
+	return nil
+}
+
+// commit stores a reserved run on shard and folds it into the placement
+// and the directory; the reservation is released either way.
+func (r *Router) commit(l *provenance.RunLog, shard int) error {
+	err := r.shards[shard].PutRunLog(l)
+	r.mu.Lock()
+	delete(r.reserved, l.Run.ID)
+	r.loads[shard]--
+	if err == nil {
+		r.indexLocked(l, shard)
+		if r.manifest != nil {
+			// Advisory order journal; never fail the ingest the shard already
+			// committed over it. A missed append costs this run its place in
+			// the reopen ordering: it replays after the journaled runs, which
+			// can flip a cross-shard generator tie-break if another run
+			// re-declared the same artifact's generator (see Open).
+			_, _ = r.manifest.WriteString(l.Run.ID + "\n")
+		}
+	}
+	r.mu.Unlock()
+	if err == nil {
+		r.autoCkpt.Tick(0, r.Checkpoint)
+	}
+	return err
+}
+
 // --- Store: routed single-entity reads ---------------------------------------
 
-// RunLog implements Store, served by the run's home shard.
+// RunLog implements Store, served by the shard holding the run.
 func (r *Router) RunLog(runID string) (*provenance.RunLog, error) {
 	r.mu.RLock()
 	shard, ok := r.runShard[runID]
@@ -755,10 +814,12 @@ func (r *Router) shardSkips(suffix []string) ([]int, error) {
 }
 
 // mergeAhead is how many decoded logs a shard's scan may run ahead of the
-// merge. Hash placement interleaves the shards' runs in the global order,
-// so the merge asks each shard for a record every few steps; this much
-// slack keeps every shard decoding while the merge drains the others,
-// without ever holding more than shards × mergeAhead decoded logs.
+// merge. Placement interleaves the shards' runs in the global order — in
+// stretches where a lineage keeps to one shard, run by run where sources
+// spread — so the merge may drain one shard for a while and then ask the
+// others in turn; this much slack keeps every shard decoding while the
+// merge drains another, without ever holding more than shards × mergeAhead
+// decoded logs.
 const mergeAhead = 32
 
 var errMergeStopped = errors.New("shardedstore: merge stopped")
@@ -766,11 +827,12 @@ var errMergeStopped = errors.New("shardedstore: merge stopped")
 // mergeLogs replays the shards' run logs along order (runs home knows the
 // shard of), calling fn with each log and its shard. One goroutine per
 // shard scans that shard's log from its skips[i]-th record; the calling
-// goroutine walks order and pulls each run from its home shard's stream. A shard's log order agrees with the
+// goroutine walks order and pulls each run from its shard's stream. A
+// shard's log order agrees with the
 // global order except where concurrent ingests to one shard reached the
 // router's index out of commit order, so a record that arrives ahead of
 // its turn is parked until order reaches it and the parked set stays
-// within the ingest concurrency. A run the home shard's scan does not
+// within the ingest concurrency. A run its shard's scan does not
 // surface is skipped. The scans are stopped and waited for on return.
 func mergeLogs(shards []Shard, skips []int, order []string,
 	home func(runID string) (shard int),

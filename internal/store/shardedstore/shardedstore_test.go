@@ -120,7 +120,8 @@ func encodeAdj(adj map[string][]string) string {
 // Property: a sharded router over 1, 2 and 4 shards answers every
 // navigation, Expand and Closure query identically to a single MemStore
 // loaded with the same run logs in the same order — the router's
-// conformance contract (ISSUE 3 acceptance).
+// conformance contract — with the runs where placement puts them and
+// spread round-robin across the shards.
 func TestQuickShardedMatchesSingleStore(t *testing.T) {
 	f := func(seed int64) bool {
 		logs := synthLogs(seed, 12)
@@ -133,15 +134,12 @@ func TestQuickShardedMatchesSingleStore(t *testing.T) {
 		}
 		entities := entitiesOf(logs)
 		for _, nShards := range []int{1, 2, 4} {
-			r := NewMem(nShards)
-			for _, l := range logs {
-				if err := r.PutRunLog(l); err != nil {
-					t.Logf("shards=%d ingest: %v", nShards, err)
+			for _, spread := range []bool{false, true} {
+				r := NewMem(nShards)
+				putAll(t, r, logs, spread)
+				if !agreesWithReference(t, r, ref, logs, entities, fmt.Sprintf("shards=%d spread=%v", nShards, spread)) {
 					return false
 				}
-			}
-			if !agreesWithReference(t, r, ref, logs, entities, fmt.Sprintf("shards=%d", nShards)) {
-				return false
 			}
 		}
 		return true
@@ -255,17 +253,15 @@ func TestShardedMixedBackends(t *testing.T) {
 		if err := ref.PutRunLog(l); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.PutRunLog(l); err != nil {
-			t.Fatal(err)
-		}
 	}
+	putAll(t, r, logs, true) // every backend holds runs
 	if !agreesWithReference(t, r, ref, logs, entitiesOf(logs), "mixed") {
 		t.Fatal("mixed-backend router diverged from reference")
 	}
 }
 
 // Concurrent multi-writer ingest: writers with disjoint run sets ingest in
-// parallel (runs hash across all shards) while readers traverse; the final
+// parallel (their sources spread across the shards) while readers traverse; the final
 // state must match a single reference store, and the duplicate-run error
 // must surface exactly once per contended ID. Run under -race in CI.
 func TestShardedConcurrentIngest(t *testing.T) {
@@ -433,25 +429,28 @@ func TestShardedReopenRebuild(t *testing.T) {
 	}
 }
 
-// Routing is deterministic and run-complete: a run log lives whole on the
-// shard its ID hashes to, and no other shard stores any part of it.
+// Placement is run-complete: every run log lives whole on exactly the one
+// shard whose Runs() lists it — the shard the router reads it from — and no
+// other shard stores any part of it.
 func TestShardedRoutingDeterministic(t *testing.T) {
-	r := NewMem(4)
-	logs := synthLogs(99, 8)
-	for _, l := range logs {
-		if err := r.PutRunLog(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, l := range logs {
-		home := r.shardOf(l.Run.ID)
-		for si := 0; si < r.NumShards(); si++ {
-			_, err := r.Shard(si).RunLog(l.Run.ID)
-			if si == home && err != nil {
-				t.Fatalf("run %s missing from home shard %d: %v", l.Run.ID, home, err)
+	for _, spread := range []bool{false, true} {
+		r := NewMem(4)
+		logs := synthLogs(99, 80)
+		putAll(t, r, logs, spread)
+		at := membership(t, r)
+		for _, l := range logs {
+			home, ok := at[l.Run.ID]
+			if !ok || r.runShard[l.Run.ID] != home {
+				t.Fatalf("spread %v: run %s listed by shard %d (%v), routed to %d", spread, l.Run.ID, home, ok, r.runShard[l.Run.ID])
 			}
-			if si != home && err == nil {
-				t.Fatalf("run %s duplicated on shard %d (home %d)", l.Run.ID, si, home)
+			for si := 0; si < r.NumShards(); si++ {
+				got, err := r.Shard(si).RunLog(l.Run.ID)
+				if si == home && (err != nil || len(got.Events) != len(l.Events) || len(got.Artifacts) != len(l.Artifacts)) {
+					t.Fatalf("spread %v: run %s not whole on its shard %d: %v", spread, l.Run.ID, home, err)
+				}
+				if si != home && err == nil {
+					t.Fatalf("spread %v: run %s duplicated on shard %d (listed by %d)", spread, l.Run.ID, si, home)
+				}
 			}
 		}
 	}
