@@ -1,8 +1,7 @@
 GO ?= go
 BENCH_DIR ?= bench-results
-BASELINE_DIR ?= bench-results/baseline
 
-.PHONY: build test vet fmt-check staticcheck test-race bench bench-smoke bench-json bench-gate bench-json-gate bench-baseline chaos fuzz-smoke provload-quick provload loc ci clean
+.PHONY: build test vet fmt-check staticcheck test-race bench bench-smoke bench-json chaos fuzz-smoke provload-quick provload loc ci clean
 
 build:
 	$(GO) build ./...
@@ -33,56 +32,26 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-# Run the testing.B benchmark suite (one benchmark per experiment, plus the
-# E4b batch-vs-per-edge, E13 closure-cache and cold-closure comparisons).
+# Run the testing.B benchmark suite: one benchmark per paper experiment
+# (E1–E12) plus the per-layer micro-benchmarks of the system (E13–E21,
+# ColdClosure, ShardedReopen; E17's lives beside its workload in pql).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/query/pql
 
 # Benchmark smoke for CI: one iteration of E4b proves the lineage benchmark
 # paths still run, ColdClosure prints the absolute ns/op, B/op and
 # allocs/op of a cold closure over 4 file shards (depth-128 chain, cache
-# off and on a miss) — the figure E13's warm÷cold ratio used to stand in
-# for — and ShardedReopen those of opening 4 file shards holding 2 048
-# runs, by full scan and from checkpoints, which E15's warm÷cold reopen
-# ratio used to stand in for.
+# off and on a miss), and ShardedReopen those of opening 4 file shards
+# holding 2 048 runs, by full scan and from checkpoints.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
 	$(GO) test -run '^$$' -bench ShardedReopen -benchtime 10x -benchmem .
 
-# Run the full experiment suite and write machine-readable BENCH_<ID>.json
-# files so successive PRs can track a perf trajectory. CI uploads these as
-# build artifacts.
+# Run the paper-reproduction suite (E1–E12) and write machine-readable
+# BENCH_<ID>.json files to $(BENCH_DIR).
 bench-json:
 	$(GO) run ./cmd/provbench -json $(BENCH_DIR)
-
-# Bench regression gate: re-run the gated experiments and fail when a gated
-# metric (machine-independent speedup ratios, e.g. E15's group-commit
-# speedup) regresses beyond its tolerance against the committed baseline in
-# $(BASELINE_DIR). E14 and E16 are not in the list: their sharding and
-# pushdown ratios moved with run placement, which is now affinity-based and
-# pinned by shardedstore's deterministic placement and round-count tests
-# (TestPlacementFollowsInputs, TestPlacementBalanceGuard,
-# TestPushdownRoundsMatchChainCrossings); both still run and report absolute
-# times, and E16 checks its rounds against shard membership. E17 is not in the list: its
-# gates divided by evaluators that now exist only as test references;
-# internal/query/pql's plan-shape and allocation tests and provload's
-# analytics workload cover what they guarded. Nor is E13: warm ÷ cold
-# closure time fails when the cold closure gets faster; closurecache's
-# deterministic tests (a hit makes no backend call and one allocation, a
-# patch touches only entries holding an attachment point) and
-# BenchmarkColdClosure's absolute figures replaced it. Nor E20: what its
-# incremental ÷ re-query ratio guarded — maintenance narrowing to the
-# affected subscriptions — is standing's TestPatchTouchesOnlyAttachedSubs,
-# a count of Expand calls on the index both layers share.
-GATED := E15,E18,E19,E21
-bench-gate:
-	$(GO) run ./cmd/provbench -e $(GATED) -check $(BASELINE_DIR)
-
-# Refresh the committed bench baseline deliberately (review the diff before
-# committing: this is the reference future CI runs gate against).
-bench-baseline:
-	$(GO) run ./cmd/provbench -e $(GATED) -json $(BASELINE_DIR)
 
 # Seeded chaos suite under the race detector: fault-injected replication,
 # flapping partitions, promotion while partitioned. Deterministic fault
@@ -101,12 +70,6 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s $$(dirname $$file); \
 		done; \
 	done
-
-# CI's combined bench step: one full-suite run that both writes the
-# BENCH_*.json artifacts and applies the regression gate, so the gated
-# experiments are not executed twice.
-bench-json-gate:
-	$(GO) run ./cmd/provbench -json $(BENCH_DIR) -check $(BASELINE_DIR)
 
 # provload smoke: every workload of the serving-path benchmark at tiny
 # sizes, oracle checks included, in about five seconds (bench/README.md).
@@ -130,7 +93,7 @@ loc:
 		xargs grep -hE '^func [A-Z]|^func \([^)]*\) [A-Z]|^type [A-Z]|^var [A-Z]|^const [A-Z]' | wc -l
 
 # Everything the CI workflow gates on, runnable locally.
-ci: fmt-check build vet staticcheck test-race chaos fuzz-smoke bench-smoke provload-quick bench-gate
+ci: fmt-check build vet staticcheck test-race chaos fuzz-smoke bench-smoke provload-quick
 
 clean:
 	find $(BENCH_DIR) -maxdepth 1 -name 'BENCH_*.json' -delete

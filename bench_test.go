@@ -1,14 +1,18 @@
-// Package repro's benchmark harness: one testing.B benchmark per experiment
-// of DESIGN.md §3 (E1–E13). cmd/provbench prints the full human-readable
-// tables; these benches regenerate the underlying measurements under `go
-// test -bench`. Sizes are the mid-points of each experiment's sweep so the
-// full suite completes quickly.
+// Package repro's benchmark harness. BenchmarkE1–E12 regenerate the
+// measurements of the paper-reproduction experiments cmd/provbench prints,
+// at the mid-points of each experiment's sweep so the suite completes
+// quickly. BenchmarkE13–E21, ColdClosure and ShardedReopen are per-layer
+// micro-benchmarks of the system itself (closure cache, sharding, WAL,
+// pushdown, replication, observability, standing queries, failover; E17's
+// query battery lives in internal/query/pql); provload (bench/) measures
+// the serving path end to end.
 package repro
 
 import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,6 +62,63 @@ func chainLog(b *testing.B, n int) (*provenance.RunLog, string) {
 		b.Fatal(err)
 	}
 	return log, res.Artifacts[fmt.Sprintf("s%02d.out", n-1)]
+}
+
+// synthRun is a one-execution run: it uses every artifact in ins and
+// generates every artifact in outs.
+func synthRun(runID, exec string, ins, outs []string) *provenance.RunLog {
+	l := &provenance.RunLog{}
+	l.Run = provenance.Run{ID: runID, WorkflowID: "bench", Status: provenance.StatusOK}
+	l.Executions = []*provenance.Execution{{ID: exec, RunID: runID, ModuleID: "m", ModuleType: "Synth", Status: provenance.StatusOK}}
+	add := func(id string, kind provenance.EventKind) {
+		l.Artifacts = append(l.Artifacts, &provenance.Artifact{ID: id, RunID: runID, Type: "blob"})
+		l.Events = append(l.Events, provenance.Event{Seq: uint64(len(l.Events) + 1), RunID: runID, Kind: kind, ExecutionID: exec, ArtifactID: id})
+	}
+	for _, id := range ins {
+		add(id, provenance.EventArtifactUsed)
+	}
+	for _, id := range outs {
+		add(id, provenance.EventArtifactGen)
+	}
+	return l
+}
+
+// chainRun is run i of the dependency chain named ns: it uses
+// <ns>-art-i and generates <ns>-art-i+1, so the last artifact's upstream
+// closure walks every run.
+func chainRun(ns string, i int) *provenance.RunLog {
+	return synthRun(fmt.Sprintf("%s-run-%06d", ns, i), fmt.Sprintf("%s-exec-%06d", ns, i),
+		[]string{fmt.Sprintf("%s-art-%06d", ns, i)}, []string{fmt.Sprintf("%s-art-%06d", ns, i+1)})
+}
+
+// wideSeed builds a wide DAG: one root artifact, e14-root-art, feeding
+// `layers` layers of `runsPerLayer` runs, each using one previous-layer
+// artifact and generating `fanout`. It returns the logs and the last
+// layer's artifacts, where publishRun attaches.
+func wideSeed(layers, runsPerLayer, fanout int) ([]*provenance.RunLog, []string) {
+	logs := []*provenance.RunLog{synthRun("e14-seed-root", "e14-root-exec", nil, []string{"e14-root-art"})}
+	prev := []string{"e14-root-art"}
+	for l := 0; l < layers; l++ {
+		var next []string
+		for r := 0; r < runsPerLayer; r++ {
+			var outs []string
+			for f := 0; f < fanout; f++ {
+				outs = append(outs, fmt.Sprintf("e14-sa-%d-%03d-%d", l, r, f))
+			}
+			logs = append(logs, synthRun(fmt.Sprintf("e14-seed-%d-%03d", l, r), fmt.Sprintf("e14-sx-%d-%03d", l, r),
+				[]string{prev[r%len(prev)]}, outs))
+			next = append(next, outs...)
+		}
+		prev = next
+	}
+	return logs, prev
+}
+
+// publishRun is one small ingest: it uses `in` and generates one fresh
+// artifact, the steady-state "publish a derived result" unit.
+func publishRun(tag string, i int, in string) *provenance.RunLog {
+	return synthRun(fmt.Sprintf("e14-%s-run-%06d", tag, i), fmt.Sprintf("e14-%s-exec-%06d", tag, i),
+		[]string{in}, []string{fmt.Sprintf("e14-%s-art-%06d", tag, i)})
 }
 
 // BenchmarkE1CaptureFigure1 executes the Figure 1 workflow with capture on.
@@ -460,13 +521,13 @@ func BenchmarkE13ClosureCache(b *testing.B) {
 // and evicts the one before it. `make bench-smoke` prints both in CI.
 func BenchmarkColdClosure(b *testing.B) {
 	const chainRuns = 128
-	r, err := shardedstore.Open(b.TempDir(), 4, false)
+	r, err := shardedstore.OpenWith(b.TempDir(), 4, store.FileOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer r.Close()
 	for i := 0; i < chainRuns; i++ {
-		if err := r.PutRunLog(experiments.E16ChainRun(i)); err != nil {
+		if err := r.PutRunLog(chainRun("e16", i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -511,12 +572,12 @@ func BenchmarkShardedReopen(b *testing.B) {
 	const runs = 2048
 	for _, arm := range []string{"fullscan", "checkpointed"} {
 		dir := b.TempDir()
-		r, err := shardedstore.Open(dir, 4, false)
+		r, err := shardedstore.OpenWith(dir, 4, store.FileOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < runs; i++ {
-			if err := r.PutRunLog(experiments.E16ChainRun(i)); err != nil {
+			if err := r.PutRunLog(chainRun("e16", i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -531,7 +592,7 @@ func BenchmarkShardedReopen(b *testing.B) {
 		b.Run(arm, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := shardedstore.Open(dir, 4, false)
+				r, err := shardedstore.OpenWith(dir, 4, store.FileOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -547,17 +608,17 @@ func BenchmarkShardedReopen(b *testing.B) {
 }
 
 // BenchmarkE14Sharding measures the sharded store router at 1/2/4/8
-// durable file-backed shards on the E14 wide-DAG workload: mode=ingest is
+// durable file-backed shards on a wide seed DAG (wideSeed): mode=ingest is
 // one batch of 16 runs pushed by 8 concurrent publishers per iteration
-// (runs hash-route to their home shards, commits overlap across shards);
+// (runs land on their inputs' shards, commits overlap across shards);
 // mode=closure is the scatter/gather downstream closure of the seed root.
 func BenchmarkE14Sharding(b *testing.B) {
 	for _, nShards := range []int{1, 2, 4, 8} {
-		r, err := shardedstore.Open(b.TempDir(), nShards, true)
+		r, err := shardedstore.OpenWith(b.TempDir(), nShards, store.FileOptions{Durability: store.DurabilityFsync})
 		if err != nil {
 			b.Fatal(err)
 		}
-		seedLogs, lastLayer := experiments.E14Seed(4, 16, 3)
+		seedLogs, lastLayer := wideSeed(4, 16, 3)
 		for _, l := range seedLogs {
 			if err := r.PutRunLog(l); err != nil {
 				b.Fatal(err)
@@ -573,7 +634,7 @@ func BenchmarkE14Sharding(b *testing.B) {
 					go func(w int) {
 						defer wg.Done()
 						for k := 0; k < 2; k++ {
-							l := experiments.E14Run(fmt.Sprintf("b%d-%d-%d", batch, w, k), batch,
+							l := publishRun(fmt.Sprintf("b%d-%d-%d", batch, w, k), batch,
 								lastLayer[(batch+w+k)%len(lastLayer)])
 							if err := r.PutRunLog(l); err != nil {
 								b.Error(err)
@@ -618,7 +679,7 @@ func BenchmarkE15WAL(b *testing.B) {
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
-						l := experiments.E14Run(fmt.Sprintf("b15-%s-%d-%d", d, batch, w), batch,
+						l := publishRun(fmt.Sprintf("b15-%s-%d-%d", d, batch, w), batch,
 							fmt.Sprintf("b15-in-%03d", (batch+w)%7))
 						if err := fs.PutRunLog(l); err != nil {
 							b.Error(err)
@@ -644,7 +705,7 @@ func BenchmarkE15WAL(b *testing.B) {
 	}
 	cached := closurecache.New(built, closurecache.Options{SnapshotDir: dir})
 	for i := 0; i < chainLen; i++ {
-		if err := cached.PutRunLog(experiments.E15ChainRun(i)); err != nil {
+		if err := cached.PutRunLog(chainRun("e15", i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -694,18 +755,17 @@ func BenchmarkE15WAL(b *testing.B) {
 	})
 }
 
-// BenchmarkE16ClosurePushdown measures the depth-128 chain lineage of
-// experiment E16 three ways: the single FileStore's one-lock BFS, the
+// BenchmarkE16ClosurePushdown measures a depth-128 chain lineage over 4
+// file shards three ways: the single FileStore's one-lock BFS, the
 // sharded router's pre-pushdown per-hop scatter/gather
 // (store.CloseOverExpand over Router.Expand), and the closure pushdown
 // (local fixpoint per shard + cross-shard frontier exchange). Allocations
-// are reported — the pooled per-shard buffers are the E16 micro-opt
-// observable.
+// are reported — the pooled per-shard buffers are what keeps them flat.
 func BenchmarkE16ClosurePushdown(b *testing.B) {
 	const chainRuns = 128
 	logs := make([]*provenance.RunLog, chainRuns)
 	for i := range logs {
-		logs[i] = experiments.E16ChainRun(i)
+		logs[i] = chainRun("e16", i)
 	}
 	tail := fmt.Sprintf("e16-art-%06d", chainRuns)
 
@@ -714,7 +774,7 @@ func BenchmarkE16ClosurePushdown(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer fs.Close()
-	r, err := shardedstore.Open(b.TempDir(), 4, false)
+	r, err := shardedstore.OpenWith(b.TempDir(), 4, store.FileOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -753,61 +813,6 @@ func BenchmarkE16ClosurePushdown(b *testing.B) {
 	})
 }
 
-// BenchmarkE17StreamingExec replays experiment E17's multi-join PQL
-// battery over the 64-run synthetic store through the executor on a
-// MemStore and over a 4-shard router (parallel leaf scans), plus the
-// Datalog provenance fixpoint (derived facts reported). Allocations are
-// reported — the pipelined iterators' avoided intermediate
-// materialization is the headline observable.
-func BenchmarkE17StreamingExec(b *testing.B) {
-	const nRuns, execsPerRun = 64, 6
-	mem := store.NewMemStore()
-	sharded := shardedstore.NewMem(4)
-	for i := 0; i < nRuns; i++ {
-		if err := mem.PutRunLog(experiments.E17SynthLog(i, execsPerRun)); err != nil {
-			b.Fatal(err)
-		}
-		if err := sharded.PutRunLog(experiments.E17SynthLog(i, execsPerRun)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	queries := make([]*pql.Query, len(experiments.E17Queries))
-	for i, src := range experiments.E17Queries {
-		q, err := pql.Parse(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries[i] = q
-	}
-	battery := func(s store.Store) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					if _, err := pql.Execute(s, q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-	b.Run("store=mem", battery(mem))
-	b.Run("store=sharded", battery(sharded))
-
-	b.Run("datalog", func(b *testing.B) {
-		b.ReportAllocs()
-		derived := 0
-		for i := 0; i < b.N; i++ {
-			p, err := datalog.NewProvenanceProgram(mem)
-			if err != nil {
-				b.Fatal(err)
-			}
-			derived = p.Evaluate()
-		}
-		b.ReportMetric(float64(derived), "derived-facts")
-	})
-}
-
 // BenchmarkE18Replication measures the log-shipping replication path on
 // a 4-shard group-commit primary served over the v1 HTTP API with one
 // bootstrapped follower: mode=ship-apply ingests a small batch on the
@@ -821,7 +826,7 @@ func BenchmarkE18Replication(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer router.Close()
-	seedLogs, lastLayer := experiments.E14Seed(4, 16, 3)
+	seedLogs, lastLayer := wideSeed(4, 16, 3)
 	for _, l := range seedLogs {
 		if err := router.PutRunLog(l); err != nil {
 			b.Fatal(err)
@@ -860,7 +865,7 @@ func BenchmarkE18Replication(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			batch++
 			for k := 0; k < 4; k++ {
-				l := experiments.E14Run(fmt.Sprintf("r%d-%d", batch, k), batch, lastLayer[(batch+k)%len(lastLayer)])
+				l := publishRun(fmt.Sprintf("r%d-%d", batch, k), batch, lastLayer[(batch+k)%len(lastLayer)])
 				if err := router.PutRunLog(l); err != nil {
 					b.Fatal(err)
 				}
@@ -889,7 +894,8 @@ func BenchmarkE18Replication(b *testing.B) {
 }
 
 // BenchmarkE19Obs measures the per-operation cost of the observability
-// primitives that experiment E19 gates in aggregate: a labeled counter
+// primitives (internal/obs's TestHotPathAllocatesNothing pins that they
+// allocate nothing): a labeled counter
 // increment, a latency-histogram observation (clock read + bucket add),
 // the same observation with the global gate off (what disabled
 // instrumentation costs on the hot path), and a full snapshot + p99
@@ -928,33 +934,19 @@ func BenchmarkE19Obs(b *testing.B) {
 	})
 }
 
-// BenchmarkE20Standing measures the per-ingest cost experiment E20 gates
-// as a ratio: accepting one run into a store watched by 64 standing
+// BenchmarkE20Standing measures the per-ingest cost of standing queries:
+// accepting one run into a store watched by 64 standing
 // subscriptions (pattern-indexed incremental maintenance plus event
 // drain), against the same ingest into a bare store — the difference is
 // what the standing-query subsystem charges the write path.
 func BenchmarkE20Standing(b *testing.B) {
 	const chains = 8
-	chainRun := func(c, i int) *provenance.RunLog {
-		runID := fmt.Sprintf("b20-c%d-run-%06d", c, i)
-		exec := fmt.Sprintf("b20-c%d-exec-%06d", c, i)
-		in := fmt.Sprintf("b20-c%d-art-%06d", c, i)
-		out := fmt.Sprintf("b20-c%d-art-%06d", c, i+1)
-		l := &provenance.RunLog{}
-		l.Run = provenance.Run{ID: runID, WorkflowID: "b20", Status: provenance.StatusOK}
-		l.Executions = []*provenance.Execution{{ID: exec, RunID: runID, ModuleID: "step", ModuleType: "Synth", Status: provenance.StatusOK}}
-		l.Artifacts = []*provenance.Artifact{{ID: in, RunID: runID, Type: "blob"}, {ID: out, RunID: runID, Type: "blob"}}
-		l.Events = []provenance.Event{
-			{Seq: 1, RunID: runID, Kind: provenance.EventArtifactUsed, ExecutionID: exec, ArtifactID: in},
-			{Seq: 2, RunID: runID, Kind: provenance.EventArtifactGen, ExecutionID: exec, ArtifactID: out},
-		}
-		return l
-	}
+	runOf := func(c, i int) *provenance.RunLog { return chainRun(fmt.Sprintf("b20-c%d", c), i) }
 	seed := func(b *testing.B, st store.Store) {
 		b.Helper()
 		for i := 0; i < 12; i++ {
 			for c := 0; c < chains; c++ {
-				if err := st.PutRunLog(chainRun(c, i)); err != nil {
+				if err := st.PutRunLog(runOf(c, i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -990,7 +982,7 @@ func BenchmarkE20Standing(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := tap.PutRunLog(chainRun(i%chains, 12+i/chains)); err != nil {
+			if err := tap.PutRunLog(runOf(i%chains, 12+i/chains)); err != nil {
 				b.Fatal(err)
 			}
 			for s := range ids {
@@ -1010,7 +1002,7 @@ func BenchmarkE20Standing(b *testing.B) {
 		seed(b, st)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := st.PutRunLog(chainRun(i%chains, 12+i/chains)); err != nil {
+			if err := st.PutRunLog(runOf(i%chains, 12+i/chains)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1018,8 +1010,8 @@ func BenchmarkE20Standing(b *testing.B) {
 }
 
 // BenchmarkE21Failover measures the two per-operation costs behind
-// experiment E21's failover guarantees: mode=ship-apply-faulty is the
-// E18 ship-apply loop run through the fault-injecting transport (errors,
+// failover: mode=ship-apply-faulty is the BenchmarkE18Replication
+// ship-apply loop run through the fault-injecting transport (errors,
 // latency, truncated bodies), i.e. what replication retention costs on a
 // bad link; mode=epoch-observe is the fencing-epoch exchange every v1
 // request pays (atomic compare + possible adoption).
@@ -1029,7 +1021,7 @@ func BenchmarkE21Failover(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	seedLogs, lastLayer := experiments.E14Seed(3, 12, 3)
+	seedLogs, lastLayer := wideSeed(3, 12, 3)
 	for _, l := range seedLogs {
 		if err := st.PutRunLog(l); err != nil {
 			b.Fatal(err)
@@ -1072,7 +1064,7 @@ func BenchmarkE21Failover(b *testing.B) {
 	b.Run("mode=ship-apply-faulty", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			batch++
-			l := experiments.E14Run(fmt.Sprintf("f%d", batch), batch, lastLayer[batch%len(lastLayer)])
+			l := publishRun(fmt.Sprintf("f%d", batch), batch, lastLayer[batch%len(lastLayer)])
 			if err := st.PutRunLog(l); err != nil {
 				b.Fatal(err)
 			}
@@ -1092,11 +1084,22 @@ func BenchmarkE21Failover(b *testing.B) {
 	})
 }
 
-// TestExperimentSuiteSmoke runs the fast experiments end-to-end so `go
-// test` exercises the harness itself (timing-heavy ones are covered by the
-// benchmarks above and cmd/provbench).
+// TestExperimentSuiteSmoke pins the suite to the paper reproductions E1–E12
+// and runs the fast ones end-to-end so `go test` exercises the harness
+// itself (timing-heavy ones are covered by the benchmarks above and
+// cmd/provbench).
 func TestExperimentSuiteSmoke(t *testing.T) {
-	for _, id := range []string{"E1", "E2", "E5", "E7"} {
+	var ids []string
+	for _, e := range experiments.Suite {
+		ids = append(ids, e.ID)
+	}
+	if got, want := strings.Join(ids, ","), "E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E11,E12"; got != want {
+		t.Fatalf("suite = %s, want %s", got, want)
+	}
+	if _, err := experiments.ByID("E13"); err == nil {
+		t.Fatal("ByID(E13) succeeded; the system experiments are retired")
+	}
+	for _, id := range []string{"E1", "E2", "E5", "e7"} {
 		r, err := experiments.ByID(id)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,5 @@
-// Command provbench runs the reproduction experiment suite (E1–E21 of
-// DESIGN.md) and prints each experiment's table. EXPERIMENTS.md records a
-// reference run.
+// Command provbench runs the paper-reproduction experiment suite (E1–E12,
+// internal/experiments) and prints each experiment's table.
 //
 // Usage:
 //
@@ -8,26 +7,15 @@
 //	provbench -e E4,E7    # run selected experiments
 //	provbench -list       # list experiments
 //	provbench -json DIR   # also write machine-readable BENCH_<ID>.json
-//	provbench -check DIR  # bench regression gate against a baseline DIR
 //
 // With -json, each experiment's structured metrics land in
-// DIR/BENCH_<ID>.json so successive PRs can track a perf trajectory.
-//
-// With -check, the gated metrics (see gates) of the freshly run
-// experiments are compared against the committed baseline BENCH_<ID>.json
-// files in DIR; the process exits 1 when any gated metric regresses beyond
-// its tolerance. Gated metrics are machine-speed-independent ratios
-// (speedups), so the gate is robust across hosts; the tolerances absorb
-// normal scheduler noise and still catch architectural regressions.
-// `make bench-gate` wires this into CI, `make bench-baseline` refreshes
-// the committed baseline deliberately.
+// DIR/BENCH_<ID>.json.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,75 +23,17 @@ import (
 	"repro/internal/experiments"
 )
 
-// gates names the bench-regression metrics CI enforces: a fresh value must
-// be at least minRatio × the committed baseline value. All gated metrics
-// are higher-is-better speedup ratios.
-var gates = []struct {
-	experiment string
-	metric     string
-	minRatio   float64
-}{
-	// Group commit: the fsync-reduction ratio is scheduling-dependent
-	// (how many writers join a batch while the previous fsync is in
-	// flight), the ingest speedup additionally depends on the host's
-	// fsync cost; both collapse toward 1.0 if batching breaks.
-	{"E15", "ingest_group_speedup_x", 0.3},
-	{"E15", "fsync_reduction_x", 0.3},
-	// Log-shipping replication: aggregate read capacity with two followers
-	// over the unreplicated baseline, node-at-a-time windows summed. The
-	// baseline ratio is ~2x on a one-core runner (~3x with real cores);
-	// the loose floor trips only if followers stop serving reads or
-	// catch-up stops converging (the experiment errors outright then).
-	{"E18", "replica_read_scaleout_x", 0.3},
-	// Observability overhead: instrumented vs gated-off throughput on the
-	// mixed ingest+closure workload. The emitted ratio is clamped to 1.0
-	// (a noisy host often flips the coin the instrumented way), so the
-	// gate is tight: tripping it means real per-op cost crept into the
-	// metrics hot path — an extra allocation, a lock, an unconditional
-	// clock read.
-	{"E19", "obs_overhead_ratio", 0.95},
-	// Failover: these are correctness-style ratios (1.0 by construction),
-	// so the floors are tight. A convergence drop means log shipping tore
-	// or skipped bytes under injected faults; a fence drop means a cutover
-	// left two writable primaries (split brain).
-	{"E21", "chaos_convergence_ratio", 0.99},
-	{"E21", "failover_fence_ratio", 0.99},
-}
-
 func main() {
 	var (
-		which    = flag.String("e", "", "comma-separated experiment IDs (default: all)")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		jsonDir  = flag.String("json", "", "write BENCH_<ID>.json files to this directory")
-		checkDir = flag.String("check", "", "compare gated metrics against baseline BENCH_<ID>.json files in this directory")
+		which   = flag.String("e", "", "comma-separated experiment IDs (default: all)")
+		list    = flag.Bool("list", false, "list experiment IDs and exit")
+		jsonDir = flag.String("json", "", "write BENCH_<ID>.json files to this directory")
 	)
 	flag.Parse()
 
 	if *list {
-		for _, r := range []string{
-			"E1  Figure 1: prospective vs retrospective provenance",
-			"E2  Figure 2: workflow refinement by analogy",
-			"E3  capture overhead",
-			"E4  lineage query latency per backend",
-			"E5  user views: overload reduction",
-			"E6  query languages on the same lineage",
-			"E7  Provenance Challenge integration",
-			"E8  version-tree scaling",
-			"E9  why-provenance overhead",
-			"E10 parameter sweep throughput",
-			"E11 storage footprint per backend",
-			"E12 collaboratory search + recommendation",
-			"E13 incremental closure maintenance (closure cache)",
-			"E14 sharded store: ingest + closure scaling vs shard count",
-			"E15 WAL group commit + checkpoint: durable ingest and warm restarts",
-			"E16 closure pushdown: deep sharded lineage, local fixpoints + frontier exchange",
-			"E17 streaming query executor: join battery and Datalog fixpoint, absolute",
-			"E18 log-shipping replication: follower read scale-out + ingest retention",
-			"E19 observability overhead: instrumented vs gated-off, percentiles from live histograms",
-			"E20 standing queries: incremental maintenance vs per-ingest re-query",
-			"E21 failover: chaos partition recovery, promotion cutover, fencing",
-		} {
-			fmt.Println(r)
+		for _, e := range experiments.Suite {
+			fmt.Printf("%-3s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -127,11 +57,6 @@ func main() {
 	if *jsonDir != "" {
 		if err := writeJSON(*jsonDir, results); err != nil {
 			fmt.Fprintln(os.Stderr, "provbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *checkDir != "" {
-		if !check(*checkDir, results, os.Stderr) {
 			os.Exit(1)
 		}
 	}
@@ -163,79 +88,4 @@ func writeJSON(dir string, results []experiments.Result) error {
 		fmt.Fprintf(os.Stderr, "provbench: wrote %s\n", path)
 	}
 	return nil
-}
-
-// check compares every gated metric of the fresh results against the
-// baseline directory, printing one verdict line per gate to w. It returns
-// false when a gated metric is missing, its baseline file is absent, or it
-// regresses beyond its tolerance — every failure names its cause and the
-// fix, never a panic or a silent skip.
-func check(dir string, results []experiments.Result, w io.Writer) bool {
-	fresh := map[string]experiments.Result{}
-	for _, r := range results {
-		fresh[r.ID] = r
-	}
-	ok := true
-	for _, g := range gates {
-		r, ran := fresh[g.experiment]
-		if !ran {
-			fmt.Fprintf(w, "gate %s/%s: FAIL (experiment not run; include it via -e)\n", g.experiment, g.metric)
-			ok = false
-			continue
-		}
-		cur, found := metricValue(r.Metrics, g.metric)
-		if !found {
-			fmt.Fprintf(w, "gate %s/%s: FAIL (metric missing from fresh run)\n", g.experiment, g.metric)
-			ok = false
-			continue
-		}
-		path := filepath.Join(dir, "BENCH_"+g.experiment+".json")
-		data, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			// A gate without its committed baseline is a broken gate, not
-			// a skippable one: fail with the remediation spelled out.
-			fmt.Fprintf(w, "gate %s/%s: FAIL (no baseline %s — run `make bench-baseline` and commit the result)\n",
-				g.experiment, g.metric, path)
-			ok = false
-			continue
-		}
-		if err != nil {
-			fmt.Fprintf(w, "gate %s/%s: FAIL (baseline: %v)\n", g.experiment, g.metric, err)
-			ok = false
-			continue
-		}
-		var base benchFile
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(w, "gate %s/%s: FAIL (baseline %s unreadable: %v — refresh it with `make bench-baseline`)\n",
-				g.experiment, g.metric, path, err)
-			ok = false
-			continue
-		}
-		want, found := metricValue(base.Metrics, g.metric)
-		if !found {
-			fmt.Fprintf(w, "gate %s/%s: FAIL (metric missing from baseline %s — refresh it with `make bench-baseline`)\n",
-				g.experiment, g.metric, path)
-			ok = false
-			continue
-		}
-		floor := want * g.minRatio
-		if cur < floor {
-			fmt.Fprintf(w, "gate %s/%s: FAIL (%.3f < %.3f = baseline %.3f × %.2f)\n",
-				g.experiment, g.metric, cur, floor, want, g.minRatio)
-			ok = false
-			continue
-		}
-		fmt.Fprintf(w, "gate %s/%s: ok (%.3f vs baseline %.3f, floor %.3f)\n",
-			g.experiment, g.metric, cur, want, floor)
-	}
-	return ok
-}
-
-func metricValue(ms []experiments.Metric, name string) (float64, bool) {
-	for _, m := range ms {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
 }

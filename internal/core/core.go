@@ -42,7 +42,7 @@ type Options struct {
 	// shards proceed under per-shard locking, and
 	// traversals scatter/gather one frontier per hop. 0 or 1 keeps a single
 	// unsharded store. File-backed sharding follows the same idiom as the
-	// single FileStore: assemble it with shardedstore.Open and pass it as
+	// single FileStore: assemble it with shardedstore.OpenWith and pass it as
 	// Store (provctl and provd do exactly that behind their -shards flags).
 	Shards int
 	// Workers bounds parallel module executions (0: GOMAXPROCS).

@@ -9,7 +9,7 @@
 //     query hot paths: a counter increment is one atomic add, a histogram
 //     observation is two atomic adds plus one atomic increment on a bucket
 //     computed with bit arithmetic — no locks, no allocation, no
-//     formatting. Experiment E19 gates the end-to-end overhead.
+//     formatting (TestHotPathAllocatesNothing pins "no allocation").
 //   - Metric handles are registered once (package-level vars in the
 //     instrumented packages) and then used directly; the registry lock is
 //     only taken at registration and at scrape time. Registration is
@@ -18,13 +18,13 @@
 //     bookkeeping of their own.
 //   - SetEnabled(false) turns every recording operation into a no-op
 //     (timer acquisition via Now returns the zero time, and Observe/Inc
-//     bail on one atomic flag load). E19 measures its "uninstrumented"
-//     arm this way; operators get a kill switch for free.
+//     bail on one atomic flag load): operators get a kill switch, and
+//     tests an uninstrumented arm to compare against.
 //
 // Histograms are log-linear bucketed (16 sub-buckets per power of two, so
 // quantile estimates carry at most ~1/16 relative error; see histogram.go)
-// with mergeable, subtractable snapshots — provbench derives p50/p99
-// windows by snapshot deltas over the same histograms provd serves.
+// with mergeable, subtractable snapshots — provload derives per-phase
+// percentiles by snapshot deltas over the same histograms provd serves.
 package obs
 
 import (
@@ -43,7 +43,7 @@ func init() { enabled.Store(true) }
 // SetEnabled switches metric recording on or off process-wide and returns
 // the previous state. Off, counters stop advancing, histograms stop
 // observing, and Now returns the zero time so deferred ObserveSince calls
-// are no-ops — the state E19 measures instrumentation overhead against.
+// are no-ops.
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
 // Enabled reports whether metric recording is on.

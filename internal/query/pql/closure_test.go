@@ -52,7 +52,7 @@ func TestClosureResultReadsEachOwningRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer file.Close()
-	router, err := shardedstore.Open(t.TempDir(), 4, false)
+	router, err := shardedstore.OpenWith(t.TempDir(), 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

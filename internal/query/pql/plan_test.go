@@ -1,22 +1,75 @@
 package pql_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/provenance"
+	"repro/internal/query/datalog"
 	"repro/internal/query/pql"
 	"repro/internal/relalg"
 	"repro/internal/store"
+	"repro/internal/store/shardedstore"
 )
 
-// e17Store is experiment E17's store: 64 synthetic runs of six executions.
+// e17SynthLog synthesizes run i of the join workload: a chain of
+// execsPerRun module executions, each consuming its predecessor's output
+// artifact. Module types cycle through a fixed palette, every 16th
+// execution fails (the selective predicate the pushdown exploits), and
+// every 4th artifact is an image (a second, milder filter).
+func e17SynthLog(i, execsPerRun int) *provenance.RunLog {
+	runID := fmt.Sprintf("e17-run-%06d", i)
+	l := &provenance.RunLog{}
+	l.Run = provenance.Run{ID: runID, WorkflowID: fmt.Sprintf("wf-%d", i%4), Agent: fmt.Sprintf("agent-%d", i%3), Status: provenance.StatusOK}
+	types := []string{"Ingest", "Clean", "Contour", "Render", "Stat", "Publish"}
+	var seq uint64
+	prev := fmt.Sprintf("e17-art-%06d-in", i)
+	l.Artifacts = append(l.Artifacts, &provenance.Artifact{ID: prev, RunID: runID, Type: "blob"})
+	for j := 0; j < execsPerRun; j++ {
+		exec := fmt.Sprintf("e17-exec-%06d-%02d", i, j)
+		out := fmt.Sprintf("e17-art-%06d-%02d", i, j)
+		status := provenance.StatusOK
+		if (i*execsPerRun+j)%16 == 0 {
+			status = provenance.StatusFailed
+		}
+		atype := "blob"
+		if j%4 == 3 {
+			atype = "image"
+		}
+		l.Executions = append(l.Executions, &provenance.Execution{
+			ID: exec, RunID: runID, ModuleID: fmt.Sprintf("m%d", j),
+			ModuleType: types[j%len(types)], Status: status,
+		})
+		l.Artifacts = append(l.Artifacts, &provenance.Artifact{ID: out, RunID: runID, Type: atype})
+		seq++
+		l.Events = append(l.Events, provenance.Event{Seq: seq, RunID: runID, Kind: provenance.EventArtifactUsed, ExecutionID: exec, ArtifactID: prev})
+		seq++
+		l.Events = append(l.Events, provenance.Event{Seq: seq, RunID: runID, Kind: provenance.EventArtifactGen, ExecutionID: exec, ArtifactID: out})
+		prev = out
+	}
+	return l
+}
+
+// e17Queries is the multi-join PQL battery: every query joins two
+// provenance tables; two carry selective predicates the streaming planner
+// pushes below the join, one is an unselective count, one sorts and
+// truncates.
+var e17Queries = []string{
+	"SELECT module, artifact FROM executions JOIN gens ON executions.id = exec WHERE status = 'fail' ORDER BY artifact",
+	"SELECT exec, type FROM gens JOIN artifacts ON artifact = artifacts.id WHERE type = 'image' ORDER BY exec",
+	"SELECT workflow, module FROM runs JOIN executions ON runs.id = run WHERE moduleType = 'Contour' ORDER BY module LIMIT 50",
+	"SELECT COUNT(*) FROM executions JOIN uses ON executions.id = exec WHERE status = 'ok'",
+}
+
+// e17Store fills s with the join workload's store: 64 synthetic runs of
+// six executions.
 func e17Store(t testing.TB, s store.Store) store.Store {
 	t.Helper()
 	for i := 0; i < 64; i++ {
-		if err := s.PutRunLog(experiments.E17SynthLog(i, 6)); err != nil {
+		if err := s.PutRunLog(e17SynthLog(i, 6)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -25,8 +78,8 @@ func e17Store(t testing.TB, s store.Store) store.Store {
 
 func e17Battery(t testing.TB) []*pql.Query {
 	t.Helper()
-	qs := make([]*pql.Query, len(experiments.E17Queries))
-	for i, src := range experiments.E17Queries {
+	qs := make([]*pql.Query, len(e17Queries))
+	for i, src := range e17Queries {
 		q, err := pql.Parse(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
@@ -165,4 +218,42 @@ func TestValidationReadsNothing(t *testing.T) {
 			t.Errorf("%s: decoded %d records before failing validation", src, n)
 		}
 	}
+}
+
+// BenchmarkE17StreamingExec runs the join battery over the 64-run store
+// through the executor on a MemStore and over a 4-shard router (parallel
+// leaf scans), plus the Datalog provenance fixpoint (derived facts
+// reported). Allocations are reported — the pipelined iterators' avoided
+// intermediate materialization is the headline observable.
+func BenchmarkE17StreamingExec(b *testing.B) {
+	mem := e17Store(b, store.NewMemStore())
+	sharded := e17Store(b, shardedstore.NewMem(4))
+	queries := e17Battery(b)
+	battery := func(s store.Store) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := pql.Execute(s, q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	b.Run("store=mem", battery(mem))
+	b.Run("store=sharded", battery(sharded))
+
+	b.Run("datalog", func(b *testing.B) {
+		b.ReportAllocs()
+		derived := 0
+		for i := 0; i < b.N; i++ {
+			p, err := datalog.NewProvenanceProgram(mem)
+			if err != nil {
+				b.Fatal(err)
+			}
+			derived = p.Evaluate()
+		}
+		b.ReportMetric(float64(derived), "derived-facts")
+	})
 }

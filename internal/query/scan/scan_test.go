@@ -147,7 +147,7 @@ func TestFileBackedScanMatchesRunAtATime(t *testing.T) {
 	}
 	defer single.Close()
 	dir := t.TempDir()
-	router, err := shardedstore.Open(dir, 4, false)
+	router, err := shardedstore.OpenWith(dir, 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFileBackedScanMatchesRunAtATime(t *testing.T) {
 	if err := router.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := shardedstore.Open(dir, 4, false)
+	reopened, err := shardedstore.OpenWith(dir, 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

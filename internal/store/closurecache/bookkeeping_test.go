@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -81,9 +82,16 @@ func checkIndex(t *testing.T, c *Cache) {
 
 func artID(i int) string { return fmt.Sprintf("c-art-%04d", i) }
 
-// TestHitTouchesNothing replaces the warm÷cold ratio E13 used to gate: a
-// hit is one map probe and one copy — no backend call, one allocation —
-// whatever a cold closure costs.
+// allocsPerCall is testing.AllocsPerRun with metric recording switched on
+// or off for the measurement.
+func allocsPerCall(obsOn bool, runs int, op func()) float64 {
+	defer obs.SetEnabled(obs.SetEnabled(obsOn))
+	return testing.AllocsPerRun(runs, op)
+}
+
+// TestHitTouchesNothing: a hit is one map probe and one copy — no backend
+// call, one allocation, with metric recording on or off — whatever a cold
+// closure costs.
 func TestHitTouchesNothing(t *testing.T) {
 	l, _, tail := chainLog(128)
 	fs, err := store.OpenFileStore(t.TempDir())
@@ -102,9 +110,8 @@ func TestHitTouchesNothing(t *testing.T) {
 	}
 	calls := backend.closures.Load() + backend.expands.Load()
 	var got []string
-	allocs := testing.AllocsPerRun(200, func() {
-		got, _ = c.Closure(tail, store.Up)
-	})
+	hit := func() { got, _ = c.Closure(tail, store.Up) }
+	allocs, allocsObsOff := allocsPerCall(true, 200, hit), allocsPerCall(false, 200, hit)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("hit returned %d entities, cold %d", len(got), len(want))
 	}
@@ -113,6 +120,9 @@ func TestHitTouchesNothing(t *testing.T) {
 	}
 	if allocs > 1 {
 		t.Fatalf("a hit allocates %v objects, want ≤ 1 (the caller's copy)", allocs)
+	}
+	if allocs != allocsObsOff {
+		t.Fatalf("a hit allocates %v objects with metrics on, %v with them off", allocs, allocsObsOff)
 	}
 	if e := c.idx.entries[Key{tail, store.Up}]; e.set != nil {
 		t.Fatal("reads built a member set; only a patch needs one")
@@ -313,31 +323,41 @@ func (s *sliceStore) Closure(string, store.Direction) ([]string, error) { return
 // TestMissAllocations: admitting a closure of n members costs the entry,
 // its copy of the order and whatever postings lists happen to grow — not a
 // set entry, an index entry and a map per member, which was three
-// allocations-or-inserts per member before and after.
+// allocations-or-inserts per member before and after. Metric recording
+// adds nothing to it.
 func TestMissAllocations(t *testing.T) {
 	const n = 256
 	order := make([]string, n)
 	for i := range order {
 		order[i] = artID(i)
 	}
-	c := New(&sliceStore{order: order}, Options{MaxClosures: 8})
-	seed := 0
-	miss := func() {
-		seed++
-		if _, err := c.Closure(fmt.Sprintf("seed-%d", seed), store.Up); err != nil {
-			t.Fatal(err)
+	// Each arm replays the same misses on a fresh cache, so the two counts
+	// differ only by what recording costs.
+	missAllocs := func(obsOn bool) float64 {
+		c := New(&sliceStore{order: order}, Options{MaxClosures: 8})
+		seed := 0
+		miss := func() {
+			seed++
+			if _, err := c.Closure(fmt.Sprintf("seed-%d", seed), store.Up); err != nil {
+				t.Fatal(err)
+			}
 		}
+		for i := 0; i < 64; i++ { // reach capacity and steady-state list capacities
+			miss()
+		}
+		allocs := allocsPerCall(obsOn, 200, miss)
+		checkIndex(t, c)
+		return allocs
 	}
-	for i := 0; i < 64; i++ { // reach capacity and steady-state list capacities
-		miss()
-	}
-	allocs := testing.AllocsPerRun(200, miss)
+	allocs, allocsObsOff := missAllocs(true), missAllocs(false)
 	// The seed string, the entry, its order, the seed's own postings list;
 	// a list of the shared members doubling now and then.
 	if allocs > 12 {
 		t.Fatalf("a miss of %d members allocates %v objects, want a constant (≤ 12)", n, allocs)
 	}
-	checkIndex(t, c)
+	if allocs != allocsObsOff {
+		t.Fatalf("a miss allocates %v objects with metrics on, %v with them off", allocs, allocsObsOff)
+	}
 }
 
 // TestReadOnlyCacheBuildsNoIndex: a cache nothing is ingested through posts

@@ -13,6 +13,7 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/store"
 	"repro/internal/store/shardedstore"
+	"repro/internal/store/wal"
 )
 
 // extRun builds a run consuming `in` and generating `out` (plus an
@@ -98,7 +99,7 @@ func TestSnapshotSuffixReplay(t *testing.T) {
 	open := map[string]func(dir string) (store.Store, error){
 		"file": func(dir string) (store.Store, error) { return store.OpenFileStore(dir) },
 		"sharded": func(dir string) (store.Store, error) {
-			r, err := shardedstore.Open(dir, 4, false)
+			r, err := shardedstore.OpenWith(dir, 4, store.FileOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -356,61 +357,86 @@ func TestWarmReopenSurvivesCorruptPrefix(t *testing.T) {
 }
 
 // TestCachePutDoesNotSerializeGroupCommit pins the -cache -durability
-// group stack: additive ingests must reach the WAL concurrently (the
-// cache lock is not held across the store commit), so concurrent writers
-// coalesce into shared fsync batches instead of degenerating to one
-// fsync per run. GroupFlushDelay gives each lone leader a bounded joiner
-// window — on tmpfs the fsync itself is too fast for commit-latency
-// overlap to batch reliably — and a serialized cache still fails here,
-// because writers stuck behind a cache lock can never join the window.
+// group stack, over one file store and over a 4-shard router: additive
+// ingests must reach the WAL concurrently (neither the cache lock nor the
+// router's is held across a shard commit), so concurrent writers coalesce
+// into shared fsync batches instead of degenerating to one fsync per run.
+// GroupFlushDelay gives each lone leader a bounded joiner window — on
+// tmpfs the fsync itself is too fast for commit-latency overlap to batch
+// reliably — and a serialized stack still fails here, because writers
+// stuck behind a lock can never join the window.
 func TestCachePutDoesNotSerializeGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := store.OpenFileStoreWith(dir, store.FileOptions{
-		Durability:      store.DurabilityGroup,
-		GroupFlushDelay: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(fs, Options{SnapshotDir: dir})
-	defer c.Close()
-	const writers, each = 16, 20
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				id := fmt.Sprintf("gc-%02d-%03d", w, i)
-				if err := c.PutRunLog(extRun(id, id+"-in", id+"-out", "")); err != nil {
-					t.Error(err)
-					return
-				}
+	opt := store.FileOptions{Durability: store.DurabilityGroup, GroupFlushDelay: 2 * time.Millisecond}
+	for _, backend := range []struct {
+		name string
+		open func(t *testing.T, dir string) (store.Store, func() wal.Metrics)
+	}{
+		{"file", func(t *testing.T, dir string) (store.Store, func() wal.Metrics) {
+			fs, err := store.OpenFileStoreWith(dir, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	m := fs.WALMetrics()
-	if m.Appends != writers*each {
-		t.Fatalf("appends = %d, want %d", m.Appends, writers*each)
-	}
-	if m.Syncs >= m.Appends {
-		t.Fatalf("cache serialized group commit: %d syncs for %d appends", m.Syncs, m.Appends)
-	}
-	t.Logf("coalesced %d cached ingests into %d fsyncs", m.Appends, m.Syncs)
-	// And the cached state stayed coherent with the store.
-	got, err := c.Closure("gc-00-000-in", store.Down)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := store.NaiveClosure(fs, "gc-00-000-in", store.Down)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(got)
-	sort.Strings(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached closure diverged after concurrent ingest:\n got %v\nwant %v", got, want)
+			return fs, fs.WALMetrics
+		}},
+		{"shards=4", func(t *testing.T, dir string) (store.Store, func() wal.Metrics) {
+			r, err := shardedstore.OpenWith(dir, 4, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r, func() (sum wal.Metrics) {
+				for i := 0; i < r.NumShards(); i++ {
+					m := r.Shard(i).(*store.FileStore).WALMetrics()
+					sum.Appends += m.Appends
+					sum.Syncs += m.Syncs
+				}
+				return sum
+			}
+		}},
+	} {
+		t.Run(backend.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, walMetrics := backend.open(t, dir)
+			c := New(st, Options{SnapshotDir: dir})
+			defer c.Close()
+			const writers, each = 16, 20
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						id := fmt.Sprintf("gc-%02d-%03d", w, i)
+						if err := c.PutRunLog(extRun(id, id+"-in", id+"-out", "")); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			m := walMetrics()
+			if m.Appends != writers*each {
+				t.Fatalf("appends = %d, want %d", m.Appends, writers*each)
+			}
+			if m.Syncs >= m.Appends {
+				t.Fatalf("cache serialized group commit: %d syncs for %d appends", m.Syncs, m.Appends)
+			}
+			t.Logf("coalesced %d cached ingests into %d fsyncs", m.Appends, m.Syncs)
+			// And the cached state stayed coherent with the store.
+			got, err := c.Closure("gc-00-000-in", store.Down)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := store.NaiveClosure(st, "gc-00-000-in", store.Down)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cached closure diverged after concurrent ingest:\n got %v\nwant %v", got, want)
+			}
+		})
 	}
 }
 

@@ -124,8 +124,7 @@ const LogFileName = "provlog.jsonl"
 const checkpointFileName = "checkpoint.json"
 
 // CheckpointPath returns the checkpoint file a FileStore rooted at dir
-// writes; tools (and E15's cold-reopen measurement) remove it to force a
-// full-scan reopen.
+// writes; tools and tests remove it to force a full-scan reopen.
 func CheckpointPath(dir string) string { return filepath.Join(dir, checkpointFileName) }
 
 // OpenFileStore opens (or creates) a file store rooted at dir with no
@@ -284,7 +283,7 @@ func (s *FileStore) Name() string { return "file" }
 func (s *FileStore) Durability() Durability { return s.opt.Durability }
 
 // WALMetrics snapshots the append log's counters — appends, batches and
-// fsyncs — the observable behind E15's fsync-reduction claim.
+// fsyncs — the observable group-commit tests assert batching on.
 func (s *FileStore) WALMetrics() wal.Metrics { return s.w.Metrics() }
 
 // foldEntry is one WAL-committed record waiting for its turn at the fold

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/workloads"
 )
@@ -702,7 +704,8 @@ func TestHubFoldOutOfOrder(t *testing.T) {
 // TestClosureAllocations pins the allocation profile the table buys: a
 // closure over a 256-entity chain allocates a constant handful of objects
 // (the result and whatever the pooled walk grows the first time) where the
-// map-based walk allocated per entity visited.
+// map-based walk allocated per entity visited. Instrumentation adds none:
+// each count is the same with metric recording on as with it off.
 func TestClosureAllocations(t *testing.T) {
 	fs, err := OpenFileStore(t.TempDir())
 	if err != nil {
@@ -720,18 +723,41 @@ func TestClosureAllocations(t *testing.T) {
 	if lin, err := fs.Closure(prev, Up); err != nil || len(lin) != 256 {
 		t.Fatalf("chain lineage = %d entities, %v; want 256", len(lin), err)
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := fs.Closure(prev, Up); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 8 {
-		t.Fatalf("Closure over a 256-entity chain: %v allocations per call, want ≤ 8", allocs)
-	}
 	seeds := []string{prev}
 	var buf []LocalNeighbors
-	if allocs := testing.AllocsPerRun(100, func() {
-		buf, _ = fs.CloseLocal(seeds, Up, nil, buf[:0])
-	}); allocs > 8 {
-		t.Fatalf("CloseLocal over a 256-entity chain: %v allocations per call, want ≤ 8", allocs)
+	for name, op := range map[string]func(){
+		"Closure": func() {
+			if _, err := fs.Closure(prev, Up); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"CloseLocal": func() { buf, _ = fs.CloseLocal(seeds, Up, nil, buf[:0]) },
+	} {
+		if allocs := testing.AllocsPerRun(100, op); allocs > 8 {
+			t.Errorf("%s over a 256-entity chain: %v allocations per call, want ≤ 8", name, allocs)
+		}
+		on, off := fewestAllocs(op, true), fewestAllocs(op, false)
+		if on != off {
+			t.Errorf("%s: %d allocations per call with metrics on, %d with them off", name, on, off)
+		}
 	}
+}
+
+// fewestAllocs returns the fewest objects one call of op allocates over
+// 100 calls, with metric recording switched on or off. The fewest, not the
+// mean: under the race detector sync.Pool drops a random quarter of what
+// is put back, so a pooled walk's mean count is noise there.
+func fewestAllocs(op func(), obsOn bool) uint64 {
+	defer obs.SetEnabled(obs.SetEnabled(obsOn))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op()
+	fewest := ^uint64(0)
+	var m0, m1 runtime.MemStats
+	for i := 0; i < 100; i++ {
+		runtime.ReadMemStats(&m0)
+		op()
+		runtime.ReadMemStats(&m1)
+		fewest = min(fewest, m1.Mallocs-m0.Mallocs)
+	}
+	return fewest
 }

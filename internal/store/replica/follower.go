@@ -303,7 +303,7 @@ func (f *Follower) Observe(fn func(*provenance.RunLog)) {
 }
 
 // CatchUp streams and applies every shard to the primary's committed
-// position as of this call, synchronously. Tests and E18 use it for
+// position as of this call, synchronously. Tests and benchmarks use it for
 // deterministic convergence; production followers run Start instead.
 func (f *Follower) CatchUp() error {
 	return f.CatchUpContext(context.Background())

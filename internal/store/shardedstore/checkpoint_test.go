@@ -18,7 +18,7 @@ import (
 // was the failure mode the ROADMAP called out.
 func TestShardCountMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, 2, false)
+	r, err := OpenWith(dir, 2, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,17 +32,17 @@ func TestShardCountMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Open(dir, 4, false); err == nil {
+	if _, err := OpenWith(dir, 4, store.FileOptions{}); err == nil {
 		t.Fatal("opened a 2-shard directory with 4 shards")
 	} else if !strings.Contains(err.Error(), "2 shards") {
 		t.Fatalf("mismatch error not loud about the written count: %v", err)
 	}
-	if _, err := Open(dir, 1, false); err == nil {
+	if _, err := OpenWith(dir, 1, store.FileOptions{}); err == nil {
 		t.Fatal("opened a 2-shard directory with 1 shard")
 	}
 
 	// The correct count still opens and sees every run.
-	r2, err := Open(dir, 2, false)
+	r2, err := OpenWith(dir, 2, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestUnshardedDirRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Close()
-	if _, err := Open(dir, 2, false); err == nil {
+	if _, err := OpenWith(dir, 2, store.FileOptions{}); err == nil {
 		t.Fatal("opened an unsharded store directory as sharded")
 	}
 }
@@ -96,7 +96,7 @@ func TestUnshardedDirRejected(t *testing.T) {
 // count fallback.
 func TestLegacyLayoutWithoutMetaStillChecked(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, 3, false)
+	r, err := OpenWith(dir, 3, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestLegacyLayoutWithoutMetaStillChecked(t *testing.T) {
 	if n, unsharded := DetectShards(dir); n != 3 || unsharded {
 		t.Fatalf("DetectShards = %d,%v want 3,false", n, unsharded)
 	}
-	if _, err := Open(dir, 2, false); err == nil {
+	if _, err := OpenWith(dir, 2, store.FileOptions{}); err == nil {
 		t.Fatal("legacy layout opened with wrong shard count")
 	}
 }

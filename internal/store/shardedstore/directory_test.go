@@ -248,7 +248,7 @@ func checkAgainstFold(t *testing.T, label string, r *Router, logs []*provenance.
 // the streams interleaved along primary's accepted order.
 func replicate(t *testing.T, primary *Router, dir string) *Router {
 	t.Helper()
-	fol, err := Open(dir, primary.NumShards(), false)
+	fol, err := OpenWith(dir, primary.NumShards(), store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestDerivedDirectoryMatchesLiveFold(t *testing.T) {
 			checkpoint, spread := cs[0], cs[1]
 			label := fmt.Sprintf("seed %d, checkpoint %v, spread %v", seed, checkpoint, spread)
 			dir := t.TempDir()
-			live, err := Open(dir, 4, false)
+			live, err := OpenWith(dir, 4, store.FileOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +309,7 @@ func TestDerivedDirectoryMatchesLiveFold(t *testing.T) {
 			if err := live.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := Open(dir, 4, false)
+			re, err := OpenWith(dir, 4, store.FileOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func TestDerivedDirectoryMatchesLiveFold(t *testing.T) {
 			if err := os.WriteFile(manifest, []byte(cut), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			missed, err := Open(dir, 4, false)
+			missed, err := OpenWith(dir, 4, store.FileOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +360,7 @@ func TestDerivedDirectoryMatchesLiveFold(t *testing.T) {
 // bytes are garbage — and the resident state answers as the oracle.
 func TestShardedReopenReadsNoPrefix(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, 4, false)
+	r, err := OpenWith(dir, 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestShardedReopenReadsNoPrefix(t *testing.T) {
 		}
 	}
 
-	re, err := Open(dir, 4, false)
+	re, err := OpenWith(dir, 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestOpenDecodesEachRecordOnce(t *testing.T) {
 	reopen := func(dir string) (r *Router, decoded, scans uint64) {
 		t.Helper()
 		d0, s0 := recovered.Value(), scanned.Value()
-		r, err := Open(dir, 4, false)
+		r, err := OpenWith(dir, 4, store.FileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +474,7 @@ func openFiles(t *testing.T) int {
 // that did are closed again, not leaked with their log files and writers.
 func TestOpenWithClosesShardsOnFailure(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, 4, false)
+	r, err := OpenWith(dir, 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestOpenWithClosesShardsOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := openFiles(t)
-	if _, err := Open(dir, 4, false); err == nil || !strings.Contains(err.Error(), "open shard 2") {
+	if _, err := OpenWith(dir, 4, store.FileOptions{}); err == nil || !strings.Contains(err.Error(), "open shard 2") {
 		t.Fatalf("Open = %v, want shard 2's failure", err)
 	}
 	if after := openFiles(t); after != before {
@@ -507,7 +507,7 @@ func TestRebuildKeepsAnIntactManifest(t *testing.T) {
 		if err := os.Chtimes(manifest, long, long); err != nil {
 			t.Fatal(err)
 		}
-		r, err := Open(dir, 2, false)
+		r, err := OpenWith(dir, 2, store.FileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +518,7 @@ func TestRebuildKeepsAnIntactManifest(t *testing.T) {
 		}
 		return !fi.ModTime().Equal(long)
 	}
-	r, err := Open(dir, 2, false)
+	r, err := OpenWith(dir, 2, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func TestPlacementBalanceGuard(t *testing.T) {
 // whatever shard each would have gone to.
 func TestConcurrentDuplicateRunAcceptedOnce(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, 4, false)
+	r, err := OpenWith(dir, 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestConcurrentDuplicateRunAcceptedOnce(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if r, err = Open(dir, 4, false); err != nil {
+	if r, err = OpenWith(dir, 4, store.FileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
@@ -283,7 +283,7 @@ func TestConcurrentDuplicateRunAcceptedOnce(t *testing.T) {
 // from the shards' Runs(), and new runs still follow their inputs.
 func TestReopenKeepsPlacement(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, 4, false)
+	r, err := OpenWith(dir, 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestReopenKeepsPlacement(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if r, err = Open(dir, 4, false); err != nil {
+	if r, err = OpenWith(dir, 4, store.FileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()

@@ -33,7 +33,7 @@ func (r *Router) FileShard(i int) (*store.FileStore, error) {
 // The manifest journal records the runs in apply order. Per-shard
 // streams are independent, so a follower's cross-shard manifest order
 // can differ from the primary's — the same advisory skew a journal-
-// missed run has after a primary crash (see Open): run data never
+// missed run has after a primary crash (see OpenWith): run data never
 // depends on it, only cross-shard generator tie-break replay order.
 func (r *Router) ApplyReplicated(shard int, data []byte) ([]*provenance.RunLog, int64, error) {
 	fs, err := r.FileShard(shard)

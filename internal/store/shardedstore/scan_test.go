@@ -28,7 +28,7 @@ func scanIDs(t *testing.T, r *Router, skip int) []string {
 // order, from any starting run, including a start that falls between the
 // two inverted runs.
 func TestScanLogsFollowsAcceptedOrderAcrossInversions(t *testing.T) {
-	r, err := Open(t.TempDir(), 2, false)
+	r, err := OpenWith(t.TempDir(), 2, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestScanLogsFollowsAcceptedOrderAcrossInversions(t *testing.T) {
 // Artifact/Execution for every entity, over file-backed and resident
 // shards, including entities declared on several shards and unknown IDs.
 func TestEntitiesMatchesPerIDReads(t *testing.T) {
-	file, err := Open(t.TempDir(), 3, false)
+	file, err := OpenWith(t.TempDir(), 3, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

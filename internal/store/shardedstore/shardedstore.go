@@ -36,10 +36,9 @@
 //     (the directory already knows), batches each round's probes per
 //     destination shard, and finally replays the gathered subgraph in
 //     memory to reproduce the exact single-store BFS order. TracedClosure
-//     exposes the round structure (-trace-rounds, experiment E16); the
-//     per-hop traversal this replaced is store.CloseOverExpand over
-//     Router.Expand, which the conformance tests and E16 still compare
-//     against.
+//     exposes the round structure (-trace-rounds); the per-hop traversal
+//     this replaced is store.CloseOverExpand over Router.Expand, which the
+//     conformance tests still compare against.
 //
 // The router holds no edges of its own: shards own the graph, the router
 // owns only the run placement and the directory, so its resident footprint
@@ -182,7 +181,7 @@ func CheckShards(n int) error {
 
 // New builds a router over the given shards (at least one, at most
 // maxShards). The shards should be empty or previously populated through a
-// router with the same shard count and order; use Open to reopen
+// router with the same shard count and order; use OpenWith to reopen
 // file-backed shards.
 func New(shards []Shard) (*Router, error) {
 	if len(shards) == 0 {
@@ -278,12 +277,14 @@ func validateLayout(dir string, n int) error {
 	return nil
 }
 
-// Open opens (or creates) n file-backed shards under dir/shard-000 …
+// OpenWith opens (or creates) n file-backed shards under dir/shard-000 …
 // dir/shard-N-1 and rebuilds the router's run placement and directory from
-// the shards' recovered state. With durable set, every ingest fsyncs its
-// shard's log before returning (store.DurabilityFsync) — the
-// configuration experiment E14 measures. OpenWith exposes the full
-// durability and checkpoint configuration, including group commit.
+// the shards' recovered state. Each shard owns its own write-ahead
+// group-commit log (store.FileOptions.Durability selects none/fsync/group
+// per append), so under DurabilityGroup concurrent ingests coalesce per
+// shard AND overlap across shards. CheckpointEvery is counted router-wide:
+// every N accepted ingests the router checkpoints all shards and records
+// their checkpoint positions in the store's meta record.
 //
 // A small manifest journal (dir/router-manifest.log, one run ID per
 // accepted ingest) preserves the global cross-shard ingest order, so a
@@ -298,21 +299,6 @@ func validateLayout(dir string, n int) error {
 // run orders last, which can flip a generator tie-break for an artifact whose generator was
 // re-declared across shards (journaling durably would need an fsync per
 // ingest on a shared file — exactly the serialization sharding removes).
-func Open(dir string, n int, durable bool) (*Router, error) {
-	opt := store.FileOptions{}
-	if durable {
-		opt.Durability = store.DurabilityFsync
-	}
-	return OpenWith(dir, n, opt)
-}
-
-// OpenWith is Open with explicit per-shard durability and checkpoint
-// configuration. Each shard owns its own write-ahead group-commit log
-// (store.FileOptions.Durability selects none/fsync/group per append), so
-// under DurabilityGroup concurrent ingests coalesce per shard AND overlap
-// across shards. CheckpointEvery is counted router-wide: every N accepted
-// ingests the router checkpoints all shards and records their checkpoint
-// positions in the store's meta record.
 //
 // A store directory must be reopened with the shard count it was written
 // with: any mismatch (including opening an unsharded log as sharded) is
@@ -656,7 +642,7 @@ func (r *Router) commit(l *provenance.RunLog, shard int) error {
 			// committed over it. A missed append costs this run its place in
 			// the reopen ordering: it replays after the journaled runs, which
 			// can flip a cross-shard generator tie-break if another run
-			// re-declared the same artifact's generator (see Open).
+			// re-declared the same artifact's generator (see OpenWith).
 			_, _ = r.manifest.WriteString(l.Run.ID + "\n")
 		}
 	}
@@ -1089,8 +1075,8 @@ func scatter[T any](perShard [][]string, results []T, errs []error, probe func(s
 }
 
 // ClosureTrace describes the round structure of one pushdown Closure: the
-// observability surface behind provctl/provd's -trace-rounds flag and
-// E16's rounds-executed metric. Rounds ≤ Crossings + 1 by construction —
+// observability surface behind provctl/provd's -trace-rounds flag and the
+// prov_router_closure_rounds histogram. Rounds ≤ Crossings + 1 by construction —
 // every round past the first is driven by at least one cross-shard
 // continuation.
 type ClosureTrace struct {

@@ -267,7 +267,7 @@ func TestShardedMixedBackends(t *testing.T) {
 func TestShardedConcurrentIngest(t *testing.T) {
 	const writers = 8
 	const runsEach = 6
-	r, err := Open(t.TempDir(), 4, false)
+	r, err := OpenWith(t.TempDir(), 4, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 // including across the generator re-declarations synthLogs mixes in.
 func TestShardedReopenRebuild(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, 3, false)
+	r, err := OpenWith(dir, 3, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestShardedReopenRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := Open(dir, 3, false)
+	r2, err := OpenWith(dir, 3, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestShardedReopenRebuild(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, manifestFileName)); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := Open(dir, 3, false)
+	r3, err := OpenWith(dir, 3, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
