@@ -92,8 +92,9 @@ loc:
 	@printf 'exported top-level symbols outside bench/: '; $(SRC) | \
 		xargs grep -hE '^func [A-Z]|^func \([^)]*\) [A-Z]|^type [A-Z]|^var [A-Z]|^const [A-Z]' | wc -l
 
-# Everything the CI workflow gates on, runnable locally.
-ci: fmt-check build vet staticcheck test-race chaos fuzz-smoke bench-smoke provload-quick
+# Everything the CI workflow runs, runnable locally; loc only prints the
+# two size figures and has no threshold.
+ci: fmt-check build vet staticcheck test-race chaos fuzz-smoke bench-smoke provload-quick loc
 
 clean:
 	find $(BENCH_DIR) -maxdepth 1 -name 'BENCH_*.json' -delete

@@ -195,10 +195,10 @@ func BenchmarkE4QueryLatency(b *testing.B) {
 }
 
 // BenchmarkE4bBatchVsPerEdge quantifies the batch-traversal win: the same
-// depth-128 lineage closure once through the per-edge reference BFS (one
-// navigation call per node — on the file backend each call used to re-read
-// the run log from disk) and once through the pushed-down batch Closure
-// (O(hops) backend calls; zero disk reads on the file backend).
+// depth-128 lineage closure once through the per-node reference BFS (one
+// single-entity Expand per node, store.NaiveClosure) and once through the
+// pushed-down batch Closure (O(hops) backend calls; zero disk reads on the
+// file backend).
 func BenchmarkE4bBatchVsPerEdge(b *testing.B) {
 	log, target := chainLog(b, 128)
 	fs, err := store.OpenFileStore(b.TempDir())

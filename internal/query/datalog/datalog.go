@@ -73,7 +73,15 @@ func NewProgram() *Program {
 const fieldSep = "\x00"
 
 func encodeTuple(vals []string) string { return strings.Join(vals, fieldSep) }
-func decodeTuple(s string) []string    { return strings.Split(s, fieldSep) }
+
+// decodeTuple inverts encodeTuple for a predicate of the given arity: the
+// empty key is the empty tuple at arity 0 and one empty constant at 1.
+func decodeTuple(s string, arity int) []string {
+	if arity == 0 {
+		return nil
+	}
+	return strings.Split(s, fieldSep)
+}
 
 // AddFact inserts a ground fact.
 func (p *Program) AddFact(pred string, vals ...string) error {
@@ -195,11 +203,7 @@ func (p *Program) match(q Atom) *QueryResult {
 	res := &QueryResult{Vars: vars}
 	rowSet := map[string]bool{}
 	for key := range p.facts[q.Pred] {
-		vals := decodeTuple(key)
-		if len(vals) != len(q.Args) {
-			continue
-		}
-		b, ok := unify(q, vals, binding{})
+		b, ok := unify(q, decodeTuple(key, p.arity[q.Pred]), binding{})
 		if !ok {
 			continue
 		}

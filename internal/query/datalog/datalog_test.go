@@ -312,6 +312,27 @@ func TestProvenanceProgramSameSource(t *testing.T) {
 	}
 }
 
+// TestZeroArityFacts: a derived p() answers Query with one empty row, an
+// underivable one with none, and a zero-arity atom gates a rule body.
+func TestZeroArityFacts(t *testing.T) {
+	p, err := ParseProgram(`
+edge(a, b).
+nonempty() :- edge(X, Y).
+loop() :- edge(X, X).
+src(X) :- nonempty(), edge(X, Y).
+stuck(X) :- loop(), edge(X, Y).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]int{"nonempty()": 1, "loop()": 0, "src(X)": 1, "stuck(X)": 0} {
+		res, err := p.Query(mustAtom(t, q))
+		if err != nil || len(res.Rows) != want {
+			t.Fatalf("%s = %v, %v; want %d rows", q, res, err, want)
+		}
+	}
+}
+
 func TestQueryArityMismatch(t *testing.T) {
 	p, _ := ParseProgram("f(a, b).")
 	if _, err := p.Query(mustAtom(t, "f(X)")); err == nil {

@@ -76,7 +76,7 @@ func (p *Program) joinBody(r Rule, focus int, delta map[string]map[string]bool, 
 			source = p.facts[atom.Pred]
 		}
 		for key := range source {
-			vals := decodeTuple(key)
+			vals := decodeTuple(key, p.arity[atom.Pred])
 			if len(vals) != len(atom.Args) {
 				continue
 			}

@@ -88,31 +88,6 @@ func (s *selectIter) Next() (*Tuple, error) {
 	}
 }
 
-type renameIter struct {
-	in     Iterator
-	schema []string
-}
-
-// StreamRename renames a column; tuples flow through untouched.
-func StreamRename(in Iterator, from, to string) (Iterator, error) {
-	schema := append([]string(nil), in.Schema()...)
-	found := false
-	for i, c := range schema {
-		if c == from {
-			schema[i] = to
-			found = true
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("relalg: stream rename: no column %q", from)
-	}
-	return &renameIter{in: in, schema: schema}, nil
-}
-
-func (r *renameIter) Schema() []string      { return r.schema }
-func (r *renameIter) Close() error          { return r.in.Close() }
-func (r *renameIter) Next() (*Tuple, error) { return r.in.Next() }
-
 // bindIter projects columns positionally WITHOUT deduplication (bag
 // semantics) and may rename them: the cheap π used inside pipelines where
 // set semantics are not wanted (PQL output columns, planner variable
@@ -550,13 +525,6 @@ func StreamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iter
 			return out, nil
 		},
 	}, nil
-}
-
-// StreamSort drains the input and streams it back ordered by col ascending
-// (stable). Sorting is inherently blocking; memory is
-// one tuple header per input row (values are not copied).
-func StreamSort(in Iterator, col string) (Iterator, error) {
-	return streamSortBy(in, col, func(a, b Val) bool { return compareVals(a, b) < 0 })
 }
 
 // StreamSortBy drains and stable-sorts by an arbitrary comparator over the

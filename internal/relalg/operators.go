@@ -6,9 +6,9 @@ import (
 )
 
 // The operators in this file that take and return whole relations —
-// Select, Project, Semijoin, Rename, Join, Union, GroupBy, Sort — are the
-// streaming operators of iter.go run over a scan and materialized: each
-// has one body, in iter.go, and these fix only the result's name.
+// Select, Project, Join, Union, GroupBy — are the streaming operators of
+// iter.go run over a scan and materialized: each has one body, in
+// iter.go, and these fix only the result's name.
 
 // Pred is a selection predicate over a tuple's values (indexed by the
 // relation's schema).
@@ -42,38 +42,6 @@ func Project(r *Relation, cols ...string) (*Relation, error) {
 	return Materialize(it, "π("+r.Name+")")
 }
 
-// Semijoin returns the tuples of r whose col value is a member of keys
-// (r ⋉ keys): one scan answers membership for an entire key set, where
-// repeated Select/Eq calls would scan once per key. Witnesses pass
-// through unchanged, as in Select. This is the algebra-level form of the
-// plan the provenance store runs for frontier expansion; the store's hot
-// path (store.RelStore.Expand) evaluates the same semijoin inline over
-// its base rows to avoid materializing tuples and witness sets per hop.
-func Semijoin(r *Relation, col string, keys map[Val]bool) (*Relation, error) {
-	it, err := StreamSemijoin(NewScan(r), col, keys)
-	if err != nil {
-		return nil, err
-	}
-	return Materialize(it, "("+r.Name+"⋉)")
-}
-
-// Rename returns a copy of the relation with a column renamed.
-func Rename(r *Relation, from, to string) (*Relation, error) {
-	it, err := StreamRename(NewScan(r), from, to)
-	if err != nil {
-		return nil, err
-	}
-	out, err := Materialize(it, r.Name)
-	if err != nil {
-		return nil, err
-	}
-	// A rename can collide with a column the relation already has.
-	if err := out.buildIndex(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Join computes the natural equijoin on leftCol = rightCol. The output
 // schema is left's columns followed by right's (right's join column
 // prefixed with the relation name on collision). Witness sets of joined
@@ -95,32 +63,6 @@ func Union(a, b *Relation) (*Relation, error) {
 		return nil, err
 	}
 	return Materialize(it, "("+a.Name+"∪"+b.Name+")")
-}
-
-// Difference computes a − b (set semantics). Witnesses of surviving tuples
-// pass through from a; why-provenance of absent tuples is not modeled.
-func Difference(a, b *Relation) (*Relation, error) {
-	if err := schemaNamesEqual(a.Schema, b.Schema); err != nil {
-		return nil, err
-	}
-	drop := map[string]bool{}
-	for _, t := range b.Tuples {
-		drop[valueKey(t.Values)] = true
-	}
-	out := derived("("+a.Name+"−"+b.Name+")", a.Schema)
-	seen := map[string]bool{}
-	for _, t := range a.Tuples {
-		k := valueKey(t.Values)
-		if drop[k] || seen[k] {
-			continue
-		}
-		seen[k] = true
-		out.Tuples = append(out.Tuples, Tuple{
-			Values: append([]Val(nil), t.Values...),
-			Prov:   cloneWitnesses(t.Prov),
-		})
-	}
-	return out, nil
 }
 
 // AggFunc names an aggregate.
@@ -154,15 +96,6 @@ func toFloat(v Val) (float64, error) {
 		return x, nil
 	}
 	return 0, fmt.Errorf("value %v (%T) is not numeric", v, v)
-}
-
-// Sort returns a copy ordered by the named column ascending.
-func Sort(r *Relation, col string) (*Relation, error) {
-	it, err := StreamSort(NewScan(r), col)
-	if err != nil {
-		return nil, err
-	}
-	return Materialize(it, r.Name)
 }
 
 // WhyProvenance returns the why-provenance of the first tuple whose values

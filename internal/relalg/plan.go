@@ -86,21 +86,6 @@ type PlanOptions struct {
 	Instrument bool
 }
 
-// PlanConj compiles a conjunctive query over leaves, projecting the output
-// variables (bag semantics — callers dedup if they need sets). Every
-// output variable must occur in some leaf.
-func PlanConj(leaves []Leaf, output []string, opts PlanOptions) (*Plan, error) {
-	pc, err := PrepareConj(leaves, output)
-	if err != nil {
-		return nil, err
-	}
-	tuples := make([][]Tuple, len(leaves))
-	for i := range leaves {
-		tuples[i] = leaves[i].Tuples
-	}
-	return pc.Bind(tuples, opts)
-}
-
 // PreparedConj is a conjunctive plan with the statistics-free compilation
 // work — per-leaf selection pushdown and the greedy join order — done once
 // and the base tuples left unbound. Callers that execute the same query

@@ -104,14 +104,15 @@ var (
 	mCachePatchSecs     = obs.Default().Histogram("prov_cache_patch_seconds", "Per-ingest delta patch latency (hazard eviction + additive patching).")
 )
 
+// maxNeighbors bounds the memoized per-entity Expand frontiers; past it a
+// miss is answered but not memoized.
+const maxNeighbors = 65536
+
 // Options tunes a Cache. The zero value picks sensible defaults.
 type Options struct {
 	// MaxClosures bounds the number of memoized closures (default 4096).
 	// At capacity an arbitrary entry is evicted to admit the new one.
 	MaxClosures int
-	// MaxNeighbors bounds memoized per-entity Expand frontiers (default
-	// 65536 entries).
-	MaxNeighbors int
 	// SnapshotDir, when set, persists the memoized closures and the
 	// generation counter to a checkpoint file in this directory (next to
 	// a file-backed store's log): New restores the snapshot — replaying
@@ -130,9 +131,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxClosures <= 0 {
 		o.MaxClosures = 4096
-	}
-	if o.MaxNeighbors <= 0 {
-		o.MaxNeighbors = 65536
 	}
 	return o
 }
@@ -459,7 +457,7 @@ func (c *Cache) Expand(ids []string, dir store.Direction) (map[string][]string, 
 	c.mu.Lock()
 	if c.generation == gen {
 		for id, ns := range adj {
-			if len(c.hot) >= c.opt.MaxNeighbors {
+			if len(c.hot) >= maxNeighbors {
 				break
 			}
 			c.hot[Key{id, dir}] = append([]string(nil), ns...)

@@ -78,8 +78,6 @@ type FileOptions struct {
 	// media whose fsync is too fast for commit-latency overlap to batch.
 	// 0 (default) batches purely by overlapping the in-flight commit.
 	GroupFlushDelay time.Duration
-	// MaxBatchBytes caps a group-commit batch (default 1 MiB).
-	MaxBatchBytes int
 }
 
 // Checkpointer is implemented by stores that can snapshot their folded

@@ -37,11 +37,11 @@ var (
 // resident entity table (entityTable) — rebuilt at open/ingest time from
 // the same records — maps every entity ID to a dense handle and a record
 // of its kind, owning runs, generator and neighbour lists. It serves graph
-// navigation (GeneratorOf, ConsumersOf, Used, Generated, Expand, Closure,
-// CloseLocal) without re-reading the log: a traversal hashes each ID that
-// enters it once, walks integer handles with a pooled visited array, and
-// allocates only the strings it returns, so closure queries perform zero
-// disk reads after open and a constant number of allocations.
+// navigation (Expand, Closure, CloseLocal) without re-reading the log: a
+// traversal hashes each ID that enters it once, walks integer handles with
+// a pooled visited array, and allocates only the strings it returns, so
+// closure queries perform zero disk reads after open and a constant number
+// of allocations.
 //
 // Full-entity and run-log retrieval read the owning record from disk
 // through one read path. A single record (RunLog, Artifact, Execution,
@@ -172,11 +172,7 @@ func OpenFileStoreWith(dir string, opt FileOptions) (*FileStore, error) {
 	case DurabilityGroup:
 		policy = wal.SyncBatch
 	}
-	s.w = wal.NewWriter(f, s.size, wal.Options{
-		Policy:        policy,
-		FlushDelay:    opt.GroupFlushDelay,
-		MaxBatchBytes: opt.MaxBatchBytes,
-	})
+	s.w = wal.NewWriter(f, s.size, wal.Options{Policy: policy, FlushDelay: opt.GroupFlushDelay})
 	return s, nil
 }
 
@@ -655,63 +651,6 @@ func (s *FileStore) Entities(ids []string) ([]Entity, error) {
 	return out, nil
 }
 
-// entityLocked resolves an ID to its table record, ErrNotFound when no
-// run stored it; the caller holds at least a read lock.
-func (s *FileStore) entityLocked(id string) (*entity, error) {
-	if e := s.tab.lookup(id); e != nil {
-		return e, nil
-	}
-	return nil, fmt.Errorf("%w: entity %q", ErrNotFound, id)
-}
-
-// GeneratorOf implements Store, answered from the resident entity table
-// without touching disk.
-func (s *FileStore) GeneratorOf(artifactID string) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, err := s.entityLocked(artifactID)
-	if err != nil {
-		return "", err
-	}
-	if e.gen[0] == noGen {
-		return "", fmt.Errorf("%w: generator of %q", ErrNotFound, artifactID)
-	}
-	return s.tab.ents[e.gen[0]].id, nil
-}
-
-// ConsumersOf implements Store, answered from the resident table.
-func (s *FileStore) ConsumersOf(artifactID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, err := s.entityLocked(artifactID)
-	if err != nil {
-		return nil, err
-	}
-	return s.tab.names(e.consumers), nil
-}
-
-// Used implements Store, answered from the resident table.
-func (s *FileStore) Used(execID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, err := s.entityLocked(execID)
-	if err != nil {
-		return nil, err
-	}
-	return s.tab.names(e.used), nil
-}
-
-// Generated implements Store, answered from the resident table.
-func (s *FileStore) Generated(execID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, err := s.entityLocked(execID)
-	if err != nil {
-		return nil, err
-	}
-	return s.tab.names(e.generated), nil
-}
-
 // Expand implements Store: the whole frontier is served from the resident
 // table under one shared-lock acquisition, zero disk reads.
 func (s *FileStore) Expand(ids []string, dir Direction) (map[string][]string, error) {
@@ -730,9 +669,9 @@ func (s *FileStore) Closure(seed string, dir Direction) ([]string, error) {
 	start := obs.Now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, err := s.entityLocked(seed)
-	if err != nil {
-		return nil, err
+	e := s.tab.lookup(seed)
+	if e == nil {
+		return nil, fmt.Errorf("%w: entity %q", ErrNotFound, seed)
 	}
 	out := s.tab.closure(e, dir)
 	mStoreClosureSecs.ObserveSince(start)

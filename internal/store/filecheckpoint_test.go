@@ -231,8 +231,8 @@ func openIgnoresCheckpoint(t *testing.T, dir string, mem *MemStore, art, generat
 	if got, err := re.Closure(art, Up); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("lineage after the full-scan open = %v, %v; want %v", got, err, want)
 	}
-	if g, err := re.GeneratorOf(art); err != nil || g != generator {
-		t.Fatalf("GeneratorOf(%s) = %q, %v; want %q", art, g, err, generator)
+	if g, _, err := expandOne(re, art, Up); err != nil || len(g) != 1 || g[0] != generator {
+		t.Fatalf("Expand([%s], Up) = %v, %v; want [%s]", art, g, err, generator)
 	}
 	if err := re.Checkpoint(); err != nil {
 		t.Fatal(err)

@@ -103,38 +103,6 @@ func (s *MemStore) Execution(id string) (*provenance.Execution, error) {
 	return e, nil
 }
 
-// GeneratorOf implements Store.
-func (s *MemStore) GeneratorOf(artifactID string) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	g, ok := s.adj.genBy[artifactID]
-	if !ok {
-		return "", fmt.Errorf("%w: generator of %q", ErrNotFound, artifactID)
-	}
-	return g, nil
-}
-
-// ConsumersOf implements Store.
-func (s *MemStore) ConsumersOf(artifactID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedUnique(s.adj.consumers[artifactID]), nil
-}
-
-// Used implements Store.
-func (s *MemStore) Used(execID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedUnique(s.adj.used[execID]), nil
-}
-
-// Generated implements Store.
-func (s *MemStore) Generated(execID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedUnique(s.adj.generated[execID]), nil
-}
-
 // kindLocked classifies an ID for traversal; the caller holds at least a
 // read lock.
 func (s *MemStore) kindLocked(id string) entityKind {
@@ -180,6 +148,75 @@ func (s *MemStore) CloseLocal(seeds []string, dir Direction, skip func(string) b
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return localCloseBFS(seeds, dir, skip, s.neighborsLocked, buf), nil
+}
+
+// localCloseBFS is the local-fixpoint walk behind MemStore.CloseLocal
+// (FileStore walks its entity table instead): a BFS over a per-node
+// neighbor function that stops at skip boundaries and records each
+// expanded node's neighbor list. neighbors reports ok=false for unknown
+// entities (they are not expanded; a run log's events only reference
+// entities declared in the same log, so a backend's own edges never
+// dangle).
+//
+// Dedup is hybrid: the typical pushdown round expands a handful of nodes,
+// where a linear scan of the result beats allocating a set, and a walk
+// that grows past the threshold (a single-shard store's whole closure)
+// spills into a map once.
+func localCloseBFS(seeds []string, dir Direction, skip func(string) bool, neighbors func(id string, dir Direction) ([]string, bool), buf []LocalNeighbors) []LocalNeighbors {
+	out := buf[:0]
+	const spill = 32
+	var seen map[string]struct{}
+	expanded := func(id string) bool {
+		if seen != nil {
+			_, ok := seen[id]
+			return ok
+		}
+		for i := range out {
+			if out[i].ID == id {
+				return true
+			}
+		}
+		return false
+	}
+	// Level buffers alternate (the seed slice is caller-owned and never
+	// written), keeping the walk allocation-flat across levels.
+	var bufs [2][]string
+	frontier := seeds
+	which := 0
+	for len(frontier) > 0 {
+		next := bufs[which][:0]
+		for _, id := range frontier {
+			if expanded(id) {
+				continue
+			}
+			if skip != nil && skip(id) {
+				continue
+			}
+			ns, ok := neighbors(id, dir)
+			if !ok {
+				continue
+			}
+			if seen == nil && len(out) >= spill {
+				seen = make(map[string]struct{}, 4*spill)
+				for i := range out {
+					seen[out[i].ID] = struct{}{}
+				}
+			}
+			if seen != nil {
+				seen[id] = struct{}{}
+			}
+			out = append(out, LocalNeighbors{ID: id, Neighbors: ns})
+			for _, n := range ns {
+				if !expanded(n) {
+					next = append(next, n)
+				}
+			}
+		}
+		bufs[which] = next
+		frontier = next
+		which ^= 1
+	}
+	return out
 }
 
 // Stats implements Store.

@@ -57,40 +57,30 @@ func TestQuickBackendsAgree(t *testing.T) {
 			}
 		}
 		ref := backends[0]
+		var entities []string
 		for _, a := range log.Artifacts {
-			refGen, refErr := ref.GeneratorOf(a.ID)
-			refCons, _ := ref.ConsumersOf(a.ID)
-			refLin, _ := Lineage(ref, a.ID)
-			refDeps, _ := Dependents(ref, a.ID)
+			entities = append(entities, a.ID)
+		}
+		for _, e := range log.Executions {
+			entities = append(entities, e.ID)
+		}
+		for _, id := range entities {
+			refLin, _ := Lineage(ref, id)
+			refDeps, _ := ref.Closure(id, Down)
 			for _, s := range backends[1:] {
-				gen, err := s.GeneratorOf(a.ID)
-				if (err == nil) != (refErr == nil) || gen != refGen {
-					return false
+				for _, dir := range []Direction{Up, Down} {
+					want, _, _ := expandOne(ref, id, dir)
+					got, ok, err := expandOne(s, id, dir)
+					if err != nil || !ok || fmt.Sprint(got) != fmt.Sprint(want) {
+						return false
+					}
 				}
-				cons, err := s.ConsumersOf(a.ID)
-				if err != nil || fmt.Sprint(cons) != fmt.Sprint(refCons) {
-					return false
-				}
-				lin, err := Lineage(s, a.ID)
+				lin, err := Lineage(s, id)
 				if err != nil || fmt.Sprint(lin) != fmt.Sprint(refLin) {
 					return false
 				}
-				deps, err := Dependents(s, a.ID)
+				deps, err := s.Closure(id, Down)
 				if err != nil || fmt.Sprint(deps) != fmt.Sprint(refDeps) {
-					return false
-				}
-			}
-		}
-		for _, e := range log.Executions {
-			refUsed, _ := ref.Used(e.ID)
-			refGen, _ := ref.Generated(e.ID)
-			for _, s := range backends[1:] {
-				used, err := s.Used(e.ID)
-				if err != nil || fmt.Sprint(used) != fmt.Sprint(refUsed) {
-					return false
-				}
-				gen, err := s.Generated(e.ID)
-				if err != nil || fmt.Sprint(gen) != fmt.Sprint(refGen) {
 					return false
 				}
 			}
@@ -116,13 +106,14 @@ func encodeAdj(adj map[string][]string) string {
 	return b.String()
 }
 
-// Property: on randomized DAGs, every backend's native Expand matches the
-// per-entity navigation fallback and every backend's pushed-down Closure
-// matches the per-edge reference BFS, in both directions — the conformance
+// Property: on randomized DAGs plus the fixed navEdgeCases runs, every
+// backend's Expand matches MemStore's, for the whole graph as one frontier
+// and for every one-ID frontier, and every backend's pushed-down Closure
+// matches the per-node reference BFS, in both directions — the conformance
 // contract of the batch traversal API.
 func TestQuickExpandClosureConformance(t *testing.T) {
 	f := func(seed int64) bool {
-		log := randomLog(t, seed)
+		logs := append([]*provenance.RunLog{randomLog(t, seed)}, navEdgeCases()...)
 		fs, err := OpenFileStore(t.TempDir())
 		if err != nil {
 			return false
@@ -130,41 +121,53 @@ func TestQuickExpandClosureConformance(t *testing.T) {
 		defer fs.Close()
 		backends := []Store{NewMemStore(), NewRelStore(), NewTripleStore(), fs}
 		for _, s := range backends {
-			if err := s.PutRunLog(log); err != nil {
-				return false
+			for _, l := range logs {
+				if err := s.PutRunLog(l); err != nil {
+					return false
+				}
 			}
 		}
+		seen := map[string]bool{}
 		var entities []string
-		for _, a := range log.Artifacts {
-			entities = append(entities, a.ID)
+		for _, l := range logs {
+			for _, a := range l.Artifacts {
+				if !seen[a.ID] {
+					seen[a.ID] = true
+					entities = append(entities, a.ID)
+				}
+			}
+			for _, e := range l.Executions {
+				if !seen[e.ID] {
+					seen[e.ID] = true
+					entities = append(entities, e.ID)
+				}
+			}
 		}
-		for _, e := range log.Executions {
-			entities = append(entities, e.ID)
-		}
+		probe := append(slices.Clone(entities), "ghost-entity")
+		ref := backends[0]
 		for _, s := range backends {
 			for _, dir := range []Direction{Up, Down} {
-				// Whole-graph frontier: one batch call vs per-entity calls.
-				want, err := ExpandViaNav(s, entities, dir)
-				if err != nil {
-					t.Logf("%s: ExpandViaNav: %v", s.Name(), err)
+				if got, err := s.Expand(navEdgeProbe, dir); err != nil || encodeAdj(got) != navEdgeWant[dir] {
+					t.Logf("%s %v: edge-case Expand = %s, %v; want %s", s.Name(), dir, encodeAdj(got), err, navEdgeWant[dir])
 					return false
 				}
-				got, err := s.Expand(entities, dir)
-				if err != nil {
-					t.Logf("%s: Expand: %v", s.Name(), err)
+				// The whole graph as one frontier, then one ID at a time.
+				want, _ := ref.Expand(probe, dir)
+				got, err := s.Expand(probe, dir)
+				if err != nil || encodeAdj(got) != encodeAdj(want) {
+					t.Logf("%s %v: Expand mismatch (%v):\n got %s\nwant %s", s.Name(), dir, err, encodeAdj(got), encodeAdj(want))
 					return false
 				}
-				if encodeAdj(got) != encodeAdj(want) {
-					t.Logf("%s %v: Expand mismatch:\n got %s\nwant %s", s.Name(), dir, encodeAdj(got), encodeAdj(want))
-					return false
+				for _, id := range probe {
+					ns, ok, err := expandOne(s, id, dir)
+					wantNs, wantOK := want[id]
+					if err != nil || ok != wantOK || fmt.Sprint(ns) != fmt.Sprint(wantNs) {
+						t.Logf("%s %v: Expand([%s]) = %v, %v, %v; want %v, %v", s.Name(), dir, id, ns, ok, err, wantNs, wantOK)
+						return false
+					}
 				}
-				// Unknown IDs are absent, not errors.
-				if adj, err := s.Expand([]string{"ghost-entity"}, dir); err != nil || len(adj) != 0 {
-					t.Logf("%s %v: ghost Expand = %v, %v", s.Name(), dir, adj, err)
-					return false
-				}
-				// Pushed-down closure vs per-edge reference BFS vs the
-				// Expand-based fallback, including identical visit order.
+				// Pushed-down closure vs the per-node reference BFS vs the
+				// per-hop one, including identical visit order.
 				for _, id := range entities {
 					want, werr := NaiveClosure(s, id, dir)
 					got, gerr := s.Closure(id, dir)
@@ -182,6 +185,10 @@ func TestQuickExpandClosureConformance(t *testing.T) {
 					t.Logf("%s %v: ghost Closure err = %v", s.Name(), dir, err)
 					return false
 				}
+				if _, err := NaiveClosure(s, "ghost-entity", dir); !errors.Is(err, ErrNotFound) {
+					t.Logf("%s %v: ghost NaiveClosure err = %v", s.Name(), dir, err)
+					return false
+				}
 			}
 		}
 		return true
@@ -190,6 +197,33 @@ func TestQuickExpandClosureConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// navEdgeCases are two fixed runs the Expand conformance adds to every
+// generated input: "edge-raw" is an artifact no execution generates, and
+// "edge-dual" is stored as an artifact by edge-r1 and as an execution by
+// edge-r2.
+func navEdgeCases() []*provenance.RunLog {
+	r1 := newRun("edge-r1")
+	r1.used("edge-e1", "edge-dual")
+	r1.used("edge-e1", "edge-raw")
+	r1.gen("edge-e1", "edge-a1")
+	r2 := newRun("edge-r2")
+	r2.used("edge-dual", "edge-a1")
+	r2.gen("edge-dual", "edge-b1")
+	return []*provenance.RunLog{r1.l, r2.l}
+}
+
+// navEdgeProbe and navEdgeWant pin Expand on navEdgeCases: an unknown ID is
+// absent, a generator-less artifact going Up has an empty entry, and
+// "edge-dual" is classified artifact-first (its execution-side neighbors
+// would be [edge-a1] Up and [edge-b1] Down).
+var (
+	navEdgeProbe = []string{"ghost-entity", "edge-raw", "edge-dual"}
+	navEdgeWant  = map[Direction]string{
+		Up:   "edge-dual=[];edge-raw=[];",
+		Down: "edge-dual=[edge-e1];edge-raw=[edge-e1];",
+	}
+)
 
 // closeLocal runs a backend's CloseLocal and flattens the result to a map —
 // asserting each expanded entity appears exactly once on the way.
@@ -224,7 +258,7 @@ func TestQuickCloseLocalConformance(t *testing.T) {
 			return false
 		}
 		defer fs.Close()
-		backends := []Store{NewMemStore(), NewTripleStore(), fs}
+		backends := []Store{NewMemStore(), fs}
 		for _, s := range backends {
 			if err := s.PutRunLog(log); err != nil {
 				return false
@@ -312,7 +346,7 @@ func TestQuickLineageDependentsConverse(t *testing.T) {
 				return false
 			}
 			for _, up := range lin {
-				deps, err := Dependents(s, up)
+				deps, err := s.Closure(up, Down)
 				if err != nil {
 					return false
 				}
@@ -500,37 +534,18 @@ func checkTableAgainstOracle(t *testing.T, fs *FileStore, mem *MemStore, ids []s
 			s[i] = "scribbled"
 		}
 	}
-	lists := []struct {
-		name     string
-		fs, mem  func(string) ([]string, error)
-		scribble bool
-	}{
-		{"ConsumersOf", fs.ConsumersOf, mem.ConsumersOf, true},
-		{"Used", fs.Used, mem.Used, true},
-		{"Generated", fs.Generated, mem.Generated, true},
-	}
-	for _, id := range ids {
-		for _, nav := range lists {
-			got, err := nav.fs(id)
-			want, _ := nav.mem(id)
-			if err != nil || !slices.Equal(got, want) || !sortedUniqueStrings(got) {
-				t.Fatalf("%s(%s) = %v, %v; oracle %v", nav.name, id, got, err, want)
+	for _, dir := range []Direction{Up, Down} {
+		for _, id := range ids {
+			got, ok, err := expandOne(fs, id, dir)
+			want, _, _ := expandOne(mem, id, dir)
+			if err != nil || !ok || !slices.Equal(got, want) || !sortedUniqueStrings(got) {
+				t.Fatalf("Expand([%s], %v) = %v, %v, %v; oracle %v", id, dir, got, ok, err, want)
 			}
 			scribble(got)
 		}
-		got, gerr := fs.GeneratorOf(id)
-		want, werr := mem.GeneratorOf(id)
-		if (gerr == nil) != (werr == nil) || got != want {
-			t.Fatalf("GeneratorOf(%s) = %q, %v; oracle %q, %v", id, got, gerr, want, werr)
+		if got, ok, err := expandOne(fs, ghost, dir); ok || err != nil {
+			t.Fatalf("Expand([unknown], %v) = %v, %v, %v; want absent", dir, got, ok, err)
 		}
-	}
-	for _, nav := range lists {
-		if _, err := nav.fs(ghost); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("%s(unknown) err = %v, want ErrNotFound", nav.name, err)
-		}
-	}
-	if _, err := fs.GeneratorOf(ghost); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GeneratorOf(unknown) err = %v, want ErrNotFound", err)
 	}
 
 	frontier := append(slices.Clone(ids), ghost, ids[0]) // an unknown ID and a repeated one
@@ -690,8 +705,8 @@ func TestHubFoldOutOfOrder(t *testing.T) {
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("folding a %d-consumer hub out of order took %v", n, d)
 	}
-	got, err := fs.ConsumersOf("hub")
-	want, _ := mem.ConsumersOf("hub")
+	got, _, err := expandOne(fs, "hub", Down)
+	want, _, _ := expandOne(mem, "hub", Down)
 	if err != nil || len(got) != n || !slices.Equal(got, want) {
 		t.Fatalf("hub consumers: %d IDs, %v; oracle %d", len(got), err, len(want))
 	}

@@ -11,10 +11,9 @@ import (
 // RelStore keeps provenance as tuples in relational tables, the approach of
 // systems that map provenance onto an RDBMS [3]. Navigation queries are
 // relational scans — deliberately index-free, so experiment E4 exposes the
-// cost difference against adjacency- and triple-indexed backends. Since the
-// batch-traversal API landed, single-entity navigation runs through the
-// same one-pass semijoin plan as Expand with a one-element frontier,
-// instead of materializing relations and per-call relalg Select plans.
+// cost difference against adjacency- and triple-indexed backends. Expand
+// answers a whole frontier with one pass of semijoin scans over the base
+// rows, and a single entity's neighbours are a one-element frontier.
 //
 // Tables:
 //
@@ -189,115 +188,23 @@ func (s *RelStore) Execution(id string) (*provenance.Execution, error) {
 	}, nil
 }
 
-// GeneratorOf implements Store, routed through a one-element Expand
-// frontier: one classification + adjacency semijoin pass over the base
-// rows, no relation materialization and no per-call relalg plan.
-func (s *RelStore) GeneratorOf(artifactID string) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out, isArt, _ := s.expandLocked([]string{artifactID}, Up)
-	if !isArt[artifactID] || len(out[artifactID]) == 0 {
-		return "", fmt.Errorf("%w: generator of %q", ErrNotFound, artifactID)
-	}
-	return out[artifactID][0], nil
-}
-
-// ConsumersOf implements Store, via a one-element Down frontier.
-func (s *RelStore) ConsumersOf(artifactID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out, isArt, _ := s.expandLocked([]string{artifactID}, Down)
-	if !isArt[artifactID] {
-		return nil, nil
-	}
-	return out[artifactID], nil
-}
-
-// Used implements Store, via a one-element Up frontier. Expand classifies
-// artifact-first, so an ID stored as both kinds falls back to a direct
-// uses scan — keeping the execution-side adjacency addressable, as on
-// MemStore and the other backends.
-func (s *RelStore) Used(execID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out, isArt, isExec := s.expandLocked([]string{execID}, Up)
-	switch {
-	case isExec[execID]:
-		return out[execID], nil
-	case isArt[execID]:
-		return s.execAdjacencyLocked(execID, Up), nil
-	}
-	return nil, nil
-}
-
-// Generated implements Store, via a one-element Down frontier, with the
-// same dual-kind fallback as Used.
-func (s *RelStore) Generated(execID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out, isArt, isExec := s.expandLocked([]string{execID}, Down)
-	switch {
-	case isExec[execID]:
-		return out[execID], nil
-	case isArt[execID]:
-		return s.execAdjacencyLocked(execID, Down), nil
-	}
-	return nil, nil
-}
-
-// execAdjacencyLocked scans the edge tables for one execution's adjacency,
-// bypassing Expand's artifact-first classification: the dual-kind path of
-// Used/Generated. Returns nil when the ID is not a stored execution.
-func (s *RelStore) execAdjacencyLocked(execID string, dir Direction) []string {
-	known := false
-	for _, row := range s.execRows {
-		if row[0].(string) == execID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return nil
-	}
-	rows := s.useRows
-	if dir == Down {
-		rows = s.genRows
-	}
-	var ns []string
-	for _, row := range rows {
-		if row[0].(string) == execID {
-			ns = append(ns, row[1].(string))
-		}
-	}
-	return sortedUnique(ns)
-}
-
 // Expand implements Store. One hop costs a fixed number of semijoin scans
 // — artifacts and executions to classify the frontier, then uses/gens for
-// the adjacency — regardless of frontier width, where per-edge navigation
-// re-scanned a table per frontier node. The semijoins (table ⋉ frontier)
+// the adjacency — regardless of frontier width, where one call per entity
+// would re-scan a table per frontier node. The semijoins (table ⋉ frontier)
 // are evaluated directly over the base rows: materializing them through
-// relalg.Semijoin would clone tuples and witness sets per hop, which costs
-// more than the scan itself on narrow frontiers.
+// relalg would clone tuples and witness sets per hop, which costs more
+// than the scan itself on narrow frontiers.
 func (s *RelStore) Expand(ids []string, dir Direction) (map[string][]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out, _, _ := s.expandLocked(ids, dir)
-	return out, nil
-}
-
-// expandLocked answers one frontier and reports how each frontier ID was
-// classified (artifact wins over execution, as everywhere else). It is the
-// shared plan behind Expand and — with one-element frontiers — the
-// single-entity navigation methods. The caller holds at least a read lock.
-func (s *RelStore) expandLocked(ids []string, dir Direction) (out map[string][]string, isArt, isExec map[string]bool) {
 	frontier := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		frontier[id] = true
 	}
-	out = make(map[string][]string, len(ids))
-	isArt = map[string]bool{}
-	isExec = map[string]bool{}
+	out := make(map[string][]string, len(ids))
+	isArt := map[string]bool{}
+	isExec := map[string]bool{}
 	for _, row := range s.artRows {
 		if id := row[0].(string); frontier[id] {
 			isArt[id] = true
@@ -305,8 +212,8 @@ func (s *RelStore) expandLocked(ids []string, dir Direction) (out map[string][]s
 		}
 	}
 	for _, row := range s.execRows {
-		// Artifact classification wins for an ID stored as both (matching
-		// the artifact-first order of navNeighbors and the other backends).
+		// Artifact classification wins for an ID stored as both, as on
+		// every backend.
 		if id := row[0].(string); frontier[id] && !isArt[id] {
 			isExec[id] = true
 			out[id] = nil
@@ -317,8 +224,7 @@ func (s *RelStore) expandLocked(ids []string, dir Direction) (out map[string][]s
 	switch dir {
 	case Up:
 		for _, row := range s.genRows {
-			// Artifact -> generating execution: first scan hit wins, like
-			// GeneratorOf.
+			// Artifact -> generating execution: first scan hit wins.
 			if art := row[1].(string); isArt[art] && out[art] == nil {
 				out[art] = []string{row[0].(string)}
 			}
@@ -346,7 +252,7 @@ func (s *RelStore) expandLocked(ids []string, dir Direction) (out map[string][]s
 		}
 		out[id] = sortedUnique(ns)
 	}
-	return out, isArt, isExec
+	return out, nil
 }
 
 // Closure implements Store with the pushed-down plan an index-free
@@ -385,8 +291,11 @@ func (s *RelStore) Closure(seed string, dir Direction) ([]string, error) {
 			adj[art] = append(adj[art], row[0].(string))
 		}
 		for _, row := range s.genRows {
-			exec := row[0].(string)
-			adj[exec] = append(adj[exec], row[1].(string))
+			// An ID stored as both kinds is an artifact: its consumers,
+			// not what it generated as an execution, are its neighbors.
+			if exec := row[0].(string); !isArt[exec] {
+				adj[exec] = append(adj[exec], row[1].(string))
+			}
 		}
 	}
 	return bfsClosure(seed, dir, func(id string, d Direction) ([]string, bool) {

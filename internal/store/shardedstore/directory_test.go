@@ -188,27 +188,17 @@ func sameDirectory(t *testing.T, label string, got, want *Router) {
 }
 
 // navigationMatches compares every read the resident state alone answers —
-// generator, the three neighbour lists, Expand, Closure, both directions —
-// with the oracle, closures with store.NaiveClosure over it.
+// one-ID and whole-set Expand, Closure, both directions — with the oracle,
+// closures with store.NaiveClosure over it.
 func navigationMatches(t *testing.T, label string, r *Router, oracle *store.MemStore, entities []string) {
 	t.Helper()
-	for _, id := range entities {
-		want, werr := oracle.GeneratorOf(id)
-		if got, err := r.GeneratorOf(id); got != want || (err == nil) != (werr == nil) {
-			t.Errorf("%s: GeneratorOf(%s) = %q, %v; want %q, %v", label, id, got, err, want, werr)
-		}
-		for name, pair := range map[string][2]func(string) ([]string, error){
-			"ConsumersOf": {r.ConsumersOf, oracle.ConsumersOf},
-			"Used":        {r.Used, oracle.Used},
-			"Generated":   {r.Generated, oracle.Generated},
-		} {
-			got, _ := pair[0](id)
-			if want, _ := pair[1](id); !slices.Equal(got, want) {
-				t.Errorf("%s: %s(%s) = %v, want %v", label, name, id, got, want)
+	for _, dir := range []store.Direction{store.Up, store.Down} {
+		for _, id := range entities {
+			want, _ := expandOne(oracle, id, dir)
+			if got, err := expandOne(r, id, dir); err != nil || !slices.Equal(got, want) {
+				t.Errorf("%s: Expand([%s], %v) = %v, %v; want %v", label, id, dir, got, err, want)
 			}
 		}
-	}
-	for _, dir := range []store.Direction{store.Up, store.Down} {
 		want, _ := oracle.Expand(entities, dir)
 		if got, err := r.Expand(entities, dir); err != nil || encodeAdj(got) != encodeAdj(want) {
 			t.Errorf("%s: Expand %v = %s, %v; want %s", label, dir, encodeAdj(got), err, encodeAdj(want))

@@ -84,7 +84,7 @@ const placementsHelp = "Runs placed: with most of their inputs, on the least-loa
 
 // Shard is what the router needs of a backend: a store that can also run a
 // closure to its local fixpoint under one lock acquisition. MemStore and
-// FileStore — the backends provd and provctl shard — both are.
+// FileStore — the backends provd and provctl shard — are the only ones.
 type Shard interface {
 	store.Store
 	store.LocalCloser
@@ -882,49 +882,6 @@ func mergeLogs(shards []Shard, skips []int, order []string,
 		}
 	}
 	return nil
-}
-
-// GeneratorOf implements Store: generator edges are last-write-wins across
-// the whole store, and the router remembers which shard holds the current
-// edge, so the answer is a single routed call.
-func (r *Router) GeneratorOf(artifactID string) (string, error) {
-	e := r.entry(artifactID)
-	if e.gen == 0 {
-		return "", fmt.Errorf("%w: generator of %q", store.ErrNotFound, artifactID)
-	}
-	return r.shards[e.gen-1].GeneratorOf(artifactID)
-}
-
-// ConsumersOf implements Store: consumer lists accumulate across runs, so
-// the answer is the merge of every holding shard's list.
-func (r *Router) ConsumersOf(artifactID string) ([]string, error) {
-	return r.mergedNav(artifactID, r.entry(artifactID).arts, store.Store.ConsumersOf)
-}
-
-// Used implements Store.
-func (r *Router) Used(execID string) ([]string, error) {
-	return r.mergedNav(execID, r.entry(execID).execs, store.Store.Used)
-}
-
-// Generated implements Store.
-func (r *Router) Generated(execID string) ([]string, error) {
-	return r.mergedNav(execID, r.entry(execID).execs, store.Store.Generated)
-}
-
-// mergedNav gathers one navigation list from every shard holding the
-// entity and merges under the shared dedup rules. Unknown entities (an
-// empty shard set) resolve to an empty list, mirroring the in-memory
-// reference backend.
-func (r *Router) mergedNav(id string, shards uint64, nav func(store.Store, string) ([]string, error)) ([]string, error) {
-	lists := make([][]string, 0, bits.OnesCount64(shards))
-	for ; shards != 0; shards &= shards - 1 {
-		ns, err := nav(r.shards[bits.TrailingZeros64(shards)], id)
-		if err != nil {
-			return nil, err
-		}
-		lists = append(lists, ns)
-	}
-	return store.MergeNeighbors(lists...), nil
 }
 
 // --- Store: scatter/gather traversal -----------------------------------------

@@ -104,6 +104,12 @@ func entitiesOf(logs []*provenance.RunLog) []string {
 	return out
 }
 
+// expandOne is a one-ID Expand: id's neighbors in dir.
+func expandOne(s store.Store, id string, dir store.Direction) ([]string, error) {
+	adj, err := s.Expand([]string{id}, dir)
+	return adj[id], err
+}
+
 func encodeAdj(adj map[string][]string) string {
 	keys := make([]string, 0, len(adj))
 	for k := range adj {
@@ -117,14 +123,19 @@ func encodeAdj(adj map[string][]string) string {
 	return b.String()
 }
 
-// Property: a sharded router over 1, 2 and 4 shards answers every
-// navigation, Expand and Closure query identically to a single MemStore
-// loaded with the same run logs in the same order — the router's
+// Property: a sharded router over 1, 2 and 4 shards answers every one-ID
+// and whole-graph Expand and every Closure identically to a single
+// MemStore loaded with the same run logs in the same order — the router's
 // conformance contract — with the runs where placement puts them and
-// spread round-robin across the shards.
+// spread round-robin across the shards. Two fixed runs join every input:
+// "edge-raw" is an artifact nothing generates, and "edge-dual" is an
+// artifact in one run and an execution in the other, which Expand must
+// classify artifact-first even when the two runs sit on different shards.
 func TestQuickShardedMatchesSingleStore(t *testing.T) {
 	f := func(seed int64) bool {
-		logs := synthLogs(seed, 12)
+		logs := append(synthLogs(seed, 12),
+			shapedRun("edge-r1", "edge-e1", []string{"edge-dual", "edge-raw"}, []string{"edge-a1"}),
+			shapedRun("edge-r2", "edge-dual", []string{"edge-a1"}, []string{"edge-b1"}))
 		ref := store.NewMemStore()
 		for _, l := range logs {
 			if err := ref.PutRunLog(l); err != nil {
@@ -150,8 +161,8 @@ func TestQuickShardedMatchesSingleStore(t *testing.T) {
 }
 
 // agreesWithReference asserts the router and the reference store agree on
-// runs, stats, every single-entity navigation call, whole-graph Expand
-// frontiers and every closure, in both directions.
+// runs, stats, every one-ID and whole-graph Expand frontier (an unknown ID
+// included) and every closure, in both directions.
 func agreesWithReference(t *testing.T, r *Router, ref *store.MemStore, logs []*provenance.RunLog, entities []string, label string) bool {
 	t.Helper()
 	refRuns, _ := ref.Runs()
@@ -184,21 +195,11 @@ func agreesWithReference(t *testing.T, r *Router, ref *store.MemStore, logs []*p
 			t.Logf("%s: Execution(%s) run = %v (%v); want %v (%v)", label, id, exec, execErr, refExec, refExecErr)
 			return false
 		}
-		refGen, refErr := ref.GeneratorOf(id)
-		gen, err := r.GeneratorOf(id)
-		if (err == nil) != (refErr == nil) || gen != refGen {
-			t.Logf("%s: GeneratorOf(%s) = %q, %v; want %q, %v", label, id, gen, err, refGen, refErr)
-			return false
-		}
-		for name, pair := range map[string][2]func(string) ([]string, error){
-			"ConsumersOf": {r.ConsumersOf, ref.ConsumersOf},
-			"Used":        {r.Used, ref.Used},
-			"Generated":   {r.Generated, ref.Generated},
-		} {
-			got, gerr := pair[0](id)
-			want, werr := pair[1](id)
-			if (gerr == nil) != (werr == nil) || fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Logf("%s: %s(%s) = %v, %v; want %v, %v", label, name, id, got, gerr, want, werr)
+		for _, dir := range []store.Direction{store.Up, store.Down} {
+			want, _ := expandOne(ref, id, dir)
+			got, err := expandOne(r, id, dir)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Logf("%s: Expand([%s], %v) = %v, %v; want %v", label, id, dir, got, err, want)
 				return false
 			}
 		}

@@ -18,16 +18,19 @@
 //
 // # Batch traversal
 //
-// Graph navigation is frontier-batched: Expand answers one whole BFS
-// frontier per backend call, and Closure evaluates a full lineage or
+// Graph navigation is frontier-batched and has two primitives: Expand
+// answers one whole BFS frontier per backend call (a single entity is a
+// one-element frontier), and Closure evaluates a full lineage or
 // dependents closure pushed down into the backend, so a closure costs
 // O(hops) backend round-trips instead of O(edges). Each backend implements
-// the pair natively (MemStore and TripleStore serve whole closures under a
-// single read lock; RelStore expands a hop with one semijoin scan per
-// table; FileStore walks its resident entity table by handle and never
-// touches disk). Lineage and Dependents are thin wrappers over Closure;
-// NaiveClosure preserves the per-edge reference BFS that conformance tests
-// and benchmarks compare against.
+// both natively: MemStore over its adjacency maps and TripleStore over its
+// SPO/POS indexes, each under one read lock; RelStore with one semijoin
+// scan per table per hop, and a closure from one scan per table into hash
+// maps; FileStore over its resident entity table by handle, never touching
+// disk. Lineage is a thin wrapper over Closure. NaiveClosure (one
+// single-entity Expand per visited node) and CloseOverExpand (one Expand
+// per hop) are the reference BFSs that conformance tests and benchmarks
+// compare against.
 package store
 
 import (
@@ -94,23 +97,17 @@ type Store interface {
 	// Artifact and Execution retrieve single entities by ID.
 	Artifact(id string) (*provenance.Artifact, error)
 	Execution(id string) (*provenance.Execution, error)
-	// GeneratorOf returns the execution that generated an artifact
-	// (ErrNotFound if the artifact is raw input or unknown).
-	GeneratorOf(artifactID string) (string, error)
-	// ConsumersOf returns the executions that used an artifact, sorted.
-	ConsumersOf(artifactID string) ([]string, error)
-	// Used returns the artifact IDs an execution consumed, sorted.
-	Used(execID string) ([]string, error)
-	// Generated returns the artifact IDs an execution produced, sorted.
-	Generated(execID string) ([]string, error)
 	// Expand answers one BFS frontier in a single backend call: for every
 	// known entity in ids the result holds that entity's neighbors in the
 	// given direction (the generating execution or used artifacts going Up;
-	// consuming executions or generated artifacts going Down). Neighbor
-	// lists are sorted and deduplicated. Known entities always have an
-	// entry (possibly empty); unknown IDs are absent from the map rather
-	// than an error, so callers can distinguish "no neighbors" from "no
-	// such entity".
+	// consuming executions or generated artifacts going Down). It is the
+	// store's one navigation primitive: a single entity's neighbors are a
+	// one-element frontier. Neighbor lists are sorted and deduplicated. An
+	// ID stored as both an artifact and an execution is classified as an
+	// artifact. Known entities always have an entry (possibly empty: a raw
+	// input going Up); unknown IDs are absent from the map rather than an
+	// error, so callers can distinguish "no neighbors" from "no such
+	// entity".
 	Expand(ids []string, dir Direction) (map[string][]string, error)
 	// Closure computes the full transitive closure of seed in the given
 	// direction, pushed down into the backend: BFS order, seed excluded,
@@ -130,28 +127,6 @@ type Store interface {
 // the backend's pushed-down Closure.
 func Lineage(s Store, entityID string) ([]string, error) {
 	return s.Closure(entityID, Up)
-}
-
-// Dependents computes the full downstream closure of an entity.
-func Dependents(s Store, entityID string) ([]string, error) {
-	return s.Closure(entityID, Down)
-}
-
-// ExpandViaNav implements Expand with per-entity navigation calls: the
-// shared fallback for minimal Store implementations that have no native
-// batch path. Backends in this package all override it natively.
-func ExpandViaNav(s Store, ids []string, dir Direction) (map[string][]string, error) {
-	out := make(map[string][]string, len(ids))
-	for _, id := range ids {
-		ns, ok, err := navNeighbors(s, id, dir)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[id] = ns
-		}
-	}
-	return out, nil
 }
 
 // LocalNeighbors is one expanded entity's neighbor list in a CloseLocal
@@ -183,87 +158,20 @@ type LocalNeighbors struct {
 // fresh one) — a deep traversal's driver calls this once per round, and
 // the container reuse is what keeps rounds allocation-flat.
 //
-// MemStore and TripleStore implement it natively over their resident
-// indexes through localCloseBFS, FileStore over its entity table. The
-// sharded router requires it of every shard (shardedstore.Shard).
+// MemStore implements it over its adjacency maps, FileStore over its
+// entity table: the two backends the sharded router accepts as shards
+// (shardedstore.Shard).
 type LocalCloser interface {
 	CloseLocal(seeds []string, dir Direction, skip func(id string) bool, buf []LocalNeighbors) ([]LocalNeighbors, error)
-}
-
-// localCloseBFS is the shared local-fixpoint walk behind every native
-// CloseLocal: a BFS over a per-node neighbor function that stops at skip
-// boundaries and records each expanded node's neighbor list. neighbors
-// reports ok=false for unknown entities (they are not expanded; a run
-// log's events only reference entities declared in the same log, so a
-// backend's own edges never dangle).
-//
-// Dedup is hybrid: the typical pushdown round expands a handful of nodes,
-// where a linear scan of the result beats allocating a set, and a walk
-// that grows past the threshold (a single-shard store's whole closure)
-// spills into a map once.
-func localCloseBFS(seeds []string, dir Direction, skip func(string) bool, neighbors func(id string, dir Direction) ([]string, bool), buf []LocalNeighbors) []LocalNeighbors {
-	out := buf[:0]
-	const spill = 32
-	var seen map[string]struct{}
-	expanded := func(id string) bool {
-		if seen != nil {
-			_, ok := seen[id]
-			return ok
-		}
-		for i := range out {
-			if out[i].ID == id {
-				return true
-			}
-		}
-		return false
-	}
-	// Level buffers alternate (the seed slice is caller-owned and never
-	// written), keeping the walk allocation-flat across levels.
-	var bufs [2][]string
-	frontier := seeds
-	which := 0
-	for len(frontier) > 0 {
-		next := bufs[which][:0]
-		for _, id := range frontier {
-			if expanded(id) {
-				continue
-			}
-			if skip != nil && skip(id) {
-				continue
-			}
-			ns, ok := neighbors(id, dir)
-			if !ok {
-				continue
-			}
-			if seen == nil && len(out) >= spill {
-				seen = make(map[string]struct{}, 4*spill)
-				for i := range out {
-					seen[out[i].ID] = struct{}{}
-				}
-			}
-			if seen != nil {
-				seen[id] = struct{}{}
-			}
-			out = append(out, LocalNeighbors{ID: id, Neighbors: ns})
-			for _, n := range ns {
-				if !expanded(n) {
-					next = append(next, n)
-				}
-			}
-		}
-		bufs[which] = next
-		frontier = next
-		which ^= 1
-	}
-	return out
 }
 
 // CloseOverExpand is the shared Closure fallback for minimal Store
 // implementations whose only batch primitive is Expand: one Expand call
 // per hop, visiting neighbors in per-node sorted order, seed excluded,
 // ErrNotFound for unknown seeds. The built-in backends implement Closure
-// natively (single-lock BFS, or RelStore's one-scan hash plan), but the
-// conformance property test asserts this fallback agrees with them.
+// natively (single-lock BFS, or RelStore's one-scan hash plan); this BFS
+// is the per-hop reference the conformance tests compare them with, and
+// the body of NaiveClosure.
 func CloseOverExpand(expand func([]string, Direction) (map[string][]string, error), seed string, dir Direction) ([]string, error) {
 	seen := map[string]bool{}
 	var order []string
@@ -295,8 +203,8 @@ func CloseOverExpand(expand func([]string, Direction) (map[string][]string, erro
 
 // bfsClosure runs the same BFS over a per-node neighbor function; backends
 // that can hold one lock across the whole traversal (mem, triple, and rel
-// over its one-scan adjacency) use it with their locked lookup. neighbors reports ok=false for unknown
-// entities.
+// over its one-scan adjacency) use it with their locked lookup. neighbors
+// reports ok=false for unknown entities.
 func bfsClosure(seed string, dir Direction, neighbors func(id string, dir Direction) ([]string, bool)) ([]string, error) {
 	if _, known := neighbors(seed, dir); !known {
 		return nil, fmt.Errorf("%w: entity %q", ErrNotFound, seed)
@@ -321,61 +229,24 @@ func bfsClosure(seed string, dir Direction, neighbors func(id string, dir Direct
 	return order, nil
 }
 
-// NaiveClosure is the per-edge reference BFS the batch API replaced: one
-// navigation call per visited node. Conformance tests assert every
-// backend's Closure matches it, and BenchmarkE4b quantifies the gap.
+// NaiveClosure is the per-node reference BFS the batch API replaced: one
+// single-entity Expand per visited node, ErrNotFound when a visited node is
+// unknown. Conformance tests assert every backend's Closure matches it, and
+// BenchmarkE4b quantifies the gap.
 func NaiveClosure(s Store, entityID string, dir Direction) ([]string, error) {
-	seen := map[string]bool{}
-	var order []string
-	frontier := []string{entityID}
-	for len(frontier) > 0 {
-		var next []string
-		for _, id := range frontier {
-			ns, ok, err := navNeighbors(s, id, dir)
+	return CloseOverExpand(func(ids []string, dir Direction) (map[string][]string, error) {
+		out := make(map[string][]string, len(ids))
+		for _, id := range ids {
+			adj, err := s.Expand([]string{id}, dir)
 			if err != nil {
 				return nil, err
 			}
+			ns, ok := adj[id]
 			if !ok {
 				return nil, fmt.Errorf("%w: entity %q", ErrNotFound, id)
 			}
-			for _, n := range ns {
-				if !seen[n] {
-					seen[n] = true
-					order = append(order, n)
-					next = append(next, n)
-				}
-			}
+			out[id] = ns
 		}
-		frontier = next
-	}
-	return order, nil
-}
-
-// navNeighbors resolves one entity's neighbors through the single-entity
-// navigation methods. ok=false means the entity is neither a stored
-// artifact nor a stored execution.
-func navNeighbors(s Store, id string, dir Direction) ([]string, bool, error) {
-	if _, err := s.Artifact(id); err == nil {
-		if dir == Up {
-			gen, err := s.GeneratorOf(id)
-			if errors.Is(err, ErrNotFound) {
-				return nil, true, nil
-			}
-			if err != nil {
-				return nil, false, err
-			}
-			return []string{gen}, true, nil
-		}
-		ns, err := s.ConsumersOf(id)
-		return ns, true, err
-	}
-	if _, err := s.Execution(id); err == nil {
-		if dir == Up {
-			ns, err := s.Used(id)
-			return ns, true, err
-		}
-		ns, err := s.Generated(id)
-		return ns, true, err
-	}
-	return nil, false, nil
+		return out, nil
+	}, entityID, dir)
 }

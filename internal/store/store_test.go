@@ -23,6 +23,14 @@ func openAll(t *testing.T) []Store {
 	return []Store{NewMemStore(), NewRelStore(), NewTripleStore(), fs}
 }
 
+// expandOne is a one-ID Expand: id's neighbors in dir, and whether the
+// store knows id.
+func expandOne(s Store, id string, dir Direction) ([]string, bool, error) {
+	adj, err := s.Expand([]string{id}, dir)
+	ns, ok := adj[id]
+	return ns, ok, err
+}
+
 // captureRun executes the Figure 1 workflow and returns its log plus the
 // artifact ID of the rendered image and the run result.
 func captureRun(t *testing.T) (*provenance.RunLog, string, *engine.Result) {
@@ -82,35 +90,30 @@ func TestConformance(t *testing.T) {
 			if e.ModuleID != "render" {
 				t.Fatalf("execution module = %q", e.ModuleID)
 			}
-			// Navigation.
-			gen, err := s.GeneratorOf(imageArt)
-			if err != nil {
-				t.Fatal(err)
+			// Navigation: one-ID Expand frontiers.
+			nav := func(id string, dir Direction) []string {
+				t.Helper()
+				ns, ok, err := expandOne(s, id, dir)
+				if err != nil || !ok {
+					t.Fatalf("Expand([%s], %v): known=%v, %v", id, dir, ok, err)
+				}
+				return ns
 			}
-			if gen != renderExec.ID {
-				t.Fatalf("generator = %q, want %q", gen, renderExec.ID)
+			if gen := nav(imageArt, Up); len(gen) != 1 || gen[0] != renderExec.ID {
+				t.Fatalf("generator = %v, want [%s]", gen, renderExec.ID)
 			}
 			gridArt := res.Artifacts["reader.data"]
-			consumers, err := s.ConsumersOf(gridArt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(consumers) != 2 {
+			if consumers := nav(gridArt, Down); len(consumers) != 2 {
 				t.Fatalf("consumers = %v", consumers)
 			}
-			used, err := s.Used(renderExec.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(used) != 1 || used[0] != res.Artifacts["contour.surface"] {
+			if used := nav(renderExec.ID, Up); len(used) != 1 || used[0] != res.Artifacts["contour.surface"] {
 				t.Fatalf("used = %v", used)
 			}
-			generated, err := s.Generated(renderExec.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(generated) != 1 || generated[0] != imageArt {
+			if generated := nav(renderExec.ID, Down); len(generated) != 1 || generated[0] != imageArt {
 				t.Fatalf("generated = %v", generated)
+			}
+			if gen := nav(gridArt, Up); len(gen) != 1 {
+				t.Fatalf("grid generator (reader) = %v", gen)
 			}
 			// Not-found paths.
 			if _, err := s.Artifact("nope"); !errors.Is(err, ErrNotFound) {
@@ -121,9 +124,6 @@ func TestConformance(t *testing.T) {
 			}
 			if _, err := s.RunLog("nope"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("missing run err = %v", err)
-			}
-			if _, err := s.GeneratorOf(gridArt); err != nil {
-				t.Fatalf("grid has generator (reader): %v", err)
 			}
 			// Stats plausible.
 			st, err := s.Stats()
@@ -157,7 +157,7 @@ func TestLineageAndDependentsAgreeAcrossBackends(t *testing.T) {
 		} else if fmt.Sprint(lin) != fmt.Sprint(want) {
 			t.Fatalf("%s lineage = %v, want %v", s.Name(), lin, want)
 		}
-		deps, err := Dependents(s, res.Artifacts["reader.data"])
+		deps, err := s.Closure(res.Artifacts["reader.data"], Down)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,8 +224,8 @@ func TestFileStoreReopenRecoversIndex(t *testing.T) {
 	if len(got.Events) != len(log.Events) {
 		t.Fatal("events lost through reopen")
 	}
-	if _, err := s2.GeneratorOf(imageArt); err != nil {
-		t.Fatalf("navigation after reopen: %v", err)
+	if gen, _, err := expandOne(s2, imageArt, Up); err != nil || len(gen) != 1 {
+		t.Fatalf("navigation after reopen: %v, %v", gen, err)
 	}
 }
 
@@ -364,18 +364,19 @@ func TestFileStoreTornRecordDroppedFromAdjacencyIndex(t *testing.T) {
 	if _, err := s2.Closure("torn-art", Up); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("torn artifact in index: err = %v", err)
 	}
-	if adj, err := s2.Expand([]string{"torn-art", "torn-exec"}, Down); err != nil || len(adj) != 0 {
-		t.Fatalf("torn entities expanded: %v, %v", adj, err)
-	}
-	if _, err := s2.GeneratorOf("torn-art"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("torn generator in index: err = %v", err)
+	for _, dir := range []Direction{Up, Down} {
+		if adj, err := s2.Expand([]string{"torn-art", "torn-exec"}, dir); err != nil || len(adj) != 0 {
+			t.Fatalf("torn entities expanded %v: %v, %v", dir, adj, err)
+		}
 	}
 }
 
 // TestExpandArtifactClassificationWins pins the conformance corner the
 // randomized property test cannot generate: an ID stored as an artifact by
 // one run and as an execution by another (per-run validation accepts
-// both). Every backend must classify it artifact-first, like navNeighbors.
+// both). Every backend must classify it artifact-first: X has no generator
+// and one consumer, where as an execution it would have used nothing and
+// generated b1.
 func TestExpandArtifactClassificationWins(t *testing.T) {
 	logA := &provenance.RunLog{
 		Run:       provenance.Run{ID: "ra"},
@@ -402,17 +403,10 @@ func TestExpandArtifactClassificationWins(t *testing.T) {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
 		}
-		for _, dir := range []Direction{Up, Down} {
-			want, err := ExpandViaNav(s, []string{"X"}, dir)
-			if err != nil {
-				t.Fatalf("%s %v: %v", s.Name(), dir, err)
-			}
+		for dir, want := range map[Direction]string{Up: "map[X:[]]", Down: "map[X:[ea]]"} {
 			got, err := s.Expand([]string{"X"}, dir)
-			if err != nil {
-				t.Fatalf("%s %v: %v", s.Name(), dir, err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s %v: Expand = %v, navigation fallback = %v", s.Name(), dir, got, want)
+			if err != nil || fmt.Sprint(got) != want {
+				t.Fatalf("%s %v: Expand = %v, %v; want %s", s.Name(), dir, got, err, want)
 			}
 		}
 		s.Close()

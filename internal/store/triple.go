@@ -57,7 +57,6 @@ func NewTripleStore() *TripleStore {
 }
 
 var _ Store = (*TripleStore)(nil)
-var _ LocalCloser = (*TripleStore)(nil)
 
 // Name implements Store.
 func (s *TripleStore) Name() string { return "triple" }
@@ -292,38 +291,6 @@ func firstObj(spo map[string]map[string][]string, s, p string) string {
 	return objs[0]
 }
 
-// GeneratorOf implements Store.
-func (s *TripleStore) GeneratorOf(artifactID string) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	subs := s.pos[PredGenerated][artifactID]
-	if len(subs) == 0 {
-		return "", fmt.Errorf("%w: generator of %q", ErrNotFound, artifactID)
-	}
-	return subs[0], nil
-}
-
-// ConsumersOf implements Store.
-func (s *TripleStore) ConsumersOf(artifactID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedUnique(s.pos[PredUsed][artifactID]), nil
-}
-
-// Used implements Store.
-func (s *TripleStore) Used(execID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedUnique(s.spo[execID][PredUsed]), nil
-}
-
-// Generated implements Store.
-func (s *TripleStore) Generated(execID string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedUnique(s.spo[execID][PredGenerated]), nil
-}
-
 // neighborsLocked resolves one entity's frontier neighbors with SPO/POS
 // index probes; the caller holds at least a read lock. Only Artifact and
 // Execution nodes participate in traversal (Run and Annotation subjects
@@ -367,15 +334,6 @@ func (s *TripleStore) Closure(seed string, dir Direction) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return bfsClosure(seed, dir, s.neighborsLocked)
-}
-
-// CloseLocal implements LocalCloser: the local fixpoint probes the
-// SPO/POS indexes under one read lock (the sharded router's
-// closure-pushdown primitive).
-func (s *TripleStore) CloseLocal(seeds []string, dir Direction, skip func(string) bool, buf []LocalNeighbors) ([]LocalNeighbors, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return localCloseBFS(seeds, dir, skip, s.neighborsLocked, buf), nil
 }
 
 // Stats implements Store.

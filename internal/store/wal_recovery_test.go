@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -281,9 +282,9 @@ func TestConcurrentFoldMatchesLogOrder(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		liveGen, err := s.GeneratorOf("shared-art")
-		if err != nil {
-			t.Fatal(err)
+		liveGen, _, err := expandOne(s, "shared-art", Up)
+		if err != nil || len(liveGen) != 1 {
+			t.Fatalf("generator %v, %v", liveGen, err)
 		}
 		liveRuns, _ := s.Runs()
 		if err := s.Checkpoint(); err != nil {
@@ -304,12 +305,12 @@ func TestConcurrentFoldMatchesLogOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen, err := r.GeneratorOf("shared-art")
+			gen, _, err := expandOne(r, "shared-art", Up)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gen != liveGen {
-				t.Fatalf("round %d %s: generator %q, live store said %q", round, label, gen, liveGen)
+			if !slices.Equal(gen, liveGen) {
+				t.Fatalf("round %d %s: generator %v, live store said %v", round, label, gen, liveGen)
 			}
 			runs, _ := r.Runs()
 			if !reflect.DeepEqual(runs, liveRuns) {
@@ -403,10 +404,10 @@ func TestGroupCommitStoreMatchesMemAcrossReopens(t *testing.T) {
 					t.Fatalf("%s: closure(%s,%s) diverged:\n got %v\nwant %v", label, id, dir, got, want)
 				}
 			}
-			wantGen, werr := ref.GeneratorOf(id)
-			gotGen, gerr := fs.GeneratorOf(id)
-			if (werr == nil) != (gerr == nil) || wantGen != gotGen {
-				t.Fatalf("%s: generator(%s) = %q,%v vs %q,%v", label, id, gotGen, gerr, wantGen, werr)
+			wantGen, wantOK, _ := expandOne(ref, id, Up)
+			gotGen, gotOK, err := expandOne(fs, id, Up)
+			if err != nil || gotOK != wantOK || !slices.Equal(gotGen, wantGen) {
+				t.Fatalf("%s: generator(%s) = %v,%v,%v vs %v,%v", label, id, gotGen, gotOK, err, wantGen, wantOK)
 			}
 		}
 	}
