@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -25,7 +24,7 @@ var (
 	mStoreIngestSeconds = obs.Default().Histogram("prov_store_ingest_seconds", "FileStore PutRunLog latency: validate, append, index fold.")
 	mStoreClosureSecs   = obs.Default().Histogram("prov_store_closure_seconds", "FileStore transitive-closure latency on the resident entity table.")
 	mStoreExpandSecs    = obs.Default().Histogram("prov_store_expand_seconds", "FileStore one-hop Expand latency.")
-	mStoreLoadSeconds   = obs.Default().Histogram("prov_store_runlog_load_seconds", "FileStore single-record load latency: positional read plus JSON decode (RunLog, Artifact, Execution, Entities).")
+	mStoreLoadSeconds   = obs.Default().Histogram("prov_store_runlog_load_seconds", "FileStore single-record load latency: positional read plus record decode (RunLog, Artifact, Execution, Entities).")
 	mStoreScanRecords   = obs.Default().Counter("prov_store_scan_records_total", "Run-log records decoded by FileStore sequential scans.")
 	mStoreScanBytes     = obs.Default().Counter("prov_store_scan_bytes_total", "Log bytes read by FileStore sequential scans.")
 	mStoreRecovered     = obs.Default().Counter("prov_store_recovered_records_total", "Run-log records decoded by FileStore open-time recovery (the log suffix past the checkpoint, or the whole log without one).")
@@ -53,7 +52,7 @@ var (
 // land above it, and a failed WAL batch truncates only above it), so the
 // read, the decode and any caller-supplied callback run outside the lock
 // and never stall an ingest fold. Nothing read is retained: the cost of
-// retrieval is the decode (encoding/json, 8–15 µs per KB of record), not
+// retrieval is the decode (decodeRecord, 3–8 µs per KB of record), not
 // the I/O around it.
 //
 // Appends go through a write-ahead group-commit writer (internal/store/
@@ -225,16 +224,18 @@ func (s *FileStore) recover() error {
 		if err != nil {
 			return fmt.Errorf("store: scan log: %w", err)
 		}
-		var l provenance.RunLog
-		if uerr := json.Unmarshal(line, &l); uerr != nil || l.Run.ID == "" {
-			// Corrupt record mid-file: stop indexing here and truncate the
-			// remainder (append-only logs are valid up to the first tear).
+		// A record decodeRecord refuses (no JSON, no run ID) is corrupt:
+		// stop indexing here and truncate the remainder (append-only logs
+		// are valid up to the first tear). One its fast path refuses but
+		// encoding/json accepts is a valid record and is kept.
+		l, derr := decodeRecord(line)
+		if derr != nil {
 			if terr := s.f.Truncate(offset); terr != nil {
 				return fmt.Errorf("store: truncate corrupt record: %w", terr)
 			}
 			break
 		}
-		s.index(&l, offset)
+		s.index(l, offset)
 		records++
 		offset += int64(len(line))
 	}
@@ -313,11 +314,10 @@ func (s *FileStore) putRunLog(l *provenance.RunLog) error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
-	data, err := json.Marshal(l)
+	data, err := encodeRecord(l)
 	if err != nil {
 		return fmt.Errorf("store: encode run %s: %w", l.Run.ID, err)
 	}
-	data = append(data, '\n')
 
 	// Reserve the run ID so concurrent duplicates cannot both commit.
 	s.mu.Lock()
@@ -447,8 +447,9 @@ func (s *FileStore) loadAt(off, end int64) (*provenance.RunLog, error) {
 		}
 		buf = slices.Grow(buf, cap(buf))
 	}
-	l := &provenance.RunLog{}
-	if err := json.Unmarshal(buf, l); err != nil {
+	// Every RunLog, Artifact, Execution and Entities call decodes here.
+	l, err := decodeRecord(buf)
+	if err != nil {
 		return nil, fmt.Errorf("store: decode record at offset %d: %w", off, err)
 	}
 	mStoreLoadSeconds.ObserveSince(start)
@@ -513,8 +514,9 @@ func (s *FileStore) ScanLogs(skip int, fn func(*provenance.RunLog) error) error 
 			if i < 0 {
 				break
 			}
-			l := &provenance.RunLog{}
-			if err := json.Unmarshal(buf[done:done+i+1], l); err != nil {
+			// PQL and Datalog leaf scans and standing-query rebinds decode here.
+			l, err := decodeRecord(buf[done : done+i+1])
+			if err != nil {
 				return fmt.Errorf("store: decode record at offset %d: %w", pos-int64(n-done), err)
 			}
 			records++

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/provenance"
@@ -105,12 +104,10 @@ func (s *FileStore) ApplyReplicated(data []byte) ([]*provenance.RunLog, int64, e
 		i := bytes.IndexByte(rest, '\n')
 		line := rest[:i+1]
 		rest = rest[i+1:]
-		l := &provenance.RunLog{}
-		if err := json.Unmarshal(line, l); err != nil {
+		// A follower's bootstrap replay and every tailed batch decode here.
+		l, err := decodeRecord(line)
+		if err != nil {
 			return nil, 0, fmt.Errorf("store: apply replicated: corrupt record: %w", err)
-		}
-		if l.Run.ID == "" {
-			return nil, 0, fmt.Errorf("store: apply replicated: record without run ID")
 		}
 		recs = append(recs, rec{l: l, frame: int64(len(line))})
 	}

@@ -400,6 +400,10 @@ func FuzzLogScan(f *testing.F) {
 	f.Add(append(append([]byte(nil), whole...), whole...))        // duplicate run IDs
 	f.Add(append([]byte(`{"run":{"id":""}}`+"\n"), whole...))     // record without a run ID
 	f.Add(append(append([]byte(nil), whole...), "not json\n"...)) // corrupt record
+	escaped := synthRun("r\"3\u2028", []string{"<in>"}, []string{"out-é"})
+	escaped.Run.WorkflowID = "wf \\ 中文 \x01"
+	f.Add(append(append([]byte(nil), whole...), marshalLine(f, escaped)...))                // escapes, non-ASCII
+	f.Add(append(append([]byte(nil), whole...), `{"run":{"id":"r4"},"extra":[1]}`+"\n"...)) // unknown key
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -451,8 +455,9 @@ func mustRead(t testing.TB, path string) []byte {
 }
 
 // BenchmarkReadPath puts the read path's floor on record: the cost per
-// stored run of a scan and of a point read, beside encoding/json decoding
-// the same bytes from memory (the share no I/O change can remove).
+// stored run of a scan and of a point read, beside decodeRecord decoding
+// the same bytes from memory (the share no I/O change can remove) and
+// encoding/json doing so (the reference the record codec replaced).
 func BenchmarkReadPath(b *testing.B) {
 	dir := b.TempDir()
 	s, err := OpenFileStore(dir)
@@ -481,6 +486,14 @@ func BenchmarkReadPath(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.RunLog(fmt.Sprintf("run-%03d", i%n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode-only", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeRecord(lines[i%n]); err != nil {
 				b.Fatal(err)
 			}
 		}
