@@ -42,13 +42,17 @@ bench:
 # paths still run, ColdClosure prints the absolute ns/op, B/op and
 # allocs/op of a cold closure over 4 file shards (depth-128 chain, cache
 # off and on a miss), and ShardedReopen those of opening 4 file shards
-# holding 2 048 runs, by full scan and from checkpoints. ReadPath prints
-# those of the log read path per ≈3 KB record: a scan, a point read, the
-# record decode alone and encoding/json's decode of the same bytes.
+# holding 2 048 runs, by full scan and from checkpoints. E20Standing prints
+# those of one ingest under 64 standing subscriptions, 16 of them
+# conjunctive (maintained rules of one Datalog program), beside a bare
+# ingest. ReadPath prints those of the log read path per ≈3 KB record: a
+# scan, a point read, the record decode alone and encoding/json's decode
+# of the same bytes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
 	$(GO) test -run '^$$' -bench ShardedReopen -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench E20Standing -benchtime 200x -benchmem .
 	$(GO) test -run '^$$' -bench ReadPath -benchtime 200x -benchmem ./internal/store
 
 # Run the paper-reproduction suite (E1–E12) and write machine-readable

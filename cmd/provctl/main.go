@@ -44,7 +44,8 @@
 // -checkpoint-every N snapshots the store's folded state (and, with
 // -cache, the memoized closures) every N ingests; -checkpoint-interval D
 // also snapshots at most D after a write dirties the store, and
-// -checkpoint-bytes B every ~B bytes of log growth. `provctl checkpoint`
+// -checkpoint-bytes B every ~B bytes of log growth (unsharded stores
+// only; with -shards above 1 it is an error). `provctl checkpoint`
 // does the same explicitly. A checkpointed store reopens by replaying only
 // the log suffix past the snapshot and serves warm closures immediately.
 //
@@ -229,7 +230,7 @@ func (f *storeFlags) register(fs *flag.FlagSet, withWritePath bool) {
 		fs.StringVar(&f.durability, "durability", "none", "ingest durability: none, fsync, or group (group-commit WAL)")
 		fs.IntVar(&f.ckptEvery, "checkpoint-every", 0, "snapshot the store every N ingests (0: only explicit checkpoints)")
 		fs.DurationVar(&f.ckptInterval, "checkpoint-interval", 0, "snapshot at most this long after a write dirties the store")
-		fs.Int64Var(&f.ckptBytes, "checkpoint-bytes", 0, "snapshot every time roughly this many log bytes accumulate")
+		fs.Int64Var(&f.ckptBytes, "checkpoint-bytes", 0, "snapshot every time roughly this many log bytes accumulate (unsharded stores only)")
 	} else {
 		f.durability = "none"
 	}

@@ -82,8 +82,8 @@
 // checkpoint flags bound reopen replay three ways: -checkpoint-every N
 // snapshots every N publishes, -checkpoint-interval D at most D after a
 // write dirties the store, and -checkpoint-bytes B every ~B bytes of log
-// growth, so replay cost stays bounded whether ingest is bursty or a
-// trickle.
+// growth (unsharded stores only), so replay cost stays bounded whether
+// ingest is bursty or a trickle.
 //
 // Observability: GET /v1/metrics serves the process's runtime metrics
 // (WAL, store, cache, replication, executor and HTTP families) in
@@ -145,7 +145,7 @@ func main() {
 		durability   = flag.String("durability", "none", "ingest durability with -store: none, fsync, or group (group-commit WAL)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "with -store: snapshot the store (and cache) every N published runs")
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "with -store: snapshot at most this long after a write dirties the store")
-		ckptBytes    = flag.Int64("checkpoint-bytes", 0, "with -store: snapshot every time roughly this many log bytes accumulate")
+		ckptBytes    = flag.Int64("checkpoint-bytes", 0, "with -store and -shards 1: snapshot every time roughly this many log bytes accumulate")
 		role         = flag.String("role", api.RoleStandalone, "replication role: standalone, primary (serve WAL to followers), or follower (read replica)")
 		primary      = flag.String("primary", "", "with -role follower: the primary provd's base URL")
 		replicas     = flag.String("replicas", "", "with -role primary: comma-separated follower URLs to probe in /v1/replication/status")

@@ -76,8 +76,9 @@ type Options struct {
 	CheckpointInterval time.Duration
 	// CheckpointBytes, when positive, also snapshots every time roughly
 	// this many log bytes accumulate — a bound keyed to replay cost
-	// rather than run count. On a sharded store the byte counter is
-	// per-shard (each shard owns its own log).
+	// rather than run count. Unsharded stores only: the sharded router's
+	// checkpoint policy counts runs and time, so ValidatePersistence
+	// rejects it with Shards above 1.
 	CheckpointBytes int64
 	// Primary, when set, opens the store as a log-shipping read replica of
 	// the provd at this base URL instead of an independent primary (see
@@ -104,12 +105,16 @@ type Options struct {
 // without a store to persist (no StoreDir and no caller-assembled Store)
 // would configure an in-memory system that persists nothing. It also
 // rejects a shard count the router cannot serve, before anything — the
-// in-memory router included — is built with it. Both CLIs call this after
+// in-memory router included — is built with it, and CheckpointBytes on a
+// sharded store, whose router has no byte-count trigger. Both CLIs call this after
 // flag parsing; NewSystem does not, because the zero Options legitimately
 // describe the plain in-memory system.
 func (o Options) ValidatePersistence() error {
 	if err := shardedstore.CheckShards(o.Shards); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	if o.Shards > 1 && o.CheckpointBytes > 0 {
+		return fmt.Errorf("core: -checkpoint-bytes applies to unsharded stores only: a %d-shard store checkpoints by run count (-checkpoint-every) and time (-checkpoint-interval)", o.Shards)
 	}
 	if o.StoreDir != "" || o.Store != nil {
 		return nil

@@ -256,10 +256,15 @@ func (l *RunLog) AnnotationsFor(subject string) []Annotation {
 	return out
 }
 
-// Validate checks internal consistency of the log: events reference known
-// executions/artifacts, each artifact has at most one generator, and
-// execution intervals nest within the run.
+// Validate checks internal consistency of the log: the run has an ID,
+// events reference known executions/artifacts, each artifact has at most
+// one generator, and execution intervals nest within the run.
 func (l *RunLog) Validate() error {
+	if l.Run.ID == "" {
+		// Stores key and recover records by run ID: a log without one
+		// could be accepted but not read back.
+		return fmt.Errorf("provenance: run log has an empty run ID")
+	}
 	execs := map[string]bool{}
 	for _, e := range l.Executions {
 		if execs[e.ID] {

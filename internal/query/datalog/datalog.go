@@ -9,6 +9,15 @@
 // Facts are loaded from provenance stores via LoadStore; rules and queries
 // are parsed from text. Variables start with an uppercase letter or '?';
 // everything else is a constant (quoting allows arbitrary strings).
+//
+// Evaluation is incremental: a Program remembers how far its fixpoint has
+// got, so facts and rules may keep arriving between Evaluate calls and
+// each call joins only what is new (exec.go). Rule bodies and query atoms
+// alike run as plans of the relalg planner; there is no second matcher.
+// The standing-query manager keeps its conjunctive subscriptions as rules
+// of one such Program, adding each ingested log's facts (LogFacts),
+// reading each rule's new head facts (FactsSince) and retiring a rule when
+// its last subscriber leaves (Retire).
 package datalog
 
 import (
@@ -45,20 +54,27 @@ type Rule struct {
 	Body []Atom
 }
 
-// Program is a set of rules plus a base fact store.
+// Program is a set of rules plus a fact store, evaluated incrementally:
+// each Evaluate derives only what the facts and rules added since the
+// previous one make derivable, so a program that takes facts batch by
+// batch — the standing-query manager adds one run log's at a time —
+// maintains its fixpoint instead of recomputing it.
 type Program struct {
 	rules []Rule
 	facts map[string]map[string]bool // pred -> encoded tuple -> true
 	arity map[string]int
-	// rel mirrors facts as append-only tuple slices per predicate: the
-	// planner's leaf relations (exec.go). Kept in lockstep with facts.
+	// rel mirrors facts as append-only tuple slices per predicate, in
+	// insertion order: the planner's leaf relations (exec.go) and the
+	// positions FactsSince reads from. Kept in lockstep with facts.
 	rel map[string][]relalg.Tuple
-	// plans caches each (rule, focus)'s prepared conjunctive plan across
-	// semi-naive rounds and Evaluate calls (exec.go). Plans are
-	// statistics-free — selection pushdown and join order depend only on
-	// the rule's shape — so nothing ever invalidates an entry; rules are
-	// append-only, keeping indexes stable.
-	plans map[planKey]*rulePlan
+	// compiled[i] caches rules[i]'s prepared plan (exec.go); kept in
+	// lockstep with rules.
+	compiled []*rulePlan
+	// evaluated counts the rules, a prefix of rules, already run to
+	// fixpoint; seen[pred] counts the tuples of rel[pred] they were run
+	// over. Evaluate starts from everything past the two.
+	evaluated int
+	seen      map[string]int
 }
 
 // NewProgram returns an empty program.
@@ -67,21 +83,13 @@ func NewProgram() *Program {
 		facts: map[string]map[string]bool{},
 		arity: map[string]int{},
 		rel:   map[string][]relalg.Tuple{},
+		seen:  map[string]int{},
 	}
 }
 
 const fieldSep = "\x00"
 
 func encodeTuple(vals []string) string { return strings.Join(vals, fieldSep) }
-
-// decodeTuple inverts encodeTuple for a predicate of the given arity: the
-// empty key is the empty tuple at arity 0 and one empty constant at 1.
-func decodeTuple(s string, arity int) []string {
-	if arity == 0 {
-		return nil
-	}
-	return strings.Split(s, fieldSep)
-}
 
 // AddFact inserts a ground fact.
 func (p *Program) AddFact(pred string, vals ...string) error {
@@ -112,9 +120,13 @@ func (p *Program) checkArity(pred string, n int) error {
 	return nil
 }
 
-// AddRule appends a rule after checking that every head variable is bound
-// in the body (range restriction).
+// AddRule appends a rule after checking that its body is not empty (a
+// bodiless clause is a fact: AddFact) and that every head variable is
+// bound in the body (range restriction).
 func (p *Program) AddRule(r Rule) error {
+	if len(r.Body) == 0 {
+		return fmt.Errorf("datalog: rule %s has an empty body", r.Head)
+	}
 	if err := p.checkArity(r.Head.Pred, len(r.Head.Args)); err != nil {
 		return err
 	}
@@ -135,90 +147,98 @@ func (p *Program) AddRule(r Rule) error {
 		}
 	}
 	p.rules = append(p.rules, r)
+	p.compiled = append(p.compiled, nil)
+	return nil
+}
+
+// Retire removes pred from the program: every rule deriving it and every
+// fact of it, derived or added. A predicate some other rule's body reads
+// is refused, since what that rule derived from it would outlive it.
+func (p *Program) Retire(pred string) error {
+	for _, r := range p.rules {
+		if r.Head.Pred == pred {
+			continue
+		}
+		for _, a := range r.Body {
+			if a.Pred == pred {
+				return fmt.Errorf("datalog: cannot retire %s: read by a rule for %s", pred, r.Head.Pred)
+			}
+		}
+	}
+	kept, evaluated := 0, p.evaluated
+	for i, r := range p.rules {
+		if r.Head.Pred == pred {
+			if i < p.evaluated {
+				evaluated--
+			}
+			continue
+		}
+		p.rules[kept], p.compiled[kept] = r, p.compiled[i]
+		kept++
+	}
+	clear(p.rules[kept:])
+	clear(p.compiled[kept:])
+	p.rules, p.compiled, p.evaluated = p.rules[:kept], p.compiled[:kept], evaluated
+	delete(p.facts, pred)
+	delete(p.rel, pred)
+	delete(p.seen, pred)
+	delete(p.arity, pred)
 	return nil
 }
 
 // FactCount returns the number of stored facts for a predicate.
 func (p *Program) FactCount(pred string) int { return len(p.facts[pred]) }
 
-// binding maps variable names to constants.
-type binding map[string]string
-
-func unify(atom Atom, vals []string, b binding) (binding, bool) {
-	nb := b
-	copied := false
-	for i, t := range atom.Args {
-		if !t.IsVar {
-			if t.Value != vals[i] {
-				return nil, false
-			}
-			continue
-		}
-		if have, ok := nb[t.Value]; ok {
-			if have != vals[i] {
-				return nil, false
-			}
-			continue
-		}
-		if !copied {
-			nb = make(binding, len(b)+1)
-			for k, v := range b {
-				nb[k] = v
-			}
-			copied = true
-		}
-		nb[t.Value] = vals[i]
+// FactsSince returns pred's facts from position from on, in the order
+// they were added. Facts are never reordered or removed short of Retire,
+// so FactCount taken after one call is the position to pass to the next,
+// which then reads only what was added or derived in between.
+func (p *Program) FactsSince(pred string, from int) [][]string {
+	tups := p.rel[pred]
+	if from >= len(tups) {
+		return nil
 	}
-	return nb, true
+	out := make([][]string, 0, len(tups)-from)
+	for _, t := range tups[from:] {
+		out = append(out, strs(t.Values))
+	}
+	return out
 }
 
-// Query evaluates the program (if not already at fixpoint) and returns all
-// bindings of the query atom's variables, as rows aligned with the order of
-// first appearance of each variable; Vars lists that order.
+// QueryResult holds all bindings of a query atom's variables, as rows
+// aligned with the order of first appearance of each variable; Vars lists
+// that order.
 type QueryResult struct {
 	Vars []string
 	Rows [][]string
 }
 
-// Query runs a query atom against the materialized program.
+// Query evaluates the program (incrementally, as Evaluate does) and
+// returns the stored facts that match the query atom, one sorted row per
+// binding of its variables. The atom is answered by the same planner the
+// rules run on, as a one-leaf plan: its constants and repeated variables
+// become selections on the predicate's relation.
 func (p *Program) Query(q Atom) (*QueryResult, error) {
 	if have, ok := p.arity[q.Pred]; ok && have != len(q.Args) {
 		return nil, fmt.Errorf("datalog: query arity mismatch for %s", q.Pred)
 	}
 	p.Evaluate()
-	return p.match(q), nil
-}
-
-// match returns the stored facts that unify with the query atom, one sorted
-// distinct row per binding of its variables.
-func (p *Program) match(q Atom) *QueryResult {
-	var vars []string
+	res := &QueryResult{}
 	seen := map[string]bool{}
 	for _, t := range q.Args {
 		if t.IsVar && !seen[t.Value] {
 			seen[t.Value] = true
-			vars = append(vars, t.Value)
+			res.Vars = append(res.Vars, t.Value)
 		}
 	}
-	res := &QueryResult{Vars: vars}
-	rowSet := map[string]bool{}
-	for key := range p.facts[q.Pred] {
-		b, ok := unify(q, decodeTuple(key, p.arity[q.Pred]), binding{})
-		if !ok {
-			continue
-		}
-		row := make([]string, len(vars))
-		for i, v := range vars {
-			row[i] = b[v]
-		}
-		k := encodeTuple(row)
-		if !rowSet[k] {
-			rowSet[k] = true
-			res.Rows = append(res.Rows, row)
-		}
-	}
+	// A matching fact is determined by its variables' values, so the rows
+	// are distinct without deduplication.
+	atoms, tuples := []Atom{q}, p.fullRelations([]Atom{q})
+	run(prepare(atoms, tuples, res.Vars), tuples, func(vals []relalg.Val) {
+		res.Rows = append(res.Rows, strs(vals))
+	})
 	sort.Slice(res.Rows, func(i, j int) bool {
 		return encodeTuple(res.Rows[i]) < encodeTuple(res.Rows[j])
 	})
-	return res
+	return res, nil
 }

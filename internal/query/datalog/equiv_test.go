@@ -84,7 +84,7 @@ func refRows(t *testing.T, p *Program, atom string) [][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.match(a).Rows
+	return p.matchReference(a).Rows
 }
 
 // TestStreamingFixpointMatchesReference pins the relalg-backed semi-naive

@@ -6,23 +6,23 @@ import (
 	"repro/internal/relalg"
 )
 
-// This file is the streaming rule-body executor: semi-naive rounds compile
-// each (rule, focus-atom) pair into a conjunctive plan over the relalg
-// iterator layer — one leaf per body atom, the focus atom bound to the
-// previous round's delta — and let the planner push constant/repeated-
-// variable selections into the leaf scans and order the hash joins
+// This file is the streaming rule-body executor: every rule body, and
+// every query atom, is a conjunctive plan over the relalg iterator layer —
+// one leaf per body atom — and the planner pushes constant/repeated-
+// variable selections into the leaf scans and orders the hash joins
 // greedily (smallest relation first, bound-variable preference). It is the
 // package's only evaluator; the nested-loop evaluator it replaced is the
 // in-package test reference (reference_test.go).
 //
-// Each (rule, focus) pair's compiled shape — selections, bind positions,
-// join order — is prepared once (relalg.PrepareConj) and cached on the
-// Program, then rebound to the round's current relations per execution.
-// Nothing invalidates the cache: plans carry no statistics, and rules are
-// append-only.
+// A rule's plan is prepared once (relalg.PrepareConj) and cached on the
+// Program, then rebound per execution: to the full relations the first
+// time the rule runs, and to the full relations with one atom's leaf
+// narrowed to a delta in semi-naive rounds. The shape is the same in both
+// cases, and it carries no statistics, so nothing ever invalidates it;
+// Retire drops it with its rule.
 
 // appendTuple mirrors a newly inserted fact into the planner's leaf
-// relation for its predicate. Slices are append-only, so plans compiled
+// relation for its predicate. Slices are append-only, so plans bound
 // earlier in a round keep their snapshot while later plans see the new
 // facts.
 func (p *Program) appendTuple(pred string, vals []string) {
@@ -33,58 +33,83 @@ func (p *Program) appendTuple(pred string, vals []string) {
 	p.rel[pred] = append(p.rel[pred], relalg.Tuple{Values: vs})
 }
 
+// strs copies a row of planner values, all strings, out as strings.
+func strs(vals []relalg.Val) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = v.(string)
+	}
+	return out
+}
+
 // Evaluate runs semi-naive bottom-up evaluation to fixpoint, materializing
-// all derivable facts for rule-head predicates. It returns the total number
-// of derived facts. Each rule body is compiled into a streaming
-// relational-algebra plan with greedy hash-join ordering.
+// every derivable fact for rule-head predicates, and returns the number of
+// facts it derived. It picks up where the previous Evaluate stopped: the
+// first round runs each rule evaluated before only over the facts added
+// since (one plan per body atom that gained some, that atom bound to the
+// new facts), and each rule added since once over the full relations;
+// later rounds run every rule over the previous round's derivations. With
+// nothing added since, it binds no plan at all.
 func (p *Program) Evaluate() int {
 	derived := 0
-	// delta holds the tuples new in the previous round, per predicate.
 	delta := map[string][]relalg.Tuple{}
 	for pred, tups := range p.rel {
-		delta[pred] = tups
-	}
-	for {
-		next := map[string][]relalg.Tuple{}
-		for ri, r := range p.rules {
-			for focus := range r.Body {
-				if len(delta[r.Body[focus].Pred]) == 0 {
-					continue
-				}
-				derived += p.runRule(ri, r, focus, delta, next)
-			}
+		if n := p.seen[pred]; n < len(tups) {
+			delta[pred] = tups[n:]
 		}
-		if len(next) == 0 {
-			return derived
-		}
-		delta = next
 	}
+	next := map[string][]relalg.Tuple{}
+	for ri := range p.rules {
+		if ri < p.evaluated {
+			derived += p.runDelta(ri, delta, next)
+		} else {
+			derived += p.runRule(ri, -1, nil, next)
+		}
+	}
+	for len(next) > 0 {
+		delta, next = next, map[string][]relalg.Tuple{}
+		for ri := range p.rules {
+			derived += p.runDelta(ri, delta, next)
+		}
+	}
+	p.evaluated = len(p.rules)
+	for pred, tups := range p.rel {
+		p.seen[pred] = len(tups)
+	}
+	return derived
 }
 
-// planKey addresses one cached rule plan: rule index × focus-atom index.
-type planKey struct {
-	rule  int
-	focus int
+// runDelta runs rule ri once per body atom whose predicate has tuples in
+// delta, with that atom bound to them and the rest to the full relations:
+// every fact the delta makes newly derivable uses a delta tuple in some
+// position.
+func (p *Program) runDelta(ri int, delta, next map[string][]relalg.Tuple) int {
+	n := 0
+	for focus, atom := range p.rules[ri].Body {
+		if d := delta[atom.Pred]; len(d) > 0 {
+			n += p.runRule(ri, focus, d, next)
+		}
+	}
+	return n
 }
 
-// rulePlan is one cached compilation: the rebindable plan plus the head
-// projection derived from the rule.
+// rulePlan is one rule's cached compilation: the rebindable body plan,
+// projecting the head's distinct variables, and where each lands.
 type rulePlan struct {
-	pc      *relalg.PreparedConj
-	outVars []string
-	varAt   map[string]int
+	pc    *relalg.PreparedConj
+	varAt map[string]int
 }
 
-// preparedPlan returns the cached plan for (rule, focus), compiling on
-// first use.
-func (p *Program) preparedPlan(ri int, r Rule, focus int) *rulePlan {
-	k := planKey{ri, focus}
-	if rp, ok := p.plans[k]; ok {
-		return rp
-	}
-	rp := &rulePlan{varAt: map[string]int{}}
-	leaves := make([]relalg.Leaf, len(r.Body))
-	for i, atom := range r.Body {
+// prepare compiles a conjunction, one planner leaf per atom carrying the
+// given tuples (their sizes break the join order's ties), projected on
+// out. It cannot fail on what this package passes it: PrepareConj rejects
+// only an empty conjunction, which AddRule refuses and Query never builds,
+// and an output variable no atom binds, which AddRule refuses and Query
+// never asks for. A failure is a bug in this package, not in the program
+// being evaluated.
+func prepare(atoms []Atom, tuples [][]relalg.Tuple, out []string) *relalg.PreparedConj {
+	leaves := make([]relalg.Leaf, len(atoms))
+	for i, atom := range atoms {
 		terms := make([]relalg.PlanTerm, len(atom.Args))
 		for j, t := range atom.Args {
 			if t.IsVar {
@@ -93,59 +118,65 @@ func (p *Program) preparedPlan(ri int, r Rule, focus int) *rulePlan {
 				terms[j] = relalg.C(t.Value)
 			}
 		}
-		// The focus leaf is compiled with the same shape as the rest; only
-		// Bind distinguishes it, attaching the round's delta tuples. Tuple
-		// counts at prepare time act solely as join-order tie-breaks.
-		leaves[i] = relalg.Leaf{Name: atom.Pred, Terms: terms, Tuples: p.rel[atom.Pred]}
+		leaves[i] = relalg.Leaf{Name: atom.Pred, Terms: terms, Tuples: tuples[i]}
 	}
-	// Output: the distinct head variables, in head-argument order.
-	for _, t := range r.Head.Args {
-		if t.IsVar {
-			if _, ok := rp.varAt[t.Value]; !ok {
-				rp.varAt[t.Value] = len(rp.outVars)
-				rp.outVars = append(rp.outVars, t.Value)
-			}
-		}
-	}
-	// Compilation cannot fail here: PrepareConj rejects only an empty body,
-	// which the caller's loop over body atoms never reaches, and a head
-	// variable no body atom binds, which AddRule refuses. A failure is a bug
-	// in this package, not in the program being evaluated.
-	pc, err := relalg.PrepareConj(leaves, rp.outVars)
+	pc, err := relalg.PrepareConj(leaves, out)
 	if err != nil {
-		panic(fmt.Sprintf("datalog: compile %s: %v", r.Head, err))
+		panic(fmt.Sprintf("datalog: compile %v: %v", atoms, err))
 	}
-	rp.pc = pc
-	if p.plans == nil {
-		p.plans = map[planKey]*rulePlan{}
-	}
-	p.plans[k] = rp
-	return rp
+	return pc
 }
 
-// runRule evaluates one rule with the focus atom bound to the delta,
-// inserting novel head facts into the program and the next-round delta.
-// Returns the number of new facts.
-func (p *Program) runRule(ri int, r Rule, focus int, delta, next map[string][]relalg.Tuple) int {
-	rp := p.preparedPlan(ri, r, focus)
-	tuples := make([][]relalg.Tuple, len(r.Body))
-	for i, atom := range r.Body {
-		if i == focus {
-			tuples[i] = delta[atom.Pred]
-		} else {
-			tuples[i] = p.rel[atom.Pred]
-		}
+// run binds a prepared plan to one tuple slice per atom and streams its
+// rows. The leaves are in-memory scans and emit never fails, so neither
+// step can fail short of a bug here either.
+func run(pc *relalg.PreparedConj, tuples [][]relalg.Tuple, emit func([]relalg.Val)) {
+	plan, err := pc.Bind(tuples)
+	if err == nil {
+		err = plan.Run(func(vals []relalg.Val, _ []relalg.Witness) error {
+			emit(vals)
+			return nil
+		})
 	}
-	// Bind gets one slice per leaf and projects variables preparedPlan
-	// checked; the plan's leaves are in-memory scans and emit returns nil.
-	// Neither call can fail short of a bug here, so neither error has a
-	// caller to go to.
-	plan, err := rp.pc.Bind(tuples, relalg.PlanOptions{})
 	if err != nil {
-		panic(fmt.Sprintf("datalog: bind %s: %v", r.Head, err))
+		panic(fmt.Sprintf("datalog: run: %v", err))
+	}
+}
+
+// fullRelations returns the current relation of each atom's predicate.
+func (p *Program) fullRelations(atoms []Atom) [][]relalg.Tuple {
+	out := make([][]relalg.Tuple, len(atoms))
+	for i, atom := range atoms {
+		out[i] = p.rel[atom.Pred]
+	}
+	return out
+}
+
+// runRule evaluates rule ri over the full relations, or with the atom at
+// focus (when not -1) bound to the delta tuples instead, inserting novel
+// head facts into the program and the next-round delta. Returns the number
+// of new facts.
+func (p *Program) runRule(ri, focus int, delta []relalg.Tuple, next map[string][]relalg.Tuple) int {
+	r := p.rules[ri]
+	tuples := p.fullRelations(r.Body)
+	rp := p.compiled[ri]
+	if rp == nil {
+		rp = &rulePlan{varAt: map[string]int{}}
+		var outVars []string
+		for _, t := range r.Head.Args {
+			if _, ok := rp.varAt[t.Value]; t.IsVar && !ok {
+				rp.varAt[t.Value] = len(outVars)
+				outVars = append(outVars, t.Value)
+			}
+		}
+		rp.pc = prepare(r.Body, tuples, outVars)
+		p.compiled[ri] = rp
+	}
+	if focus >= 0 {
+		tuples[focus] = delta
 	}
 	n := 0
-	err = plan.Run(func(vals []relalg.Val, _ []relalg.Witness) error {
+	run(rp.pc, tuples, func(vals []relalg.Val) {
 		out := make([]string, len(r.Head.Args))
 		for i, t := range r.Head.Args {
 			if t.IsVar {
@@ -155,11 +186,7 @@ func (p *Program) runRule(ri int, r Rule, focus int, delta, next map[string][]re
 			}
 		}
 		n += p.insertDerived(r.Head.Pred, out, next)
-		return nil
 	})
-	if err != nil {
-		panic(fmt.Sprintf("datalog: run %s: %v", r.Head, err))
-	}
 	return n
 }
 

@@ -1,10 +1,92 @@
 package datalog
 
+import (
+	"sort"
+	"strings"
+)
+
 // This file is the reference evaluator equiv_test.go compares Evaluate
 // against: the original per-binding nested-loop semi-naive fixpoint, moved
 // here unchanged when the streaming executor became the only one in the
-// package proper. Both reach the same fixpoint and derived-fact count,
-// since a fact is counted once no matter which round derives it.
+// package proper, and the nested-loop matcher Query used before it too
+// went through the planner. Both evaluators reach the same fixpoint and
+// derived-fact count, since a fact is counted once no matter which round
+// derives it.
+
+// binding maps variable names to constants.
+type binding map[string]string
+
+// decodeTuple inverts encodeTuple for a predicate of the given arity: the
+// empty key is the empty tuple at arity 0 and one empty constant at 1.
+func decodeTuple(s string, arity int) []string {
+	if arity == 0 {
+		return nil
+	}
+	return strings.Split(s, fieldSep)
+}
+
+func unify(atom Atom, vals []string, b binding) (binding, bool) {
+	nb := b
+	copied := false
+	for i, t := range atom.Args {
+		if !t.IsVar {
+			if t.Value != vals[i] {
+				return nil, false
+			}
+			continue
+		}
+		if have, ok := nb[t.Value]; ok {
+			if have != vals[i] {
+				return nil, false
+			}
+			continue
+		}
+		if !copied {
+			nb = make(binding, len(b)+1)
+			for k, v := range b {
+				nb[k] = v
+			}
+			copied = true
+		}
+		nb[t.Value] = vals[i]
+	}
+	return nb, true
+}
+
+// matchReference returns the stored facts that unify with the query atom,
+// one sorted distinct row per binding of its variables, without evaluating
+// anything: the reference's Query.
+func (p *Program) matchReference(q Atom) *QueryResult {
+	var vars []string
+	seen := map[string]bool{}
+	for _, t := range q.Args {
+		if t.IsVar && !seen[t.Value] {
+			seen[t.Value] = true
+			vars = append(vars, t.Value)
+		}
+	}
+	res := &QueryResult{Vars: vars}
+	rowSet := map[string]bool{}
+	for key := range p.facts[q.Pred] {
+		b, ok := unify(q, decodeTuple(key, p.arity[q.Pred]), binding{})
+		if !ok {
+			continue
+		}
+		row := make([]string, len(vars))
+		for i, v := range vars {
+			row[i] = b[v]
+		}
+		k := encodeTuple(row)
+		if !rowSet[k] {
+			rowSet[k] = true
+			res.Rows = append(res.Rows, row)
+		}
+	}
+	sort.Slice(res.Rows, func(i, j int) bool {
+		return encodeTuple(res.Rows[i]) < encodeTuple(res.Rows[j])
+	})
+	return res
+}
 
 // evaluateReference runs the nested-loop evaluator to fixpoint and returns
 // the number of derived facts.

@@ -14,13 +14,14 @@ import (
 // ApplyDelta folds one accepted run log into every affected subscription.
 // The Tap calls it after each local commit; a follower calls it, as one of
 // its observers, for each shipped log. Cost is proportional to the
-// subscriptions the delta touches (via the closure/predicate indexes),
-// never to the total registered — and never blocks on consumers: events
+// closure and triple subscriptions the delta touches (via their indexes),
+// never to the total registered, plus one semi-naive round over the
+// distinct conjunctive queries — and never blocks on consumers: events
 // land in bounded replay rings.
 func (m *Manager) ApplyDelta(l *provenance.RunLog) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.subs) == 0 && !m.baseLoaded {
+	if len(m.subs) == 0 && m.prog == nil {
 		return
 	}
 	start := obs.Now()

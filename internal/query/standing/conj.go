@@ -7,43 +7,30 @@ import (
 
 	"repro/internal/provenance"
 	"repro/internal/query/datalog"
-	"repro/internal/query/scan"
-	"repro/internal/relalg"
 )
 
-// Conjunctive subscriptions: the body is parsed with the Datalog parser,
-// validated against the extensional schema LoadStore establishes, and
-// compiled ONCE through the streaming planner (relalg.PrepareConj — the
-// plan-caching machinery the Datalog engine itself uses). Per ingest the
-// plan is rebound semi-naive style: for each body atom whose predicate
-// gained facts, that leaf carries the delta and the others the full
-// current relations; the union over focus positions is exactly the set of
-// rows a full re-evaluation would add, because every new row must use at
-// least one new fact in some position. Facts only accumulate (they are
-// per-log, not per-edge), so conjunctive results are monotone — add
-// events only.
+// Conjunctive subscriptions are rules of one datalog.Program, which holds
+// the extensional facts of every stored log (datalog.LogFacts, the same
+// flattening LoadStore uses). Each distinct (query, output) pair is one
+// group and one rule, q#n(out…) :- body; an ingest adds the log's facts
+// and runs Evaluate, whose semi-naive round joins each rule only against
+// what the log added, and a group's new rows are its head facts past the
+// group's watermark. Facts only accumulate, so conjunctive results are
+// monotone — add events only.
 
-// conjSub is the compiled form of one conjunctive subscription.
-type conjSub struct {
-	body []datalog.Atom
-	pc   *relalg.PreparedConj
+// conjGroup is the subscriptions sharing one conjunctive query: its rule's
+// head predicate and how many of that predicate's facts they have been
+// sent. Identical queries share one evaluation — many clients watching the
+// same standing query is the common case.
+type conjGroup struct {
+	key  string
+	pred string
+	subs []*sub
+	sent int
 }
 
-// preds returns the distinct body predicates, sorted.
-func (cs *conjSub) preds() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range cs.body {
-		if !seen[a.Pred] {
-			seen[a.Pred] = true
-			out = append(out, a.Pred)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// compileConj parses and compiles a conjunctive spec. The query is the
+// parseConj parses and validates a conjunctive spec into a rule whose
+// head carries the output variables and no predicate yet. The query is the
 // rule-body syntax the Datalog engine uses: comma-separated atoms,
 // uppercase (or ?-prefixed) variables, 'quoted' constants, e.g.
 //
@@ -51,62 +38,52 @@ func (cs *conjSub) preds() []string {
 //
 // over the extensional schema of datalog.LoadStore. Output names the
 // projected variables; empty means all, in first-occurrence order.
-func compileConj(spec Spec) (*conjSub, error) {
+func parseConj(spec Spec) (datalog.Rule, error) {
 	q := strings.TrimSpace(spec.Query)
 	if q == "" {
-		return nil, fmt.Errorf("standing: conjunctive subscription needs a query")
+		return datalog.Rule{}, fmt.Errorf("standing: conjunctive subscription needs a query")
 	}
 	r, err := datalog.ParseRule("q() :- " + q)
 	if err != nil {
-		return nil, fmt.Errorf("standing: parse query: %w", err)
+		return datalog.Rule{}, fmt.Errorf("standing: parse query: %w", err)
 	}
 	if len(r.Body) == 0 {
-		return nil, fmt.Errorf("standing: conjunctive query %q has no atoms", q)
+		return datalog.Rule{}, fmt.Errorf("standing: conjunctive query %q has no atoms", q)
 	}
 	schema := datalog.ExtensionalArity()
 	var allVars []string
 	varSeen := map[string]bool{}
-	leaves := make([]relalg.Leaf, len(r.Body))
-	for i, atom := range r.Body {
+	for _, atom := range r.Body {
 		arity, ok := schema[atom.Pred]
 		if !ok {
-			return nil, fmt.Errorf("standing: unknown predicate %q (extensional schema: %s)",
+			return datalog.Rule{}, fmt.Errorf("standing: unknown predicate %q (extensional schema: %s)",
 				atom.Pred, strings.Join(sortedPreds(schema), ", "))
 		}
 		if len(atom.Args) != arity {
-			return nil, fmt.Errorf("standing: predicate %s has arity %d, got %d args", atom.Pred, arity, len(atom.Args))
+			return datalog.Rule{}, fmt.Errorf("standing: predicate %s has arity %d, got %d args", atom.Pred, arity, len(atom.Args))
 		}
-		terms := make([]relalg.PlanTerm, len(atom.Args))
-		for j, t := range atom.Args {
-			if t.IsVar {
-				terms[j] = relalg.V(t.Value)
-				if !varSeen[t.Value] {
-					varSeen[t.Value] = true
-					allVars = append(allVars, t.Value)
-				}
-			} else {
-				terms[j] = relalg.C(t.Value)
+		for _, t := range atom.Args {
+			if t.IsVar && !varSeen[t.Value] {
+				varSeen[t.Value] = true
+				allVars = append(allVars, t.Value)
 			}
 		}
-		leaves[i] = relalg.Leaf{Name: atom.Pred, Terms: terms}
 	}
 	output := spec.Output
 	if len(output) == 0 {
 		output = allVars
 	}
 	if len(output) == 0 {
-		return nil, fmt.Errorf("standing: conjunctive query %q binds no variables", q)
+		return datalog.Rule{}, fmt.Errorf("standing: conjunctive query %q binds no variables", q)
 	}
+	r.Head.Args = nil
 	for _, v := range output {
 		if !varSeen[v] {
-			return nil, fmt.Errorf("standing: output variable %q not bound in query", v)
+			return datalog.Rule{}, fmt.Errorf("standing: output variable %q not bound in query", v)
 		}
+		r.Head.Args = append(r.Head.Args, datalog.Term{Value: v, IsVar: true})
 	}
-	pc, err := relalg.PrepareConj(leaves, output)
-	if err != nil {
-		return nil, fmt.Errorf("standing: compile query: %w", err)
-	}
-	return &conjSub{body: r.Body, pc: pc}, nil
+	return r, nil
 }
 
 func sortedPreds(schema map[string]int) []string {
@@ -118,146 +95,69 @@ func sortedPreds(schema map[string]int) []string {
 	return out
 }
 
-// ensureBaseLocked loads the shared extensional relations from the store
-// on the first conjunctive Subscribe. Thereafter ApplyDelta keeps them
-// appended; re-delivery of a log already scanned here deduplicates to
-// nothing.
-func (m *Manager) ensureBaseLocked() error {
-	if m.baseLoaded {
-		return nil
+// conjGroupLocked returns the group evaluating spec's query, adding its
+// rule to the program — and, on the first conjunctive Subscribe, loading
+// the program's facts from the store — when no subscription shares it yet.
+// Thereafter ApplyDelta keeps the facts current; re-delivery of a log
+// already scanned here deduplicates to nothing.
+func (m *Manager) conjGroupLocked(spec Spec) (*conjGroup, error) {
+	key := spec.Query + "\x00" + strings.Join(spec.Output, "\x00")
+	if g, ok := m.groups[key]; ok {
+		return g, nil
 	}
-	err := scan.Logs(m.st, func(l *provenance.RunLog) error {
-		m.appendLogFactsLocked(l, nil)
-		return nil
-	})
+	r, err := parseConj(spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.baseLoaded = true
-	return nil
-}
-
-// appendLogFactsLocked folds one log's extensional facts into the shared
-// relations, recording the novel tuples per predicate into delta (when
-// non-nil).
-func (m *Manager) appendLogFactsLocked(l *provenance.RunLog, delta map[string][]relalg.Tuple) {
-	_ = datalog.LogFacts(l, func(pred string, vals ...string) error {
-		key := strings.Join(vals, "\x00")
-		set, ok := m.baseSet[pred]
-		if !ok {
-			set = map[string]struct{}{}
-			m.baseSet[pred] = set
+	if m.prog == nil {
+		p := datalog.NewProgram()
+		if err := datalog.LoadStore(p, m.st); err != nil {
+			return nil, err
 		}
-		if _, have := set[key]; have {
-			return nil
-		}
-		set[key] = struct{}{}
-		vs := make([]relalg.Val, len(vals))
-		for i, v := range vals {
-			vs[i] = v
-		}
-		t := relalg.Tuple{Values: vs}
-		m.base[pred] = append(m.base[pred], t)
-		if delta != nil {
-			delta[pred] = append(delta[pred], t)
-		}
-		return nil
-	})
-}
-
-// conjSnapshotLocked evaluates a conjunctive subscription in full over
-// the shared relations.
-func (m *Manager) conjSnapshotLocked(s *sub) error {
-	tuples := make([][]relalg.Tuple, len(s.conj.body))
-	for i, atom := range s.conj.body {
-		tuples[i] = m.base[atom.Pred]
+		m.prog = p
 	}
-	return m.runConjLocked(s, tuples, func(item string) {
-		s.set[item] = struct{}{}
-	})
+	m.nextRule++
+	r.Head.Pred = fmt.Sprintf("q#%d", m.nextRule)
+	if err := m.prog.AddRule(r); err != nil {
+		return nil, err
+	}
+	m.prog.Evaluate()
+	g := &conjGroup{key: key, pred: r.Head.Pred, sent: m.prog.FactCount(r.Head.Pred)}
+	m.groups[key] = g
+	return g, nil
 }
 
-// applyConjLocked maintains conjunctive subscriptions for one ingest:
-// novel facts per predicate become the delta, and each affected
-// subscription rebinds its prepared plan once per delta-bearing body
-// position.
+// applyConjLocked maintains the conjunctive subscriptions for one ingest:
+// the log's facts join the program, one Evaluate derives what they make
+// newly derivable, and each group's new head facts go out as one add event
+// per subscription.
 func (m *Manager) applyConjLocked(l *provenance.RunLog) {
-	if !m.baseLoaded {
+	if m.prog == nil {
 		return
 	}
-	delta := map[string][]relalg.Tuple{}
-	m.appendLogFactsLocked(l, delta)
-	if len(delta) == 0 || len(m.conjIdx) == 0 {
-		return
-	}
-	affected := map[*sub]struct{}{}
-	for pred := range delta {
-		for s := range m.conjIdx[pred] {
-			affected[s] = struct{}{}
+	// LogFacts emits only the schema's predicates at their arities, and
+	// AddFact refuses nothing else.
+	_ = datalog.LogFacts(l, m.prog.AddFact)
+	m.prog.Evaluate()
+	for _, g := range m.groups {
+		rows := m.prog.FactsSince(g.pred, g.sent)
+		if len(rows) == 0 {
+			continue
 		}
-	}
-	// Identical queries share one delta evaluation: many clients watching
-	// the same standing query is the common case, and the plan run is the
-	// expensive part — each subscription then only filters the shared rows
-	// against its own result set.
-	groups := map[string][]*sub{}
-	for s := range affected {
-		key := s.spec.Query + "\x00" + strings.Join(s.spec.Output, "\x00")
-		groups[key] = append(groups[key], s)
-	}
-	for _, subs := range groups {
-		rep := subs[0]
-		var rows []string
-		rowSeen := map[string]struct{}{}
-		for focus, atom := range rep.conj.body {
-			dt := delta[atom.Pred]
-			if len(dt) == 0 {
-				continue
-			}
-			tuples := make([][]relalg.Tuple, len(rep.conj.body))
-			for j, other := range rep.conj.body {
-				if j == focus {
-					tuples[j] = dt
-				} else {
-					tuples[j] = m.base[other.Pred]
-				}
-			}
-			_ = m.runConjLocked(rep, tuples, func(item string) {
-				if _, have := rowSeen[item]; !have {
-					rowSeen[item] = struct{}{}
-					rows = append(rows, item)
-				}
-			})
-		}
-		for _, s := range subs {
-			var adds []string
-			for _, item := range rows {
-				if _, have := s.set[item]; !have {
-					s.set[item] = struct{}{}
-					adds = append(adds, item)
-				}
-			}
-			if len(adds) > 0 {
-				sort.Strings(adds)
-				m.publishLocked(s, EventAdd, adds)
-			}
+		g.sent += len(rows)
+		adds := rowItems(rows)
+		for _, s := range g.subs {
+			m.publishLocked(s, EventAdd, adds)
 		}
 	}
 }
 
-// runConjLocked binds the subscription's prepared plan to the given
-// per-leaf tuples and streams output rows as items.
-func (m *Manager) runConjLocked(s *sub, tuples [][]relalg.Tuple, emit func(item string)) error {
-	plan, err := s.conj.pc.Bind(tuples, relalg.PlanOptions{})
-	if err != nil {
-		return err
+// rowItems renders conjunctive output rows as subscription items, sorted.
+func rowItems(rows [][]string) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = strings.Join(row, " ")
 	}
-	return plan.Run(func(vals []relalg.Val, _ []relalg.Witness) error {
-		parts := make([]string, len(vals))
-		for i, v := range vals {
-			parts[i], _ = v.(string)
-		}
-		emit(rowItem(parts))
-		return nil
-	})
+	sort.Strings(out)
+	return out
 }

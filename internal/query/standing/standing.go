@@ -24,14 +24,15 @@
 //     replacement — or the patch's traversal failed) is recomputed fresh
 //     and the add/remove difference published, where the cache evicts.
 //     Subscriptions on the same (root, direction) share one entry.
-//   - Conjunctive subscriptions are compiled once through the streaming
-//     planner (relalg.PrepareConj) and re-evaluated semi-naive style per
-//     ingest: for each body atom whose predicate gained facts, the plan
-//     is rebound with that leaf restricted to the delta and the others to
-//     the full current relations — novel output rows become add events.
-//     The extensional facts are exactly LoadStore's schema, shared via
+//   - Conjunctive subscriptions are maintained rules of one
+//     datalog.Program the manager loads at the first conjunctive
+//     Subscribe: each distinct (query, output) pair is one rule
+//     q#n(out…) :- body, an ingest adds the log's extensional facts and
+//     runs the program's incremental Evaluate (a semi-naive round over
+//     just those facts), and the rule's new head facts become add events.
+//     The facts are exactly LoadStore's schema, shared via
 //     datalog.LogFacts, so a subscription's incremental result always
-//     equals a fresh re-query.
+//     equals a fresh re-query; the last unsubscribe retires the rule.
 //
 // # Delivery
 //
@@ -50,11 +51,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/relalg"
+	"repro/internal/query/datalog"
 	"repro/internal/store"
 	"repro/internal/store/closurecache"
 )
@@ -149,8 +149,9 @@ func (o Options) withDefaults() Options {
 }
 
 // sub is one registered subscription: its spec, its accumulated result set
-// (triple and conjunctive kinds; a closure subscription's result is its
-// index entry's members) and the bounded replay ring.
+// (triple kind; a closure subscription's result is its index entry's
+// members, a conjunctive one's its group's head facts) and the bounded
+// replay ring.
 type sub struct {
 	id   string
 	spec Spec
@@ -160,7 +161,7 @@ type sub struct {
 	last   uint64        // sequence of the newest published event
 	notify chan struct{} // closed on publish (and unsubscribe), then replaced
 
-	conj *conjSub // conjunctive compilation, nil otherwise
+	group *conjGroup // conjunctive subscriptions' shared query, nil otherwise
 }
 
 // closureKey addresses a closure subscription's entry in the shared index.
@@ -176,8 +177,11 @@ func (m *Manager) closureMembersLocked(s *sub) []string {
 
 // itemsLocked returns the subscription's current result, sorted.
 func (m *Manager) itemsLocked(s *sub) []string {
-	if s.spec.Kind == KindClosure {
+	switch s.spec.Kind {
+	case KindClosure:
 		return sortedCopy(m.closureMembersLocked(s))
+	case KindConjunctive:
+		return rowItems(m.prog.FactsSince(s.group.pred, 0))
 	}
 	out := make([]string, 0, len(s.set))
 	for it := range s.set {
@@ -214,17 +218,14 @@ type Manager struct {
 	// holds predicate wildcards), so an ingest's triples probe only the
 	// subscriptions naming their predicate.
 	tripleIdx map[string]map[*sub]struct{}
-	// conjIdx maps extensional predicates to the conjunctive
-	// subscriptions with a body atom on them.
-	conjIdx map[string]map[*sub]struct{}
 
-	// Shared extensional relations for conjunctive subscriptions, loaded
-	// lazily at the first conjunctive Subscribe and appended (deduplicated)
-	// per ingest. Append-only: LoadStore's schema is derived from run logs,
-	// which only accumulate.
-	base       map[string][]relalg.Tuple
-	baseSet    map[string]map[string]struct{}
-	baseLoaded bool
+	// prog holds the extensional facts of every stored log and one rule
+	// per conjunctive group (conj.go); nil until the first conjunctive
+	// Subscribe, kept current by every ingest after it. groups maps each
+	// group's query and output to it; nextRule numbers the rules' heads.
+	prog     *datalog.Program
+	groups   map[string]*conjGroup
+	nextRule int
 }
 
 // NewManager builds a Manager reading from st — the same store stack the
@@ -237,9 +238,7 @@ func NewManager(st store.Store, opt Options) *Manager {
 		closures:  closurecache.NewIndex(),
 		watchers:  map[closurecache.Key][]*sub{},
 		tripleIdx: map[string]map[*sub]struct{}{},
-		conjIdx:   map[string]map[*sub]struct{}{},
-		base:      map[string][]relalg.Tuple{},
-		baseSet:   map[string]map[string]struct{}{},
+		groups:    map[string]*conjGroup{},
 	}
 }
 
@@ -274,17 +273,11 @@ func (m *Manager) Subscribe(spec Spec) (Snapshot, error) {
 			return Snapshot{}, err
 		}
 	case KindConjunctive:
-		cs, err := compileConj(spec)
+		g, err := m.conjGroupLocked(spec)
 		if err != nil {
 			return Snapshot{}, err
 		}
-		s.conj = cs
-		if err := m.ensureBaseLocked(); err != nil {
-			return Snapshot{}, err
-		}
-		if err := m.conjSnapshotLocked(s); err != nil {
-			return Snapshot{}, err
-		}
+		s.group = g
 	default:
 		return Snapshot{}, fmt.Errorf("standing: unknown subscription kind %q", spec.Kind)
 	}
@@ -320,8 +313,11 @@ func (m *Manager) List() []Info {
 	out := make([]Info, 0, len(m.subs))
 	for _, s := range m.subs {
 		size := len(s.set)
-		if s.spec.Kind == KindClosure {
+		switch s.spec.Kind {
+		case KindClosure:
 			size = len(m.closureMembersLocked(s))
+		case KindConjunctive:
+			size = m.prog.FactCount(s.group.pred)
 		}
 		out = append(out, Info{ID: s.id, Spec: s.spec, Seq: s.last, Size: size})
 	}
@@ -426,14 +422,7 @@ func (m *Manager) indexLocked(s *sub) {
 		}
 		bucket[s] = struct{}{}
 	case KindConjunctive:
-		for _, pred := range s.conj.preds() {
-			bucket := m.conjIdx[pred]
-			if bucket == nil {
-				bucket = map[*sub]struct{}{}
-				m.conjIdx[pred] = bucket
-			}
-			bucket[s] = struct{}{}
-		}
+		s.group.subs = append(s.group.subs, s)
 	}
 }
 
@@ -457,13 +446,13 @@ func (m *Manager) unindexLocked(s *sub) {
 			}
 		}
 	case KindConjunctive:
-		for _, pred := range s.conj.preds() {
-			if bucket, ok := m.conjIdx[pred]; ok {
-				delete(bucket, s)
-				if len(bucket) == 0 {
-					delete(m.conjIdx, pred)
-				}
-			}
+		g := s.group
+		if g.subs = slices.DeleteFunc(g.subs, func(w *sub) bool { return w == s }); len(g.subs) == 0 {
+			// The last subscriber left: the rule and its head facts go.
+			// No rule reads a group's head predicate, so Retire cannot
+			// refuse it.
+			delete(m.groups, g.key)
+			_ = m.prog.Retire(g.pred)
 		}
 	}
 }
@@ -472,6 +461,3 @@ func (m *Manager) unindexLocked(s *sub) {
 func TripleItem(t store.Triple) string {
 	return t.S + " " + t.P + " " + t.O
 }
-
-// rowItem renders a conjunctive output row as a subscription item.
-func rowItem(vals []string) string { return strings.Join(vals, " ") }

@@ -99,8 +99,8 @@ type bindIter struct {
 	schema []string
 }
 
-// StreamProjectBag keeps the named columns, preserving duplicates.
-func StreamProjectBag(in Iterator, cols ...string) (Iterator, error) {
+// streamProjectBag keeps the named columns, preserving duplicates.
+func streamProjectBag(in Iterator, cols ...string) (Iterator, error) {
 	idx, err := colIndexes(in.Schema(), cols)
 	if err != nil {
 		return nil, err
@@ -221,12 +221,12 @@ func StreamJoin(l, r Iterator, leftCol, rightCol, rightName string) (Iterator, e
 	return newJoinIter(l, r, []int{li}, []int{ri}, schema), nil
 }
 
-// StreamNaturalJoin joins two iterators on every shared column name (the
+// streamNaturalJoin joins two iterators on every shared column name (the
 // planner's binding join): the output schema is the left schema followed by
 // the right's non-shared columns. With no shared columns it degrades to the
 // cross product, which is what a conjunctive body with disconnected atoms
 // means.
-func StreamNaturalJoin(l, r Iterator) Iterator {
+func streamNaturalJoin(l, r Iterator) Iterator {
 	ls, rs := l.Schema(), r.Schema()
 	lpos := make(map[string]int, len(ls))
 	for i, c := range ls {

@@ -3,17 +3,13 @@ package relalg
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/obs"
 )
 
-// Executor observability: compiled plans, with rows counted centrally in
+// Executor observability: bound plans, with rows counted centrally in
 // Drain (iter.go) — the funnel every streaming execution exits through,
 // whether compiled here or assembled directly by the PQL front-end.
-// Per-operator row counts (scan/join/project) are folded in after a drain
-// when the plan was built with Instrument — the label set is bounded by
-// operator kind, never by query content.
 var mExecPlans = obs.Default().Counter("prov_exec_plans_total", "Conjunctive query plans compiled.")
 
 // This file is the shared conjunctive-query planner the query front-ends
@@ -68,31 +64,18 @@ func (l *Leaf) hasConst() bool {
 	return false
 }
 
-// Plan is a compiled conjunctive query: a streaming iterator tree plus the
-// explain surface (chosen join order, per-operator row counters).
+// Plan is a compiled conjunctive query bound to its tuples: a streaming
+// iterator tree projecting the prepared output columns.
 type Plan struct {
-	root   Iterator
-	Order  []string // leaf names in chosen join order
-	Stats  []*OpStat
-	Output []string
-
-	statsFolded bool // per-operator rows already folded into the registry
-}
-
-// PlanOptions tunes plan construction.
-type PlanOptions struct {
-	// Instrument wraps every operator with a row counter, populating
-	// Plan.Stats (costs one wrapper per operator per tuple).
-	Instrument bool
+	root Iterator
 }
 
 // PreparedConj is a conjunctive plan with the statistics-free compilation
 // work — per-leaf selection pushdown and the greedy join order — done once
 // and the base tuples left unbound. Callers that execute the same query
-// shape repeatedly over changing relations (the Datalog engine's
-// (rule, focus) pairs across semi-naive rounds, standing-query delta
-// re-evaluation per ingest) prepare once and Bind fresh tuple slices per
-// execution, skipping recompilation entirely. A PreparedConj is immutable
+// shape repeatedly over changing relations (the Datalog engine's rules,
+// across semi-naive rounds and Evaluate calls) prepare once and Bind fresh
+// tuple slices per execution, skipping recompilation entirely. A PreparedConj is immutable
 // after PrepareConj and safe for concurrent Bind calls.
 type PreparedConj struct {
 	output []string
@@ -152,41 +135,24 @@ func PrepareConj(leaves []Leaf, output []string) (*PreparedConj, error) {
 
 // Bind attaches base tuples (one slice per leaf, in the original leaf
 // order) to the prepared shape and returns a runnable Plan.
-func (pc *PreparedConj) Bind(tuples [][]Tuple, opts PlanOptions) (*Plan, error) {
+func (pc *PreparedConj) Bind(tuples [][]Tuple) (*Plan, error) {
 	if len(tuples) != len(pc.leaves) {
 		return nil, fmt.Errorf("relalg: bind: %d tuple slices for %d leaves", len(tuples), len(pc.leaves))
 	}
-	p := &Plan{Output: append([]string(nil), pc.output...)}
-
-	wrap := func(it Iterator, label string) Iterator {
-		if !opts.Instrument {
-			return it
-		}
-		st := &OpStat{Label: label}
-		p.Stats = append(p.Stats, st)
-		return Instrument(it, st)
-	}
-
 	compiled := make([]Iterator, len(pc.leaves))
 	for i := range pc.leaves {
-		l := &pc.leaves[i]
-		compiled[i] = wrap(l.bind(tuples[i]), fmt.Sprintf("scan(%s)", l.name))
+		compiled[i] = pc.leaves[i].bind(tuples[i])
 	}
-
 	root := compiled[pc.order[0]]
-	p.Order = append(p.Order, pc.leaves[pc.order[0]].name)
 	for _, i := range pc.order[1:] {
-		root = wrap(StreamNaturalJoin(root, compiled[i]),
-			fmt.Sprintf("join(⋈%s)", pc.leaves[i].name))
-		p.Order = append(p.Order, pc.leaves[i].name)
+		root = streamNaturalJoin(root, compiled[i])
 	}
-	proj, err := StreamProjectBag(root, pc.output...)
+	proj, err := streamProjectBag(root, pc.output...)
 	if err != nil {
 		return nil, err
 	}
-	p.root = wrap(proj, "project("+strings.Join(pc.output, ",")+")")
 	mExecPlans.Inc()
-	return p, nil
+	return &Plan{root: proj}, nil
 }
 
 // prepareLeaf derives scan schema, pushed-down selections and variable
@@ -304,33 +270,8 @@ func greedyOrder(leaves []Leaf, leafVars [][]string) []int {
 	return order
 }
 
-// Schema returns the plan's output columns.
-func (p *Plan) Schema() []string { return p.Output }
-
 // Run drains the plan, invoking emit for each output row. The row slice is
 // only valid during the call.
 func (p *Plan) Run(emit func(vals []Val, prov []Witness) error) error {
-	err := Drain(p.root, func(t *Tuple) error { return emit(t.Values, t.Prov) })
-	if err == nil && len(p.Stats) > 0 && !p.statsFolded {
-		// One counter per operator kind (the label's "scan(...)" prefix), so
-		// the metric cardinality never tracks query content.
-		p.statsFolded = true
-		for _, st := range p.Stats {
-			kind := st.Label
-			if i := strings.IndexByte(kind, '('); i >= 0 {
-				kind = kind[:i]
-			}
-			if st.Rows > 0 {
-				mExecOperatorRows(kind).Add(uint64(st.Rows))
-			}
-		}
-	}
-	return err
-}
-
-// mExecOperatorRows returns the per-operator-kind row counter; the lookup
-// is idempotent and runs once per drained instrumented plan, not per row.
-func mExecOperatorRows(kind string) *obs.Counter {
-	return obs.Default().Counter("prov_exec_operator_rows_total",
-		"Rows emitted per operator kind in instrumented plans.", obs.L("op", kind))
+	return Drain(p.root, func(t *Tuple) error { return emit(t.Values, t.Prov) })
 }

@@ -456,3 +456,51 @@ func TestShardedRoutingDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyRunIDRefused: a FileStore and the router refuse a run log with
+// an empty run ID, and a reopen keeps every run stored before and after
+// the refused one. Recovery cannot key such a record, and used to truncate
+// the log there, dropping every later run with it.
+func TestEmptyRunIDRefused(t *testing.T) {
+	fileDir, routerDir := t.TempDir(), t.TempDir()
+	for _, tc := range []struct {
+		name string
+		open func() (store.Store, error)
+	}{
+		{"file", func() (store.Store, error) { return store.OpenFileStoreWith(fileDir, store.FileOptions{}) }},
+		{"router", func() (store.Store, error) { return OpenWith(routerDir, 4, store.FileOptions{}) }},
+	} {
+		st, err := tc.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutRunLog(shapedRun("e-before", "e-before-x", nil, []string{"e-a"})); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := st.PutRunLog(shapedRun("", "e-bad-x", []string{"e-a"}, []string{"e-b"})); err == nil {
+			t.Fatalf("%s: accepted a run log with an empty run ID", tc.name)
+		}
+		if err := st.PutRunLog(shapedRun("e-after", "e-after-x", []string{"e-a"}, []string{"e-c"})); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = tc.open(); err != nil {
+			t.Fatalf("%s: reopen: %v", tc.name, err)
+		}
+		runs, err := st.Runs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(runs) != "[e-before e-after]" {
+			t.Fatalf("%s: reopened runs %v, want [e-before e-after]", tc.name, runs)
+		}
+		for _, id := range runs {
+			if _, err := st.RunLog(id); err != nil {
+				t.Fatalf("%s: reopened %s: %v", tc.name, id, err)
+			}
+		}
+		st.Close()
+	}
+}
