@@ -47,13 +47,16 @@ bench:
 # conjunctive (maintained rules of one Datalog program), beside a bare
 # ingest. ReadPath prints those of the log read path per ≈3 KB record: a
 # scan, a point read, the record decode alone and encoding/json's decode
-# of the same bytes.
+# of the same bytes. E17StreamingExec prints those of the PQL join battery
+# compiled through the shared conjunctive planner, on a MemStore and a
+# 4-shard router, beside the Datalog provenance fixpoint.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
 	$(GO) test -run '^$$' -bench ShardedReopen -benchtime 10x -benchmem .
 	$(GO) test -run '^$$' -bench E20Standing -benchtime 200x -benchmem .
 	$(GO) test -run '^$$' -bench ReadPath -benchtime 200x -benchmem ./internal/store
+	$(GO) test -run '^$$' -bench E17StreamingExec -benchtime 50x -benchmem ./internal/query/pql
 
 # Run the paper-reproduction suite (E1–E12) and write machine-readable
 # BENCH_<ID>.json files to $(BENCH_DIR).

@@ -48,6 +48,7 @@ func TestParseTermForms(t *testing.T) {
 		{"_", true, "_"},
 		{"abc", false, "abc"},
 		{"'Quoted Const'", false, "Quoted Const"},
+		{"'50%'", false, "50%"},
 		{"42", false, "42"},
 	}
 	for _, c := range cases {
@@ -65,9 +66,14 @@ parent(alice, bob).
 parent(bob, carol).
 ancestor(X, Y) :- parent(X, Y).
 ancestor(X, Z) :- parent(X, Y), ancestor(Y, Z).
+tag('50%', x). % a '%' inside quotes starts no comment
+q(Y) :- tag('50%', Y).
 `)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if q, err := p.Query(mustAtom(t, "q(Y)")); err != nil || len(q.Rows) != 1 || q.Rows[0][0] != "x" {
+		t.Fatalf("q(Y) = %v, %v; want [[x]]", q, err)
 	}
 	if p.FactCount("parent") != 2 {
 		t.Fatalf("parent facts = %d", p.FactCount("parent"))

@@ -120,7 +120,7 @@ func prepare(atoms []Atom, tuples [][]relalg.Tuple, out []string) *relalg.Prepar
 		}
 		leaves[i] = relalg.Leaf{Name: atom.Pred, Terms: terms, Tuples: tuples[i]}
 	}
-	pc, err := relalg.PrepareConj(leaves, out)
+	pc, err := relalg.PrepareConj(leaves, out, nil)
 	if err != nil {
 		panic(fmt.Sprintf("datalog: compile %v: %v", atoms, err))
 	}
@@ -131,10 +131,10 @@ func prepare(atoms []Atom, tuples [][]relalg.Tuple, out []string) *relalg.Prepar
 // rows. The leaves are in-memory scans and emit never fails, so neither
 // step can fail short of a bug here either.
 func run(pc *relalg.PreparedConj, tuples [][]relalg.Tuple, emit func([]relalg.Val)) {
-	plan, err := pc.Bind(tuples)
+	it, err := pc.Bind(tuples, nil)
 	if err == nil {
-		err = plan.Run(func(vals []relalg.Val, _ []relalg.Witness) error {
-			emit(vals)
+		err = relalg.Drain(it, func(t *relalg.Tuple) error {
+			emit(t.Values)
 			return nil
 		})
 	}

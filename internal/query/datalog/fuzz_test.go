@@ -29,6 +29,7 @@ func FuzzDatalogParse(f *testing.F) {
 		"p(a) :- .",
 		"p(a) :- q(",
 		"p('a.b', _) :- q('x,y)'), r().",
+		"tag('50%', x).\nq(Y) :- tag('50%', Y).",
 		"parent(,0).0(0):-parent(?,0)",
 		"",
 	} {

@@ -45,26 +45,29 @@ func addGroundFact(p *Program, head Atom) error {
 	return p.AddFact(head.Pred, vals...)
 }
 
+// splitClauses cuts src into clauses at each period outside quotes,
+// dropping comments: a '%' outside quotes starts one, which runs to the end
+// of its line.
 func splitClauses(src string) []string {
-	var lines []string
-	for _, line := range strings.Split(src, "\n") {
-		if i := strings.Index(line, "%"); i >= 0 {
-			line = line[:i]
-		}
-		lines = append(lines, line)
-	}
-	joined := strings.Join(lines, "\n")
 	var out []string
 	var cur strings.Builder
-	inQuote := false
-	for _, r := range joined {
+	inQuote, inComment := false, false
+	for _, r := range src {
 		switch {
+		case inComment:
+			if r == '\n' {
+				inComment = false
+				cur.WriteRune(r)
+			}
 		case r == '\'':
 			inQuote = !inQuote
 			cur.WriteRune(r)
-		case r == '.' && !inQuote:
-			s := strings.TrimSpace(cur.String())
-			if s != "" {
+		case inQuote:
+			cur.WriteRune(r)
+		case r == '%':
+			inComment = true
+		case r == '.':
+			if s := strings.TrimSpace(cur.String()); s != "" {
 				out = append(out, s)
 			}
 			cur.Reset()

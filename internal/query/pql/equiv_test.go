@@ -72,8 +72,8 @@ func equivStores(t testing.TB) []store.Store {
 	return []store.Store{mem, sharded}
 }
 
-// equivQueries spans scans, pushdown-eligible WHEREs, joins, COUNT, ORDER
-// BY and LIMIT, avoiding the two documented divergences (ORDER BY
+// equivQueries spans scans, single-table and cross-table WHEREs, joins,
+// COUNT, ORDER BY and LIMIT, avoiding the two documented divergences (ORDER BY
 // unselected columns; data-dependent unknown-column errors).
 var equivQueries = []string{
 	"SELECT * FROM runs",
@@ -91,6 +91,14 @@ var equivQueries = []string{
 	"SELECT workflow, module FROM runs JOIN executions ON runs.id = run ORDER BY module LIMIT 10",
 	"SELECT runs.id, executions.id FROM runs JOIN executions ON runs.id = run WHERE workflow LIKE 'medical%' ORDER BY executions.id",
 	"SELECT subject, value FROM annotations",
+	// A WHERE on the JOIN table's ON column: it names the FROM column's
+	// variable, so the planner runs it on the FROM table's scan.
+	"SELECT module, artifact FROM executions JOIN gens ON executions.id = exec WHERE exec != 'x' ORDER BY artifact",
+	// A cross-table OR, which can only run above the join.
+	"SELECT exec, type FROM gens JOIN artifacts ON artifact = artifacts.id WHERE type = 'image' OR port = 'out'",
+	// LIMIT without ORDER BY where the JOIN table is the smaller one: pins
+	// the row order of the FROM table probing.
+	"SELECT executions.id, workflow FROM executions JOIN runs ON run = runs.id LIMIT 5",
 }
 
 // invalidQueries parse, and fail validation on both executors.

@@ -89,8 +89,8 @@ func Run(s store.Store, src string) (*Result, error) {
 }
 
 // Execute evaluates a parsed query on the streaming executor (stream.go):
-// relalg iterators with selection pushdown and sharded parallel leaf
-// scans.
+// a SELECT compiled into relalg's conjunctive planner over sharded
+// parallel leaf scans.
 func Execute(s store.Store, q *Query) (*Result, error) {
 	return executeWith(s, q, nil)
 }

@@ -13,17 +13,24 @@ import (
 )
 
 // This file is the streaming SELECT executor: it compiles a parsed
-// SelectStmt onto the relalg iterator layer instead of materializing
-// []map[string]string row sets. Virtual-table rows are flat []Val tuples
-// (one small slice per row instead of a map with qualified and bare keys),
-// WHERE conjuncts that touch only one side of a join are pushed below it,
-// the sort key is carried through the pipeline so ORDER BY works on any
+// SelectStmt into the shared conjunctive planner (relalg.PrepareConj) —
+// one leaf per table with every column a variable, the JOIN's ON column
+// sharing the FROM column's variable, and each top-level WHERE conjunct a
+// residual filter, which the planner runs on the one table it touches or
+// just above the join — and puts COUNT, ORDER BY, LIMIT and the
+// projection above the plan. Virtual-table rows are flat []Val tuples (one
+// small slice per row instead of a map with qualified and bare keys), the
+// sort key is carried through the pipeline so ORDER BY works on any
 // addressable column, not just selected ones, and leaf scans go through
 // internal/query/scan, which fans out across shards in parallel on a
-// sharded store. Every validation error — unknown table or
-// column, bad ON reference — is raised before the first leaf scan, so a
-// query that fails validation reads nothing. The eager evaluator this
-// replaced is the in-package test reference (reference_test.go).
+// sharded store. The plan is prepared before the scan, so every
+// validation error — unknown table or column, bad ON reference — is raised
+// before the first leaf scan and a query that fails validation reads
+// nothing; with no tuple counts at prepare time the planner keeps the text
+// order (the FROM table probes, the JOIN table builds). No WHERE conjunct
+// becomes a constant term: PQL's = compares numerically (compareLiteral),
+// the planner's constants match exactly. The eager evaluator this replaced
+// is the in-package test reference (reference_test.go).
 
 // Explain reports how a streaming query ran: the join roles chosen, every
 // operator's emitted-row count, the parallel scan width, and bytes
@@ -113,20 +120,17 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 		tables = append(tables, sel.Join.Table)
 	}
 
-	// Column addressing: physical pipeline columns are qualified when a
-	// join is present; addrIdx maps every addressable reference (bare when
+	// Column addressing: physical columns are qualified when a join is
+	// present; addrIdx maps every addressable reference (bare when
 	// unambiguous, plus qualified forms) to its physical position, and
 	// addressable lists them in SELECT * order.
 	var physSchema, addressable []string
 	addrIdx := map[string]int{}
-	leftAddr := map[string]int{}  // refs resolving into the FROM table, local index
-	rightAddr := map[string]int{} // refs resolving into the JOIN table, local index
 	if sel.Join == nil {
 		physSchema = lschema
 		addressable = lschema
 		for i, c := range lschema {
 			addrIdx[c] = i
-			leftAddr[c] = i
 		}
 	} else {
 		ambiguous := map[string]bool{}
@@ -137,84 +141,60 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 				}
 			}
 		}
-		for i, c := range lschema {
-			q := sel.Table + "." + c
-			physSchema = append(physSchema, q)
-			addrIdx[q] = i
-			leftAddr[q] = i
-			if !ambiguous[c] {
-				addrIdx[c] = i
-				leftAddr[c] = i
-				addressable = append(addressable, c)
+		for t, schema := range [][]string{lschema, rschema} {
+			for _, c := range schema {
+				q := tables[t] + "." + c
+				addrIdx[q] = len(physSchema)
+				if !ambiguous[c] {
+					addrIdx[c] = len(physSchema)
+					addressable = append(addressable, c)
+				}
+				addressable = append(addressable, q)
+				physSchema = append(physSchema, q)
 			}
-			addressable = append(addressable, q)
-		}
-		for i, c := range rschema {
-			q := sel.Join.Table + "." + c
-			physSchema = append(physSchema, q)
-			addrIdx[q] = len(lschema) + i
-			rightAddr[q] = i
-			if !ambiguous[c] {
-				addrIdx[c] = len(lschema) + i
-				rightAddr[c] = i
-				addressable = append(addressable, c)
-			}
-			addressable = append(addressable, q)
 		}
 	}
 
-	// WHERE pushdown: split the top-level AND conjunction; conjuncts whose
-	// columns all resolve into one side run below the join, the rest after
-	// it. Column resolution happens here at compile time, so an unknown
-	// column is an error whether or not any row would reach it.
-	var leftPred, rightPred, postPred relalg.Pred
+	// Every column a WHERE names resolves here, so an unknown one is an
+	// error whether or not any row would reach it.
+	var conjuncts []Expr
 	if sel.Where != nil {
-		for _, conj := range splitAnd(sel.Where) {
-			switch {
-			case sel.Join != nil && resolvesWithin(conj, leftAddr):
-				p, err := compilePred(conj, leftAddr)
-				if err != nil {
-					return nil, err
+		conjuncts = splitAnd(sel.Where)
+		for _, c := range conjuncts {
+			for _, col := range columns(c) {
+				if _, ok := addrIdx[col]; !ok {
+					return nil, invalidf("pql: unknown column %q in predicate", col)
 				}
-				leftPred = andPred(leftPred, p)
-			case sel.Join != nil && resolvesWithin(conj, rightAddr):
-				p, err := compilePred(conj, rightAddr)
-				if err != nil {
-					return nil, err
-				}
-				rightPred = andPred(rightPred, p)
-			default:
-				p, err := compilePred(conj, addrIdx)
-				if err != nil {
-					return nil, err
-				}
-				postPred = andPred(postPred, p)
 			}
-		}
-		if sel.Join == nil {
-			// No join to push below: everything runs as one selection.
-			leftPred, postPred = andPred(leftPred, postPred), nil
 		}
 	}
 
-	var li, ri int
+	// Plan variables: each physical column is its own variable, except the
+	// JOIN table's ON column, which takes the FROM column's variable — the
+	// join key. The output is every distinct variable in column order,
+	// which is the joined schema of the text-order plan.
+	vars := append([]string(nil), physSchema...)
+	leaves := []relalg.Leaf{{Name: sel.Table, Terms: terms(vars[:len(lschema)])}}
+	output := vars
 	if sel.Join != nil {
 		lc, rc, err := resolveOn(sel, lschema, rschema)
 		if err != nil {
 			return nil, err
 		}
-		li = indexOf(lschema, lc)
-		ri = indexOf(rschema, rc)
+		ri := len(lschema) + indexOf(rschema, rc)
+		vars[ri] = vars[indexOf(lschema, lc)]
+		leaves = append(leaves, relalg.Leaf{Name: sel.Join.Table, Terms: terms(vars[len(lschema):])})
+		output = append(append([]string(nil), vars[:ri]...), vars[ri+1:]...)
 	}
+	varOf := func(col string) string { return vars[addrIdx[col]] }
 
 	// ORDER BY and SELECT columns resolve here, with the rest of validation,
 	// so a query naming a column that does not exist scans nothing.
-	oi := -1
 	var cols []string
 	var idx []int
 	if !sel.Count {
 		if sel.OrderBy != "" {
-			if oi, ok = addrIdx[sel.OrderBy]; !ok {
+			if _, ok := addrIdx[sel.OrderBy]; !ok {
 				return nil, invalidf("pql: ORDER BY column %q not in table %s", sel.OrderBy, sel.Table)
 			}
 		}
@@ -224,24 +204,44 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 		}
 		idx = make([]int, len(cols))
 		for i, c := range cols {
-			j, ok := addrIdx[c]
-			if !ok {
+			if _, ok := addrIdx[c]; !ok {
 				return nil, invalidf("pql: no column %q (have %s)", c, strings.Join(addressable, ", "))
 			}
-			idx[i] = j
+			idx[i] = indexOf(output, varOf(c))
 		}
 	}
 
-	// Leaf scans: one pass over the run logs fills every needed table.
-	leaves, shards, err := scanLeaves(s, tables)
+	filters := make([]relalg.Filter, len(conjuncts))
+	for i, c := range conjuncts {
+		for _, col := range columns(c) {
+			filters[i].Vars = append(filters[i].Vars, varOf(col))
+		}
+		filters[i].Pred = compilePred(c, new(int))
+	}
+	pc, err := relalg.PrepareConj(leaves, output, filters)
 	if err != nil {
 		return nil, err
 	}
+
+	// Leaf scans: one pass over the run logs fills every needed table.
+	scanned, shards, err := scanLeaves(s, tables)
+	if err != nil {
+		return nil, err
+	}
+	tuples := make([][]relalg.Tuple, len(tables))
+	for i, t := range tables {
+		tuples[i] = scanned[t]
+	}
+	var ops *[]*relalg.OpStat
 	if ex != nil {
 		ex.Shards = shards
 		ex.JoinOrder = tables
+		ops = &ex.Ops
 	}
-
+	it, err := pc.Bind(tuples, ops)
+	if err != nil {
+		return nil, err
+	}
 	wrap := func(it relalg.Iterator, label string) relalg.Iterator {
 		if ex == nil {
 			return it
@@ -249,31 +249,6 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 		st := &relalg.OpStat{Label: label}
 		ex.Ops = append(ex.Ops, st)
 		return relalg.Instrument(it, st)
-	}
-
-	leftSchema := physSchema
-	if sel.Join != nil {
-		leftSchema = physSchema[:len(lschema)]
-	}
-	var it relalg.Iterator = relalg.NewSliceScan(sel.Table, leftSchema, leaves[sel.Table])
-	it = wrap(it, "scan("+sel.Table+")")
-	if leftPred != nil {
-		it = wrap(relalg.StreamSelect(it, leftPred), "select("+sel.Table+")")
-	}
-	if sel.Join != nil {
-		var rit relalg.Iterator = relalg.NewSliceScan(sel.Join.Table, physSchema[len(lschema):], leaves[sel.Join.Table])
-		rit = wrap(rit, "scan("+sel.Join.Table+")")
-		if rightPred != nil {
-			rit = wrap(relalg.StreamSelect(rit, rightPred), "select("+sel.Join.Table+")")
-		}
-		jit, err := relalg.StreamJoin(it, rit, leftSchema[li], physSchema[len(lschema)+ri], sel.Join.Table)
-		if err != nil {
-			return nil, err
-		}
-		it = wrap(jit, "join(⋈"+sel.Join.Table+")")
-	}
-	if postPred != nil {
-		it = wrap(relalg.StreamSelect(it, postPred), "select(post-join)")
 	}
 
 	if sel.Count {
@@ -288,7 +263,7 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 	// pipeline: any addressable column works, selected or not.
 	if sel.OrderBy != "" {
 		desc := sel.Desc
-		sit, err := relalg.StreamSortBy(it, physSchema[oi], func(a, b relalg.Val) bool {
+		sit, err := relalg.StreamSortBy(it, varOf(sel.OrderBy), func(a, b relalg.Val) bool {
 			less := compareLiteral(a.(string), b.(string)) < 0
 			if desc {
 				return !less
@@ -319,6 +294,15 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 		return nil, err
 	}
 	return res, nil
+}
+
+// terms makes one variable term per name: a table leaf.
+func terms(vars []string) []relalg.PlanTerm {
+	out := make([]relalg.PlanTerm, len(vars))
+	for i, v := range vars {
+		out[i] = relalg.V(v)
+	}
+	return out
 }
 
 // resolveOn resolves the ON references (bare when unambiguous, or
@@ -389,78 +373,48 @@ func splitAnd(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// resolvesWithin reports whether every column the expression references is
-// addressable in the given side-local map (i.e. the conjunct can be pushed
-// below the join to that side).
-func resolvesWithin(e Expr, side map[string]int) bool {
-	switch x := e.(type) {
-	case *cmpExpr:
-		_, ok := side[x.col]
-		return ok
-	case *binExpr:
-		return resolvesWithin(x.l, side) && resolvesWithin(x.r, side)
+// columns lists the columns an expression references, left to right.
+func columns(e Expr) []string {
+	if b, ok := e.(*binExpr); ok {
+		return append(columns(b.l), columns(b.r)...)
 	}
-	return false
+	return []string{e.(*cmpExpr).col}
 }
 
-// compilePred compiles an expression into a closure over a tuple's values,
-// resolving columns through idx once instead of per row.
-func compilePred(e Expr, idx map[string]int) (relalg.Pred, error) {
-	switch x := e.(type) {
-	case *cmpExpr:
-		i, ok := idx[x.col]
-		if !ok {
-			return nil, invalidf("pql: unknown column %q in predicate", x.col)
-		}
-		op, want := x.op, x.val
-		switch op {
-		case "=", "!=", "<", ">", "<=", ">=", "like":
-		default:
-			return nil, fmt.Errorf("pql: unknown operator %q", op)
-		}
-		return func(vals []relalg.Val) bool {
-			have := vals[i].(string)
-			switch op {
-			case "=":
-				return compareLiteral(have, want) == 0
-			case "!=":
-				return compareLiteral(have, want) != 0
-			case "<":
-				return compareLiteral(have, want) < 0
-			case ">":
-				return compareLiteral(have, want) > 0
-			case "<=":
-				return compareLiteral(have, want) <= 0
-			case ">=":
-				return compareLiteral(have, want) >= 0
-			}
-			return matchLike(have, want)
-		}, nil
-	case *binExpr:
-		l, err := compilePred(x.l, idx)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compilePred(x.r, idx)
-		if err != nil {
-			return nil, err
-		}
+// compilePred compiles an expression into a closure over a filter's
+// values: the k-th column reference, left to right as columns lists them,
+// reads vals[k]; next counts the references compiled so far. Every
+// operator is one the parser accepts.
+func compilePred(e Expr, next *int) relalg.Pred {
+	if x, ok := e.(*binExpr); ok {
+		l := compilePred(x.l, next)
+		r := compilePred(x.r, next)
 		if x.op == "and" {
-			return func(vals []relalg.Val) bool { return l(vals) && r(vals) }, nil
+			return func(vals []relalg.Val) bool { return l(vals) && r(vals) }
 		}
-		return func(vals []relalg.Val) bool { return l(vals) || r(vals) }, nil
+		return func(vals []relalg.Val) bool { return l(vals) || r(vals) }
 	}
-	return nil, fmt.Errorf("pql: unknown expression %T", e)
-}
-
-func andPred(a, b relalg.Pred) relalg.Pred {
-	if a == nil {
-		return b
+	x := e.(*cmpExpr)
+	i, op, want := *next, x.op, x.val
+	*next++
+	return func(vals []relalg.Val) bool {
+		have := vals[i].(string)
+		switch op {
+		case "=":
+			return compareLiteral(have, want) == 0
+		case "!=":
+			return compareLiteral(have, want) != 0
+		case "<":
+			return compareLiteral(have, want) < 0
+		case ">":
+			return compareLiteral(have, want) > 0
+		case "<=":
+			return compareLiteral(have, want) <= 0
+		case ">=":
+			return compareLiteral(have, want) >= 0
+		}
+		return matchLike(have, want)
 	}
-	if b == nil {
-		return a
-	}
-	return func(vals []relalg.Val) bool { return a(vals) && b(vals) }
 }
 
 // scanLeaves fills the requested virtual tables in ONE pass over the run

@@ -43,9 +43,9 @@ func NewScan(r *Relation) Iterator {
 	return &scanIter{name: r.Name, schema: r.Schema, tuples: r.Tuples}
 }
 
-// NewSliceScan streams a raw tuple slice under a schema: the leaf form used
-// by engines whose base data never passes through a *Relation (the Datalog
-// delta sets, PQL's virtual tables).
+// NewSliceScan streams a raw tuple slice under a schema: the leaf form for
+// base data that never passes through a *Relation (the planner's leaves —
+// Datalog relations and deltas, PQL's virtual tables).
 func NewSliceScan(name string, schema []string, tuples []Tuple) Iterator {
 	return &scanIter{name: name, schema: schema, tuples: tuples}
 }
@@ -68,9 +68,9 @@ type selectIter struct {
 	pred Pred
 }
 
-// StreamSelect filters tuples by pred without copying them (σ; witnesses
+// streamSelect filters tuples by pred without copying them (σ; witnesses
 // pass through unchanged: selection does not combine tuples).
-func StreamSelect(in Iterator, pred Pred) Iterator {
+func streamSelect(in Iterator, pred Pred) Iterator {
 	return &selectIter{in: in, pred: pred}
 }
 
@@ -91,21 +91,12 @@ func (s *selectIter) Next() (*Tuple, error) {
 // bindIter projects columns positionally WITHOUT deduplication (bag
 // semantics) and may rename them: the cheap π used inside pipelines where
 // set semantics are not wanted (PQL output columns, planner variable
-// binding). Each output tuple allocates only its Values slice; witnesses
-// pass through.
+// binding and output). Each output tuple allocates only its Values slice;
+// witnesses pass through.
 type bindIter struct {
 	in     Iterator
 	idx    []int
 	schema []string
-}
-
-// streamProjectBag keeps the named columns, preserving duplicates.
-func streamProjectBag(in Iterator, cols ...string) (Iterator, error) {
-	idx, err := colIndexes(in.Schema(), cols)
-	if err != nil {
-		return nil, err
-	}
-	return &bindIter{in: in, idx: idx, schema: append([]string(nil), cols...)}, nil
 }
 
 // StreamBind projects the columns at idx under new names: the planner's
@@ -204,11 +195,11 @@ type joinIter struct {
 	build   func() error
 }
 
-// StreamJoin hash-joins two iterators on leftCol = rightCol; the output
+// streamJoin hash-joins two iterators on leftCol = rightCol; the output
 // schema is left's columns followed by right's (right columns colliding
 // with left ones are prefixed with rightName). The right side is materialized as the hash
 // build side; the left streams through as the probe side.
-func StreamJoin(l, r Iterator, leftCol, rightCol, rightName string) (Iterator, error) {
+func streamJoin(l, r Iterator, leftCol, rightCol, rightName string) (Iterator, error) {
 	li, err := colIndex(l.Schema(), leftCol)
 	if err != nil {
 		return nil, err
@@ -608,8 +599,7 @@ func Drain(it Iterator, fn func(*Tuple) error) error {
 }
 
 // mExecRows counts every tuple leaving a streaming execution through
-// Drain — the shared exit funnel of compiled plans, the PQL executor and
-// the Datalog evaluator alike.
+// Drain — the shared exit funnel of every plan, PQL's and Datalog's alike.
 var mExecRows = obs.Default().Counter("prov_exec_rows_total", "Rows emitted by streaming query executions.")
 
 // --- instrumentation ---------------------------------------------------------

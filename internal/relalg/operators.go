@@ -18,7 +18,7 @@ type Pred func(vals []Val) bool
 // unchanged: selection does not combine tuples.
 func Select(r *Relation, pred Pred) *Relation {
 	// A selection over a relation scan has no failing step.
-	out, _ := Materialize(StreamSelect(NewScan(r), pred), "σ("+r.Name+")")
+	out, _ := Materialize(streamSelect(NewScan(r), pred), "σ("+r.Name+")")
 	return out
 }
 
@@ -48,7 +48,7 @@ func Project(r *Relation, cols ...string) (*Relation, error) {
 // tuples are cross-merged: a joined tuple is justified by one witness from
 // each side.
 func Join(l, r *Relation, leftCol, rightCol string) (*Relation, error) {
-	it, err := StreamJoin(NewScan(l), NewScan(r), leftCol, rightCol, r.Name)
+	it, err := streamJoin(NewScan(l), NewScan(r), leftCol, rightCol, r.Name)
 	if err != nil {
 		return nil, err
 	}

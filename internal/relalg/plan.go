@@ -2,24 +2,27 @@ package relalg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 )
 
-// Executor observability: bound plans, with rows counted centrally in
-// Drain (iter.go) — the funnel every streaming execution exits through,
-// whether compiled here or assembled directly by the PQL front-end.
+// Executor observability: bound plans — every Datalog rule execution and
+// query atom, and every PQL SELECT — with rows counted centrally in Drain
+// (iter.go), the funnel every streaming execution exits through.
 var mExecPlans = obs.Default().Counter("prov_exec_plans_total", "Conjunctive query plans compiled.")
 
 // This file is the shared conjunctive-query planner the query front-ends
 // compile into. A Datalog rule body and a PQL FROM/JOIN clause have the
 // same shape — a conjunction of leaf relations whose columns are bound to
-// variables or constants — so one planner serves both: it pushes constant
-// and repeated-variable selections into each leaf scan, orders the joins
-// greedily without statistics (most-selective leaf first, then prefer
-// leaves sharing already-bound variables, smallest first), and chains
-// streaming natural hash joins over the iterator layer in iter.go.
+// variables or constants, plus residual filters over those variables — so
+// one planner serves both: it orders the joins greedily without
+// statistics (most-selective leaf first, then prefer leaves sharing
+// already-bound variables, smallest first), runs each selection at the
+// lowest point where its variables are bound — constants, repeated
+// variables and single-leaf filters on the leaf scan, the rest just above
+// the first join that binds them — and chains streaming natural hash joins
+// over the iterator layer in iter.go.
 
 // PlanTerm is one argument position of a leaf atom: either a variable
 // (Var non-empty) or a constant value.
@@ -41,237 +44,279 @@ type Leaf struct {
 	Tuples []Tuple
 }
 
-// vars returns the leaf's distinct variable names in first-occurrence
-// order.
-func (l *Leaf) vars() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, t := range l.Terms {
-		if t.Var != "" && !seen[t.Var] {
-			seen[t.Var] = true
-			out = append(out, t.Var)
-		}
-	}
-	return out
-}
-
-func (l *Leaf) hasConst() bool {
-	for _, t := range l.Terms {
-		if t.Var == "" {
-			return true
-		}
-	}
-	return false
-}
-
-// Plan is a compiled conjunctive query bound to its tuples: a streaming
-// iterator tree projecting the prepared output columns.
-type Plan struct {
-	root Iterator
+// Filter is a residual condition of a conjunctive query: Pred is called
+// with the values of Vars, in that order, and every variable must be bound
+// by some leaf. The planner runs it on the first leaf, in join order, that
+// binds all of Vars, and otherwise just above the first join that does.
+type Filter struct {
+	Vars []string
+	Pred Pred
 }
 
 // PreparedConj is a conjunctive plan with the statistics-free compilation
-// work — per-leaf selection pushdown and the greedy join order — done once
-// and the base tuples left unbound. Callers that execute the same query
-// shape repeatedly over changing relations (the Datalog engine's rules,
-// across semi-naive rounds and Evaluate calls) prepare once and Bind fresh
-// tuple slices per execution, skipping recompilation entirely. A PreparedConj is immutable
-// after PrepareConj and safe for concurrent Bind calls.
+// work — filter placement and the greedy join order — done once and the
+// base tuples left unbound. Callers that execute the same query shape
+// repeatedly over changing relations (the Datalog engine's rules, across
+// semi-naive rounds and Evaluate calls) prepare once and Bind fresh tuple
+// slices per execution, skipping recompilation entirely. A PreparedConj
+// is immutable after PrepareConj and safe for concurrent Bind calls.
 type PreparedConj struct {
 	output []string
 	order  []int
 	leaves []preparedLeaf
+	post   [][]placed // post[k]: filters run just above the k-th join in order
+	proj   []int      // output positions in the joined schema; nil when equal
 }
 
-// constSel / eqSel are one pushed-down selection each: column i equals a
-// constant, or column i equals column j (a repeated variable).
-type constSel struct {
-	i int
-	v Val
+// placed is one selection at its place in the plan: pred over the row
+// values at pos.
+type placed struct {
+	pos  []int
+	pred Pred
 }
-type eqSel struct{ i, j int }
 
-// preparedLeaf is the compiled shape of one atom: everything compileLeaf
-// derives from the terms, minus the tuples.
+// preparedLeaf is the compiled shape of one atom: everything PrepareConj
+// derives from its terms, minus the tuples.
 type preparedLeaf struct {
-	name   string
-	schema []string
-	consts []constSel
-	eqs    []eqSel
-	idx    []int    // term position of each bound variable's first occurrence
-	vars   []string // distinct variable names, first-occurrence order
+	name     string
+	schema   []string       // scan schema: vars when bind is nil, else $i
+	sel      []placed       // over the scan row: constants, repeated variables, filters
+	bind     []int          // each variable's first term position; nil if the terms are distinct variables
+	vars     []string       // distinct variable names, first-occurrence order
+	at       map[string]int // each variable's first term position
+	hasConst bool
 }
 
-// PrepareConj compiles leaves and output into a rebindable plan. The join
-// order is chosen by the usual greedy heuristic using whatever tuple
-// counts the leaves carry at prepare time (callers may pass empty Tuples;
-// tie-breaks then fall back to leaf index) and is fixed for the lifetime
-// of the PreparedConj — the heuristic's primary keys (shared bound
-// variables, constant-bearing leaves) are statistics-free, which is what
-// makes the cache sound.
-func PrepareConj(leaves []Leaf, output []string) (*PreparedConj, error) {
+// PrepareConj compiles leaves, output and filters into a rebindable plan.
+// The join order is chosen by the usual greedy heuristic using whatever
+// tuple counts the leaves carry at prepare time (callers may pass empty
+// Tuples; tie-breaks then fall back to leaf index) and is fixed for the
+// lifetime of the PreparedConj — the heuristic's primary keys (shared
+// bound variables, constant-bearing leaves) are statistics-free, which is
+// what makes the cache sound.
+func PrepareConj(leaves []Leaf, output []string, filters []Filter) (*PreparedConj, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("relalg: plan: no leaves")
 	}
 	pc := &PreparedConj{output: append([]string(nil), output...)}
-
-	bound := map[string]bool{}
-	leafVars := make([][]string, len(leaves))
 	for i := range leaves {
 		pc.leaves = append(pc.leaves, prepareLeaf(&leaves[i]))
-		leafVars[i] = pc.leaves[i].vars
-		for _, v := range leafVars[i] {
-			bound[v] = true
+	}
+	pc.order = greedyOrder(leaves, pc.leaves)
+
+	// The joined schema after each join is the left schema, then the new
+	// leaf's variables not already in it, as streamNaturalJoin lays it
+	// out: at is each variable's position, step the join that adds it.
+	at, step := map[string]int{}, map[string]int{}
+	var schema []string
+	for k, i := range pc.order {
+		for _, v := range pc.leaves[i].vars {
+			if _, ok := at[v]; !ok {
+				at[v], step[v] = len(schema), k
+				schema = append(schema, v)
+			}
 		}
 	}
 	for _, v := range output {
-		if !bound[v] {
+		if _, ok := at[v]; !ok {
 			return nil, fmt.Errorf("relalg: plan: output variable %q not bound by any leaf", v)
 		}
 	}
-	pc.order = greedyOrder(leaves, leafVars)
+	pc.post = make([][]placed, len(pc.order))
+	for _, f := range filters {
+		for _, v := range f.Vars {
+			if _, ok := at[v]; !ok {
+				return nil, fmt.Errorf("relalg: plan: filter variable %q not bound by any leaf", v)
+			}
+		}
+		pc.place(f, at, step)
+	}
+	if !slices.Equal(schema, output) {
+		pc.proj = make([]int, len(output))
+		for j, v := range output {
+			pc.proj[j] = at[v]
+		}
+	}
 	return pc, nil
 }
 
+// place puts f on the first leaf in join order that binds all its
+// variables, or else just above the first join that does.
+func (pc *PreparedConj) place(f Filter, at, step map[string]int) {
+	for _, i := range pc.order {
+		pl := &pc.leaves[i]
+		if pos, ok := positions(pl.at, f.Vars); ok {
+			pl.sel = append(pl.sel, placed{pos, f.Pred})
+			return
+		}
+	}
+	k := 0
+	for _, v := range f.Vars {
+		k = max(k, step[v])
+	}
+	pos, _ := positions(at, f.Vars)
+	pc.post[k] = append(pc.post[k], placed{pos, f.Pred})
+}
+
+// positions looks up each of vars in at.
+func positions(at map[string]int, vars []string) ([]int, bool) {
+	pos := make([]int, len(vars))
+	for j, v := range vars {
+		p, ok := at[v]
+		if !ok {
+			return nil, false
+		}
+		pos[j] = p
+	}
+	return pos, true
+}
+
 // Bind attaches base tuples (one slice per leaf, in the original leaf
-// order) to the prepared shape and returns a runnable Plan.
-func (pc *PreparedConj) Bind(tuples [][]Tuple) (*Plan, error) {
+// order) to the prepared shape and returns the plan's output stream. When
+// ops is non-nil, every scan, selection and join is counted, and its
+// OpStat appended to *ops in pipeline order (explain).
+func (pc *PreparedConj) Bind(tuples [][]Tuple, ops *[]*OpStat) (Iterator, error) {
 	if len(tuples) != len(pc.leaves) {
 		return nil, fmt.Errorf("relalg: bind: %d tuple slices for %d leaves", len(tuples), len(pc.leaves))
 	}
-	compiled := make([]Iterator, len(pc.leaves))
-	for i := range pc.leaves {
-		compiled[i] = pc.leaves[i].bind(tuples[i])
-	}
-	root := compiled[pc.order[0]]
-	for _, i := range pc.order[1:] {
-		root = streamNaturalJoin(root, compiled[i])
-	}
-	proj, err := streamProjectBag(root, pc.output...)
-	if err != nil {
-		return nil, err
-	}
-	mExecPlans.Inc()
-	return &Plan{root: proj}, nil
-}
-
-// prepareLeaf derives scan schema, pushed-down selections and variable
-// bind positions for one atom. The selection for constants and repeated
-// variables runs against the raw scan, below every join.
-func prepareLeaf(l *Leaf) preparedLeaf {
-	pl := preparedLeaf{name: l.Name}
-	pl.schema = make([]string, len(l.Terms))
-	for i := range l.Terms {
-		pl.schema[i] = fmt.Sprintf("$%d", i)
-	}
-	firstAt := map[string]int{}
-	for i, t := range l.Terms {
-		if t.Var == "" {
-			pl.consts = append(pl.consts, constSel{i, t.Const})
+	var root Iterator
+	for k, i := range pc.order {
+		pl := &pc.leaves[i]
+		it := pl.bindTuples(tuples[i], ops)
+		if k == 0 {
+			root = it
 			continue
 		}
-		if j, seen := firstAt[t.Var]; seen {
-			pl.eqs = append(pl.eqs, eqSel{j, i})
-		} else {
-			firstAt[t.Var] = i
+		root = count(ops, streamNaturalJoin(root, it), "join(⋈"+pl.name+")")
+		if len(pc.post[k]) > 0 {
+			root = count(ops, streamSelect(root, selection(pc.post[k])), "select(post-join)")
 		}
 	}
-	pl.vars = l.vars()
-	pl.idx = make([]int, len(pl.vars))
-	for j, v := range pl.vars {
-		pl.idx[j] = firstAt[v]
+	if pc.proj != nil {
+		root = StreamBind(root, pc.proj, pc.output)
+	}
+	mExecPlans.Inc()
+	return root, nil
+}
+
+// count instruments it under label when ops is non-nil.
+func count(ops *[]*OpStat, it Iterator, label string) Iterator {
+	if ops == nil {
+		return it
+	}
+	st := &OpStat{Label: label}
+	*ops = append(*ops, st)
+	return Instrument(it, st)
+}
+
+// selection conjoins placed selections into one predicate over a row.
+// Each bound selection gets its own gather buffer, which is what keeps
+// Bind safe to call concurrently.
+func selection(sel []placed) Pred {
+	n := 0
+	for _, s := range sel {
+		n = max(n, len(s.pos))
+	}
+	buf := make([]Val, n)
+	return func(vals []Val) bool {
+		for _, s := range sel {
+			args := buf[:len(s.pos)]
+			for j, p := range s.pos {
+				args[j] = vals[p]
+			}
+			if !s.pred(args) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// prepareLeaf derives scan schema, selections and variable bind positions
+// for one atom. Constants and repeated variables become selections on the
+// raw scan, below every join.
+func prepareLeaf(l *Leaf) preparedLeaf {
+	pl := preparedLeaf{name: l.Name, at: map[string]int{}}
+	bind := make([]int, 0, len(l.Terms)) // non-nil: an all-constant leaf binds nothing
+	for i, t := range l.Terms {
+		switch j, seen := pl.at[t.Var]; {
+		case t.Var == "":
+			c := t.Const
+			pl.hasConst = true
+			pl.sel = append(pl.sel, placed{[]int{i}, func(v []Val) bool { return compareVals(v[0], c) == 0 }})
+		case seen:
+			pl.sel = append(pl.sel, placed{[]int{j, i}, func(v []Val) bool { return compareVals(v[0], v[1]) == 0 }})
+		default:
+			pl.at[t.Var] = i
+			pl.vars = append(pl.vars, t.Var)
+			bind = append(bind, i)
+		}
+	}
+	pl.schema = pl.vars
+	if len(bind) < len(l.Terms) {
+		pl.bind = bind
+		pl.schema = make([]string, len(l.Terms))
+		for i := range l.Terms {
+			pl.schema[i] = fmt.Sprintf("$%d", i)
+		}
 	}
 	return pl
 }
 
-// bind builds scan → selection → bind for one prepared atom over fresh
-// tuples.
-func (pl *preparedLeaf) bind(tuples []Tuple) Iterator {
-	var it Iterator = NewSliceScan(pl.name, pl.schema, tuples)
-	if len(pl.consts) > 0 || len(pl.eqs) > 0 {
-		consts, eqs := pl.consts, pl.eqs
-		it = StreamSelect(it, func(vals []Val) bool {
-			for _, c := range consts {
-				if compareVals(vals[c.i], c.v) != 0 {
-					return false
-				}
-			}
-			for _, e := range eqs {
-				if compareVals(vals[e.i], vals[e.j]) != 0 {
-					return false
-				}
-			}
-			return true
-		})
+// bindTuples builds scan → selection → bind for one prepared atom over
+// fresh tuples. A leaf whose terms are distinct variables scans under
+// their names and needs no bind.
+func (pl *preparedLeaf) bindTuples(tuples []Tuple, ops *[]*OpStat) Iterator {
+	it := count(ops, NewSliceScan(pl.name, pl.schema, tuples), "scan("+pl.name+")")
+	if len(pl.sel) > 0 {
+		it = count(ops, streamSelect(it, selection(pl.sel)), "select("+pl.name+")")
 	}
-	return StreamBind(it, pl.idx, pl.vars)
+	if pl.bind != nil {
+		it = StreamBind(it, pl.bind, pl.vars)
+	}
+	return it
 }
 
 // greedyOrder picks the join order without statistics: start from the most
 // selective leaf (constant-bearing first, then fewest base tuples), then
 // repeatedly pick the leaf sharing the most already-bound variables —
-// breaking ties by constant-bearing then size — so hash joins stay keyed
-// rather than degrading to cross products. Leaves sharing no variables are
-// deferred until nothing connected remains.
-func greedyOrder(leaves []Leaf, leafVars [][]string) []int {
-	n := len(leaves)
-	remaining := make(map[int]bool, n)
-	for i := 0; i < n; i++ {
-		remaining[i] = true
-	}
-
-	// better reports whether leaf a beats leaf b under (shared bound vars
-	// desc, has-const desc, size asc, index asc).
-	better := func(a, b int, sharedA, sharedB int) bool {
-		if sharedA != sharedB {
-			return sharedA > sharedB
-		}
-		ca, cb := leaves[a].hasConst(), leaves[b].hasConst()
-		if ca != cb {
-			return ca
-		}
-		la, lb := len(leaves[a].Tuples), len(leaves[b].Tuples)
-		if la != lb {
-			return la < lb
-		}
-		return a < b
-	}
-
+// breaking ties by constant-bearing, then size, then leaf index — so hash
+// joins stay keyed rather than degrading to cross products. Leaves sharing
+// no variables are deferred until nothing connected remains.
+func greedyOrder(leaves []Leaf, pls []preparedLeaf) []int {
 	bound := map[string]bool{}
 	shared := func(i int) int {
 		s := 0
-		for _, v := range leafVars[i] {
+		for _, v := range pls[i].vars {
 			if bound[v] {
 				s++
 			}
 		}
 		return s
 	}
-
-	var order []int
-	for len(remaining) > 0 {
-		cand := make([]int, 0, len(remaining))
-		for i := range remaining {
-			cand = append(cand, i)
+	better := func(a, b int) bool {
+		if sa, sb := shared(a), shared(b); sa != sb {
+			return sa > sb
 		}
-		sort.Ints(cand)
-		best := cand[0]
-		for _, i := range cand[1:] {
-			if better(i, best, shared(i), shared(best)) {
+		if ca, cb := pls[a].hasConst, pls[b].hasConst; ca != cb {
+			return ca
+		}
+		return len(leaves[a].Tuples) < len(leaves[b].Tuples)
+	}
+	order := make([]int, 0, len(leaves))
+	done := make([]bool, len(leaves))
+	for len(order) < len(leaves) {
+		best := -1
+		for i := range leaves {
+			if !done[i] && (best < 0 || better(i, best)) {
 				best = i
 			}
 		}
 		order = append(order, best)
-		delete(remaining, best)
-		for _, v := range leafVars[best] {
+		done[best] = true
+		for _, v := range pls[best].vars {
 			bound[v] = true
 		}
 	}
 	return order
-}
-
-// Run drains the plan, invoking emit for each output row. The row slice is
-// only valid during the call.
-func (p *Plan) Run(emit func(vals []Val, prov []Witness) error) error {
-	return Drain(p.root, func(t *Tuple) error { return emit(t.Values, t.Prov) })
 }

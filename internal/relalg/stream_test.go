@@ -105,7 +105,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		want := Val(fmt.Sprintf("v%d", rng.Intn(4)))
 		pred := func(vals []Val) bool { return compareVals(vals[ci], want) == 0 }
 		esel := refSelect(a, pred)
-		mustEqual(t, "select", esel, StreamSelect(NewScan(a), pred))
+		mustEqual(t, "select", esel, streamSelect(NewScan(a), pred))
 		mustEqualRel(t, "Select", esel, Select(a, pred), nil)
 
 		// Project onto a random non-empty column subset (dups merge,
@@ -137,7 +137,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sj, err := StreamJoin(NewScan(a), NewScan(b), a.Schema[lj], b.Schema[rj], b.Name)
+		sj, err := streamJoin(NewScan(a), NewScan(b), a.Schema[lj], b.Schema[rj], b.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,12 +236,22 @@ func TestGroupByNumericAggregates(t *testing.T) {
 }
 
 // naiveConj enumerates a conjunctive query's answers by nested-loop
-// binding, the planner's semantics oracle.
-func naiveConj(leaves []Leaf, output []string) [][]Val {
+// binding, the planner's semantics oracle; the filters run on each
+// complete binding, after the whole conjunction.
+func naiveConj(leaves []Leaf, output []string, filters []Filter) [][]Val {
 	var out [][]Val
 	var step func(i int, bind map[string]Val)
 	step = func(i int, bind map[string]Val) {
 		if i == len(leaves) {
+			for _, f := range filters {
+				args := make([]Val, len(f.Vars))
+				for j, v := range f.Vars {
+					args[j] = bind[v]
+				}
+				if !f.Pred(args) {
+					return
+				}
+			}
 			row := make([]Val, len(output))
 			for j, v := range output {
 				row[j] = bind[v]
@@ -278,9 +288,27 @@ func naiveConj(leaves []Leaf, output []string) [][]Val {
 	return out
 }
 
-// TestPlannerMatchesNaiveConj pins the greedy-ordered streaming plan to
-// nested-loop enumeration on randomized conjunctive queries: same answer
-// bag regardless of the join order chosen.
+// randomFilters draws up to two residual filters over bound variables:
+// a variable differs from a constant, or two variables are ordered.
+func randomFilters(rng *rand.Rand, bound []string) []Filter {
+	var out []Filter
+	for n := rng.Intn(3); n > 0; n-- {
+		x := bound[rng.Intn(len(bound))]
+		if rng.Intn(2) == 0 {
+			c := Val(fmt.Sprintf("v%d", rng.Intn(4)))
+			out = append(out, Filter{Vars: []string{x}, Pred: func(v []Val) bool { return compareVals(v[0], c) != 0 }})
+			continue
+		}
+		y := bound[rng.Intn(len(bound))]
+		out = append(out, Filter{Vars: []string{x, y}, Pred: func(v []Val) bool { return compareVals(v[0], v[1]) <= 0 }})
+	}
+	return out
+}
+
+// TestPlannerMatchesNaiveConj pins the greedy-ordered streaming plan,
+// residual filters included, to nested-loop enumeration on randomized
+// conjunctive queries: same answer bag regardless of the join order
+// chosen and of where each filter runs.
 func TestPlannerMatchesNaiveConj(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	varPool := []string{"X", "Y", "Z", "W"}
@@ -321,8 +349,16 @@ func TestPlannerMatchesNaiveConj(t *testing.T) {
 			continue // all-constant query; planner requires bound outputs
 		}
 
-		want := naiveConj(leaves, output)
-		pc, err := PrepareConj(leaves, output)
+		var bound []string
+		for _, v := range varPool {
+			if used[v] {
+				bound = append(bound, v)
+			}
+		}
+		filters := randomFilters(rng, bound)
+
+		want := naiveConj(leaves, output, filters)
+		pc, err := PrepareConj(leaves, output, filters)
 		if err != nil {
 			t.Fatalf("prepare: %v", err)
 		}
@@ -330,13 +366,13 @@ func TestPlannerMatchesNaiveConj(t *testing.T) {
 		for i := range leaves {
 			tuples[i] = leaves[i].Tuples
 		}
-		plan, err := pc.Bind(tuples)
+		plan, err := pc.Bind(tuples, nil)
 		if err != nil {
 			t.Fatalf("bind: %v", err)
 		}
 		var got [][]Val
-		err = plan.Run(func(vals []Val, _ []Witness) error {
-			got = append(got, append([]Val(nil), vals...))
+		err = Drain(plan, func(t *Tuple) error {
+			got = append(got, append([]Val(nil), t.Values...))
 			return nil
 		})
 		if err != nil {
@@ -361,6 +397,64 @@ func TestPlannerMatchesNaiveConj(t *testing.T) {
 				t.Fatalf("iter %d: row %d differs: %q vs %q", iter, i, gk[i], wk[i])
 			}
 		}
+	}
+}
+
+// TestPlannerFilterPlacement pins where residual filters run through
+// Bind's operator counts: a filter over one leaf's variables on that
+// leaf's scan, one spanning two leaves just above their join (not above a
+// later one), and one naming a variable no leaf binds is refused at
+// prepare.
+func TestPlannerFilterPlacement(t *testing.T) {
+	tup := func(vals ...Val) Tuple { return Tuple{Values: vals} }
+	// Greedy order r, s, t: r is smallest, s shares Y with it.
+	leaves := []Leaf{
+		{Name: "r", Terms: []PlanTerm{V("X"), V("Y")}, Tuples: []Tuple{tup("a", "1"), tup("b", "2"), tup("c", "3")}},
+		{Name: "s", Terms: []PlanTerm{V("Y"), V("Z")}, Tuples: []Tuple{tup("1", "a"), tup("2", "x"), tup("3", "c"), tup("3", "y")}},
+		{Name: "t", Terms: []PlanTerm{V("Z"), V("W")}, Tuples: []Tuple{tup("a", "p"), tup("c", "q"), tup("c", "r"), tup("z", "s"), tup("y", "u")}},
+	}
+	ne := func(c Val) Pred { return func(v []Val) bool { return compareVals(v[0], c) != 0 } }
+	filters := []Filter{
+		{Vars: []string{"X"}, Pred: ne("b")},
+		{Vars: []string{"Z", "X"}, Pred: func(v []Val) bool { return compareVals(v[0], v[1]) == 0 }},
+	}
+	pc, err := PrepareConj(leaves, []string{"X", "W"}, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []*OpStat
+	it, err := pc.Bind([][]Tuple{leaves[0].Tuples, leaves[1].Tuples, leaves[2].Tuples}, &ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if err := Drain(it, func(t *Tuple) error { got = append(got, fmt.Sprint(t.Values)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"[a p]", "[c q]", "[c r]"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rows %v, want %v", got, want)
+	}
+	want := []OpStat{
+		{Label: "scan(r)", Rows: 3},
+		{Label: "select(r)", Rows: 2},
+		{Label: "scan(s)", Rows: 4},
+		{Label: "join(⋈s)", Rows: 3},
+		{Label: "select(post-join)", Rows: 2},
+		{Label: "scan(t)", Rows: 5},
+		{Label: "join(⋈t)", Rows: 3},
+	}
+	if len(ops) != len(want) {
+		t.Fatalf("%d operators, want %d: %v", len(ops), len(want), ops)
+	}
+	for i, op := range ops {
+		if *op != want[i] {
+			t.Errorf("operator %d: %s rows=%d, want %s rows=%d", i, op.Label, op.Rows, want[i].Label, want[i].Rows)
+		}
+	}
+
+	_, err = PrepareConj(leaves, []string{"X"}, []Filter{{Vars: []string{"X", "V"}, Pred: ne("a")}})
+	if err == nil || err.Error() != `relalg: plan: filter variable "V" not bound by any leaf` {
+		t.Fatalf("unbound filter variable: err %v", err)
 	}
 }
 
