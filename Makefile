@@ -50,6 +50,9 @@ bench:
 # of the same bytes. E17StreamingExec prints those of the PQL join battery
 # compiled through the shared conjunctive planner, on a MemStore and a
 # 4-shard router, beside the Datalog provenance fixpoint.
+# E13ClosureCache/mode=snapshot prints ns/op and B/op of checkpointing and
+# reopening a closure cache holding 256 closures of a chain store, and the
+# closures.json size as snapshot_B.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
@@ -57,6 +60,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench E20Standing -benchtime 200x -benchmem .
 	$(GO) test -run '^$$' -bench ReadPath -benchtime 200x -benchmem ./internal/store
 	$(GO) test -run '^$$' -bench E17StreamingExec -benchtime 50x -benchmem ./internal/query/pql
+	$(GO) test -run '^$$' -bench 'E13ClosureCache/mode=snapshot' -benchtime 10x -benchmem .
 
 # Run the paper-reproduction suite (E1–E12) and write machine-readable
 # BENCH_<ID>.json files to $(BENCH_DIR).

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -448,7 +449,10 @@ func BenchmarkE12Collaboratory(b *testing.B) {
 // closure every query, mode=warm hits the memoized closure, and
 // mode=ingestpatch pays one ingest whose new edges patch a warm downstream
 // closure in place (the cost invalidation would otherwise turn into a full
-// recompute on the next query).
+// recompute on the next query), and mode=snapshot checkpoints a cache
+// holding 256 closures of a 256-run chain and reopens it warm, reporting
+// B/op and the closures.json size as snapshot_B. `make bench-smoke` runs
+// mode=snapshot.
 func BenchmarkE13ClosureCache(b *testing.B) {
 	log, target := chainLog(b, 128)
 	head := log.Artifacts[0].ID // the chain's first artifact: upstream of everything
@@ -510,6 +514,49 @@ func BenchmarkE13ClosureCache(b *testing.B) {
 		if m := cached.Metrics(); m.Patched == 0 {
 			b.Fatalf("ingests never patched a cached closure: %+v", m)
 		}
+	})
+	b.Run("mode=snapshot", func(b *testing.B) {
+		const closures = 256
+		dir := b.TempDir()
+		open := func() *closurecache.Cache {
+			fs, err := store.OpenFileStore(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return closurecache.New(fs, closurecache.Options{SnapshotDir: dir})
+		}
+		c := open()
+		for i := 0; i < closures; i++ {
+			if err := c.PutRunLog(chainRun("e13", i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 1; i <= closures; i++ {
+			if _, err := c.Closure(fmt.Sprintf("e13-art-%06d", i), store.Up); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
+			c = open()
+			if m := c.Metrics(); m.Restored != closures {
+				b.Fatalf("reopen restored %d closures, want %d", m.Restored, closures)
+			}
+		}
+		b.StopTimer()
+		c.Close()
+		fi, err := os.Stat(closurecache.SnapshotPath(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(fi.Size()), "snapshot_B")
 	})
 }
 

@@ -92,7 +92,8 @@ func (m *Manager) patchClosuresLocked(l *provenance.RunLog) {
 			m.recomputeClosureLocked(ch.Entry)
 			continue
 		}
-		adds := sortedCopy(ch.Gained)
+		adds := ch.Gained
+		sort.Strings(adds)
 		for _, s := range m.watchers[ch.Entry.Key] {
 			m.publishLocked(s, EventAdd, adds)
 		}
@@ -110,8 +111,9 @@ func (m *Manager) recomputeClosureLocked(old *closurecache.Entry) {
 	if err != nil && !errors.Is(err, store.ErrNotFound) {
 		return
 	}
-	had := make(map[string]struct{}, len(old.Members()))
-	for _, id := range old.Members() {
+	members := m.closures.Members(old)
+	had := make(map[string]struct{}, len(members))
+	for _, id := range members {
 		had[id] = struct{}{}
 	}
 	var adds, removes []string

@@ -3,6 +3,7 @@ package standing
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -160,4 +161,10 @@ func TestSharedClosureEntry(t *testing.T) {
 	if !m.Unsubscribe(b.id) || m.closures.Len() != 0 {
 		t.Fatalf("last unsubscribe left %d index entries", m.closures.Len())
 	}
+}
+
+func sortedCopy(items []string) []string {
+	out := append(make([]string, 0, len(items)), items...)
+	sort.Strings(out)
+	return out
 }

@@ -170,16 +170,18 @@ func (s *sub) closureKey() closurecache.Key {
 }
 
 // closureMembersLocked returns a closure subscription's result: its index
-// entry's own slice, unsorted.
+// entry's members in a fresh slice, unsorted.
 func (m *Manager) closureMembersLocked(s *sub) []string {
-	return m.closures.Lookup(s.closureKey()).Members()
+	return m.closures.Members(m.closures.Lookup(s.closureKey()))
 }
 
 // itemsLocked returns the subscription's current result, sorted.
 func (m *Manager) itemsLocked(s *sub) []string {
 	switch s.spec.Kind {
 	case KindClosure:
-		return sortedCopy(m.closureMembersLocked(s))
+		items := m.closureMembersLocked(s)
+		sort.Strings(items)
+		return items
 	case KindConjunctive:
 		return rowItems(m.prog.FactsSince(s.group.pred, 0))
 	}
@@ -187,12 +189,6 @@ func (m *Manager) itemsLocked(s *sub) []string {
 	for it := range s.set {
 		out = append(out, it)
 	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedCopy(items []string) []string {
-	out := append(make([]string, 0, len(items)), items...)
 	sort.Strings(out)
 	return out
 }

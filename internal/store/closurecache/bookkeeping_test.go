@@ -63,9 +63,9 @@ func checkIndex(t *testing.T, c *Cache) {
 			len(c.idx.pending), pending, waiting, len(c.idx.entries))
 	}
 	held, heldLive := 0, 0
-	for node, ps := range c.idx.postings {
-		if len(ps) == 0 {
-			t.Fatalf("empty postings list kept for %s", node)
+	for h, ps := range c.idx.postings {
+		if ps != nil && len(ps) == 0 {
+			t.Fatalf("empty postings list kept for %s", c.idx.ids[h])
 		}
 		held += len(ps)
 		for _, e := range ps {
@@ -152,7 +152,7 @@ func TestPatchTouchesOnlyAttachedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := map[Key][]string{}
+	before := map[Key][]int32{}
 	for _, k := range others {
 		before[k] = c.idx.entries[k].order
 	}
@@ -449,12 +449,41 @@ func TestFirstIngestIndexesResidentEntries(t *testing.T) {
 		}
 		for k, e := range ec.idx.entries {
 			le := lc.idx.entries[k]
-			if le == nil || !reflect.DeepEqual(sortedCopy(le.order), sortedCopy(e.order)) {
-				t.Fatalf("seed %d: %v lazily indexed = %v, eagerly %v", seed, k, le, e.order)
+			if le == nil {
+				t.Fatalf("seed %d: %v indexed eagerly only", seed, k)
+			}
+			got := sortedCopy(lc.idx.Members(le))
+			if eager := sortedCopy(ec.idx.Members(e)); !reflect.DeepEqual(got, eager) {
+				t.Fatalf("seed %d: %v lazily indexed = %v, eagerly %v", seed, k, got, eager)
 			}
 			want, _ := store.NaiveClosure(lazy, k.ID, k.Dir)
-			if !reflect.DeepEqual(sortedCopy(le.order), sortedCopy(want)) {
-				t.Fatalf("seed %d: cached %v = %v, naive %v", seed, k, sortedCopy(le.order), sortedCopy(want))
+			if !reflect.DeepEqual(got, sortedCopy(want)) {
+				t.Fatalf("seed %d: cached %v = %v, naive %v", seed, k, got, sortedCopy(want))
+			}
+		}
+	}
+}
+
+// TestHandleSetMatchesMap: the member set answers as a map does through
+// its growth, over dense runs, strided handles (which share low bits) and
+// random ones, and stays at most half full.
+func TestHandleSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for name, next := range map[string]func(i int) int32{
+		"dense":   func(i int) int32 { return int32(i % 3000) },
+		"strided": func(i int) int32 { return int32(i%2000) * 1024 },
+		"random":  func(int) int32 { return rng.Int31n(1 << 20) },
+	} {
+		var s handleSet
+		want := map[int32]bool{}
+		for i := 0; i < 5000; i++ {
+			h := next(i)
+			if added := s.add(h); added == want[h] {
+				t.Fatalf("%s: add(%d) = %v after %d handles, map says present=%v", name, h, added, len(want), want[h])
+			}
+			want[h] = true
+			if s.n != len(want) || 2*s.n > len(s.slots) {
+				t.Fatalf("%s: %d handles in %d slots, the map holds %d", name, s.n, len(s.slots), len(want))
 			}
 		}
 	}

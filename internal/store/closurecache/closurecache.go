@@ -57,20 +57,29 @@
 // miss-heavy read workload admits and evicts whole closures continuously,
 // so every per-member step of that cycle is work no query asked for.
 //
+//   - Entries hold handles into the Index's dictionary of entity IDs, not
+//     the IDs: admission copies the closure once as 4-byte handles, with at
+//     most one dictionary probe per member (none while the members come in
+//     the order they were first interned, as a re-admitted closure's do),
+//     and a hit turns the handles back into IDs in the caller's copy. The
+//     dictionary only grows while the Index lives, by the distinct IDs of
+//     the backing store at most, and the snapshot file is the same
+//     dictionary plus handle columns.
 //   - The reverse index is a postings slice per entity (pointers to the
-//     entries holding it), built at the first ingest after an entry's
-//     admission: only a delta reads it, so admission copies the closure once
-//     and hashes nothing, and a read-only cache never builds an index or
-//     sweeps one. The ingest posts each waiting entry with one append per
-//     member — one string hash.
+//     entries holding it), addressed by handle and built at the first
+//     ingest after an entry's admission: only a delta reads it, so a
+//     read-only cache never builds an index or sweeps one. The ingest posts
+//     each waiting entry with one append per member and no hashing; a
+//     delta's edge sources are looked up once each, by ID.
 //   - Eviction is O(1): the entry is marked dead and its postings stay
 //     behind as tombstones, which every reader of the index skips. When
 //     tombstones outnumber live postings one sweep drops them all, so the
 //     index settles at no more than twice its live postings and the
 //     sweep's cost is already paid for by the evictions that caused it.
-//   - An entry's member set exists only to dedup a patch's BFS against the
-//     closure; it is built from the order slice by the first patch that
-//     reaches the entry. A read-only workload never builds one.
+//   - An entry's member set (of handles) exists only to dedup a patch's
+//     BFS against the closure; it is built from the order slice by the
+//     first patch that reaches the entry. A read-only workload never builds
+//     one.
 //
 // # Ordering
 //
@@ -180,6 +189,10 @@ type Cache struct {
 	pendMu  sync.Mutex
 	pending []*provenance.RunLog
 
+	// applied is the run prefix a snapshot may claim; nil without a
+	// SnapshotDir. Lock order: a leaf, taken under mu.
+	applied *appliedRuns
+
 	closureHits, closureMisses atomic.Uint64
 	expandHits, expandMisses   atomic.Uint64
 	ingests, patched, evicted  atomic.Uint64
@@ -207,6 +220,7 @@ func New(s store.Store, opt Options) *Cache {
 		}),
 	}
 	if c.opt.SnapshotDir != "" {
+		c.applied = &appliedRuns{beyond: map[string]struct{}{}}
 		c.loadSnapshot()
 	}
 	return c
@@ -338,6 +352,9 @@ func (c *Cache) drainPendingLocked() {
 			c.generation++
 			c.ingests.Add(1)
 			c.applyDeltaLocked(l)
+			if c.applied != nil {
+				c.applied.mark(l.Run.ID)
+			}
 		}
 	}
 }
@@ -388,7 +405,7 @@ func (c *Cache) Closure(seed string, dir store.Direction) ([]string, error) {
 	k := Key{seed, dir}
 	c.mu.RLock()
 	if e := c.idx.Lookup(k); e != nil {
-		out := append([]string(nil), e.order...)
+		out := c.idx.Members(e)
 		c.mu.RUnlock()
 		c.closureHits.Add(1)
 		mCacheClosureHits.Inc()

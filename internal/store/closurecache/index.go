@@ -1,6 +1,7 @@
 package closurecache
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/provenance"
@@ -14,34 +15,78 @@ type Key struct {
 	Dir store.Direction
 }
 
-// Entry is one maintained closure. order is the visit order (the admitted
-// closure plus each patch's newly reached nodes in discovery order). set
-// indexes it for membership tests during patching and is nil until the
-// first patch (see memberSet). An entry is posted into the reverse index by
-// the first Apply after its admission. An evicted entry is dead: unreachable
-// through Lookup, skipped wherever the reverse index still points at it.
+// Entry is one maintained closure, in the handles of its Index's
+// dictionary. root is Key.ID's handle; order is the visit order (the
+// admitted closure plus each patch's newly reached nodes in discovery
+// order). set indexes order for membership tests during patching and is nil
+// until the first patch (see memberSet). An entry is posted into the
+// reverse index by the first Apply after its admission. An evicted entry is
+// dead: unreachable through Lookup, skipped wherever the reverse index
+// still points at it.
 type Entry struct {
 	Key    Key
-	order  []string
-	set    map[string]struct{}
+	root   int32
+	order  []int32
+	set    *handleSet
 	dead   bool
 	posted bool
 }
 
-// Members returns the closure's current members in visit order. The slice
-// is the entry's own: callers copy before keeping or modifying it.
-func (e *Entry) Members() []string { return e.order }
-
 // memberSet returns the entry's membership index, building it from order
 // on first use.
-func (e *Entry) memberSet() map[string]struct{} {
+func (e *Entry) memberSet() *handleSet {
 	if e.set == nil {
-		e.set = make(map[string]struct{}, len(e.order))
-		for _, n := range e.order {
-			e.set[n] = struct{}{}
+		e.set = &handleSet{}
+		e.set.resize(len(e.order))
+		for _, h := range e.order {
+			e.set.add(h)
 		}
 	}
 	return e.set
+}
+
+// handleSet is a set of handles by open addressing: linear probing in a
+// power-of-two table kept at most half full, indexed by a multiplicative
+// hash of the handle. A patch probes it once per neighbour its BFS reaches,
+// right after the dictionary lookup that gave the handle, so the probe is
+// kept to a multiply and a load or two rather than a second map access.
+type handleSet struct {
+	slots []int32 // handle+1, 0 for an empty slot
+	shift uint    // 32 - log2(len(slots))
+	n     int
+}
+
+// add inserts h, reporting whether it was absent.
+func (s *handleSet) add(h int32) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.resize(s.n + 1)
+	}
+	mask := len(s.slots) - 1
+	for i := int(uint32(h) * 0x9E3779B1 >> s.shift); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = h + 1
+			s.n++
+			return true
+		case h + 1:
+			return false
+		}
+	}
+}
+
+// resize rehashes into a table with room for n handles.
+func (s *handleSet) resize(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	old := s.slots
+	s.slots, s.shift, s.n = make([]int32, size), uint(32-bits.TrailingZeros(uint(size))), 0
+	for _, v := range old {
+		if v != 0 {
+			s.add(v - 1)
+		}
+	}
 }
 
 // Delta is what one accepted run log adds to the graph: per direction
@@ -72,7 +117,7 @@ func DeltaOf(l *provenance.RunLog) Delta {
 }
 
 // Change is what Apply did to one entry: the members an additive patch
-// appended (in discovery order, aliasing the entry's own slice), or Suspect
+// appended (in discovery order, in a slice the caller owns), or Suspect
 // when the entry can no longer be trusted — a generation event named one of
 // its members, so an upstream edge inside it may have been rewritten, or the
 // patch's traversal failed. A suspect entry is left exactly as it was; the
@@ -91,27 +136,58 @@ type Change struct {
 // commit. It holds no policy — no capacity, no metrics, no locking: the
 // owner serializes access under its own lock and decides what to admit,
 // what to evict and what to do with a suspect entry.
+//
+// Entries, postings and the snapshot all speak one handle space: ids is the
+// dictionary (handle -> entity ID) and handles its inverse. The dictionary
+// only grows while the Index lives — by the distinct IDs of the backing
+// store at most — and an owner that flushes builds a new Index.
 type Index struct {
 	entries map[Key]*Entry
 
-	// Reverse index: entity -> posted entries whose closure contains it
-	// (roots included), one posting per (entity, entry) membership.
+	ids     []string
+	handles map[string]int32
+
+	// Reverse index, addressed by handle: the posted entries whose closure
+	// contains the entity (roots included), one posting per (entity,
+	// entry) membership; shorter than ids until a posting needs the room.
 	// Postings of evicted entries stay as tombstones until Sweep;
 	// nPostings counts every posting held and nLive those of live entries.
-	postings  map[string][]*Entry
+	postings  [][]*Entry
 	nPostings int
 	nLive     int
 
 	// pending holds the entries admitted since the last Apply, which posts
 	// them: Apply is the only reader of postings, so an owner that never
-	// ingests hashes no member and never sweeps. Dead entries stay listed
+	// ingests posts no member and never sweeps. Dead entries stay listed
 	// until the list outgrows twice the live entries.
 	pending []*Entry
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{entries: map[Key]*Entry{}, postings: map[string][]*Entry{}}
+	return &Index{entries: map[Key]*Entry{}, handles: map[string]int32{}}
+}
+
+// intern returns id's handle, adding id to the dictionary if it is new.
+func (ix *Index) intern(id string) int32 {
+	h, ok := ix.handles[id]
+	if !ok {
+		h = int32(len(ix.ids))
+		ix.ids = append(ix.ids, id)
+		ix.handles[id] = h
+	}
+	return h
+}
+
+// Members returns the entry's closure in visit order, as IDs in a fresh
+// slice the caller owns.
+func (ix *Index) Members(e *Entry) []string {
+	ids, order := ix.ids, e.order
+	out := make([]string, len(order))
+	for i, h := range order {
+		out[i] = ids[h]
+	}
+	return out
 }
 
 // Len reports the number of live entries.
@@ -121,11 +197,28 @@ func (ix *Index) Len() int { return len(ix.entries) }
 func (ix *Index) Lookup(k Key) *Entry { return ix.entries[k] }
 
 // Admit inserts a freshly computed closure under a key that has no live
-// entry. It keeps its own copy of order and leaves the postings to the next
-// Apply.
+// entry. It keeps order as handles and leaves the postings to the next
+// Apply. A closure is interned in visit order, so one admitted again, or
+// one that shares a stretch of another's visit order, meets its members in
+// the order they got their handles: each member is first compared with the
+// ID after the previous member's handle, and only a mismatch costs a
+// dictionary probe.
 func (ix *Index) Admit(k Key, order []string) *Entry {
-	e := &Entry{Key: k, order: append([]string(nil), order...)}
-	ix.entries[k] = e
+	root := ix.intern(k.ID)
+	hs := make([]int32, len(order))
+	h := root
+	for i, id := range order {
+		if h++; int(h) >= len(ix.ids) || ix.ids[h] != id {
+			h = ix.intern(id)
+		}
+		hs[i] = h
+	}
+	return ix.install(&Entry{Key: k, root: root, order: hs})
+}
+
+// install makes e the live entry under its key, waiting for its postings.
+func (ix *Index) install(e *Entry) *Entry {
+	ix.entries[e.Key] = e
 	if len(ix.pending) >= 2*len(ix.entries)+16 {
 		ix.pending = slices.DeleteFunc(ix.pending, func(p *Entry) bool { return p.dead })
 	}
@@ -155,20 +248,32 @@ func (ix *Index) postPending() {
 			continue
 		}
 		e.posted = true
-		ix.post(e.Key.ID, e)
-		for _, n := range e.order {
-			ix.post(n, e)
+		ix.post(e.root, e)
+		for _, h := range e.order {
+			ix.post(h, e)
 		}
 	}
 	clear(ix.pending)
 	ix.pending = ix.pending[:0]
 }
 
-// post records that e's closure contains node.
-func (ix *Index) post(node string, e *Entry) {
-	ix.postings[node] = append(ix.postings[node], e)
+// post records that e's closure contains the entity with handle h.
+func (ix *Index) post(h int32, e *Entry) {
+	for int(h) >= len(ix.postings) {
+		ix.postings = append(ix.postings, nil)
+	}
+	ix.postings[h] = append(ix.postings[h], e)
 	ix.nPostings++
 	ix.nLive++
+}
+
+// postingsOf returns the postings of the entity id, none for an ID the
+// dictionary does not hold — which no closure contains.
+func (ix *Index) postingsOf(id string) []*Entry {
+	if h, ok := ix.handles[id]; ok && int(h) < len(ix.postings) {
+		return ix.postings[h]
+	}
+	return nil
 }
 
 // Sweep removes every tombstone from the reverse index once they outnumber
@@ -178,19 +283,18 @@ func (ix *Index) Sweep() {
 	if ix.nPostings <= 2*ix.nLive {
 		return
 	}
-	for node, ps := range ix.postings {
+	for h, ps := range ix.postings {
 		live := ps[:0]
 		for _, e := range ps {
 			if !e.dead {
 				live = append(live, e)
 			}
 		}
-		if len(live) == 0 {
-			delete(ix.postings, node)
-			continue
-		}
 		clear(ps[len(live):]) // drop the tail's references to dead entries
-		ix.postings[node] = live
+		if len(live) == 0 {
+			live = nil
+		}
+		ix.postings[h] = live
 	}
 	ix.nPostings = ix.nLive
 }
@@ -220,7 +324,7 @@ func (ix *Index) Apply(d Delta, expand func([]string, store.Direction) (map[stri
 	var changes []Change
 	var suspect map[*Entry]bool
 	for _, art := range d.Generated {
-		for _, e := range ix.postings[art] {
+		for _, e := range ix.postingsOf(art) {
 			if e.dead || e.Key.Dir != store.Up || suspect[e] {
 				continue
 			}
@@ -234,7 +338,7 @@ func (ix *Index) Apply(d Delta, expand func([]string, store.Direction) (map[stri
 	for dir, edges := range d.Edges {
 		work := map[*Entry][]string{}
 		for src := range edges {
-			for _, e := range ix.postings[src] {
+			for _, e := range ix.postingsOf(src) {
 				if !e.dead && e.Key.Dir == store.Direction(dir) && !suspect[e] {
 					work[e] = append(work[e], src)
 				}
@@ -253,41 +357,38 @@ func (ix *Index) Apply(d Delta, expand func([]string, store.Direction) (map[stri
 }
 
 // extend grows one entry from the attachment points a delta touched and
-// returns the members it gained. On an expand error the entry is left as it
-// was before the call: a half-walked patch would hide the levels it did
-// reach from every later delta.
+// returns the members it gained, by ID. On an expand error the entry is
+// left as it was before the call: a half-walked patch would hide the levels
+// it did reach from every later delta.
 func (ix *Index) extend(e *Entry, sources []string, expand func([]string, store.Direction) (map[string][]string, error)) ([]string, error) {
 	set := e.memberSet()
 	had := len(e.order)
+	var gained []string
 	frontier := sources
 	for len(frontier) > 0 {
 		adj, err := expand(frontier, e.Key.Dir)
 		if err != nil {
-			for _, n := range e.order[had:] {
-				delete(set, n)
-			}
-			e.order = e.order[:had]
+			e.order, e.set = e.order[:had], nil // the next patch rebuilds the set
 			return nil, err
 		}
-		var next []string
+		next := len(gained)
 		for _, id := range frontier {
 			for _, n := range adj[id] {
 				// No special case for n == e.Key.ID: the backends' BFS never
 				// pre-marks the seed, so a cycle-creating ingest puts the
 				// root into its own closure — the patch must match that.
-				if _, seen := set[n]; seen {
+				h := ix.intern(n)
+				if !set.add(h) {
 					continue
 				}
-				set[n] = struct{}{}
-				e.order = append(e.order, n)
-				next = append(next, n)
+				e.order = append(e.order, h)
+				gained = append(gained, n)
 			}
 		}
-		frontier = next
+		frontier = gained[next:]
 	}
-	gained := e.order[had:]
-	for _, n := range gained {
-		ix.post(n, e)
+	for _, h := range e.order[had:] {
+		ix.post(h, e)
 	}
 	return gained, nil
 }

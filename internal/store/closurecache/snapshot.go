@@ -1,8 +1,12 @@
 package closurecache
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/provenance"
 	"repro/internal/store"
@@ -25,19 +29,206 @@ import (
 
 const snapshotFileName = "closures.json"
 
-// snapshotEntry is one persisted closure.
-type snapshotEntry struct {
-	ID    string   `json:"id"`
-	Dir   int      `json:"dir"`
-	Order []string `json:"order"`
+// snapshotVersion is the format this build writes and the only one it
+// restores. Version 1 spelled out every member of every closure as a
+// quoted ID and carried no version field, so it decodes here as version 0
+// and leaves the cache cold like any other unreadable snapshot; the next
+// Checkpoint overwrites it.
+const snapshotVersion = 2
+
+// cacheSnapshot is the on-disk form of the memoized closure state: the run
+// prefix it covers, then the live entries as a dictionary plus handle
+// columns. IDs holds each ID a live entry references once, in first-use
+// order; entry i is the closure of IDs[Roots[i]] in direction Dirs[i], and
+// its members are the next Lens[i] handles of Refs, in visit order.
+type cacheSnapshot struct {
+	Version    int      `json:"version"`
+	Generation uint64   `json:"generation"`
+	RunCount   int      `json:"run_count"`
+	LastRun    string   `json:"last_run"`
+	IDs        []string `json:"ids"`
+	Roots      []int32  `json:"roots"`
+	Dirs       []int32  `json:"dirs"`
+	Lens       []int32  `json:"lens"`
+	Refs       []int32  `json:"refs"`
 }
 
-// cacheSnapshot is the on-disk form of the memoized closure state.
-type cacheSnapshot struct {
-	Generation uint64          `json:"generation"`
-	RunCount   int             `json:"run_count"`
-	LastRun    string          `json:"last_run"`
-	Closures   []snapshotEntry `json:"closures"`
+// indexCopy is an Index's live entries in its own handles, copied under
+// the owner's lock so that encoding can happen after it is released: the
+// members of keys[i] are the next lens[i] handles of refs. ids is the
+// dictionary as of the copy; the dictionary only grows by appending, so
+// the prefix the copy references never changes under it.
+type indexCopy struct {
+	ids   []string
+	keys  []Key
+	roots []int32
+	lens  []int32
+	refs  []int32
+}
+
+// copyLive copies the live entries; the owner holds at least its read lock.
+func (ix *Index) copyLive() *indexCopy {
+	n := 0
+	for _, e := range ix.entries {
+		n += len(e.order)
+	}
+	c := &indexCopy{
+		ids:   ix.ids,
+		keys:  make([]Key, 0, len(ix.entries)),
+		roots: make([]int32, 0, len(ix.entries)),
+		lens:  make([]int32, 0, len(ix.entries)),
+		refs:  make([]int32, 0, n),
+	}
+	for k, e := range ix.entries {
+		c.keys = append(c.keys, k)
+		c.roots = append(c.roots, e.root)
+		c.lens = append(c.lens, int32(len(e.order)))
+		c.refs = append(c.refs, e.order...)
+	}
+	return c
+}
+
+// columns writes the copied entries into snap in file handles. Entries go
+// in key order, so the same closures always encode to the same bytes, and
+// the dictionary is renumbered in first-use order over them, keeping only
+// the IDs an entry references.
+func (c *indexCopy) columns(snap *cacheSnapshot) {
+	at := make([]int, len(c.keys))
+	off := 0
+	for i, l := range c.lens {
+		at[i] = off
+		off += int(l)
+	}
+	perm := make([]int, len(c.keys))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(a, b int) int {
+		return cmp.Or(strings.Compare(c.keys[a].ID, c.keys[b].ID), cmp.Compare(c.keys[a].Dir, c.keys[b].Dir))
+	})
+	snap.IDs = []string{}
+	remap := make([]int32, len(c.ids)) // file handle + 1; 0 while unwritten
+	fileHandle := func(h int32) int32 {
+		if remap[h] == 0 {
+			snap.IDs = append(snap.IDs, c.ids[h])
+			remap[h] = int32(len(snap.IDs))
+		}
+		return remap[h] - 1
+	}
+	snap.Roots = make([]int32, 0, len(perm))
+	snap.Dirs = make([]int32, 0, len(perm))
+	snap.Lens = make([]int32, 0, len(perm))
+	snap.Refs = make([]int32, 0, len(c.refs))
+	for _, i := range perm {
+		snap.Roots = append(snap.Roots, fileHandle(c.roots[i]))
+		snap.Dirs = append(snap.Dirs, int32(c.keys[i].Dir))
+		snap.Lens = append(snap.Lens, c.lens[i])
+		for _, h := range c.refs[at[i] : at[i]+int(c.lens[i])] {
+			snap.Refs = append(snap.Refs, fileHandle(h))
+		}
+	}
+}
+
+// restoreIndex builds an Index from a snapshot's columns, installing the
+// first max entries, or reports false — building nothing — unless the
+// payload is something columns could have written: the right version,
+// columns of one length, distinct IDs, every handle in range, lengths that
+// are non-negative and sum to len(Refs), every direction 0 (Up) or 1
+// (Down), no key twice and no member twice in one closure. The CRC already
+// rules out torn bytes; these checks rule out a file from a build with
+// other invariants, which would otherwise surface as a panic or a wrong
+// answer long after open. Nothing is re-interned: IDs becomes the
+// dictionary and each entry's order aliases Refs.
+func restoreIndex(s *cacheSnapshot, max int) (*Index, bool) {
+	n, nIDs := len(s.Roots), len(s.IDs)
+	if s.Version != snapshotVersion || len(s.Dirs) != n || len(s.Lens) != n {
+		return nil, false
+	}
+	ix := &Index{entries: make(map[Key]*Entry, min(n, max)), ids: s.IDs, handles: make(map[string]int32, nIDs)}
+	for h, id := range s.IDs {
+		ix.handles[id] = int32(h)
+	}
+	if len(ix.handles) != nIDs {
+		return nil, false // a dictionary duplicate
+	}
+	keys := make(map[Key]struct{}, n)
+	lastIn := make([]int32, nIDs) // 1 + the last entry listing each handle
+	at := 0
+	for i, root := range s.Roots {
+		dir, l := s.Dirs[i], s.Lens[i]
+		if root < 0 || int(root) >= nIDs || (dir != int32(store.Up) && dir != int32(store.Down)) ||
+			l < 0 || int(l) > len(s.Refs)-at {
+			return nil, false
+		}
+		k := Key{ID: s.IDs[root], Dir: store.Direction(dir)}
+		if _, dup := keys[k]; dup {
+			return nil, false
+		}
+		keys[k] = struct{}{}
+		order := s.Refs[at : at+int(l) : at+int(l)]
+		at += int(l)
+		for _, h := range order {
+			if h < 0 || int(h) >= nIDs || lastIn[h] == int32(i+1) {
+				return nil, false
+			}
+			lastIn[h] = int32(i + 1)
+		}
+		if i < max {
+			ix.install(&Entry{Key: k, root: root, order: order})
+		}
+	}
+	if at != len(s.Refs) {
+		return nil, false
+	}
+	return ix, true
+}
+
+// appliedRuns is the run prefix a snapshot may claim: the deltas of
+// Runs()[:prefix] are all folded into the memoized state, and beyond holds
+// the runs folded past it. The store's run list can run ahead of the
+// closures — a follower folds a replicated run into its store, outside the
+// ingest gate, before the cache's ApplyDelta sees it — so a snapshot
+// records this prefix rather than the store's run count, and a restart
+// replays what it lacks.
+type appliedRuns struct {
+	mu     sync.Mutex
+	prefix int
+	beyond map[string]struct{}
+}
+
+// mark records that run's delta is folded in.
+func (a *appliedRuns) mark(run string) {
+	a.mu.Lock()
+	a.beyond[run] = struct{}{}
+	a.mu.Unlock()
+}
+
+// advance extends the prefix over the runs marked folded and returns it.
+// A mark for a run already inside the prefix — one the store held when the
+// cache was built but whose delta arrived after — is never reached by that
+// walk; such marks are dropped once the marks outnumber the runs past the
+// prefix.
+func (a *appliedRuns) advance(runs []string) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.prefix = min(a.prefix, len(runs))
+	for a.prefix < len(runs) {
+		if _, ok := a.beyond[runs[a.prefix]]; !ok {
+			break
+		}
+		delete(a.beyond, runs[a.prefix])
+		a.prefix++
+	}
+	if past := runs[a.prefix:]; len(a.beyond) > len(past) {
+		kept := make(map[string]struct{}, len(past))
+		for _, r := range past {
+			if _, ok := a.beyond[r]; ok {
+				kept[r] = struct{}{}
+			}
+		}
+		a.beyond = kept
+	}
+	return a.prefix
 }
 
 // SnapshotPath returns the file a cache with SnapshotDir dir persists to.
@@ -61,18 +252,18 @@ func (c *Cache) Checkpoint() error {
 
 // saveSnapshot writes the current closures and generation to the snapshot
 // file. Holding the ingest gate exclusively quiesces in-flight ingests:
-// PutRunLog commits to the backing store before taking the cache lock, so without the gate Runs() could already include a run
-// whose delta patch is still pending — the snapshot would record a
-// RunCount covering that run while its closures miss the delta, and
-// loadSnapshot (which replays only runs[RunCount:]) would serve those
-// closures stale forever. With the gate held, every run the store
-// reports is folded into the captured entries, so the recorded prefix
-// and the closures are mutually consistent. The gate is released as soon
-// as the run prefix is read — later commits append past the recorded
-// prefix and their delta applies need the write lock, which the read
-// lock held across the copy excludes — so ingests keep reaching the
-// store's group-commit batches while the entries are copied, and the
-// file write happens outside every lock.
+// PutRunLog commits to the backing store before taking the cache lock, so
+// without the gate Runs() could already include a run whose delta patch
+// is still pending. The recorded run count is the applied prefix, not the
+// store's count, which covers what the gate cannot — a follower's run
+// folded into the store before ApplyDelta — so the recorded prefix never
+// covers a run whose delta the closures miss, and loadSnapshot (which
+// replays runs[RunCount:]) never serves them stale. The gate is released
+// as soon as the run list is read — later commits append past the
+// recorded prefix and their delta applies need the write lock, which the
+// read lock held across the copy excludes — so ingests keep reaching the
+// store's group-commit batches while the entries' handles are copied, and
+// the encoding and the file write happen outside every lock.
 func (c *Cache) saveSnapshot() error {
 	c.ingestGate.Lock()
 	c.mu.RLock()
@@ -82,61 +273,62 @@ func (c *Cache) saveSnapshot() error {
 		c.mu.RUnlock()
 		return fmt.Errorf("closurecache: snapshot runs: %w", err)
 	}
-	snap := cacheSnapshot{
-		Generation: c.generation,
-		RunCount:   len(runs),
+	n := c.applied.advance(runs)
+	snap := cacheSnapshot{Version: snapshotVersion, Generation: c.generation, RunCount: n}
+	if n > 0 {
+		snap.LastRun = runs[n-1]
 	}
-	if len(runs) > 0 {
-		snap.LastRun = runs[len(runs)-1]
-	}
-	for k, e := range c.idx.entries {
-		snap.Closures = append(snap.Closures, snapshotEntry{
-			ID:    k.ID,
-			Dir:   int(k.Dir),
-			Order: append([]string(nil), e.order...),
-		})
-	}
+	live := c.idx.copyLive()
 	c.mu.RUnlock()
-	return wal.SaveCheckpoint(SnapshotPath(c.opt.SnapshotDir), snap)
+	live.columns(&snap)
+	return wal.SaveCheckpoint(SnapshotPath(c.opt.SnapshotDir), &snap)
 }
 
 // loadSnapshot restores a persisted snapshot at construction time: the
 // saved prefix must match the store's current run list; any suffix runs
 // ingested after the snapshot replay through the live delta-patching path
 // (the one hazard rule never needed the pre-ingest generator state, which
-// is gone here). Best-effort: a missing, corrupt or diverged snapshot leaves
-// the cache cold, never broken.
+// is gone here). Best-effort: a missing, corrupt, diverged or
+// other-version snapshot leaves the cache cold, never broken. Either way
+// the runs the store holds now count as applied.
 func (c *Cache) loadSnapshot() {
-	var snap cacheSnapshot
-	ok, err := wal.LoadCheckpoint(SnapshotPath(c.opt.SnapshotDir), &snap)
-	if err != nil || !ok {
+	runs, err := c.Store.Runs()
+	if err != nil {
 		return
 	}
-	runs, err := c.Store.Runs()
-	if err != nil || len(runs) < snap.RunCount {
+	c.applied.prefix = len(runs)
+	var snap cacheSnapshot
+	if ok, _ := wal.LoadCheckpoint(SnapshotPath(c.opt.SnapshotDir), &snap); !ok {
+		return
+	}
+	if snap.RunCount < 0 || len(runs) < snap.RunCount {
 		return
 	}
 	if snap.RunCount > 0 && runs[snap.RunCount-1] != snap.LastRun {
 		return // diverged history: the snapshot describes a different store
 	}
+	idx, ok := restoreIndex(&snap, c.opt.MaxClosures)
+	if !ok {
+		return
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, se := range snap.Closures {
-		if c.idx.Len() >= c.opt.MaxClosures {
-			break
-		}
-		c.idx.Admit(Key{ID: se.ID, Dir: store.Direction(se.Dir)}, se.Order)
-		c.restored.Add(1)
-	}
+	c.idx = idx
+	c.restored.Add(uint64(idx.Len()))
 	c.generation = snap.Generation
 
 	// Replay the suffix the snapshot missed, exactly as live ingests
 	// would have patched it: one scan from the snapshot's run count on,
-	// so the prefix it covers is never read.
+	// so the prefix it covers is never read. A run the scan finds past
+	// the list read above reached the store meanwhile; it is applied now.
+	at := snap.RunCount
 	err = store.ScanLogs(store.Unwrap(c.Store), snap.RunCount, func(l *provenance.RunLog) error {
 		c.applyDeltaLocked(l)
 		c.generation++
+		if at++; at > len(runs) {
+			c.applied.mark(l.Run.ID)
+		}
 		return nil
 	})
 	if err != nil {

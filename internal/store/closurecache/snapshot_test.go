@@ -1,6 +1,8 @@
 package closurecache
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -473,5 +475,420 @@ func TestAutoCheckpointEvery(t *testing.T) {
 			t.Fatal("snapshot not written at CheckpointEvery")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFollowerSnapshotWindow: a follower folds a replicated run into its
+// store before the cache's ApplyDelta sees it, outside the ingest gate. A
+// checkpoint taken in between must not record a run prefix covering that
+// run, or the reopened cache never replays it and serves the closure
+// without it.
+func TestFollowerSnapshotWindow(t *testing.T) {
+	primary, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	dir := t.TempDir()
+	follower, err := store.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship := func(l *provenance.RunLog) []*provenance.RunLog {
+		t.Helper()
+		if err := primary.PutRunLog(l); err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := primary.ReadCommitted(follower.CommittedOffset(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs, _, err := follower.ApplyReplicated(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return logs
+	}
+	ship(extRun("r1", "a0", "a1", ""))
+	c := New(follower, Options{SnapshotDir: dir})
+	if _, err := c.Closure("a0", store.Down); err != nil {
+		t.Fatal(err)
+	}
+	logs := ship(extRun("r2", "a1", "a2", ""))
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range logs {
+		c.ApplyDelta(l)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := store.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := New(re, Options{SnapshotDir: dir})
+	defer c2.Close()
+	got, err := c2.Closure("a0", store.Down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := store.NaiveClosure(re, "a0", store.Down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := c2.Metrics(); m.Restored != 1 || m.ClosureHits != 1 {
+		t.Fatalf("closure not served warm after the reopen: %+v", m)
+	}
+	if !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
+		t.Fatalf("restored closure = %v, the store says %v", sortedCopy(got), sortedCopy(want))
+	}
+}
+
+// snapshotFixture checkpoints a cache over a MemStore holding a chain and
+// two runs hanging off it, with closures cached in both directions, and
+// returns the snapshot payload, the store and the cached keys.
+func snapshotFixture(t testing.TB) (*cacheSnapshot, *store.MemStore, []Key) {
+	t.Helper()
+	dir := t.TempDir()
+	mem := store.NewMemStore()
+	c := New(mem, Options{SnapshotDir: dir})
+	l, head, tail := chainLog(6)
+	for _, l := range []*provenance.RunLog{l, extRun("side-1", tail, "side-1-out", ""), extRun("side-2", "c-art-0003", "side-2-out", "")} {
+		if err := c.PutRunLog(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := []Key{{head, store.Down}, {tail, store.Up}, {"side-1-out", store.Up}, {"c-art-0003", store.Down}}
+	for _, k := range keys {
+		if _, err := c.Closure(k.ID, k.Dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var snap cacheSnapshot
+	if ok, err := wal.LoadCheckpoint(SnapshotPath(dir), &snap); !ok || err != nil {
+		t.Fatalf("no snapshot written: %v", err)
+	}
+	return &snap, mem, keys
+}
+
+// snapshotMutations are payloads one edit away from a valid snapshot, each
+// breaking one invariant restoreIndex must enforce.
+func snapshotMutations(t testing.TB, valid *cacheSnapshot) map[string][]byte {
+	mutate := func(edit func(s *cacheSnapshot)) []byte {
+		var s cacheSnapshot
+		if err := json.Unmarshal(mustMarshal(t, valid), &s); err != nil {
+			t.Fatal(err)
+		}
+		edit(&s)
+		return mustMarshal(t, &s)
+	}
+	return map[string][]byte{
+		"wrong version":           mutate(func(s *cacheSnapshot) { s.Version = 1 }),
+		"short column":            mutate(func(s *cacheSnapshot) { s.Lens = s.Lens[1:] }),
+		"handle out of range":     mutate(func(s *cacheSnapshot) { s.Refs[0] = int32(len(s.IDs)) }),
+		"negative handle":         mutate(func(s *cacheSnapshot) { s.Refs[0] = -1 }),
+		"root out of range":       mutate(func(s *cacheSnapshot) { s.Roots[0] = int32(len(s.IDs)) }),
+		"lens short of refs":      mutate(func(s *cacheSnapshot) { s.Refs = append(s.Refs, 0) }),
+		"lens past refs":          mutate(func(s *cacheSnapshot) { s.Lens[0] += 1000 }),
+		"negative length":         mutate(func(s *cacheSnapshot) { s.Lens[0] = -1 }),
+		"duplicate dictionary ID": mutate(func(s *cacheSnapshot) { s.IDs[1] = s.IDs[0] }),
+		"dirs = 2":                mutate(func(s *cacheSnapshot) { s.Dirs[0] = 2 }),
+		"key twice": mutate(func(s *cacheSnapshot) {
+			s.Roots[1], s.Dirs[1] = s.Roots[0], s.Dirs[0]
+		}),
+		"member twice": mutate(func(s *cacheSnapshot) {
+			if s.Lens[0] < 2 {
+				t.Fatal("fixture's first closure has fewer than two members")
+			}
+			s.Refs[1] = s.Refs[0]
+		}),
+	}
+}
+
+// TestSnapshotRestoreRejectsBrokenInvariants: every one-edit mutation of a
+// valid snapshot, framed intact and covering every run, loads cold, and
+// the cold cache answers each key as the store does.
+func TestSnapshotRestoreRejectsBrokenInvariants(t *testing.T) {
+	valid, mem, keys := snapshotFixture(t)
+	if len(valid.Roots) != len(keys) {
+		t.Fatalf("fixture snapshot holds %d closures, want %d", len(valid.Roots), len(keys))
+	}
+	load := func(body []byte) *Cache {
+		dir := t.TempDir()
+		if err := wal.SaveCheckpoint(SnapshotPath(dir), json.RawMessage(body)); err != nil {
+			t.Fatal(err)
+		}
+		return New(mem, Options{SnapshotDir: dir})
+	}
+	if m := load(mustMarshal(t, valid)).Metrics(); m.Restored != uint64(len(keys)) {
+		t.Fatalf("the unmodified snapshot restored %d closures, want %d", m.Restored, len(keys))
+	}
+	for name, body := range snapshotMutations(t, valid) {
+		c := load(body)
+		if m := c.Metrics(); m.Restored != 0 || m.ClosureEntries != 0 {
+			t.Errorf("%s: restore accepted it: %+v", name, m)
+			continue
+		}
+		for _, k := range keys {
+			got, err := c.Closure(k.ID, k.Dir)
+			want, _ := mem.Closure(k.ID, k.Dir)
+			if err != nil || !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
+				t.Errorf("%s: Closure%v = %v, %v; a fresh cache says %v", name, k, got, err, want)
+			}
+		}
+	}
+}
+
+// v1Snapshot is the payload closures.json held before the handle columns:
+// every member spelled out as an ID, no version field.
+type v1Snapshot struct {
+	Generation uint64 `json:"generation"`
+	RunCount   int    `json:"run_count"`
+	LastRun    string `json:"last_run"`
+	Closures   []struct {
+		ID    string   `json:"id"`
+		Dir   int      `json:"dir"`
+		Order []string `json:"order"`
+	} `json:"closures"`
+}
+
+// v1Fixture is a v1 snapshot covering every run of mem whose one closure,
+// tail's lineage, is wrong — so trusting it would show.
+func v1Fixture(t testing.TB, mem *store.MemStore, tail string) *v1Snapshot {
+	runs, err := mem.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := &v1Snapshot{Generation: 7, RunCount: len(runs), LastRun: runs[len(runs)-1]}
+	v1.Closures = append(v1.Closures, struct {
+		ID    string   `json:"id"`
+		Dir   int      `json:"dir"`
+		Order []string `json:"order"`
+	}{tail, int(store.Up), []string{"not-in-the-lineage"}})
+	return v1
+}
+
+// TestV1SnapshotLoadsCold: a closures.json of the previous format that
+// covers every run loads cold and answers as the store does; the next
+// Checkpoint writes version 2, which the next open restores warm.
+func TestV1SnapshotLoadsCold(t *testing.T) {
+	dir := t.TempDir()
+	mem := store.NewMemStore()
+	l, _, tail := chainLog(6)
+	if err := mem.PutRunLog(l); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.SaveCheckpoint(SnapshotPath(dir), v1Fixture(t, mem, tail)); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := mem.Closure(tail, store.Up)
+
+	c := New(mem, Options{SnapshotDir: dir})
+	if m := c.Metrics(); m.Restored != 0 || m.ClosureEntries != 0 || m.Generation != 0 {
+		t.Fatalf("the v1 snapshot was restored: %+v", m)
+	}
+	if got, err := c.Closure(tail, store.Up); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Closure after the cold load = %v, %v; want %v", got, err, want)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var snap cacheSnapshot
+	if ok, _ := wal.LoadCheckpoint(SnapshotPath(dir), &snap); !ok || snap.Version != snapshotVersion {
+		t.Fatalf("Checkpoint left version %d (loaded %v), want %d", snap.Version, ok, snapshotVersion)
+	}
+
+	warm := New(mem, Options{SnapshotDir: dir})
+	if got, err := warm.Closure(tail, store.Up); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Closure after the warm load = %v, %v; want %v", got, err, want)
+	}
+	if m := warm.Metrics(); m.Restored != 1 || m.ClosureHits != 1 {
+		t.Fatalf("the version-2 snapshot was not restored warm: %+v", m)
+	}
+}
+
+// TestSnapshotSpellsEachIDOnce pins the point of the columns: closures
+// sharing members name each ID once in the file, so 64 overlapping
+// closures of one chain cost about one chain's worth of IDs.
+func TestSnapshotSpellsEachIDOnce(t *testing.T) {
+	dir := t.TempDir()
+	mem := store.NewMemStore()
+	c := New(mem, Options{SnapshotDir: dir})
+	l, _, _ := chainLog(64)
+	if err := c.PutRunLog(l); err != nil {
+		t.Fatal(err)
+	}
+	members := 0
+	for i := 1; i <= 64; i++ {
+		got, err := c.Closure(artID(i), store.Up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members += len(got)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var snap cacheSnapshot
+	if ok, _ := wal.LoadCheckpoint(SnapshotPath(dir), &snap); !ok {
+		t.Fatal("no snapshot")
+	}
+	if len(snap.IDs) != 129 || len(snap.Refs) != members {
+		t.Fatalf("snapshot holds %d IDs and %d refs, want the chain's 129 and %d", len(snap.IDs), len(snap.Refs), members)
+	}
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// snapshotOf is what saveSnapshot writes for ix, under hdr's header.
+func snapshotOf(ix *Index, hdr cacheSnapshot) *cacheSnapshot {
+	s := &cacheSnapshot{Version: hdr.Version, Generation: hdr.Generation, RunCount: hdr.RunCount, LastRun: hdr.LastRun}
+	ix.copyLive().columns(s)
+	return s
+}
+
+// FuzzClosureSnapshot feeds the snapshot decoder arbitrary bytes twice
+// over: as file contents (header, CRC, payload) and — since a fuzzer will
+// not guess a CRC — as the payload behind an intact frame. Neither may
+// panic. A payload restoreIndex accepts holds at most MaxClosures entries
+// whose members are all dictionary IDs, survives a delta naming them, and
+// load → save → load is a fixed point.
+func FuzzClosureSnapshot(f *testing.F) {
+	valid, mem, keys := snapshotFixture(f)
+	body := mustMarshal(f, valid)
+	v1 := mustMarshal(f, v1Fixture(f, mem, keys[1].ID))
+	for _, payload := range [][]byte{body, v1} {
+		framed, err := wal.EncodeCheckpoint(json.RawMessage(payload))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+		f.Add(framed)
+		f.Add(payload[:len(payload)/2])
+		f.Add(framed[:len(framed)/2])
+	}
+	for _, m := range snapshotMutations(f, valid) {
+		f.Add(m)
+	}
+	f.Add([]byte(`{"version":2}`))
+
+	const max = 3 // below the fixture's four closures: restore must truncate
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s cacheSnapshot
+		if wal.DecodeCheckpoint(data, &s) {
+			restoreIndex(&s, max)
+		}
+		s = cacheSnapshot{}
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		ix, ok := restoreIndex(&s, max)
+		if !ok {
+			return
+		}
+		if ix.Len() > max {
+			t.Fatalf("restored %d closures, MaxClosures is %d", ix.Len(), max)
+		}
+		first := mustMarshal(t, snapshotOf(ix, s))
+		for k, e := range ix.entries {
+			for _, id := range append(ix.Members(e), k.ID) {
+				if h, ok := ix.handles[id]; !ok || ix.ids[h] != id {
+					t.Fatalf("%v holds %q, which is not a dictionary ID", k, id)
+				}
+			}
+			ix.Apply(DeltaOf(extRun("fz", k.ID, "fz-out", k.ID)), mem.Expand)
+		}
+		var again cacheSnapshot
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatal(err)
+		}
+		ix2, ok := restoreIndex(&again, max)
+		if !ok {
+			t.Fatalf("a saved snapshot was refused: %s", first)
+		}
+		if second := mustMarshal(t, snapshotOf(ix2, again)); !bytes.Equal(first, second) {
+			t.Fatalf("load → save → load is not a fixed point:\n%s\n%s", first, second)
+		}
+	})
+}
+
+// TestCheckpointsDuringIngest: checkpoints taken while writers ingest and
+// a replication-style applier folds runs the cache learns of afterwards
+// each record a run prefix the closures hold; whichever snapshot is left,
+// a reopen serves closures equal to the store's.
+func TestCheckpointsDuringIngest(t *testing.T) {
+	dir := t.TempDir()
+	mem := store.NewMemStore()
+	c := New(mem, Options{SnapshotDir: dir})
+	l, head, _ := chainLog(8)
+	if err := c.PutRunLog(l); err != nil {
+		t.Fatal(err)
+	}
+	keys := []Key{{head, store.Down}, {"c-art-0004", store.Down}}
+	for _, k := range keys {
+		if _, err := c.Closure(k.ID, k.Dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			prev := "c-art-0004"
+			for i := 0; i < 40; i++ {
+				id := fmt.Sprintf("w%d-%02d", w, i)
+				l := extRun(id, prev, id+"-out", "")
+				if w == 0 {
+					// The replication path: into the store first, the
+					// delta to the cache later.
+					if err := mem.PutRunLog(l); err != nil {
+						t.Error(err)
+						return
+					}
+					c.ApplyDelta(l)
+				} else if err := c.PutRunLog(l); err != nil {
+					t.Error(err)
+					return
+				}
+				prev = id + "-out"
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 20; j++ {
+			if err := c.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	re := New(mem, Options{SnapshotDir: dir})
+	for _, k := range keys {
+		got, err := re.Closure(k.ID, k.Dir)
+		want, _ := store.NaiveClosure(mem, k.ID, k.Dir)
+		if err != nil || !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
+			t.Fatalf("Closure%v after the reopen = %v, %v; the store says %v", k, sortedCopy(got), err, sortedCopy(want))
+		}
+	}
+	if m := re.Metrics(); m.Restored == 0 {
+		t.Fatalf("nothing restored: %+v", m)
 	}
 }
