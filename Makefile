@@ -48,8 +48,9 @@ bench:
 # ingest. ReadPath prints those of the log read path per ≈3 KB record: a
 # scan, a point read, the record decode alone and encoding/json's decode
 # of the same bytes. E17StreamingExec prints those of the PQL join battery
-# compiled through the shared conjunctive planner, on a MemStore and a
-# 4-shard router, beside the Datalog provenance fixpoint.
+# compiled through the shared conjunctive planner, on a MemStore, a 4-shard
+# router and a FileStore reading its warm row image (no record decoded),
+# beside the Datalog provenance fixpoint.
 # E13ClosureCache/mode=snapshot prints ns/op and B/op of checkpointing and
 # reopening a closure cache holding 256 closures of a chain store, and the
 # closures.json size as snapshot_B.

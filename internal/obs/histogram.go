@@ -58,11 +58,40 @@ func bucketUpper(idx int) uint64 {
 // Snapshot are safe; a snapshot taken during concurrent writes is a
 // consistent-enough view for monitoring (bucket sums may trail count by
 // in-flight observations, never by more).
+//
+// The buckets come in blocks of one octave's histSubCount, each allocated
+// by the first observation that lands in it, behind a table of blocks
+// allocated by the first observation at all: a histogram nothing records
+// into (a route no client calls, a layer a deployment does not run) holds
+// no buckets, and one whose values span a few octaves holds only those.
 type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	max     atomic.Uint64
-	buckets [histNumBucket]atomic.Uint64
+	count  atomic.Uint64
+	sum    atomic.Uint64
+	max    atomic.Uint64
+	blocks atomic.Pointer[[histNumBlock]atomic.Pointer[histBlock]]
+}
+
+// histBlock is one octave's buckets; block 0 holds the exact values below
+// histSubCount.
+type histBlock [histSubCount]atomic.Uint64
+
+const histNumBlock = histNumBucket / histSubCount
+
+// bucket returns bucket i, allocating its block (and the table) on first
+// use.
+func (h *Histogram) bucket(i int) *atomic.Uint64 {
+	t := h.blocks.Load()
+	if t == nil {
+		h.blocks.CompareAndSwap(nil, new([histNumBlock]atomic.Pointer[histBlock]))
+		t = h.blocks.Load()
+	}
+	p := &t[i/histSubCount]
+	b := p.Load()
+	if b == nil {
+		p.CompareAndSwap(nil, new(histBlock))
+		b = p.Load()
+	}
+	return &b[i%histSubCount]
 }
 
 // ObserveValue records one raw observation.
@@ -72,7 +101,7 @@ func (h *Histogram) ObserveValue(v uint64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
-	h.buckets[bucketIndex(v)].Add(1)
+	h.bucket(bucketIndex(v)).Add(1)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -116,8 +145,14 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	s.Max = h.max.Load()
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
+	if t := h.blocks.Load(); t != nil {
+		for k := range t {
+			if b := t[k].Load(); b != nil {
+				for j := range b {
+					s.Buckets[k*histSubCount+j] = b[j].Load()
+				}
+			}
+		}
 	}
 	return s
 }

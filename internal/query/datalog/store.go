@@ -22,37 +22,42 @@ import (
 //	partOfRun(Entity, Run)      entity belongs to run
 //	agent(Run, Agent)           run executed on behalf of agent
 func LoadStore(p *Program, s store.Store) error {
-	return scan.Logs(s, func(l *provenance.RunLog) error {
-		return LogFacts(l, p.AddFact)
+	return store.ScanRows(scan.Unwrap(s), func(r *store.RunRows) error {
+		return rowFacts(r, p.AddFact)
 	})
 }
 
 // LogFacts flattens one run log into the extensional schema above,
-// invoking emit once per fact. It is the single source of truth for that
-// flattening: LoadStore folds whole stores through it, and the
-// standing-query subsystem folds per-ingest deltas through it, so a
-// subscription's incremental facts are exactly the ones a fresh LoadStore
-// would produce.
+// invoking emit once per fact: a projection of the log's rows
+// (store.Rows), as LoadStore's facts are a projection of the stored rows.
+// LoadStore folds whole stores that way, and the standing-query subsystem
+// folds per-ingest deltas through LogFacts, so a subscription's
+// incremental facts are exactly the ones a fresh LoadStore would produce.
 func LogFacts(l *provenance.RunLog, emit func(pred string, vals ...string) error) error {
-	runID := l.Run.ID
-	if err := emit("agent", runID, l.Run.Agent); err != nil {
+	return rowFacts(store.Rows(l), emit)
+}
+
+// rowFacts emits one run's facts, predicate by predicate in row order.
+func rowFacts(r *store.RunRows, emit func(pred string, vals ...string) error) error {
+	runID := r.Run.ID
+	if err := emit("agent", runID, r.Run.Agent); err != nil {
 		return err
 	}
-	for _, e := range l.Executions {
-		if err := emit("module", e.ID, e.ModuleID); err != nil {
+	for _, e := range r.Executions {
+		if err := emit("module", e.ID, e.Module); err != nil {
 			return err
 		}
 		if err := emit("moduleType", e.ID, e.ModuleType); err != nil {
 			return err
 		}
-		if err := emit("status", e.ID, string(e.Status)); err != nil {
+		if err := emit("status", e.ID, e.Status); err != nil {
 			return err
 		}
 		if err := emit("partOfRun", e.ID, runID); err != nil {
 			return err
 		}
 	}
-	for _, a := range l.Artifacts {
+	for _, a := range r.Artifacts {
 		if err := emit("artifact", a.ID, a.Type); err != nil {
 			return err
 		}
@@ -60,16 +65,13 @@ func LogFacts(l *provenance.RunLog, emit func(pred string, vals ...string) error
 			return err
 		}
 	}
-	for _, ev := range l.Events {
-		switch ev.Kind {
-		case provenance.EventArtifactUsed:
-			if err := emit("used", ev.ExecutionID, ev.ArtifactID); err != nil {
-				return err
-			}
-		case provenance.EventArtifactGen:
-			if err := emit("generated", ev.ExecutionID, ev.ArtifactID); err != nil {
-				return err
-			}
+	for _, e := range r.Edges {
+		pred := "used"
+		if e.Gen {
+			pred = "generated"
+		}
+		if err := emit(pred, e.Exec, e.Artifact); err != nil {
+			return err
 		}
 	}
 	return nil

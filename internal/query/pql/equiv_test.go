@@ -13,9 +13,10 @@ import (
 	"repro/internal/workloads"
 )
 
-// equivStores builds a MemStore and a 4-shard router holding the same
-// multi-workflow provenance, so equivalence runs over both an unsharded
-// and a parallel-scanned backend.
+// equivStores builds a MemStore, a 4-shard router, a FileStore and a
+// 4-shard router over file shards holding the same multi-workflow
+// provenance, so equivalence runs over an unsharded and a parallel-scanned
+// backend, each both with flattened logs and with row images.
 func equivStores(t testing.TB) []store.Store {
 	t.Helper()
 	col := provenance.NewCollector()
@@ -24,6 +25,17 @@ func equivStores(t testing.TB) []store.Store {
 	e := engine.New(engine.Options{Registry: reg, Recorder: col, Workers: 2, Agent: "equiv"})
 	mem := store.NewMemStore()
 	sharded := shardedstore.NewMem(4)
+	file, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { file.Close() })
+	fileSharded, err := shardedstore.OpenWith(t.TempDir(), 4, store.FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fileSharded.Close() })
+	stores := []store.Store{mem, sharded, file, fileSharded}
 	for i, w := range []func() (string, error){
 		func() (string, error) {
 			r, err := e.Run(context.Background(), workloads.MedicalImaging(), nil)
@@ -62,14 +74,13 @@ func equivStores(t testing.TB) []store.Store {
 		if err != nil {
 			t.Fatalf("no log for %s: %v", runID, err)
 		}
-		if err := mem.PutRunLog(log); err != nil {
-			t.Fatal(err)
-		}
-		if err := sharded.PutRunLog(log); err != nil {
-			t.Fatal(err)
+		for _, s := range stores {
+			if err := s.PutRunLog(log); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	return []store.Store{mem, sharded}
+	return stores
 }
 
 // equivQueries spans scans, single-table and cross-table WHEREs, joins,
@@ -114,7 +125,7 @@ var invalidQueries = []string{
 }
 
 // TestStreamingMatchesEagerEndToEnd pins Execute (streaming) to
-// ExecuteEager (reference) over MemStore and the 4-shard router on a
+// ExecuteEager (reference) over every store of equivStores on a
 // battery spanning scans, pushdown-eligible WHEREs, joins, COUNT, ORDER
 // BY and LIMIT. Queries avoid the two documented divergences (ORDER BY
 // unselected columns; data-dependent unknown-column errors).

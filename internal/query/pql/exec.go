@@ -44,15 +44,9 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// tableSchemas defines the virtual relational view of a provenance store.
-var tableSchemas = map[string][]string{
-	"runs":        {"id", "workflow", "hash", "agent", "status"},
-	"executions":  {"id", "run", "module", "moduleType", "status", "wallNanos"},
-	"artifacts":   {"id", "run", "type", "contentHash", "size"},
-	"uses":        {"exec", "artifact", "port"},
-	"gens":        {"exec", "artifact", "port"},
-	"annotations": {"subject", "key", "value", "author"},
-}
+// tableSchemas defines the virtual relational view of a provenance store:
+// the tables of store.Rows, which the leaf scans read.
+var tableSchemas = store.RowSchemas
 
 // Tables lists the queryable virtual tables, sorted.
 func Tables() []string {

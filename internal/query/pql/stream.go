@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/provenance"
 	"repro/internal/query/scan"
 	"repro/internal/relalg"
 	"repro/internal/store"
@@ -417,9 +416,9 @@ func compilePred(e Expr, next *int) relalg.Pred {
 	}
 }
 
-// scanLeaves fills the requested virtual tables in ONE pass over the run
-// logs (parallel across shards on a sharded store), producing flat value
-// tuples.
+// scanLeaves fills the requested virtual tables in ONE pass over the
+// store's rows (parallel across shards on a sharded store, from the row
+// image on a file store), producing flat value tuples.
 func scanLeaves(s store.Store, tables []string) (map[string][]relalg.Tuple, int, error) {
 	out := make(map[string][]relalg.Tuple, len(tables))
 	want := map[string]bool{}
@@ -434,32 +433,32 @@ func scanLeaves(s store.Store, tables []string) (map[string][]relalg.Tuple, int,
 		}
 		out[table] = append(out[table], relalg.Tuple{Values: vs})
 	}
-	shards, err := scan.ShardedLogs(s, func(l *provenance.RunLog) error {
+	shards, err := scan.ShardedRows(s, func(r *store.RunRows) error {
 		if want["runs"] {
-			add("runs", l.Run.ID, l.Run.WorkflowID, l.Run.WorkflowHash, l.Run.Agent, string(l.Run.Status))
+			add("runs", r.Run.ID, r.Run.Workflow, r.Run.Hash, r.Run.Agent, r.Run.Status)
 		}
 		if want["executions"] {
-			for _, e := range l.Executions {
-				add("executions", e.ID, e.RunID, e.ModuleID, e.ModuleType, string(e.Status), strconv.FormatInt(e.WallNanos, 10))
+			for _, e := range r.Executions {
+				add("executions", e.ID, e.Run, e.Module, e.ModuleType, e.Status, strconv.FormatInt(e.WallNanos, 10))
 			}
 		}
 		if want["artifacts"] {
-			for _, a := range l.Artifacts {
-				add("artifacts", a.ID, a.RunID, a.Type, a.ContentHash, strconv.FormatInt(a.Size, 10))
+			for _, a := range r.Artifacts {
+				add("artifacts", a.ID, a.Run, a.Type, a.ContentHash, strconv.FormatInt(a.Size, 10))
 			}
 		}
 		if want["uses"] || want["gens"] {
-			for _, ev := range l.Events {
-				if ev.Kind == provenance.EventArtifactUsed && want["uses"] {
-					add("uses", ev.ExecutionID, ev.ArtifactID, ev.Port)
+			for _, e := range r.Edges {
+				if e.Gen && want["gens"] {
+					add("gens", e.Exec, e.Artifact, e.Port)
 				}
-				if ev.Kind == provenance.EventArtifactGen && want["gens"] {
-					add("gens", ev.ExecutionID, ev.ArtifactID, ev.Port)
+				if !e.Gen && want["uses"] {
+					add("uses", e.Exec, e.Artifact, e.Port)
 				}
 			}
 		}
 		if want["annotations"] {
-			for _, an := range l.Annotations {
+			for _, an := range r.Annotations {
 				add("annotations", an.Subject, an.Key, an.Value, an.Author)
 			}
 		}

@@ -3,7 +3,6 @@ package qbe
 import (
 	"sort"
 
-	"repro/internal/provenance"
 	"repro/internal/query/scan"
 	"repro/internal/relalg"
 	"repro/internal/store"
@@ -16,9 +15,10 @@ import (
 // workflows contributed to this result"; with store.Down, "which consumed
 // it" — the §2.2 knowledge-reuse queries joined with retrospective
 // provenance. The closure is pushed down to the backend as one batch
-// traversal; the run-log pass streams (workflow, entity) pairs through a
-// relalg semijoin against the closure set, with the leaf scan fanned out
-// across shards in parallel on a sharded store.
+// traversal; one pass over the stored rows (runs, executions, artifacts:
+// a file store's row image, fanned out across shards in parallel on a
+// sharded store) streams (workflow, entity) pairs through a relalg
+// semijoin against the closure set.
 func FilterByClosure(s store.Store, matches []Match, entityID string, dir store.Direction) ([]Match, error) {
 	closure, err := s.Closure(entityID, dir)
 	if err != nil {
@@ -31,12 +31,12 @@ func FilterByClosure(s store.Store, matches []Match, entityID string, dir store.
 	}
 
 	var pairs []relalg.Tuple
-	if _, err := scan.ShardedLogs(s, func(l *provenance.RunLog) error {
-		wf := l.Run.WorkflowID
-		for _, e := range l.Executions {
+	if _, err := scan.ShardedRows(s, func(r *store.RunRows) error {
+		wf := r.Run.Workflow
+		for _, e := range r.Executions {
 			pairs = append(pairs, relalg.Tuple{Values: []relalg.Val{wf, e.ID}})
 		}
-		for _, a := range l.Artifacts {
+		for _, a := range r.Artifacts {
 			pairs = append(pairs, relalg.Tuple{Values: []relalg.Val{wf, a.ID}})
 		}
 		return nil

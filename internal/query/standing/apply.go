@@ -34,7 +34,9 @@ func (m *Manager) ApplyDelta(l *provenance.RunLog) {
 // --- triple patterns ----------------------------------------------------------
 
 // tripleSnapshotLocked computes a triple subscription's initial result by
-// matching the pattern over every stored log's flattened triples.
+// matching the pattern over every stored log's flattened triples. It
+// decodes the logs rather than reading a file store's row image, which it
+// would otherwise build at subscribe time (store.TriplesOf).
 func (m *Manager) tripleSnapshotLocked(s *sub) error {
 	return scan.Logs(m.st, func(l *provenance.RunLog) error {
 		for _, t := range store.TriplesOf(l) {

@@ -51,9 +51,16 @@ var (
 // and the fold watermark: bytes below the watermark are immutable (appends
 // land above it, and a failed WAL batch truncates only above it), so the
 // read, the decode and any caller-supplied callback run outside the lock
-// and never stall an ingest fold. Nothing read is retained: the cost of
-// retrieval is the decode (decodeRecord, 3–8 µs per KB of record), not
-// the I/O around it.
+// and never stall an ingest fold. A decoded record is not retained: the
+// cost of retrieval is the decode (decodeRecord, 3–8 µs per KB of record),
+// not the I/O around it.
+//
+// Relational scans (ScanRows: PQL, Datalog and QBE leaf scans) read a
+// row image instead (rowimage.go): the flattening (Rows) of the committed
+// prefix, built in memory by the first such scan and extended by each
+// later one with the records folded since. Since the prefix never changes
+// the image is never invalidated, so a repeated query decodes nothing; it
+// is neither persisted nor built by ingest, recovery or Checkpoint.
 //
 // Appends go through a write-ahead group-commit writer (internal/store/
 // wal): under DurabilityGroup, concurrent PutRunLog calls coalesce into
@@ -109,6 +116,10 @@ type FileStore struct {
 	// artifact classification winning for traversal (matching the other
 	// backends).
 	tab *entityTable
+
+	// The relational flattening of the committed prefix, built by the
+	// first ScanRows (rowimage.go); it has its own lock.
+	rows rowImage
 
 	// Resident counters so Stats does not re-read the log.
 	nEvents int
@@ -240,6 +251,12 @@ func (s *FileStore) recover() error {
 		offset += int64(len(line))
 	}
 	s.size = offset
+	// A replay grew the entity records by append; a store that is only
+	// read after open would keep the growth slack (up to a quarter of the
+	// records) for its lifetime.
+	if cap(s.tab.ents) > len(s.tab.ents) {
+		s.tab.ents = slices.Clone(s.tab.ents)
+	}
 	return nil
 }
 
@@ -271,6 +288,7 @@ var _ Store = (*FileStore)(nil)
 var _ Checkpointer = (*FileStore)(nil)
 var _ LocalCloser = (*FileStore)(nil)
 var _ LogScanner = (*FileStore)(nil)
+var _ RowScanner = (*FileStore)(nil)
 var _ EntityBatcher = (*FileStore)(nil)
 
 // Name implements Store.
@@ -492,7 +510,14 @@ func (s *FileStore) ScanLogs(skip int, fn func(*provenance.RunLog) error) error 
 		from = s.offsets[s.order[skip]]
 	}
 	s.mu.RUnlock()
+	return s.scanRange(from, end, func(l *provenance.RunLog, _ int64) error { return fn(l) })
+}
 
+// scanRange decodes the records of [from, end), which must lie below the
+// fold watermark and start on a record boundary, and calls fn with each
+// and the offset just past it. It takes no lock: those bytes never change.
+// Whole-store scans and the row image's catch-up both decode here.
+func (s *FileStore) scanRange(from, end int64, fn func(l *provenance.RunLog, next int64) error) error {
 	buf := make([]byte, min(end-from, scanChunk))
 	n := 0       // buf[:n] holds unconsumed log bytes
 	pos := from  // file offset just past buf[:n]
@@ -514,14 +539,13 @@ func (s *FileStore) ScanLogs(skip int, fn func(*provenance.RunLog) error) error 
 			if i < 0 {
 				break
 			}
-			// PQL and Datalog leaf scans and standing-query rebinds decode here.
 			l, err := decodeRecord(buf[done : done+i+1])
 			if err != nil {
 				return fmt.Errorf("store: decode record at offset %d: %w", pos-int64(n-done), err)
 			}
 			records++
 			done += i + 1
-			if err := fn(l); err != nil {
+			if err := fn(l, pos-int64(n-done)); err != nil {
 				return err
 			}
 		}
@@ -708,6 +732,7 @@ func (s *FileStore) Stats() (Stats, error) {
 func (s *FileStore) Close() error {
 	s.autoCkpt.Drain()
 	_ = s.w.Close()
+	s.dropRows()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.f.Close()

@@ -15,14 +15,8 @@ import (
 // answers a whole frontier with one pass of semijoin scans over the base
 // rows, and a single entity's neighbours are a one-element frontier.
 //
-// Tables:
-//
-//	runs(id, workflow, hash, agent, status)
-//	executions(id, run, module, moduleType, status, wallNanos)
-//	artifacts(id, run, type, contentHash, size)
-//	uses(exec, artifact, port)
-//	gens(exec, artifact, port)
-//	annotations(subject, key, value, author)
+// Its tables are RowSchemas, filled from Rows; wallNanos and size are
+// int64 values.
 type RelStore struct {
 	mu    sync.RWMutex
 	logs  map[string]*provenance.RunLog
@@ -61,22 +55,23 @@ func (s *RelStore) PutRunLog(l *provenance.RunLog) error {
 	}
 	s.logs[l.Run.ID] = l
 	s.order = append(s.order, l.Run.ID)
-	s.runRows = append(s.runRows, []relalg.Val{l.Run.ID, l.Run.WorkflowID, l.Run.WorkflowHash, l.Run.Agent, string(l.Run.Status)})
-	for _, e := range l.Executions {
-		s.execRows = append(s.execRows, []relalg.Val{e.ID, e.RunID, e.ModuleID, e.ModuleType, string(e.Status), e.WallNanos})
+	r := Rows(l)
+	s.runRows = append(s.runRows, []relalg.Val{r.Run.ID, r.Run.Workflow, r.Run.Hash, r.Run.Agent, r.Run.Status})
+	for _, e := range r.Executions {
+		s.execRows = append(s.execRows, []relalg.Val{e.ID, e.Run, e.Module, e.ModuleType, e.Status, e.WallNanos})
 	}
-	for _, a := range l.Artifacts {
-		s.artRows = append(s.artRows, []relalg.Val{a.ID, a.RunID, a.Type, a.ContentHash, a.Size})
+	for _, a := range r.Artifacts {
+		s.artRows = append(s.artRows, []relalg.Val{a.ID, a.Run, a.Type, a.ContentHash, a.Size})
 	}
-	for _, ev := range l.Events {
-		switch ev.Kind {
-		case provenance.EventArtifactUsed:
-			s.useRows = append(s.useRows, []relalg.Val{ev.ExecutionID, ev.ArtifactID, ev.Port})
-		case provenance.EventArtifactGen:
-			s.genRows = append(s.genRows, []relalg.Val{ev.ExecutionID, ev.ArtifactID, ev.Port})
+	for _, e := range r.Edges {
+		row := []relalg.Val{e.Exec, e.Artifact, e.Port}
+		if e.Gen {
+			s.genRows = append(s.genRows, row)
+		} else {
+			s.useRows = append(s.useRows, row)
 		}
 	}
-	for _, an := range l.Annotations {
+	for _, an := range r.Annotations {
 		s.annRows = append(s.annRows, []relalg.Val{an.Subject, an.Key, an.Value, an.Author})
 	}
 	s.dirty = true
@@ -101,21 +96,18 @@ func (s *RelStore) rebuildLocked() {
 	if !s.dirty && len(s.tables) > 0 {
 		return
 	}
-	mustRel := func(name string, schema []string, rows [][]relalg.Val) *relalg.Relation {
-		r, err := relalg.NewRelation(name, schema, rows)
+	rows := map[string][][]relalg.Val{
+		"runs": s.runRows, "executions": s.execRows, "artifacts": s.artRows,
+		"uses": s.useRows, "gens": s.genRows, "annotations": s.annRows,
+	}
+	s.tables = make(map[string]*relalg.Relation, len(rows))
+	for name, schema := range RowSchemas {
+		r, err := relalg.NewRelation(name, schema, rows[name])
 		if err != nil {
 			// Schemas are static and rows are arity-checked on insert.
 			panic(fmt.Sprintf("store: rebuilding %s: %v", name, err))
 		}
-		return r
-	}
-	s.tables = map[string]*relalg.Relation{
-		"runs":        mustRel("runs", []string{"id", "workflow", "hash", "agent", "status"}, s.runRows),
-		"executions":  mustRel("executions", []string{"id", "run", "module", "moduleType", "status", "wallNanos"}, s.execRows),
-		"artifacts":   mustRel("artifacts", []string{"id", "run", "type", "contentHash", "size"}, s.artRows),
-		"uses":        mustRel("uses", []string{"exec", "artifact", "port"}, s.useRows),
-		"gens":        mustRel("gens", []string{"exec", "artifact", "port"}, s.genRows),
-		"annotations": mustRel("annotations", []string{"subject", "key", "value", "author"}, s.annRows),
+		s.tables[name] = r
 	}
 	s.dirty = false
 }

@@ -373,8 +373,9 @@ func TestEntitiesReadsEachOwningRunOnce(t *testing.T) {
 
 // FuzzLogScan feeds arbitrary bytes to the store as its log file: open and
 // scan must not panic, the scan must emit exactly the records recovery
-// indexed, and the offset recovery truncated to must be where the scan
-// ends (the bytes it read are the bytes that survive).
+// indexed, the offset recovery truncated to must be where the scan ends
+// (the bytes it read are the bytes that survive), and the row image must
+// hold the flattening of exactly those records.
 func FuzzLogScan(f *testing.F) {
 	// A small generated log (the engine minimizes every input that finds
 	// new coverage, and long seeds make that slow): two header-only records
@@ -419,9 +420,11 @@ func FuzzLogScan(f *testing.F) {
 		runs, _ := s.Runs()
 		end := s.CommittedOffset()
 		var scanned []string
+		var flat []*RunRows
 		bytesBefore := mStoreScanBytes.Value()
 		if err := s.ScanLogs(0, func(l *provenance.RunLog) error {
 			scanned = append(scanned, l.Run.ID)
+			flat = append(flat, Rows(l))
 			return nil
 		}); err != nil {
 			t.Fatalf("scan of a recovered log failed: %v", err)
@@ -431,6 +434,16 @@ func FuzzLogScan(f *testing.F) {
 		}
 		if got := int64(mStoreScanBytes.Value() - bytesBefore); got != end {
 			t.Fatalf("scan read %d bytes, the watermark is %d", got, end)
+		}
+		// The row image built over the same log holds the same rows.
+		image := scanRowsAll(t, s)
+		if len(image) != len(flat) {
+			t.Fatalf("ScanRows emitted %d runs, ScanLogs %d", len(image), len(flat))
+		}
+		for i := range image {
+			if !sameRows(image[i], flat[i]) {
+				t.Fatalf("run %d: ScanRows %+v, the log's flattening %+v", i, image[i], flat[i])
+			}
 		}
 		fi, err := os.Stat(path)
 		if err != nil {

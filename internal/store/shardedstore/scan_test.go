@@ -26,7 +26,8 @@ func scanIDs(t *testing.T, r *Router, skip int) []string {
 // disagree: two concurrent ingests to one shard can reach the router's
 // index out of commit order. The scan must still follow the accepted
 // order, from any starting run, including a start that falls between the
-// two inverted runs.
+// two inverted runs; so must a row scan, which parks shard rows the same
+// way.
 func TestScanLogsFollowsAcceptedOrderAcrossInversions(t *testing.T) {
 	r, err := OpenWith(t.TempDir(), 2, store.FileOptions{})
 	if err != nil {
@@ -56,6 +57,16 @@ func TestScanLogsFollowsAcceptedOrderAcrossInversions(t *testing.T) {
 		if got := scanIDs(t, r, skip); !reflect.DeepEqual(got, want[skip:]) {
 			t.Fatalf("scan from run %d:\n got %v\nwant %v", skip, got, want[skip:])
 		}
+	}
+	rows := []string{}
+	if err := r.ScanRows(func(rr *store.RunRows) error {
+		rows = append(rows, rr.Run.ID)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("row scan:\n got %v\nwant %v", rows, want)
 	}
 }
 

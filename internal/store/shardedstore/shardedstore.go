@@ -758,14 +758,38 @@ func (r *Router) ScanLogs(skip int, fn func(*provenance.RunLog) error) error {
 			return err
 		}
 	}
-	home := func(runID string) int {
-		r.mu.RLock()
-		defer r.mu.RUnlock()
-		return r.runShard[runID]
-	}
-	return mergeLogs(r.shards, skips, order, home,
-		func(l *provenance.RunLog, _ int) error { return fn(l) })
+	return mergeRuns(r, order, func(shard int, emit func(*provenance.RunLog) error) error {
+		return store.ScanLogs(r.shards[shard], skips[shard], emit)
+	}, func(l *provenance.RunLog) string { return l.Run.ID }, fn)
 }
+
+// ScanRows implements store.RowScanner as ScanLogs does, over the shards'
+// row streams: each file shard emits from its row image, a MemStore shard
+// flattens its logs. Rows are copied into the merge, which may hold a
+// shard's rows until the accepted order reaches them; a copy goes back to
+// rowsPool once fn has returned with it.
+func (r *Router) ScanRows(fn func(*store.RunRows) error) error {
+	r.mu.RLock()
+	order := r.order
+	r.mu.RUnlock()
+	if len(order) == 0 {
+		return nil
+	}
+	return mergeRuns(r, order, func(shard int, emit func(*store.RunRows) error) error {
+		return store.ScanRows(r.shards[shard], func(rows *store.RunRows) error {
+			c := rowsPool.Get().(*store.RunRows)
+			rows.CopyTo(c)
+			return emit(c)
+		})
+	}, func(rows *store.RunRows) string { return rows.Run.ID }, func(rows *store.RunRows) error {
+		err := fn(rows)
+		rowsPool.Put(rows)
+		return err
+	})
+}
+
+// rowsPool recycles the merge's copies of shard rows across runs and scans.
+var rowsPool = sync.Pool{New: func() any { return new(store.RunRows) }}
 
 // shardSkips finds, per shard, the position in that shard's own log of the
 // earliest run in suffix (a tail of the accepted order): where its scan
@@ -799,47 +823,48 @@ func (r *Router) shardSkips(suffix []string) ([]int, error) {
 	return skips, nil
 }
 
-// mergeAhead is how many decoded logs a shard's scan may run ahead of the
-// merge. Placement interleaves the shards' runs in the global order — in
+// mergeAhead is how many runs a shard's scan may run ahead of the merge.
+// Placement interleaves the shards' runs in the global order — in
 // stretches where a lineage keeps to one shard, run by run where sources
 // spread — so the merge may drain one shard for a while and then ask the
 // others in turn; this much slack keeps every shard decoding while the
 // merge drains another, without ever holding more than shards × mergeAhead
-// decoded logs.
+// runs.
 const mergeAhead = 32
 
 var errMergeStopped = errors.New("shardedstore: merge stopped")
 
-// mergeLogs replays the shards' run logs along order (runs home knows the
-// shard of), calling fn with each log and its shard. One goroutine per
-// shard scans that shard's log from its skips[i]-th record; the calling
-// goroutine walks order and pulls each run from its shard's stream. A
-// shard's log order agrees with the
-// global order except where concurrent ingests to one shard reached the
-// router's index out of commit order, so a record that arrives ahead of
-// its turn is parked until order reaches it and the parked set stays
-// within the ingest concurrency. A run its shard's scan does not
-// surface is skipped. The scans are stopped and waited for on return.
-func mergeLogs(shards []Shard, skips []int, order []string,
-	home func(runID string) (shard int),
-	fn func(l *provenance.RunLog, shard int) error) error {
+// mergeRuns replays the shards' runs along order, calling fn with each:
+// the one merge of ScanLogs (T a decoded log) and ScanRows (T a run's
+// rows). One goroutine per shard runs scan for that shard, whose emit
+// hands each run over; the calling goroutine walks order and pulls each
+// run from its home shard's stream (runID names the run a T belongs to).
+// A shard's order agrees with the global order except where concurrent
+// ingests to one shard reached the router's index out of commit order, so
+// a run that arrives ahead of its turn is parked until order reaches it
+// and the parked set stays within the ingest concurrency. A run its
+// shard's scan does not surface is skipped. The scans are stopped and
+// waited for on return.
+func mergeRuns[T any](r *Router, order []string,
+	scan func(shard int, emit func(T) error) error,
+	runID func(T) string, fn func(T) error) error {
 
 	type stream struct {
-		ch  chan *provenance.RunLog
+		ch  chan T
 		err error // the scan's failure; written before ch closes
 	}
-	streams := make([]stream, len(shards))
+	streams := make([]stream, len(r.shards))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := range shards {
-		streams[i].ch = make(chan *provenance.RunLog, mergeAhead)
+	for i := range r.shards {
+		streams[i].ch = make(chan T, mergeAhead)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer close(streams[i].ch)
-			err := store.ScanLogs(shards[i], skips[i], func(l *provenance.RunLog) error {
+			err := scan(i, func(x T) error {
 				select {
-				case streams[i].ch <- l:
+				case streams[i].ch <- x:
 					return nil
 				case <-stop:
 					return errMergeStopped
@@ -855,10 +880,12 @@ func mergeLogs(shards []Shard, skips []int, order []string,
 		wg.Wait()
 	}()
 
-	parked := map[string]*provenance.RunLog{}
-	for _, runID := range order {
-		shard := home(runID)
-		l, found := parked[runID]
+	parked := map[string]T{}
+	for _, id := range order {
+		r.mu.RLock()
+		shard := r.runShard[id]
+		r.mu.RUnlock()
+		x, found := parked[id]
 		for !found {
 			next, open := <-streams[shard].ch
 			if !open {
@@ -867,17 +894,17 @@ func mergeLogs(shards []Shard, skips []int, order []string,
 				}
 				break
 			}
-			if next.Run.ID == runID {
-				l, found = next, true
+			if runID(next) == id {
+				x, found = next, true
 			} else {
-				parked[next.Run.ID] = next
+				parked[runID(next)] = next
 			}
 		}
 		if !found {
 			continue
 		}
-		delete(parked, runID)
-		if err := fn(l, shard); err != nil {
+		delete(parked, id)
+		if err := fn(x); err != nil {
 			return err
 		}
 	}

@@ -82,7 +82,10 @@ func addTo(idx map[string]map[string][]string, a, b, c string) {
 // insertion order. It is the single source of truth for the provenance
 // vocabulary, shared with the closure cache's ingest-time pattern patching
 // (package closurecache), which must predict exactly which triples an
-// ingest adds.
+// ingest adds. It still reads the log, not Rows: the standing triple
+// snapshot scans every stored log through it, and reading the row image
+// instead would build the image at subscribe time on a store nobody
+// queries relationally.
 func TriplesOf(l *provenance.RunLog) []Triple {
 	out := make([]Triple, 0, 4+5*len(l.Executions)+4*len(l.Artifacts)+len(l.Events)+4*len(l.Annotations))
 	out = append(out,
