@@ -169,7 +169,7 @@ func BenchmarkAblationStoreIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				// Interleaved read forces index/table maintenance.
-				if _, err := s.Execution(l.Executions[0].ID); err != nil {
+				if ents, err := s.Entities([]string{l.Executions[0].ID}); err != nil || ents[0].Execution == nil {
 					b.Fatal(err)
 				}
 			}

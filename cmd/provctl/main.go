@@ -426,11 +426,7 @@ func cmdCheckpoint(args []string) error {
 		return err
 	}
 	defer cleanup()
-	ck, ok := st.(store.Checkpointer)
-	if !ok {
-		return fmt.Errorf("checkpoint: store %s cannot checkpoint", st.Name())
-	}
-	if err := ck.Checkpoint(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		return err
 	}
 	stats, err := st.Stats()

@@ -207,8 +207,11 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 			writeJSON(w, http.StatusOK, repo.List())
 		case http.MethodPost:
 			var body api.PublishWorkflowRequest
-			if err := json.NewDecoder(req.Body).Decode(&body); err != nil || body.Workflow == nil {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("collab: bad publish body: %v", err))
+			if !decodeBody(w, req, "publish", &body) {
+				return
+			}
+			if body.Workflow == nil {
+				writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: bad publish body: no workflow"))
 				return
 			}
 			if err := repo.Publish(body.Workflow, body.Owner, body.Description, body.Tags...); err != nil {
@@ -253,8 +256,7 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 				return
 			}
 			var body api.RateRequest
-			if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+			if !decodeBody(w, req, "rating", &body) {
 				return
 			}
 			if err := repo.Rate(id, body.User, body.Stars); err != nil {
@@ -570,6 +572,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// maxBodyBytes bounds a request body. The largest kind, a published
+// workflow definition, is about 2 KB for the demo pipelines.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes req's JSON body into v, reading at most maxBodyBytes
+// of it. On failure it answers the request itself — 413 for an oversize
+// body, 400 for one that does not decode, both in the bad_request
+// envelope — and reports false.
+func decodeBody(w http.ResponseWriter, req *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest,
+			fmt.Errorf("collab: %s body exceeds %d bytes", what, maxBodyBytes))
+	default:
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("collab: bad %s body: %v", what, err))
+	}
+	return false
 }
 
 // writeError emits the shared v1 envelope; every failure path goes

@@ -102,8 +102,7 @@ func subscriptionsHandler(mgr *standing.Manager) http.HandlerFunc {
 			writeJSON(w, http.StatusOK, out)
 		case http.MethodPost:
 			var body api.SubscribeRequest
-			if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("collab: bad subscribe body: %v", err))
+			if !decodeBody(w, req, "subscribe", &body) {
 				return
 			}
 			spec, err := specFromWire(body)
@@ -271,6 +270,13 @@ func serveEvents(mgr *standing.Manager, w http.ResponseWriter, req *http.Request
 	}
 }
 
+// pollWait converts a client's wait_ms to the long-poll hold, capped at
+// maxPollWait. The cap applies to the milliseconds before they are scaled:
+// a large ms would overflow time.Duration to a negative wait.
+func pollWait(ms int) time.Duration {
+	return time.Duration(min(max(ms, 0), int(maxPollWait/time.Millisecond))) * time.Millisecond
+}
+
 // servePoll is the long-poll fallback: wait (bounded) for events after
 // from, answering a JSON array — empty on timeout.
 func servePoll(mgr *standing.Manager, w http.ResponseWriter, req *http.Request, id string, from uint64) {
@@ -281,10 +287,7 @@ func servePoll(mgr *standing.Manager, w http.ResponseWriter, req *http.Request, 
 			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("collab: bad wait_ms %q", v))
 			return
 		}
-		wait = time.Duration(ms) * time.Millisecond
-	}
-	if wait > maxPollWait {
-		wait = maxPollWait
+		wait = pollWait(ms)
 	}
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()

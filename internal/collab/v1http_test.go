@@ -114,7 +114,7 @@ func TestBareRoutesAreNotServed(t *testing.T) {
 }
 
 // faultyStore is a store whose reads below the resident indexes fail: the
-// log scan PQL's leaf tables run on, and the closure traversal.
+// log and row scans PQL's leaf tables run on, and the closure traversal.
 type faultyStore struct {
 	store.Store
 }
@@ -122,6 +122,7 @@ type faultyStore struct {
 var errDisk = errors.New("read provlog.jsonl: input/output error")
 
 func (faultyStore) ScanLogs(int, func(*provenance.RunLog) error) error { return errDisk }
+func (faultyStore) ScanRows(func(*store.RunRows) error) error          { return errDisk }
 func (faultyStore) Closure(string, store.Direction) ([]string, error)  { return nil, errDisk }
 
 // TestV1ErrorClasses: a query the client got wrong is 400, an entity the

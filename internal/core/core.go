@@ -24,7 +24,6 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/query/datalog"
 	"repro/internal/query/pql"
-	"repro/internal/query/scan"
 	"repro/internal/store"
 	"repro/internal/store/closurecache"
 	"repro/internal/store/shardedstore"
@@ -225,7 +224,7 @@ func (s *System) InvalidatedArtifacts(entityID string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	ents, err := store.Entities(scan.Unwrap(s.Store), deps)
+	ents, err := s.Store.Entities(deps)
 	if err != nil {
 		return nil, err
 	}

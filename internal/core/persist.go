@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/provenance"
-	"repro/internal/query/scan"
 	"repro/internal/store"
 	"repro/internal/store/closurecache"
 	"repro/internal/store/replica"
@@ -163,7 +162,7 @@ func seedIDCounter(st store.Store) error {
 			max = n
 		}
 	}
-	err := scan.Logs(st, func(l *provenance.RunLog) error {
+	err := st.ScanLogs(0, func(l *provenance.RunLog) error {
 		consider(l.Run.ID)
 		for _, e := range l.Executions {
 			consider(e.ID)
@@ -184,9 +183,4 @@ func seedIDCounter(st store.Store) error {
 // layered) to stable storage so the next open replays only the log suffix
 // and serves warm closures immediately. A no-op on stores with nothing to
 // checkpoint (pure in-memory systems).
-func (s *System) Checkpoint() error {
-	if ck, ok := s.Store.(store.Checkpointer); ok {
-		return ck.Checkpoint()
-	}
-	return nil
-}
+func (s *System) Checkpoint() error { return s.Store.Checkpoint() }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/provenance"
-	"repro/internal/query/scan"
 	"repro/internal/store"
 )
 
@@ -22,7 +21,7 @@ import (
 //	partOfRun(Entity, Run)      entity belongs to run
 //	agent(Run, Agent)           run executed on behalf of agent
 func LoadStore(p *Program, s store.Store) error {
-	return store.ScanRows(scan.Unwrap(s), func(r *store.RunRows) error {
+	return s.ScanRows(func(r *store.RunRows) error {
 		return rowFacts(r, p.AddFact)
 	})
 }

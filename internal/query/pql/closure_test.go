@@ -80,9 +80,13 @@ func TestClosureResultReadsEachOwningRunOnce(t *testing.T) {
 		// the RunID of the record every backend returns for it.
 		owners := map[string]bool{}
 		for _, row := range want.Rows {
-			if a, err := ref.Artifact(row[0]); err == nil {
+			ents, err := ref.Entities([]string{row[0]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := ents[0].Artifact; a != nil {
 				owners[a.RunID] = true
-			} else if e, err := ref.Execution(row[0]); err == nil {
+			} else if e := ents[0].Execution; e != nil {
 				owners[e.RunID] = true
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/query/scan"
 	"repro/internal/store"
 )
 
@@ -90,11 +89,10 @@ func Execute(s store.Store, q *Query) (*Result, error) {
 }
 
 // closureResult renders a closure's members with their kind and detail.
-// Entity records are immutable, so they are fetched in one batch from the
-// store beneath any wrappers: a log-backed store reads each owning run
-// once, however many members it holds.
+// Entity records are fetched in one batch: a log-backed store reads each
+// owning run once, however many members it holds.
 func closureResult(s store.Store, ids []string) (*Result, error) {
-	ents, err := store.Entities(scan.Unwrap(s), ids)
+	ents, err := s.Entities(ids)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/provenance"
-	"repro/internal/query/scan"
 	"repro/internal/store"
 )
 
@@ -256,7 +255,7 @@ func scanTable(s store.Store, table string, schema []string) ([]map[string]strin
 		}
 		rows = append(rows, row)
 	}
-	err := scan.Logs(s, func(l *provenance.RunLog) error {
+	err := s.ScanLogs(0, func(l *provenance.RunLog) error {
 		switch table {
 		case "runs":
 			add(l.Run.ID, l.Run.WorkflowID, l.Run.WorkflowHash, l.Run.Agent, string(l.Run.Status))

@@ -1,13 +1,10 @@
 // Package scan streams runs out of any provenance store for the query
-// engines' leaf table scans. It peels layering wrappers (closure cache,
-// standing-query tap, tracing shims) off the store and iterates what is
-// underneath: as rows through store.ScanRows (a file store's row image,
-// one such stream per shard in parallel on a sharded router, flattened
-// logs on the resident backends), or as decoded logs through
-// store.ScanLogs (one sequential pass over a file store's log, one per
-// shard on a router). A router merges its shards' streams into its global
-// accepted order, so results are deterministic and identical to a
-// sequential scan.
+// engines' leaf table scans and reports how many shards a scan ran side
+// by side. Every store scans itself (Store.ScanLogs, Store.ScanRows):
+// a file store from its log or its row image, a sharded router one such
+// stream per shard in parallel, merged into its global accepted order, so
+// results are deterministic and identical to a sequential scan; wrappers
+// inherit the scan of the store they wrap.
 package scan
 
 import (
@@ -18,33 +15,23 @@ import (
 // Unwrap is store.Unwrap.
 func Unwrap(s store.Store) store.Store { return store.Unwrap(s) }
 
-// Logs invokes fn once per stored run log, in the store's global insertion
-// order. fn must not modify the log (a resident backend hands out its own
-// copy). On a sharded router the per-shard scans run concurrently
-// (ShardedLogs reports how many); the emit order is still the global one.
-// Iteration stops at fn's first error.
-func Logs(s store.Store, fn func(*provenance.RunLog) error) error {
-	return store.ScanLogs(Unwrap(s), 0, fn)
-}
-
-// ShardedLogs is Logs plus a report of how many shards were scanned in
-// parallel (0 for an unsharded store) — the explain surfaces print it.
+// ShardedLogs is s.ScanLogs from the first run plus a report of how many
+// shards were scanned in parallel (0 for an unsharded store) — the explain
+// surfaces print it. fn must not modify the log.
 func ShardedLogs(s store.Store, fn func(*provenance.RunLog) error) (shards int, err error) {
-	base := Unwrap(s)
-	return parallelShards(base), store.ScanLogs(base, 0, fn)
+	return parallelShards(s), s.ScanLogs(0, fn)
 }
 
-// ShardedRows is ShardedLogs over store.ScanRows: fn sees each run's rows,
+// ShardedRows is ShardedLogs over s.ScanRows: fn sees each run's rows,
 // valid until it returns, in the store's global insertion order.
 func ShardedRows(s store.Store, fn func(*store.RunRows) error) (shards int, err error) {
-	base := Unwrap(s)
-	return parallelShards(base), store.ScanRows(base, fn)
+	return parallelShards(s), s.ScanRows(fn)
 }
 
-// parallelShards is how many shards a scan of base runs side by side: 0
-// for an unsharded store.
-func parallelShards(base store.Store) int {
-	if r, ok := base.(interface{ NumShards() int }); ok && r.NumShards() > 1 {
+// parallelShards is how many shards a scan of s runs side by side: 0 for
+// an unsharded store.
+func parallelShards(s store.Store) int {
+	if r, ok := Unwrap(s).(interface{ NumShards() int }); ok && r.NumShards() > 1 {
 		return r.NumShards()
 	}
 	return 0

@@ -137,8 +137,8 @@ func runAtATime(t *testing.T, s store.Store) []*provenance.RunLog {
 // TestFileBackedScanMatchesRunAtATime is the scan's differential test over
 // log-backed stores: on a single file store and on a 4-shard file-backed
 // router (through a cache wrapper, and again after a reopen rebuilt the
-// router from its shard logs), scan.Logs yields exactly the sequence
-// Runs()+RunLog(id) yields, and store.ScanLogs from any run count yields
+// router from its shard logs), ScanLogs yields exactly the sequence
+// Runs()+RunLog(id) yields, and ScanLogs from any run count yields
 // its tail.
 func TestFileBackedScanMatchesRunAtATime(t *testing.T) {
 	single, err := store.OpenFileStore(t.TempDir())
@@ -166,15 +166,15 @@ func TestFileBackedScanMatchesRunAtATime(t *testing.T) {
 			t.Fatalf("%s: %d runs stored, want %d", label, len(want), n)
 		}
 		var got []*provenance.RunLog
-		if err := scan.Logs(s, func(l *provenance.RunLog) error { got = append(got, l); return nil }); err != nil {
+		if err := s.ScanLogs(0, func(l *provenance.RunLog) error { got = append(got, l); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: scan.Logs differs from run-at-a-time (%d vs %d logs)", label, len(got), len(want))
+			t.Fatalf("%s: ScanLogs differs from run-at-a-time (%d vs %d logs)", label, len(got), len(want))
 		}
 		for _, skip := range []int{1, n / 2, n - 1, n} {
 			var tail []*provenance.RunLog
-			err := store.ScanLogs(scan.Unwrap(s), skip, func(l *provenance.RunLog) error { tail = append(tail, l); return nil })
+			err := s.ScanLogs(skip, func(l *provenance.RunLog) error { tail = append(tail, l); return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestShardedScanDuringIngest(t *testing.T) {
 	var scans [][]string
 	for len(scans) < 15 {
 		var ids []string
-		if err := scan.Logs(router, func(l *provenance.RunLog) error { ids = append(ids, l.Run.ID); return nil }); err != nil {
+		if err := router.ScanLogs(0, func(l *provenance.RunLog) error { ids = append(ids, l.Run.ID); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		scans = append(scans, ids)
@@ -261,7 +261,7 @@ func TestShardedScanDuringIngest(t *testing.T) {
 		}
 	}
 	var quiet []string
-	if err := scan.Logs(router, func(l *provenance.RunLog) error { quiet = append(quiet, l.Run.ID); return nil }); err != nil {
+	if err := router.ScanLogs(0, func(l *provenance.RunLog) error { quiet = append(quiet, l.Run.ID); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(quiet, final) {

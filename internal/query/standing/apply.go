@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/provenance"
-	"repro/internal/query/scan"
 	"repro/internal/store"
 	"repro/internal/store/closurecache"
 )
@@ -38,7 +37,7 @@ func (m *Manager) ApplyDelta(l *provenance.RunLog) {
 // decodes the logs rather than reading a file store's row image, which it
 // would otherwise build at subscribe time (store.TriplesOf).
 func (m *Manager) tripleSnapshotLocked(s *sub) error {
-	return scan.Logs(m.st, func(l *provenance.RunLog) error {
+	return m.st.ScanLogs(0, func(l *provenance.RunLog) error {
 		for _, t := range store.TriplesOf(l) {
 			if matchTriple(s.spec.Pattern, t) {
 				s.set[TripleItem(t)] = struct{}{}

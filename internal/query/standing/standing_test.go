@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/provenance"
 	"repro/internal/query/datalog"
-	"repro/internal/query/scan"
 	"repro/internal/store"
 	"repro/internal/store/shardedstore"
 )
@@ -91,7 +90,7 @@ func requery(t *testing.T, st store.Store, spec Spec) []string {
 		return order
 	case KindTriple:
 		set := map[string]struct{}{}
-		err := scan.Logs(st, func(l *provenance.RunLog) error {
+		err := st.ScanLogs(0, func(l *provenance.RunLog) error {
 			for _, tr := range store.TriplesOf(l) {
 				if matchTriple(spec.Pattern, tr) {
 					set[TripleItem(tr)] = struct{}{}

@@ -16,8 +16,6 @@ type Tap struct {
 	m           *Manager
 }
 
-var _ store.Checkpointer = (*Tap)(nil)
-
 // NewTap wraps s. The manager should have been built over the same s (or
 // an outer wrapper of it), so its delta BFS sees every committed edge.
 func NewTap(s store.Store, m *Manager) *Tap { return &Tap{Store: s, m: m} }
@@ -36,14 +34,5 @@ func (t *Tap) PutRunLog(l *provenance.RunLog) error {
 		return err
 	}
 	t.m.ApplyDelta(l)
-	return nil
-}
-
-// Checkpoint forwards to the wrapped store's checkpointer when it has
-// one; a memory-backed stack has nothing to checkpoint.
-func (t *Tap) Checkpoint() error {
-	if ck, ok := t.Store.(store.Checkpointer); ok {
-		return ck.Checkpoint()
-	}
 	return nil
 }

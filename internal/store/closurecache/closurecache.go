@@ -201,7 +201,6 @@ type Cache struct {
 }
 
 var _ store.Store = (*Cache)(nil)
-var _ store.Checkpointer = (*Cache)(nil)
 
 // New wraps s. The cache starts cold unless Options.SnapshotDir names a
 // directory holding a snapshot of a previous process's closures, in which

@@ -234,15 +234,13 @@ func (a *appliedRuns) advance(runs []string) int {
 // SnapshotPath returns the file a cache with SnapshotDir dir persists to.
 func SnapshotPath(dir string) string { return filepath.Join(dir, snapshotFileName) }
 
-// Checkpoint implements store.Checkpointer: it checkpoints the wrapped
-// store first (when it can), then snapshots the cache's closures and
-// generation counter next to the log. With no SnapshotDir configured only
-// the store checkpoint happens.
+// Checkpoint implements store.Store: it checkpoints the wrapped store
+// first, then snapshots the cache's closures and generation counter next
+// to the log. With no SnapshotDir configured only the store checkpoint
+// happens.
 func (c *Cache) Checkpoint() error {
-	if ck, ok := c.Store.(store.Checkpointer); ok {
-		if err := ck.Checkpoint(); err != nil {
-			return err
-		}
+	if err := c.Store.Checkpoint(); err != nil {
+		return err
 	}
 	if c.opt.SnapshotDir == "" {
 		return nil
@@ -323,7 +321,7 @@ func (c *Cache) loadSnapshot() {
 	// so the prefix it covers is never read. A run the scan finds past
 	// the list read above reached the store meanwhile; it is applied now.
 	at := snap.RunCount
-	err = store.ScanLogs(store.Unwrap(c.Store), snap.RunCount, func(l *provenance.RunLog) error {
+	err = c.Store.ScanLogs(snap.RunCount, func(l *provenance.RunLog) error {
 		c.applyDeltaLocked(l)
 		c.generation++
 		if at++; at > len(runs) {

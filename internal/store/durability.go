@@ -80,10 +80,13 @@ type FileOptions struct {
 	GroupFlushDelay time.Duration
 }
 
-// Checkpointer is implemented by stores that can snapshot their folded
-// state next to their log so a reopen replays only the log suffix: the
-// file store, the sharded router (per-shard checkpoints plus a manifest
-// record), and the closure cache (which also persists its entries).
+// Checkpointer is the checkpoint method of every Store: snapshot folded
+// state next to the log so a reopen replays only the log suffix. FileStore
+// writes its entity table; the sharded router checkpoints its file shards
+// and writes a manifest record; the closure cache checkpoints the store it
+// wraps, then persists its own entries; MemStore, RelStore and TripleStore
+// have no log, and theirs is a no-op. The standing-query tap and the
+// router's trace shim inherit the checkpoint of the store they wrap.
 type Checkpointer interface {
 	// Checkpoint writes a consistent snapshot to stable storage. It is
 	// safe to call concurrently with reads and ingests; ingests admitted

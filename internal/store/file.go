@@ -24,7 +24,7 @@ var (
 	mStoreIngestSeconds = obs.Default().Histogram("prov_store_ingest_seconds", "FileStore PutRunLog latency: validate, append, index fold.")
 	mStoreClosureSecs   = obs.Default().Histogram("prov_store_closure_seconds", "FileStore transitive-closure latency on the resident entity table.")
 	mStoreExpandSecs    = obs.Default().Histogram("prov_store_expand_seconds", "FileStore one-hop Expand latency.")
-	mStoreLoadSeconds   = obs.Default().Histogram("prov_store_runlog_load_seconds", "FileStore single-record load latency: positional read plus record decode (RunLog, Artifact, Execution, Entities).")
+	mStoreLoadSeconds   = obs.Default().Histogram("prov_store_runlog_load_seconds", "FileStore single-record load latency: positional read plus record decode (RunLog, Entities).")
 	mStoreScanRecords   = obs.Default().Counter("prov_store_scan_records_total", "Run-log records decoded by FileStore sequential scans.")
 	mStoreScanBytes     = obs.Default().Counter("prov_store_scan_bytes_total", "Log bytes read by FileStore sequential scans.")
 	mStoreRecovered     = obs.Default().Counter("prov_store_recovered_records_total", "Run-log records decoded by FileStore open-time recovery (the log suffix past the checkpoint, or the whole log without one).")
@@ -43,17 +43,17 @@ var (
 // of allocations.
 //
 // Full-entity and run-log retrieval read the owning record from disk
-// through one read path. A single record (RunLog, Artifact, Execution,
-// Entities) is a positional read of about the record's own length followed
-// by one JSON decode; a whole-store pass (ScanLogs) streams the committed
-// prefix [0, size) through one buffer sized to the data, decoding record
-// by record. Both hold the store lock only to look up the record offset
-// and the fold watermark: bytes below the watermark are immutable (appends
-// land above it, and a failed WAL batch truncates only above it), so the
-// read, the decode and any caller-supplied callback run outside the lock
-// and never stall an ingest fold. A decoded record is not retained: the
-// cost of retrieval is the decode (decodeRecord, 3–8 µs per KB of record),
-// not the I/O around it.
+// through one read path. A single record (RunLog, or an owning run of an
+// Entities batch) is a positional read of about the record's own length
+// followed by one JSON decode; a whole-store pass (ScanLogs) streams the
+// committed prefix [0, size) through one buffer sized to the data,
+// decoding record by record. Both hold the store lock only to look up the
+// record offset and the fold watermark: bytes below the watermark are
+// immutable (appends land above it, and a failed WAL batch truncates only
+// above it), so the read, the decode and any caller-supplied callback run
+// outside the lock and never stall an ingest fold. A decoded record is not
+// retained: the cost of retrieval is the decode (decodeRecord, 3–8 µs per
+// KB of record), not the I/O around it.
 //
 // Relational scans (ScanRows: PQL, Datalog and QBE leaf scans) read a
 // row image instead (rowimage.go): the flattening (Rows) of the committed
@@ -80,7 +80,7 @@ var (
 // written in an earlier format (fileCheckpointVersion) — is no checkpoint:
 // the open falls back to the full scan and the next Checkpoint overwrites
 // it. The pre-checkpoint prefix is never read at open — only index recovery
-// is prefix-free; full-record retrieval (RunLog/Artifact/Execution) still
+// is prefix-free; full-record retrieval (RunLog, Entities) still
 // reads the owning record's bytes, so archiving the prefix sacrifices
 // retrieval of those runs while navigation and closures stay fully served.
 // That recovery is the only decoding an open does, under a sharded router
@@ -285,11 +285,7 @@ func (s *FileStore) index(l *provenance.RunLog, offset int64) {
 }
 
 var _ Store = (*FileStore)(nil)
-var _ Checkpointer = (*FileStore)(nil)
 var _ LocalCloser = (*FileStore)(nil)
-var _ LogScanner = (*FileStore)(nil)
-var _ RowScanner = (*FileStore)(nil)
-var _ EntityBatcher = (*FileStore)(nil)
 
 // Name implements Store.
 func (s *FileStore) Name() string { return "file" }
@@ -395,7 +391,7 @@ func (s *FileStore) putRunLog(l *provenance.RunLog) error {
 	return nil
 }
 
-// Checkpoint implements Checkpointer. The watermark invariant makes any
+// Checkpoint implements Store. The watermark invariant makes any
 // instant a consistent snapshot point — every record below s.size is
 // folded — so the snapshot copies the state under a read lock (readers
 // proceed, writers wait only for the copy), then the log is fsynced up to
@@ -465,7 +461,7 @@ func (s *FileStore) loadAt(off, end int64) (*provenance.RunLog, error) {
 		}
 		buf = slices.Grow(buf, cap(buf))
 	}
-	// Every RunLog, Artifact, Execution and Entities call decodes here.
+	// Every RunLog and Entities call decodes here.
 	l, err := decodeRecord(buf)
 	if err != nil {
 		return nil, fmt.Errorf("store: decode record at offset %d: %w", off, err)
@@ -493,7 +489,7 @@ func (s *FileStore) Runs() ([]string, error) {
 	return append([]string(nil), s.order...), nil
 }
 
-// ScanLogs implements LogScanner: it snapshots the fold watermark, then
+// ScanLogs implements Store: it snapshots the fold watermark, then
 // streams the committed prefix from the skip-th record through one read
 // buffer, decoding record by record. The store lock is held only for the
 // snapshot, so a scan (or a caller parked in fn) never delays an ingest;
@@ -562,45 +558,6 @@ func (s *FileStore) scanRange(from, end int64, fn func(l *provenance.RunLog, nex
 	return nil
 }
 
-// Artifact implements Store. Full entity records live only in the log, so
-// this loads the owning run from disk.
-func (s *FileStore) Artifact(id string) (*provenance.Artifact, error) {
-	s.mu.RLock()
-	run, _ := s.tab.owners(id)
-	off, ok := s.runOffsetLocked(run)
-	end := s.size
-	s.mu.RUnlock()
-	if ok {
-		l, err := s.loadAt(off, end)
-		if err != nil {
-			return nil, err
-		}
-		if a := l.Artifact(id); a != nil {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: artifact %q", ErrNotFound, id)
-}
-
-// Execution implements Store.
-func (s *FileStore) Execution(id string) (*provenance.Execution, error) {
-	s.mu.RLock()
-	_, run := s.tab.owners(id)
-	off, ok := s.runOffsetLocked(run)
-	end := s.size
-	s.mu.RUnlock()
-	if ok {
-		l, err := s.loadAt(off, end)
-		if err != nil {
-			return nil, err
-		}
-		if e := l.Execution(id); e != nil {
-			return e, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: execution %q", ErrNotFound, id)
-}
-
 // EntityOwners calls fn once per ID in the resident entity table with the
 // runs that own it, as indexes into Runs(): the last run that declared it
 // as an artifact, the last that declared it as an execution, and the run
@@ -631,7 +588,7 @@ func (s *FileStore) runOffsetLocked(run int32) (int64, bool) {
 	return s.offsets[s.order[run]], true
 }
 
-// Entities implements EntityBatcher: every ID's kind and owning run
+// Entities implements Store: every ID's kind and owning run
 // resolve from the resident entity table under one lock hold, then each
 // distinct owning record is read and decoded once.
 func (s *FileStore) Entities(ids []string) ([]Entity, error) {

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/provenance"
 )
@@ -12,9 +10,7 @@ import (
 // reference implementation for the others, and the differential oracle of
 // the property tests and of provload.
 type MemStore struct {
-	mu        sync.RWMutex
-	logs      map[string]*provenance.RunLog
-	order     []string
+	runLogs
 	artifacts map[string]*provenance.Artifact
 	execs     map[string]*provenance.Execution
 	adj       adjacency
@@ -24,7 +20,6 @@ type MemStore struct {
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{
-		logs:      map[string]*provenance.RunLog{},
 		artifacts: map[string]*provenance.Artifact{},
 		execs:     map[string]*provenance.Execution{},
 		adj:       newAdjacency(),
@@ -39,68 +34,35 @@ func (s *MemStore) Name() string { return "mem" }
 
 // PutRunLog implements Store.
 func (s *MemStore) PutRunLog(l *provenance.RunLog) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.logs[l.Run.ID]; dup {
-		return fmt.Errorf("store: run %q already stored", l.Run.ID)
-	}
-	s.logs[l.Run.ID] = l
-	s.order = append(s.order, l.Run.ID)
-	for _, a := range l.Artifacts {
-		s.artifacts[a.ID] = a
-		s.bytes += int64(len(a.ID)+len(a.Type)+len(a.ContentHash)+len(a.Preview)) + 16
-	}
-	for _, e := range l.Executions {
-		s.execs[e.ID] = e
-		s.bytes += int64(len(e.ID)+len(e.ModuleID)+len(e.ModuleType)) + 48
-	}
-	s.adj.fold(l.Events)
-	s.bytes += int64(len(l.Events)) * 48
-	s.bytes += int64(len(l.Annotations)) * 64
-	return nil
+	return s.put(l, func() {
+		for _, a := range l.Artifacts {
+			s.artifacts[a.ID] = a
+			s.bytes += int64(len(a.ID)+len(a.Type)+len(a.ContentHash)+len(a.Preview)) + 16
+		}
+		for _, e := range l.Executions {
+			s.execs[e.ID] = e
+			s.bytes += int64(len(e.ID)+len(e.ModuleID)+len(e.ModuleType)) + 48
+		}
+		s.adj.fold(l.Events)
+		s.bytes += int64(len(l.Events)) * 48
+		s.bytes += int64(len(l.Annotations)) * 64
+	})
 }
 
-// RunLog implements Store.
-func (s *MemStore) RunLog(runID string) (*provenance.RunLog, error) {
+// Entities implements Store with one map lookup per ID under one read
+// lock.
+func (s *MemStore) Entities(ids []string) ([]Entity, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	l, ok := s.logs[runID]
-	if !ok {
-		return nil, fmt.Errorf("%w: run %q", ErrNotFound, runID)
+	out := make([]Entity, len(ids))
+	for i, id := range ids {
+		if a, ok := s.artifacts[id]; ok {
+			out[i].Artifact = a
+		} else {
+			out[i].Execution = s.execs[id]
+		}
 	}
-	return l, nil
-}
-
-// Runs implements Store.
-func (s *MemStore) Runs() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.order...), nil
-}
-
-// Artifact implements Store.
-func (s *MemStore) Artifact(id string) (*provenance.Artifact, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	a, ok := s.artifacts[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: artifact %q", ErrNotFound, id)
-	}
-	return a, nil
-}
-
-// Execution implements Store.
-func (s *MemStore) Execution(id string) (*provenance.Execution, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.execs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: execution %q", ErrNotFound, id)
-	}
-	return e, nil
+	return out, nil
 }
 
 // kindLocked classifies an ID for traversal; the caller holds at least a

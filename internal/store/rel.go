@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/provenance"
 	"repro/internal/relalg"
@@ -18,9 +17,7 @@ import (
 // Its tables are RowSchemas, filled from Rows; wallNanos and size are
 // int64 values.
 type RelStore struct {
-	mu    sync.RWMutex
-	logs  map[string]*provenance.RunLog
-	order []string
+	runLogs
 
 	runRows  [][]relalg.Val
 	execRows [][]relalg.Val
@@ -35,7 +32,7 @@ type RelStore struct {
 
 // NewRelStore returns an empty relational store.
 func NewRelStore() *RelStore {
-	return &RelStore{logs: map[string]*provenance.RunLog{}, tables: map[string]*relalg.Relation{}}
+	return &RelStore{tables: map[string]*relalg.Relation{}}
 }
 
 var _ Store = (*RelStore)(nil)
@@ -45,17 +42,12 @@ func (s *RelStore) Name() string { return "rel" }
 
 // PutRunLog implements Store.
 func (s *RelStore) PutRunLog(l *provenance.RunLog) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.logs[l.Run.ID]; dup {
-		return fmt.Errorf("store: run %q already stored", l.Run.ID)
-	}
-	s.logs[l.Run.ID] = l
-	s.order = append(s.order, l.Run.ID)
-	r := Rows(l)
+	return s.put(l, func() { s.fold(Rows(l)) })
+}
+
+// fold appends one run's rows to the base tables; the caller holds the
+// write lock.
+func (s *RelStore) fold(r *RunRows) {
 	s.runRows = append(s.runRows, []relalg.Val{r.Run.ID, r.Run.Workflow, r.Run.Hash, r.Run.Agent, r.Run.Status})
 	for _, e := range r.Executions {
 		s.execRows = append(s.execRows, []relalg.Val{e.ID, e.Run, e.Module, e.ModuleType, e.Status, e.WallNanos})
@@ -75,7 +67,6 @@ func (s *RelStore) PutRunLog(l *provenance.RunLog) error {
 		s.annRows = append(s.annRows, []relalg.Val{an.Subject, an.Key, an.Value, an.Author})
 	}
 	s.dirty = true
-	return nil
 }
 
 // Tables materializes (lazily, after writes) the current relational view.
@@ -119,65 +110,40 @@ func (s *RelStore) table(name string) *relalg.Relation {
 	return s.tables[name]
 }
 
-// RunLog implements Store.
-func (s *RelStore) RunLog(runID string) (*provenance.RunLog, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l, ok := s.logs[runID]
-	if !ok {
-		return nil, fmt.Errorf("%w: run %q", ErrNotFound, runID)
+// Entities implements Store with one selection per entity table,
+// artifacts ⋉ ids and executions ⋉ ids, the artifact row winning for an
+// ID in both. An ID declared by several runs answers with its last row.
+func (s *RelStore) Entities(ids []string) ([]Entity, error) {
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
 	}
-	return l, nil
-}
-
-// Runs implements Store.
-func (s *RelStore) Runs() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.order...), nil
-}
-
-// Artifact implements Store.
-func (s *RelStore) Artifact(id string) (*provenance.Artifact, error) {
-	arts := s.table("artifacts")
-	pred, err := relalg.Eq(arts, "id", id)
-	if err != nil {
-		return nil, err
+	in := func(vals []relalg.Val) bool { return want[vals[0].(string)] } // id is column 0 of both
+	arts := map[string]*provenance.Artifact{}
+	for _, t := range relalg.Select(s.table("artifacts"), in).Tuples {
+		v := t.Values
+		arts[v[0].(string)] = &provenance.Artifact{
+			ID: v[0].(string), RunID: v[1].(string), Type: v[2].(string),
+			ContentHash: v[3].(string), Size: v[4].(int64),
+		}
 	}
-	sel := relalg.Select(arts, pred)
-	if sel.Len() == 0 {
-		return nil, fmt.Errorf("%w: artifact %q", ErrNotFound, id)
+	execs := map[string]*provenance.Execution{}
+	for _, t := range relalg.Select(s.table("executions"), in).Tuples {
+		v := t.Values
+		execs[v[0].(string)] = &provenance.Execution{
+			ID: v[0].(string), RunID: v[1].(string), ModuleID: v[2].(string), ModuleType: v[3].(string),
+			Status: provenance.ExecStatus(v[4].(string)), WallNanos: v[5].(int64),
+		}
 	}
-	t := sel.Tuples[0]
-	return &provenance.Artifact{
-		ID:          t.Values[0].(string),
-		RunID:       t.Values[1].(string),
-		Type:        t.Values[2].(string),
-		ContentHash: t.Values[3].(string),
-		Size:        t.Values[4].(int64),
-	}, nil
-}
-
-// Execution implements Store.
-func (s *RelStore) Execution(id string) (*provenance.Execution, error) {
-	execs := s.table("executions")
-	pred, err := relalg.Eq(execs, "id", id)
-	if err != nil {
-		return nil, err
+	out := make([]Entity, len(ids))
+	for i, id := range ids {
+		if a := arts[id]; a != nil {
+			out[i].Artifact = a
+		} else {
+			out[i].Execution = execs[id]
+		}
 	}
-	sel := relalg.Select(execs, pred)
-	if sel.Len() == 0 {
-		return nil, fmt.Errorf("%w: execution %q", ErrNotFound, id)
-	}
-	t := sel.Tuples[0]
-	return &provenance.Execution{
-		ID:         t.Values[0].(string),
-		RunID:      t.Values[1].(string),
-		ModuleID:   t.Values[2].(string),
-		ModuleType: t.Values[3].(string),
-		Status:     provenance.ExecStatus(t.Values[4].(string)),
-		WallNanos:  t.Values[5].(int64),
-	}, nil
+	return out, nil
 }
 
 // Expand implements Store. One hop costs a fixed number of semijoin scans

@@ -56,7 +56,7 @@ type rowCols struct {
 	order []string // run index -> run ID
 }
 
-// ScanRows implements RowScanner from the row image: it catches the image
+// ScanRows implements Store from the row image: it catches the image
 // up to the fold watermark, then emits every run it covers without a lock
 // and without decoding a record. A run's fields are read in the order
 // addRowsLocked wrote them (composite literals evaluate left to right).

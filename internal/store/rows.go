@@ -93,29 +93,3 @@ func (r *RunRows) CopyTo(dst *RunRows) {
 	dst.Edges = append(dst.Edges[:0], r.Edges...)
 	dst.Annotations = append(dst.Annotations[:0], r.Annotations...)
 }
-
-// RowScanner is the optional capability of a backend that can stream its
-// runs already flattened (Rows) without decoding a record per run: the
-// file store from its row image, the sharded router by merging its
-// shards' streams. Like LogScanner it is resolved on the unwrapped store.
-type RowScanner interface {
-	// ScanRows invokes fn once per stored run, in Runs() order, with that
-	// run's rows. It covers the runs stored when the call began, and fn
-	// runs outside every store lock. The rows are valid only until fn
-	// returns; the scan stops at fn's first error.
-	ScanRows(fn func(*RunRows) error) error
-}
-
-// ScanRows is the one way to iterate a store's runs as rows: through the
-// backend's RowScanner when it has one, otherwise Rows over ScanLogs. The
-// rows handed to fn are valid only until it returns.
-func ScanRows(s Store, fn func(*RunRows) error) error {
-	if rs, ok := s.(RowScanner); ok {
-		return rs.ScanRows(fn)
-	}
-	var r RunRows
-	return ScanLogs(s, 0, func(l *provenance.RunLog) error {
-		r.fill(l)
-		return fn(&r)
-	})
-}

@@ -19,7 +19,7 @@ func sameRows(a, b *RunRows) bool {
 func scanRowsAll(t testing.TB, s Store) []*RunRows {
 	t.Helper()
 	var out []*RunRows
-	if err := ScanRows(s, func(r *RunRows) error {
+	if err := s.ScanRows(func(r *RunRows) error {
 		c := new(RunRows)
 		r.CopyTo(c)
 		out = append(out, c)
@@ -184,7 +184,7 @@ func TestFoldNotDelayedByParkedRowReader(t *testing.T) {
 	go func() {
 		err := s.PutRunLog(synthRun("run-3", []string{"c"}, []string{"d"}))
 		if err == nil {
-			_, err = s.Artifact("d")
+			err = hasArtifact(s, "d")
 		}
 		if err == nil {
 			_, err = s.RunLog("run-3")

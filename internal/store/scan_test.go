@@ -21,7 +21,7 @@ import (
 func scanAll(t testing.TB, s Store, skip int) []*provenance.RunLog {
 	t.Helper()
 	var out []*provenance.RunLog
-	if err := ScanLogs(s, skip, func(l *provenance.RunLog) error {
+	if err := s.ScanLogs(skip, func(l *provenance.RunLog) error {
 		out = append(out, l)
 		return nil
 	}); err != nil {
@@ -256,7 +256,7 @@ func TestFoldNotDelayedByParkedReader(t *testing.T) {
 	go func() {
 		err := s.PutRunLog(synthRun("run-1", []string{"a"}, []string{"b"}))
 		if err == nil {
-			_, err = s.Artifact("b")
+			err = hasArtifact(s, "b")
 		}
 		folded <- err
 	}()
@@ -331,14 +331,16 @@ func TestReadPathAllocationBounds(t *testing.T) {
 	t.Logf("record %d B: RunLog allocates %d B, scan %d B per record", record, perLoad, perScan/n)
 }
 
-// TestEntitiesReadsEachOwningRunOnce checks the batch fetch against the
-// per-ID calls and counts its record loads through the load histogram.
+// TestEntitiesReadsEachOwningRunOnce checks the batch fetch against a
+// MemStore holding the same runs and counts its record loads through the
+// load histogram.
 func TestEntitiesReadsEachOwningRunOnce(t *testing.T) {
 	s, err := OpenFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	ref := NewMemStore()
 	var ids []string
 	for r := 0; r < 3; r++ {
 		var outs []string
@@ -346,7 +348,11 @@ func TestEntitiesReadsEachOwningRunOnce(t *testing.T) {
 			outs = append(outs, fmt.Sprintf("art-%d-%d", r, a))
 		}
 		run := fmt.Sprintf("run-%d", r)
-		if err := s.PutRunLog(synthRun(run, nil, outs)); err != nil {
+		l := synthRun(run, nil, outs)
+		if err := s.PutRunLog(l); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.PutRunLog(l); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, outs...)
@@ -362,11 +368,10 @@ func TestEntitiesReadsEachOwningRunOnce(t *testing.T) {
 	if loads := mStoreLoadSeconds.Snapshot().Count - before; loads != 3 {
 		t.Fatalf("Entities over 3 owning runs made %d record loads", loads)
 	}
+	want, _ := ref.Entities(ids)
 	for i, id := range ids {
-		a, _ := s.Artifact(id)
-		e, _ := s.Execution(id)
-		if !reflect.DeepEqual(ents[i].Artifact, a) || !reflect.DeepEqual(ents[i].Execution, e) {
-			t.Fatalf("Entities[%s] = %+v, per-ID calls say artifact=%v execution=%v", id, ents[i], a, e)
+		if !reflect.DeepEqual(ents[i], want[i]) {
+			t.Fatalf("Entities[%s] = %+v, MemStore says %+v", id, ents[i], want[i])
 		}
 	}
 }

@@ -78,14 +78,14 @@ func putRuns(t *testing.T, s store.Store, from, to int) {
 func checkScanRows(t *testing.T, s store.Store, wantRuns int) {
 	t.Helper()
 	var want []*store.RunRows
-	if err := store.ScanLogs(s, 0, func(l *provenance.RunLog) error {
+	if err := s.ScanLogs(0, func(l *provenance.RunLog) error {
 		want = append(want, store.Rows(l))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var got []*store.RunRows
-	if err := store.ScanRows(s, func(r *store.RunRows) error {
+	if err := s.ScanRows(func(r *store.RunRows) error {
 		c := new(store.RunRows)
 		r.CopyTo(c)
 		got = append(got, c)

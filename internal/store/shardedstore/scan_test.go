@@ -70,9 +70,9 @@ func TestScanLogsFollowsAcceptedOrderAcrossInversions(t *testing.T) {
 	}
 }
 
-// TestEntitiesMatchesPerIDReads checks the router's batch fetch against
-// Artifact/Execution for every entity, over file-backed and resident
-// shards, including entities declared on several shards and unknown IDs.
+// TestEntitiesMatchesPerIDReads checks the router's batch fetch against a
+// MemStore holding the same runs, over file-backed and resident shards,
+// including entities declared on several shards and unknown IDs.
 func TestEntitiesMatchesPerIDReads(t *testing.T) {
 	file, err := OpenWith(t.TempDir(), 3, store.FileOptions{})
 	if err != nil {
@@ -81,28 +81,29 @@ func TestEntitiesMatchesPerIDReads(t *testing.T) {
 	defer file.Close()
 	logs := synthLogs(11, 30)
 	ids := append(entitiesOf(logs), "no-such-entity", logs[0].Run.ID)
+	ref := store.NewMemStore()
+	for _, l := range logs {
+		if err := ref.PutRunLog(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ref.Entities(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, r := range map[string]*Router{"file": file, "mem": NewMem(3)} {
 		for _, l := range logs {
 			if err := r.PutRunLog(l); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ents, err := store.Entities(r, ids)
+		ents, err := r.Entities(ids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, id := range ids {
-			a, aerr := r.Artifact(id)
-			e, eerr := r.Execution(id)
-			want := store.Entity{}
-			switch {
-			case aerr == nil:
-				want.Artifact = a
-			case eerr == nil:
-				want.Execution = e
-			}
-			if !reflect.DeepEqual(ents[i], want) {
-				t.Fatalf("%s: Entities[%s] = %+v, per-ID reads say %+v", name, id, ents[i], want)
+			if !reflect.DeepEqual(ents[i], want[i]) {
+				t.Fatalf("%s: Entities[%s] = %+v, MemStore says %+v", name, id, ents[i], want[i])
 			}
 		}
 	}

@@ -167,9 +167,6 @@ func (e routeEntry) allowed(dir store.Direction) uint64 {
 }
 
 var _ store.Store = (*Router)(nil)
-var _ store.Checkpointer = (*Router)(nil)
-var _ store.LogScanner = (*Router)(nil)
-var _ store.EntityBatcher = (*Router)(nil)
 
 // CheckShards rejects a shard count the router cannot serve.
 func CheckShards(n int) error {
@@ -394,7 +391,7 @@ func (r *Router) writeMeta() error {
 	return wal.SaveCheckpoint(filepath.Join(r.dir, metaFileName), meta)
 }
 
-// Checkpoint implements store.Checkpointer: every file shard checkpoints in
+// Checkpoint implements Store: every file shard checkpoints in
 // parallel (snapshot + log fsync each), then the meta record captures the
 // new checkpoint positions. Closure-cache layers above the router persist
 // their own snapshot on top of this. A memory router has nothing to
@@ -673,17 +670,6 @@ func (r *Router) Runs() ([]string, error) {
 	return append([]string(nil), r.order...), nil
 }
 
-// Artifact implements Store, served by the shard that most recently
-// declared the artifact — entity records are last-write-wins on every
-// single-store backend, and the router preserves that across shards.
-func (r *Router) Artifact(id string) (*provenance.Artifact, error) {
-	e := r.entry(id)
-	if e.arts == 0 {
-		return nil, fmt.Errorf("%w: artifact %q", store.ErrNotFound, id)
-	}
-	return r.shards[e.art].Artifact(id)
-}
-
 // entry reads one directory entry, the zero entry for an unknown ID.
 func (r *Router) entry(id string) routeEntry {
 	r.mu.RLock()
@@ -691,18 +677,10 @@ func (r *Router) entry(id string) routeEntry {
 	return r.entities[id]
 }
 
-// Execution implements Store, served by the latest declaring shard.
-func (r *Router) Execution(id string) (*provenance.Execution, error) {
-	e := r.entry(id)
-	if e.execs == 0 {
-		return nil, fmt.Errorf("%w: execution %q", store.ErrNotFound, id)
-	}
-	return r.shards[e.exec].Execution(id)
-}
-
-// Entities implements store.EntityBatcher: each ID routes to the shard
-// Artifact or Execution would ask (the latest declaring shard, artifact
-// classification first), and every shard answers its share in one batch.
+// Entities implements Store: each ID routes to the shard that most
+// recently declared it (artifact classification first), so entity records
+// stay last-write-wins across shards as on MemStore and FileStore,
+// and every shard answers its share in one batch.
 func (r *Router) Entities(ids []string) ([]store.Entity, error) {
 	perShard := make([][]int, len(r.shards)) // shard -> indexes into ids
 	r.mu.RLock()
@@ -724,7 +702,7 @@ func (r *Router) Entities(ids []string) ([]store.Entity, error) {
 		for j, i := range idx {
 			sub[j] = ids[i]
 		}
-		ents, err := store.Entities(r.shards[shard], sub)
+		ents, err := r.shards[shard].Entities(sub)
 		if err != nil {
 			return nil, err
 		}
@@ -737,7 +715,7 @@ func (r *Router) Entities(ids []string) ([]store.Entity, error) {
 
 // --- Store: whole-store scan -------------------------------------------------
 
-// ScanLogs implements store.LogScanner: the shards stream their logs in
+// ScanLogs implements Store: the shards stream their logs in
 // parallel and the merge emits them in the router's accepted order, the
 // order a run-at-a-time walk of Runs() would visit.
 func (r *Router) ScanLogs(skip int, fn func(*provenance.RunLog) error) error {
@@ -759,11 +737,11 @@ func (r *Router) ScanLogs(skip int, fn func(*provenance.RunLog) error) error {
 		}
 	}
 	return mergeRuns(r, order, func(shard int, emit func(*provenance.RunLog) error) error {
-		return store.ScanLogs(r.shards[shard], skips[shard], emit)
+		return r.shards[shard].ScanLogs(skips[shard], emit)
 	}, func(l *provenance.RunLog) string { return l.Run.ID }, fn)
 }
 
-// ScanRows implements store.RowScanner as ScanLogs does, over the shards'
+// ScanRows implements Store as ScanLogs does, over the shards'
 // row streams: each file shard emits from its row image, a MemStore shard
 // flattens its logs. Rows are copied into the merge, which may hold a
 // shard's rows until the accepted order reaches them; a copy goes back to
@@ -776,7 +754,7 @@ func (r *Router) ScanRows(fn func(*store.RunRows) error) error {
 		return nil
 	}
 	return mergeRuns(r, order, func(shard int, emit func(*store.RunRows) error) error {
-		return store.ScanRows(r.shards[shard], func(rows *store.RunRows) error {
+		return r.shards[shard].ScanRows(func(rows *store.RunRows) error {
 			c := rowsPool.Get().(*store.RunRows)
 			rows.CopyTo(c)
 			return emit(c)

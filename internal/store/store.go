@@ -14,7 +14,14 @@
 //     reopen.
 //
 // Query engines (package query) are written against the interface, so every
-// language runs on every backend.
+// language runs on every backend. Entity lookup (Entities), sequential
+// scans as logs (ScanLogs) or as rows (ScanRows) and Checkpoint are methods
+// every backend has: MemStore, RelStore and TripleStore share the scans and
+// a no-op Checkpoint through one embedded run-log helper and each looks
+// entities up its own way, FileStore serves them from its log, entity
+// table and row image, the sharded router (package shardedstore) scatters
+// them to its shards, and the wrappers (closure cache, standing-query
+// tap, the router's trace shim) inherit them by embedding.
 //
 // # Batch traversal
 //
@@ -87,6 +94,9 @@ type Stats struct {
 // Store persists and navigates retrospective provenance. Implementations
 // must be safe for concurrent readers with a single writer.
 type Store interface {
+	// Checkpoint snapshots folded state next to the log; a no-op on the
+	// resident backends.
+	Checkpointer
 	// PutRunLog persists a complete run log. Logs are immutable once
 	// stored; re-putting a run ID is an error.
 	PutRunLog(l *provenance.RunLog) error
@@ -94,9 +104,23 @@ type Store interface {
 	RunLog(runID string) (*provenance.RunLog, error)
 	// Runs lists stored run IDs in insertion order.
 	Runs() ([]string, error)
-	// Artifact and Execution retrieve single entities by ID.
-	Artifact(id string) (*provenance.Artifact, error)
-	Execution(id string) (*provenance.Execution, error)
+	// Entities returns the record of each ID, aligned with ids: the
+	// artifact or the execution it names (artifact classification wins
+	// for an ID stored as both, as in traversal), neither when unknown;
+	// an ID several runs declare answers with the latest declaration. A
+	// log-backed store reads and decodes each owning run once, however
+	// many of the IDs it holds.
+	Entities(ids []string) ([]Entity, error)
+	// ScanLogs invokes fn once per stored run log, in Runs() order,
+	// starting at the skip-th run. It covers the runs stored when the call
+	// began; runs ingested while it streams may or may not be seen. fn
+	// runs outside every store lock and must not modify the log; the scan
+	// stops at fn's first error.
+	ScanLogs(skip int, fn func(*provenance.RunLog) error) error
+	// ScanRows is ScanLogs from the first run with each log flattened
+	// (Rows): a file store emits from its row image without decoding a
+	// record per run. The rows are valid only until fn returns.
+	ScanRows(fn func(*RunRows) error) error
 	// Expand answers one BFS frontier in a single backend call: for every
 	// known entity in ids the result holds that entity's neighbors in the
 	// given direction (the generating execution or used artifacts going Up;

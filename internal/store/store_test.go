@@ -74,21 +74,20 @@ func TestConformance(t *testing.T) {
 			if err != nil || len(runs) != 1 || runs[0] != log.Run.ID {
 				t.Fatalf("Runs = %v, %v", runs, err)
 			}
-			// Entity lookups.
-			a, err := s.Artifact(imageArt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Type != workloads.TypeImage {
-				t.Fatalf("artifact type = %q", a.Type)
-			}
+			// Entity lookups; an unknown ID is neither kind.
 			renderExec := log.ExecutionForModule("render")
-			e, err := s.Execution(renderExec.ID)
+			ents, err := s.Entities([]string{imageArt, renderExec.ID, "nope"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.ModuleID != "render" {
-				t.Fatalf("execution module = %q", e.ModuleID)
+			if a := ents[0].Artifact; a == nil || a.Type != workloads.TypeImage {
+				t.Fatalf("artifact = %+v", ents[0])
+			}
+			if e := ents[1].Execution; e == nil || e.ModuleID != "render" {
+				t.Fatalf("execution = %+v", ents[1])
+			}
+			if ents[2] != (Entity{}) {
+				t.Fatalf("missing entity = %+v", ents[2])
 			}
 			// Navigation: one-ID Expand frontiers.
 			nav := func(id string, dir Direction) []string {
@@ -116,12 +115,6 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("grid generator (reader) = %v", gen)
 			}
 			// Not-found paths.
-			if _, err := s.Artifact("nope"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("missing artifact err = %v", err)
-			}
-			if _, err := s.Execution("nope"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("missing execution err = %v", err)
-			}
 			if _, err := s.RunLog("nope"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("missing run err = %v", err)
 			}
@@ -473,4 +466,14 @@ func TestPutInvalidLogRejected(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// hasArtifact reports, through a one-ID Entities call, whether id names a
+// stored artifact: nil if it does, ErrNotFound if not.
+func hasArtifact(s Store, id string) error {
+	ents, err := s.Entities([]string{id})
+	if err == nil && ents[0].Artifact == nil {
+		err = fmt.Errorf("%w: artifact %q", ErrNotFound, id)
+	}
+	return err
 }

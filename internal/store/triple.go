@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/provenance"
 )
@@ -36,9 +35,7 @@ const (
 // the Semantic-Web storage approach. It also serves as the data source for
 // the SPARQL-like query engine (package query/triplequery).
 type TripleStore struct {
-	mu    sync.RWMutex
-	logs  map[string]*provenance.RunLog
-	order []string
+	runLogs
 	spo   map[string]map[string][]string // s -> p -> objects
 	pos   map[string]map[string][]string // p -> o -> subjects
 	osp   map[string]map[string][]string // o -> s -> predicates
@@ -49,10 +46,9 @@ type TripleStore struct {
 // NewTripleStore returns an empty triple store.
 func NewTripleStore() *TripleStore {
 	return &TripleStore{
-		logs: map[string]*provenance.RunLog{},
-		spo:  map[string]map[string][]string{},
-		pos:  map[string]map[string][]string{},
-		osp:  map[string]map[string][]string{},
+		spo: map[string]map[string][]string{},
+		pos: map[string]map[string][]string{},
+		osp: map[string]map[string][]string{},
 	}
 }
 
@@ -129,20 +125,11 @@ func TriplesOf(l *provenance.RunLog) []Triple {
 
 // PutRunLog implements Store.
 func (s *TripleStore) PutRunLog(l *provenance.RunLog) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.logs[l.Run.ID]; dup {
-		return fmt.Errorf("store: run %q already stored", l.Run.ID)
-	}
-	s.logs[l.Run.ID] = l
-	s.order = append(s.order, l.Run.ID)
-	for _, t := range TriplesOf(l) {
-		s.insert(t)
-	}
-	return nil
+	return s.put(l, func() {
+		for _, t := range TriplesOf(l) {
+			s.insert(t)
+		}
+	})
 }
 
 // Match returns triples matching a pattern; empty strings are wildcards.
@@ -230,51 +217,35 @@ func SortTriples(ts []Triple) {
 	})
 }
 
-// RunLog implements Store.
-func (s *TripleStore) RunLog(runID string) (*provenance.RunLog, error) {
+// Entities implements Store with SPO probes under one read lock: an ID
+// typed Artifact answers with its artifact triples, else one typed
+// Execution with its execution triples, each field from the latest
+// declaration. The vocabulary holds no artifact size or execution wall
+// time, so those fields stay zero.
+func (s *TripleStore) Entities(ids []string) ([]Entity, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	l, ok := s.logs[runID]
-	if !ok {
-		return nil, fmt.Errorf("%w: run %q", ErrNotFound, runID)
+	out := make([]Entity, len(ids))
+	for i, id := range ids {
+		switch {
+		case hasObj(s.spo, id, PredType, "Artifact"):
+			out[i].Artifact = &provenance.Artifact{
+				ID:          id,
+				RunID:       lastObj(s.spo, id, PredPartOfRun),
+				ContentHash: lastObj(s.spo, id, PredHash),
+				Type:        lastObj(s.spo, id, PredArtType),
+			}
+		case hasObj(s.spo, id, PredType, "Execution"):
+			out[i].Execution = &provenance.Execution{
+				ID:         id,
+				RunID:      lastObj(s.spo, id, PredPartOfRun),
+				ModuleID:   lastObj(s.spo, id, PredModule),
+				ModuleType: lastObj(s.spo, id, PredModuleType),
+				Status:     provenance.ExecStatus(lastObj(s.spo, id, PredStatus)),
+			}
+		}
 	}
-	return l, nil
-}
-
-// Runs implements Store.
-func (s *TripleStore) Runs() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.order...), nil
-}
-
-// Artifact implements Store.
-func (s *TripleStore) Artifact(id string) (*provenance.Artifact, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !hasObj(s.spo, id, PredType, "Artifact") {
-		return nil, fmt.Errorf("%w: artifact %q", ErrNotFound, id)
-	}
-	a := &provenance.Artifact{ID: id}
-	a.RunID = firstObj(s.spo, id, PredPartOfRun)
-	a.ContentHash = firstObj(s.spo, id, PredHash)
-	a.Type = firstObj(s.spo, id, PredArtType)
-	return a, nil
-}
-
-// Execution implements Store.
-func (s *TripleStore) Execution(id string) (*provenance.Execution, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !hasObj(s.spo, id, PredType, "Execution") {
-		return nil, fmt.Errorf("%w: execution %q", ErrNotFound, id)
-	}
-	e := &provenance.Execution{ID: id}
-	e.RunID = firstObj(s.spo, id, PredPartOfRun)
-	e.ModuleID = firstObj(s.spo, id, PredModule)
-	e.ModuleType = firstObj(s.spo, id, PredModuleType)
-	e.Status = provenance.ExecStatus(firstObj(s.spo, id, PredStatus))
-	return e, nil
+	return out, nil
 }
 
 func hasObj(spo map[string]map[string][]string, s, p, o string) bool {
@@ -286,12 +257,14 @@ func hasObj(spo map[string]map[string][]string, s, p, o string) bool {
 	return false
 }
 
-func firstObj(spo map[string]map[string][]string, s, p string) string {
+// lastObj is the object of the last (s, p, ·) triple inserted: the value
+// the latest declaration of s gave p.
+func lastObj(spo map[string]map[string][]string, s, p string) string {
 	objs := spo[s][p]
 	if len(objs) == 0 {
 		return ""
 	}
-	return objs[0]
+	return objs[len(objs)-1]
 }
 
 // neighborsLocked resolves one entity's frontier neighbors with SPO/POS
