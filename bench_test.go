@@ -900,9 +900,12 @@ func BenchmarkE18Replication(b *testing.B) {
 	if err := f.CatchUp(); err != nil {
 		b.Fatal(err)
 	}
+	node, err := replica.NewNode("", api.RoleFollower, f)
+	if err != nil {
+		b.Fatal(err)
+	}
 	follower := httptest.NewServer(collab.NewHandlerWith(collab.NewRepository(f.Store()), collab.HandlerOptions{
-		ReadOnly: true,
-		Lag:      f.Lag,
+		Failover: node,
 		Status:   f.Status,
 	}))
 	defer follower.Close()

@@ -35,9 +35,15 @@
 // serves read-only queries — writes are rejected with a read_only_replica
 // error, and every response carries X-Replica-Applied / X-Replica-Lag
 // headers so clients can judge staleness. A follower's shard count comes
-// from the primary; -shards and -seed are rejected under -role follower.
-// Followers also serve /v1/replication/* from their own logs, so replicas
-// can chain.
+// from the primary; -shards and -seed are rejected under -role follower,
+// and so is every flag the chosen role would ignore: -primary,
+// -replica-poll and -max-lag without -role follower, -replicas without
+// -role primary. Followers also serve /v1/replication/* from their own
+// logs, so replicas can chain.
+//
+// core.OpenNode assembles the node for every role (store stack, standing
+// subscriptions, replication source and failover coordinator); this
+// command parses flags, seeds the community and serves HTTP.
 //
 // Failover: replicated roles carry a monotone fencing epoch
 // (persisted in DIR/replication-epoch.json and stamped on every
@@ -53,27 +59,15 @@
 // rotation, and -max-lag bounds read staleness: beyond it data reads
 // answer 503 replica_too_stale instead of arbitrarily stale results.
 //
-// With -cache the store is wrapped in the incrementally maintained closure
-// cache (internal/store/closurecache): /lineage and /dependents hit
-// memoized closures, /expand hits memoized frontiers, and each published
-// run patches the affected entries at ingest instead of flushing them. On
-// a follower the cache observes each replicated run (replica.Follower's
-// observer list) and applies the same delta path, so cached closures stay
-// warm as replicated runs fold.
-//
-// With -shards N the store is partitioned across N shards
-// (internal/store/shardedstore): a published run is placed whole on the
-// shard holding most of its inputs' generators (ingests on different shards
-// proceed under per-shard locking),
-// /expand scatter/gathers one frontier across the shards in parallel, and
-// /lineage and /dependents run the closure pushdown — each shard computes
-// its local fixpoint and only cross-shard frontiers are exchanged between
-// rounds. Combined with -store DIR the shards are file-backed under
-// DIR/shard-000…; a directory must be reopened with the shard count it was
-// written with (mismatches are rejected loudly). -cache wraps the sharded
-// router unchanged. -trace-rounds logs each pushdown closure's rounds
-// executed and per-round frontier sizes, so round-count regressions are
-// observable in production, not just in the bench.
+// With -cache the stack carries the incrementally maintained closure
+// cache (internal/store/closurecache): closure and /expand reads hit
+// memoized entries, which each published or replicated run patches in
+// place. With -shards N the store is partitioned across N shards
+// (internal/store/shardedstore; file-backed under DIR/shard-000… with
+// -store DIR, which must be reopened with the shard count it was written
+// with), and -trace-rounds logs each pushdown closure's rounds and
+// per-round frontier sizes. README's "Closure cache" and "Sharded store"
+// sections describe both layers.
 //
 // With -store DIR, -durability selects the ingest guarantee — none,
 // fsync (one fsync per published run) or group (write-ahead group commit:
@@ -114,7 +108,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -124,14 +117,12 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"repro/internal/collab"
 	"repro/internal/collab/api"
 	"repro/internal/core"
-	"repro/internal/query/standing"
 	"repro/internal/store"
-	"repro/internal/store/closurecache"
-	"repro/internal/store/replica"
 	"repro/internal/store/shardedstore"
 )
 
@@ -166,7 +157,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("provd: %v", err)
 	}
+	if *role == api.RoleFollower && *seed != 0 {
+		log.Fatalf("provd: -seed writes to the store; a follower is read-only (seed the primary instead)")
+	}
 	opts := core.Options{
+		Role:               *role,
 		StoreDir:           *storeDir,
 		Shards:             *shards,
 		Durability:         dur,
@@ -176,37 +171,36 @@ func main() {
 		EnableClosureCache: *cache,
 		Primary:            *primary,
 		ReplicaPoll:        *replicaPoll,
+		MaxLagBytes:        *maxLag,
+		Replicas:           strings.FieldsFunc(*replicas, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }),
 	}
-	if err := opts.ValidatePersistence(); err != nil {
-		log.Fatalf("provd: %v", err)
-	}
-	var trace func(shardedstore.ClosureTrace)
 	if *traceRounds {
-		trace = func(t shardedstore.ClosureTrace) {
+		opts.TraceRounds = func(t shardedstore.ClosureTrace) {
 			log.Printf("provd: closure(%s, %s): %d rounds, %d cross-shard crossings, %d nodes, per-round frontier sizes %v",
 				t.Seed, t.Dir, t.Rounds, t.Crossings, t.Nodes, t.Probes)
 		}
 	}
-	opts.TraceRounds = trace
-
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
+	node, err := core.OpenNode(opts)
+	if err != nil {
+		log.Fatalf("provd: %v", err)
+	}
+	defer node.Close()
+	if node.Cache != nil && node.Cache.Metrics().Restored > 0 {
+		log.Printf("provd: restored %d warm closures from snapshot", node.Cache.Metrics().Restored)
+	}
+	switch {
+	case node.Follower != nil:
+		applied, behind := node.Follower.Lag()
+		log.Printf("provd: follower of %s at %d applied bytes (%d behind), epoch %d", *primary, applied, behind, node.Failover.Epoch())
+	case node.Source != nil:
+		log.Printf("provd: primary shipping %d shard log(s) at epoch %d; probing %d replica(s)", node.Source.Shards(), node.Failover.Epoch(), len(opts.Replicas))
+	}
 
-	var hopts collab.HandlerOptions
-	hopts.SlowRequest = *slowQuery
+	hopts := collab.HandlerOptions{SlowRequest: *slowQuery, Node: collab.NodeInfo{Start: start}}
 	if *logRequests {
 		hopts.RequestLog = logger
-	}
-	hopts.Node = collab.NodeInfo{
-		Role:   *role,
-		Shards: *shards,
-		Cache:  *cache,
-		Start:  start,
-	}
-	if *storeDir != "" {
-		hopts.Node.StoreDir = *storeDir
-		hopts.Node.Durability = dur.String()
-		hopts.Node.Checkpoint = checkpointPolicy(*ckptEvery, *ckptInterval, *ckptBytes)
 	}
 	if *explain {
 		hopts.ExplainQueries = func(query, report string) {
@@ -214,123 +208,7 @@ func main() {
 		}
 	}
 
-	var st store.Store
-	switch *role {
-	case api.RoleFollower:
-		if *storeDir == "" {
-			log.Fatalf("provd: -role follower requires -store DIR (the replica's local log)")
-		}
-		if *primary == "" {
-			log.Fatalf("provd: -role follower requires -primary URL")
-		}
-		if *seed != 0 {
-			log.Fatalf("provd: -seed writes to the store; a follower is read-only (seed the primary instead)")
-		}
-		if *shards != 1 {
-			log.Fatalf("provd: a follower inherits its shard count from the primary; drop -shards")
-		}
-		fst, f, cleanup, err := core.OpenFollowerStore(opts)
-		if err != nil {
-			log.Fatalf("provd: open follower: %v", err)
-		}
-		defer cleanup()
-		node, err := replica.NewNode(*storeDir, api.RoleFollower, f)
-		if err != nil {
-			log.Fatalf("provd: open follower: %v", err)
-		}
-		// Followers host standing subscriptions too: the manager observes
-		// each shipped run after the closure cache core may have registered
-		// (observers run in registration order). The tap covers the
-		// other write path — local publishes after a promotion — which is
-		// disjoint from replication apply, so no run is counted twice.
-		mgr := standing.NewManager(fst, standing.Options{})
-		f.Observe(mgr.ApplyDelta)
-		st = standing.NewTap(fst, mgr)
-		hopts.Standing = mgr
-		hopts.ReadOnly = true
-		hopts.Lag = f.Lag
-		hopts.Failover = node
-		hopts.MaxLagBytes = *maxLag
-		// Followers re-ship their own logs, so replicas can chain off a
-		// replica instead of all tailing the primary — and a promoted
-		// follower ships its log as the new primary through the same source.
-		var fsrc *replica.Source
-		if s, err := replica.NewSource(fst); err == nil {
-			fsrc, hopts.Source = s, s
-		}
-		hopts.Status = func() api.ReplicationStatus {
-			var rs api.ReplicationStatus
-			if node.Role() == api.RoleFollower || fsrc == nil {
-				rs = f.Status()
-			} else {
-				rs = fsrc.Status(nil, nil)
-			}
-			rs.Epoch, rs.Fenced = node.Epoch(), node.Fenced()
-			return rs
-		}
-		// A follower's real shard count comes from the primary, not -shards.
-		hopts.Node.Shards = len(f.Status().Shards)
-		applied, behind := f.Lag()
-		log.Printf("provd: follower of %s at %d applied bytes (%d behind), epoch %d", *primary, applied, behind, node.Epoch())
-
-	case api.RolePrimary, api.RoleStandalone:
-		switch {
-		case *storeDir != "":
-			persistent, closer, err := core.OpenPersistentStore(opts)
-			if err != nil {
-				log.Fatalf("provd: open store: %v", err)
-			}
-			defer closer()
-			st = persistent
-			if *cache {
-				if c, ok := st.(*closurecache.Cache); ok {
-					if m := c.Metrics(); m.Restored > 0 {
-						log.Printf("provd: restored %d warm closures from snapshot", m.Restored)
-					}
-				}
-			}
-		case *shards > 1:
-			st = shardedstore.NewMem(*shards).WithTrace(trace)
-		default:
-			st = store.NewMemStore()
-		}
-		if *cache && *storeDir == "" {
-			st = closurecache.Wrap(st)
-		}
-		if *role == api.RolePrimary {
-			src, err := replica.NewSource(st)
-			if err != nil {
-				log.Fatalf("provd: -role primary: %v", err)
-			}
-			node, err := replica.NewNode(*storeDir, api.RolePrimary, nil)
-			if err != nil {
-				log.Fatalf("provd: -role primary: %v", err)
-			}
-			replicaURLs := splitURLs(*replicas)
-			hopts.Source = src
-			hopts.Failover = node
-			hopts.Status = func() api.ReplicationStatus {
-				rs := src.Status(replicaURLs, func(u string) (*api.ReplicationStatus, error) {
-					return api.NewClient(u, probeClient).ReplicationStatus()
-				})
-				rs.Epoch, rs.Fenced = node.Epoch(), node.Fenced()
-				return rs
-			}
-			log.Printf("provd: primary shipping %d shard log(s) at epoch %d; probing %d replica(s)", src.Shards(), node.Epoch(), len(replicaURLs))
-		}
-		// Standing subscriptions tap the top of the store stack (above any
-		// closure cache), so every accepted publish folds into the live
-		// subscriptions after it commits. The replication source above
-		// reads the stack beneath the tap.
-		mgr := standing.NewManager(st, standing.Options{})
-		st = standing.NewTap(st, mgr)
-		hopts.Standing = mgr
-
-	default:
-		log.Fatalf("provd: unknown -role %q (want standalone, primary or follower)", *role)
-	}
-
-	repo := collab.NewRepository(st)
+	repo := collab.NewRepository(node.Store)
 	if *seed != 0 {
 		if _, err := collab.SynthesizeCommunity(repo, collab.CommunityOptions{
 			Seed: *seed, Users: *users, RunsEach: *runsEach,
@@ -340,7 +218,7 @@ func main() {
 		s := repo.Stat()
 		log.Printf("provd: synthesized %d workflows, %d runs, %d users", s.Workflows, s.Runs, s.Users)
 	}
-	var handler http.Handler = collab.NewHandlerWith(repo, hopts)
+	var handler http.Handler = collab.NewHandlerWith(repo, node.HandlerOptions(hopts))
 	if *pprofFlag {
 		// Compose pprof onto an outer mux instead of using the
 		// DefaultServeMux side-effect registration, so profiling is served
@@ -380,37 +258,4 @@ func main() {
 		}
 		log.Printf("provd: closing store")
 	}
-}
-
-// checkpointPolicy renders the auto-checkpoint flags as the human-readable
-// policy /v1/status reports.
-func checkpointPolicy(every int, interval time.Duration, bytes int64) string {
-	var parts []string
-	if every > 0 {
-		parts = append(parts, fmt.Sprintf("every %d runs", every))
-	}
-	if interval > 0 {
-		parts = append(parts, fmt.Sprintf("at most %s after a write", interval))
-	}
-	if bytes > 0 {
-		parts = append(parts, fmt.Sprintf("every %.1f MiB of log growth", float64(bytes)/(1<<20)))
-	}
-	if len(parts) == 0 {
-		return "disabled"
-	}
-	return strings.Join(parts, ", ")
-}
-
-// probeClient bounds primary->replica status probes so one dead replica
-// can't stall /v1/replication/status.
-var probeClient = &http.Client{Timeout: 2 * time.Second}
-
-func splitURLs(s string) []string {
-	var out []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
 }

@@ -22,7 +22,8 @@ type stubFailover struct {
 	fenced     bool
 	healthOK   bool
 	health     api.HealthResponse
-	lagOK      bool
+	applied    int64
+	behind     int64
 	promote    *api.PromoteResponse
 	promoteErr error
 }
@@ -81,17 +82,17 @@ func (s *stubFailover) Health(maxLag int64) (api.HealthResponse, bool) {
 	return h, s.healthOK
 }
 
-func (s *stubFailover) LagWithin(max int64) bool {
+func (s *stubFailover) Lag() (applied, behind int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lagOK
+	return s.applied, s.behind
 }
 
 // TestV1EpochFencing pins the fencing exchange: lower request epochs are
 // rejected with a stable code, higher ones are adopted (fencing the
 // primary), and every response carries the node's epoch.
 func TestV1EpochFencing(t *testing.T) {
-	fo := &stubFailover{role: api.RolePrimary, epoch: 5, healthOK: true, lagOK: true}
+	fo := &stubFailover{role: api.RolePrimary, epoch: 5, healthOK: true}
 	srv, _ := seededServer(t, HandlerOptions{Failover: fo})
 
 	send := func(epoch string) *http.Response {
@@ -157,7 +158,7 @@ func TestV1EpochFencing(t *testing.T) {
 // TestV1ClientEpochExchange pins the api.Client side: the client adopts
 // the epoch from every response and stamps it on every request.
 func TestV1ClientEpochExchange(t *testing.T) {
-	fo := &stubFailover{role: api.RolePrimary, epoch: 9, healthOK: true, lagOK: true}
+	fo := &stubFailover{role: api.RolePrimary, epoch: 9, healthOK: true}
 	srv, _ := seededServer(t, HandlerOptions{Failover: fo})
 	c := api.NewClient(srv.URL, nil)
 
@@ -185,12 +186,8 @@ func TestV1ClientEpochExchange(t *testing.T) {
 // TestV1FollowerMaxLag pins the staleness bound: past -max-lag, data
 // reads answer 503 replica_too_stale while operational routes stay up.
 func TestV1FollowerMaxLag(t *testing.T) {
-	fo := &stubFailover{role: api.RoleFollower, epoch: 2, healthOK: true, lagOK: false}
-	srv, _ := seededServer(t, HandlerOptions{
-		Failover:    fo,
-		MaxLagBytes: 50,
-		Lag:         func() (int64, int64) { return 1000, 100 },
-	})
+	fo := &stubFailover{role: api.RoleFollower, epoch: 2, healthOK: true, applied: 1000, behind: 100}
+	srv, _ := seededServer(t, HandlerOptions{Failover: fo, MaxLagBytes: 50})
 
 	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
@@ -243,12 +240,12 @@ func TestV1HealthEndpoint(t *testing.T) {
 	}
 
 	// A disconnected follower answers 503 with its replication state.
-	fo := &stubFailover{role: api.RoleFollower, epoch: 3, lagOK: true, healthOK: false,
+	fo := &stubFailover{role: api.RoleFollower, epoch: 3, behind: 4096, healthOK: false,
 		health: api.HealthResponse{
 			Status: api.HealthDisconnected, Role: api.RoleFollower, Epoch: 3,
 			Replication: &api.ReplicaHealth{State: api.HealthDisconnected, ConsecutiveFailures: 8, LagBytes: 4096},
 		}}
-	srv2, _ := seededServer(t, HandlerOptions{Failover: fo, Lag: func() (int64, int64) { return 0, 4096 }})
+	srv2, _ := seededServer(t, HandlerOptions{Failover: fo})
 	resp, err = http.Get(srv2.URL + "/v1/health")
 	if err != nil {
 		t.Fatal(err)
@@ -285,9 +282,9 @@ func TestV1PromoteEndpoint(t *testing.T) {
 	decodeEnvelope(t, resp, http.StatusNotFound, api.CodeUnavailable)
 
 	// A follower promotes through the read-only guard.
-	fo := &stubFailover{role: api.RoleFollower, epoch: 3, healthOK: true, lagOK: true,
+	fo := &stubFailover{role: api.RoleFollower, epoch: 3, healthOK: true, applied: 123,
 		promote: &api.PromoteResponse{Role: api.RolePrimary, Epoch: 4, AppliedBytes: 123, OldPrimaryFenced: true}}
-	srv2, _ := seededServer(t, HandlerOptions{Failover: fo, Lag: func() (int64, int64) { return 123, 0 }})
+	srv2, _ := seededServer(t, HandlerOptions{Failover: fo})
 
 	resp, err = http.Get(srv2.URL + "/v1/replication/promote")
 	if err != nil {
@@ -317,9 +314,9 @@ func TestV1PromoteEndpoint(t *testing.T) {
 	decodeEnvelope(t, wresp, http.StatusBadRequest, api.CodeBadRequest)
 
 	// Promotion conflicts keep their own status and code.
-	fo2 := &stubFailover{role: api.RoleFollower, epoch: 1, healthOK: true, lagOK: true,
+	fo2 := &stubFailover{role: api.RoleFollower, epoch: 1, healthOK: true,
 		promoteErr: &api.RemoteError{HTTPStatus: http.StatusConflict, Code: api.CodeConflict, Message: "already promoting"}}
-	srv3, _ := seededServer(t, HandlerOptions{Failover: fo2, Lag: func() (int64, int64) { return 0, 0 }})
+	srv3, _ := seededServer(t, HandlerOptions{Failover: fo2})
 	resp, err = http.Post(srv3.URL+"/v1/replication/promote", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -330,12 +327,12 @@ func TestV1PromoteEndpoint(t *testing.T) {
 // TestV1StatusReportsFailover pins /v1/status surfacing the live role,
 // epoch and replica state from the coordinator.
 func TestV1StatusReportsFailover(t *testing.T) {
-	fo := &stubFailover{role: api.RoleFollower, epoch: 6, healthOK: true, lagOK: true,
+	fo := &stubFailover{role: api.RoleFollower, epoch: 6, healthOK: true, applied: 1, behind: 77,
 		health: api.HealthResponse{
 			Status: "ok", Role: api.RoleFollower, Epoch: 6,
 			Replication: &api.ReplicaHealth{State: api.HealthDegraded, LagBytes: 77},
 		}}
-	srv, _ := seededServer(t, HandlerOptions{Failover: fo, Lag: func() (int64, int64) { return 1, 77 }})
+	srv, _ := seededServer(t, HandlerOptions{Failover: fo})
 
 	resp, err := http.Get(srv.URL + "/v1/status")
 	if err != nil {

@@ -58,16 +58,15 @@ import (
 //	GET  /v1/subscriptions/{id}/events  live delta stream (SSE; ?poll=1
 //	                                    long-polls) — see subscriptions.go
 //
-// Follower deployments (HandlerOptions.ReadOnly, or a Failover
-// coordinator reporting the follower role) reject non-GET traffic with
+// With a Failover coordinator every response carries
+// X-Replication-Epoch; requests from a lower epoch are rejected
+// 409/stale_epoch and a fenced primary rejects writes 403/fenced. While
+// the coordinator reports the follower role, non-GET traffic is rejected
 // 403/read_only_replica — except the /v1/subscriptions routes, which
-// mutate node-local serving state rather than the store, and the
-// promote route, a follower's escape hatch out of read-only — and stamp
-// every response with X-Replica-Applied and X-Replica-Lag so clients
-// can bound staleness. With a Failover coordinator, every response also
-// carries X-Replication-Epoch; requests from a lower epoch are rejected
-// 409/stale_epoch, a fenced primary rejects writes 403/fenced, and a
-// follower past its -max-lag bound answers data reads
+// mutate node-local serving state rather than the store, and the promote
+// route, a follower's escape hatch out of read-only — every response
+// carries X-Replica-Applied and X-Replica-Lag so clients can bound
+// staleness, and past its -max-lag bound data reads answer
 // 503/replica_too_stale.
 //
 // Every v1 route runs inside the observability middleware (obs.go): the
@@ -84,8 +83,8 @@ func NewHandler(repo *Repository) http.Handler {
 // consults: the node's live role (promotion changes it at runtime), its
 // fencing epoch, whether it fenced itself, and the epoch/promotion
 // operations. Implemented by replica.Node; nil means the node does not
-// participate in failover (standalone) and the static HandlerOptions
-// fields govern.
+// participate in failover (standalone): it is writable and stamps no
+// replication headers.
 type FailoverState interface {
 	// Role returns the node's current replication role (api.Role*).
 	Role() string
@@ -102,9 +101,10 @@ type FailoverState interface {
 	Promote(ctx context.Context) (*api.PromoteResponse, error)
 	// Health assembles the /v1/health body; ok=false answers 503.
 	Health(maxLag int64) (h api.HealthResponse, ok bool)
-	// LagWithin reports whether a follower's lag is within max bytes
-	// (true for non-followers or max <= 0) — the -max-lag read gate.
-	LagWithin(max int64) bool
+	// Lag returns a follower's total applied bytes and how far behind
+	// its primary it is — the X-Replica-Applied / X-Replica-Lag headers
+	// and the -max-lag read gate.
+	Lag() (applied, behind int64)
 }
 
 // ReplicationSource serves the primary side of log shipping: positional
@@ -123,6 +123,13 @@ type ReplicationSource interface {
 	Positions() []api.ShardPosition
 }
 
+// maxStreamBytes caps one /v1/replication/stream chunk whatever max the
+// client asks for — four times the follower's 1 MiB default — so one
+// request cannot make the node read its whole log into memory. A single
+// record larger than the cap still ships whole: the read grows past the
+// cap until the first record fits.
+const maxStreamBytes = 4 << 20
+
 // HandlerOptions tunes the HTTP face.
 type HandlerOptions struct {
 	// ExplainQueries, when set, receives each /query's executed-plan
@@ -135,17 +142,15 @@ type HandlerOptions struct {
 	// Status, when set, answers /v1/replication/status; nil reports a
 	// standalone node with no shards.
 	Status func() api.ReplicationStatus
-	// ReadOnly rejects every mutating request with 403 and code
-	// read_only_replica — the follower deployment, whose store has
-	// exactly one writer: the replication applier. When Failover is set
-	// it wins: the effective read-only state is "role is follower, or
-	// the node fenced itself", so promotion drops read-only at runtime.
-	ReadOnly bool
 	// Failover, when set, turns on epoch fencing and runtime role
 	// transitions: every response is stamped with X-Replication-Epoch,
 	// requests carrying a lower epoch are rejected 409/stale_epoch,
 	// higher epochs are adopted (fencing an unfenced primary), and
 	// /v1/health + POST /v1/replication/promote are served from it.
+	// While its role is follower the node is read-only — its store has
+	// exactly one writer, the replication applier — and every response
+	// carries the X-Replica-Applied / X-Replica-Lag headers; promotion
+	// drops both at runtime.
 	Failover FailoverState
 	// MaxLagBytes, when positive on a follower, bounds read staleness:
 	// data reads while the replication lag exceeds it answer
@@ -153,10 +158,6 @@ type HandlerOptions struct {
 	// stale results. Health, status, metrics, replication and
 	// subscription routes are exempt.
 	MaxLagBytes int64
-	// Lag, when set (followers), returns the node's total applied bytes
-	// and how far behind the primary it is; every response is stamped
-	// with the X-Replica-Applied / X-Replica-Lag headers.
-	Lag func() (applied, behind int64)
 	// Metrics is the registry the per-route middleware records into and
 	// /v1/metrics serves; nil uses obs.Default() (the registry every
 	// subsystem instruments), which is what provd wants — tests pass a
@@ -175,7 +176,7 @@ type HandlerOptions struct {
 	// under /v1/subscriptions (registration, listing, SSE event streams);
 	// nil answers those routes 503/unavailable. Followers serve it too —
 	// subscriptions are node-local serving state, not store writes, so the
-	// ReadOnly guard exempts the subscription routes.
+	// read-only guard exempts the subscription routes.
 	Standing *standing.Manager
 }
 
@@ -404,16 +405,21 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 		writeJSON(w, http.StatusOK, api.ReplicationStatus{Role: api.RoleStandalone})
 	})
 
-	v1("/replication/stream", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
-		if opts.Source == nil {
-			writeError(w, http.StatusNotFound, api.CodeUnavailable,
-				errors.New("collab: this node does not serve a replicable log (start provd with -role primary)"))
-			return
-		}
+	// The shipping routes answer GETs, on a node with a log to ship.
+	shipping := func(pattern string, fn http.HandlerFunc) {
+		v1(pattern, func(w http.ResponseWriter, req *http.Request) {
+			if req.Method != http.MethodGet {
+				methodNotAllowed(w, "GET")
+			} else if opts.Source == nil {
+				writeError(w, http.StatusNotFound, api.CodeUnavailable,
+					errors.New("collab: this node does not serve a replicable log (start provd with -role primary)"))
+			} else {
+				fn(w, req)
+			}
+		})
+	}
+
+	shipping("/replication/stream", func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
 		shard, _ := strconv.Atoi(q.Get("shard"))
 		from, err := strconv.ParseInt(q.Get("from"), 10, 64)
@@ -422,7 +428,7 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 			return
 		}
 		maxBytes, _ := strconv.Atoi(q.Get("max"))
-		data, committed, err := opts.Source.ReadLog(shard, from, maxBytes)
+		data, committed, err := opts.Source.ReadLog(shard, from, min(maxBytes, maxStreamBytes))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
 			return
@@ -433,16 +439,7 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 		_, _ = w.Write(data)
 	})
 
-	v1("/replication/checkpoint", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
-		if opts.Source == nil {
-			writeError(w, http.StatusNotFound, api.CodeUnavailable,
-				errors.New("collab: this node does not serve a replicable log (start provd with -role primary)"))
-			return
-		}
+	shipping("/replication/checkpoint", func(w http.ResponseWriter, req *http.Request) {
 		shard, _ := strconv.Atoi(req.URL.Query().Get("shard"))
 		data, ok, err := opts.Source.CheckpointBytes(shard)
 		if err != nil {
@@ -484,35 +481,31 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 	v1("/subscriptions", subscriptionsHandler(opts.Standing))
 	v1("/subscriptions/", subscriptionHandler(opts.Standing))
 
-	if !opts.ReadOnly && opts.Lag == nil && opts.Failover == nil {
+	fo := opts.Failover
+	if fo == nil {
 		return mux
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		fo := opts.Failover
-		role, fenced := "", false
-		if fo != nil {
-			// Epoch exchange first: a request from a lower epoch is acting
-			// on a fenced configuration and must not be served; a higher
-			// epoch teaches this node it has been superseded (an unfenced
-			// primary fences itself inside Observe). The response always
-			// carries our (possibly just-raised) epoch so the peer learns it.
-			if v := req.Header.Get(api.HeaderReplicationEpoch); v != "" {
-				if remote, err := strconv.ParseUint(v, 10, 64); err == nil {
-					if remote < fo.Epoch() {
-						w.Header().Set(api.HeaderReplicationEpoch, strconv.FormatUint(fo.Epoch(), 10))
-						writeError(w, http.StatusConflict, api.CodeStaleEpoch,
-							fmt.Errorf("collab: request epoch %d is behind this node's epoch %d", remote, fo.Epoch()))
-						return
-					}
-					fo.Observe(remote)
+		// Epoch exchange first: a request from a lower epoch is acting on
+		// a fenced configuration and must not be served; a higher epoch
+		// teaches this node it has been superseded (an unfenced primary
+		// fences itself inside Observe). The response always carries our
+		// (possibly just-raised) epoch so the peer learns it.
+		if v := req.Header.Get(api.HeaderReplicationEpoch); v != "" {
+			if remote, err := strconv.ParseUint(v, 10, 64); err == nil {
+				if remote < fo.Epoch() {
+					w.Header().Set(api.HeaderReplicationEpoch, strconv.FormatUint(fo.Epoch(), 10))
+					writeError(w, http.StatusConflict, api.CodeStaleEpoch,
+						fmt.Errorf("collab: request epoch %d is behind this node's epoch %d", remote, fo.Epoch()))
+					return
 				}
+				fo.Observe(remote)
 			}
-			w.Header().Set(api.HeaderReplicationEpoch, strconv.FormatUint(fo.Epoch(), 10))
-			role, fenced = fo.Role(), fo.Fenced()
 		}
-		follower := role == api.RoleFollower || (fo == nil && opts.Lag != nil)
-		if follower && opts.Lag != nil {
-			applied, behind := opts.Lag()
+		w.Header().Set(api.HeaderReplicationEpoch, strconv.FormatUint(fo.Epoch(), 10))
+		follower := fo.Role() == api.RoleFollower
+		if follower {
+			applied, behind := fo.Lag()
 			w.Header().Set(api.HeaderReplicaApplied, strconv.FormatInt(applied, 10))
 			w.Header().Set(api.HeaderReplicaLag, strconv.FormatInt(behind, 10))
 			// The -max-lag staleness bound: beyond it a data read gets a
@@ -536,16 +529,12 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 		exemptRoute := strings.HasPrefix(req.URL.Path, api.V1Prefix+"/subscriptions") ||
 			req.URL.Path == api.V1Prefix+"/replication/promote"
 		if req.Method != http.MethodGet && req.Method != http.MethodHead && !exemptRoute {
-			readOnly := opts.ReadOnly
-			if fo != nil {
-				readOnly = follower
-			}
-			if readOnly {
+			if follower {
 				writeError(w, http.StatusForbidden, api.CodeReadOnlyReplica,
 					errors.New("collab: this node is a read replica; send writes to the primary"))
 				return
 			}
-			if fenced {
+			if fo.Fenced() {
 				writeError(w, http.StatusForbidden, api.CodeFenced,
 					errors.New("collab: this primary is fenced (a higher-epoch primary exists); send writes there"))
 				return

@@ -193,8 +193,6 @@ func statusHandler(opts HandlerOptions) http.HandlerFunc {
 				ns.ReplicaState = h.Replication.State
 				ns.ReplicaLagBytes = h.Replication.LagBytes
 			}
-		} else if opts.Lag != nil {
-			_, ns.ReplicaLagBytes = opts.Lag()
 		}
 		writeJSON(w, http.StatusOK, ns)
 	}

@@ -154,10 +154,8 @@ func TestV1SubscriptionsUnavailable(t *testing.T) {
 // Followers must accept subscription registrations and deletions —
 // node-local serving state — while still bouncing store writes.
 func TestV1ReadOnlyFollowerAllowsSubscriptions(t *testing.T) {
-	srv, _, _ := standingServer(t, standing.Options{}, HandlerOptions{
-		ReadOnly: true,
-		Lag:      func() (int64, int64) { return 1, 0 },
-	})
+	fo := &stubFailover{role: api.RoleFollower, epoch: 1, healthOK: true, applied: 1}
+	srv, _, _ := standingServer(t, standing.Options{}, HandlerOptions{Failover: fo})
 	c := api.NewClient(srv.URL, nil)
 
 	sub, err := c.Subscribe(api.SubscribeRequest{Kind: api.SubscriptionKindTriple})

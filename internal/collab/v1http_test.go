@@ -166,10 +166,8 @@ func TestV1ErrorClasses(t *testing.T) {
 }
 
 func TestV1ReadOnlyFollowerFace(t *testing.T) {
-	srv, _ := seededServer(t, HandlerOptions{
-		ReadOnly: true,
-		Lag:      func() (int64, int64) { return 12345, 67 },
-	})
+	fo := &stubFailover{role: api.RoleFollower, epoch: 1, healthOK: true, applied: 12345, behind: 67}
+	srv, _ := seededServer(t, HandlerOptions{Failover: fo})
 
 	// Reads pass and carry the staleness headers.
 	resp, err := http.Get(srv.URL + "/v1/workflows")

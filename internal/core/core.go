@@ -19,6 +19,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/collab/api"
 	"repro/internal/engine"
 	"repro/internal/opm"
 	"repro/internal/provenance"
@@ -30,7 +31,7 @@ import (
 	"repro/internal/workflow"
 )
 
-// Options configures a System.
+// Options configures a System, and the Node OpenNode assembles.
 type Options struct {
 	// Store persists run logs; nil means a fresh in-memory store (sharded
 	// across Shards partitions when Shards > 1).
@@ -40,9 +41,9 @@ type Options struct {
 	// the shard holding most of its inputs' generators, ingests on different
 	// shards proceed under per-shard locking, and
 	// traversals scatter/gather one frontier per hop. 0 or 1 keeps a single
-	// unsharded store. File-backed sharding follows the same idiom as the
-	// single FileStore: assemble it with shardedstore.OpenWith and pass it as
-	// Store (provctl and provd do exactly that behind their -shards flags).
+	// unsharded store. With StoreDir, OpenPersistentStore and OpenNode
+	// assemble the shards file-backed under it instead (provctl's and
+	// provd's -shards flags).
 	Shards int
 	// Workers bounds parallel module executions (0: GOMAXPROCS).
 	Workers int
@@ -52,6 +53,8 @@ type Options struct {
 	// closure cache (internal/store/closurecache): lineage, dependents, PQL
 	// and pushed-down Datalog closures memoize per (root, direction), and
 	// each Run's ingest patches the affected cached closures in place.
+	// NewSystem wraps a caller-assembled Store too, so a stack that
+	// already carries its cache comes with this off.
 	EnableClosureCache bool
 	// StoreDir roots a persistent file-backed store; used by
 	// OpenPersistentStore / NewPersistentSystem, which assemble the
@@ -79,13 +82,22 @@ type Options struct {
 	// checkpoint policy counts runs and time, so ValidatePersistence
 	// rejects it with Shards above 1.
 	CheckpointBytes int64
-	// Primary, when set, opens the store as a log-shipping read replica of
-	// the provd at this base URL instead of an independent primary (see
-	// OpenFollowerStore and internal/store/replica).
+	// Role is the node's replication role for OpenNode (provd's -role):
+	// api.RoleStandalone (also ""), api.RolePrimary — ship the store's
+	// log to followers — or api.RoleFollower, a read replica of Primary.
+	Role string
+	// Primary, for a follower, is the base URL of the provd whose log it
+	// replicates (see OpenFollowerStore and internal/store/replica).
 	Primary string
 	// ReplicaPoll is the follower's tail interval (0: replica default).
 	ReplicaPoll time.Duration
-	// TraceRounds, when set on a sharded persistent store, receives the
+	// MaxLagBytes, on a follower, answers data reads 503
+	// replica_too_stale while replication lag exceeds it (0: unbounded).
+	MaxLagBytes int64
+	// Replicas, on a primary, lists the follower URLs its
+	// /v1/replication/status probes.
+	Replicas []string
+	// TraceRounds, when set on a sharded store, receives the
 	// round trace of every pushdown Closure the router executes (rounds,
 	// per-round frontier probe counts, cross-shard crossings) — the
 	// observability hook behind provctl's and provd's -trace-rounds
@@ -105,12 +117,27 @@ type Options struct {
 // would configure an in-memory system that persists nothing. It also
 // rejects a shard count the router cannot serve, before anything — the
 // in-memory router included — is built with it, and CheckpointBytes on a
-// sharded store, whose router has no byte-count trigger. Both CLIs call this after
-// flag parsing; NewSystem does not, because the zero Options legitimately
-// describe the plain in-memory system.
+// sharded store, whose router has no byte-count trigger, and replication
+// options the Role would ignore. Both CLIs and OpenNode call this;
+// NewSystem does not: the zero Options describe the in-memory system.
 func (o Options) ValidatePersistence() error {
 	if err := shardedstore.CheckShards(o.Shards); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	follower := o.Role == api.RoleFollower
+	switch {
+	case o.Role != "" && o.Role != api.RoleStandalone && o.Role != api.RolePrimary && !follower:
+		return fmt.Errorf("core: unknown role %q (want standalone, primary or follower)", o.Role)
+	case follower && (o.StoreDir == "" || o.Primary == ""):
+		return fmt.Errorf("core: -role follower requires -store DIR (the replica's local log) and -primary URL")
+	case follower && o.Shards > 1:
+		return fmt.Errorf("core: a follower inherits its shard count from the primary; drop -shards")
+	case !follower && (o.Primary != "" || o.ReplicaPoll != 0 || o.MaxLagBytes != 0):
+		return fmt.Errorf("core: -primary, -replica-poll and -max-lag configure a follower; add -role follower or drop them")
+	case o.Role == api.RolePrimary && o.StoreDir == "":
+		return fmt.Errorf("core: -role primary requires -store DIR: replication ships a durable log")
+	case o.Role != api.RolePrimary && len(o.Replicas) > 0:
+		return fmt.Errorf("core: -replicas lists a primary's followers; add -role primary or drop it")
 	}
 	if o.Shards > 1 && o.CheckpointBytes > 0 {
 		return fmt.Errorf("core: -checkpoint-bytes applies to unsharded stores only: a %d-shard store checkpoints by run count (-checkpoint-every) and time (-checkpoint-interval)", o.Shards)
@@ -147,21 +174,12 @@ func NewSystem(opt Options) *System {
 		workflows: map[string]*workflow.Workflow{},
 	}
 	if s.Store == nil {
-		if opt.Shards > 1 {
-			s.Store = shardedstore.NewMem(opt.Shards)
-		} else {
-			s.Store = store.NewMemStore()
-		}
+		s.Store = memStore(opt)
 	}
 	if opt.EnableClosureCache {
 		// The cache wraps any Store, so it layers above the sharded router
 		// unchanged: memoized closures stay warm across sharded ingests.
-		// A store assembled by OpenPersistentStore arrives already wrapped
-		// (with its snapshot directory configured); don't stack a second
-		// cold cache on top of it.
-		if _, wrapped := s.Store.(*closurecache.Cache); !wrapped {
-			s.Store = closurecache.Wrap(s.Store)
-		}
+		s.Store = closurecache.Wrap(s.Store)
 	}
 	if opt.EnableCache {
 		s.Cache = engine.NewCache()

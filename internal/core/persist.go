@@ -21,61 +21,11 @@ import (
 // same Shards value — a mismatch (including opening a sharded directory
 // unsharded, or vice versa) is a loud error, never a silent misroute.
 func OpenPersistentStore(opt Options) (store.Store, func() error, error) {
-	if opt.StoreDir == "" {
-		return nil, nil, fmt.Errorf("core: OpenPersistentStore needs Options.StoreDir")
+	sk, err := openPersistent(opt)
+	if err != nil {
+		return nil, nil, err
 	}
-	fileOpt := store.FileOptions{
-		Durability:         opt.Durability,
-		CheckpointEvery:    opt.CheckpointEvery,
-		CheckpointInterval: opt.CheckpointInterval,
-		CheckpointBytes:    opt.CheckpointBytes,
-	}
-	if opt.EnableClosureCache {
-		// The cache layer drives run-count and interval checkpoints for the
-		// whole stack (its Checkpoint chains to the backing store), so the
-		// backing layers must not double-checkpoint on those clocks. The
-		// byte policy stays at the file layer — only it sees appended log
-		// bytes — and its checkpoint snapshots the store alone; the cache
-		// snapshot refreshes on its own cadence, and a restore replays any
-		// gap through the delta path.
-		fileOpt.CheckpointEvery = 0
-		fileOpt.CheckpointInterval = 0
-	}
-	var backing store.Store
-	if opt.Shards > 1 {
-		r, err := shardedstore.OpenWith(opt.StoreDir, opt.Shards, fileOpt)
-		if err != nil {
-			return nil, nil, err
-		}
-		// WithTrace sits between the router and the closure cache, so a
-		// cache miss that reaches the router still reports its rounds.
-		backing = r.WithTrace(opt.TraceRounds)
-	} else if n, unsharded := shardedstore.DetectShards(opt.StoreDir); n > 1 && !unsharded {
-		return nil, nil, fmt.Errorf("core: %s was written with %d shards; reopen it with Shards/-shards %d", opt.StoreDir, n, n)
-	} else if n == 1 && !unsharded {
-		// A single-shard router layout (shard-000 + meta) is still a
-		// router directory, not a plain FileStore one.
-		r, err := shardedstore.OpenWith(opt.StoreDir, 1, fileOpt)
-		if err != nil {
-			return nil, nil, err
-		}
-		backing = r.WithTrace(opt.TraceRounds)
-	} else {
-		fs, err := store.OpenFileStoreWith(opt.StoreDir, fileOpt)
-		if err != nil {
-			return nil, nil, err
-		}
-		backing = fs
-	}
-	st := backing
-	if opt.EnableClosureCache {
-		st = closurecache.New(backing, closurecache.Options{
-			SnapshotDir:        opt.StoreDir,
-			CheckpointEvery:    opt.CheckpointEvery,
-			CheckpointInterval: opt.CheckpointInterval,
-		})
-	}
-	return st, st.Close, nil
+	return sk.top, sk.close, nil
 }
 
 // OpenFollowerStore assembles the read-replica storage stack provd's
@@ -86,51 +36,116 @@ func OpenPersistentStore(opt Options) (store.Store, func() error, error) {
 // path is the follower's first observer). The background shipper is
 // already started; the returned cleanup stops it and closes the stack.
 func OpenFollowerStore(opt Options) (store.Store, *replica.Follower, func() error, error) {
-	if opt.StoreDir == "" {
-		return nil, nil, nil, fmt.Errorf("core: OpenFollowerStore needs Options.StoreDir")
-	}
-	if opt.Primary == "" {
-		return nil, nil, nil, fmt.Errorf("core: OpenFollowerStore needs Options.Primary")
-	}
-	fileOpt := store.FileOptions{
-		Durability:         opt.Durability,
-		CheckpointEvery:    opt.CheckpointEvery,
-		CheckpointInterval: opt.CheckpointInterval,
-		CheckpointBytes:    opt.CheckpointBytes,
-	}
-	if opt.EnableClosureCache {
-		fileOpt.CheckpointEvery = 0
-		fileOpt.CheckpointInterval = 0
-	}
-	f, err := replica.Open(replica.Options{
-		Dir:     opt.StoreDir,
-		Primary: opt.Primary,
-		Store:   fileOpt,
-		Poll:    opt.ReplicaPoll,
-	})
+	sk, err := openFollower(opt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := f.Store()
-	cleanup := f.Close
+	return sk.top, sk.follower, sk.close, nil
+}
+
+// stack is an assembled store stack, the layers a Node keeps a handle on
+// (nil when absent), and the function that closes it all.
+type stack struct {
+	top      store.Store
+	cache    *closurecache.Cache
+	follower *replica.Follower
+	close    func() error
+}
+
+// memStore is the in-memory backing store NewSystem and OpenNode share:
+// a MemStore, or a Shards-way router reporting the rounds of every
+// pushdown closure to TraceRounds.
+func memStore(opt Options) store.Store {
+	if opt.Shards > 1 {
+		return shardedstore.NewMem(opt.Shards).WithTrace(opt.TraceRounds)
+	}
+	return store.NewMemStore()
+}
+
+// cached tops backing with the closure cache when opt enables one; it
+// snapshots into StoreDir and drives the stack's run-count and interval
+// checkpoints (see fileOptions).
+func cached(backing store.Store, opt Options) stack {
+	sk := stack{top: backing, close: backing.Close}
 	if opt.EnableClosureCache {
-		c := closurecache.New(st, closurecache.Options{
+		sk.cache = closurecache.New(backing, closurecache.Options{
 			SnapshotDir:        opt.StoreDir,
 			CheckpointEvery:    opt.CheckpointEvery,
 			CheckpointInterval: opt.CheckpointInterval,
 		})
-		f.Observe(c.ApplyDelta)
-		st = c
-		// The cache owns the close chain (its Close drains the auto
-		// checkpointer and closes the backing store), so the follower only
-		// stops its shipper — closing it too would double-close the store.
-		cleanup = func() error {
-			f.Stop()
-			return c.Close()
+		sk.top, sk.close = sk.cache, sk.cache.Close
+	}
+	return sk
+}
+
+// fileOptions is what every file-backed layer opens with. Under a closure
+// cache the backing layers must not double-checkpoint on the run-count
+// and interval clocks the cache drives. The byte policy stays at the file
+// layer — only it sees appended log bytes — and its checkpoint snapshots
+// the store alone; the cache snapshot refreshes on its own cadence, and a
+// restore replays any gap through the delta path.
+func fileOptions(opt Options) store.FileOptions {
+	fo := store.FileOptions{Durability: opt.Durability, CheckpointBytes: opt.CheckpointBytes}
+	if !opt.EnableClosureCache {
+		fo.CheckpointEvery, fo.CheckpointInterval = opt.CheckpointEvery, opt.CheckpointInterval
+	}
+	return fo
+}
+
+func openPersistent(opt Options) (stack, error) {
+	if opt.StoreDir == "" {
+		return stack{}, fmt.Errorf("core: OpenPersistentStore needs Options.StoreDir")
+	}
+	n, unsharded := shardedstore.DetectShards(opt.StoreDir)
+	switch {
+	case opt.Shards > 1 || (n == 1 && !unsharded):
+		// A single-shard router layout (shard-000 + meta) is still a
+		// router directory, not a plain FileStore one.
+		r, err := shardedstore.OpenWith(opt.StoreDir, max(opt.Shards, 1), fileOptions(opt))
+		if err != nil {
+			return stack{}, err
 		}
+		// WithTrace sits between the router and the closure cache, so a
+		// cache miss that reaches the router still reports its rounds.
+		return cached(r.WithTrace(opt.TraceRounds), opt), nil
+	case n > 1 && !unsharded:
+		return stack{}, fmt.Errorf("core: %s was written with %d shards; reopen it with Shards/-shards %d", opt.StoreDir, n, n)
+	}
+	fs, err := store.OpenFileStoreWith(opt.StoreDir, fileOptions(opt))
+	if err != nil {
+		return stack{}, err
+	}
+	return cached(fs, opt), nil
+}
+
+func openFollower(opt Options) (stack, error) {
+	if opt.StoreDir == "" || opt.Primary == "" {
+		return stack{}, fmt.Errorf("core: OpenFollowerStore needs Options.StoreDir and Options.Primary")
+	}
+	f, err := replica.Open(replica.Options{
+		Dir:     opt.StoreDir,
+		Primary: opt.Primary,
+		Store:   fileOptions(opt),
+		Poll:    opt.ReplicaPoll,
+	})
+	if err != nil {
+		return stack{}, err
+	}
+	sk := cached(f.Store(), opt)
+	sk.follower = f
+	if sk.cache != nil {
+		f.Observe(sk.cache.ApplyDelta)
+	}
+	// The top layer owns the close chain (a cache's Close drains its auto
+	// checkpointer and closes the backing store), so the follower only
+	// stops its shipper — closing it too would double-close the store.
+	closeStack := sk.close
+	sk.close = func() error {
+		f.Stop()
+		return closeStack()
 	}
 	f.Start()
-	return st, f, cleanup, nil
+	return sk, nil
 }
 
 // NewPersistentSystem assembles a System over the persistent storage stack
@@ -147,7 +162,9 @@ func NewPersistentSystem(opt Options) (*System, func() error, error) {
 		_ = cleanup()
 		return nil, nil, err
 	}
-	opt.Store = st
+	// The stack arrives with its closure cache layered; NewSystem must not
+	// stack a second, cold one on top.
+	opt.Store, opt.EnableClosureCache = st, false
 	return NewSystem(opt), cleanup, nil
 }
 

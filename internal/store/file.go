@@ -356,12 +356,27 @@ func (s *FileStore) putRunLog(l *provenance.RunLog) error {
 	}
 	end := off + int64(len(data))
 	s.foldQueue[off] = &foldEntry{l: l, end: end}
-	// Fold everything contiguous at the watermark. A successful append at
-	// offset X implies every lower offset's append also succeeded (WAL
-	// batches commit in order and a failure poisons all successors), and
-	// each of those writers is past its Append return, so any gap below
-	// us is filled by a writer that is about to take this lock: waiting
-	// for our own record to fold always terminates.
+	s.foldTo(end)
+	// Release the duplicate reservation only now, in the same lock hold
+	// that saw our record folded: offsets[runID] is set, so the dup guard
+	// hands off from pending to offsets with no window in between. While
+	// we waited at the watermark the record was committed but not yet in
+	// offsets — dropping pending back then would let a concurrent retry of
+	// the same run ID pass both guards and commit the run twice.
+	delete(s.pending, l.Run.ID)
+	s.mu.Unlock()
+	s.autoCkpt.Tick(int64(len(data)), s.Checkpoint)
+	return nil
+}
+
+// foldTo folds every queued record contiguous at the watermark, wakes
+// the writers waiting on it, and waits until the watermark reaches end.
+// A successful append at offset X implies every lower offset's append
+// also succeeded (WAL batches commit in order and a failure poisons all
+// successors), and each of those writers is past its Append return, so
+// any gap below end is filled by a writer that is about to take this
+// lock: the wait always terminates. The caller holds s.mu.
+func (s *FileStore) foldTo(end int64) {
 	advanced := false
 	for {
 		fe, ok := s.foldQueue[s.size]
@@ -379,16 +394,6 @@ func (s *FileStore) putRunLog(l *provenance.RunLog) error {
 	for s.size < end {
 		s.foldCond.Wait()
 	}
-	// Release the duplicate reservation only now, in the same lock hold
-	// that saw our record folded: offsets[runID] is set, so the dup guard
-	// hands off from pending to offsets with no window in between. While
-	// we waited at the watermark the record was committed but not yet in
-	// offsets — dropping pending back then would let a concurrent retry of
-	// the same run ID pass both guards and commit the run twice.
-	delete(s.pending, l.Run.ID)
-	s.mu.Unlock()
-	s.autoCkpt.Tick(int64(len(data)), s.Checkpoint)
-	return nil
 }
 
 // Checkpoint implements Store. The watermark invariant makes any

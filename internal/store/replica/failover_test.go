@@ -22,7 +22,7 @@ import (
 
 // serveFailover exposes a store over the full v1 face with a failover
 // coordinator wired — the provd deployment shape, for either role.
-func serveFailover(t *testing.T, st store.Store, node *Node, f *Follower) *httptest.Server {
+func serveFailover(t *testing.T, st store.Store, node *Node) *httptest.Server {
 	t.Helper()
 	src, err := NewSource(st)
 	if err != nil {
@@ -31,19 +31,7 @@ func serveFailover(t *testing.T, st store.Store, node *Node, f *Follower) *httpt
 	opts := collab.HandlerOptions{
 		Source:   src,
 		Failover: node,
-		Status: func() api.ReplicationStatus {
-			var rs api.ReplicationStatus
-			if f != nil && node.Role() == api.RoleFollower {
-				rs = f.Status()
-			} else {
-				rs = src.Status(nil, nil)
-			}
-			rs.Epoch, rs.Fenced = node.Epoch(), node.Fenced()
-			return rs
-		},
-	}
-	if f != nil {
-		opts.Lag = f.Lag
+		Status:   func() api.ReplicationStatus { return node.Status(src, nil, nil) },
 	}
 	srv := httptest.NewServer(collab.NewHandlerWith(collab.NewRepository(st), opts))
 	t.Cleanup(srv.Close)
@@ -122,6 +110,50 @@ func TestNodeEpochPersistence(t *testing.T) {
 	}
 }
 
+// TestNodeEpochFileReloadAndSweep pins the epoch file's format and its
+// write path: a plain-JSON file written before the atomic-write helper
+// still loads, the next persist sweeps the temp a crashed write left
+// beside it, and what it installs is plain JSON again.
+func TestNodeEpochFileReloadAndSweep(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, EpochFileName)
+	if err := os.WriteFile(path, []byte(`{"epoch":7,"fenced":false}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	orphan := path + ".tmp-123"
+	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(dir, api.RolePrimary, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Epoch() != 7 || n.Fenced() {
+		t.Fatalf("loaded node: epoch=%d fenced=%v, want 7/unfenced", n.Epoch(), n.Fenced())
+	}
+	if !n.Observe(9) {
+		t.Fatal("observing a higher epoch did not fence the primary")
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("crashed temp survived the persist: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st epochState
+	if err := json.Unmarshal(data, &st); err != nil || st != (epochState{Epoch: 9, Fenced: true}) {
+		t.Fatalf("epoch file = %s (%v), want plain JSON of epoch 9, fenced", data, err)
+	}
+	n2, err := NewNode(dir, api.RolePrimary, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n2.Epoch() != 9 || !n2.Fenced() {
+		t.Fatalf("reloaded node: epoch=%d fenced=%v, want 9/fenced", n2.Epoch(), n2.Fenced())
+	}
+}
+
 // TestPromotionCutover drives the full failover sequence over HTTP: a
 // replicating pair, promote the follower, old primary fenced, writes
 // move, and a fresh follower replicates from the new primary.
@@ -136,7 +168,7 @@ func TestPromotionCutover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA := serveFailover(t, ps, nodeA, nil)
+	srvA := serveFailover(t, ps, nodeA)
 
 	for i := 0; i < 25; i++ {
 		if err := ps.PutRunLog(mkRun(fmt.Sprintf("run-%03d", i))); err != nil {
@@ -152,7 +184,7 @@ func TestPromotionCutover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvB := serveFailover(t, f.Store(), nodeB, f)
+	srvB := serveFailover(t, f.Store(), nodeB)
 	f.Start()
 	if err := f.CatchUp(); err != nil {
 		t.Fatal(err)
@@ -256,7 +288,7 @@ func chaosScenario(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA := serveFailover(t, ps, nodeA, nil)
+	srvA := serveFailover(t, ps, nodeA)
 
 	var arts []string
 	put := func(st store.Store, id string) {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/collab/api"
 	"repro/internal/obs"
+	"repro/internal/store/wal"
 )
 
 // EpochFileName is the per-node fencing state file, kept next to the
@@ -105,9 +106,9 @@ func NewNode(dir, role string, f *Follower) (*Node, error) {
 	return n, nil
 }
 
-// persist writes the fencing state atomically (write-temp + rename);
-// callers may hold mu — persist only reads its arguments' snapshot
-// under its own lock acquisition discipline (it takes mu itself).
+// persist writes the fencing state through wal.WriteFileAtomic, so a
+// fence or promotion that returned survives power loss. It takes mu
+// itself, so callers must not hold it.
 func (n *Node) persist() error {
 	if n.dir == "" {
 		return nil
@@ -119,12 +120,7 @@ func (n *Node) persist() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(n.dir, EpochFileName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("replica: persist epoch: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := wal.WriteFileAtomic(filepath.Join(n.dir, EpochFileName), data); err != nil {
 		return fmt.Errorf("replica: persist epoch: %w", err)
 	}
 	return nil
@@ -278,19 +274,26 @@ func (n *Node) Health(maxLag int64) (h api.HealthResponse, ok bool) {
 	return h, ok
 }
 
-// LagWithin reports whether a follower's current lag is within max
-// bytes (always true for max <= 0 or non-followers) — the per-read
-// staleness gate behind -max-lag.
-func (n *Node) LagWithin(max int64) bool {
-	if max <= 0 {
-		return true
+// Lag returns the follower's total applied bytes and how far behind its
+// primary it is (see Follower.Lag); zero for a node with no follower.
+func (n *Node) Lag() (applied, behind int64) {
+	if n.follower == nil { // set once by NewNode
+		return 0, 0
 	}
-	n.mu.Lock()
-	role, f := n.role, n.follower
-	n.mu.Unlock()
-	if role != api.RoleFollower || f == nil {
-		return true
+	return n.follower.Lag()
+}
+
+// Status reports the node's /v1/replication/status: its follower's
+// positions while it follows, else src's as a primary (probing replicas
+// through probe, see Source.Status), stamped with the node's epoch and
+// fenced flag.
+func (n *Node) Status(src *Source, replicas []string, probe func(url string) (*api.ReplicationStatus, error)) api.ReplicationStatus {
+	var rs api.ReplicationStatus
+	if n.Role() == api.RoleFollower && n.follower != nil {
+		rs = n.follower.Status()
+	} else {
+		rs = src.Status(replicas, probe)
 	}
-	_, behind := f.Lag()
-	return behind <= max
+	rs.Epoch, rs.Fenced = n.Epoch(), n.Fenced()
+	return rs
 }

@@ -72,9 +72,6 @@ func NewSource(s store.Store) (*Source, error) {
 	return nil, fmt.Errorf("replica: %s store has no file-backed log to ship (open it with a store directory)", s.Name())
 }
 
-// Sharded reports whether the source is a sharded router.
-func (s *Source) Sharded() bool { return s.sharded }
-
 // Shards returns the number of independent log streams.
 func (s *Source) Shards() int { return len(s.shards) }
 

@@ -124,23 +124,7 @@ func (s *FileStore) ApplyReplicated(data []byte) ([]*provenance.RunLog, int64, e
 		s.foldQueue[at] = &foldEntry{l: rc.l, end: at + rc.frame}
 		at += rc.frame
 	}
-	advanced := false
-	for {
-		fe, ok := s.foldQueue[s.size]
-		if !ok {
-			break
-		}
-		delete(s.foldQueue, s.size)
-		s.index(fe.l, s.size)
-		s.size = fe.end
-		advanced = true
-	}
-	if advanced {
-		s.foldCond.Broadcast()
-	}
-	for s.size < end {
-		s.foldCond.Wait()
-	}
+	s.foldTo(end)
 	s.mu.Unlock()
 
 	logs := make([]*provenance.RunLog, len(recs))

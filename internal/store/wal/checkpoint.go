@@ -32,22 +32,27 @@ func EncodeCheckpoint(payload any) ([]byte, error) {
 }
 
 // SaveCheckpoint atomically writes payload (JSON-encoded) to path with an
-// integrity header. The file is fsynced before the rename and the
-// directory after it, so a crash leaves either the old checkpoint or the
-// new one, never a torn mix.
+// integrity header through WriteFileAtomic.
 func SaveCheckpoint(path string, payload any) error {
 	data, err := EncodeCheckpoint(payload)
 	if err != nil {
 		return err
 	}
+	return WriteFileAtomic(path, data)
+}
 
+// WriteFileAtomic replaces path with data: a temp file beside it is
+// written and fsynced, renamed over path, and the directory fsynced after
+// the rename, so a crash leaves either the old contents or the new ones,
+// never a torn mix, and a completed call survives power loss.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	// Sweep temp files a crashed earlier save left behind — the deferred
 	// remove below only runs in-process, so without this a repeatedly
 	// crashing daemon accumulates orphans next to the log. A concurrent
 	// save of the same path can lose its temp to the sweep and fail its
 	// rename, which is harmless: the surviving save installs a complete
-	// checkpoint.
+	// file.
 	if stale, gerr := filepath.Glob(path + ".tmp-*"); gerr == nil {
 		for _, p := range stale {
 			_ = os.Remove(p)
@@ -55,22 +60,22 @@ func SaveCheckpoint(path string, payload any) error {
 	}
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint temp file: %w", err)
+		return fmt.Errorf("wal: temp file for %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("wal: write checkpoint: %w", err)
+		return fmt.Errorf("wal: write %s: %w", path, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("wal: sync checkpoint: %w", err)
+		return fmt.Errorf("wal: sync %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: close checkpoint: %w", err)
+		return fmt.Errorf("wal: close %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("wal: install checkpoint: %w", err)
+		return fmt.Errorf("wal: install %s: %w", path, err)
 	}
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
