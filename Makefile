@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_DIR ?= bench-results
 
-.PHONY: build test vet fmt-check staticcheck test-race bench bench-smoke bench-json chaos fuzz-smoke provload-quick provload loc ci clean
+.PHONY: build test vet fmt-check deps-check staticcheck test-race bench bench-smoke bench-json chaos fuzz-smoke provload-quick provload loc ci clean
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,15 @@ fmt-check:
 
 test-race:
 	$(GO) test -race ./...
+
+# Fail when provd or provctl depends on any package under
+# internal/experiments: the paper-survey backends (experiments/survey) and
+# the experiment tables stay out of the programs that serve provenance.
+deps-check:
+	@bad=$$($(GO) list -deps ./cmd/provd ./cmd/provctl | grep '^repro/internal/experiments' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "provd/provctl depend on experiment-only packages:"; echo "$$bad"; exit 1; \
+	fi
 
 # Static analysis beyond go vet (checks scoped by staticcheck.conf). CI
 # installs a pinned version; locally the target is a no-op with a notice
@@ -109,7 +118,7 @@ loc:
 
 # Everything the CI workflow runs, runnable locally; loc only prints the
 # two size figures and has no threshold.
-ci: fmt-check build vet staticcheck test-race chaos fuzz-smoke bench-smoke provload-quick loc
+ci: fmt-check build vet deps-check staticcheck test-race chaos fuzz-smoke bench-smoke provload-quick loc
 
 clean:
 	find $(BENCH_DIR) -maxdepth 1 -name 'BENCH_*.json' -delete

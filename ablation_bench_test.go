@@ -137,8 +137,8 @@ func BenchmarkAblationViewGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStoreIngest compares indexed ingest (mem) against the
-// lazily-rebuilt relational tables under repeated interleaved write/read,
+// BenchmarkAblationStoreIngest compares ingest into the adjacency-indexed
+// (mem) and triple-indexed backends under repeated interleaved write/read,
 // the access pattern of a live capture pipeline.
 func BenchmarkAblationStoreIngest(b *testing.B) {
 	makeLogs := func(k int) []*provenance.RunLog {
@@ -177,6 +177,5 @@ func BenchmarkAblationStoreIngest(b *testing.B) {
 		}
 	}
 	b.Run("store=mem", func(b *testing.B) { bench(b, func() store.Store { return store.NewMemStore() }) })
-	b.Run("store=rel", func(b *testing.B) { bench(b, func() store.Store { return store.NewRelStore() }) })
 	b.Run("store=triple", func(b *testing.B) { bench(b, func() store.Store { return store.NewTripleStore() }) })
 }

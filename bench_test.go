@@ -24,6 +24,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/evolution"
 	"repro/internal/experiments"
+	"repro/internal/experiments/survey"
 	"repro/internal/faultinject"
 	"repro/internal/interop"
 	"repro/internal/obs"
@@ -170,6 +171,15 @@ func BenchmarkE3CaptureOverhead(b *testing.B) {
 	})
 }
 
+// lineageBackend is what the E4 benchmarks time on each storage model:
+// the store package's backends and the survey's relational one.
+type lineageBackend interface {
+	Name() string
+	PutRunLog(l *provenance.RunLog) error
+	Expand(ids []string, dir store.Direction) (map[string][]string, error)
+	Closure(seed string, dir store.Direction) ([]string, error)
+}
+
 // BenchmarkE4QueryLatency benchmarks lineage on a 100-module chain per
 // backend.
 func BenchmarkE4QueryLatency(b *testing.B) {
@@ -180,14 +190,14 @@ func BenchmarkE4QueryLatency(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer fs.Close()
-	backends := []store.Store{store.NewMemStore(), store.NewRelStore(), store.NewTripleStore(), fs}
+	backends := []lineageBackend{store.NewMemStore(), survey.NewRelStore(), store.NewTripleStore(), fs}
 	for _, s := range backends {
 		if err := s.PutRunLog(log); err != nil {
 			b.Fatal(err)
 		}
 		b.Run("backend="+s.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := store.Lineage(s, target); err != nil {
+				if _, err := s.Closure(target, store.Up); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,7 +217,7 @@ func BenchmarkE4bBatchVsPerEdge(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer fs.Close()
-	backends := []store.Store{store.NewMemStore(), store.NewRelStore(), store.NewTripleStore(), fs}
+	backends := []lineageBackend{store.NewMemStore(), survey.NewRelStore(), store.NewTripleStore(), fs}
 	for _, s := range backends {
 		if err := s.PutRunLog(log); err != nil {
 			b.Fatal(err)
@@ -259,7 +269,7 @@ func BenchmarkE6QueryLanguages(b *testing.B) {
 	}
 	b.Run("lang=bfs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Lineage(mem, target); err != nil {
+			if _, err := mem.Closure(target, store.Up); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -393,7 +403,7 @@ func BenchmarkE11StorageFootprint(b *testing.B) {
 	})
 	b.Run("backend=rel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := store.NewRelStore()
+			s := survey.NewRelStore()
 			if err := s.PutRunLog(log); err != nil {
 				b.Fatal(err)
 			}
@@ -1137,7 +1147,8 @@ func BenchmarkE21Failover(b *testing.B) {
 // TestExperimentSuiteSmoke pins the suite to the paper reproductions E1–E12
 // and runs the fast ones end-to-end so `go test` exercises the harness
 // itself (timing-heavy ones are covered by the benchmarks above and
-// cmd/provbench).
+// cmd/provbench). E4, E6 and E11 compare the §2.2 storage and query
+// models, so their tables must keep one row per backend and per engine.
 func TestExperimentSuiteSmoke(t *testing.T) {
 	var ids []string
 	for _, e := range experiments.Suite {
@@ -1149,7 +1160,8 @@ func TestExperimentSuiteSmoke(t *testing.T) {
 	if _, err := experiments.ByID("E13"); err == nil {
 		t.Fatal("ByID(E13) succeeded; the system experiments are retired")
 	}
-	for _, id := range []string{"E1", "E2", "E5", "e7"} {
+	tables := map[string][]string{} // the rows below each table's header
+	for _, id := range []string{"E1", "E2", "E4", "E5", "E6", "e7", "E11"} {
 		r, err := experiments.ByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -1159,6 +1171,30 @@ func TestExperimentSuiteSmoke(t *testing.T) {
 		}
 		if len(r.Table) == 0 {
 			t.Fatalf("%s produced no table", id)
+		}
+		tables[r.ID] = strings.Split(strings.TrimSpace(r.Table), "\n")[1:]
+	}
+	column := func(id string, col int) string {
+		var out []string
+		for _, row := range tables[id] {
+			out = append(out, strings.Fields(row)[col])
+		}
+		return strings.Join(out, ",")
+	}
+	backends := "mem,rel,triple,file"
+	if got, want := column("E4", 2), strings.Repeat(backends+",", 2)+backends; got != want {
+		t.Errorf("E4 backends = %s, want %s", got, want)
+	}
+	if got := column("E11", 0); got != backends {
+		t.Errorf("E11 backends = %s, want %s", got, backends)
+	}
+	engines := []string{"native BFS", "PQL LINEAGE OF", "Datalog ancestor (fixpoint)", "Datalog ancestor (pushed-down)", "SPARQL-like single hop"}
+	if len(tables["E6"]) != len(engines) {
+		t.Fatalf("E6 rows, want one per engine and no WARNING line:\n%s", strings.Join(tables["E6"], "\n"))
+	}
+	for i, row := range tables["E6"] {
+		if !strings.HasPrefix(row, engines[i]) {
+			t.Errorf("E6 row %d = %q, want engine %q", i, row, engines[i])
 		}
 	}
 }

@@ -128,6 +128,35 @@ func TestPublishRunAndQuery(t *testing.T) {
 	}
 }
 
+// A run is published only under the workflow it is a run of: one naming
+// another published workflow is refused, and neither the store nor the
+// repository's indexes record it.
+func TestPublishRunRejectsOtherWorkflow(t *testing.T) {
+	r := newRepo()
+	wf := workloads.MedicalImaging()
+	if err := r.Publish(wf, "j", ""); err != nil {
+		t.Fatal(err)
+	}
+	other := workloads.Chain(3)
+	if err := r.Publish(other, "j", ""); err != nil {
+		t.Fatal(err)
+	}
+	log := runOf(t, wf)
+	if err := r.PublishRun(other.ID, "u1", log); err == nil {
+		t.Fatalf("run of %q published under %q", log.Run.WorkflowID, other.ID)
+	}
+	if runs := r.RunsOf(other.ID); len(runs) != 0 {
+		t.Fatalf("runs of %s = %v", other.ID, runs)
+	}
+	if _, err := r.Store().RunLog(log.Run.ID); err == nil {
+		t.Fatal("refused run was stored")
+	}
+	// The same run under its own workflow is accepted.
+	if err := r.PublishRun(wf.ID, "u1", log); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSearch(t *testing.T) {
 	r := newRepo()
 	if err := r.Publish(workloads.MedicalImaging(), "juliana", "CT isosurface study", "imaging"); err != nil {

@@ -146,12 +146,16 @@ func (r *Repository) Rate(workflowID, user string, stars int) error {
 }
 
 // PublishRun stores the provenance of a run of a published workflow,
-// attributed to a user.
+// attributed to a user. The run must be of that workflow: a log whose
+// Run.WorkflowID names another is refused before anything is stored.
 func (r *Repository) PublishRun(workflowID, user string, log *provenance.RunLog) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.entries[workflowID]; !ok {
 		return fmt.Errorf("collab: workflow %q not found", workflowID)
+	}
+	if log.Run.WorkflowID != workflowID {
+		return fmt.Errorf("collab: run %q is of workflow %q, not %q", log.Run.ID, log.Run.WorkflowID, workflowID)
 	}
 	if err := r.store.PutRunLog(log); err != nil {
 		return err

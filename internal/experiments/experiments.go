@@ -17,12 +17,12 @@ import (
 	"repro/internal/collab"
 	"repro/internal/engine"
 	"repro/internal/evolution"
+	"repro/internal/experiments/survey"
 	"repro/internal/interop"
 	"repro/internal/params"
 	"repro/internal/provenance"
 	"repro/internal/query/datalog"
 	"repro/internal/query/pql"
-	"repro/internal/query/triplequery"
 	"repro/internal/relalg"
 	"repro/internal/store"
 	"repro/internal/views"
@@ -175,8 +175,7 @@ func E3() Result {
 		col := provenance.NewCollector()
 		e := newEngine(col, 4, nil)
 		on := timeRuns(func() { mustRun(e, wf) }, 5)
-		dir, _ := tempDir()
-		fs, err := store.OpenFileStore(dir)
+		fs, done, err := tempFileStore()
 		if err != nil {
 			return errResult("E3", err)
 		}
@@ -187,11 +186,22 @@ func E3() Result {
 			l, _ := colf.Log(res.RunID)
 			_ = fs.PutRunLog(l)
 		}, 5)
-		fs.Close()
+		done()
 		fmt.Fprintf(&b, "%-10d %14s %14s %14s %8.2fx\n", n, off, on, file,
 			float64(on)/float64(off))
 	}
 	return Result{ID: "E3", Title: "capture overhead (chain workflows, 5-run median)", Table: b.String()}
+}
+
+// surveyed is what E4 and E11 time on each storage model of the §2.2
+// survey: the store package's MemStore, TripleStore and FileStore, and
+// survey.RelStore.
+type surveyed interface {
+	Name() string
+	PutRunLog(l *provenance.RunLog) error
+	Expand(ids []string, dir store.Direction) (map[string][]string, error)
+	Closure(seed string, dir store.Direction) ([]string, error)
+	Stats() (store.Stats, error)
 }
 
 // E4 measures lineage-query latency vs provenance size across backends,
@@ -209,14 +219,14 @@ func E4() Result {
 		res := mustRun(e, wf)
 		log, _ := col.Log(res.RunID)
 		target := res.Artifacts[fmt.Sprintf("s%02d.out", n-1)]
-		dir, _ := tempDir()
-		fs, err := store.OpenFileStore(dir)
+		fs, done, err := tempFileStore()
 		if err != nil {
 			return errResult("E4", err)
 		}
-		backends := []store.Store{store.NewMemStore(), store.NewRelStore(), store.NewTripleStore(), fs}
+		backends := []surveyed{store.NewMemStore(), survey.NewRelStore(), store.NewTripleStore(), fs}
 		for _, s := range backends {
 			if err := s.PutRunLog(log); err != nil {
+				done()
 				return errResult("E4", err)
 			}
 			perEdge := timeRuns(func() {
@@ -236,7 +246,7 @@ func E4() Result {
 				Metric{Name: fmt.Sprintf("lineage_peredge_%s_n%d", s.Name(), n), Value: float64(perEdge.Nanoseconds()), Unit: "ns"},
 				Metric{Name: fmt.Sprintf("lineage_batch_%s_n%d", s.Name(), n), Value: float64(batch.Nanoseconds()), Unit: "ns"})
 		}
-		fs.Close()
+		done()
 	}
 	return Result{ID: "E4", Title: "lineage latency: per-edge BFS vs pushed-down batch closure, per backend", Table: b.String(), Metrics: metrics}
 }
@@ -297,13 +307,13 @@ func E6() Result {
 	// Direct BFS.
 	var bfsRows int
 	t := timeRuns(func() {
-		lin, err := store.Lineage(mem, target)
+		lin, err := mem.Closure(target, store.Up)
 		if err != nil {
 			panic(err)
 		}
 		bfsRows = len(lin)
 	}, 5)
-	fmt.Fprintf(&b, "%-34s %12s %8d\n", "native BFS (store.Lineage)", t, bfsRows)
+	fmt.Fprintf(&b, "%-34s %12s %8d\n", "native BFS (Store.Closure)", t, bfsRows)
 	// PQL LINEAGE OF.
 	var pqlRows int
 	t = timeRuns(func() {
@@ -345,7 +355,7 @@ func E6() Result {
 	// joins; one hop is the comparable primitive).
 	var tqRows int
 	t = timeRuns(func() {
-		r, err := triplequery.Run(ts, fmt.Sprintf(
+		r, err := survey.RunSPARQL(ts, fmt.Sprintf(
 			"SELECT ?e WHERE { ?e prov:generated <%s> . }", target))
 		if err != nil {
 			panic(err)
@@ -536,12 +546,12 @@ func E11() Result {
 		l, _ := col.Log(res.RunID)
 		logs = append(logs, l)
 	}
-	dir, _ := tempDir()
-	fs, err := store.OpenFileStore(dir)
+	fs, done, err := tempFileStore()
 	if err != nil {
 		return errResult("E11", err)
 	}
-	backends := []store.Store{store.NewMemStore(), store.NewRelStore(), store.NewTripleStore(), fs}
+	defer done()
+	backends := []surveyed{store.NewMemStore(), survey.NewRelStore(), store.NewTripleStore(), fs}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %10s %10s %12s %14s\n", "backend", "runs", "events", "bytes", "bytes/event")
 	for _, s := range backends {
@@ -556,7 +566,6 @@ func E11() Result {
 		}
 		fmt.Fprintf(&b, "%-10s %10d %10d %12d %14.1f\n",
 			s.Name(), st.Runs, st.Events, st.Bytes, float64(st.Bytes)/float64(st.Events))
-		s.Close()
 	}
 	return Result{ID: "E11", Title: "storage footprint per provenance event, per backend", Table: b.String()}
 }
@@ -619,10 +628,18 @@ func timeRuns(fn func(), n int) time.Duration {
 	return times[n/2].Round(time.Microsecond)
 }
 
-// tempDir creates a directory for a file-store experiment. provbench is a
-// short-lived process; the OS temp policy reclaims it.
-func tempDir() (string, error) {
-	return os.MkdirTemp("", "provbench-*")
+// tempFileStore opens a file store for an experiment in a fresh temporary
+// directory; done closes the store and removes the directory.
+func tempFileStore() (fs *store.FileStore, done func(), err error) {
+	dir, err := os.MkdirTemp("", "provbench-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	if fs, err = store.OpenFileStore(dir); err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	return fs, func() { fs.Close(); os.RemoveAll(dir) }, nil
 }
 
 func short(h string) string {

@@ -1,10 +1,18 @@
-package store
+// Package survey holds the storage and query models of the paper's §2.2
+// survey that only the experiments run: provenance as tuples in relational
+// tables (RelStore) and a SPARQL-like basic-graph-pattern engine over the
+// triple store (RunSPARQL). E4, E6 and E11 time them beside the store
+// package's backends; provd serves neither.
+package survey
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/provenance"
 	"repro/internal/relalg"
+	"repro/internal/store"
 )
 
 // RelStore keeps provenance as tuples in relational tables, the approach of
@@ -14,10 +22,13 @@ import (
 // answers a whole frontier with one pass of semijoin scans over the base
 // rows, and a single entity's neighbours are a one-element frontier.
 //
-// Its tables are RowSchemas, filled from Rows; wallNanos and size are
-// int64 values.
+// Its tables are store.RowSchemas, filled from store.Rows; wallNanos and
+// size are int64 values. It answers what E4 and E11 time (PutRunLog,
+// Expand, Closure, Stats), not the whole store.Store contract.
 type RelStore struct {
-	runLogs
+	mu     sync.RWMutex
+	runs   map[string]bool // stored run IDs
+	events int
 
 	runRows  [][]relalg.Val
 	execRows [][]relalg.Val
@@ -25,29 +36,36 @@ type RelStore struct {
 	useRows  [][]relalg.Val
 	genRows  [][]relalg.Val
 	annRows  [][]relalg.Val
-
-	dirty  bool
-	tables map[string]*relalg.Relation
 }
 
 // NewRelStore returns an empty relational store.
 func NewRelStore() *RelStore {
-	return &RelStore{tables: map[string]*relalg.Relation{}}
+	return &RelStore{runs: map[string]bool{}}
 }
 
-var _ Store = (*RelStore)(nil)
-
-// Name implements Store.
+// Name identifies the backend in experiment tables.
 func (s *RelStore) Name() string { return "rel" }
 
-// PutRunLog implements Store.
+// PutRunLog validates l and appends its rows to the base tables;
+// re-putting a run ID is an error.
 func (s *RelStore) PutRunLog(l *provenance.RunLog) error {
-	return s.put(l, func() { s.fold(Rows(l)) })
+	if err := l.Validate(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.runs[l.Run.ID] {
+		return fmt.Errorf("survey: run %q already stored", l.Run.ID)
+	}
+	s.runs[l.Run.ID] = true
+	s.events += len(l.Events)
+	s.fold(store.Rows(l))
+	return nil
 }
 
 // fold appends one run's rows to the base tables; the caller holds the
 // write lock.
-func (s *RelStore) fold(r *RunRows) {
+func (s *RelStore) fold(r *store.RunRows) {
 	s.runRows = append(s.runRows, []relalg.Val{r.Run.ID, r.Run.Workflow, r.Run.Hash, r.Run.Agent, r.Run.Status})
 	for _, e := range r.Executions {
 		s.execRows = append(s.execRows, []relalg.Val{e.ID, e.Run, e.Module, e.ModuleType, e.Status, e.WallNanos})
@@ -66,94 +84,17 @@ func (s *RelStore) fold(r *RunRows) {
 	for _, an := range r.Annotations {
 		s.annRows = append(s.annRows, []relalg.Val{an.Subject, an.Key, an.Value, an.Author})
 	}
-	s.dirty = true
 }
 
-// Tables materializes (lazily, after writes) the current relational view.
-// The returned relations are immutable. Exposed so the PQL engine and
-// dbprov can query provenance relationally.
-func (s *RelStore) Tables() map[string]*relalg.Relation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rebuildLocked()
-	out := make(map[string]*relalg.Relation, len(s.tables))
-	for k, v := range s.tables {
-		out[k] = v
-	}
-	return out
-}
-
-func (s *RelStore) rebuildLocked() {
-	if !s.dirty && len(s.tables) > 0 {
-		return
-	}
-	rows := map[string][][]relalg.Val{
-		"runs": s.runRows, "executions": s.execRows, "artifacts": s.artRows,
-		"uses": s.useRows, "gens": s.genRows, "annotations": s.annRows,
-	}
-	s.tables = make(map[string]*relalg.Relation, len(rows))
-	for name, schema := range RowSchemas {
-		r, err := relalg.NewRelation(name, schema, rows[name])
-		if err != nil {
-			// Schemas are static and rows are arity-checked on insert.
-			panic(fmt.Sprintf("store: rebuilding %s: %v", name, err))
-		}
-		s.tables[name] = r
-	}
-	s.dirty = false
-}
-
-func (s *RelStore) table(name string) *relalg.Relation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rebuildLocked()
-	return s.tables[name]
-}
-
-// Entities implements Store with one selection per entity table,
-// artifacts ⋉ ids and executions ⋉ ids, the artifact row winning for an
-// ID in both. An ID declared by several runs answers with its last row.
-func (s *RelStore) Entities(ids []string) ([]Entity, error) {
-	want := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	in := func(vals []relalg.Val) bool { return want[vals[0].(string)] } // id is column 0 of both
-	arts := map[string]*provenance.Artifact{}
-	for _, t := range relalg.Select(s.table("artifacts"), in).Tuples {
-		v := t.Values
-		arts[v[0].(string)] = &provenance.Artifact{
-			ID: v[0].(string), RunID: v[1].(string), Type: v[2].(string),
-			ContentHash: v[3].(string), Size: v[4].(int64),
-		}
-	}
-	execs := map[string]*provenance.Execution{}
-	for _, t := range relalg.Select(s.table("executions"), in).Tuples {
-		v := t.Values
-		execs[v[0].(string)] = &provenance.Execution{
-			ID: v[0].(string), RunID: v[1].(string), ModuleID: v[2].(string), ModuleType: v[3].(string),
-			Status: provenance.ExecStatus(v[4].(string)), WallNanos: v[5].(int64),
-		}
-	}
-	out := make([]Entity, len(ids))
-	for i, id := range ids {
-		if a := arts[id]; a != nil {
-			out[i].Artifact = a
-		} else {
-			out[i].Execution = execs[id]
-		}
-	}
-	return out, nil
-}
-
-// Expand implements Store. One hop costs a fixed number of semijoin scans
-// — artifacts and executions to classify the frontier, then uses/gens for
-// the adjacency — regardless of frontier width, where one call per entity
-// would re-scan a table per frontier node. The semijoins (table ⋉ frontier)
-// are evaluated directly over the base rows: materializing them through
-// relalg would clone tuples and witness sets per hop, which costs more
-// than the scan itself on narrow frontiers.
-func (s *RelStore) Expand(ids []string, dir Direction) (map[string][]string, error) {
+// Expand answers one BFS frontier as store.Store.Expand does. One hop
+// costs a fixed number of semijoin scans — artifacts and executions to
+// classify the frontier, then uses/gens for the adjacency — regardless of
+// frontier width, where one call per entity would re-scan a table per
+// frontier node. The semijoins (table ⋉ frontier) are evaluated directly
+// over the base rows: materializing them through relalg would clone
+// tuples and witness sets per hop, which costs more than the scan itself
+// on narrow frontiers.
+func (s *RelStore) Expand(ids []string, dir store.Direction) (map[string][]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	frontier := make(map[string]bool, len(ids))
@@ -180,7 +121,7 @@ func (s *RelStore) Expand(ids []string, dir Direction) (map[string][]string, err
 	// uses(exec, artifact, port) and gens(exec, artifact, port): one
 	// semijoin scan each, grouped back onto the frontier.
 	switch dir {
-	case Up:
+	case store.Up:
 		for _, row := range s.genRows {
 			// Artifact -> generating execution: first scan hit wins.
 			if art := row[1].(string); isArt[art] && out[art] == nil {
@@ -205,7 +146,7 @@ func (s *RelStore) Expand(ids []string, dir Direction) (map[string][]string, err
 		}
 	}
 	for id, ns := range out {
-		if dir == Up && isArt[id] {
+		if dir == store.Up && isArt[id] {
 			continue // single generator, already in scan order
 		}
 		out[id] = sortedUnique(ns)
@@ -213,13 +154,13 @@ func (s *RelStore) Expand(ids []string, dir Direction) (map[string][]string, err
 	return out, nil
 }
 
-// Closure implements Store with the pushed-down plan an index-free
-// relational backend wants for a whole closure: one scan per table builds
-// the hash adjacency (the build side the per-hop semijoins would otherwise
-// re-scan every hop), then the BFS runs over the hash maps. Total cost is
-// O(rows + closure), where per-hop scans pay O(rows) per hop and the
-// per-edge path paid O(rows) per visited node.
-func (s *RelStore) Closure(seed string, dir Direction) ([]string, error) {
+// Closure computes seed's transitive closure as store.Store.Closure does,
+// with the pushed-down plan an index-free relational backend wants: one
+// scan per table builds the hash adjacency (the build side the per-hop
+// semijoins would otherwise re-scan every hop), then the BFS runs over the
+// hash maps. Total cost is O(rows + closure), where per-hop scans pay
+// O(rows) per hop and the per-edge path paid O(rows) per visited node.
+func (s *RelStore) Closure(seed string, dir store.Direction) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	isArt := make(map[string]bool, len(s.artRows))
@@ -233,7 +174,7 @@ func (s *RelStore) Closure(seed string, dir Direction) ([]string, error) {
 	genBy := map[string]string{} // artifact -> first generating execution
 	adj := map[string][]string{} // execution->artifacts (Up) or either (Down)
 	switch dir {
-	case Up:
+	case store.Up:
 		for _, row := range s.genRows {
 			if art := row[1].(string); genBy[art] == "" {
 				genBy[art] = row[0].(string)
@@ -256,33 +197,49 @@ func (s *RelStore) Closure(seed string, dir Direction) ([]string, error) {
 			}
 		}
 	}
-	return bfsClosure(seed, dir, func(id string, d Direction) ([]string, bool) {
-		switch {
-		case isArt[id]:
-			if d == Up {
-				if g := genBy[id]; g != "" {
-					return []string{g}, true
-				}
-				return nil, true
+	neighbors := func(id string) []string {
+		if isArt[id] && dir == store.Up {
+			if g := genBy[id]; g != "" {
+				return []string{g}
 			}
-			return sortedUnique(adj[id]), true
-		case isExec[id]:
-			return sortedUnique(adj[id]), true
+			return nil
 		}
-		return nil, false
-	})
+		return sortedUnique(adj[id])
+	}
+	// The BFS runs here over the hash maps rather than through
+	// store.CloseOverExpand: a map per hop costs that driver a quarter of
+	// this plan's time on a deep chain (E4b, depth 128).
+	if !isArt[seed] && !isExec[seed] {
+		return nil, fmt.Errorf("%w: entity %q", store.ErrNotFound, seed)
+	}
+	seen := map[string]bool{}
+	var order []string
+	for frontier := []string{seed}; len(frontier) > 0; {
+		var next []string
+		for _, id := range frontier {
+			for _, n := range neighbors(id) {
+				if !seen[n] {
+					seen[n] = true
+					order = append(order, n)
+					next = append(next, n)
+				}
+			}
+		}
+		frontier = next
+	}
+	return order, nil
 }
 
-// Stats implements Store.
-func (s *RelStore) Stats() (Stats, error) {
+// Stats reports entity counts and an approximate footprint of the tables.
+func (s *RelStore) Stats() (store.Stats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := Stats{Runs: len(s.logs)}
-	st.Executions = len(s.execRows)
-	st.Artifacts = len(s.artRows)
-	for _, l := range s.logs {
-		st.Events += len(l.Events)
-		st.Annotations += len(l.Annotations)
+	st := store.Stats{
+		Runs:        len(s.runRows),
+		Executions:  len(s.execRows),
+		Artifacts:   len(s.artRows),
+		Events:      s.events,
+		Annotations: len(s.annRows),
 	}
 	// Rough per-row footprints: values plus tuple/witness overhead.
 	for _, rows := range [][][]relalg.Val{s.runRows, s.execRows, s.artRows, s.useRows, s.genRows, s.annRows} {
@@ -300,5 +257,12 @@ func (s *RelStore) Stats() (Stats, error) {
 	return st, nil
 }
 
-// Close implements Store.
-func (s *RelStore) Close() error { return nil }
+// sortedUnique returns a sorted, deduplicated copy of in; nil when empty.
+func sortedUnique(in []string) []string {
+	if len(in) == 0 {
+		return nil
+	}
+	out := slices.Clone(in)
+	slices.Sort(out)
+	return slices.Compact(out)
+}

@@ -1,6 +1,6 @@
-// Package triplequery is a SPARQL-style basic-graph-pattern engine over the
-// triple store: the Semantic-Web query approach of the systems surveyed in
-// §2.2 [46, 26, 22]. Queries have the shape
+// The SPARQL-like engine: basic graph patterns over the triple store, the
+// Semantic-Web query approach of the systems surveyed in §2.2 [46, 26, 22].
+// Queries have the shape
 //
 //	SELECT ?exec ?mod WHERE {
 //	  ?exec prov:module ?mod .
@@ -10,7 +10,8 @@
 // Variables start with '?'; IRIs/IDs may be written bare or in <angle
 // brackets>; literals in double quotes. Patterns are joined on shared
 // variables; join order is chosen by ascending estimated selectivity.
-package triplequery
+
+package survey
 
 import (
 	"fmt"
@@ -20,33 +21,34 @@ import (
 	"repro/internal/store"
 )
 
-// Pattern is one triple pattern; empty Var means the position is bound to
-// the fixed value.
+// part is one position of a triple pattern: a variable name, or the fixed
+// value the position is bound to.
 type part struct {
 	value string
 	isVar bool
 }
 
-// TriplePattern is subject / predicate / object, each either a variable or
+// triplePattern is subject / predicate / object, each either a variable or
 // a constant.
-type TriplePattern struct {
+type triplePattern struct {
 	S, P, O part
 }
 
-// Query is a parsed SELECT query.
-type Query struct {
+// sparqlQuery is a parsed SELECT query.
+type sparqlQuery struct {
 	Select   []string // projected variable names, in declaration order
-	Patterns []TriplePattern
+	Patterns []triplePattern
 }
 
-// Result holds bindings: one row per solution, columns aligned with Vars.
+// Result holds a SPARQL-like query's bindings: one row per solution,
+// columns aligned with Vars.
 type Result struct {
 	Vars []string
 	Rows [][]string
 }
 
-// Parse parses a SPARQL-like SELECT query.
-func Parse(src string) (*Query, error) {
+// parseSPARQL parses a SPARQL-like SELECT query.
+func parseSPARQL(src string) (*sparqlQuery, error) {
 	toks, err := tokenize(src)
 	if err != nil {
 		return nil, err
@@ -54,7 +56,7 @@ func Parse(src string) (*Query, error) {
 	i := 0
 	expect := func(word string) error {
 		if i >= len(toks) || !strings.EqualFold(toks[i], word) {
-			return fmt.Errorf("triplequery: expected %q at token %d", word, i)
+			return fmt.Errorf("survey: expected %q at token %d", word, i)
 		}
 		i++
 		return nil
@@ -62,13 +64,13 @@ func Parse(src string) (*Query, error) {
 	if err := expect("SELECT"); err != nil {
 		return nil, err
 	}
-	q := &Query{}
+	q := &sparqlQuery{}
 	for i < len(toks) && strings.HasPrefix(toks[i], "?") {
 		q.Select = append(q.Select, toks[i][1:])
 		i++
 	}
 	if len(q.Select) == 0 {
-		return nil, fmt.Errorf("triplequery: SELECT requires at least one variable")
+		return nil, fmt.Errorf("survey: SELECT requires at least one variable")
 	}
 	if err := expect("WHERE"); err != nil {
 		return nil, err
@@ -77,10 +79,10 @@ func Parse(src string) (*Query, error) {
 		return nil, err
 	}
 	for i < len(toks) && toks[i] != "}" {
-		var tp TriplePattern
+		var tp triplePattern
 		for j, dst := range []*part{&tp.S, &tp.P, &tp.O} {
 			if i >= len(toks) || toks[i] == "}" || toks[i] == "." {
-				return nil, fmt.Errorf("triplequery: incomplete triple pattern (position %d)", j)
+				return nil, fmt.Errorf("survey: incomplete triple pattern (position %d)", j)
 			}
 			*dst = parsePart(toks[i])
 			i++
@@ -94,7 +96,7 @@ func Parse(src string) (*Query, error) {
 		return nil, err
 	}
 	if len(q.Patterns) == 0 {
-		return nil, fmt.Errorf("triplequery: WHERE clause has no patterns")
+		return nil, fmt.Errorf("survey: WHERE clause has no patterns")
 	}
 	// Every selected variable must appear in some pattern.
 	bound := map[string]bool{}
@@ -107,7 +109,7 @@ func Parse(src string) (*Query, error) {
 	}
 	for _, v := range q.Select {
 		if !bound[v] {
-			return nil, fmt.Errorf("triplequery: selected variable ?%s not used in WHERE", v)
+			return nil, fmt.Errorf("survey: selected variable ?%s not used in WHERE", v)
 		}
 	}
 	return q, nil
@@ -140,14 +142,14 @@ func tokenize(src string) ([]string, error) {
 		case c == '<':
 			end := strings.IndexByte(src[i:], '>')
 			if end < 0 {
-				return nil, fmt.Errorf("triplequery: unterminated IRI at %d", i)
+				return nil, fmt.Errorf("survey: unterminated IRI at %d", i)
 			}
 			toks = append(toks, src[i:i+end+1])
 			i += end + 1
 		case c == '"':
 			end := strings.IndexByte(src[i+1:], '"')
 			if end < 0 {
-				return nil, fmt.Errorf("triplequery: unterminated literal at %d", i)
+				return nil, fmt.Errorf("survey: unterminated literal at %d", i)
 			}
 			toks = append(toks, src[i:i+end+2])
 			i += end + 2
@@ -164,25 +166,15 @@ func tokenize(src string) ([]string, error) {
 	return toks, nil
 }
 
-// Matcher is the triple-pattern source the engine evaluates against: the
-// native *store.TripleStore.
-type Matcher interface {
-	// Match returns triples matching a pattern; empty strings wildcard.
-	Match(subj, pred, obj string) []store.Triple
-	// MatchBatch resolves many patterns in one store call; result i holds
-	// the matches of patterns[i].
-	MatchBatch(patterns []store.Triple) [][]store.Triple
-}
-
-// Execute evaluates the query against a triple-pattern source.
-func Execute(ts Matcher, q *Query) (*Result, error) {
+// executeSPARQL evaluates the query against a triple store.
+func executeSPARQL(ts *store.TripleStore, q *sparqlQuery) (*Result, error) {
 	type bindingRow map[string]string
 	rows := []bindingRow{{}}
 
 	// Order patterns by estimated selectivity: fully or partially bound
 	// patterns first (fewer matches), joins later.
-	patterns := append([]TriplePattern(nil), q.Patterns...)
-	score := func(tp TriplePattern) int {
+	patterns := append([]triplePattern(nil), q.Patterns...)
+	score := func(tp triplePattern) int {
 		n := 0
 		if tp.S.isVar {
 			n++
@@ -254,7 +246,7 @@ func resolve(p part, b map[string]string) string {
 	return b[p.value] // "" (wildcard) when unbound
 }
 
-func extend(b map[string]string, tp TriplePattern, s, p, o string) map[string]string {
+func extend(b map[string]string, tp triplePattern, s, p, o string) map[string]string {
 	nb := make(map[string]string, len(b)+3)
 	for k, v := range b {
 		nb[k] = v
@@ -277,11 +269,12 @@ func extend(b map[string]string, tp TriplePattern, s, p, o string) map[string]st
 	return nb
 }
 
-// Run parses and executes in one step.
-func Run(ts Matcher, src string) (*Result, error) {
-	q, err := Parse(src)
+// RunSPARQL parses a SPARQL-like SELECT query and evaluates it against a
+// triple store.
+func RunSPARQL(ts *store.TripleStore, src string) (*Result, error) {
+	q, err := parseSPARQL(src)
 	if err != nil {
 		return nil, err
 	}
-	return Execute(ts, q)
+	return executeSPARQL(ts, q)
 }

@@ -1,4 +1,4 @@
-package triplequery
+package survey
 
 import (
 	"context"
@@ -30,7 +30,7 @@ func tripleStore(t *testing.T) (*store.TripleStore, *engine.Result) {
 }
 
 func TestParseBasic(t *testing.T) {
-	q, err := Parse(`SELECT ?x ?m WHERE { ?x prov:module ?m . }`)
+	q, err := parseSPARQL(`SELECT ?x ?m WHERE { ?x prov:module ?m . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestParseErrors(t *testing.T) {
 		`SELECT ?x WHERE { ?x <unterminated ?y }`,
 	}
 	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
+		if _, err := parseSPARQL(src); err == nil {
 			t.Fatalf("parsed invalid query %q", src)
 		}
 	}
@@ -63,7 +63,7 @@ func TestParseErrors(t *testing.T) {
 func TestSingleBoundPattern(t *testing.T) {
 	ts, res := tripleStore(t)
 	q := fmt.Sprintf(`SELECT ?e WHERE { ?e prov:generated <%s> . }`, res.Artifacts["render.image"])
-	r, err := Run(ts, q)
+	r, err := RunSPARQL(ts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestJoinOnSharedVariable(t *testing.T) {
 		?e prov:generated ?art .
 		?e prov:module ?mod .
 	}`
-	r, err := Run(ts, q)
+	r, err := RunSPARQL(ts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTwoHopLineagePattern(t *testing.T) {
 		?e2 prov:used ?a .
 		?e2 prov:module ?consumer .
 	}`
-	r, err := Run(ts, q)
+	r, err := RunSPARQL(ts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRepeatedVariableConsistency(t *testing.T) {
 	// Self-join: executions that used an artifact they also generated
 	// (none in a DAG run).
 	q := `SELECT ?e WHERE { ?e prov:used ?a . ?e prov:generated ?a . }`
-	r, err := Run(ts, q)
+	r, err := RunSPARQL(ts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRepeatedVariableConsistency(t *testing.T) {
 func TestAgentQuery(t *testing.T) {
 	ts, res := tripleStore(t)
 	q := `SELECT ?r WHERE { ?r prov:agent "juliana" . }`
-	r, err := Run(ts, q)
+	r, err := RunSPARQL(ts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestAgentQuery(t *testing.T) {
 func TestUnboundPredicateScan(t *testing.T) {
 	ts, res := tripleStore(t)
 	q := fmt.Sprintf(`SELECT ?p ?o WHERE { <%s> ?p ?o . }`, res.Artifacts["render.image"])
-	r, err := Run(ts, q)
+	r, err := RunSPARQL(ts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestUnboundPredicateScan(t *testing.T) {
 
 func TestNoMatches(t *testing.T) {
 	ts, _ := tripleStore(t)
-	r, err := Run(ts, `SELECT ?x WHERE { ?x prov:module "nonexistent" . }`)
+	r, err := RunSPARQL(ts, `SELECT ?x WHERE { ?x prov:module "nonexistent" . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDeduplication(t *testing.T) {
 	ts, _ := tripleStore(t)
 	// Projecting only the type of executions collapses to one row.
 	q := `SELECT ?t WHERE { ?e rdf:type ?t . ?e prov:module ?m . }`
-	r, err := Run(ts, q)
+	r, err := RunSPARQL(ts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

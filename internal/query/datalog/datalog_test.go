@@ -230,7 +230,7 @@ func TestProvenanceProgramLineage(t *testing.T) {
 		t.Fatalf("ancestors = %v", resq.Rows)
 	}
 	// Cross-check against the store's native BFS.
-	native, err := store.Lineage(s, image)
+	native, err := s.Closure(image, store.Up)
 	if err != nil {
 		t.Fatal(err)
 	}

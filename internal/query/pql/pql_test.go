@@ -296,7 +296,7 @@ func TestWorksOnAllBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := []store.Store{store.NewMemStore(), store.NewRelStore(), store.NewTripleStore(), fs}
+	backends := []store.Store{store.NewMemStore(), store.NewTripleStore(), fs}
 	for _, s := range backends {
 		if err := s.PutRunLog(log); err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 // or an error is returned the iterator stays exhausted. Returned tuples
 // and their witness slices may alias the source relation's storage —
 // consumers must treat them as read-only and must not retain Values slices
-// across Next calls unless the operator documents otherwise (Materialize
+// across Next calls unless the operator documents otherwise (materialize
 // copies; the join output allocates fresh Values rows).
 type Iterator interface {
 	Schema() []string
@@ -38,8 +38,8 @@ type scanIter struct {
 	i      int
 }
 
-// NewScan streams an existing relation without copying tuples.
-func NewScan(r *Relation) Iterator {
+// newScan streams an existing relation without copying tuples.
+func newScan(r *Relation) Iterator {
 	return &scanIter{name: r.Name, schema: r.Schema, tuples: r.Tuples}
 }
 
@@ -385,9 +385,9 @@ func StreamProject(in Iterator, cols ...string) (Iterator, error) {
 	}, nil
 }
 
-// StreamUnion computes the set union of two same-schema streams, unioning
+// streamUnion computes the set union of two same-schema streams, unioning
 // witness sets of value-equal tuples. Buffers only the deduplicated output.
-func StreamUnion(a, b Iterator) (Iterator, error) {
+func streamUnion(a, b Iterator) (Iterator, error) {
 	if err := schemaNamesEqual(a.Schema(), b.Schema()); err != nil {
 		return nil, err
 	}
@@ -425,10 +425,10 @@ func StreamUnion(a, b Iterator) (Iterator, error) {
 	}, nil
 }
 
-// StreamGroupBy folds the input stream into groups one tuple at a time
+// streamGroupBy folds the input stream into groups one tuple at a time
 // (never materializing the input) and emits [key, agg] rows in sorted-key
 // order, with each group's witness sets unioned.
-func StreamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iterator, error) {
+func streamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iterator, error) {
 	ki, err := colIndex(in.Schema(), keyCol)
 	if err != nil {
 		return nil, err
@@ -557,9 +557,9 @@ func streamSortBy(in Iterator, col string, less func(a, b Val) bool) (Iterator, 
 
 // --- sinks -------------------------------------------------------------------
 
-// Materialize drains an iterator into a named relation, copying values and
+// materialize drains an iterator into a named relation, copying values and
 // cloning witness sets so the result is independent of the sources.
-func Materialize(it Iterator, name string) (*Relation, error) {
+func materialize(it Iterator, name string) (*Relation, error) {
 	defer it.Close()
 	out := derived(name, it.Schema())
 	for {

@@ -18,7 +18,7 @@ type Pred func(vals []Val) bool
 // unchanged: selection does not combine tuples.
 func Select(r *Relation, pred Pred) *Relation {
 	// A selection over a relation scan has no failing step.
-	out, _ := Materialize(streamSelect(NewScan(r), pred), "σ("+r.Name+")")
+	out, _ := materialize(streamSelect(newScan(r), pred), "σ("+r.Name+")")
 	return out
 }
 
@@ -35,11 +35,11 @@ func Eq(r *Relation, col string, want Val) (Pred, error) {
 // the witnesses of merged duplicates are unioned (alternative
 // justifications).
 func Project(r *Relation, cols ...string) (*Relation, error) {
-	it, err := StreamProject(NewScan(r), cols...)
+	it, err := StreamProject(newScan(r), cols...)
 	if err != nil {
 		return nil, err
 	}
-	return Materialize(it, "π("+r.Name+")")
+	return materialize(it, "π("+r.Name+")")
 }
 
 // Join computes the natural equijoin on leftCol = rightCol. The output
@@ -48,21 +48,21 @@ func Project(r *Relation, cols ...string) (*Relation, error) {
 // tuples are cross-merged: a joined tuple is justified by one witness from
 // each side.
 func Join(l, r *Relation, leftCol, rightCol string) (*Relation, error) {
-	it, err := streamJoin(NewScan(l), NewScan(r), leftCol, rightCol, r.Name)
+	it, err := streamJoin(newScan(l), newScan(r), leftCol, rightCol, r.Name)
 	if err != nil {
 		return nil, err
 	}
-	return Materialize(it, "("+l.Name+"⋈"+r.Name+")")
+	return materialize(it, "("+l.Name+"⋈"+r.Name+")")
 }
 
 // Union computes set union of two relations with identical schemas,
 // unioning witness sets of value-equal tuples.
 func Union(a, b *Relation) (*Relation, error) {
-	it, err := StreamUnion(NewScan(a), NewScan(b))
+	it, err := streamUnion(newScan(a), newScan(b))
 	if err != nil {
 		return nil, err
 	}
-	return Materialize(it, "("+a.Name+"∪"+b.Name+")")
+	return materialize(it, "("+a.Name+"∪"+b.Name+")")
 }
 
 // AggFunc names an aggregate.
@@ -81,11 +81,11 @@ const (
 // is [key, agg(col)]; each group's provenance is the union of its members'
 // witnesses (every contributing tuple is part of why).
 func GroupBy(r *Relation, keyCol string, agg AggFunc, aggCol string) (*Relation, error) {
-	it, err := StreamGroupBy(NewScan(r), keyCol, agg, aggCol)
+	it, err := streamGroupBy(newScan(r), keyCol, agg, aggCol)
 	if err != nil {
 		return nil, err
 	}
-	return Materialize(it, "γ("+r.Name+")")
+	return materialize(it, "γ("+r.Name+")")
 }
 
 func toFloat(v Val) (float64, error) {

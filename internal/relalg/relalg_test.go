@@ -85,11 +85,11 @@ func TestSelectKeepsWitnesses(t *testing.T) {
 func TestSemijoinFiltersByKeySet(t *testing.T) {
 	r := genes(t)
 	semijoin := func(col string, keys map[Val]bool) (*Relation, error) {
-		it, err := StreamSemijoin(NewScan(r), col, keys)
+		it, err := StreamSemijoin(newScan(r), col, keys)
 		if err != nil {
 			return nil, err
 		}
-		return Materialize(it, "⋉")
+		return materialize(it, "⋉")
 	}
 	s, err := semijoin("organism", map[Val]bool{"mouse": true, "yeti": true})
 	if err != nil {
@@ -278,11 +278,11 @@ func TestGroupByNonNumeric(t *testing.T) {
 
 func TestSortStable(t *testing.T) {
 	r := genes(t)
-	it, err := StreamSortBy(NewScan(r), "score", func(a, b Val) bool { return compareVals(a, b) < 0 })
+	it, err := StreamSortBy(newScan(r), "score", func(a, b Val) bool { return compareVals(a, b) < 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Materialize(it, "sorted")
+	s, err := materialize(it, "sorted")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func randomRelation(rng *rand.Rand, name string, ncols int) *Relation {
 // on schema, tuple values in order, AND why-provenance witness sets.
 func mustEqual(t *testing.T, op string, eager *Relation, it Iterator) {
 	t.Helper()
-	got, err := Materialize(it, "stream")
+	got, err := materialize(it, "stream")
 	if err != nil {
 		t.Fatalf("%s: materialize: %v", op, err)
 	}
@@ -77,7 +77,7 @@ func mustEqualRel(t *testing.T, op string, eager, got *Relation, err error) {
 	if got.Name != eager.Name {
 		t.Fatalf("%s: name %q vs %q", op, got.Name, eager.Name)
 	}
-	mustEqual(t, op, eager, NewScan(got))
+	mustEqual(t, op, eager, newScan(got))
 }
 
 // witnessSetKey canonicalizes a witness set (order-independent).
@@ -105,7 +105,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		want := Val(fmt.Sprintf("v%d", rng.Intn(4)))
 		pred := func(vals []Val) bool { return compareVals(vals[ci], want) == 0 }
 		esel := refSelect(a, pred)
-		mustEqual(t, "select", esel, streamSelect(NewScan(a), pred))
+		mustEqual(t, "select", esel, streamSelect(newScan(a), pred))
 		mustEqualRel(t, "Select", esel, Select(a, pred), nil)
 
 		// Project onto a random non-empty column subset (dups merge,
@@ -123,7 +123,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := StreamProject(NewScan(a), cols...)
+		sp, err := StreamProject(newScan(a), cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sj, err := streamJoin(NewScan(a), NewScan(b), a.Schema[lj], b.Schema[rj], b.Name)
+		sj, err := streamJoin(newScan(a), newScan(b), a.Schema[lj], b.Schema[rj], b.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		su, err := StreamUnion(NewScan(a), NewScan(a2))
+		su, err := streamUnion(newScan(a), newScan(a2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := StreamSemijoin(NewScan(a), a.Schema[ci], keys)
+		ss, err := StreamSemijoin(newScan(a), a.Schema[ci], keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sso, err := StreamSortBy(NewScan(a), a.Schema[ci], func(x, y Val) bool { return compareVals(x, y) < 0 })
+		sso, err := StreamSortBy(newScan(a), a.Schema[ci], func(x, y Val) bool { return compareVals(x, y) < 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sg, err := StreamGroupBy(NewScan(a), a.Schema[ci], AggCount, "")
+		sg, err := streamGroupBy(newScan(a), a.Schema[ci], AggCount, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestGroupByNumericAggregates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sg, err := StreamGroupBy(NewScan(rel), "k", agg, col)
+				sg, err := streamGroupBy(newScan(rel), "k", agg, col)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -461,7 +461,7 @@ func TestPlannerFilterPlacement(t *testing.T) {
 // --- eager reference operators ------------------------------------------------
 //
 // The original relation-at-a-time operator bodies, moved here unchanged
-// when operators.go became Materialize over the streaming operators. They
+// when operators.go became materialize over the streaming operators. They
 // share no loop with iter.go, which is what makes the comparison above
 // mean something.
 
@@ -514,9 +514,10 @@ func refProject(r *Relation, cols ...string) (*Relation, error) {
 // (r ⋉ keys): one scan answers membership for an entire key set, where
 // repeated Select/Eq calls would scan once per key. Witnesses pass
 // through unchanged, as in Select. This is the algebra-level form of the
-// plan the provenance store runs for frontier expansion; the store's hot
-// path (store.RelStore.Expand) evaluates the same semijoin inline over
-// its base rows to avoid materializing tuples and witness sets per hop.
+// plan the survey's relational backend runs for frontier expansion; its
+// hot path (survey.RelStore.Expand in internal/experiments) evaluates the
+// same semijoin inline over its base rows to avoid materializing tuples
+// and witness sets per hop.
 func refSemijoin(r *Relation, col string, keys map[Val]bool) (*Relation, error) {
 	i, err := r.Col(col)
 	if err != nil {

@@ -261,7 +261,7 @@ func TestInterleavedIngestQueryAllBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fs.Close()
-			backends := []store.Store{store.NewMemStore(), store.NewRelStore(), store.NewTripleStore(), fs}
+			backends := []store.Store{store.NewMemStore(), store.NewTripleStore(), fs}
 			for _, backend := range backends {
 				rng := rand.New(rand.NewSource(seed))
 				b := &dagBuilder{}

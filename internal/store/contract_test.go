@@ -20,7 +20,6 @@ var contractBackends = []struct {
 	file bool
 }{
 	{"mem", func(string) (store.Store, error) { return store.NewMemStore(), nil }, false},
-	{"rel", func(string) (store.Store, error) { return store.NewRelStore(), nil }, false},
 	{"triple", func(string) (store.Store, error) { return store.NewTripleStore(), nil }, false},
 	{"file", func(dir string) (store.Store, error) { return store.OpenFileStore(dir) }, true},
 	{"mem-router", func(string) (store.Store, error) { return shardedstore.NewMem(4), nil }, false},

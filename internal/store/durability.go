@@ -84,8 +84,8 @@ type FileOptions struct {
 // state next to the log so a reopen replays only the log suffix. FileStore
 // writes its entity table; the sharded router checkpoints its file shards
 // and writes a manifest record; the closure cache checkpoints the store it
-// wraps, then persists its own entries; MemStore, RelStore and TripleStore
-// have no log, and theirs is a no-op. The standing-query tap and the
+// wraps, then persists its own entries; MemStore and TripleStore have no
+// log, and theirs is a no-op. The standing-query tap and the
 // router's trace shim inherit the checkpoint of the store they wrap.
 type Checkpointer interface {
 	// Checkpoint writes a consistent snapshot to stable storage. It is

@@ -3,8 +3,8 @@ package store
 import "repro/internal/provenance"
 
 // RowSchemas is the relational view of a run log: PQL's six virtual
-// tables, the columns of RelStore's tables, and the order of the fields of
-// the row types below.
+// tables, the columns of the survey's relational tables (package
+// experiments/survey), and the order of the fields of the row types below.
 var RowSchemas = map[string][]string{
 	"runs":        {"id", "workflow", "hash", "agent", "status"},
 	"executions":  {"id", "run", "module", "moduleType", "status", "wallNanos"},
@@ -52,8 +52,8 @@ type EdgeRow struct {
 type AnnotationRow struct{ Subject, Key, Value, Author string }
 
 // Rows is the one flattening of a run log into the relational view: PQL's
-// leaf scans, RelStore's tables and Datalog's extensional facts are all
-// read from it.
+// leaf scans, the survey's relational tables and Datalog's extensional
+// facts are all read from it.
 func Rows(l *provenance.RunLog) *RunRows {
 	r := new(RunRows)
 	r.fill(l)

@@ -8,10 +8,10 @@ import (
 )
 
 // runLogs is the run-log bookkeeping the resident backends (MemStore,
-// RelStore, TripleStore) embed: the stored logs by ID and in insertion
-// order, under the backend's one lock. It implements RunLog, Runs,
-// ScanLogs, ScanRows and Checkpoint for all three; each backend indexes a
-// new log its own way through put. The zero value is empty and ready.
+// TripleStore) embed: the stored logs by ID and in insertion order, under
+// the backend's one lock. It implements RunLog, Runs, ScanLogs, ScanRows
+// and Checkpoint for both; each backend indexes a new log its own way
+// through put. The zero value is empty and ready.
 type runLogs struct {
 	mu   sync.RWMutex
 	byID map[string]*provenance.RunLog

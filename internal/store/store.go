@@ -1,11 +1,9 @@
 // Package store provides the provenance storage infrastructure of §2.2:
-// one Store interface with four backends mirroring the storage spectrum the
+// one Store interface with three backends from the storage spectrum the
 // paper surveys —
 //
 //   - MemStore: native in-memory graph (adjacency maps), the baseline and
 //     the oracle the other backends are tested against;
-//   - RelStore: provenance as tuples in relational tables (systems like [3]
-//     store provenance in an RDBMS), built on internal/relalg;
 //   - TripleStore: provenance as (subject, predicate, object) triples with
 //     SPO/POS/OSP indexes, the Semantic-Web/RDF approach of [46, 26, 22];
 //   - FileStore: provenance as append-only log files with an offset index
@@ -13,15 +11,19 @@
 //     records), the XML/file-dialect approach, with crash recovery on
 //     reopen.
 //
+// The survey's relational model (provenance as tuples in an RDBMS, [3])
+// lives beside the experiments that time it, in package
+// experiments/survey; provd never runs it.
+//
 // Query engines (package query) are written against the interface, so every
 // language runs on every backend. Entity lookup (Entities), sequential
 // scans as logs (ScanLogs) or as rows (ScanRows) and Checkpoint are methods
-// every backend has: MemStore, RelStore and TripleStore share the scans and
-// a no-op Checkpoint through one embedded run-log helper and each looks
-// entities up its own way, FileStore serves them from its log, entity
-// table and row image, the sharded router (package shardedstore) scatters
-// them to its shards, and the wrappers (closure cache, standing-query
-// tap, the router's trace shim) inherit them by embedding.
+// every backend has: MemStore and TripleStore share the scans and a no-op
+// Checkpoint through one embedded run-log helper and each looks entities
+// up its own way, FileStore serves them from its log, entity table and row
+// image, the sharded router (package shardedstore) scatters them to its
+// shards, and the wrappers (closure cache, standing-query tap, the
+// router's trace shim) inherit them by embedding.
 //
 // # Batch traversal
 //
@@ -31,10 +33,8 @@
 // dependents closure pushed down into the backend, so a closure costs
 // O(hops) backend round-trips instead of O(edges). Each backend implements
 // both natively: MemStore over its adjacency maps and TripleStore over its
-// SPO/POS indexes, each under one read lock; RelStore with one semijoin
-// scan per table per hop, and a closure from one scan per table into hash
-// maps; FileStore over its resident entity table by handle, never touching
-// disk. Lineage is a thin wrapper over Closure. NaiveClosure (one
+// SPO/POS indexes, each under one read lock; FileStore over its resident
+// entity table by handle, never touching disk. NaiveClosure (one
 // single-entity Expand per visited node) and CloseOverExpand (one Expand
 // per hop) are the reference BFSs that conformance tests and benchmarks
 // compare against.
@@ -140,17 +140,11 @@ type Store interface {
 	Closure(seed string, dir Direction) ([]string, error)
 	// Stats reports entity counts and approximate footprint.
 	Stats() (Stats, error)
-	// Name identifies the backend ("mem", "rel", "triple", "file").
+	// Name identifies the backend ("mem", "triple", "file", or a
+	// router's "sharded(N×mem)").
 	Name() string
 	// Close releases resources.
 	Close() error
-}
-
-// Lineage computes the full upstream closure (artifacts and executions) of
-// an entity: the backend-independent query of experiments E4/E6, served by
-// the backend's pushed-down Closure.
-func Lineage(s Store, entityID string) ([]string, error) {
-	return s.Closure(entityID, Up)
 }
 
 // LocalNeighbors is one expanded entity's neighbor list in a CloseLocal
@@ -193,9 +187,8 @@ type LocalCloser interface {
 // implementations whose only batch primitive is Expand: one Expand call
 // per hop, visiting neighbors in per-node sorted order, seed excluded,
 // ErrNotFound for unknown seeds. The built-in backends implement Closure
-// natively (single-lock BFS, or RelStore's one-scan hash plan); this BFS
-// is the per-hop reference the conformance tests compare them with, and
-// the body of NaiveClosure.
+// natively (a single-lock BFS); this BFS is the per-hop reference the
+// conformance tests compare them with, and the body of NaiveClosure.
 func CloseOverExpand(expand func([]string, Direction) (map[string][]string, error), seed string, dir Direction) ([]string, error) {
 	seen := map[string]bool{}
 	var order []string
@@ -226,9 +219,9 @@ func CloseOverExpand(expand func([]string, Direction) (map[string][]string, erro
 }
 
 // bfsClosure runs the same BFS over a per-node neighbor function; backends
-// that can hold one lock across the whole traversal (mem, triple, and rel
-// over its one-scan adjacency) use it with their locked lookup. neighbors
-// reports ok=false for unknown entities.
+// that can hold one lock across the whole traversal (mem, triple) use it
+// with their locked lookup. neighbors reports ok=false for unknown
+// entities.
 func bfsClosure(seed string, dir Direction, neighbors func(id string, dir Direction) ([]string, bool)) ([]string, error) {
 	if _, known := neighbors(seed, dir); !known {
 		return nil, fmt.Errorf("%w: entity %q", ErrNotFound, seed)
@@ -256,8 +249,10 @@ func bfsClosure(seed string, dir Direction, neighbors func(id string, dir Direct
 // NaiveClosure is the per-node reference BFS the batch API replaced: one
 // single-entity Expand per visited node, ErrNotFound when a visited node is
 // unknown. Conformance tests assert every backend's Closure matches it, and
-// BenchmarkE4b quantifies the gap.
-func NaiveClosure(s Store, entityID string, dir Direction) ([]string, error) {
+// BenchmarkE4b quantifies the gap. It needs only s's Expand.
+func NaiveClosure(s interface {
+	Expand(ids []string, dir Direction) (map[string][]string, error)
+}, entityID string, dir Direction) ([]string, error) {
 	return CloseOverExpand(func(ids []string, dir Direction) (map[string][]string, error) {
 		out := make(map[string][]string, len(ids))
 		for _, id := range ids {

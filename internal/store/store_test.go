@@ -20,7 +20,7 @@ func openAll(t *testing.T) []Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Store{NewMemStore(), NewRelStore(), NewTripleStore(), fs}
+	return []Store{NewMemStore(), NewTripleStore(), fs}
 }
 
 // expandOne is a one-ID Expand: id's neighbors in dir, and whether the
@@ -137,7 +137,7 @@ func TestLineageAndDependentsAgreeAcrossBackends(t *testing.T) {
 		if err := s.PutRunLog(log); err != nil {
 			t.Fatal(err)
 		}
-		lin, err := Lineage(s, imageArt)
+		lin, err := s.Closure(imageArt, Up)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -164,7 +164,7 @@ func TestLineageAndDependentsAgreeAcrossBackends(t *testing.T) {
 
 func TestLineageUnknownEntity(t *testing.T) {
 	s := NewMemStore()
-	if _, err := Lineage(s, "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Closure("ghost", Up); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -432,28 +432,6 @@ func TestTripleStoreMatch(t *testing.T) {
 	sub := s.Match(renderExec.ID, "", "")
 	if len(sub) < 4 {
 		t.Fatalf("subject scan = %v", sub)
-	}
-}
-
-func TestRelStoreTablesExposed(t *testing.T) {
-	log, _, _ := captureRun(t)
-	s := NewRelStore()
-	if err := s.PutRunLog(log); err != nil {
-		t.Fatal(err)
-	}
-	tables := s.Tables()
-	for _, name := range []string{"runs", "executions", "artifacts", "uses", "gens", "annotations"} {
-		if tables[name] == nil {
-			t.Fatalf("table %q missing", name)
-		}
-	}
-	if tables["executions"].Len() != 4 {
-		t.Fatalf("executions table = %d rows", tables["executions"].Len())
-	}
-	// Reader has no inputs; histogram and contour use the grid, render uses
-	// the surface: 3 use records.
-	if tables["uses"].Len() != 3 {
-		t.Fatalf("uses table = %d rows", tables["uses"].Len())
 	}
 }
 

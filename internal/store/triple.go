@@ -33,7 +33,7 @@ const (
 
 // TripleStore keeps provenance as triples with SPO/POS/OSP hash indexes,
 // the Semantic-Web storage approach. It also serves as the data source for
-// the SPARQL-like query engine (package query/triplequery).
+// the SPARQL-like query engine (experiments/survey.RunSPARQL).
 type TripleStore struct {
 	runLogs
 	spo   map[string]map[string][]string // s -> p -> objects
@@ -197,14 +197,13 @@ func (s *TripleStore) matchLocked(subj, pred, obj string) []Triple {
 			}
 		}
 	}
-	SortTriples(out)
+	sortTriples(out)
 	return out
 }
 
-// SortTriples orders triples by (S, P, O): the canonical result order of
-// Match/MatchBatch, shared with the closure cache's pattern patching so
-// warm results sort exactly like cold ones.
-func SortTriples(ts []Triple) {
+// sortTriples orders triples by (S, P, O): the canonical result order of
+// Match/MatchBatch.
+func sortTriples(ts []Triple) {
 	sort.Slice(ts, func(i, j int) bool {
 		a, b := ts[i], ts[j]
 		if a.S != b.S {

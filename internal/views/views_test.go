@@ -130,7 +130,7 @@ func TestAbstractStoredMatchesAbstract(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	backends := []store.Store{store.NewMemStore(), store.NewRelStore(), store.NewTripleStore(), fs}
+	backends := []store.Store{store.NewMemStore(), store.NewTripleStore(), fs}
 	for _, s := range backends {
 		if err := s.PutRunLog(log); err != nil {
 			t.Fatal(err)
