@@ -239,7 +239,7 @@ func main() {
 	// closers (which drain auto-checkpoints and the replication tailer) run
 	// when main returns — a kill can no longer race an in-flight checkpoint
 	// or replication apply.
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := newServer(*addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -258,4 +258,14 @@ func main() {
 		}
 		log.Printf("provd: closing store")
 	}
+}
+
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so one that trickles them cannot hold a goroutine forever.
+// Bodies, SSE streams and long polls are not bounded by it.
+const readHeaderTimeout = 10 * time.Second
+
+// newServer is provd's HTTP server for handler on addr.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 }

@@ -181,3 +181,16 @@ func waitUp(t *testing.T, base string, logs *bytes.Buffer) {
 		time.Sleep(25 * time.Millisecond)
 	}
 }
+
+// TestNewServerBoundsHeaders: the server times out a client that trickles
+// its request headers, and bounds nothing else — a read or write timeout
+// would cut SSE streams and long polls.
+func TestNewServerBoundsHeaders(t *testing.T) {
+	srv := newServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 || srv.IdleTimeout != 0 {
+		t.Fatalf("read/write/idle timeouts = %v/%v/%v, want none", srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+	}
+}

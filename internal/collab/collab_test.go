@@ -505,3 +505,54 @@ func TestHTTPClosureEndpointsCached(t *testing.T) {
 		t.Fatalf("cached lineage diverged:\n got %v\nwant %v", lineage, want)
 	}
 }
+
+// TestConcurrentGetAndRate: GET /v1/workflows/{id} encodes the entry
+// while ratings land on it; the entry the handler encodes must be its own
+// copy, or the encoder reads Downloads and iterates Ratings while Get and
+// Rate write them (a data race under -race, a fatal concurrent map
+// iteration and write without it).
+func TestConcurrentGetAndRate(t *testing.T) {
+	r := newRepo()
+	if err := r.Publish(workloads.MedicalImaging(), "juliana", ""); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(r))
+	defer srv.Close()
+	const rounds = 200
+	done := make(chan error, 2)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			resp, err := http.Get(srv.URL + "/v1/workflows/medimg")
+			if err != nil {
+				done <- err
+				return
+			}
+			resp.Body.Close()
+		}
+		done <- nil
+	}()
+	go func() {
+		for i := 0; i < rounds; i++ {
+			body := fmt.Sprintf(`{"user":"u%d","stars":%d}`, i, 1+i%5)
+			resp, err := http.Post(srv.URL+"/v1/workflows/medimg/rating", "application/json", bytes.NewBufferString(body))
+			if err != nil {
+				done <- err
+				return
+			}
+			resp.Body.Close()
+		}
+		done <- nil
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := r.Peek("medimg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Downloads != rounds || len(e.Ratings) != rounds {
+		t.Fatalf("downloads %d, ratings %d, want %d each", e.Downloads, len(e.Ratings), rounds)
+	}
+}

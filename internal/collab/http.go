@@ -21,59 +21,51 @@ import (
 // NewHandler exposes the repository and lineage service over HTTP (the
 // collaboratory's Web face). Every route lives under the versioned /v1
 // prefix and answers failures with the shared envelope
-// {"error": ..., "code": ...} (codes in internal/collab/api); any other
-// path is a 404. Endpoints (all JSON unless noted):
+// {"error": ..., "code": ...} (codes in internal/collab/api). The routes
+// are one table (routes, below): a GET route also answers HEAD, a method
+// the path has no route for answers 405 with an Allow header, and any
+// other path 404. Endpoints (all JSON unless noted):
 //
-//	GET  /v1/workflows                  list IDs (optionally ?q= full-text search)
-//	POST /v1/workflows                  publish {workflow, owner, description, tags}
-//	GET  /v1/workflows/{id}             entry (counts a download)
-//	GET  /v1/workflows/{id}/runs        run IDs for a workflow
-//	POST /v1/workflows/{id}/rating      rate {user, stars}
-//	GET  /v1/runs/{id}                  full run log
-//	GET  /v1/lineage?id=ENTITY          upstream closure of an entity
-//	GET  /v1/dependents?id=ENTITY       downstream closure of an entity
-//	GET  /v1/expand?ids=A,B&dir=up      one-hop frontier expansion (batch)
-//	GET  /v1/recommend?user=U           recommendations
-//	GET  /v1/query?q=PQL                PQL query against the provenance store
-//	GET  /v1/stats                      repository statistics
-//	GET  /v1/status                     node identity: role, epoch, uptime,
-//	                                    store config, build version
-//	GET  /v1/health                     load-balancer health: 200 in
-//	                                    rotation, 503 out (stale/disconnected
-//	                                    follower), reason in the body
-//	GET  /v1/metrics                    runtime metrics, Prometheus text
-//	                                    exposition format (plain text)
-//	GET  /v1/replication/status         role + per-shard replication positions
-//	POST /v1/replication/promote        follower→primary cutover: drain,
-//	                                    bump epoch, drop read-only
-//	GET  /v1/replication/stream?shard=N&from=OFF&max=BYTES
-//	                                    record-aligned committed log chunk
-//	                                    (octet-stream, X-Log-Committed header)
-//	GET  /v1/replication/checkpoint?shard=N
-//	                                    raw shard checkpoint snapshot (octet-stream)
-//	POST /v1/subscriptions              register a standing query
-//	GET  /v1/subscriptions              list standing queries
-//	GET  /v1/subscriptions/{id}         current full result (re-snapshot)
-//	DEL  /v1/subscriptions/{id}         unregister
-//	GET  /v1/subscriptions/{id}/events  live delta stream (SSE; ?poll=1
-//	                                    long-polls) — see subscriptions.go
+//	GET    /v1/metrics                     Prometheus text exposition (plain text)
+//	GET    /v1/status                      node identity: role, epoch, uptime, store, build
+//	GET    /v1/health                      200 in rotation, 503 out; reason in the body
+//	GET    /v1/workflows                   list IDs (optionally ?q= full-text search)
+//	POST   /v1/workflows                   publish {workflow, owner, description, tags}
+//	GET    /v1/workflows/{id}              entry (counts a download)
+//	GET    /v1/workflows/{id}/runs         run IDs for a workflow
+//	POST   /v1/workflows/{id}/rating       rate {user, stars}
+//	GET    /v1/runs/{id...}                full run log
+//	GET    /v1/lineage?id=ENTITY           upstream closure of an entity
+//	GET    /v1/dependents?id=ENTITY        downstream closure of an entity
+//	GET    /v1/expand?ids=A,B&dir=up       one-hop frontier expansion (batch)
+//	GET    /v1/recommend?user=U            recommendations
+//	GET    /v1/query?q=PQL                 PQL query against the provenance store
+//	GET    /v1/stats                       repository statistics
+//	GET    /v1/replication/status          role + per-shard replication positions
+//	GET    /v1/replication/stream?shard=N&from=OFF&max=BYTES
+//	                                       committed log chunk (octet-stream)
+//	GET    /v1/replication/checkpoint?shard=N  shard checkpoint (octet-stream)
+//	POST   /v1/replication/promote         follower→primary cutover
+//	GET    /v1/subscriptions               list standing queries
+//	POST   /v1/subscriptions               register a standing query
+//	GET    /v1/subscriptions/{id}          current full result (re-snapshot)
+//	DELETE /v1/subscriptions/{id}          unregister
+//	GET    /v1/subscriptions/{id}/events   delta stream (SSE; ?poll=1 long-polls)
 //
 // With a Failover coordinator every response carries
-// X-Replication-Epoch; requests from a lower epoch are rejected
-// 409/stale_epoch and a fenced primary rejects writes 403/fenced. While
-// the coordinator reports the follower role, non-GET traffic is rejected
-// 403/read_only_replica — except the /v1/subscriptions routes, which
-// mutate node-local serving state rather than the store, and the promote
-// route, a follower's escape hatch out of read-only — every response
-// carries X-Replica-Applied and X-Replica-Lag so clients can bound
-// staleness, and past its -max-lag bound data reads answer
-// 503/replica_too_stale.
+// X-Replication-Epoch and a request from a lower epoch is rejected
+// 409/stale_epoch. The other gates read the matched route's class (see
+// class): a fenced primary rejects store writes 403/fenced; a follower
+// rejects them 403/read_only_replica, stamps X-Replica-Applied and
+// X-Replica-Lag on every response, and past its -max-lag bound answers
+// data reads 503/replica_too_stale.
 //
 // Every v1 route runs inside the observability middleware (obs.go): the
 // response carries an X-Request-ID (propagated from the request when
 // present), prov_http_requests_total{route,code} and
-// prov_http_request_seconds{route} record the call, and — when configured
-// — each request is logged through log/slog with requests slower than the
+// prov_http_request_seconds{route} record the call under the route's
+// literal prefix (/v1/workflows/, /v1/runs/), and — when configured —
+// each request is logged through log/slog with requests slower than the
 // threshold escalated to the Warn-level slow-query log.
 func NewHandler(repo *Repository) http.Handler {
 	return NewHandlerWith(repo, HandlerOptions{})
@@ -188,298 +180,31 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 	}
 	hobs := &httpObs{reg: reg, log: opts.RequestLog, slow: opts.SlowRequest}
 	mux := http.NewServeMux()
-	// Every route registers through the observability middleware.
-	v1 := func(pattern string, fn http.HandlerFunc) {
-		route := api.V1Prefix + pattern
-		mux.HandleFunc(route, hobs.instrument(route, fn))
+	// classes is what the failover gates read: the class of each
+	// registered pattern.
+	classes := map[string]class{}
+	table := routes(&server{repo: repo, opts: opts, reg: reg})
+	allow := map[string][]string{}
+	for _, r := range table {
+		allow[r.path] = append(allow[r.path], r.method)
 	}
-
-	v1("/metrics", metricsHandler(reg))
-	v1("/status", statusHandler(opts))
-	v1("/health", healthHandler(opts))
-
-	v1("/workflows", func(w http.ResponseWriter, req *http.Request) {
-		switch req.Method {
-		case http.MethodGet:
-			if q := req.URL.Query().Get("q"); q != "" {
-				writeJSON(w, http.StatusOK, repo.Search(q, 20))
-				return
-			}
-			writeJSON(w, http.StatusOK, repo.List())
-		case http.MethodPost:
-			var body api.PublishWorkflowRequest
-			if !decodeBody(w, req, "publish", &body) {
-				return
-			}
-			if body.Workflow == nil {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: bad publish body: no workflow"))
-				return
-			}
-			if err := repo.Publish(body.Workflow, body.Owner, body.Description, body.Tags...); err != nil {
-				writeError(w, http.StatusConflict, api.CodeConflict, err)
-				return
-			}
-			writeJSON(w, http.StatusCreated, api.PublishWorkflowResponse{ID: body.Workflow.ID})
-		default:
-			methodNotAllowed(w, "GET, POST")
-		}
-	})
-
-	v1("/workflows/", func(w http.ResponseWriter, req *http.Request) {
-		rest := strings.TrimPrefix(req.URL.Path, api.V1Prefix+"/workflows/")
-		parts := strings.Split(rest, "/")
-		id := parts[0]
-		switch {
-		case len(parts) == 1:
-			if req.Method != http.MethodGet {
-				methodNotAllowed(w, "GET")
-				return
-			}
-			e, err := repo.Get(id)
-			if err != nil {
-				writeError(w, http.StatusNotFound, api.CodeNotFound, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, e)
-		case len(parts) == 2 && parts[1] == "runs":
-			if req.Method != http.MethodGet {
-				methodNotAllowed(w, "GET")
-				return
-			}
-			if _, err := repo.Peek(id); err != nil {
-				writeError(w, http.StatusNotFound, api.CodeNotFound, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, repo.RunsOf(id))
-		case len(parts) == 2 && parts[1] == "rating":
-			if req.Method != http.MethodPost {
-				methodNotAllowed(w, "POST")
-				return
-			}
-			var body api.RateRequest
-			if !decodeBody(w, req, "rating", &body) {
-				return
-			}
-			if err := repo.Rate(id, body.User, body.Stars); err != nil {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, api.StatusResponse{Status: "ok"})
-		default:
-			writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("collab: no route %s %s", req.Method, req.URL.Path))
-		}
-	})
-
-	v1("/runs/", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
-		id := strings.TrimPrefix(req.URL.Path, api.V1Prefix+"/runs/")
-		l, err := repo.Store().RunLog(id)
-		if err != nil {
-			writeError(w, http.StatusNotFound, api.CodeNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, l)
-	})
-
-	// Closure endpoints run on the pushed-down batch traversal: one store
-	// round-trip per BFS hop regardless of backend.
-	closure := func(dir store.Direction) http.HandlerFunc {
-		return func(w http.ResponseWriter, req *http.Request) {
-			if req.Method != http.MethodGet {
-				methodNotAllowed(w, "GET")
-				return
-			}
-			id := req.URL.Query().Get("id")
-			if id == "" {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: id parameter required"))
-				return
-			}
-			ids, err := repo.Store().Closure(id, dir)
-			if err != nil {
-				writeStoreError(w, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, ids)
+	for _, r := range table {
+		// The metric label is the path's literal prefix (/v1/workflows/,
+		// /v1/runs/): a closed set, whatever IDs requests carry.
+		label := r.path[:strings.IndexByte(r.path+"{", '{')]
+		pattern := strings.TrimSpace(r.method + " " + r.path)
+		mux.Handle(pattern, hobs.instrument(label, r.fn))
+		classes[pattern] = r.class
+		// The path's first entry also registers the 405 answer to the
+		// methods no entry of the path takes.
+		if methods := allow[r.path]; r.method != "" && methods[0] == r.method {
+			mux.Handle(r.path, hobs.instrument(label, methodNotAllowed(strings.Join(methods, ", "))))
+			classes[r.path] = r.class
 		}
 	}
-	v1("/lineage", closure(store.Up))
-	v1("/dependents", closure(store.Down))
-
-	v1("/expand", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
-		idsParam := req.URL.Query().Get("ids")
-		if idsParam == "" {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: ids parameter required"))
-			return
-		}
-		dir := store.Up
-		if d := req.URL.Query().Get("dir"); d != "" {
-			var err error
-			if dir, err = store.ParseDirection(d); err != nil {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
-				return
-			}
-		}
-		adj, err := repo.Store().Expand(strings.Split(idsParam, ","), dir)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, api.CodeInternal, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, adj)
+	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("collab: no route %s", req.URL.Path))
 	})
-
-	v1("/recommend", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
-		user := req.URL.Query().Get("user")
-		if user == "" {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: user parameter required"))
-			return
-		}
-		k, _ := strconv.Atoi(req.URL.Query().Get("k"))
-		if k <= 0 {
-			k = 5
-		}
-		writeJSON(w, http.StatusOK, repo.Recommend(user, k))
-	})
-
-	v1("/query", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
-		q := req.URL.Query().Get("q")
-		if q == "" {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: q parameter required"))
-			return
-		}
-		parsed, err := pql.Parse(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
-			return
-		}
-		var res *pql.Result
-		if opts.ExplainQueries != nil {
-			var ex *pql.Explain
-			if res, ex, err = pql.ExecuteExplain(repo.Store(), parsed); err == nil {
-				opts.ExplainQueries(q, ex.String())
-			}
-		} else {
-			res, err = pql.Execute(repo.Store(), parsed)
-		}
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusOK, res)
-		case errors.Is(err, pql.ErrInvalid):
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
-		default:
-			writeStoreError(w, err)
-		}
-	})
-
-	v1("/stats", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
-		writeJSON(w, http.StatusOK, repo.Stat())
-	})
-
-	v1("/replication/status", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
-		if opts.Status != nil {
-			writeJSON(w, http.StatusOK, opts.Status())
-			return
-		}
-		writeJSON(w, http.StatusOK, api.ReplicationStatus{Role: api.RoleStandalone})
-	})
-
-	// The shipping routes answer GETs, on a node with a log to ship.
-	shipping := func(pattern string, fn http.HandlerFunc) {
-		v1(pattern, func(w http.ResponseWriter, req *http.Request) {
-			if req.Method != http.MethodGet {
-				methodNotAllowed(w, "GET")
-			} else if opts.Source == nil {
-				writeError(w, http.StatusNotFound, api.CodeUnavailable,
-					errors.New("collab: this node does not serve a replicable log (start provd with -role primary)"))
-			} else {
-				fn(w, req)
-			}
-		})
-	}
-
-	shipping("/replication/stream", func(w http.ResponseWriter, req *http.Request) {
-		q := req.URL.Query()
-		shard, _ := strconv.Atoi(q.Get("shard"))
-		from, err := strconv.ParseInt(q.Get("from"), 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("collab: bad from offset %q", q.Get("from")))
-			return
-		}
-		maxBytes, _ := strconv.Atoi(q.Get("max"))
-		data, committed, err := opts.Source.ReadLog(shard, from, min(maxBytes, maxStreamBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
-			return
-		}
-		w.Header().Set(api.HeaderLogCommitted, strconv.FormatInt(committed, 10))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-	})
-
-	shipping("/replication/checkpoint", func(w http.ResponseWriter, req *http.Request) {
-		shard, _ := strconv.Atoi(req.URL.Query().Get("shard"))
-		data, ok, err := opts.Source.CheckpointBytes(shard)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
-			return
-		}
-		if !ok {
-			writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("collab: shard %d has no checkpoint yet", shard))
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-	})
-
-	v1("/replication/promote", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			methodNotAllowed(w, "POST")
-			return
-		}
-		if opts.Failover == nil {
-			writeError(w, http.StatusNotFound, api.CodeUnavailable,
-				errors.New("collab: this node has no failover coordinator (start provd with -role follower)"))
-			return
-		}
-		pr, err := opts.Failover.Promote(req.Context())
-		if err != nil {
-			status, code := http.StatusInternalServerError, api.CodeInternal
-			var re *api.RemoteError
-			if errors.As(err, &re) {
-				status, code = re.HTTPStatus, re.Code
-			}
-			writeError(w, status, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, pr)
-	})
-
-	v1("/subscriptions", subscriptionsHandler(opts.Standing))
-	v1("/subscriptions/", subscriptionHandler(opts.Standing))
 
 	fo := opts.Failover
 	if fo == nil {
@@ -503,32 +228,36 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 			}
 		}
 		w.Header().Set(api.HeaderReplicationEpoch, strconv.FormatUint(fo.Epoch(), 10))
+		// The matched route's class. No route (the catch-all, or a
+		// redirect ServeMux answers itself) holds no data to be stale.
+		_, pattern := mux.Handler(req)
+		class, ok := classes[pattern]
+		if !ok {
+			class = opRead
+		}
+		// A method the route does not take is gated by its kind: a write
+		// is a store write, a read of a store-write route a data read.
+		read := req.Method == http.MethodGet || req.Method == http.MethodHead
+		switch {
+		case !read && (class == dataRead || class == opRead):
+			class = storeWrite
+		case read && class == storeWrite:
+			class = dataRead
+		}
 		follower := fo.Role() == api.RoleFollower
 		if follower {
 			applied, behind := fo.Lag()
 			w.Header().Set(api.HeaderReplicaApplied, strconv.FormatInt(applied, 10))
 			w.Header().Set(api.HeaderReplicaLag, strconv.FormatInt(behind, 10))
 			// The -max-lag staleness bound: beyond it a data read gets a
-			// 503 rather than an arbitrarily stale answer. Health, status,
-			// metrics, replication and subscription routes stay reachable —
-			// they are how operators and consumers see the staleness. Only
-			// reads are gated: a write never serves stale data, and gets
-			// the more actionable read-only rejection below.
-			if opts.MaxLagBytes > 0 && behind > opts.MaxLagBytes &&
-				(req.Method == http.MethodGet || req.Method == http.MethodHead) &&
-				!staleExempt(req.URL.Path) {
+			// 503 rather than an arbitrarily stale answer.
+			if class == dataRead && opts.MaxLagBytes > 0 && behind > opts.MaxLagBytes {
 				writeError(w, http.StatusServiceUnavailable, api.CodeReplicaTooStale,
 					fmt.Errorf("collab: replica lag %d bytes exceeds the node's -max-lag bound %d", behind, opts.MaxLagBytes))
 				return
 			}
 		}
-		// Subscriptions are node-local serving state, not store writes: a
-		// follower hosts them (fed by replication apply), so registering
-		// and deleting them must pass the read-only guard. Promotion is
-		// the follower's escape hatch out of read-only, so it passes too.
-		exemptRoute := strings.HasPrefix(req.URL.Path, api.V1Prefix+"/subscriptions") ||
-			req.URL.Path == api.V1Prefix+"/replication/promote"
-		if req.Method != http.MethodGet && req.Method != http.MethodHead && !exemptRoute {
+		if class == storeWrite {
 			if follower {
 				writeError(w, http.StatusForbidden, api.CodeReadOnlyReplica,
 					errors.New("collab: this node is a read replica; send writes to the primary"))
@@ -544,17 +273,289 @@ func NewHandlerWith(repo *Repository, opts HandlerOptions) http.Handler {
 	})
 }
 
-// staleExempt lists the routes a staleness-bounded follower still
-// serves past its -max-lag bound: operational surfaces and the
-// replication/subscription machinery itself.
-func staleExempt(path string) bool {
-	for _, p := range []string{"/health", "/status", "/metrics"} {
-		if path == api.V1Prefix+p {
-			return true
+// class is what the failover gates know of a route.
+type class int
+
+const (
+	// dataRead serves store data: a follower past its -max-lag bound
+	// answers it 503/replica_too_stale.
+	dataRead class = iota
+	// opRead (health, status, metrics, replication) is served at any
+	// lag: it is how operators and followers see the lag.
+	opRead
+	// storeWrite changes the repository or the store: a follower answers
+	// it 403/read_only_replica, a fenced primary 403/fenced.
+	storeWrite
+	// nodeWrite routes hold node-local state, not the store — standing
+	// subscriptions (a follower hosts them) and promotion (a follower's
+	// way out of read-only) — and pass every gate.
+	nodeWrite
+)
+
+// route is one entry of the v1 route table.
+type route struct {
+	method string // "" takes every method
+	path   string // ServeMux path pattern; wildcards are read with PathValue
+	class  class
+	fn     http.HandlerFunc
+}
+
+// server holds what the route handlers read.
+type server struct {
+	repo *Repository
+	opts HandlerOptions
+	reg  *obs.Registry
+}
+
+// routes is the v1 route table: every route, its method and its class.
+func routes(s *server) []route {
+	return append([]route{
+		{"GET", "/v1/metrics", opRead, metricsHandler(s.reg)},
+		{"GET", "/v1/status", opRead, statusHandler(s.opts)},
+		{"GET", "/v1/health", opRead, healthHandler(s.opts)},
+		{"GET", "/v1/workflows", dataRead, s.listWorkflows},
+		{"POST", "/v1/workflows", storeWrite, s.publish},
+		{"GET", "/v1/workflows/{id}", dataRead, s.workflow},
+		{"GET", "/v1/workflows/{id}/runs", dataRead, s.runsOf},
+		{"POST", "/v1/workflows/{id}/rating", storeWrite, s.rate},
+		{"GET", "/v1/runs/{id...}", dataRead, s.runLog},
+		{"GET", "/v1/lineage", dataRead, s.closure(store.Up)},
+		{"GET", "/v1/dependents", dataRead, s.closure(store.Down)},
+		{"GET", "/v1/expand", dataRead, s.expand},
+		{"GET", "/v1/recommend", dataRead, s.recommend},
+		{"GET", "/v1/query", dataRead, s.query},
+		{"GET", "/v1/stats", dataRead, s.stats},
+		{"GET", "/v1/replication/status", opRead, s.replicationStatus},
+		{"GET", "/v1/replication/stream", opRead, s.shipping(s.stream)},
+		{"GET", "/v1/replication/checkpoint", opRead, s.shipping(s.checkpoint)},
+		{"POST", "/v1/replication/promote", nodeWrite, s.promote},
+	}, subscriptionRoutes(s.opts.Standing)...)
+}
+
+func (s *server) listWorkflows(w http.ResponseWriter, req *http.Request) {
+	if q := req.URL.Query().Get("q"); q != "" {
+		writeJSON(w, http.StatusOK, s.repo.Search(q, 20))
+		return
+	}
+	writeJSON(w, http.StatusOK, s.repo.List())
+}
+
+func (s *server) publish(w http.ResponseWriter, req *http.Request) {
+	var body api.PublishWorkflowRequest
+	if !decodeBody(w, req, "publish", &body) {
+		return
+	}
+	if body.Workflow == nil {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: bad publish body: no workflow"))
+		return
+	}
+	if err := s.repo.Publish(body.Workflow, body.Owner, body.Description, body.Tags...); err != nil {
+		writeError(w, http.StatusConflict, api.CodeConflict, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, api.PublishWorkflowResponse{ID: body.Workflow.ID})
+}
+
+func (s *server) workflow(w http.ResponseWriter, req *http.Request) {
+	e, err := s.repo.Get(req.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, e)
+}
+
+func (s *server) runsOf(w http.ResponseWriter, req *http.Request) {
+	id := req.PathValue("id")
+	if _, err := s.repo.Peek(id); err != nil {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, s.repo.RunsOf(id))
+}
+
+func (s *server) rate(w http.ResponseWriter, req *http.Request) {
+	var body api.RateRequest
+	if !decodeBody(w, req, "rating", &body) {
+		return
+	}
+	if err := s.repo.Rate(req.PathValue("id"), body.User, body.Stars); err != nil {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, api.StatusResponse{Status: "ok"})
+}
+
+func (s *server) runLog(w http.ResponseWriter, req *http.Request) {
+	l, err := s.repo.Store().RunLog(req.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, l)
+}
+
+// closure serves /v1/lineage and /v1/dependents on the pushed-down batch
+// traversal: one store round-trip per BFS hop regardless of backend.
+func (s *server) closure(dir store.Direction) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		id := req.URL.Query().Get("id")
+		if id == "" {
+			writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: id parameter required"))
+			return
+		}
+		ids, err := s.repo.Store().Closure(id, dir)
+		if err != nil {
+			writeStoreError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, ids)
+	}
+}
+
+func (s *server) expand(w http.ResponseWriter, req *http.Request) {
+	idsParam := req.URL.Query().Get("ids")
+	if idsParam == "" {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: ids parameter required"))
+		return
+	}
+	dir := store.Up
+	if d := req.URL.Query().Get("dir"); d != "" {
+		var err error
+		if dir, err = store.ParseDirection(d); err != nil {
+			writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+			return
 		}
 	}
-	return strings.HasPrefix(path, api.V1Prefix+"/replication/") ||
-		strings.HasPrefix(path, api.V1Prefix+"/subscriptions")
+	adj, err := s.repo.Store().Expand(strings.Split(idsParam, ","), dir)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, api.CodeInternal, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, adj)
+}
+
+func (s *server) recommend(w http.ResponseWriter, req *http.Request) {
+	user := req.URL.Query().Get("user")
+	if user == "" {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: user parameter required"))
+		return
+	}
+	k, _ := strconv.Atoi(req.URL.Query().Get("k"))
+	if k <= 0 {
+		k = 5
+	}
+	writeJSON(w, http.StatusOK, s.repo.Recommend(user, k))
+}
+
+func (s *server) query(w http.ResponseWriter, req *http.Request) {
+	q := req.URL.Query().Get("q")
+	if q == "" {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, errors.New("collab: q parameter required"))
+		return
+	}
+	parsed, err := pql.Parse(q)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+		return
+	}
+	var res *pql.Result
+	if s.opts.ExplainQueries != nil {
+		var ex *pql.Explain
+		if res, ex, err = pql.ExecuteExplain(s.repo.Store(), parsed); err == nil {
+			s.opts.ExplainQueries(q, ex.String())
+		}
+	} else {
+		res, err = pql.Execute(s.repo.Store(), parsed)
+	}
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, res)
+	case errors.Is(err, pql.ErrInvalid):
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+	default:
+		writeStoreError(w, err)
+	}
+}
+
+func (s *server) stats(w http.ResponseWriter, req *http.Request) {
+	writeJSON(w, http.StatusOK, s.repo.Stat())
+}
+
+func (s *server) replicationStatus(w http.ResponseWriter, req *http.Request) {
+	if s.opts.Status != nil {
+		writeJSON(w, http.StatusOK, s.opts.Status())
+		return
+	}
+	writeJSON(w, http.StatusOK, api.ReplicationStatus{Role: api.RoleStandalone})
+}
+
+// shipping serves fn on a node with a log to ship, 404/unavailable on
+// any other.
+func (s *server) shipping(fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if s.opts.Source == nil {
+			writeError(w, http.StatusNotFound, api.CodeUnavailable,
+				errors.New("collab: this node does not serve a replicable log (start provd with -role primary)"))
+			return
+		}
+		fn(w, req)
+	}
+}
+
+func (s *server) stream(w http.ResponseWriter, req *http.Request) {
+	q := req.URL.Query()
+	shard, _ := strconv.Atoi(q.Get("shard"))
+	from, err := strconv.ParseInt(q.Get("from"), 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("collab: bad from offset %q", q.Get("from")))
+		return
+	}
+	maxBytes, _ := strconv.Atoi(q.Get("max"))
+	data, committed, err := s.opts.Source.ReadLog(shard, from, min(maxBytes, maxStreamBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+		return
+	}
+	w.Header().Set(api.HeaderLogCommitted, strconv.FormatInt(committed, 10))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(data)
+}
+
+func (s *server) checkpoint(w http.ResponseWriter, req *http.Request) {
+	shard, _ := strconv.Atoi(req.URL.Query().Get("shard"))
+	data, ok, err := s.opts.Source.CheckpointBytes(shard)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err)
+		return
+	}
+	if !ok {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("collab: shard %d has no checkpoint yet", shard))
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(data)
+}
+
+func (s *server) promote(w http.ResponseWriter, req *http.Request) {
+	if s.opts.Failover == nil {
+		writeError(w, http.StatusNotFound, api.CodeUnavailable,
+			errors.New("collab: this node has no failover coordinator (start provd with -role follower)"))
+		return
+	}
+	pr, err := s.opts.Failover.Promote(req.Context())
+	if err != nil {
+		status, code := http.StatusInternalServerError, api.CodeInternal
+		var re *api.RemoteError
+		if errors.As(err, &re) {
+			status, code = re.HTTPStatus, re.Code
+		}
+		writeError(w, status, code, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, pr)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -603,8 +604,11 @@ func writeStoreError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, api.CodeInternal, err)
 }
 
-func methodNotAllowed(w http.ResponseWriter, allow string) {
-	w.Header().Set("Allow", allow)
-	writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-		fmt.Errorf("collab: method not allowed (use %s)", allow))
+// methodNotAllowed answers a method no table entry of the path takes.
+func methodNotAllowed(allow string) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Allow", allow)
+		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
+			fmt.Errorf("collab: method not allowed (use %s)", allow))
+	}
 }

@@ -85,8 +85,8 @@ type httpObs struct {
 }
 
 // instrument wraps one route's handler with the observability middleware.
-// The route label is the registered pattern — a closed set, so metric
-// cardinality is bounded by the API surface, never by request paths. The
+// The route label is the route's literal path prefix — a closed set, so
+// metric cardinality is bounded by the API surface, never by request paths. The
 // latency histogram is resolved once at registration; the (route, code)
 // counter per request (the code is only known afterwards).
 func (h *httpObs) instrument(route string, fn http.HandlerFunc) http.HandlerFunc {
@@ -108,34 +108,25 @@ func (h *httpObs) instrument(route string, fn http.HandlerFunc) http.HandlerFunc
 		lat.Observe(dur)
 		h.reg.Counter("prov_http_requests_total", "Requests served by route and status code.",
 			obs.L("route", route), obs.L("code", strconv.Itoa(rec.status))).Inc()
-		if h.log != nil {
-			h.log.LogAttrs(req.Context(), slog.LevelInfo, "request",
-				slog.String("id", id),
-				slog.String("method", req.Method),
-				slog.String("route", route),
-				slog.String("path", req.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Int64("bytes", rec.bytes),
-				slog.Duration("dur", dur),
-			)
+		slow := h.slow > 0 && dur >= h.slow
+		if h.log == nil && !slow {
+			return
 		}
-		if h.slow > 0 && dur >= h.slow {
+		attrs := []slog.Attr{slog.String("id", id), slog.String("method", req.Method),
+			slog.String("route", route), slog.String("path", req.URL.Path),
+			slog.Int("status", rec.status), slog.Duration("dur", dur)}
+		if h.log != nil {
+			h.log.LogAttrs(req.Context(), slog.LevelInfo, "request", append(attrs, slog.Int64("bytes", rec.bytes))...)
+		}
+		if slow {
 			h.reg.Counter("prov_http_slow_requests_total",
 				"Requests slower than the configured slow-query threshold.").Inc()
 			logger := h.log
 			if logger == nil {
 				logger = slog.Default()
 			}
-			logger.LogAttrs(req.Context(), slog.LevelWarn, "slow request",
-				slog.String("id", id),
-				slog.String("method", req.Method),
-				slog.String("route", route),
-				slog.String("path", req.URL.Path),
-				slog.String("query", req.URL.RawQuery),
-				slog.Int("status", rec.status),
-				slog.Duration("dur", dur),
-				slog.Duration("threshold", h.slow),
-			)
+			logger.LogAttrs(req.Context(), slog.LevelWarn, "slow request", append(attrs,
+				slog.String("query", req.URL.RawQuery), slog.Duration("threshold", h.slow))...)
 		}
 	}
 }
@@ -143,10 +134,6 @@ func (h *httpObs) instrument(route string, fn http.HandlerFunc) http.HandlerFunc
 // metricsHandler serves the registry in Prometheus text exposition format.
 func metricsHandler(reg *obs.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		_ = reg.WritePrometheus(w)
@@ -170,10 +157,6 @@ func statusHandler(opts HandlerOptions) http.HandlerFunc {
 	}
 	version, revision := buildVersion()
 	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
 		ns := api.NodeStatus{
 			Role:          node.Role,
 			UptimeSeconds: time.Since(node.Start).Seconds(),
@@ -209,10 +192,6 @@ func healthHandler(opts HandlerOptions) http.HandlerFunc {
 		role = api.RoleStandalone
 	}
 	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			methodNotAllowed(w, "GET")
-			return
-		}
 		if opts.Failover == nil {
 			writeJSON(w, http.StatusOK, api.HealthResponse{Status: "ok", Role: role})
 			return

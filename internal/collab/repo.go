@@ -8,6 +8,8 @@ package collab
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,7 +102,7 @@ func indexText(e *Entry) string {
 	return strings.Join(parts, " ")
 }
 
-// Get retrieves an entry and counts the download.
+// Get retrieves a copy of an entry and counts the download.
 func (r *Repository) Get(workflowID string) (*Entry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -109,10 +111,10 @@ func (r *Repository) Get(workflowID string) (*Entry, error) {
 		return nil, fmt.Errorf("collab: workflow %q not found", workflowID)
 	}
 	e.Downloads++
-	return e, nil
+	return e.clone(), nil
 }
 
-// Peek retrieves an entry without counting a download.
+// Peek retrieves a copy of an entry without counting a download.
 func (r *Repository) Peek(workflowID string) (*Entry, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -120,7 +122,16 @@ func (r *Repository) Peek(workflowID string) (*Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("collab: workflow %q not found", workflowID)
 	}
-	return e, nil
+	return e.clone(), nil
+}
+
+// clone copies e for use outside the lock, where Get and Rate may write
+// it; the workflow is never written after Publish and stays shared.
+func (e *Entry) clone() *Entry {
+	c := *e
+	c.Tags = slices.Clone(e.Tags)
+	c.Ratings = maps.Clone(e.Ratings)
+	return &c
 }
 
 // List returns all workflow IDs in publication order.

@@ -46,26 +46,26 @@ var routeRows = []struct {
 	want               [4]string
 }{
 	{"GET", "/v1/metrics", "", [4]string{"200", "200", "200", "200"}},
-	{"HEAD", "/v1/metrics", "", [4]string{"405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/metrics", "", [4]string{"200", "200", "200", "200"}},
 	{"POST", "/v1/metrics", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/status", "", [4]string{"200", "200", "200", "200"}},
-	{"HEAD", "/v1/status", "", [4]string{"405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/status", "", [4]string{"200", "200", "200", "200"}},
 	{"POST", "/v1/status", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/health", "", [4]string{"200", "200", "200", "200"}},
-	{"HEAD", "/v1/health", "", [4]string{"405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/health", "", [4]string{"200", "200", "200", "200"}},
 	{"POST", "/v1/health", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 
 	{"GET", "/v1/workflows", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/workflows", "", [4]string{"405 method_not_allowed GET, POST", "503 replica_too_stale", "405 method_not_allowed GET, POST", "405 method_not_allowed GET, POST"}},
+	{"HEAD", "/v1/workflows", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"POST", "/v1/workflows", publishBody, [4]string{"201", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"POST", "/v1/workflows", "{}", [4]string{"400 bad_request", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"DELETE", "/v1/workflows", "", [4]string{"405 method_not_allowed GET, POST", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/workflows/medimg", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/workflows/medimg", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/workflows/medimg", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"GET", "/v1/workflows/nope", "", [4]string{"404 not_found", "503 replica_too_stale", "404 not_found", "404 not_found"}},
 	{"POST", "/v1/workflows/medimg", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/workflows/medimg/runs", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/workflows/medimg/runs", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/workflows/medimg/runs", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"GET", "/v1/workflows/nope/runs", "", [4]string{"404 not_found", "503 replica_too_stale", "404 not_found", "404 not_found"}},
 	{"DELETE", "/v1/workflows/medimg/runs", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"POST", "/v1/workflows/medimg/rating", `{"user":"ana","stars":4}`, [4]string{"200", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
@@ -73,36 +73,36 @@ var routeRows = []struct {
 	{"GET", "/v1/workflows/medimg/rating", "", [4]string{"405 method_not_allowed POST", "503 replica_too_stale", "405 method_not_allowed POST", "405 method_not_allowed POST"}},
 	{"HEAD", "/v1/workflows/medimg/rating", "", [4]string{"405 method_not_allowed POST", "503 replica_too_stale", "405 method_not_allowed POST", "405 method_not_allowed POST"}},
 	{"GET", "/v1/runs/{run}", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/runs/{run}", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/runs/{run}", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"GET", "/v1/runs/nope", "", [4]string{"404 not_found", "503 replica_too_stale", "404 not_found", "404 not_found"}},
 	{"PUT", "/v1/runs/{run}", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 
 	{"GET", "/v1/lineage?id={art}", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/lineage?id={art}", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/lineage?id={art}", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"GET", "/v1/lineage", "", [4]string{"400 bad_request", "503 replica_too_stale", "400 bad_request", "400 bad_request"}},
 	{"POST", "/v1/lineage?id={art}", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/dependents?id={art}", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/dependents?id={art}", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/dependents?id={art}", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"POST", "/v1/dependents?id={art}", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/expand?ids={art}&dir=down", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/expand?ids={art}", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/expand?ids={art}", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"GET", "/v1/expand?ids={art}&dir=sideways", "", [4]string{"400 bad_request", "503 replica_too_stale", "400 bad_request", "400 bad_request"}},
 	{"POST", "/v1/expand?ids={art}", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/recommend?user=juliana", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/recommend?user=juliana", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/recommend?user=juliana", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"POST", "/v1/recommend?user=juliana", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/query?q=SELECT+id+FROM+runs", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/query?q=SELECT+id+FROM+runs", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/query?q=SELECT+id+FROM+runs", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"POST", "/v1/query?q=SELECT+id+FROM+runs", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/stats", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
-	{"HEAD", "/v1/stats", "", [4]string{"405 method_not_allowed GET", "503 replica_too_stale", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/stats", "", [4]string{"200", "503 replica_too_stale", "200", "200"}},
 	{"POST", "/v1/stats", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 
 	{"GET", "/v1/replication/status", "", [4]string{"200", "200", "200", "200"}},
-	{"HEAD", "/v1/replication/status", "", [4]string{"405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/replication/status", "", [4]string{"200", "200", "200", "200"}},
 	{"POST", "/v1/replication/status", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/replication/stream?shard=0&from=0", "", [4]string{"404 unavailable", "404 unavailable", "404 unavailable", "404 unavailable"}},
-	{"HEAD", "/v1/replication/stream?shard=0&from=0", "", [4]string{"405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
+	{"HEAD", "/v1/replication/stream?shard=0&from=0", "", [4]string{"404 unavailable", "404 unavailable", "404 unavailable", "404 unavailable"}},
 	{"POST", "/v1/replication/stream", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
 	{"GET", "/v1/replication/checkpoint?shard=0", "", [4]string{"404 unavailable", "404 unavailable", "404 unavailable", "404 unavailable"}},
 	{"POST", "/v1/replication/checkpoint", "", [4]string{"405 method_not_allowed GET", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
@@ -122,12 +122,12 @@ var routeRows = []struct {
 	{"GET", "/v1/subscriptions/nope/events?poll=1&wait_ms=0", "", [4]string{"404 not_found", "404 not_found", "404 not_found", "404 not_found"}},
 	{"POST", "/v1/subscriptions/{sub}/events", "", [4]string{"405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET", "405 method_not_allowed GET"}},
 
-	{"GET", "/v1/nope", "", [4]string{"404 -", "503 replica_too_stale", "404 -", "404 -"}},
-	{"POST", "/v1/nope", "", [4]string{"404 -", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
-	{"GET", "/stats", "", [4]string{"404 -", "503 replica_too_stale", "404 -", "404 -"}},
-	{"POST", "/workflows", "", [4]string{"404 -", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
-	{"GET", "/", "", [4]string{"404 -", "503 replica_too_stale", "404 -", "404 -"}},
-	{"GET", "/v1/workflows/medimg/runs/extra", "", [4]string{"404 not_found", "503 replica_too_stale", "404 not_found", "404 not_found"}},
+	{"GET", "/v1/nope", "", [4]string{"404 not_found", "404 not_found", "404 not_found", "404 not_found"}},
+	{"POST", "/v1/nope", "", [4]string{"404 not_found", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
+	{"GET", "/stats", "", [4]string{"404 not_found", "404 not_found", "404 not_found", "404 not_found"}},
+	{"POST", "/workflows", "", [4]string{"404 not_found", "403 read_only_replica", "403 read_only_replica", "403 fenced"}},
+	{"GET", "/", "", [4]string{"404 not_found", "404 not_found", "404 not_found", "404 not_found"}},
+	{"GET", "/v1/workflows/medimg/runs/extra", "", [4]string{"404 not_found", "404 not_found", "404 not_found", "404 not_found"}},
 	{"GET", "/v1/subscriptions/{sub}/events/extra", "", [4]string{"404 not_found", "404 not_found", "404 not_found", "404 not_found"}},
 }
 

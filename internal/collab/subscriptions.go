@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/collab/api"
@@ -14,13 +13,9 @@ import (
 	"repro/internal/store"
 )
 
-// Standing-query subscription routes:
-//
-//	POST   /v1/subscriptions              register; returns ID + snapshot
-//	GET    /v1/subscriptions              list registered subscriptions
-//	GET    /v1/subscriptions/{id}         full current result (re-snapshot)
-//	DELETE /v1/subscriptions/{id}         unregister
-//	GET    /v1/subscriptions/{id}/events  SSE delta stream; ?poll=1 long-polls
+// Standing-query subscription routes (subscriptionRoutes): register
+// (returns the ID and a snapshot), list, re-snapshot, unregister, and the
+// delta stream.
 //
 // The events endpoint streams Server-Sent Events: each event carries the
 // subscription sequence as its SSE id, the event type (snapshot / add /
@@ -84,23 +79,27 @@ func eventsToWire(evs []standing.Event) []api.SubscriptionEvent {
 	return out
 }
 
-// subscriptionsHandler serves the /v1/subscriptions collection.
-func subscriptionsHandler(mgr *standing.Manager) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if mgr == nil {
+// subscriptionRoutes are the route table's subscription entries: all
+// node-local, so a follower serves them too. Without a manager every
+// subscription path answers 503/unavailable, whatever the method.
+func subscriptionRoutes(mgr *standing.Manager) []route {
+	if mgr == nil {
+		off := func(w http.ResponseWriter, req *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, api.CodeUnavailable,
 				errors.New("collab: this node does not serve standing queries"))
-			return
 		}
-		switch req.Method {
-		case http.MethodGet:
+		return []route{{"", "/v1/subscriptions", nodeWrite, off}, {"", "/v1/subscriptions/", nodeWrite, off}}
+	}
+	return []route{
+		{"GET", "/v1/subscriptions", nodeWrite, func(w http.ResponseWriter, req *http.Request) {
 			infos := mgr.List()
 			out := make([]api.Subscription, len(infos))
 			for i, info := range infos {
 				out[i] = api.Subscription{ID: info.ID, Spec: specToWire(info.Spec), Seq: info.Seq, Size: info.Size}
 			}
 			writeJSON(w, http.StatusOK, out)
-		case http.MethodPost:
+		}},
+		{"POST", "/v1/subscriptions", nodeWrite, func(w http.ResponseWriter, req *http.Request) {
 			var body api.SubscribeRequest
 			if !decodeBody(w, req, "subscribe", &body) {
 				return
@@ -116,48 +115,27 @@ func subscriptionsHandler(mgr *standing.Manager) http.HandlerFunc {
 				return
 			}
 			writeJSON(w, http.StatusCreated, api.SubscribeResponse{ID: snap.ID, Seq: snap.Seq, Items: snap.Items})
-		default:
-			methodNotAllowed(w, "GET, POST")
-		}
-	}
-}
-
-// subscriptionHandler serves one subscription: snapshot, delete, events.
-func subscriptionHandler(mgr *standing.Manager) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if mgr == nil {
-			writeError(w, http.StatusServiceUnavailable, api.CodeUnavailable,
-				errors.New("collab: this node does not serve standing queries"))
-			return
-		}
-		rest := strings.TrimPrefix(req.URL.Path, api.V1Prefix+"/subscriptions/")
-		parts := strings.Split(rest, "/")
-		id := parts[0]
-		switch {
-		case len(parts) == 1 && req.Method == http.MethodGet:
+		}},
+		{"GET", "/v1/subscriptions/{id}", nodeWrite, func(w http.ResponseWriter, req *http.Request) {
+			id := req.PathValue("id")
 			snap, ok := mgr.Snapshot(id)
 			if !ok {
 				writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("collab: no subscription %q", id))
 				return
 			}
 			writeJSON(w, http.StatusOK, api.SubscribeResponse{ID: snap.ID, Seq: snap.Seq, Items: snap.Items})
-		case len(parts) == 1 && req.Method == http.MethodDelete:
+		}},
+		{"DELETE", "/v1/subscriptions/{id}", nodeWrite, func(w http.ResponseWriter, req *http.Request) {
+			id := req.PathValue("id")
 			if !mgr.Unsubscribe(id) {
 				writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("collab: no subscription %q", id))
 				return
 			}
 			writeJSON(w, http.StatusOK, api.StatusResponse{Status: "ok"})
-		case len(parts) == 1:
-			methodNotAllowed(w, "GET, DELETE")
-		case len(parts) == 2 && parts[1] == "events":
-			if req.Method != http.MethodGet {
-				methodNotAllowed(w, "GET")
-				return
-			}
-			serveEvents(mgr, w, req, id)
-		default:
-			writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("collab: no route %s %s", req.Method, req.URL.Path))
-		}
+		}},
+		{"GET", "/v1/subscriptions/{id}/events", nodeWrite, func(w http.ResponseWriter, req *http.Request) {
+			serveEvents(mgr, w, req, req.PathValue("id"))
+		}},
 	}
 }
 

@@ -1,6 +1,7 @@
 package collab
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/collab/api"
+	"repro/internal/obs"
 	"repro/internal/query/standing"
+	"repro/internal/workloads"
 )
 
 // FuzzSubscribeWire feeds arbitrary bytes to the subscription wire
@@ -68,4 +71,41 @@ func sameUsedFields(a, b standing.Spec) bool {
 		return a.Query == b.Query && slices.Equal(a.Output, b.Output)
 	}
 	return true
+}
+
+// FuzzAPIBodies sends arbitrary bytes as the body of the two routes that
+// decode one into repository state, POST /v1/workflows and POST
+// /v1/workflows/{id}/rating, on a seeded repository. A body is the
+// client's to get wrong: every answer is a 2xx or a 4xx, never a 5xx or a
+// panic, and every non-2xx answer is the {"error","code"} envelope.
+func FuzzAPIBodies(f *testing.F) {
+	f.Add([]byte(`{"workflow":{"id":"wf","name":"n","modules":[{"id":"m","type":"T"}]},"owner":"ana","tags":["x"]}`))
+	f.Add([]byte(`{"workflow":{"id":"medimg","modules":[]}}`))
+	f.Add([]byte(`{"workflow":{"id":"wf","modules":[null],"links":[{"from":"a","to":"b"}]}}`))
+	f.Add([]byte(`{"workflow":null}`))
+	f.Add([]byte(`{"user":"ana","stars":4}`))
+	f.Add([]byte(`{"user":"","stars":99999999999999999999}`))
+	f.Add([]byte(`[1,2`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := newRepo()
+		if err := r.Publish(workloads.MedicalImaging(), "juliana", "figure 1", "imaging"); err != nil {
+			t.Fatal(err)
+		}
+		h := NewHandlerWith(r, HandlerOptions{Metrics: obs.NewRegistry()})
+		for _, path := range []string{"/v1/workflows", "/v1/workflows/medimg/rating"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code >= 500 || rec.Code < 200 {
+				t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
+			}
+			if rec.Code < 300 {
+				continue
+			}
+			var env api.Error
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Code == "" || env.Message == "" {
+				t.Fatalf("POST %s %q: status %d body %q is not the error envelope", path, body, rec.Code, rec.Body)
+			}
+		}
+	})
 }

@@ -190,7 +190,7 @@ func E3() Result {
 		fmt.Fprintf(&b, "%-10d %14s %14s %14s %8.2fx\n", n, off, on, file,
 			float64(on)/float64(off))
 	}
-	return Result{ID: "E3", Title: "capture overhead (chain workflows, 5-run median)", Table: b.String()}
+	return Result{ID: "E3", Title: "capture overhead per run (chain workflows, median of 5 batches)", Table: b.String()}
 }
 
 // surveyed is what E4 and E11 time on each storage model of the §2.2
@@ -593,7 +593,7 @@ func E12() Result {
 	st := repo.Stat()
 	fmt.Fprintf(&b, "%-38s %12d\n", "workflows", st.Workflows)
 	fmt.Fprintf(&b, "%-38s %12d\n", "published runs", st.Runs)
-	fmt.Fprintf(&b, "%-38s %12s\n", "search latency (10-run median)", searchT)
+	fmt.Fprintf(&b, "%-38s %12s\n", "search latency (median of 10 batches)", searchT)
 	fmt.Fprintf(&b, "%-38s %11.0f%%\n", "users with recommendations", 100*float64(covered)/float64(len(users)))
 	return Result{ID: "E12", Title: "collaboratory: search latency and recommendation coverage", Table: b.String()}
 }
@@ -615,14 +615,26 @@ func mustRun(e *engine.Engine, wf *workflow.Workflow) *engine.Result {
 	return res
 }
 
-// timeRuns returns the median duration of n invocations, rounded for
-// display.
+// timeRuns returns the median per-call duration over n batches of fn,
+// rounded for display. A batch repeats fn until it takes minBatch (sized
+// by doubling first): a µs-scale call timed alone swings with timer
+// granularity and any one preemption.
 func timeRuns(fn func(), n int) time.Duration {
-	times := make([]time.Duration, n)
-	for i := 0; i < n; i++ {
+	const minBatch = 2 * time.Millisecond
+	batch := func(reps int) time.Duration {
 		start := time.Now()
-		fn()
-		times[i] = time.Since(start)
+		for i := 0; i < reps; i++ {
+			fn()
+		}
+		return time.Since(start)
+	}
+	reps := 1
+	for batch(reps) < minBatch {
+		reps *= 2
+	}
+	times := make([]time.Duration, n)
+	for i := range times {
+		times[i] = batch(reps) / time.Duration(reps)
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[n/2].Round(time.Microsecond)

@@ -70,7 +70,7 @@ import (
 // scatter/gather + frontier-exchange overhead.
 var (
 	mRouterIngestSecs  = obs.Default().Histogram("prov_router_ingest_seconds", "Routed PutRunLog latency: shard commit plus global index.")
-	mRouterClosureSecs = obs.Default().Histogram("prov_router_closure_seconds", "Sharded closure latency (pushdown or per-hop fallback).")
+	mRouterClosureSecs = obs.Default().Histogram("prov_router_closure_seconds", "Sharded closure latency (the frontier-exchange pushdown, end to end).")
 	mRouterRounds      = obs.Default().ValueHistogram("prov_router_closure_rounds", "Pushdown rounds per sharded closure.")
 	mRouterCrossings   = obs.Default().ValueHistogram("prov_router_closure_crossings", "Cross-shard frontier crossings per sharded closure.")
 	mRouterFanout      = obs.Default().ValueHistogram("prov_router_scatter_shards", "Shards probed per scatter/gather Expand.")
@@ -357,8 +357,10 @@ func OpenWith(dir string, n int, opt store.FileOptions) (*Router, error) {
 		return nil, err
 	}
 	r.dir, r.files = dir, files
-	// Byte-based triggering stays per-FileStore (the router does not see
-	// append sizes); router-wide checkpoints trigger on runs and time.
+	// Router-wide checkpoints trigger on runs and time only: the shards'
+	// own triggers are zeroed above, byte growth included (the router does
+	// not see append sizes), and core refuses -checkpoint-bytes on more
+	// than one shard.
 	r.autoCkpt = store.NewAutoCheckpointPolicy(store.CheckpointPolicy{
 		EveryRuns: opt.CheckpointEvery,
 		Interval:  opt.CheckpointInterval,

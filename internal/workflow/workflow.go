@@ -222,6 +222,9 @@ func (w *Workflow) Disconnect(c Connection) bool {
 func (w *Workflow) Validate() error {
 	seen := map[string]bool{}
 	for _, m := range w.Modules {
+		if m == nil {
+			return fmt.Errorf("workflow %s: null module", w.ID)
+		}
 		if m.ID == "" {
 			return fmt.Errorf("workflow %s: module with empty ID", w.ID)
 		}
