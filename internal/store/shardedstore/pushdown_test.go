@@ -177,11 +177,30 @@ func TestPushdownRoundsMatchChainCrossings(t *testing.T) {
 	}
 }
 
+// shardKinds opens a router over each shard kind provd builds: in-memory
+// stores (NewMem, provd -shards N without -store) and file stores
+// (OpenWith, every provd -store node). A file router lives in its own
+// temporary directory and is closed when the test ends.
+var shardKinds = []struct {
+	name string
+	open func(t testing.TB, n int) *Router
+}{
+	{"mem", func(_ testing.TB, n int) *Router { return NewMem(n) }},
+	{"file", func(t testing.TB, n int) *Router {
+		r, err := OpenWith(t.TempDir(), n, store.FileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}},
+}
+
 // Property: on chain, star and diamond DAGs with cross-shard generator
 // re-declarations, the pushdown Closure ≡ NaiveClosure ≡ the per-hop path
-// at 1, 2 and 4 shards — with runs where placement puts them (these small
-// shapes mostly on one shard) and spread round-robin, which puts chains,
-// generator re-declarations and fan-ins across shards.
+// at 1, 2 and 4 shards of either kind — with runs where placement puts
+// them (these small shapes mostly on one shard) and spread round-robin,
+// which puts chains, generator re-declarations and fan-ins across shards.
 func TestQuickPushdownMatchesNaiveClosure(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -191,79 +210,94 @@ func TestQuickPushdownMatchesNaiveClosure(t *testing.T) {
 		{"star", starShape},
 		{"diamond", diamondShape},
 	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		for _, shape := range shapes {
-			n := 6 + rng.Intn(10)
-			logs := shape.build(rng, fmt.Sprintf("%s-%d", shape.name, seed), n)
-			for _, nShards := range []int{1, 2, 4} {
-				for _, spread := range []bool{false, true} {
-					r := NewMem(nShards)
-					putAll(t, r, logs, spread)
-					if !assertPushdownConformance(t, r, logs, fmt.Sprintf("%s shards=%d spread=%v", shape.name, nShards, spread)) {
-						return false
+	for _, kind := range shardKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				for _, shape := range shapes {
+					n := 6 + rng.Intn(10)
+					logs := shape.build(rng, fmt.Sprintf("%s-%d", shape.name, seed), n)
+					for _, nShards := range []int{1, 2, 4} {
+						for _, spread := range []bool{false, true} {
+							r := kind.open(t, nShards)
+							putAll(t, r, logs, spread)
+							if !assertPushdownConformance(t, r, logs, fmt.Sprintf("%s shards=%d spread=%v", shape.name, nShards, spread)) {
+								return false
+							}
+						}
 					}
 				}
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
-		t.Fatal(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // Pushdown closures racing live ingest must never fail on entities that
 // were fully ingested before the queries started, and must conform exactly
-// once ingest quiesces. The concurrent phase is what -race bites on: many
-// pushdown drivers reading the router indexes and each shard's adjacency
-// while writers append and re-declare generators across shards.
+// once ingest quiesces — on both shard kinds, with the racing runs where
+// placement puts them and spread across the shards. The concurrent phase
+// is what -race bites on: many pushdown drivers reading the router indexes
+// and each shard's adjacency while writers append and re-declare
+// generators across shards.
 func TestPushdownConcurrentQueriesDuringIngest(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	base := chainShape(rng, "base", 24)
-	extra := starShape(rng, "extra", 16)
-	r := NewMem(4)
-	for _, l := range base {
-		if err := r.PutRunLog(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	baseEntities := entitiesOf(base)
+	for _, kind := range shardKinds {
+		for _, spread := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/spread=%v", kind.name, spread), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(11))
+				base := chainShape(rng, "base", 24)
+				extra := starShape(rng, "extra", 16)
+				r := kind.open(t, 4)
+				putAll(t, r, base, spread)
+				baseEntities := entitiesOf(base)
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+				var wg sync.WaitGroup
+				stop := make(chan struct{})
+				for g := 0; g < 4; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := 0; ; i++ {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							// Base entities were fully ingested before the
+							// queries started, so ANY error — including a
+							// spurious ErrNotFound from a racing index read —
+							// is a failure.
+							id := baseEntities[(g*31+i)%len(baseEntities)]
+							dir := store.Direction(i % 2)
+							if _, _, err := r.TracedClosure(id, dir); err != nil {
+								t.Errorf("closure(%s, %v): %v", id, dir, err)
+								return
+							}
+						}
+					}(g)
 				}
-				// Base entities were fully ingested before the queries
-				// started, so ANY error — including a spurious
-				// ErrNotFound from a racing index read — is a failure.
-				id := baseEntities[(g*31+i)%len(baseEntities)]
-				dir := store.Direction(i % 2)
-				if _, _, err := r.TracedClosure(id, dir); err != nil {
-					t.Errorf("closure(%s, %v): %v", id, dir, err)
-					return
+				for i, l := range extra {
+					var err error
+					if spread {
+						err = putOn(r, l, i%r.NumShards())
+					} else {
+						err = r.PutRunLog(l)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-		}(g)
-	}
-	for _, l := range extra {
-		if err := r.PutRunLog(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
+				close(stop)
+				wg.Wait()
 
-	all := append(append([]*provenance.RunLog(nil), base...), extra...)
-	if !assertPushdownConformance(t, r, all, "post-ingest") {
-		t.Fatal("pushdown diverged from reference after concurrent ingest")
+				all := append(append([]*provenance.RunLog(nil), base...), extra...)
+				if !assertPushdownConformance(t, r, all, "post-ingest") {
+					t.Fatal("pushdown diverged from reference after concurrent ingest")
+				}
+			})
+		}
 	}
 }
