@@ -62,7 +62,9 @@ bench:
 # beside the Datalog provenance fixpoint.
 # E13ClosureCache/mode=snapshot prints ns/op and B/op of checkpointing and
 # reopening a closure cache holding 256 closures of a chain store, and the
-# closures.json size as snapshot_B.
+# closures.json size as snapshot_B. E16ClosurePushdown/mode=sharded-pushdown
+# prints those of a 128-run chain lineage over 4 file shards: two rounds of
+# the handle-space pushdown, allocating its answer alone.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
@@ -71,6 +73,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench ReadPath -benchtime 200x -benchmem ./internal/store
 	$(GO) test -run '^$$' -bench E17StreamingExec -benchtime 50x -benchmem ./internal/query/pql
 	$(GO) test -run '^$$' -bench 'E13ClosureCache/mode=snapshot' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'E16ClosurePushdown/mode=sharded-pushdown' -benchtime 2000x -benchmem .
 
 # Run the paper-reproduction suite (E1–E12) and write machine-readable
 # BENCH_<ID>.json files to $(BENCH_DIR).

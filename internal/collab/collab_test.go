@@ -230,6 +230,34 @@ func TestSynthesizeCommunityAndRecommend(t *testing.T) {
 	}
 }
 
+// A HEAD of a workflow sends no body, so it counts no download: two HEADs
+// and one GET leave the entry at one.
+func TestHeadWorkflowCountsNoDownload(t *testing.T) {
+	r := newRepo()
+	if err := r.Publish(workloads.MedicalImaging(), "juliana", "figure 1"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(r))
+	defer srv.Close()
+	for _, method := range []string{http.MethodHead, http.MethodHead, http.MethodGet} {
+		req, err := http.NewRequest(method, srv.URL+api.V1Prefix+"/workflows/medimg", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", method, resp.StatusCode)
+		}
+	}
+	if e, _ := r.Peek("medimg"); e.Downloads != 1 {
+		t.Fatalf("downloads = %d after two HEADs and one GET, want 1", e.Downloads)
+	}
+}
+
 func TestHTTPEndpoints(t *testing.T) {
 	r := newRepo()
 	wf := workloads.MedicalImaging()

@@ -356,8 +356,14 @@ func (s *server) publish(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusCreated, api.PublishWorkflowResponse{ID: body.Workflow.ID})
 }
 
+// workflow serves one entry. GET counts a download; HEAD, which ServeMux
+// routes through the same pattern and which sends no body, only peeks.
 func (s *server) workflow(w http.ResponseWriter, req *http.Request) {
-	e, err := s.repo.Get(req.PathValue("id"))
+	get := s.repo.Get
+	if req.Method == http.MethodHead {
+		get = s.repo.Peek
+	}
+	e, err := get(req.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, api.CodeNotFound, err)
 		return

@@ -669,10 +669,10 @@ func (s *FileStore) Closure(seed string, dir Direction) ([]string, error) {
 // CloseLocal implements LocalCloser: the local fixpoint runs over table
 // handles under one shared-lock acquisition, zero disk reads (the sharded
 // router's closure-pushdown primitive).
-func (s *FileStore) CloseLocal(seeds []string, dir Direction, skip func(string) bool, buf []LocalNeighbors) ([]LocalNeighbors, error) {
+func (s *FileStore) CloseLocal(w *LocalWalk, seeds []string, dir Direction) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tab.closeLocal(seeds, dir, skip, buf), nil
+	w.close(s.tab, seeds, dir)
 }
 
 // Stats implements Store, answered from resident counters.

@@ -15,6 +15,10 @@ type MemStore struct {
 	execs     map[string]*provenance.Execution
 	adj       adjacency
 	bytes     int64
+	// The handle space CloseLocal walks: every declared ID, interned at
+	// ingest.
+	handles map[string]int32
+	ids     []string
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -23,6 +27,7 @@ func NewMemStore() *MemStore {
 		artifacts: map[string]*provenance.Artifact{},
 		execs:     map[string]*provenance.Execution{},
 		adj:       newAdjacency(),
+		handles:   map[string]int32{},
 	}
 }
 
@@ -36,10 +41,12 @@ func (s *MemStore) Name() string { return "mem" }
 func (s *MemStore) PutRunLog(l *provenance.RunLog) error {
 	return s.put(l, func() {
 		for _, a := range l.Artifacts {
+			s.intern(a.ID)
 			s.artifacts[a.ID] = a
 			s.bytes += int64(len(a.ID)+len(a.Type)+len(a.ContentHash)+len(a.Preview)) + 16
 		}
 		for _, e := range l.Executions {
+			s.intern(e.ID)
 			s.execs[e.ID] = e
 			s.bytes += int64(len(e.ID)+len(e.ModuleID)+len(e.ModuleType)) + 48
 		}
@@ -104,81 +111,45 @@ func (s *MemStore) Closure(seed string, dir Direction) ([]string, error) {
 	return bfsClosure(seed, dir, s.neighborsLocked)
 }
 
-// CloseLocal implements LocalCloser: the whole local fixpoint runs under
-// one RLock (the sharded router's closure-pushdown primitive).
-func (s *MemStore) CloseLocal(seeds []string, dir Direction, skip func(string) bool, buf []LocalNeighbors) ([]LocalNeighbors, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return localCloseBFS(seeds, dir, skip, s.neighborsLocked, buf), nil
+// intern gives id a handle the first time it is declared; the caller
+// holds the write lock.
+func (s *MemStore) intern(id string) {
+	if _, ok := s.handles[id]; !ok {
+		s.handles[id] = int32(len(s.ids))
+		s.ids = append(s.ids, id)
+	}
 }
 
-// localCloseBFS is the local-fixpoint walk behind MemStore.CloseLocal
-// (FileStore walks its entity table instead): a BFS over a per-node
-// neighbor function that stops at skip boundaries and records each
-// expanded node's neighbor list. neighbors reports ok=false for unknown
-// entities (they are not expanded; a run log's events only reference
-// entities declared in the same log, so a backend's own edges never
-// dangle).
-//
-// Dedup is hybrid: the typical pushdown round expands a handful of nodes,
-// where a linear scan of the result beats allocating a set, and a walk
-// that grows past the threshold (a single-shard store's whole closure)
-// spills into a map once.
-func localCloseBFS(seeds []string, dir Direction, skip func(string) bool, neighbors func(id string, dir Direction) ([]string, bool), buf []LocalNeighbors) []LocalNeighbors {
-	out := buf[:0]
-	const spill = 32
-	var seen map[string]struct{}
-	expanded := func(id string) bool {
-		if seen != nil {
-			_, ok := seen[id]
-			return ok
-		}
-		for i := range out {
-			if out[i].ID == id {
-				return true
-			}
-		}
-		return false
+// CloseLocal implements LocalCloser: the whole local fixpoint runs under
+// one RLock (the sharded router's closure-pushdown primitive).
+func (s *MemStore) CloseLocal(w *LocalWalk, seeds []string, dir Direction) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	w.close(s, seeds, dir)
+}
+
+// The interned IDs are the handle space MemStore.CloseLocal walks; a
+// handle's neighbours are those of neighborsLocked, so the walk reads the
+// oracle's adjacency and not a second fold of it. Validated logs reference
+// only entities they declare, so every neighbour has a handle.
+
+func (s *MemStore) handle(id string) (int32, bool) {
+	h, ok := s.handles[id]
+	return h, ok
+}
+
+func (s *MemStore) size() int { return len(s.ids) }
+
+func (s *MemStore) appendAdjacent(dst []int32, h int32, dir Direction) (string, []int32, bool) {
+	id := s.ids[h]
+	ns, ok := s.neighborsLocked(id, dir)
+	if !ok {
+		return "", dst, false
 	}
-	// Level buffers alternate (the seed slice is caller-owned and never
-	// written), keeping the walk allocation-flat across levels.
-	var bufs [2][]string
-	frontier := seeds
-	which := 0
-	for len(frontier) > 0 {
-		next := bufs[which][:0]
-		for _, id := range frontier {
-			if expanded(id) {
-				continue
-			}
-			if skip != nil && skip(id) {
-				continue
-			}
-			ns, ok := neighbors(id, dir)
-			if !ok {
-				continue
-			}
-			if seen == nil && len(out) >= spill {
-				seen = make(map[string]struct{}, 4*spill)
-				for i := range out {
-					seen[out[i].ID] = struct{}{}
-				}
-			}
-			if seen != nil {
-				seen[id] = struct{}{}
-			}
-			out = append(out, LocalNeighbors{ID: id, Neighbors: ns})
-			for _, n := range ns {
-				if !expanded(n) {
-					next = append(next, n)
-				}
-			}
-		}
-		bufs[which] = next
-		frontier = next
-		which ^= 1
+	for _, n := range ns {
+		dst = append(dst, s.handles[n])
 	}
-	return out
+	return id, dst, true
 }
 
 // Stats implements Store.

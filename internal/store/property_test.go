@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -225,31 +224,45 @@ var (
 	}
 )
 
-// closeLocal runs a backend's CloseLocal and flattens the result to a map —
-// asserting each expanded entity appears exactly once on the way.
-func closeLocal(t *testing.T, s Store, seeds []string, dir Direction, skip func(string) bool) (map[string][]string, error) {
+// closeLocal runs one CloseLocal call on w and lists what it expanded, in
+// its order, as "ID=[neighbour IDs]". names maps the walk's handles to IDs
+// and gains this call's: every neighbour of an expanded entity is expanded
+// by this call or was by an earlier one of the same closure. It asserts
+// each expanded entity appears once.
+func closeLocal(t *testing.T, s Store, w *LocalWalk, names map[int32]string, seeds []string, dir Direction) []string {
 	t.Helper()
-	res, err := s.(LocalCloser).CloseLocal(seeds, dir, skip, nil)
-	if err != nil {
-		return nil, err
+	from := len(w.Order)
+	s.(LocalCloser).CloseLocal(w, seeds, dir)
+	if len(w.IDs) != len(w.Order) || len(w.Ends) != len(w.Order)+1 {
+		t.Fatalf("%s: CloseLocal left %d handles, %d IDs, %d ends", s.Name(), len(w.Order), len(w.IDs), len(w.Ends))
 	}
-	out := make(map[string][]string, len(res))
-	for _, ln := range res {
-		if _, dup := out[ln.ID]; dup {
-			t.Fatalf("%s: CloseLocal expanded %s twice", s.Name(), ln.ID)
+	for i, h := range w.Order[from:] {
+		if _, dup := names[h]; dup {
+			t.Fatalf("%s: CloseLocal expanded %s twice", s.Name(), w.IDs[from+i])
 		}
-		out[ln.ID] = ln.Neighbors
+		names[h] = w.IDs[from+i]
 	}
-	return out, nil
+	var out []string
+	for i := from; i < len(w.Order); i++ {
+		var ns []string
+		for _, h := range w.Adj[w.Ends[i]:w.Ends[i+1]] {
+			if int(h) >= w.Handles {
+				t.Fatalf("%s: handle %d past the bound %d", s.Name(), h, w.Handles)
+			}
+			ns = append(ns, names[h])
+		}
+		out = append(out, fmt.Sprintf("%s=%v", w.IDs[i], ns))
+	}
+	return out
 }
 
 // Property: every LocalCloser backend's CloseLocal expands exactly the
-// seed's reachable set — the seed plus its
-// Closure — and reports each expanded entity's neighbors exactly as
-// Expand would; a skip boundary covering everything but the seed stops
-// the walk after one expansion. On a single backend the local fixpoint
-// and the global closure coincide, which is what makes this the
-// correctness contract the sharded router's pushdown builds on.
+// seed's reachable set — the seed plus its Closure — and reports each
+// expanded entity's neighbors exactly as Expand would; a second call of
+// the same closure expands nothing it reached, and Begin starts afresh.
+// On a single backend the local fixpoint and the global closure coincide,
+// which is what makes this the correctness contract the sharded router's
+// pushdown builds on.
 func TestQuickCloseLocalConformance(t *testing.T) {
 	f := func(seed int64) bool {
 		log := randomLog(t, seed)
@@ -272,13 +285,11 @@ func TestQuickCloseLocalConformance(t *testing.T) {
 			entities = append(entities, e.ID)
 		}
 		for _, s := range backends {
+			var w LocalWalk
 			for _, dir := range []Direction{Up, Down} {
 				for _, id := range entities {
-					local, err := closeLocal(t, s, []string{id}, dir, nil)
-					if err != nil {
-						t.Logf("%s %v: CloseLocal(%s): %v", s.Name(), dir, id, err)
-						return false
-					}
+					w.Begin()
+					local := closeLocal(t, s, &w, map[int32]string{}, []string{id}, dir)
 					reach, err := s.Closure(id, dir)
 					if err != nil {
 						return false
@@ -287,40 +298,40 @@ func TestQuickCloseLocalConformance(t *testing.T) {
 					for _, n := range reach {
 						wantKeys[n] = true
 					}
-					if len(local) != len(wantKeys) {
-						t.Logf("%s %v: CloseLocal(%s) expanded %d entities, want %d", s.Name(), dir, id, len(local), len(wantKeys))
+					if len(local) != len(wantKeys) || w.IDs[0] != id {
+						t.Logf("%s %v: CloseLocal(%s) expanded %v, want %d entities from the seed", s.Name(), dir, id, local, len(wantKeys))
 						return false
 					}
-					probe := make([]string, 0, len(local))
-					for n := range local {
+					probe := slices.Clone(w.IDs)
+					for _, n := range probe {
 						if !wantKeys[n] {
 							t.Logf("%s %v: CloseLocal(%s) expanded %s outside the reachable set", s.Name(), dir, id, n)
 							return false
 						}
-						probe = append(probe, n)
 					}
-					want, err := s.Expand(probe, dir)
+					adj, err := s.Expand(probe, dir)
 					if err != nil {
 						return false
 					}
-					if encodeAdj(local) != encodeAdj(want) {
-						t.Logf("%s %v: CloseLocal(%s) lists:\n got %s\nwant %s", s.Name(), dir, id, encodeAdj(local), encodeAdj(want))
+					want := make([]string, len(probe))
+					for i, n := range probe {
+						want[i] = fmt.Sprintf("%s=%v", n, adj[n])
+					}
+					if fmt.Sprint(local) != fmt.Sprint(want) {
+						t.Logf("%s %v: CloseLocal(%s) lists:\n got %v\nwant %v", s.Name(), dir, id, local, want)
 						return false
 					}
-					// A skip boundary on everything but the seed stops the
-					// walk after the seed's own expansion.
-					bounded, err := closeLocal(t, s, []string{id}, dir, func(n string) bool { return n != id })
-					if err != nil {
-						return false
-					}
-					if len(bounded) != 1 || fmt.Sprint(bounded[id]) != fmt.Sprint(want[id]) {
-						t.Logf("%s %v: bounded CloseLocal(%s) = %v, want only %v", s.Name(), dir, id, bounded, want[id])
+					// The same closure has reached all of it: a second call
+					// from the seed and its reachable set expands nothing.
+					if again := closeLocal(t, s, &w, map[int32]string{}, probe, dir); len(again) != 0 {
+						t.Logf("%s %v: second CloseLocal(%s) of one closure expanded %v", s.Name(), dir, id, again)
 						return false
 					}
 				}
 				// Unknown seeds are ignored, not errors.
-				if got, err := closeLocal(t, s, []string{"ghost-entity"}, dir, nil); err != nil || len(got) != 0 {
-					t.Logf("%s %v: ghost CloseLocal = %v, %v", s.Name(), dir, got, err)
+				w.Begin()
+				if got := closeLocal(t, s, &w, map[int32]string{}, []string{"ghost-entity"}, dir); len(got) != 0 {
+					t.Logf("%s %v: ghost CloseLocal = %v", s.Name(), dir, got)
 					return false
 				}
 			}
@@ -534,6 +545,7 @@ func checkTableAgainstOracle(t *testing.T, fs *FileStore, mem *MemStore, ids []s
 			s[i] = "scribbled"
 		}
 	}
+	var memWalk, fsWalk LocalWalk
 	for _, dir := range []Direction{Up, Down} {
 		for _, id := range ids {
 			got, ok, err := expandOne(fs, id, dir)
@@ -578,23 +590,21 @@ func checkTableAgainstOracle(t *testing.T, fs *FileStore, mem *MemStore, ids []s
 			}
 			scribble(got)
 
-			// The local fixpoint from two seeds, stopping at every third ID:
-			// same entities, same discovery order, same lists.
-			seeds := []string{id, ids[(i+1)%len(ids)], ghost}
-			skip := func(n string) bool { return n != id && len(n)%3 == 0 }
-			wantLocal, _ := mem.CloseLocal(seeds, dir, skip, nil)
-			gotLocal, err := fs.CloseLocal(seeds, dir, skip, nil)
-			if err != nil || !reflect.DeepEqual(gotLocal, wantLocal) {
-				t.Fatalf("CloseLocal(%v, %v) = %v, %v; oracle %v", seeds, dir, gotLocal, err, wantLocal)
-			}
-			for _, ln := range gotLocal {
-				_ = append(ln.Neighbors, "appended") // must not land in the next list
-			}
-			if !reflect.DeepEqual(gotLocal, wantLocal) {
-				t.Fatalf("CloseLocal(%v, %v): appending to one list changed another: %v", seeds, dir, gotLocal)
-			}
-			for _, ln := range gotLocal {
-				scribble(ln.Neighbors)
+			// The local fixpoint of one closure over two calls: two seeds
+			// and an unknown one, then a third seed, whose walk stops where
+			// the first call reached. Same entities, same discovery order,
+			// same lists.
+			first := []string{id, ids[(i+1)%len(ids)], ghost}
+			then := []string{ids[(i+2)%len(ids)]}
+			memWalk.Begin()
+			fsWalk.Begin()
+			memNames, fsNames := map[int32]string{}, map[int32]string{}
+			for _, seeds := range [][]string{first, then} {
+				want := closeLocal(t, mem, &memWalk, memNames, seeds, dir)
+				got := closeLocal(t, fs, &fsWalk, fsNames, seeds, dir)
+				if !slices.Equal(got, want) {
+					t.Fatalf("CloseLocal(%v, %v) = %v; oracle %v", seeds, dir, got, want)
+				}
 			}
 		}
 		if _, err := fs.Closure(ghost, dir); !errors.Is(err, ErrNotFound) {
@@ -739,14 +749,17 @@ func TestClosureAllocations(t *testing.T) {
 		t.Fatalf("chain lineage = %d entities, %v; want 256", len(lin), err)
 	}
 	seeds := []string{prev}
-	var buf []LocalNeighbors
+	var w LocalWalk
 	for name, op := range map[string]func(){
 		"Closure": func() {
 			if _, err := fs.Closure(prev, Up); err != nil {
 				t.Fatal(err)
 			}
 		},
-		"CloseLocal": func() { buf, _ = fs.CloseLocal(seeds, Up, nil, buf[:0]) },
+		"CloseLocal": func() {
+			w.Begin()
+			fs.CloseLocal(&w, seeds, Up)
+		},
 	} {
 		if allocs := testing.AllocsPerRun(100, op); allocs > 8 {
 			t.Errorf("%s over a 256-entity chain: %v allocations per call, want ≤ 8", name, allocs)

@@ -164,14 +164,28 @@ func inOrder(t *testing.T, logs []*provenance.RunLog, runs []string) []*provenan
 // counters and run placement kept beside them.
 func sameDirectory(t *testing.T, label string, got, want *Router) {
 	t.Helper()
-	for id, w := range want.entities {
-		if g, ok := got.entities[id]; !ok || g != w {
-			t.Errorf("%s: directory[%s] = %+v (present %v), want %+v", label, id, g, ok, w)
+	for id, wd := range want.ids {
+		w := want.ents[wd]
+		if gd, ok := got.ids[id]; !ok || got.ents[gd] != w {
+			t.Errorf("%s: directory[%s] = %+v (present %v), want %+v", label, id, got.entryLocked(id), ok, w)
 		}
 	}
-	for id, g := range got.entities {
-		if _, ok := want.entities[id]; !ok {
-			t.Errorf("%s: directory[%s] = %+v, want no entry", label, id, g)
+	for id, gd := range got.ids {
+		if _, ok := want.ids[id]; !ok {
+			t.Errorf("%s: directory[%s] = %+v, want no entry", label, id, got.ents[gd])
+		}
+	}
+	for _, r := range []*Router{got, want} {
+		handles := make([]bool, len(r.ents))
+		for id, d := range r.ids {
+			if d < 0 || int(d) >= len(handles) || handles[d] {
+				t.Errorf("%s: %s has handle %d: out of %d entries, or shared", label, id, d, len(handles))
+				continue
+			}
+			handles[d] = true
+		}
+		if len(r.ids) != len(r.ents) {
+			t.Errorf("%s: %d IDs for %d entries", label, len(r.ids), len(r.ents))
 		}
 	}
 	if got.nArt != want.nArt || got.nExec != want.nExec {
@@ -286,7 +300,7 @@ func TestDerivedDirectoryMatchesLiveFold(t *testing.T) {
 			w := newDirectoryWorkload(seed, spread)
 			w.ingest(t, live, checkpoint)
 			checkAgainstFold(t, label+", live", live, w.logs())
-			gen := live.entities[fmt.Sprintf("w%d-x", seed)]
+			gen := live.entryLocked(fmt.Sprintf("w%d-x", seed))
 			if gen.arts != 0b11 || gen.art != 0 || gen.gen != 2 {
 				t.Fatalf("%s: x's entry is %+v; the workload should leave it declared last on shard 0 and generated last on shard 1", label, gen)
 			}

@@ -9,7 +9,8 @@
 //     lineage walk stays on one shard. A run log is one shard append and
 //     one shard read, and runs on different shards ingest concurrently
 //     under per-shard locking instead of one global writer.
-//   - One directory, entity ID → routeEntry: the shards holding the ID as
+//   - One directory, entity ID → handle → routeEntry: every ID interned
+//     once to a dense handle, and per handle the shards holding the ID as
 //     an artifact and as an execution (shared, content-addressed inputs
 //     appear in runs on several shards) as two bit masks, the shard of its
 //     latest declaration of each kind, and the single shard holding an
@@ -26,25 +27,31 @@
 //     tie-break/dedup rules as the single-store backends
 //     (store.MergeNeighbors; artifact Up edges come only from the
 //     generator's shard).
-//   - Closure pushdown: instead of one scatter/gather round per BFS hop,
-//     each shard runs its local closure to fixpoint inside its own lock
-//     (store.LocalCloser, part of the Shard contract) and only the frontier
-//     of entities whose edges continue on another shard is exchanged
-//     between rounds.
-//     Synchronization rounds drop from O(depth) to O(cross-shard boundary
-//     crossings): the router skips frontier entities with no remote edges
-//     (the directory already knows), batches each round's probes per
-//     destination shard, and finally replays the gathered subgraph in
-//     memory to reproduce the exact single-store BFS order. TracedClosure
-//     exposes the round structure (-trace-rounds); the per-hop traversal
-//     this replaced is store.CloseOverExpand over Router.Expand, which the
-//     conformance tests still compare against.
+//   - Closure pushdown in handles: instead of one scatter/gather round per
+//     BFS hop, each shard runs its local closure to fixpoint inside its own
+//     lock (store.LocalCloser, the Shard contract), in its own handles, and
+//     only the frontier of entities whose edges continue on another shard
+//     is exchanged between rounds. Synchronization rounds drop from
+//     O(depth) to O(cross-shard boundary crossings): the router skips
+//     frontier entities with no remote edges (the directory already
+//     knows) and batches each round's probes per destination shard. A
+//     shard handle becomes a directory handle through a per-shard table
+//     filled on first translation, so ingest does no work for it. A closure
+//     whose every round continues from one entity on one shard — above all
+//     one round on one shard, reaching only entities no other shard
+//     contributes to — is its walks' local BFS orders end to end; any other
+//     closure replays the gathered subgraph, by handle, to reproduce the
+//     exact single-store BFS order. IDs become strings once, for the
+//     answer.
+//     TracedClosure exposes the round structure (-trace-rounds); the
+//     per-hop traversal this replaced is store.CloseOverExpand over
+//     Router.Expand, which the conformance tests still compare against.
 //
 // The router holds no edges of its own: shards own the graph, the router
 // owns only the run placement and the directory, so its resident footprint
 // is O(entities), not O(edges). (A pushdown closure transiently gathers the
-// traversed subgraph's edges for the ordering replay, released when the
-// query returns.)
+// traversed subgraph's edges for the ordering replay, in buffers pooled
+// across closures.)
 package shardedstore
 
 import (
@@ -53,9 +60,11 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -108,20 +117,29 @@ type Router struct {
 
 	autoCkpt *store.AutoCheckpoint
 
-	// scratch pools the per-shard request/response buffers Expand and the
-	// pushdown closure driver need every round, so deep traversals and
-	// wide fan-out hops stop reallocating them per hop.
-	scratch sync.Pool
+	// scratch pools Expand's per-shard request/response buffers, closures
+	// a pushdown closure's walks and node state, so wide fan-out hops and
+	// closures stop reallocating them.
+	scratch  sync.Pool
+	closures sync.Pool
 
 	mu       sync.RWMutex
-	manifest *os.File              // global accepted-run order journal (file-backed routers)
-	runShard map[string]int        // run -> the shard holding it
-	reserved map[string]struct{}   // runs placed whose shard commit is in flight
-	loads    []int                 // runs held per shard, what placement balances
-	order    []string              // runs in accepted order
-	entities map[string]routeEntry // the directory, entity -> where it lives: the only per-entity state
-	nArt     int                   // directory entries stored as an artifact
-	nExec    int                   // directory entries stored as an execution
+	manifest *os.File            // global accepted-run order journal (file-backed routers)
+	runShard map[string]int      // run -> the shard holding it
+	reserved map[string]struct{} // runs placed whose shard commit is in flight
+	loads    []int               // runs held per shard, what placement balances
+	order    []string            // runs in accepted order
+	// The directory, the only per-entity state: every entity ID interned
+	// once to a dense handle, and where the entity lives by handle.
+	ids  map[string]int32 // entity ID -> directory handle
+	ents []routeEntry     // directory handle -> where the entity lives
+	// local[si][h] is 1 + the directory handle of shard si's handle h, 0
+	// until a closure first translates it. Elements are read and written
+	// atomically under the read lock; a table grows only under the write
+	// lock (rlockCovering).
+	local [][]int32
+	nArt  int // directory entries stored as an artifact
+	nExec int // directory entries stored as an execution
 }
 
 // routeEntry is the directory's record of one entity ID. Shard sets are bit
@@ -193,9 +211,17 @@ func New(shards []Shard) (*Router, error) {
 		runShard: map[string]int{},
 		reserved: map[string]struct{}{},
 		loads:    make([]int, len(shards)),
-		entities: map[string]routeEntry{},
+		ids:      map[string]int32{},
+		local:    make([][]int32, len(shards)),
 	}
 	r.scratch.New = func() any { return &expandScratch{} }
+	r.closures.New = func() any {
+		return &closureScratch{
+			walks:   make([]store.LocalWalk, len(shards)),
+			done:    make([]int, len(shards)),
+			pending: make([][]string, len(shards)),
+		}
+	}
 	for i := range shards {
 		obs.Default().GaugeFunc("prov_router_shard_runs", "Runs placed on each shard of the router opened last.", func() float64 {
 			r.mu.RLock()
@@ -526,7 +552,13 @@ func (r *Router) claimLocked(id string, shard int, artAt, execAt, genAt int32) {
 	if artAt|execAt|genAt == 0 {
 		return
 	}
-	e := r.entities[id]
+	d, ok := r.ids[id]
+	if !ok {
+		d = int32(len(r.ents))
+		r.ids[id] = d
+		r.ents = append(r.ents, routeEntry{})
+	}
+	e := &r.ents[d]
 	if artAt > 0 {
 		if e.arts == 0 {
 			r.nArt++
@@ -548,7 +580,6 @@ func (r *Router) claimLocked(id string, shard int, artAt, execAt, genAt int32) {
 	if genAt > e.genAt {
 		e.genAt, e.gen = genAt, uint8(shard)+1
 	}
-	r.entities[id] = e
 }
 
 // --- Store: ingest -----------------------------------------------------------
@@ -589,7 +620,7 @@ func (r *Router) placeLocked(l *provenance.RunLog) (shard int, placed *obs.Count
 	var votes [maxShards]int
 	for _, ev := range l.Events {
 		if ev.Kind == provenance.EventArtifactUsed {
-			if g := r.entities[ev.ArtifactID].gen; g != 0 {
+			if g := r.entryLocked(ev.ArtifactID).gen; g != 0 {
 				votes[g-1]++
 			}
 		}
@@ -672,11 +703,13 @@ func (r *Router) Runs() ([]string, error) {
 	return append([]string(nil), r.order...), nil
 }
 
-// entry reads one directory entry, the zero entry for an unknown ID.
-func (r *Router) entry(id string) routeEntry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.entities[id]
+// entryLocked reads one directory entry, the zero entry for an unknown
+// ID; the caller holds the lock.
+func (r *Router) entryLocked(id string) routeEntry {
+	if d, ok := r.ids[id]; ok {
+		return r.ents[d]
+	}
+	return routeEntry{}
 }
 
 // Entities implements Store: each ID routes to the shard that most
@@ -687,7 +720,7 @@ func (r *Router) Entities(ids []string) ([]store.Entity, error) {
 	perShard := make([][]int, len(r.shards)) // shard -> indexes into ids
 	r.mu.RLock()
 	for i, id := range ids {
-		switch e := r.entities[id]; {
+		switch e := r.entryLocked(id); {
 		case e.arts != 0:
 			perShard[e.art] = append(perShard[e.art], i)
 		case e.execs != 0:
@@ -894,13 +927,11 @@ func mergeRuns[T any](r *Router, order []string,
 // --- Store: scatter/gather traversal -----------------------------------------
 
 // expandScratch holds the per-shard request/response buffers one Expand
-// call or pushdown closure round needs. Pooled on the router, so a deep
-// traversal's rounds (and repeated wide fan-out hops) reuse the same
-// buffers instead of re-growing fresh ones every round.
+// call needs. Pooled on the router, so repeated wide fan-out hops reuse the
+// same buffers instead of re-growing fresh ones every call.
 type expandScratch struct {
-	perShard [][]string               // per-shard probe/seed lists
-	results  []map[string][]string    // per-shard Expand responses
-	local    [][]store.LocalNeighbors // per-shard CloseLocal responses
+	perShard [][]string            // per-shard probe lists
+	results  []map[string][]string // per-shard Expand responses
 	errs     []error
 	lists    [][]string // per-entity gather workspace
 }
@@ -913,18 +944,15 @@ func (r *Router) getScratch() *expandScratch {
 	if cap(sc.perShard) < n {
 		sc.perShard = make([][]string, n)
 		sc.results = make([]map[string][]string, n)
-		sc.local = make([][]store.LocalNeighbors, n)
 		sc.errs = make([]error, n)
 	} else {
 		sc.perShard = sc.perShard[:n]
 		sc.results = sc.results[:n]
-		sc.local = sc.local[:n]
 		sc.errs = sc.errs[:n]
 	}
 	for i := 0; i < n; i++ {
 		sc.perShard[i] = sc.perShard[i][:0]
 		sc.results[i] = nil
-		sc.local[i] = sc.local[i][:0] // keep capacity: CloseLocal appends into it
 		sc.errs[i] = nil
 	}
 	sc.lists = sc.lists[:0]
@@ -951,7 +979,7 @@ func (r *Router) Expand(ids []string, dir store.Direction) (map[string][]string,
 		// Unknown IDs stay absent from the plan and the result; a known
 		// artifact without a generator plans no shard going Up and gets an
 		// empty entry.
-		if e := r.entities[id]; e.known() {
+		if e := r.entryLocked(id); e.known() {
 			shards := e.allowed(dir)
 			plan[id] = shards
 			for m := shards; m != 0; m &= m - 1 {
@@ -973,8 +1001,9 @@ func (r *Router) Expand(ids []string, dir store.Direction) (map[string][]string,
 	}
 
 	// Scatter: one concurrent Expand per shard with work.
-	if err := scatter(sc.perShard, sc.results, sc.errs, func(si int, seeds []string) (map[string][]string, error) {
-		return r.shards[si].Expand(seeds, dir)
+	if err := scatter(sc.perShard, sc.errs, func(si int, seeds []string) (err error) {
+		sc.results[si], err = r.shards[si].Expand(seeds, dir)
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -1007,7 +1036,7 @@ func (r *Router) Expand(ids []string, dir store.Direction) (map[string][]string,
 // scatter runs probe once per shard with pending seeds, in parallel when
 // more than one shard participates (the single-shard round of a deep chain
 // traversal pays no goroutine handoff), and joins the per-shard errors.
-func scatter[T any](perShard [][]string, results []T, errs []error, probe func(si int, seeds []string) (T, error)) error {
+func scatter(perShard [][]string, errs []error, probe func(si int, seeds []string) error) error {
 	active, last := 0, -1
 	for si, list := range perShard {
 		if len(list) > 0 {
@@ -1019,7 +1048,7 @@ func scatter[T any](perShard [][]string, results []T, errs []error, probe func(s
 	case active == 0:
 		return nil
 	case active == 1:
-		results[last], errs[last] = probe(last, perShard[last])
+		errs[last] = probe(last, perShard[last])
 		return errs[last]
 	default:
 		var wg sync.WaitGroup
@@ -1030,7 +1059,7 @@ func scatter[T any](perShard [][]string, results []T, errs []error, probe func(s
 			wg.Add(1)
 			go func(si int, list []string) {
 				defer wg.Done()
-				results[si], errs[si] = probe(si, list)
+				errs[si] = probe(si, list)
 			}(si, list)
 		}
 		wg.Wait()
@@ -1058,14 +1087,67 @@ type ClosureTrace struct {
 // shard — known from the directory — are exchanged for the next round,
 // batched per destination shard. The visit order still matches the
 // single-store backends exactly (per-node sorted neighbors merged under the
-// shared tie-break rules, seed excluded): the gathered subgraph is replayed
-// in memory to reconstruct the global BFS.
+// shared tie-break rules, seed excluded): a closure whose rounds each
+// continue from one entity on one shard is its walks' orders end to end,
+// any other replays the gathered subgraph to reconstruct the global BFS.
 func (r *Router) Closure(seed string, dir store.Direction) ([]string, error) {
-	order, _, err := r.TracedClosure(seed, dir)
+	order, _, err := r.closure(seed, dir, false)
 	return order, err
 }
 
-// pdNode is one entity's traversal state during a pushdown closure.
+// TracedClosure is Closure returning its round trace.
+func (r *Router) TracedClosure(seed string, dir store.Direction) ([]string, ClosureTrace, error) {
+	return r.closure(seed, dir, true)
+}
+
+// closure runs one pushdown closure; the trace lists its probes per round
+// only when traced, so an untraced closure allocates its answer alone.
+func (r *Router) closure(seed string, dir store.Direction, traced bool) ([]string, ClosureTrace, error) {
+	start := obs.Now()
+	tr := ClosureTrace{Seed: seed, Dir: dir}
+	order, err := r.pushdown(seed, dir, &tr, traced)
+	if err != nil {
+		return nil, tr, err
+	}
+	tr.Nodes = len(order)
+	mRouterClosureSecs.ObserveSince(start)
+	mRouterRounds.ObserveValue(uint64(tr.Rounds))
+	mRouterCrossings.ObserveValue(uint64(tr.Crossings))
+	return order, tr, nil
+}
+
+// closureScratch is one pushdown closure's state, pooled on the router
+// and dense by handle, so a closure allocates nothing but its answer once
+// the buffers have grown.
+type closureScratch struct {
+	walks   []store.LocalWalk // walks[si]: the closure's walk over shard si's handles
+	done    []int             // done[si]: how much of walks[si] the driver has folded in
+	pending [][]string        // pending[si]: the IDs shard si's next round starts from
+	// A sequential closure's answer: per round, the shard and the span of
+	// its walk's Order past the entity the round started from.
+	segs []segment
+	// Entities the closure has reached, by directory handle d: reached
+	// when seen[d].epoch == epoch, and then, once the closure gathers its
+	// subgraph, seen[d].node is d's node.
+	seen  []mark
+	epoch uint32
+	nodes []pdNode
+	adj   []int32 // the nodes' accepted neighbour lists, as nodes
+	at    []int32 // per walk position being folded in: its directory handle or node, -1 for none
+	queue []int32 // the replay's BFS queue
+}
+
+// segment is one round's part of a sequential closure's answer:
+// walks[shard].IDs[from:to].
+type segment struct{ shard, from, to int }
+
+// mark is one directory handle's entry in a closure.
+type mark struct {
+	epoch uint32
+	node  int32
+}
+
+// pdNode is one entity's state in a pushdown closure's gathered subgraph.
 // allowed holds the shards the entity's edges may legitimately come from
 // under the global classification rules (routeEntry.allowed) — lists
 // returned by other shards are dropped, so a stale generator edge or a
@@ -1075,179 +1157,393 @@ func (r *Router) Closure(seed string, dir store.Direction) ([]string, error) {
 // with allowed ⊆ probed has no remote edges left and is never exchanged
 // again.
 type pdNode struct {
-	allowed uint64   // accepted source shards (global classification)
-	probed  uint64   // shards whose local fixpoint expanded the node
-	adj     []string // accepted, globally merged neighbor list
-	visited bool     // reached by the ordering replay
+	allowed  uint64 // accepted source shards (global classification)
+	probed   uint64 // shards whose local fixpoint expanded the node
+	id       string
+	from, to int32 // accepted, globally merged neighbour list: adj[from:to]
+	listed   bool  // a shard's list was accepted
+	visited  bool  // reached by the ordering replay
 }
 
-// TracedClosure is Closure returning its round trace.
-func (r *Router) TracedClosure(seed string, dir store.Direction) ([]string, ClosureTrace, error) {
-	start := obs.Now()
-	order, tr, err := r.tracedClosure(seed, dir)
-	if err == nil {
-		mRouterClosureSecs.ObserveSince(start)
-		mRouterRounds.ObserveValue(uint64(tr.Rounds))
-		mRouterCrossings.ObserveValue(uint64(tr.Crossings))
+// begin starts a new set of marks for a directory of n handles: one
+// increment, not a clear. The gathered subgraph starts empty.
+func (cs *closureScratch) begin(n int) {
+	if len(cs.seen) < n {
+		cs.seen = make([]mark, n+n/4+64)
+		cs.epoch = 0
 	}
-	return order, tr, err
+	cs.epoch++
+	if cs.epoch == 0 {
+		clear(cs.seen)
+		cs.epoch = 1
+	}
+	cs.nodes, cs.adj = cs.nodes[:0], cs.adj[:0]
 }
 
-func (r *Router) tracedClosure(seed string, dir store.Direction) ([]string, ClosureTrace, error) {
-	tr := ClosureTrace{Seed: seed, Dir: dir}
-	seedEntry := r.entry(seed)
-	if !seedEntry.known() {
-		return nil, tr, fmt.Errorf("%w: entity %q", store.ErrNotFound, seed)
+// mark records directory handle d as reached, growing the marks when the
+// directory grew since begin, and reports the mark.
+func (cs *closureScratch) mark(d int32) *mark {
+	if int(d) >= len(cs.seen) {
+		n := int(d) + 1
+		cs.seen = append(cs.seen, make([]mark, n+n/4+64-len(cs.seen))...)
 	}
+	return &cs.seen[d]
+}
 
-	// Node state lives in a flat arena addressed by index: the name map
-	// carries int32 values (no write barrier per insert, half the lookups
-	// of a two-map design), and the arena grows only between scatter
-	// phases, so pointers taken into it within one phase stay valid. Both
-	// start small and grow with the closure: the median closure is a
-	// handful of entities, and sizing every call for hundreds made these
-	// two allocations half of the bytes a cold closure allocates.
-	arena := make([]pdNode, 1, 16)
-	arena[0] = pdNode{allowed: seedEntry.allowed(dir)}
-	nodes := make(map[string]int32, 16)
-	nodes[seed] = 0
+// nodeOf returns the node of directory handle d, -1 when the gathered
+// subgraph has none.
+func (cs *closureScratch) nodeOf(d int32) int32 {
+	if d < 0 || int(d) >= len(cs.seen) || cs.seen[d].epoch != cs.epoch {
+		return -1
+	}
+	return cs.seen[d].node
+}
 
-	sc := r.getScratch()
-	defer r.scratch.Put(sc)
-	pending := sc.perShard
+// pushdown is the closure driver behind Closure and TracedClosure. A
+// closure runs sequentially while every round probes one entity on one
+// shard and that round's walk continues the answer exactly
+// (sequentialLocked): the answer is the rounds' walks end to end, with no
+// replay. Any other closure gathers the subgraph all its walks expanded
+// (gatherLocked) and replays it.
+func (r *Router) pushdown(seed string, dir store.Direction, tr *ClosureTrace, traced bool) ([]string, error) {
+	r.mu.RLock()
+	d0, ok := r.ids[seed]
+	e0 := routeEntry{}
+	if ok {
+		e0 = r.ents[d0]
+	}
+	r.mu.RUnlock()
+	if !e0.known() {
+		return nil, fmt.Errorf("%w: entity %q", store.ErrNotFound, seed)
+	}
+	cs := r.closures.Get().(*closureScratch)
+	defer r.closures.Put(cs)
+	cs.segs = cs.segs[:0]
 	npending := 0
-	enqueue := func(id string, st *pdNode) {
-		for m := st.allowed &^ st.probed; m != 0; m &= m - 1 {
-			si := bits.TrailingZeros64(m)
-			pending[si] = append(pending[si], id)
-			npending++
-		}
+	for m := e0.allowed(dir); m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		cs.pending[si] = append(cs.pending[si][:0], seed)
+		npending++
 	}
-	enqueue(seed, &arena[0])
-
-	// The per-shard skip predicates are built once: during a round the
-	// driver does not mutate nodes, so the shard goroutines' reads of the
-	// map race nothing.
-	skips := make([]func(string) bool, len(r.shards))
-	for si := range r.shards {
-		mask := uint64(1) << uint(si)
-		skips[si] = func(id string) bool {
-			idx, ok := nodes[id]
-			return ok && arena[idx].probed&mask != 0
-		}
-	}
-	probeFn := func(si int, seeds []string) ([]store.LocalNeighbors, error) {
-		return r.shards[si].CloseLocal(seeds, dir, skips[si], sc.local[si][:0])
+	if npending == 0 { // an artifact no run generated, going Up
+		return []string{}, nil
 	}
 
-	var discovered []string // this round's new entity names…
-	var discIdx []int32     // …and their arena indexes
-	var stash []int32       // per-round node indexes, aligned with the result walk
+	sequential, gathering := npending == 1, false
+	var begun uint64 // shards whose walk this closure has begun
 	for npending > 0 {
 		tr.Rounds++
-		tr.Probes = append(tr.Probes, npending)
+		if traced {
+			tr.Probes = append(tr.Probes, npending)
+		}
 		if tr.Rounds > 1 {
 			tr.Crossings += npending
 		}
 
-		// Scatter: one local fixpoint per shard with probes, skipping
-		// entities that shard already expanded in an earlier round.
-		if err := scatter(sc.perShard, sc.local, sc.errs, probeFn); err != nil {
-			return nil, tr, err
+		// Scatter: one local fixpoint per shard with probes; each shard's
+		// walk stops at what it expanded in an earlier round.
+		var probed uint64
+		for si, seeds := range cs.pending {
+			if len(seeds) > 0 {
+				probed |= 1 << uint(si)
+			}
+		}
+		for m := probed &^ begun; m != 0; m &= m - 1 {
+			si := bits.TrailingZeros64(m)
+			cs.walks[si].Begin()
+			cs.done[si] = 0
+		}
+		begun |= probed
+		if probed&(probed-1) == 0 {
+			si := bits.TrailingZeros64(probed)
+			r.shards[si].CloseLocal(&cs.walks[si], cs.pending[si], dir)
+		} else {
+			var wg sync.WaitGroup
+			for m := probed; m != 0; m &= m - 1 {
+				wg.Add(1)
+				go func(si int) {
+					defer wg.Done()
+					r.shards[si].CloseLocal(&cs.walks[si], cs.pending[si], dir)
+				}(bits.TrailingZeros64(m))
+			}
+			wg.Wait()
+		}
+		for m := probed; m != 0; m &= m - 1 {
+			si := bits.TrailingZeros64(m)
+			cs.pending[si] = cs.pending[si][:0]
 		}
 
-		// Gather, phase 1: record coverage, collect newly seen entities,
-		// stashing each entry's node index so phase 2 skips the map
-		// lookup. Arena growth happens only here, between scatters.
-		discovered = discovered[:0]
-		discIdx = discIdx[:0]
-		stash = stash[:0]
-		for si, res := range sc.local {
-			mask := uint64(1) << uint(si)
-			for i := range res {
-				n := res[i].ID
-				idx, ok := nodes[n]
-				if !ok {
-					arena = append(arena, pdNode{})
-					idx = int32(len(arena) - 1)
-					nodes[n] = idx
-					discovered = append(discovered, n)
-					discIdx = append(discIdx, idx)
-				}
-				arena[idx].probed |= mask
-				stash = append(stash, idx)
+		r.rlockCovering(cs.walks, probed)
+		if sequential {
+			var ok bool
+			if npending, ok = r.sequentialLocked(cs, bits.TrailingZeros64(probed), tr.Rounds, dir); ok {
+				r.mu.RUnlock()
+				continue
+			}
+			sequential = false
+			for m := begun; m != 0; m &= m - 1 {
+				cs.done[bits.TrailingZeros64(m)] = 0
 			}
 		}
-		// Classify this round's discoveries under one directory lock.
-		if len(discovered) > 0 {
-			r.mu.RLock()
-			for i, n := range discovered {
-				arena[discIdx[i]].allowed = r.entities[n].allowed(dir)
-			}
-			r.mu.RUnlock()
+		if !gathering {
+			// The subgraph gathers the whole closure so far, every walk
+			// from its start; the seed is node 0.
+			gathering = true
+			cs.begin(len(r.ents))
+			cs.nodeLocked(r, d0, seed, dir)
 		}
-		// Gather, phase 2: accept neighbor lists from allowed shards only,
-		// merging under the shared dedup rules when an entity's edges span
-		// shards.
-		k := 0
-		for si, res := range sc.local {
-			mask := uint64(1) << uint(si)
-			for i := range res {
-				st := &arena[stash[k]]
-				k++
-				if st.allowed&mask == 0 {
-					continue
-				}
-				if st.adj == nil {
-					// First accepted list is adopted as-is (empty lists
-					// merge to the same set either way).
-					st.adj = res[i].Neighbors
-				} else {
-					st.adj = store.MergeNeighbors(st.adj, res[i].Neighbors)
-				}
-			}
-		}
+		npending = r.gatherLocked(cs, begun, dir)
+		r.mu.RUnlock()
+	}
+	if sequential {
+		return cs.concat(), nil
+	}
+	return cs.replay(), nil
+}
 
-		// Next round: only entities with unprobed allowed shards cross —
-		// the cross-shard frontier, batched per destination shard. Result
-		// containers are truncated, not dropped: each shard's next
-		// CloseLocal appends into the same backing array.
-		for si := range pending {
-			pending[si] = pending[si][:0]
-			sc.local[si] = sc.local[si][:0]
-		}
-		npending = 0
-		for i, n := range discovered {
-			enqueue(n, &arena[discIdx[i]])
-		}
+// sequentialLocked folds round's walk, on shard si from the one entity
+// the round probed, into a sequential closure, when that walk continues
+// the answer exactly: every entity it expanded is known to the directory,
+// new to the closure, and kept the list si reported (so no stale
+// generator edge of si's led the walk astray); no cycle leads back to the
+// seed; and at most one entity has edges on another shard — the walk's
+// last, on one other shard only, with none here. Global BFS then reaches
+// the round's entities in the walk's order, after everything earlier
+// rounds answered, and the next round, if any, is that last entity on its
+// other shard. It reports the probes it queued (0 or 1), and false when
+// the closure must gather and replay instead. The caller holds the read
+// lock, local[si] covering the walk.
+func (r *Router) sequentialLocked(cs *closureScratch, si, round int, dir store.Direction) (int, bool) {
+	w := &cs.walks[si]
+	from := cs.done[si]
+	cs.done[si] = len(w.Order)
+	if from == len(w.Order) {
+		return 0, true // the probed entity is not stored on si
 	}
-	// Replay: the gathered subgraph already holds every traversed entity's
-	// globally merged neighbor list, so the exact single-store BFS order
-	// (the contract pinned by the conformance suite) is reconstructed with
-	// in-memory map lookups — no further store rounds. Frontiers carry
-	// node pointers (one lookup per edge, none per level) and the two
-	// level buffers alternate, keeping the loop allocation-flat.
-	order := make([]string, 0, len(arena)) // every traversed entity, bounded by the arena
-	var bufs [2][]int32
-	frontier := append(bufs[0], 0) // the seed's arena index
-	which := 1
-	for len(frontier) > 0 {
-		next := bufs[which][:0]
-		for _, idx := range frontier {
-			for _, n := range arena[idx].adj {
-				if j, ok := nodes[n]; ok && !arena[j].visited {
-					arena[j].visited = true
-					order = append(order, n)
-					next = append(next, j)
-				}
+	mask := uint64(1) << uint(si)
+	last := len(w.Order) - 1
+	cs.at = cs.at[:0]
+	var next uint64
+	for i := from; i <= last; i++ {
+		d := r.dirHandleLocked(si, w.Order[i], w.IDs[i])
+		if d < 0 {
+			return 0, false
+		}
+		if round > 1 {
+			// Rounds after the first start from the entity the last one
+			// ended with; everything else must be new.
+			if m := cs.mark(d); (m.epoch == cs.epoch) != (i == from) {
+				return 0, false
 			}
 		}
-		bufs[which] = next
-		frontier = next
-		which ^= 1
+		allowed := r.ents[d].allowed(dir)
+		if allowed&mask == 0 && w.Ends[i+1] > w.Ends[i] {
+			return 0, false
+		}
+		if elsewhere := allowed &^ mask; elsewhere != 0 {
+			if i != last || i == from || allowed != elsewhere || elsewhere&(elsewhere-1) != 0 {
+				return 0, false
+			}
+			next = elsewhere
+		}
+		cs.at = append(cs.at, d)
 	}
-	tr.Nodes = len(order)
-	return order, tr, nil
+	if round == 1 && slices.Contains(w.Adj, w.Order[0]) {
+		return 0, false // a cycle: the replay reports the seed where it reaches it
+	}
+	if round > 1 && cs.segs[0].shard == si && slices.Contains(w.Adj[w.Ends[from]:], w.Order[0]) {
+		return 0, false
+	}
+	cs.segs = append(cs.segs, segment{si, from + 1, len(w.Order)})
+	if next == 0 {
+		return 0, true
+	}
+	if round == 1 {
+		cs.begin(len(r.ents))
+	}
+	for _, d := range cs.at {
+		cs.mark(d).epoch = cs.epoch
+	}
+	ns := bits.TrailingZeros64(next)
+	cs.pending[ns] = append(cs.pending[ns], w.IDs[last])
+	return 1, true
+}
+
+// concat is a sequential closure's answer: its rounds' segments end to
+// end, each ID copied once.
+func (cs *closureScratch) concat() []string {
+	n := 0
+	for _, g := range cs.segs {
+		n += g.to - g.from
+	}
+	order := make([]string, 0, n)
+	for _, g := range cs.segs {
+		order = append(order, cs.walks[g.shard].IDs[g.from:g.to]...)
+	}
+	return order
+}
+
+// rlockCovering takes the read lock with the translation table of every
+// shard in probed covering its walk's handles. A table shorter than that
+// (its shard grew since) grows first, under the write lock, with headroom
+// so that a shard growing a run at a time does not regrow it per closure.
+func (r *Router) rlockCovering(walks []store.LocalWalk, probed uint64) {
+	for {
+		r.mu.RLock()
+		short := false
+		for m := probed; m != 0; m &= m - 1 {
+			si := bits.TrailingZeros64(m)
+			short = short || len(r.local[si]) < walks[si].Handles
+		}
+		if !short {
+			return
+		}
+		r.mu.RUnlock()
+		r.mu.Lock()
+		for m := probed; m != 0; m &= m - 1 {
+			si := bits.TrailingZeros64(m)
+			if n := walks[si].Handles; len(r.local[si]) < n {
+				grown := make([]int32, n+n/4+64)
+				copy(grown, r.local[si])
+				r.local[si] = grown
+			}
+		}
+		r.mu.Unlock()
+	}
+}
+
+// dirHandleLocked translates shard si's handle h, whose ID is id, to its
+// directory handle: -1 while the directory does not know the ID, a run the
+// shard committed and the router has not folded yet. The first translation
+// of a handle hashes its ID, every later one is a table read. The caller
+// holds the read lock with local[si] covering h (rlockCovering).
+func (r *Router) dirHandleLocked(si int, h int32, id string) int32 {
+	cell := &r.local[si][h]
+	if d := atomic.LoadInt32(cell); d != 0 {
+		return d - 1
+	}
+	d, ok := r.ids[id]
+	if !ok {
+		return -1
+	}
+	atomic.StoreInt32(cell, d+1)
+	return d
+}
+
+// nodeLocked returns the node of directory handle d, whose ID is id,
+// making one classified under the directory the first time the gathered
+// subgraph reaches d. The caller holds the read lock.
+func (cs *closureScratch) nodeLocked(r *Router, d int32, id string, dir store.Direction) int32 {
+	m := cs.mark(d)
+	if m.epoch != cs.epoch {
+		*m = mark{cs.epoch, int32(len(cs.nodes))}
+		cs.nodes = append(cs.nodes, pdNode{id: id, allowed: r.ents[d].allowed(dir)})
+	}
+	return m.node
+}
+
+// gatherLocked folds what the walks of the shards in begun expanded since
+// the last gather into the gathered subgraph, and queues the next round:
+// the entities first reached this time that an allowed shard has not
+// expanded yet — the cross-shard frontier, batched per destination shard.
+// It returns how many (entity, shard) probes it queued. The caller holds
+// the read lock with the translation tables covering the walks.
+func (r *Router) gatherLocked(cs *closureScratch, begun uint64, dir store.Direction) int {
+	fresh := len(cs.nodes) // nodes from here on are first reached now
+	for m := begun; m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		mask := uint64(1) << uint(si)
+		w := &cs.walks[si]
+		from := cs.done[si]
+		cs.done[si] = len(w.Order)
+		// Record coverage, making nodes of the entities met first.
+		cs.at = cs.at[:0]
+		for i := from; i < len(w.Order); i++ {
+			s := int32(-1)
+			if d := r.dirHandleLocked(si, w.Order[i], w.IDs[i]); d >= 0 {
+				s = cs.nodeLocked(r, d, w.IDs[i], dir)
+				cs.nodes[s].probed |= mask
+			}
+			cs.at = append(cs.at, s)
+		}
+		// Accept lists from allowed shards only, merged under the shared
+		// dedup rules when an entity's edges span shards. Every neighbour
+		// the shard reported was expanded by its walk, now or earlier, so
+		// its translation is a table read.
+		local := r.local[si]
+		for k, s := range cs.at {
+			if s < 0 || cs.nodes[s].allowed&mask == 0 {
+				continue
+			}
+			adjFrom := int32(len(cs.adj))
+			for _, h := range w.Adj[w.Ends[from+k]:w.Ends[from+k+1]] {
+				if n := cs.nodeOf(atomic.LoadInt32(&local[h]) - 1); n >= 0 {
+					cs.adj = append(cs.adj, n)
+				}
+			}
+			cs.accept(s, adjFrom)
+		}
+	}
+	npending := 0
+	for i := range cs.nodes[fresh:] {
+		n := &cs.nodes[fresh+i]
+		for m := n.allowed &^ n.probed; m != 0; m &= m - 1 {
+			si := bits.TrailingZeros64(m)
+			cs.pending[si] = append(cs.pending[si], n.id)
+			npending++
+		}
+	}
+	return npending
+}
+
+// accept makes adj[from:] node s's neighbour list: adopted as-is when it
+// is the first list accepted for s, else merged with the one s has into a
+// new list appended to adj, sorted by ID and duplicate-free.
+func (cs *closureScratch) accept(s, from int32) {
+	n := &cs.nodes[s]
+	to := int32(len(cs.adj))
+	if !n.listed {
+		n.from, n.to, n.listed = from, to, true
+		return
+	}
+	a, b := cs.adj[n.from:n.to], cs.adj[from:to]
+	start := to
+	for len(a) > 0 && len(b) > 0 {
+		switch c := strings.Compare(cs.nodes[a[0]].id, cs.nodes[b[0]].id); {
+		case c < 0:
+			cs.adj, a = append(cs.adj, a[0]), a[1:]
+		case c > 0:
+			cs.adj, b = append(cs.adj, b[0]), b[1:]
+		default:
+			cs.adj, a, b = append(cs.adj, a[0]), a[1:], b[1:]
+		}
+	}
+	cs.adj = append(append(cs.adj, a...), b...)
+	n.from, n.to = start, int32(len(cs.adj))
+}
+
+// replay walks the gathered subgraph from the seed (node 0) in BFS order,
+// the seed reported only where a cycle reaches it, and returns the IDs.
+func (cs *closureScratch) replay() []string {
+	queue := cs.queue[:0]
+	for i, s := -1, int32(0); i < len(queue); i++ { // the seed, then the queue
+		if i >= 0 {
+			s = queue[i]
+		}
+		n := &cs.nodes[s]
+		for _, m := range cs.adj[n.from:n.to] {
+			if !cs.nodes[m].visited {
+				cs.nodes[m].visited = true
+				queue = append(queue, m)
+			}
+		}
+	}
+	cs.queue = queue
+	order := make([]string, len(queue))
+	for i, s := range queue {
+		order[i] = cs.nodes[s].id
+	}
+	return order
 }
 
 // WithTrace wraps the router so every pushdown Closure that executes

@@ -147,40 +147,27 @@ type Store interface {
 	Close() error
 }
 
-// LocalNeighbors is one expanded entity's neighbor list in a CloseLocal
-// result. Results are slices, not maps: the sharded router's pushdown
-// driver consumes every entry of every round, and a slice walk avoids the
-// per-round map allocation, hashing and iteration costs that would
-// otherwise dominate deep traversals.
-type LocalNeighbors struct {
-	ID        string
-	Neighbors []string
-}
-
-// LocalCloser is an optional Store capability used by the sharded router's
-// closure pushdown: run a BFS fixpoint entirely inside the backend — under
-// one lock acquisition on the indexed backends — from a whole batch of
-// seeds, instead of being driven one frontier hop at a time from outside.
+// LocalCloser is the Shard contract of the sharded router's closure
+// pushdown (shardedstore.Shard): run a BFS fixpoint entirely inside the
+// backend, under one lock acquisition, from a whole batch of seeds,
+// instead of being driven one frontier hop at a time from outside.
 //
-// The result holds every entity the call expanded (the known seeds plus
-// everything transitively reachable from them through this backend's own
-// edges) with its sorted-unique neighbor list in the given direction,
-// exactly as Expand would report it; each expanded entity appears exactly
-// once, in local discovery order. Entities for which skip reports true are
-// treated as already expanded by an earlier call: they terminate the local
-// walk and are absent from the result. Unknown seeds are ignored. A nil
-// skip expands everything.
-//
-// The result is appended to buf (append-style: the caller passes last
-// round's slice re-truncated to reuse its backing array, or nil for a
-// fresh one) — a deep traversal's driver calls this once per round, and
-// the container reuse is what keeps rounds allocation-flat.
+// A call walks in the backend's own handles and appends its answer to w:
+// every entity it expanded — the known seeds plus everything transitively
+// reachable from them through this backend's own edges — once each, in
+// local discovery order, with its ID and its neighbour handles in the
+// given direction, sorted by ID exactly as Expand would list them. The
+// walk remembers across calls what it has reached, so a later call of the
+// same closure (w.Begin starts the next one) never expands an entity
+// again: an entity reached earlier ends the walk there and is absent from
+// the call's answer. Unknown seeds are ignored. Seeds enter by ID, one
+// hash each; nothing else the walk does hashes a string or allocates once
+// w's buffers have grown.
 //
 // MemStore implements it over its adjacency maps, FileStore over its
-// entity table: the two backends the sharded router accepts as shards
-// (shardedstore.Shard).
+// entity table: the two backends the sharded router accepts as shards.
 type LocalCloser interface {
-	CloseLocal(seeds []string, dir Direction, skip func(id string) bool, buf []LocalNeighbors) ([]LocalNeighbors, error)
+	CloseLocal(w *LocalWalk, seeds []string, dir Direction)
 }
 
 // CloseOverExpand is the shared Closure fallback for minimal Store

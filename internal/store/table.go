@@ -182,103 +182,49 @@ func (t *entityTable) appendNames(dst []string, hs []int32) []string {
 	return dst
 }
 
-// walk is the scratch state of one traversal: which handles it has
-// reached, and in what order. stamp[h] == epoch marks h reached, so
-// starting a walk is one increment instead of clearing (or allocating) a
-// visited set; instances are pooled across walks and stores.
-type walk struct {
-	stamp []uint32
-	epoch uint32
-	order []int32
-}
-
-var walkPool = sync.Pool{New: func() any { return new(walk) }}
-
-// beginWalk checks a walk out of the pool, ready for a table of n records.
-func beginWalk(n int) *walk {
-	w := walkPool.Get().(*walk)
-	if len(w.stamp) < n {
-		// Headroom, so a store growing by a run at a time does not
-		// reallocate the stamps on every walk.
-		w.stamp = make([]uint32, n+n/4+64)
-		w.epoch = 0
-	}
-	w.epoch++
-	if w.epoch == 0 { // wrapped: stamps of 2³² walks ago would read as fresh
-		clear(w.stamp)
-		w.epoch = 1
-	}
-	w.order = w.order[:0]
-	return w
-}
-
-// reach appends h to the walk's order the first time the walk sees it.
-func (w *walk) reach(h int32) {
-	if w.stamp[h] != w.epoch {
-		w.stamp[h] = w.epoch
-		w.order = append(w.order, h)
-	}
-}
+// closureWalks pools the walks of FileStore.Closure across calls and
+// stores.
+var closureWalks = sync.Pool{New: func() any { return new(LocalWalk) }}
 
 // closure is the BFS of Store.Closure from a known seed record: per-node
 // neighbours in ID order, the seed itself reported only when a cycle leads
 // back to it.
 func (t *entityTable) closure(seed *entity, dir Direction) []string {
-	w := beginWalk(len(t.ents))
-	defer walkPool.Put(w)
+	w := closureWalks.Get().(*LocalWalk)
+	defer closureWalks.Put(w)
+	w.Begin()
+	w.cover(len(t.ents))
 	visit := func(e *entity) {
 		for _, n := range e.adjacent(dir) {
 			w.reach(n)
 		}
 	}
 	visit(seed)
-	for i := 0; i < len(w.order); i++ {
-		visit(&t.ents[w.order[i]])
+	for i := 0; i < len(w.Order); i++ {
+		visit(&t.ents[w.Order[i]])
 	}
-	return t.names(w.order)
+	return t.names(w.Order)
 }
 
-// closeLocal is the local fixpoint of LocalCloser.CloseLocal: every stored
-// entity reachable from the seeds without passing a skipped one, each once,
-// in discovery order, with its neighbour list. The lists of one call share
-// one backing array, each capped to its own length so a caller appending
-// to one cannot reach the next.
-func (t *entityTable) closeLocal(seeds []string, dir Direction, skip func(string) bool, buf []LocalNeighbors) []LocalNeighbors {
-	w := beginWalk(len(t.ents))
-	defer walkPool.Put(w)
-	for _, id := range seeds {
-		if h, ok := t.handles[id]; ok {
-			w.reach(h)
-		}
+// The table is the handle space FileStore.CloseLocal walks.
+
+func (t *entityTable) handle(id string) (int32, bool) {
+	h, ok := t.handles[id]
+	return h, ok
+}
+
+func (t *entityTable) size() int { return len(t.ents) }
+
+func (t *entityTable) appendAdjacent(dst []int32, h int32, dir Direction) (string, []int32, bool) {
+	e := &t.ents[h]
+	if !e.stored() {
+		return "", dst, false
 	}
-	// w.order is the BFS queue; expanded entities are compacted to its
-	// front as the walk passes them, so it ends as the result order.
-	expanded, edges := 0, 0
-	for i := 0; i < len(w.order); i++ {
-		h := w.order[i]
-		e := &t.ents[h]
-		if !e.stored() || (skip != nil && skip(e.id)) {
-			continue
-		}
-		w.order[expanded] = h
-		expanded++
-		ns := e.adjacent(dir)
-		edges += len(ns)
-		for _, n := range ns {
-			w.reach(n)
-		}
-	}
-	out := buf[:0]
-	flat := make([]string, 0, edges)
-	for _, h := range w.order[:expanded] {
-		e := &t.ents[h]
-		out = append(out, LocalNeighbors{ID: e.id, Neighbors: t.carve(&flat, e.adjacent(dir))})
-	}
-	return out
+	return e.id, append(dst, e.adjacent(dir)...), true
 }
 
 // expand is Store.Expand over the table: an entry per stored entity among
-// ids, the lists carved from shared backing arrays as in closeLocal.
+// ids, the lists carved from one shared backing array.
 func (t *entityTable) expand(ids []string, dir Direction) map[string][]string {
 	out := make(map[string][]string, len(ids))
 	flat := make([]string, 0, 2*len(ids))
