@@ -64,7 +64,9 @@ bench:
 # reopening a closure cache holding 256 closures of a chain store, and the
 # closures.json size as snapshot_B. E16ClosurePushdown/mode=sharded-pushdown
 # prints those of a 128-run chain lineage over 4 file shards: two rounds of
-# the handle-space pushdown, allocating its answer alone.
+# the handle-space pushdown, allocating its answer alone. ClosureOverHTTP
+# prints those of the same lineage asked by api.Client of an httptest
+# server over 4 file shards: answer encoding, HTTP exchange and decode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
@@ -74,6 +76,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench E17StreamingExec -benchtime 50x -benchmem ./internal/query/pql
 	$(GO) test -run '^$$' -bench 'E13ClosureCache/mode=snapshot' -benchtime 10x -benchmem .
 	$(GO) test -run '^$$' -bench 'E16ClosurePushdown/mode=sharded-pushdown' -benchtime 2000x -benchmem .
+	$(GO) test -run '^$$' -bench ClosureOverHTTP -benchtime 2000x -benchmem .
 
 # Run the paper-reproduction suite (E1–E12) and write machine-readable
 # BENCH_<ID>.json files to $(BENCH_DIR).

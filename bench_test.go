@@ -617,6 +617,37 @@ func BenchmarkColdClosure(b *testing.B) {
 	})
 }
 
+// BenchmarkClosureOverHTTP is one lineage read as provd serves it: an
+// api.Client asks an httptest server over 4 file shards for the upstream
+// closure of a 128-run chain's tail (256 IDs). ns/op, B/op and allocs/op
+// cover both ends of the request: the handler's answer encoding, the
+// client's decode and the HTTP exchange between them. `make bench-smoke`
+// prints all three in CI.
+func BenchmarkClosureOverHTTP(b *testing.B) {
+	const chainRuns = 128
+	r, err := shardedstore.OpenWith(b.TempDir(), 4, store.FileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < chainRuns; i++ {
+		if err := r.PutRunLog(chainRun("e16", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(collab.NewHandlerWith(collab.NewRepository(r), collab.HandlerOptions{Metrics: obs.NewRegistry()}))
+	defer srv.Close()
+	c := api.NewClient(srv.URL, nil)
+	tail := fmt.Sprintf("e16-art-%06d", chainRuns)
+	b.ReportAllocs()
+	for b.Loop() {
+		ids, err := c.Lineage(tail)
+		if err != nil || len(ids) != 2*chainRuns {
+			b.Fatalf("lineage: %d IDs, %v; want %d", len(ids), err, 2*chainRuns)
+		}
+	}
+}
+
 // BenchmarkShardedReopen reports what opening a sharded store directory
 // costs in absolute terms — ns/op, B/op, allocs/op — on 4 file shards
 // holding 2 048 runs of one chain (every artifact is declared on two

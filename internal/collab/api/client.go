@@ -9,8 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -137,6 +139,51 @@ func (c *Client) getJSON(path string, out any) error {
 	return c.getJSONContext(context.Background(), path, out)
 }
 
+// bodyBufs holds the buffers getBody reads bodies into.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const (
+	// maxPooledBody bounds the buffers bodyBufs keeps, so that one huge
+	// answer does not stay pinned in memory.
+	maxPooledBody = 64 << 10
+	// maxPresizedBody bounds the Content-Length getBody allocates for up
+	// front; a body claiming more is read as it arrives.
+	maxPresizedBody = 64 << 20
+)
+
+// getBody GETs path and returns the body of a 2xx answer as one string,
+// read through a pooled buffer in one piece when the response carries its
+// Content-Length.
+func (c *Client) getBody(path string) (string, error) {
+	resp, err := c.do(context.Background(), c.hc, http.MethodGet, path, nil, nil)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return "", decodeError(resp)
+	}
+	n := resp.ContentLength
+	if n < 0 || n > maxPresizedBody {
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return "", err
+		}
+		return string(data), nil
+	}
+	bp := bodyBufs.Get().(*[]byte)
+	buf := slices.Grow((*bp)[:0], int(n))[:n]
+	var body string
+	if _, err = io.ReadFull(resp.Body, buf); err == nil {
+		body = string(buf)
+	}
+	if cap(buf) <= maxPooledBody {
+		*bp = buf
+		bodyBufs.Put(bp)
+	}
+	return body, err
+}
+
 func (c *Client) postJSONContext(ctx context.Context, path string, in, out any) error {
 	data, err := json.Marshal(in)
 	if err != nil {
@@ -221,26 +268,36 @@ func (c *Client) RunLog(runID string) (*provenance.RunLog, error) {
 	return &l, nil
 }
 
-// Lineage returns the upstream closure of an entity.
+// Lineage returns the upstream closure of an entity. The returned IDs
+// share one backing string, the response body: holding any of them holds
+// the whole body.
 func (c *Client) Lineage(id string) ([]string, error) {
-	var ids []string
-	err := c.getJSON(V1Prefix+"/lineage?id="+url.QueryEscape(id), &ids)
-	return ids, err
+	body, err := c.getBody(V1Prefix + "/lineage?id=" + url.QueryEscape(id))
+	if err != nil {
+		return nil, err
+	}
+	return parseIDList(body)
 }
 
-// Dependents returns the downstream closure of an entity.
+// Dependents returns the downstream closure of an entity. The returned IDs
+// share one backing string, as Lineage's do.
 func (c *Client) Dependents(id string) ([]string, error) {
-	var ids []string
-	err := c.getJSON(V1Prefix+"/dependents?id="+url.QueryEscape(id), &ids)
-	return ids, err
+	body, err := c.getBody(V1Prefix + "/dependents?id=" + url.QueryEscape(id))
+	if err != nil {
+		return nil, err
+	}
+	return parseIDList(body)
 }
 
 // Expand returns the one-hop frontier of a batch of entities; dir is
-// "up" or "down".
+// "up" or "down". The returned keys and IDs share one backing string, as
+// Lineage's do.
 func (c *Client) Expand(ids []string, dir string) (map[string][]string, error) {
-	var adj map[string][]string
-	err := c.getJSON(V1Prefix+"/expand?ids="+url.QueryEscape(strings.Join(ids, ","))+"&dir="+url.QueryEscape(dir), &adj)
-	return adj, err
+	body, err := c.getBody(V1Prefix + "/expand?ids=" + url.QueryEscape(strings.Join(ids, ",")) + "&dir=" + url.QueryEscape(dir))
+	if err != nil {
+		return nil, err
+	}
+	return parseIDMap(body)
 }
 
 // Query runs a PQL query against the server's provenance store.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/collab/api"
@@ -415,7 +416,7 @@ func (s *server) closure(dir store.Direction) http.HandlerFunc {
 			writeStoreError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ids)
+		writeIDs(w, func(b []byte) []byte { return api.AppendIDList(b, ids) })
 	}
 }
 
@@ -438,7 +439,7 @@ func (s *server) expand(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, adj)
+	writeIDs(w, func(b []byte) []byte { return api.AppendIDMap(b, adj) })
 }
 
 func (s *server) recommend(w http.ResponseWriter, req *http.Request) {
@@ -568,6 +569,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// idBufs holds the buffers writeIDs appends answers into.
+var idBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledAnswer bounds the buffers idBufs keeps, so that one huge
+// closure does not stay pinned in memory.
+const maxPooledAnswer = 64 << 10
+
+// writeIDs answers 200 with the ID-list body appendBody writes (the bytes
+// writeJSON would send for the same value), in one Write under its
+// Content-Length.
+func writeIDs(w http.ResponseWriter, appendBody func([]byte) []byte) {
+	bp := idBufs.Get().(*[]byte)
+	b := appendBody((*bp)[:0])
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledAnswer {
+		*bp = b
+		idBufs.Put(bp)
+	}
 }
 
 // maxBodyBytes bounds a request body. The largest kind, a published

@@ -87,11 +87,25 @@ type httpObs struct {
 // instrument wraps one route's handler with the observability middleware.
 // The route label is the route's literal path prefix — a closed set, so
 // metric cardinality is bounded by the API surface, never by request paths. The
-// latency histogram is resolved once at registration; the (route, code)
-// counter per request (the code is only known afterwards).
+// latency histogram is resolved once at registration. The (route, code)
+// counter is known only once the handler answers: the code="200" one is
+// resolved on the route's first 200, so that no route lists a counter it
+// never moved, and any other code per request.
 func (h *httpObs) instrument(route string, fn http.HandlerFunc) http.HandlerFunc {
 	lat := h.reg.Histogram("prov_http_request_seconds",
 		"Request latency by route.", obs.L("route", route))
+	var ok200 atomic.Pointer[obs.Counter]
+	count := func(code int) *obs.Counter {
+		if c := ok200.Load(); c != nil && code == http.StatusOK {
+			return c
+		}
+		c := h.reg.Counter("prov_http_requests_total", "Requests served by route and status code.",
+			obs.L("route", route), obs.L("code", strconv.Itoa(code)))
+		if code == http.StatusOK {
+			ok200.Store(c)
+		}
+		return c
+	}
 	return func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
 		id := req.Header.Get(api.HeaderRequestID)
@@ -106,8 +120,7 @@ func (h *httpObs) instrument(route string, fn http.HandlerFunc) http.HandlerFunc
 		}
 		dur := time.Since(start)
 		lat.Observe(dur)
-		h.reg.Counter("prov_http_requests_total", "Requests served by route and status code.",
-			obs.L("route", route), obs.L("code", strconv.Itoa(rec.status))).Inc()
+		count(rec.status).Inc()
 		slow := h.slow > 0 && dur >= h.slow
 		if h.log == nil && !slow {
 			return

@@ -1,6 +1,7 @@
 package collab
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -9,10 +10,13 @@ import (
 	"net/url"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/collab/api"
+	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/store"
 	"repro/internal/workloads"
@@ -313,4 +317,156 @@ func TestV1ClientRoundtrip(t *testing.T) {
 	if remote.HTTPStatus != http.StatusNotFound || remote.Code != api.CodeNotFound {
 		t.Fatalf("remote = %+v", remote)
 	}
+}
+
+// TestV1IDListAnswersAreEncodingJSONs: /v1/lineage, /v1/dependents and
+// /v1/expand send, under a Content-Length, exactly the bytes json.Encoder
+// writes for the store's answer, on IDs that need escaping as well as
+// plain ones, on empty answers and on an unknown entity; api.Client
+// decodes each as json.Unmarshal decodes the same body.
+func TestV1IDListAnswersAreEncodingJSONs(t *testing.T) {
+	st := store.NewMemStore()
+	run := func(id, exec string, ins, outs []string) *provenance.RunLog {
+		l := &provenance.RunLog{Run: provenance.Run{ID: id, WorkflowID: "wf", Status: provenance.StatusOK}}
+		l.Executions = []*provenance.Execution{{ID: exec, RunID: id, ModuleID: "m", Status: provenance.StatusOK}}
+		add := func(art string, kind provenance.EventKind) {
+			l.Artifacts = append(l.Artifacts, &provenance.Artifact{ID: art, RunID: id})
+			l.Events = append(l.Events, provenance.Event{Seq: uint64(len(l.Events) + 1), RunID: id, Kind: kind, ExecutionID: exec, ArtifactID: art})
+		}
+		for _, a := range ins {
+			add(a, provenance.EventArtifactUsed)
+		}
+		for _, a := range outs {
+			add(a, provenance.EventArtifactGen)
+		}
+		return l
+	}
+	// The last ID is long enough that its answers outgrow the buffer
+	// net/http sizes a body by on its own.
+	entities := []string{"src é\u2028", `x<1>&"q"`, "out\\tab\t", "plain-art", "bad\xff", "y<exec", "tail\x01", "alone-" + strings.Repeat("z", 4096)}
+	for _, l := range []*provenance.RunLog{
+		run("r1", entities[1], []string{entities[0]}, []string{entities[2], entities[3]}),
+		run("r2", entities[5], []string{entities[3], entities[2]}, []string{entities[4], entities[6]}),
+		run("r3", "lonely-exec", nil, []string{entities[7]}),
+	} {
+		if err := st.PutRunLog(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(NewHandlerWith(NewRepository(st), HandlerOptions{}))
+	t.Cleanup(srv.Close)
+	c := api.NewClient(srv.URL, nil)
+
+	// check GETs path and holds its answer to want, json.Encoder's
+	// encoding of the store's answer, and the client's decode, got, to
+	// json.Unmarshal's decode of the body.
+	check := func(path string, answer any, got any, gotErr error) {
+		t.Helper()
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(answer); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("GET %s = %q, encoding/json writes %q", path, body, want.Bytes())
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Errorf("GET %s: Content-Length %q for a %d-byte body", path, cl, len(body))
+		}
+		decoded := reflect.New(reflect.TypeOf(answer))
+		if err := json.Unmarshal(body, decoded.Interface()); err != nil || gotErr != nil ||
+			!reflect.DeepEqual(got, decoded.Elem().Interface()) {
+			t.Errorf("client on GET %s = %#v, %v; json.Unmarshal: %#v, %v", path, got, gotErr, decoded.Elem().Interface(), err)
+		}
+	}
+	for _, id := range entities {
+		for _, dir := range []store.Direction{store.Up, store.Down} {
+			answer, err := st.Closure(id, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			route, call := "/v1/lineage", c.Lineage
+			if dir == store.Down {
+				route, call = "/v1/dependents", c.Dependents
+			}
+			got, err := call(id)
+			check(route+"?id="+url.QueryEscape(id), answer, got, err)
+		}
+	}
+	for _, ids := range [][]string{entities, entities[7:], {"nope"}} {
+		for _, dir := range []store.Direction{store.Up, store.Down} {
+			answer, err := st.Expand(ids, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Expand(ids, dir.String())
+			check("/v1/expand?ids="+url.QueryEscape(strings.Join(ids, ","))+"&dir="+dir.String(), answer, got, err)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/lineage?id=nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeEnvelope(t, resp, http.StatusNotFound, api.CodeNotFound)
+	var re *api.RemoteError
+	if _, err := c.Dependents("nope"); !errors.As(err, &re) || re.HTTPStatus != http.StatusNotFound || re.Code != api.CodeNotFound {
+		t.Fatalf("Dependents(nope) = %v, want a 404 not_found RemoteError", err)
+	}
+}
+
+// TestV1IDListAnswersConcurrently: one api.Client and one handler shared
+// by several goroutines, so the pooled buffers on both ends and the
+// route's cached request counter are reached at once; every answer must
+// still be the store's.
+func TestV1IDListAnswersConcurrently(t *testing.T) {
+	srv, repo := seededServer(t, HandlerOptions{Metrics: obs.NewRegistry()})
+	c := api.NewClient(srv.URL, nil)
+	runs, err := c.RunsOf("medimg")
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("RunsOf = %v, %v", runs, err)
+	}
+	l, err := repo.Store().RunLog(runs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				id := l.Artifacts[(g+i)%len(l.Artifacts)].ID
+				want, err := repo.Store().Closure(id, store.Down)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := c.Dependents(id)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("Dependents(%s) = %v, %v; want %v", id, got, err, want)
+					return
+				}
+				wantAdj, err := repo.Store().Expand([]string{id}, store.Up)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				gotAdj, err := c.Expand([]string{id}, "up")
+				if err != nil || !reflect.DeepEqual(gotAdj, wantAdj) {
+					t.Errorf("Expand(%s) = %v, %v; want %v", id, gotAdj, err, wantAdj)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

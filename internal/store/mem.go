@@ -1,7 +1,9 @@
 package store
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/provenance"
 )
@@ -129,9 +131,10 @@ func (s *MemStore) CloseLocal(w *LocalWalk, seeds []string, dir Direction) {
 }
 
 // The interned IDs are the handle space MemStore.CloseLocal walks; a
-// handle's neighbours are those of neighborsLocked, so the walk reads the
-// oracle's adjacency and not a second fold of it. Validated logs reference
-// only entities they declare, so every neighbour has a handle.
+// handle's neighbours are those of neighborsLocked, read from the same
+// adjacency lists, so the walk reads the oracle's adjacency and not a
+// second fold of it. Validated logs reference only entities they declare,
+// so every neighbour has a handle.
 
 func (s *MemStore) handle(id string) (int32, bool) {
 	h, ok := s.handles[id]
@@ -140,16 +143,37 @@ func (s *MemStore) handle(id string) (int32, bool) {
 
 func (s *MemStore) size() int { return len(s.ids) }
 
+// appendAdjacent appends h's neighbours in neighborsLocked's order without
+// copying its lists: the raw handles go straight into dst and are sorted
+// by ID and deduplicated there.
 func (s *MemStore) appendAdjacent(dst []int32, h int32, dir Direction) (string, []int32, bool) {
 	id := s.ids[h]
-	ns, ok := s.neighborsLocked(id, dir)
-	if !ok {
+	var ns []string
+	switch s.kindLocked(id) {
+	case kindArtifact:
+		if dir == Up {
+			if g, ok := s.adj.genBy[id]; ok {
+				dst = append(dst, s.handles[g])
+			}
+			return id, dst, true
+		}
+		ns = s.adj.consumers[id]
+	case kindExecution:
+		if dir == Up {
+			ns = s.adj.used[id]
+		} else {
+			ns = s.adj.generated[id]
+		}
+	default:
 		return "", dst, false
 	}
+	from := len(dst)
 	for _, n := range ns {
 		dst = append(dst, s.handles[n])
 	}
-	return id, dst, true
+	adj := dst[from:]
+	slices.SortFunc(adj, func(a, b int32) int { return strings.Compare(s.ids[a], s.ids[b]) })
+	return id, dst[:from+len(slices.Compact(adj))], true
 }
 
 // Stats implements Store.

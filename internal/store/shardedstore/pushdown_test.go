@@ -306,53 +306,54 @@ func TestPushdownConcurrentQueriesDuringIngest(t *testing.T) {
 
 // A closure one shard answers alone allocates its answer and nothing else
 // once the router's pooled buffers have grown: the same count on a 32-run
-// and on a 128-run chain over 4 file shards, where per-closure maps or an
-// arena would grow with the chain. The answer is a single FileStore's.
+// and on a 128-run chain over 4 shards of either kind, where per-closure
+// maps, an arena or per-entity neighbour lists would grow with the chain.
+// The answer is a single FileStore's.
 func TestOneShardClosureAllocations(t *testing.T) {
-	allocs := map[int]uint64{}
-	for _, runs := range []int{32, 128} {
-		tag := fmt.Sprintf("alloc%d", runs)
-		logs := chainShape(rand.New(rand.NewSource(1)), tag, runs)[:runs+1] // src + runs, no redecls
-		r := shardKinds[1].open(t, 4)
-		single, err := store.OpenFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { single.Close() })
-		for _, l := range logs {
-			// All on one shard: placement alone would split the longer
-			// chain at its balance guard.
-			if err := putOn(r, l, 2); err != nil {
-				t.Fatal(err)
+	for _, kind := range shardKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			allocs := map[int]uint64{}
+			for _, runs := range []int{32, 128} {
+				tag := fmt.Sprintf("alloc%d", runs)
+				logs := chainShape(rand.New(rand.NewSource(1)), tag, runs)[:runs+1] // src + runs, no redecls
+				r := kind.open(t, 4)
+				single, err := store.OpenFileStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { single.Close() })
+				for _, l := range logs {
+					// All on one shard: placement alone would split the longer
+					// chain at its balance guard.
+					if err := putOn(r, l, 2); err != nil {
+						t.Fatal(err)
+					}
+					if err := single.PutRunLog(l); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tail := fmt.Sprintf("%s-art-%03d", tag, runs)
+				want, err := single.Closure(tail, store.Up)
+				if err != nil || len(want) != 2*runs+1 {
+					t.Fatalf("single FileStore: %d entities, %v; want %d", len(want), err, 2*runs+1)
+				}
+				got, tr, err := r.TracedClosure(tail, store.Up)
+				if err != nil || !slices.Equal(got, want) || tr.Rounds != 1 {
+					t.Fatalf("%d runs: router closure = %v in %d rounds, %v; want %v in 1", runs, got, tr.Rounds, err, want)
+				}
+				allocs[runs] = fewestAllocs(func() {
+					if _, err := r.Closure(tail, store.Up); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
-			if err := single.PutRunLog(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tail := fmt.Sprintf("%s-art-%03d", tag, runs)
-		want, err := single.Closure(tail, store.Up)
-		if err != nil || len(want) != 2*runs+1 {
-			t.Fatalf("single FileStore: %d entities, %v; want %d", len(want), err, 2*runs+1)
-		}
-		got, tr, err := r.TracedClosure(tail, store.Up)
-		if err != nil || !slices.Equal(got, want) || tr.Rounds != 1 {
-			t.Fatalf("%d runs: router closure = %v in %d rounds, %v; want %v in 1", runs, got, tr.Rounds, err, want)
-		}
-		allocs[runs] = fewestAllocs(func() {
-			if _, err := r.Closure(tail, store.Up); err != nil {
-				t.Fatal(err)
+			if allocs[32] != allocs[128] || allocs[128] > 2 {
+				t.Fatalf("one-shard closure allocations: %d on a 32-run chain, %d on a 128-run chain; want the same, at most 2", allocs[32], allocs[128])
 			}
 		})
 	}
-	if allocs[32] != allocs[128] || allocs[128] > 2 {
-		t.Fatalf("one-shard closure allocations: %d on a 32-run chain, %d on a 128-run chain; want the same, at most 2", allocs[32], allocs[128])
-	}
 }
 
-// fewestAllocs returns the fewest objects one call of op allocates over
-// 100 calls. The fewest, not the mean: under the race detector sync.Pool
-// drops a random quarter of what is put back, so a pooled buffer's mean
-// count is noise there.
 func fewestAllocs(op func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	op()
