@@ -50,11 +50,11 @@ bench:
 # Benchmark smoke for CI: one iteration of E4b proves the lineage benchmark
 # paths still run, ColdClosure prints the absolute ns/op, B/op and
 # allocs/op of a cold closure over 4 file shards (depth-128 chain, cache
-# off and on a miss), and ShardedReopen those of opening 4 file shards
-# holding 2 048 runs, by full scan and from checkpoints. E20Standing prints
-# those of one ingest under 64 standing subscriptions, 16 of them
-# conjunctive (maintained rules of one Datalog program), beside a bare
-# ingest. ReadPath prints those of the log read path per ≈3 KB record: a
+# off and on a miss that admits), and ShardedReopen those of opening 4
+# file shards holding 2 048 runs, by full scan and from checkpoints.
+# E20Standing prints those of one ingest under 64 standing subscriptions,
+# 16 of them conjunctive (maintained rules of one Datalog program), beside
+# a bare ingest. ReadPath prints those of the log read path per ≈3 KB record: a
 # scan, a point read, the record decode alone and encoding/json's decode
 # of the same bytes. E17StreamingExec prints those of the PQL join battery
 # compiled through the shared conjunctive planner, on a MemStore, a 4-shard
@@ -67,6 +67,10 @@ bench:
 # the handle-space pushdown, allocating its answer alone. ClosureOverHTTP
 # prints those of the same lineage asked by api.Client of an httptest
 # server over 4 file shards: answer encoding, HTTP exchange and decode.
+# ClosureCacheChurn prints those of a closure read through a full
+# closure cache from parallel readers drawing over 9x its capacity (a
+# MemStore of short chains), with the hit ratio and the share of misses the
+# doorkeeper refused.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
@@ -77,6 +81,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'E13ClosureCache/mode=snapshot' -benchtime 10x -benchmem .
 	$(GO) test -run '^$$' -bench 'E16ClosurePushdown/mode=sharded-pushdown' -benchtime 2000x -benchmem .
 	$(GO) test -run '^$$' -bench ClosureOverHTTP -benchtime 2000x -benchmem .
+	$(GO) test -run '^$$' -bench ClosureCacheChurn -benchtime 20000x -benchmem ./internal/store/closurecache
 
 # Run the paper-reproduction suite (E1–E12) and write machine-readable
 # BENCH_<ID>.json files to $(BENCH_DIR).

@@ -280,9 +280,10 @@ func TestTombstonesOnlyOverEvict(t *testing.T) {
 }
 
 // TestPostingsBoundedUnderChurn runs 200 000 admissions through a cache at
-// capacity — every one a miss that evicts — and holds the reverse index to
-// its bound throughout: postings held never exceed twice the live ones, on
-// the index's own counters, which checkIndex ties to its contents.
+// capacity — every key read twice, so the second miss admits and evicts —
+// and holds the reverse index to its bound throughout: postings held never
+// exceed twice the live ones, on the index's own counters, which checkIndex
+// ties to its contents.
 func TestPostingsBoundedUnderChurn(t *testing.T) {
 	l, _, _ := chainLog(16)
 	mem := store.NewMemStore()
@@ -291,10 +292,10 @@ func TestPostingsBoundedUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cycles = 200_000
-	for i := 0; i < cycles; i++ {
+	for i := 0; i < 2*cycles; i++ {
 		// 34 keys against 8 slots; the stride keeps a key from returning
 		// before it has been evicted.
-		n := (i * 7) % 34
+		n := (i / 2 * 7) % 34
 		if _, err := c.Closure(artID(n/2), dirOf(n)); err != nil {
 			t.Fatal(err)
 		}
@@ -320,58 +321,82 @@ type sliceStore struct {
 
 func (s *sliceStore) Closure(string, store.Direction) ([]string, error) { return s.order, nil }
 
-// TestMissAllocations: admitting a closure of n members costs the entry,
-// its copy of the order and whatever postings lists happen to grow — not a
-// set entry, an index entry and a map per member, which was three
-// allocations-or-inserts per member before and after. Metric recording
-// adds nothing to it.
+// TestMissAllocations: admitting a closure of n members — a full cache's
+// second miss on a key — costs the entry, its copy of the order and whatever
+// postings lists happen to grow — not a set entry, an index entry and a map
+// per member, which was three allocations-or-inserts per member before and
+// after. A first miss at capacity, which the doorkeeper refuses, allocates
+// nothing. Metric recording adds nothing to either.
 func TestMissAllocations(t *testing.T) {
-	const n = 256
+	const n, capacity, runs = 256, 512, 200
 	order := make([]string, n)
 	for i := range order {
 		order[i] = artID(i)
 	}
+	keys := make([]Key, 4*capacity)
+	for i := range keys {
+		keys[i] = Key{fmt.Sprintf("seed-%d", i), store.Up}
+	}
 	// Each arm replays the same misses on a fresh cache, so the two counts
-	// differ only by what recording costs.
-	missAllocs := func(obsOn bool) float64 {
-		c := New(&sliceStore{order: order}, Options{MaxClosures: 8})
-		seed := 0
-		miss := func() {
-			seed++
-			if _, err := c.Closure(fmt.Sprintf("seed-%d", seed), store.Up); err != nil {
+	// differ only by what recording costs. The window (capacity first
+	// misses) is wider than either measurement, so no mark is forgotten
+	// between a key's two misses.
+	missAllocs := func(obsOn bool) (admit, refuse float64) {
+		c := New(&sliceStore{order: order}, Options{MaxClosures: capacity})
+		read := func(k Key) {
+			if _, err := c.Closure(k.ID, k.Dir); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 64; i++ { // reach capacity and steady-state list capacities
-			miss()
+		for _, k := range keys[:capacity] { // below capacity: admitted on the first miss
+			read(k)
 		}
-		allocs := allocsPerCall(obsOn, 200, miss)
+		marked := unmarkedKeys(c, keys[capacity:2*capacity], runs+1)
+		for _, k := range marked {
+			read(k)
+		}
+		before := c.Metrics()
+		next := 0
+		admit = allocsPerCall(obsOn, runs, func() { read(marked[next]); next++ })
+		if m := c.Metrics(); m.Evicted-before.Evicted != runs+1 || m.Refused != before.Refused {
+			t.Fatalf("second misses: %d evicted, %d refused; want %d admitted", m.Evicted-before.Evicted, m.Refused-before.Refused, runs+1)
+		}
+		fresh, next := unmarkedKeys(c, keys[2*capacity:], runs+1), 0
+		refuse = allocsPerCall(obsOn, runs, func() { read(fresh[next]); next++ })
+		if m := c.Metrics(); m.Refused-before.Refused != runs+1 || m.ClosureEntries != capacity {
+			t.Fatalf("first misses at capacity: %d refused of %d, %d entries", m.Refused-before.Refused, runs+1, m.ClosureEntries)
+		}
 		checkIndex(t, c)
-		return allocs
+		return admit, refuse
 	}
-	allocs, allocsObsOff := missAllocs(true), missAllocs(false)
-	// The seed string, the entry, its order, the seed's own postings list;
-	// a list of the shared members doubling now and then.
+	allocs, refused := missAllocs(true)
+	allocsObsOff, refusedObsOff := missAllocs(false)
+	// The entry, its order, the seed's own postings list; a list of the
+	// shared members doubling now and then.
 	if allocs > 12 {
-		t.Fatalf("a miss of %d members allocates %v objects, want a constant (≤ 12)", n, allocs)
+		t.Fatalf("an admitting miss of %d members allocates %v objects, want a constant (≤ 12)", n, allocs)
 	}
-	if allocs != allocsObsOff {
-		t.Fatalf("a miss allocates %v objects with metrics on, %v with them off", allocs, allocsObsOff)
+	if refused != 0 {
+		t.Fatalf("a refused miss allocates %v objects, want 0", refused)
+	}
+	if allocs != allocsObsOff || refused != refusedObsOff {
+		t.Fatalf("an admitting miss allocates %v objects with metrics on, %v with them off; a refused one %v and %v",
+			allocs, allocsObsOff, refused, refusedObsOff)
 	}
 }
 
 // TestReadOnlyCacheBuildsNoIndex: a cache nothing is ingested through posts
-// no member — 10 000 misses churning a 64-entry cache leave the reverse
-// index empty, and the list of entries waiting for the first ingest within
-// its bound.
+// no member — 10 000 admissions churning a 64-entry cache (each seed read
+// twice, so its second miss admits) leave the reverse index empty, and the
+// list of entries waiting for the first ingest within its bound.
 func TestReadOnlyCacheBuildsNoIndex(t *testing.T) {
 	order := make([]string, 32)
 	for i := range order {
 		order[i] = artID(i)
 	}
 	c := New(&sliceStore{order: order}, Options{MaxClosures: 64})
-	for i := 0; i < 10_000; i++ {
-		if _, err := c.Closure(fmt.Sprintf("seed-%d", i), store.Up); err != nil {
+	for i := 0; i < 2*10_000; i++ {
+		if _, err := c.Closure(fmt.Sprintf("seed-%d", i/2), store.Up); err != nil {
 			t.Fatal(err)
 		}
 	}

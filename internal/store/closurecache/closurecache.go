@@ -80,6 +80,14 @@
 //     BFS against the closure; it is built from the order slice by the
 //     first patch that reaches the entry. A read-only workload never builds
 //     one.
+//   - A full cache admits a key only on its second miss: the first miss
+//     at capacity sets the key's bit in a doorkeeper bitset (TinyLFU,
+//     Einziger–Friedman–Manes) and returns the backend's answer without
+//     taking the write lock, interning a member or evicting an entry; a
+//     miss that finds the bit set is admitted. The bitset is cleared after
+//     about MaxClosures first marks, so a working set many times the cache
+//     whose keys rarely recur pays one atomic OR per miss, not a whole
+//     admit-and-evict cycle. Below capacity every miss is admitted.
 //
 // # Ordering
 //
@@ -110,6 +118,7 @@ var (
 	mCacheExpandHits    = obs.Default().Counter("prov_cache_expand_hits_total", "Expand seeds answered from memoized neighbor lists.")
 	mCacheExpandMisses  = obs.Default().Counter("prov_cache_expand_misses_total", "Expand seeds forwarded to the backing store.")
 	mCacheEvictions     = obs.Default().Counter("prov_cache_evictions_total", "Memoized closures evicted: capacity (a miss admitted at MaxClosures), generator-replacement hazards, patch errors.")
+	mCacheRefused       = obs.Default().Counter("prov_cache_admissions_refused_total", "Closure misses not memoized: a key's first miss while the cache is full.")
 	mCachePatchSecs     = obs.Default().Histogram("prov_cache_patch_seconds", "Per-ingest delta patch latency (hazard eviction + additive patching).")
 )
 
@@ -120,7 +129,10 @@ const maxNeighbors = 65536
 // Options tunes a Cache. The zero value picks sensible defaults.
 type Options struct {
 	// MaxClosures bounds the number of memoized closures (default 4096).
-	// At capacity an arbitrary entry is evicted to admit the new one.
+	// Below it every miss is admitted. At it a key is admitted only on its
+	// second miss — the first one is answered and remembered in a
+	// doorkeeper that forgets after about MaxClosures such misses — and an
+	// arbitrary entry is evicted to make room.
 	MaxClosures int
 	// SnapshotDir, when set, persists the memoized closures and the
 	// generation counter to a checkpoint file in this directory (next to
@@ -153,6 +165,7 @@ type Metrics struct {
 	Ingests        uint64 // run logs applied (PutRunLog and ApplyDelta)
 	Patched        uint64 // cached closures extended in place by an ingest
 	Evicted        uint64 // cached closures dropped (hazard, capacity, error)
+	Refused        uint64 // Closure misses not admitted (a first miss at capacity)
 	Restored       uint64 // closures restored from a persisted snapshot
 	Batched        uint64 // deltas applied under another ingest's lock acquisition
 	Generation     uint64 // ingests observed (the invalidation clock)
@@ -181,6 +194,8 @@ type Cache struct {
 	idx        *Index           // memoized closures and their reverse index
 	hot        map[Key][]string // entity -> memoized Expand neighbors
 
+	door *doorkeeper // keys that missed once at capacity; lock-free
+
 	// pending queues committed-but-unapplied deltas; whichever ingester
 	// holds mu drains the whole queue, so concurrent ingests fold into one
 	// lock acquisition instead of serializing per-delta (see enqueueDelta).
@@ -196,7 +211,7 @@ type Cache struct {
 	closureHits, closureMisses atomic.Uint64
 	expandHits, expandMisses   atomic.Uint64
 	ingests, patched, evicted  atomic.Uint64
-	restored, batched          atomic.Uint64
+	restored, batched, refused atomic.Uint64
 	autoCkpt                   *store.AutoCheckpoint
 }
 
@@ -208,11 +223,13 @@ var _ store.Store = (*Cache)(nil)
 // through the delta-patching path) before the cache serves its first
 // query.
 func New(s store.Store, opt Options) *Cache {
+	opt = opt.withDefaults()
 	c := &Cache{
 		Store: s,
-		opt:   opt.withDefaults(),
+		opt:   opt,
 		idx:   NewIndex(),
 		hot:   map[Key][]string{},
+		door:  newDoorkeeper(opt.MaxClosures),
 		autoCkpt: store.NewAutoCheckpointPolicy(store.CheckpointPolicy{
 			EveryRuns: opt.CheckpointEvery,
 			Interval:  opt.CheckpointInterval,
@@ -253,6 +270,7 @@ func (c *Cache) Metrics() Metrics {
 		Ingests:        c.ingests.Load(),
 		Patched:        c.patched.Load(),
 		Evicted:        c.evicted.Load(),
+		Refused:        c.refused.Load(),
 		Restored:       c.restored.Load(),
 		Batched:        c.batched.Load(),
 		Generation:     gen,
@@ -400,6 +418,9 @@ func (c *Cache) evictLocked(e *Entry) {
 // Closure implements Store. Hits return the cached (patched) closure; a
 // miss computes through the backend and memoizes the result only if no
 // ingest intervened, so a racing reader can never cache a pre-patch view.
+// A miss while the cache is full is memoized only if the doorkeeper already
+// holds the key; otherwise it marks the key and returns without the write
+// lock.
 func (c *Cache) Closure(seed string, dir store.Direction) ([]string, error) {
 	k := Key{seed, dir}
 	c.mu.RLock()
@@ -410,7 +431,7 @@ func (c *Cache) Closure(seed string, dir store.Direction) ([]string, error) {
 		mCacheClosureHits.Inc()
 		return out, nil
 	}
-	gen := c.generation
+	gen, full := c.generation, c.idx.Len() >= c.opt.MaxClosures
 	c.mu.RUnlock()
 	c.closureMisses.Add(1)
 	mCacheClosureMisses.Inc()
@@ -418,6 +439,11 @@ func (c *Cache) Closure(seed string, dir store.Direction) ([]string, error) {
 	order, err := c.Store.Closure(seed, dir)
 	if err != nil {
 		return nil, err
+	}
+	if full && !c.door.seen(k) {
+		c.refused.Add(1)
+		mCacheRefused.Inc()
+		return order, nil
 	}
 	c.mu.Lock()
 	if c.generation == gen && c.idx.Lookup(k) == nil {
@@ -439,6 +465,56 @@ func (c *Cache) admitClosureLocked(k Key, order []string) {
 		c.idx.Sweep()
 	}
 	c.idx.Admit(k, order)
+}
+
+// doorkeeper remembers which keys missed while the cache was full: one bit
+// per key hash in a fixed bitset, set and read with atomic operations so a
+// refused miss takes no lock. Every window first marks the bitset is
+// cleared, so a key must miss twice within about window first misses of
+// other keys to be admitted. A hash collision only admits a key on its
+// first miss, as a cache without a doorkeeper would.
+type doorkeeper struct {
+	words  []atomic.Uint64
+	mask   uint64 // bit count - 1
+	window uint64
+	marks  atomic.Uint64 // first marks since creation
+}
+
+// newDoorkeeper sizes the bitset at 16 bits per cached closure (at least
+// one word), so a window of capacity marks fills at most 1/16 of it.
+func newDoorkeeper(capacity int) *doorkeeper {
+	n := 64
+	for n < 16*capacity {
+		n *= 2
+	}
+	return &doorkeeper{words: make([]atomic.Uint64, n/64), mask: uint64(n - 1), window: uint64(capacity)}
+}
+
+// seen marks k and reports whether it was marked already.
+func (d *doorkeeper) seen(k Key) bool {
+	h := keyHash(k) & d.mask
+	w, bit := &d.words[h>>6], uint64(1)<<(h&63)
+	if w.Load()&bit != 0 {
+		return true
+	}
+	if d.marks.Add(1)%d.window == 0 {
+		for i := range d.words {
+			d.words[i].Store(0)
+		}
+	}
+	return w.Or(bit)&bit != 0
+}
+
+// keyHash is FNV-1a over the key's ID and direction, folded so the low
+// bits that address the bitset depend on every input byte.
+func keyHash(k Key) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k.ID); i++ {
+		h = (h ^ uint64(k.ID[i])) * prime
+	}
+	h = (h ^ uint64(k.Dir)) * prime
+	return h ^ h>>32
 }
 
 // Expand implements Store, serving each requested entity from the memoized

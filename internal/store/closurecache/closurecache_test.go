@@ -477,15 +477,16 @@ func TestCycleIngestIncludesRoot(t *testing.T) {
 	}
 }
 
-// TestFlushAndCapacity exercises Flush and the capacity eviction path.
+// TestFlushAndCapacity exercises Flush and the capacity eviction path
+// (every key read twice: a full cache admits on the second miss).
 func TestFlushAndCapacity(t *testing.T) {
 	l, _, _ := chainLog(16)
 	c := New(store.NewMemStore(), Options{MaxClosures: 4})
 	if err := c.PutRunLog(l); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i <= 16; i++ {
-		if _, err := c.Closure(fmt.Sprintf("c-art-%04d", i), store.Up); err != nil {
+	for i := 0; i <= 2*16+1; i++ {
+		if _, err := c.Closure(fmt.Sprintf("c-art-%04d", i/2), store.Up); err != nil {
 			t.Fatal(err)
 		}
 	}
