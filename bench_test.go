@@ -708,13 +708,14 @@ func BenchmarkShardedReopen(b *testing.B) {
 }
 
 // BenchmarkE14Sharding measures the sharded store router at 1/2/4/8
-// durable file-backed shards on a wide seed DAG (wideSeed): mode=ingest is
-// one batch of 16 runs pushed by 8 concurrent publishers per iteration
-// (runs land on their inputs' shards, commits overlap across shards);
-// mode=closure is the scatter/gather downstream closure of the seed root.
+// group-commit file-backed shards on a wide seed DAG (wideSeed):
+// mode=ingest is one batch of 16 runs pushed by 8 concurrent publishers per
+// iteration (runs land on their inputs' shards, commits overlap across
+// shards); mode=closure is the scatter/gather downstream closure of the
+// seed root.
 func BenchmarkE14Sharding(b *testing.B) {
 	for _, nShards := range []int{1, 2, 4, 8} {
-		r, err := shardedstore.OpenWith(b.TempDir(), nShards, store.FileOptions{Durability: store.DurabilityFsync})
+		r, err := shardedstore.OpenWith(b.TempDir(), nShards, store.FileOptions{Durability: store.DurabilityGroup})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -759,42 +760,39 @@ func BenchmarkE14Sharding(b *testing.B) {
 
 // BenchmarkE15WAL measures the write-ahead group-commit and checkpoint
 // subsystem: mode=ingest commits one batch of 16 runs through 16
-// concurrent writers per iteration — durability=fsync pays one fsync per
-// run, durability=group coalesces the 16 into a few shared batch commits;
-// mode=reopen measures restart latency on a 600-run chain store, cold
-// (full log scan + cold closure) vs from-checkpoint (snapshot load + warm
-// cached closure).
+// concurrent writers per iteration, which group commit coalesces into a
+// few shared batch commits; mode=reopen measures restart latency on a
+// 600-run chain store, cold (full log scan + cold closure) vs
+// from-checkpoint (snapshot load + warm cached closure).
 func BenchmarkE15WAL(b *testing.B) {
-	for _, d := range []store.Durability{store.DurabilityFsync, store.DurabilityGroup} {
-		fs, err := store.OpenFileStoreWith(b.TempDir(), store.FileOptions{Durability: d})
-		if err != nil {
-			b.Fatal(err)
-		}
-		batch := 0
-		b.Run(fmt.Sprintf("mode=ingest/durability=%s", d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				batch++
-				var wg sync.WaitGroup
-				for w := 0; w < 16; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						l := publishRun(fmt.Sprintf("b15-%s-%d-%d", d, batch, w), batch,
-							fmt.Sprintf("b15-in-%03d", (batch+w)%7))
-						if err := fs.PutRunLog(l); err != nil {
-							b.Error(err)
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
-			m := fs.WALMetrics()
-			if m.Batches > 0 {
-				b.ReportMetric(float64(m.Appends)/float64(m.Batches), "runs/fsync")
-			}
-		})
-		fs.Close()
+	fs, err := store.OpenFileStoreWith(b.TempDir(), store.FileOptions{Durability: store.DurabilityGroup})
+	if err != nil {
+		b.Fatal(err)
 	}
+	batch := 0
+	b.Run("mode=ingest/durability=group", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			batch++
+			var wg sync.WaitGroup
+			for w := 0; w < 16; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					l := publishRun(fmt.Sprintf("b15-%d-%d", batch, w), batch,
+						fmt.Sprintf("b15-in-%03d", (batch+w)%7))
+					if err := fs.PutRunLog(l); err != nil {
+						b.Error(err)
+					}
+				}(w)
+			}
+			wg.Wait()
+		}
+		m := fs.WALMetrics()
+		if m.Batches > 0 {
+			b.ReportMetric(float64(m.Appends)/float64(m.Batches), "runs/fsync")
+		}
+	})
+	fs.Close()
 
 	// Reopen latency: one prebuilt checkpointed chain store.
 	const chainLen = 600

@@ -3,7 +3,7 @@
 //	provctl validate wf.json              check a workflow specification
 //	provctl show wf.json [-format ascii|dot]
 //	provctl hash wf.json                  content hash (prospective identity)
-//	provctl run wf.json [-store DIR] [-cache] [-shards N] [-durability none|fsync|group] [-checkpoint-every N] [-checkpoint-interval D] [-checkpoint-bytes B]
+//	provctl run wf.json [-store DIR] [-cache] [-shards N] [-durability none|group] [-checkpoint-every N] [-checkpoint-interval D] [-checkpoint-bytes B]
 //	provctl query -store DIR [-cache] [-shards N] 'PQL'     query stored provenance
 //	provctl lineage -store DIR [-cache] [-shards N] [-trace-rounds] ENTITY  upstream closure of an entity
 //	provctl checkpoint -store DIR [-shards N]               snapshot folded state next to the log
@@ -37,9 +37,9 @@
 // rejected loudly. -cache wraps the sharded router unchanged.
 //
 // -durability selects the write-path guarantee of run's ingest: none (OS
-// buffered, the default), fsync (one fsync per append) or group
-// (write-ahead group commit: concurrent appends coalesce into batches
-// sharing one fsync — the durable mode for multi-writer ingest).
+// buffered, the default) or group (write-ahead group commit: concurrent
+// appends coalesce into batches sharing one fsync; a lone append is its own
+// batch).
 //
 // -checkpoint-every N snapshots the store's folded state (and, with
 // -cache, the memoized closures) every N ingests; -checkpoint-interval D
@@ -227,7 +227,7 @@ func (f *storeFlags) register(fs *flag.FlagSet, withWritePath bool) {
 	fs.BoolVar(&f.cache, "cache", false, "serve closures through the incrementally maintained cache (persisted next to the log)")
 	fs.IntVar(&f.shards, "shards", 1, "shard count the store directory is (or will be) written with")
 	if withWritePath {
-		fs.StringVar(&f.durability, "durability", "none", "ingest durability: none, fsync, or group (group-commit WAL)")
+		fs.StringVar(&f.durability, "durability", "none", "ingest durability: none or group (group-commit WAL)")
 		fs.IntVar(&f.ckptEvery, "checkpoint-every", 0, "snapshot the store every N ingests (0: only explicit checkpoints)")
 		fs.DurationVar(&f.ckptInterval, "checkpoint-interval", 0, "snapshot at most this long after a write dirties the store")
 		fs.Int64Var(&f.ckptBytes, "checkpoint-bytes", 0, "snapshot every time roughly this many log bytes accumulate (unsharded stores only)")

@@ -60,19 +60,18 @@
 // answer 503 replica_too_stale instead of arbitrarily stale results.
 //
 // With -cache the stack carries the incrementally maintained closure
-// cache (internal/store/closurecache): closure and /expand reads hit
-// memoized entries, which each published or replicated run patches in
-// place. With -shards N the store is partitioned across N shards
-// (internal/store/shardedstore; file-backed under DIR/shard-000… with
-// -store DIR, which must be reopened with the shard count it was written
-// with), and -trace-rounds logs each pushdown closure's rounds and
-// per-round frontier sizes. README's "Closure cache" and "Sharded store"
+// cache (internal/store/closurecache): closure reads hit memoized
+// closures, which each published or replicated run patches in place;
+// /expand reads the store's own adjacency index. With -shards N the store
+// is partitioned across N shards (internal/store/shardedstore;
+// file-backed under DIR/shard-000… with -store DIR, which must be reopened
+// with the shard count it was written with), and -trace-rounds logs each
+// pushdown closure's rounds and per-round frontier sizes. README's "Closure cache" and "Sharded store"
 // sections describe both layers.
 //
-// With -store DIR, -durability selects the ingest guarantee — none,
-// fsync (one fsync per published run) or group (write-ahead group commit:
-// concurrent publishes coalesce into batches sharing one fsync; the
-// durable mode meant for this daemon's multi-writer ingest) — and the
+// With -store DIR, -durability selects the ingest guarantee — none or
+// group (write-ahead group commit: concurrent publishes coalesce into
+// batches sharing one fsync; a lone publish is its own batch) — and the
 // checkpoint flags bound reopen replay three ways: -checkpoint-every N
 // snapshots every N publishes, -checkpoint-interval D at most D after a
 // write dirties the store, and -checkpoint-bytes B every ~B bytes of log
@@ -133,7 +132,7 @@ func main() {
 		storeDir     = flag.String("store", "", "directory for a durable file store (default: in-memory)")
 		cache        = flag.Bool("cache", false, "maintain closures incrementally across ingests (closure cache)")
 		shards       = flag.Int("shards", 1, "partition the store across N shards, each run placed with the runs it consumes from")
-		durability   = flag.String("durability", "none", "ingest durability with -store: none, fsync, or group (group-commit WAL)")
+		durability   = flag.String("durability", "none", "ingest durability with -store: none or group (group-commit WAL)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "with -store: snapshot the store (and cache) every N published runs")
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "with -store: snapshot at most this long after a write dirties the store")
 		ckptBytes    = flag.Int64("checkpoint-bytes", 0, "with -store and -shards 1: snapshot every time roughly this many log bytes accumulate")

@@ -61,9 +61,9 @@ type Options struct {
 	// FileStore or sharded router (plus persistent closure cache) there.
 	StoreDir string
 	// Durability selects what an accepted persistent ingest guarantees:
-	// DurabilityNone (default), DurabilityFsync (one fsync per append) or
-	// DurabilityGroup (write-ahead group commit — concurrent appends
-	// share one fsync per batch; see internal/store/wal).
+	// DurabilityNone (default) or DurabilityGroup (write-ahead group
+	// commit — concurrent appends share one fsync per batch; see
+	// internal/store/wal).
 	Durability store.Durability
 	// CheckpointEvery, when positive, snapshots the persistent store's
 	// folded state — and the closure cache's entries, when enabled —

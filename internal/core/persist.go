@@ -12,10 +12,10 @@ import (
 
 // OpenPersistentStore assembles the file-backed storage stack provctl and
 // provd share from Options: a single FileStore or a sharded router under
-// StoreDir, with the configured durability (per-append fsync or
-// group-commit WAL) and automatic checkpointing, optionally topped with a
-// persistent closure cache whose snapshot lives next to the log. The
-// returned cleanup closes the whole stack.
+// StoreDir, with the configured durability (none or group-commit WAL)
+// and automatic checkpointing, optionally topped with a persistent closure
+// cache whose snapshot lives next to the log. The returned cleanup closes
+// the whole stack.
 //
 // Layout safety: a directory written sharded must be reopened with the
 // same Shards value — a mismatch (including opening a sharded directory

@@ -1,8 +1,8 @@
 // Package closurecache maintains transitive closures incrementally across
-// ingests: a Cache wraps any store.Store, memoizes Closure and Expand
-// results, and patches — rather than discards — the affected cached
-// closures when PutRunLog adds new edges, following the FO+MOD
-// queries-under-updates direction (Berkholz et al.) the ROADMAP names.
+// ingests: a Cache wraps any store.Store, memoizes Closure results, and
+// patches — rather than discards — the affected cached closures when
+// PutRunLog adds new edges, following the FO+MOD queries-under-updates
+// direction (Berkholz et al.) the ROADMAP names.
 //
 // # Invalidation strategy
 //
@@ -37,9 +37,9 @@
 //     in flight is returned to the caller but never inserted into the
 //     cache, so no entry can miss a patch it raced with.
 //
-// Memoized Expand frontiers (per-entity neighbor lists) follow the same
-// delta: the frontier of every entity it gives a new edge is dropped and
-// memoized again by the next Expand.
+// Expand is the backing store's own: every backend already answers a
+// one-hop neighbourhood from a resident, handle-addressed adjacency list,
+// so a memo of it would only copy that index and could lag it.
 //
 // # One ingest path
 //
@@ -110,21 +110,15 @@ import (
 )
 
 // Cache observability: process-wide mirrors of the per-instance Metrics
-// counters (hit ratios are the headline cache health signal) plus the
+// counters (the hit ratio is the headline cache health signal) plus the
 // ingest-patch latency only the global registry tracks.
 var (
 	mCacheClosureHits   = obs.Default().Counter("prov_cache_closure_hits_total", "Closure queries answered from the cache.")
 	mCacheClosureMisses = obs.Default().Counter("prov_cache_closure_misses_total", "Closure queries recomputed on the backing store.")
-	mCacheExpandHits    = obs.Default().Counter("prov_cache_expand_hits_total", "Expand seeds answered from memoized neighbor lists.")
-	mCacheExpandMisses  = obs.Default().Counter("prov_cache_expand_misses_total", "Expand seeds forwarded to the backing store.")
 	mCacheEvictions     = obs.Default().Counter("prov_cache_evictions_total", "Memoized closures evicted: capacity (a miss admitted at MaxClosures), generator-replacement hazards, patch errors.")
 	mCacheRefused       = obs.Default().Counter("prov_cache_admissions_refused_total", "Closure misses not memoized: a key's first miss while the cache is full.")
 	mCachePatchSecs     = obs.Default().Histogram("prov_cache_patch_seconds", "Per-ingest delta patch latency (hazard eviction + additive patching).")
 )
-
-// maxNeighbors bounds the memoized per-entity Expand frontiers; past it a
-// miss is answered but not memoized.
-const maxNeighbors = 65536
 
 // Options tunes a Cache. The zero value picks sensible defaults.
 type Options struct {
@@ -160,8 +154,6 @@ func (o Options) withDefaults() Options {
 type Metrics struct {
 	ClosureHits    uint64 // Closure served from cache
 	ClosureMisses  uint64 // Closure computed by the backend
-	ExpandHits     uint64 // per-entity frontier lookups served from cache
-	ExpandMisses   uint64 // per-entity frontier lookups sent to the backend
 	Ingests        uint64 // run logs applied (PutRunLog and ApplyDelta)
 	Patched        uint64 // cached closures extended in place by an ingest
 	Evicted        uint64 // cached closures dropped (hazard, capacity, error)
@@ -172,9 +164,9 @@ type Metrics struct {
 	ClosureEntries int    // currently cached closures
 }
 
-// Cache wraps a Store with incrementally maintained closure and frontier
-// memoization. It implements store.Store — every method it does not
-// memoize or patch is the embedded backing store's, so it stays a drop-in
+// Cache wraps a Store with incrementally maintained closure memoization.
+// It implements store.Store — every method it does not memoize or patch,
+// Expand among them, is the embedded backing store's, so it stays a drop-in
 // replacement in tables and logs — and is safe for concurrent readers with
 // writers (delta applies serialize on the cache's lock).
 type Cache struct {
@@ -191,8 +183,7 @@ type Cache struct {
 
 	mu         sync.RWMutex
 	generation uint64
-	idx        *Index           // memoized closures and their reverse index
-	hot        map[Key][]string // entity -> memoized Expand neighbors
+	idx        *Index // memoized closures and their reverse index
 
 	door *doorkeeper // keys that missed once at capacity; lock-free
 
@@ -209,7 +200,6 @@ type Cache struct {
 	applied *appliedRuns
 
 	closureHits, closureMisses atomic.Uint64
-	expandHits, expandMisses   atomic.Uint64
 	ingests, patched, evicted  atomic.Uint64
 	restored, batched, refused atomic.Uint64
 	autoCkpt                   *store.AutoCheckpoint
@@ -228,7 +218,6 @@ func New(s store.Store, opt Options) *Cache {
 		Store: s,
 		opt:   opt,
 		idx:   NewIndex(),
-		hot:   map[Key][]string{},
 		door:  newDoorkeeper(opt.MaxClosures),
 		autoCkpt: store.NewAutoCheckpointPolicy(store.CheckpointPolicy{
 			EveryRuns: opt.CheckpointEvery,
@@ -248,14 +237,6 @@ func Wrap(s store.Store) *Cache { return New(s, Options{}) }
 // Underlying returns the wrapped store.
 func (c *Cache) Underlying() store.Store { return c.Store }
 
-// Generation returns the number of ingests the cache has applied: the
-// invalidation clock patches and insert-checks are ordered by.
-func (c *Cache) Generation() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.generation
-}
-
 // Metrics snapshots cache activity.
 func (c *Cache) Metrics() Metrics {
 	c.mu.RLock()
@@ -265,8 +246,6 @@ func (c *Cache) Metrics() Metrics {
 	return Metrics{
 		ClosureHits:    c.closureHits.Load(),
 		ClosureMisses:  c.closureMisses.Load(),
-		ExpandHits:     c.expandHits.Load(),
-		ExpandMisses:   c.expandMisses.Load(),
 		Ingests:        c.ingests.Load(),
 		Patched:        c.patched.Load(),
 		Evicted:        c.evicted.Load(),
@@ -278,24 +257,17 @@ func (c *Cache) Metrics() Metrics {
 	}
 }
 
-// Flush drops every memoized result and bumps the generation, so in-flight
-// computations cannot repopulate the cache with pre-flush state.
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushLocked()
-}
-
+// flushLocked drops every memoized closure and bumps the generation, so
+// in-flight computations cannot repopulate the cache with pre-flush state.
 func (c *Cache) flushLocked() {
 	c.generation++
 	c.idx = NewIndex()
-	c.hot = map[Key][]string{}
 }
 
 // --- Store: ingest with incremental patching ---------------------------------
 
 // PutRunLog implements Store: it commits the log to the backing store, then
-// patches every memoized result the log's edges touch instead of flushing
+// patches every memoized closure the log's edges touch instead of flushing
 // the cache. The commit runs WITHOUT the cache lock, whatever the log
 // declares: readers keep hitting across the store's fsync, and concurrent
 // ingests reach its group-commit WAL together and coalesce into shared
@@ -376,23 +348,13 @@ func (c *Cache) drainPendingLocked() {
 	}
 }
 
-// applyDeltaLocked folds one committed run log into the memoized state.
-// The neighbor list of every entity the delta gives an edge is dropped, not
-// merged — the next Expand memoizes it again: whether a delta edge shows in
-// its source's frontier is the backend's call (a replaced generator edge
-// does not add, and an ID stored as both kinds is walked as an artifact,
-// whatever the edge says). The closures go through the shared index:
-// extended where the delta attaches, evicted where it reports them suspect.
+// applyDeltaLocked folds one committed run log into the memoized closures
+// through the shared index: extended where the delta attaches, evicted
+// where it reports them suspect.
 func (c *Cache) applyDeltaLocked(l *provenance.RunLog) {
 	start := obs.Now()
 	defer mCachePatchSecs.ObserveSince(start)
-	d := DeltaOf(l)
-	for dir, edges := range d.Edges {
-		for src := range edges {
-			delete(c.hot, Key{src, store.Direction(dir)})
-		}
-	}
-	for _, ch := range c.idx.Apply(d, c.Store.Expand) {
+	for _, ch := range c.idx.Apply(DeltaOf(l), c.Store.Expand) {
 		if ch.Suspect {
 			c.evictLocked(ch.Entry)
 		} else {
@@ -515,51 +477,6 @@ func keyHash(k Key) uint64 {
 	}
 	h = (h ^ uint64(k.Dir)) * prime
 	return h ^ h>>32
-}
-
-// Expand implements Store, serving each requested entity from the memoized
-// frontier when present and batching the rest through the backend.
-func (c *Cache) Expand(ids []string, dir store.Direction) (map[string][]string, error) {
-	out := make(map[string][]string, len(ids))
-	var missing []string
-	c.mu.RLock()
-	gen := c.generation
-	for _, id := range ids {
-		if _, have := out[id]; have {
-			continue
-		}
-		if ns, ok := c.hot[Key{id, dir}]; ok {
-			out[id] = append([]string(nil), ns...)
-			c.expandHits.Add(1)
-			mCacheExpandHits.Inc()
-		} else {
-			missing = append(missing, id)
-			c.expandMisses.Add(1)
-			mCacheExpandMisses.Inc()
-		}
-	}
-	c.mu.RUnlock()
-	if len(missing) == 0 {
-		return out, nil
-	}
-	adj, err := c.Store.Expand(missing, dir)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.generation == gen {
-		for id, ns := range adj {
-			if len(c.hot) >= maxNeighbors {
-				break
-			}
-			c.hot[Key{id, dir}] = append([]string(nil), ns...)
-		}
-	}
-	c.mu.Unlock()
-	for id, ns := range adj {
-		out[id] = ns
-	}
-	return out, nil
 }
 
 // Close implements Store, draining any in-flight auto-checkpoint before

@@ -8,8 +8,7 @@ import (
 	"repro/internal/store"
 )
 
-// Key addresses one maintained result: the closure of a root entity, or the
-// memoized neighbor frontier of an entity, in one direction.
+// Key addresses one maintained closure: a root entity and a direction.
 type Key struct {
 	ID  string
 	Dir store.Direction

@@ -173,3 +173,56 @@ func TestConcurrentAdditiveGeneratorRace(t *testing.T) {
 		t.Fatalf("losing generator edge lingered in cached closure:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestExpandReadsTheCommittedStore: Expand is the backing store's answer at
+// every point of an ingest. An ingest is parked with its run committed to
+// the store but its delta not yet applied; an Expand of a source read
+// before the ingest — one gaining a consumer, one whose generator the run
+// replaces — must already return the store's new neighbours, as it must
+// once the ingest returns.
+func TestExpandReadsTheCommittedStore(t *testing.T) {
+	mem := store.NewMemStore()
+	bs := &blockingStore{
+		Store:      mem,
+		blockRun:   "fresh",
+		blockAfter: true,
+		parked:     make(chan struct{}),
+		release:    make(chan struct{}),
+	}
+	c := New(bs, Options{})
+	l, _, tail := chainLog(8)
+	if err := c.PutRunLog(l); err != nil {
+		t.Fatal(err)
+	}
+	probes := []struct {
+		id  string
+		dir store.Direction
+	}{{tail, store.Down}, {artID(4), store.Up}}
+	expandMatches := func(when string) {
+		t.Helper()
+		for _, p := range probes {
+			got, err := c.Expand([]string{p.id}, p.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := mem.Expand([]string{p.id}, p.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Expand(%s, %v) = %v, store has %v", when, p.id, p.dir, got, want)
+			}
+		}
+	}
+	expandMatches("before the ingest")
+
+	done := make(chan error, 1)
+	go func() { done <- c.PutRunLog(extRun("fresh", tail, "fresh-out", artID(4))) }()
+	<-bs.parked
+	expandMatches("run committed, delta unapplied")
+	close(bs.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	expandMatches("after the ingest")
+}

@@ -62,7 +62,7 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	gen := c.Generation()
+	gen := c.Metrics().Generation
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	if m.Restored != 2 {
 		t.Fatalf("restored %d closures, want 2 (metrics %+v)", m.Restored, m)
 	}
-	if c2.Generation() != gen {
-		t.Fatalf("generation = %d, want %d", c2.Generation(), gen)
+	if got := c2.Metrics().Generation; got != gen {
+		t.Fatalf("generation = %d, want %d", got, gen)
 	}
 	got, err := c2.Closure(tail, store.Up)
 	if err != nil {

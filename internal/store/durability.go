@@ -10,18 +10,16 @@ import (
 // Durability selects what an accepted file-store ingest guarantees:
 //
 //   - DurabilityNone: the record reached the OS; a power loss may drop it.
-//   - DurabilityFsync: one fsync per append — an accepted ingest survives
-//     power loss, at one commit latency per run.
 //   - DurabilityGroup: group commit — concurrent appends coalesce into
 //     batches committed with a single buffered write + one fsync each
-//     (internal/store/wal), so an accepted ingest still survives power
-//     loss but N concurrent writers share ~one fsync instead of paying N.
+//     (internal/store/wal), so an accepted ingest survives power loss and
+//     N concurrent writers share ~one fsync instead of paying N. A lone
+//     writer's batch is its one append, so it pays one fsync per run.
 type Durability int
 
 // Durability modes, ordered by increasing write-path cost per append.
 const (
 	DurabilityNone Durability = iota
-	DurabilityFsync
 	DurabilityGroup
 )
 
@@ -30,26 +28,22 @@ func (d Durability) String() string {
 	switch d {
 	case DurabilityNone:
 		return "none"
-	case DurabilityFsync:
-		return "fsync"
 	case DurabilityGroup:
 		return "group"
 	}
 	return fmt.Sprintf("Durability(%d)", int(d))
 }
 
-// ParseDurability maps the CLI flag form ("none", "fsync", "group") to a
+// ParseDurability maps the CLI flag form ("none", "group") to a
 // Durability.
 func ParseDurability(s string) (Durability, error) {
 	switch s {
 	case "none":
 		return DurabilityNone, nil
-	case "fsync":
-		return DurabilityFsync, nil
 	case "group":
 		return DurabilityGroup, nil
 	}
-	return 0, fmt.Errorf("store: unknown durability %q (want none, fsync or group)", s)
+	return 0, fmt.Errorf("store: unknown durability %q (want none or group)", s)
 }
 
 // FileOptions configures a file-backed store's durability and checkpoint

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,23 @@ import (
 
 	"repro/internal/provenance"
 )
+
+// TestParseDurability: the flag form round-trips through String, and any
+// other value — the retired per-append "fsync" mode among them — is an
+// error naming the valid values.
+func TestParseDurability(t *testing.T) {
+	for _, d := range []Durability{DurabilityNone, DurabilityGroup} {
+		if got, err := ParseDurability(d.String()); err != nil || got != d {
+			t.Fatalf("ParseDurability(%q) = %v, %v; want %v", d.String(), got, err, d)
+		}
+	}
+	for _, bad := range []string{"fsync", "", "Group"} {
+		_, err := ParseDurability(bad)
+		if err == nil || !strings.Contains(err.Error(), "none or group") {
+			t.Fatalf("ParseDurability(%q) error = %v; want one naming none or group", bad, err)
+		}
+	}
+}
 
 // TestAutoCheckpointDrain pins the close-path contract: Drain must wait
 // for an in-flight background checkpoint (so owners can close the files

@@ -64,10 +64,10 @@ var (
 //
 // Appends go through a write-ahead group-commit writer (internal/store/
 // wal): under DurabilityGroup, concurrent PutRunLog calls coalesce into
-// batches sharing one fsync; under DurabilityFsync every append pays its
-// own; under DurabilityNone nothing syncs. Index reads take a shared lock,
-// so concurrent closure sweeps never serialize against each other — only
-// against the brief index fold of each accepted ingest.
+// batches sharing one fsync; under DurabilityNone nothing syncs. Index
+// reads take a shared lock, so concurrent closure sweeps never serialize
+// against each other — only against the brief index fold of each accepted
+// ingest.
 //
 // Reopening a store directory rebuilds the indexes by scanning the log,
 // truncating any torn trailing record (crash recovery); a truncated record
@@ -176,10 +176,7 @@ func OpenFileStoreWith(dir string, opt FileOptions) (*FileStore, error) {
 		return nil, err
 	}
 	policy := wal.SyncNone
-	switch opt.Durability {
-	case DurabilityFsync:
-		policy = wal.SyncEachAppend
-	case DurabilityGroup:
+	if opt.Durability == DurabilityGroup {
 		policy = wal.SyncBatch
 	}
 	s.w = wal.NewWriter(f, s.size, wal.Options{Policy: policy, FlushDelay: opt.GroupFlushDelay})

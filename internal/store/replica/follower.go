@@ -50,15 +50,12 @@ type Options struct {
 	// the first success.
 	Poll time.Duration
 	// MaxBackoff caps the jittered exponential backoff between failed
-	// polls (0: 5s).
+	// polls (0: 5s). Health reports disconnected instead of degraded
+	// after 10×MaxBackoff without a successful primary exchange.
 	MaxBackoff time.Duration
 	// RequestTimeout bounds each individual follower→primary call
 	// (0: 10s). A hung primary costs one timeout, not a stuck shipper.
 	RequestTimeout time.Duration
-	// DisconnectAfter is how long without a successful primary exchange
-	// before Health reports disconnected instead of degraded
-	// (0: 10×MaxBackoff).
-	DisconnectAfter time.Duration
 	// BackoffSeed seeds the backoff jitter; 0 draws from the global
 	// source. Tests pin it for reproducible schedules.
 	BackoffSeed int64
@@ -117,9 +114,6 @@ func Open(opt Options) (*Follower, error) {
 	}
 	if opt.RequestTimeout <= 0 {
 		opt.RequestTimeout = 10 * time.Second
-	}
-	if opt.DisconnectAfter <= 0 {
-		opt.DisconnectAfter = 10 * opt.MaxBackoff
 	}
 	if opt.MaxBatchBytes <= 0 {
 		opt.MaxBatchBytes = 1 << 20
@@ -469,8 +463,7 @@ func (f *Follower) Lag() (applied, behind int64) {
 
 // Health classifies the follower's upstream link: connected while the
 // last exchange succeeded, degraded while failing and retrying under
-// backoff, disconnected once no exchange has succeeded for
-// DisconnectAfter.
+// backoff, disconnected once no exchange has succeeded for 10×MaxBackoff.
 func (f *Follower) Health() api.ReplicaHealth {
 	f.mu.Lock()
 	fails := f.consecFails
@@ -490,7 +483,7 @@ func (f *Follower) Health() api.ReplicaHealth {
 	}
 	if fails > 0 {
 		h.State = api.HealthDegraded
-		if since > f.opt.DisconnectAfter {
+		if since > 10*f.opt.MaxBackoff {
 			h.State = api.HealthDisconnected
 		}
 	}

@@ -303,11 +303,11 @@ func validateLayout(dir string, n int) error {
 // OpenWith opens (or creates) n file-backed shards under dir/shard-000 …
 // dir/shard-N-1 and rebuilds the router's run placement and directory from
 // the shards' recovered state. Each shard owns its own write-ahead
-// group-commit log (store.FileOptions.Durability selects none/fsync/group
-// per append), so under DurabilityGroup concurrent ingests coalesce per
-// shard AND overlap across shards. CheckpointEvery is counted router-wide:
-// every N accepted ingests the router checkpoints all shards and records
-// their checkpoint positions in the store's meta record.
+// group-commit log (store.FileOptions.Durability selects none or group),
+// so under DurabilityGroup concurrent ingests coalesce per shard AND
+// overlap across shards. CheckpointEvery is counted router-wide: every N
+// accepted ingests the router checkpoints all shards and records their
+// checkpoint positions in the store's meta record.
 //
 // A small manifest journal (dir/router-manifest.log, one run ID per
 // accepted ingest) preserves the global cross-shard ingest order, so a

@@ -66,10 +66,6 @@ const (
 	// SyncNone: the record reached the OS (one buffered write per batch);
 	// durability is left to the kernel. The cheapest mode.
 	SyncNone SyncPolicy = iota
-	// SyncEachAppend: every record is its own batch with its own fsync —
-	// the pre-group-commit durable mode, kept for comparison and for
-	// single-writer workloads that want minimum commit latency.
-	SyncEachAppend
 	// SyncBatch: group commit — one fsync per coalesced batch; Append
 	// returns once the batch containing its record is on stable storage.
 	SyncBatch
@@ -80,8 +76,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncNone:
 		return "none"
-	case SyncEachAppend:
-		return "each"
 	case SyncBatch:
 		return "batch"
 	}
@@ -175,7 +169,7 @@ func (w *Writer) Metrics() Metrics {
 }
 
 // Append commits one record and returns the file offset it was written at.
-// Under SyncBatch/SyncEachAppend the record is on stable storage when
+// Under SyncBatch the record is on stable storage when
 // Append returns; under SyncNone it has reached the OS. Concurrent Appends
 // to the same writer coalesce into shared batches.
 func (w *Writer) Append(rec []byte) (int64, error) {
@@ -194,7 +188,7 @@ func (w *Writer) Append(rec []byte) (int64, error) {
 	}
 	b := w.cur
 	lead := false
-	if b == nil || b.sealed || (w.opt.Policy == SyncEachAppend && len(b.buf) > 0) {
+	if b == nil || b.sealed {
 		b = &batch{
 			seq:  w.nextSeq,
 			base: w.nextOff,

@@ -49,7 +49,7 @@ func synthRun(id string, inputs, outputs []string) *provenance.RunLog {
 // partial record, never a lost complete one — in all durability modes,
 // with and without a (now stale) checkpoint present.
 func TestCrashRecoveryTruncateEveryByte(t *testing.T) {
-	for _, mode := range []Durability{DurabilityNone, DurabilityFsync, DurabilityGroup} {
+	for _, mode := range []Durability{DurabilityNone, DurabilityGroup} {
 		for _, withStaleCkpt := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/staleCkpt=%v", mode, withStaleCkpt), func(t *testing.T) {
 				dir := t.TempDir()
