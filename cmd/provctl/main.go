@@ -3,10 +3,10 @@
 //	provctl validate wf.json              check a workflow specification
 //	provctl show wf.json [-format ascii|dot]
 //	provctl hash wf.json                  content hash (prospective identity)
-//	provctl run wf.json [-store DIR] [-cache] [-shards N] [-durability none|group] [-checkpoint-every N] [-checkpoint-interval D] [-checkpoint-bytes B]
+//	provctl run wf.json [-store DIR] [-cache] [-shards N] [-durability none|group]
 //	provctl query -store DIR [-cache] [-shards N] 'PQL'     query stored provenance
 //	provctl lineage -store DIR [-cache] [-shards N] [-trace-rounds] ENTITY  upstream closure of an entity
-//	provctl checkpoint -store DIR [-shards N]               snapshot folded state next to the log
+//	provctl checkpoint -store DIR [-cache] [-shards N]      snapshot folded state next to the log
 //	provctl replication -server URL                         a provd's replication role and per-shard positions
 //	provctl promote -server URL [-timeout D]                promote a follower to primary (drain, bump epoch, cut over)
 //	provctl fence -server URL -epoch N                      show a node an epoch so a stale primary fences itself
@@ -41,13 +41,11 @@
 // appends coalesce into batches sharing one fsync; a lone append is its own
 // batch).
 //
-// -checkpoint-every N snapshots the store's folded state (and, with
-// -cache, the memoized closures) every N ingests; -checkpoint-interval D
-// also snapshots at most D after a write dirties the store, and
-// -checkpoint-bytes B every ~B bytes of log growth (unsharded stores
-// only; with -shards above 1 it is an error). `provctl checkpoint`
-// does the same explicitly. A checkpointed store reopens by replaying only
-// the log suffix past the snapshot and serves warm closures immediately.
+// checkpoint snapshots the store's folded state (and, with -cache, the
+// memoized closures) next to the log, so the next open replays only the
+// log suffix past the snapshot and serves warm closures immediately. Each
+// provctl process ingests at most one run, so automatic checkpoints live
+// in the daemon (provd -checkpoint-every N), not here.
 //
 // replication queries a running provd's /v1/replication/status: its role
 // (standalone, primary or follower), each shard log's committed/applied
@@ -212,14 +210,11 @@ func cmdHash(args []string) error {
 // storeFlags are the persistent-store options shared by run, query,
 // lineage and checkpoint, resolved into core.Options.
 type storeFlags struct {
-	storeDir     string
-	cache        bool
-	shards       int
-	durability   string
-	ckptEvery    int
-	ckptInterval time.Duration
-	ckptBytes    int64
-	trace        func(shardedstore.ClosureTrace) // -trace-rounds sink (lineage)
+	storeDir   string
+	cache      bool
+	shards     int
+	durability string
+	trace      func(shardedstore.ClosureTrace) // -trace-rounds sink (lineage)
 }
 
 func (f *storeFlags) register(fs *flag.FlagSet, withWritePath bool) {
@@ -228,9 +223,6 @@ func (f *storeFlags) register(fs *flag.FlagSet, withWritePath bool) {
 	fs.IntVar(&f.shards, "shards", 1, "shard count the store directory is (or will be) written with")
 	if withWritePath {
 		fs.StringVar(&f.durability, "durability", "none", "ingest durability: none or group (group-commit WAL)")
-		fs.IntVar(&f.ckptEvery, "checkpoint-every", 0, "snapshot the store every N ingests (0: only explicit checkpoints)")
-		fs.DurationVar(&f.ckptInterval, "checkpoint-interval", 0, "snapshot at most this long after a write dirties the store")
-		fs.Int64Var(&f.ckptBytes, "checkpoint-bytes", 0, "snapshot every time roughly this many log bytes accumulate (unsharded stores only)")
 	} else {
 		f.durability = "none"
 	}
@@ -246,9 +238,6 @@ func (f *storeFlags) options() (core.Options, error) {
 		Shards:             f.shards,
 		EnableClosureCache: f.cache,
 		Durability:         d,
-		CheckpointEvery:    f.ckptEvery,
-		CheckpointInterval: f.ckptInterval,
-		CheckpointBytes:    f.ckptBytes,
 		TraceRounds:        f.trace,
 		Agent:              os.Getenv("USER"),
 	}

@@ -45,7 +45,8 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 // in order, over one temp store holding the medical-imaging run: each
 // must exit with the expected status and print a line starting with the
 // expected text on the expected stream. query -explain is the CLI face of
-// the PQL planner path; its line pins where the WHERE runs.
+// the PQL planner path; its line pins where the WHERE runs. run takes no
+// automatic-checkpoint flag, and checkpoint leaves checkpoint.json behind.
 func TestStoreCommands(t *testing.T) {
 	dir := t.TempDir()
 	wf, _, code := run(t, "demo", "medimg")
@@ -65,6 +66,8 @@ func TestStoreCommands(t *testing.T) {
 		line   string
 	}{
 		{"run", []string{"run", "-store", st, wfPath}, 0, false, "run run-000001: status=ok"},
+		{"run-checkpoint-every", []string{"run", "-store", st, "-checkpoint-every", "1", wfPath},
+			1, true, "provctl: flag provided but not defined: -checkpoint-every"},
 		{"query", []string{"query", "-store", st, "SELECT COUNT(*) FROM executions"}, 0, false, "4"},
 		{"query-explain", []string{"query", "-store", st, "-explain",
 			"SELECT module, artifact FROM executions JOIN gens ON executions.id = exec WHERE status = 'ok'"},
@@ -91,6 +94,9 @@ func TestStoreCommands(t *testing.T) {
 			}
 			t.Fatalf("no line starting %q in:\n%s", c.line, out)
 		})
+	}
+	if _, err := os.Stat(filepath.Join(st, "checkpoint.json")); err != nil {
+		t.Fatalf("checkpoint wrote no snapshot: %v", err)
 	}
 }
 

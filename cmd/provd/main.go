@@ -13,8 +13,6 @@
 //	provd -store /var/lib/provd            # file-backed store
 //	provd -durability group                # group-commit WAL durable ingest
 //	provd -checkpoint-every 256            # snapshot every N published runs
-//	provd -checkpoint-interval 30s         # …and at most 30s after a write
-//	provd -checkpoint-bytes 4194304        # …and every ~4MiB of log growth
 //	provd -cache                           # incremental closure cache
 //	provd -shards 4                        # sharded store, runs placed with their inputs
 //	provd -pprof                           # net/http/pprof at /debug/pprof/
@@ -71,12 +69,10 @@
 //
 // With -store DIR, -durability selects the ingest guarantee — none or
 // group (write-ahead group commit: concurrent publishes coalesce into
-// batches sharing one fsync; a lone publish is its own batch) — and the
-// checkpoint flags bound reopen replay three ways: -checkpoint-every N
-// snapshots every N publishes, -checkpoint-interval D at most D after a
-// write dirties the store, and -checkpoint-bytes B every ~B bytes of log
-// growth (unsharded stores only), so replay cost stays bounded whether
-// ingest is bursty or a trickle.
+// batches sharing one fsync; a lone publish is its own batch) — and
+// -checkpoint-every N snapshots the store (and the closure cache) every N
+// accepted ingests, so a reopen replays only the log suffix past the last
+// snapshot. It is the one automatic checkpoint trigger.
 //
 // Observability: GET /v1/metrics serves the process's runtime metrics
 // (WAL, store, cache, replication, executor and HTTP families) in
@@ -128,27 +124,25 @@ import (
 func main() {
 	start := time.Now()
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		storeDir     = flag.String("store", "", "directory for a durable file store (default: in-memory)")
-		cache        = flag.Bool("cache", false, "maintain closures incrementally across ingests (closure cache)")
-		shards       = flag.Int("shards", 1, "partition the store across N shards, each run placed with the runs it consumes from")
-		durability   = flag.String("durability", "none", "ingest durability with -store: none or group (group-commit WAL)")
-		ckptEvery    = flag.Int("checkpoint-every", 0, "with -store: snapshot the store (and cache) every N published runs")
-		ckptInterval = flag.Duration("checkpoint-interval", 0, "with -store: snapshot at most this long after a write dirties the store")
-		ckptBytes    = flag.Int64("checkpoint-bytes", 0, "with -store and -shards 1: snapshot every time roughly this many log bytes accumulate")
-		role         = flag.String("role", api.RoleStandalone, "replication role: standalone, primary (serve WAL to followers), or follower (read replica)")
-		primary      = flag.String("primary", "", "with -role follower: the primary provd's base URL")
-		replicas     = flag.String("replicas", "", "with -role primary: comma-separated follower URLs to probe in /v1/replication/status")
-		replicaPoll  = flag.Duration("replica-poll", 0, "with -role follower: primary tail interval (default 200ms; failures back off exponentially with jitter)")
-		maxLag       = flag.Int64("max-lag", 0, "with -role follower: answer data reads 503 replica_too_stale while replication lag exceeds this many bytes (0: unbounded staleness)")
-		traceRounds  = flag.Bool("trace-rounds", false, "log each sharded closure's pushdown rounds and per-round frontier sizes")
-		explain      = flag.Bool("explain", false, "log each /query's executed plan: join order, per-operator rows, scan parallelism, allocations")
-		pprofFlag    = flag.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-		slowQuery    = flag.Duration("slow-query", time.Second, "log requests at least this slow at Warn level, with their query (0 disables)")
-		logRequests  = flag.Bool("log-requests", false, "log every request (structured: request ID, route, status, duration)")
-		seed         = flag.Int64("seed", 0, "synthesize a community with this seed (0: empty)")
-		users        = flag.Int("users", 10, "synthetic community size")
-		runsEach     = flag.Int("runs", 3, "synthetic runs published per user")
+		addr        = flag.String("addr", ":8080", "listen address")
+		storeDir    = flag.String("store", "", "directory for a durable file store (default: in-memory)")
+		cache       = flag.Bool("cache", false, "maintain closures incrementally across ingests (closure cache)")
+		shards      = flag.Int("shards", 1, "partition the store across N shards, each run placed with the runs it consumes from")
+		durability  = flag.String("durability", "none", "ingest durability with -store: none or group (group-commit WAL)")
+		ckptEvery   = flag.Int("checkpoint-every", 0, "with -store: snapshot the store (and cache) every N published runs")
+		role        = flag.String("role", api.RoleStandalone, "replication role: standalone, primary (serve WAL to followers), or follower (read replica)")
+		primary     = flag.String("primary", "", "with -role follower: the primary provd's base URL")
+		replicas    = flag.String("replicas", "", "with -role primary: comma-separated follower URLs to probe in /v1/replication/status")
+		replicaPoll = flag.Duration("replica-poll", 0, "with -role follower: primary tail interval (default 200ms; failures back off exponentially with jitter)")
+		maxLag      = flag.Int64("max-lag", 0, "with -role follower: answer data reads 503 replica_too_stale while replication lag exceeds this many bytes (0: unbounded staleness)")
+		traceRounds = flag.Bool("trace-rounds", false, "log each sharded closure's pushdown rounds and per-round frontier sizes")
+		explain     = flag.Bool("explain", false, "log each /query's executed plan: join order, per-operator rows, scan parallelism, allocations")
+		pprofFlag   = flag.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
+		slowQuery   = flag.Duration("slow-query", time.Second, "log requests at least this slow at Warn level, with their query (0 disables)")
+		logRequests = flag.Bool("log-requests", false, "log every request (structured: request ID, route, status, duration)")
+		seed        = flag.Int64("seed", 0, "synthesize a community with this seed (0: empty)")
+		users       = flag.Int("users", 10, "synthetic community size")
+		runsEach    = flag.Int("runs", 3, "synthetic runs published per user")
 	)
 	flag.Parse()
 
@@ -165,8 +159,6 @@ func main() {
 		Shards:             *shards,
 		Durability:         dur,
 		CheckpointEvery:    *ckptEvery,
-		CheckpointInterval: *ckptInterval,
-		CheckpointBytes:    *ckptBytes,
 		EnableClosureCache: *cache,
 		Primary:            *primary,
 		ReplicaPoll:        *replicaPoll,

@@ -122,7 +122,7 @@ func TestStatusEndpoint(t *testing.T) {
 			StoreDir:   "/data/prov",
 			Shards:     4,
 			Durability: "group",
-			Checkpoint: "every 512 runs or 4.0 MiB",
+			Checkpoint: "every 512 runs",
 			Cache:      true,
 			Start:      time.Now().Add(-time.Minute),
 		},

@@ -68,20 +68,11 @@ type Options struct {
 	// CheckpointEvery, when positive, snapshots the persistent store's
 	// folded state — and the closure cache's entries, when enabled —
 	// every N accepted ingests, so a reopen replays only the log suffix
-	// and serves warm closures immediately (see System.Checkpoint for the
-	// explicit form, and `provctl checkpoint` for the offline one).
+	// past the last snapshot and serves warm closures immediately. It is
+	// the one automatic trigger; its counter lives in the process, so it
+	// suits a daemon (provd -checkpoint-every), and System.Checkpoint and
+	// `provctl checkpoint` are the explicit forms.
 	CheckpointEvery int
-	// CheckpointInterval, when positive, also snapshots at most this long
-	// after an ingest dirties the store — a wall-clock bound on replay
-	// work for trickle-ingest daemons whose run counter may take hours to
-	// reach CheckpointEvery.
-	CheckpointInterval time.Duration
-	// CheckpointBytes, when positive, also snapshots every time roughly
-	// this many log bytes accumulate — a bound keyed to replay cost
-	// rather than run count. Unsharded stores only: the sharded router's
-	// checkpoint policy counts runs and time, so ValidatePersistence
-	// rejects it with Shards above 1.
-	CheckpointBytes int64
 	// Role is the node's replication role for OpenNode (provd's -role):
 	// api.RoleStandalone (also ""), api.RolePrimary — ship the store's
 	// log to followers — or api.RoleFollower, a read replica of Primary.
@@ -116,9 +107,8 @@ type Options struct {
 // without a store to persist (no StoreDir and no caller-assembled Store)
 // would configure an in-memory system that persists nothing. It also
 // rejects a shard count the router cannot serve, before anything — the
-// in-memory router included — is built with it, and CheckpointBytes on a
-// sharded store, whose router has no byte-count trigger, and replication
-// options the Role would ignore. Both CLIs and OpenNode call this;
+// in-memory router included — is built with it, and replication options
+// the Role would ignore. Both CLIs and OpenNode call this;
 // NewSystem does not: the zero Options describe the in-memory system.
 func (o Options) ValidatePersistence() error {
 	if err := shardedstore.CheckShards(o.Shards); err != nil {
@@ -139,17 +129,14 @@ func (o Options) ValidatePersistence() error {
 	case o.Role != api.RolePrimary && len(o.Replicas) > 0:
 		return fmt.Errorf("core: -replicas lists a primary's followers; add -role primary or drop it")
 	}
-	if o.Shards > 1 && o.CheckpointBytes > 0 {
-		return fmt.Errorf("core: -checkpoint-bytes applies to unsharded stores only: a %d-shard store checkpoints by run count (-checkpoint-every) and time (-checkpoint-interval)", o.Shards)
-	}
 	if o.StoreDir != "" || o.Store != nil {
 		return nil
 	}
 	if o.Durability != store.DurabilityNone {
 		return fmt.Errorf("core: durability %s requires a store directory (-store DIR): an in-memory store persists nothing", o.Durability)
 	}
-	if o.CheckpointEvery > 0 || o.CheckpointInterval > 0 || o.CheckpointBytes > 0 {
-		return fmt.Errorf("core: checkpoint policies require a store directory (-store DIR): an in-memory store has nothing to snapshot")
+	if o.CheckpointEvery > 0 {
+		return fmt.Errorf("core: -checkpoint-every requires a store directory (-store DIR): an in-memory store has nothing to snapshot")
 	}
 	return nil
 }

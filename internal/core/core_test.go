@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/provenance"
 	"repro/internal/store"
@@ -224,24 +223,6 @@ func TestValidateRejectsTooManyShards(t *testing.T) {
 		if err := opt.ValidatePersistence(); err == nil {
 			t.Fatalf("%d shards (store dir %q) passed validation", opt.Shards, opt.StoreDir)
 		}
-	}
-}
-
-// CheckpointBytes on a sharded store is a validation error, not a flag the
-// router silently ignores: its checkpoint policy counts runs and time.
-func TestValidateRejectsCheckpointBytesOnShards(t *testing.T) {
-	dir := t.TempDir()
-	for _, opt := range []Options{
-		{StoreDir: dir, CheckpointBytes: 1 << 20},
-		{StoreDir: dir, Shards: 4, CheckpointEvery: 64, CheckpointInterval: time.Second},
-	} {
-		if err := opt.ValidatePersistence(); err != nil {
-			t.Fatalf("%+v rejected: %v", opt, err)
-		}
-	}
-	err := Options{StoreDir: dir, Shards: 4, CheckpointBytes: 1 << 20}.ValidatePersistence()
-	if err == nil || !strings.Contains(err.Error(), "checkpoint-bytes") {
-		t.Fatalf("4 shards with CheckpointBytes: got %v, want an error naming -checkpoint-bytes", err)
 	}
 }
 

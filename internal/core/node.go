@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/collab"
@@ -108,23 +107,13 @@ func (n *Node) HandlerOptions(h collab.HandlerOptions) collab.HandlerOptions {
 	return h
 }
 
-// checkpointPolicy renders the auto-checkpoint options as the
+// checkpointPolicy renders the auto-checkpoint option as the
 // human-readable policy /v1/status reports.
 func (n *Node) checkpointPolicy() string {
-	var parts []string
 	if every := n.opt.CheckpointEvery; every > 0 {
-		parts = append(parts, fmt.Sprintf("every %d runs", every))
+		return fmt.Sprintf("every %d runs", every)
 	}
-	if interval := n.opt.CheckpointInterval; interval > 0 {
-		parts = append(parts, fmt.Sprintf("at most %s after a write", interval))
-	}
-	if bytes := n.opt.CheckpointBytes; bytes > 0 {
-		parts = append(parts, fmt.Sprintf("every %.1f MiB of log growth", float64(bytes)/(1<<20)))
-	}
-	if len(parts) == 0 {
-		return "disabled"
-	}
-	return strings.Join(parts, ", ")
+	return "disabled"
 }
 
 // probeClient bounds primary->replica status probes so one dead replica

@@ -240,3 +240,14 @@ func TestValidateRefusesIgnoredReplicationOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestStatusCheckpointPolicy: /v1/status reports the node's one automatic
+// checkpoint trigger as OpenNode configured it.
+func TestStatusCheckpointPolicy(t *testing.T) {
+	for every, want := range map[int]string{64: "every 64 runs", 0: "disabled"} {
+		n := openTestNode(t, Options{StoreDir: t.TempDir(), CheckpointEvery: every})
+		if got := n.HandlerOptions(collab.HandlerOptions{}).Node.Checkpoint; got != want {
+			t.Errorf("CheckpointEvery %d: status checkpoint %q, want %q", every, got, want)
+		}
+	}
+}

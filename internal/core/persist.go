@@ -63,15 +63,14 @@ func memStore(opt Options) store.Store {
 }
 
 // cached tops backing with the closure cache when opt enables one; it
-// snapshots into StoreDir and drives the stack's run-count and interval
-// checkpoints (see fileOptions).
+// snapshots into StoreDir and drives the stack's run-count checkpoints
+// (see fileOptions).
 func cached(backing store.Store, opt Options) stack {
 	sk := stack{top: backing, close: backing.Close}
 	if opt.EnableClosureCache {
 		sk.cache = closurecache.New(backing, closurecache.Options{
-			SnapshotDir:        opt.StoreDir,
-			CheckpointEvery:    opt.CheckpointEvery,
-			CheckpointInterval: opt.CheckpointInterval,
+			SnapshotDir:     opt.StoreDir,
+			CheckpointEvery: opt.CheckpointEvery,
 		})
 		sk.top, sk.close = sk.cache, sk.cache.Close
 	}
@@ -79,15 +78,12 @@ func cached(backing store.Store, opt Options) stack {
 }
 
 // fileOptions is what every file-backed layer opens with. Under a closure
-// cache the backing layers must not double-checkpoint on the run-count
-// and interval clocks the cache drives. The byte policy stays at the file
-// layer — only it sees appended log bytes — and its checkpoint snapshots
-// the store alone; the cache snapshot refreshes on its own cadence, and a
-// restore replays any gap through the delta path.
+// cache the backing layers must not double-checkpoint on the run count
+// the cache drives: its Checkpoint snapshots the store beneath it too.
 func fileOptions(opt Options) store.FileOptions {
-	fo := store.FileOptions{Durability: opt.Durability, CheckpointBytes: opt.CheckpointBytes}
+	fo := store.FileOptions{Durability: opt.Durability}
 	if !opt.EnableClosureCache {
-		fo.CheckpointEvery, fo.CheckpointInterval = opt.CheckpointEvery, opt.CheckpointInterval
+		fo.CheckpointEvery = opt.CheckpointEvery
 	}
 	return fo
 }

@@ -102,7 +102,6 @@ package closurecache
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -137,10 +136,6 @@ type Options struct {
 	// CheckpointEvery, when positive, calls Checkpoint automatically
 	// after every N ingests accepted through the cache.
 	CheckpointEvery int
-	// CheckpointInterval, when positive, also calls Checkpoint at most
-	// this long after an ingest dirties the cache — a wall-clock bound on
-	// reopen replay for trickle-ingest daemons.
-	CheckpointInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -215,14 +210,11 @@ var _ store.Store = (*Cache)(nil)
 func New(s store.Store, opt Options) *Cache {
 	opt = opt.withDefaults()
 	c := &Cache{
-		Store: s,
-		opt:   opt,
-		idx:   NewIndex(),
-		door:  newDoorkeeper(opt.MaxClosures),
-		autoCkpt: store.NewAutoCheckpointPolicy(store.CheckpointPolicy{
-			EveryRuns: opt.CheckpointEvery,
-			Interval:  opt.CheckpointInterval,
-		}),
+		Store:    s,
+		opt:      opt,
+		idx:      NewIndex(),
+		door:     newDoorkeeper(opt.MaxClosures),
+		autoCkpt: store.NewAutoCheckpoint(opt.CheckpointEvery),
 	}
 	if c.opt.SnapshotDir != "" {
 		c.applied = &appliedRuns{beyond: map[string]struct{}{}}
@@ -275,7 +267,11 @@ func (c *Cache) flushLocked() {
 //
 // The ingest gate is held (shared) from store commit through delta apply,
 // so a snapshot can quiesce the committed-but-unapplied window; see
-// saveSnapshot.
+// saveSnapshot. Readers do not wait on it: in that window a cached closure
+// can lack the run while the backing store already serves it, so a PQL
+// query (which scans the store) can see a run that a cached lineage does
+// not, until PutRunLog returns. ROADMAP direction 1 step 2's ordered
+// ingest hook is what would close the window.
 func (c *Cache) PutRunLog(l *provenance.RunLog) error {
 	c.ingestGate.RLock()
 	err := c.Store.PutRunLog(l)
@@ -286,7 +282,7 @@ func (c *Cache) PutRunLog(l *provenance.RunLog) error {
 	if err != nil {
 		return err
 	}
-	c.autoCkpt.Tick(0, c.Checkpoint)
+	c.autoCkpt.Tick(c.Checkpoint)
 	return nil
 }
 
@@ -301,7 +297,7 @@ func (c *Cache) ApplyDelta(l *provenance.RunLog) {
 	c.ingestGate.RLock()
 	c.enqueueDelta(l)
 	c.ingestGate.RUnlock()
-	c.autoCkpt.Tick(0, c.Checkpoint)
+	c.autoCkpt.Tick(c.Checkpoint)
 }
 
 // enqueueDelta queues one committed log and guarantees its delta is folded

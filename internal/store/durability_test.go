@@ -36,7 +36,7 @@ func TestAutoCheckpointDrain(t *testing.T) {
 	var runs atomic.Int32
 	started := make(chan struct{})
 	release := make(chan struct{})
-	ac.Tick(0, func() error {
+	ac.Tick(func() error {
 		runs.Add(1)
 		close(started)
 		<-release
@@ -61,7 +61,7 @@ func TestAutoCheckpointDrain(t *testing.T) {
 		t.Fatal("Drain did not return after the in-flight checkpoint finished")
 	}
 
-	ac.Tick(0, func() error { runs.Add(1); return nil })
+	ac.Tick(func() error { runs.Add(1); return nil })
 	time.Sleep(20 * time.Millisecond)
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("checkpoint ran after Drain: %d runs, want 1", got)
@@ -74,100 +74,7 @@ func TestAutoCheckpointDrain(t *testing.T) {
 func TestAutoCheckpointDrainNil(t *testing.T) {
 	var ac *AutoCheckpoint
 	ac.Drain()
-	ac.Tick(0, func() error { return nil })
-}
-
-// TestAutoCheckpointByteTrigger pins the EveryBytes policy: the trigger
-// fires once the appended bytes cross the threshold, resets its counter,
-// and fires again only after another threshold's worth of bytes.
-func TestAutoCheckpointByteTrigger(t *testing.T) {
-	ac := NewAutoCheckpointPolicy(CheckpointPolicy{EveryBytes: 100})
-	var runs atomic.Int32
-	fired := make(chan struct{}, 8)
-	ckpt := func() error { runs.Add(1); fired <- struct{}{}; return nil }
-
-	ac.Tick(60, ckpt)
-	select {
-	case <-fired:
-		t.Fatal("fired below the byte threshold")
-	case <-time.After(20 * time.Millisecond):
-	}
-	ac.Tick(60, ckpt) // 120 >= 100: fires and resets
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("byte trigger did not fire at the threshold")
-	}
-	ac.Tick(60, ckpt) // fresh accumulation: below threshold again
-	select {
-	case <-fired:
-		t.Fatal("fired again without a full threshold of new bytes")
-	case <-time.After(20 * time.Millisecond):
-	}
-	ac.Tick(60, ckpt)
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("byte trigger did not fire on the second threshold")
-	}
-	ac.Drain()
-	if got := runs.Load(); got != 2 {
-		t.Fatalf("checkpoints = %d, want 2", got)
-	}
-}
-
-// TestAutoCheckpointIntervalTrigger pins the Interval policy: a dirty
-// store checkpoints within the interval, and an idle one (no ingests
-// since the last snapshot) never re-arms the clock.
-func TestAutoCheckpointIntervalTrigger(t *testing.T) {
-	ac := NewAutoCheckpointPolicy(CheckpointPolicy{Interval: 20 * time.Millisecond})
-	var runs atomic.Int32
-	fired := make(chan struct{}, 8)
-	ckpt := func() error { runs.Add(1); fired <- struct{}{}; return nil }
-
-	ac.Tick(1, ckpt)
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("interval trigger did not fire after an ingest")
-	}
-	// No further ingests: the timer must not re-arm on its own.
-	time.Sleep(80 * time.Millisecond)
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("idle store checkpointed on a clock: %d runs, want 1", got)
-	}
-	ac.Tick(1, ckpt)
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("interval trigger did not re-arm after a new ingest")
-	}
-	ac.Drain()
-}
-
-// TestFileStoreCheckpointBytesPolicy drives the byte policy end-to-end:
-// a file store opened with CheckpointBytes writes a checkpoint on its
-// own once enough log bytes accumulate.
-func TestFileStoreCheckpointBytesPolicy(t *testing.T) {
-	s, err := OpenFileStoreWith(t.TempDir(), FileOptions{CheckpointBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	log := &provenance.RunLog{Run: provenance.Run{ID: "r1", WorkflowID: "wf", Status: provenance.StatusOK}}
-	if err := s.PutRunLog(log); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := s.LastCheckpoint(); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint written under the byte policy")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	ac.Tick(func() error { return nil })
 }
 
 // TestFileStoreConcurrentDuplicateRun hammers the duplicate-ID guard

@@ -162,13 +162,9 @@ func OpenFileStoreWith(dir string, opt FileOptions) (*FileStore, error) {
 		offsets:   map[string]int64{},
 		pending:   map[string]bool{},
 		foldQueue: map[int64]*foldEntry{},
-		autoCkpt: NewAutoCheckpointPolicy(CheckpointPolicy{
-			EveryRuns:  opt.CheckpointEvery,
-			EveryBytes: opt.CheckpointBytes,
-			Interval:   opt.CheckpointInterval,
-		}),
-		lastCkpt: -1,
-		tab:      newEntityTable(),
+		autoCkpt:  NewAutoCheckpoint(opt.CheckpointEvery),
+		lastCkpt:  -1,
+		tab:       newEntityTable(),
 	}
 	s.foldCond = sync.NewCond(&s.mu)
 	if err := s.recover(); err != nil {
@@ -362,7 +358,7 @@ func (s *FileStore) putRunLog(l *provenance.RunLog) error {
 	// the same run ID pass both guards and commit the run twice.
 	delete(s.pending, l.Run.ID)
 	s.mu.Unlock()
-	s.autoCkpt.Tick(int64(len(data)), s.Checkpoint)
+	s.autoCkpt.Tick(s.Checkpoint)
 	return nil
 }
 

@@ -131,6 +131,6 @@ func (s *FileStore) ApplyReplicated(data []byte) ([]*provenance.RunLog, int64, e
 	for i, rc := range recs {
 		logs[i] = rc.l
 	}
-	s.autoCkpt.Tick(int64(len(data)), s.Checkpoint)
+	s.autoCkpt.Tick(s.Checkpoint)
 	return logs, end, nil
 }

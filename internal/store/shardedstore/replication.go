@@ -53,7 +53,7 @@ func (r *Router) ApplyReplicated(shard int, data []byte) ([]*provenance.RunLog, 
 	}
 	r.mu.Unlock()
 	for range logs {
-		r.autoCkpt.Tick(0, r.Checkpoint)
+		r.autoCkpt.Tick(r.Checkpoint)
 	}
 	return logs, end, nil
 }

@@ -343,8 +343,6 @@ func OpenWith(dir string, n int, opt store.FileOptions) (*Router, error) {
 	// Checkpointing is coordinated by the router, not per shard.
 	shardOpt := opt
 	shardOpt.CheckpointEvery = 0
-	shardOpt.CheckpointInterval = 0
-	shardOpt.CheckpointBytes = 0
 	// Recovery — a checkpoint restore plus a decode per log-suffix record —
 	// is the whole cost of an open, and the shards share nothing: they
 	// recover concurrently.
@@ -383,14 +381,9 @@ func OpenWith(dir string, n int, opt store.FileOptions) (*Router, error) {
 		return nil, err
 	}
 	r.dir, r.files = dir, files
-	// Router-wide checkpoints trigger on runs and time only: the shards'
-	// own triggers are zeroed above, byte growth included (the router does
-	// not see append sizes), and core refuses -checkpoint-bytes on more
-	// than one shard.
-	r.autoCkpt = store.NewAutoCheckpointPolicy(store.CheckpointPolicy{
-		EveryRuns: opt.CheckpointEvery,
-		Interval:  opt.CheckpointInterval,
-	})
+	// One router-wide trigger counts the runs of every shard; the shards'
+	// own triggers are zeroed above.
+	r.autoCkpt = store.NewAutoCheckpoint(opt.CheckpointEvery)
 	if err := r.rebuild(dir); err != nil {
 		r.Close()
 		return nil, err
@@ -678,7 +671,7 @@ func (r *Router) commit(l *provenance.RunLog, shard int) error {
 	}
 	r.mu.Unlock()
 	if err == nil {
-		r.autoCkpt.Tick(0, r.Checkpoint)
+		r.autoCkpt.Tick(r.Checkpoint)
 	}
 	return err
 }
