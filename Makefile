@@ -70,7 +70,9 @@ bench:
 # ClosureCacheChurn prints those of a closure read through a full
 # closure cache from parallel readers drawing over 9x its capacity (a
 # MemStore of short chains), with the hit ratio and the share of misses the
-# doorkeeper refused.
+# doorkeeper refused. RouterExpand prints those of one 16-ID Expand (the
+# size of provload's /v1/expand frontier) over 4 file shards holding 2 000
+# runs with shared inputs, from parallel readers, in each direction.
 bench-smoke:
 	$(GO) test -run '^$$' -bench E4b -benchtime 1x .
 	$(GO) test -run '^$$' -bench ColdClosure -benchtime 200x -benchmem .
@@ -82,6 +84,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'E16ClosurePushdown/mode=sharded-pushdown' -benchtime 2000x -benchmem .
 	$(GO) test -run '^$$' -bench ClosureOverHTTP -benchtime 2000x -benchmem .
 	$(GO) test -run '^$$' -bench ClosureCacheChurn -benchtime 20000x -benchmem ./internal/store/closurecache
+	$(GO) test -run '^$$' -bench RouterExpand -benchtime 20000x -benchmem ./internal/store/shardedstore
 
 # Run the paper-reproduction suite (E1–E12) and write machine-readable
 # BENCH_<ID>.json files to $(BENCH_DIR).

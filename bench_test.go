@@ -711,7 +711,7 @@ func BenchmarkShardedReopen(b *testing.B) {
 // group-commit file-backed shards on a wide seed DAG (wideSeed):
 // mode=ingest is one batch of 16 runs pushed by 8 concurrent publishers per
 // iteration (runs land on their inputs' shards, commits overlap across
-// shards); mode=closure is the scatter/gather downstream closure of the
+// shards); mode=closure is the pushed-down downstream closure of the
 // seed root.
 func BenchmarkE14Sharding(b *testing.B) {
 	for _, nShards := range []int{1, 2, 4, 8} {
@@ -854,11 +854,10 @@ func BenchmarkE15WAL(b *testing.B) {
 }
 
 // BenchmarkE16ClosurePushdown measures a depth-128 chain lineage over 4
-// file shards three ways: the single FileStore's one-lock BFS, the
-// sharded router's pre-pushdown per-hop scatter/gather
-// (store.CloseOverExpand over Router.Expand), and the closure pushdown
-// (local fixpoint per shard + cross-shard frontier exchange). Allocations
-// are reported — the pooled per-shard buffers are what keeps them flat.
+// file shards two ways: the single FileStore's one-lock BFS and the
+// sharded router's closure pushdown (local fixpoint per shard +
+// cross-shard frontier exchange). Allocations are reported — the pooled
+// per-closure buffers are what keeps them flat.
 func BenchmarkE16ClosurePushdown(b *testing.B) {
 	const chainRuns = 128
 	logs := make([]*provenance.RunLog, chainRuns)
@@ -889,14 +888,6 @@ func BenchmarkE16ClosurePushdown(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := fs.Closure(tail, store.Up); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("mode=sharded-perhop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := store.CloseOverExpand(r.Expand, tail, store.Up); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,7 +40,7 @@ type Options struct {
 	// shards behind internal/store/shardedstore: each run is placed whole on
 	// the shard holding most of its inputs' generators, ingests on different
 	// shards proceed under per-shard locking, and
-	// traversals scatter/gather one frontier per hop. 0 or 1 keeps a single
+	// closures run pushed down into the shards. 0 or 1 keeps a single
 	// unsharded store. With StoreDir, OpenPersistentStore and OpenNode
 	// assemble the shards file-backed under it instead (provctl's and
 	// provd's -shards flags).

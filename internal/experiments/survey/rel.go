@@ -207,8 +207,8 @@ func (s *RelStore) Closure(seed string, dir store.Direction) ([]string, error) {
 		return sortedUnique(adj[id])
 	}
 	// The BFS runs here over the hash maps rather than through
-	// store.CloseOverExpand: a map per hop costs that driver a quarter of
-	// this plan's time on a deep chain (E4b, depth 128).
+	// store.NaiveClosure's per-hop driver: a map per hop costs that driver a
+	// quarter of this plan's time on a deep chain (E4b, depth 128).
 	if !isArt[seed] && !isExec[seed] {
 		return nil, fmt.Errorf("%w: entity %q", store.ErrNotFound, seed)
 	}

@@ -53,8 +53,8 @@ type FileOptions struct {
 	// Durability selects the append commit guarantee.
 	Durability Durability
 	// CheckpointEvery, when positive, writes a checkpoint automatically
-	// after every N accepted ingests, bounding reopen replay to the last
-	// N runs' log suffix.
+	// after every N accepted ingests (on a follower, N applied runs),
+	// bounding reopen replay to the last N runs' log suffix.
 	CheckpointEvery int
 	// GroupFlushDelay, when positive, lets a group-commit leader whose
 	// batch holds a single record wait this long for joiners — useful on

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,18 +87,6 @@ func TestAutoCheckpointDrainNil(t *testing.T) {
 // earlier lets a concurrent retry pass both checks and store the run
 // twice.
 func TestFileStoreConcurrentDuplicateRun(t *testing.T) {
-	mk := func(run string, n int) *provenance.RunLog {
-		art := fmt.Sprintf("%s-art-%d", run, n)
-		exec := fmt.Sprintf("%s-exec-%d", run, n)
-		return &provenance.RunLog{
-			Run:        provenance.Run{ID: run, WorkflowID: "wf", Status: provenance.StatusOK},
-			Artifacts:  []*provenance.Artifact{{ID: art, RunID: run, Type: "blob"}},
-			Executions: []*provenance.Execution{{ID: exec, RunID: run, ModuleID: "m", ModuleType: "T", Status: provenance.StatusOK}},
-			Events: []provenance.Event{
-				{Seq: 1, RunID: run, Kind: provenance.EventArtifactGen, ExecutionID: exec, ArtifactID: art},
-			},
-		}
-	}
 	const iters, dups, fillers = 40, 4, 4
 	for iter := 0; iter < iters; iter++ {
 		s, err := OpenFileStoreWith(t.TempDir(), FileOptions{Durability: DurabilityGroup})
@@ -110,7 +99,7 @@ func TestFileStoreConcurrentDuplicateRun(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				if err := s.PutRunLog(mk("dup", g)); err == nil {
+				if err := s.PutRunLog(genRun("dup", g)); err == nil {
 					successes.Add(1)
 				}
 			}(g)
@@ -119,7 +108,7 @@ func TestFileStoreConcurrentDuplicateRun(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				if err := s.PutRunLog(mk(fmt.Sprintf("fill-%d", g), g)); err != nil {
+				if err := s.PutRunLog(genRun(fmt.Sprintf("fill-%d", g), g)); err != nil {
 					t.Error(err)
 				}
 			}(g)
@@ -142,5 +131,59 @@ func TestFileStoreConcurrentDuplicateRun(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// genRun is a one-execution run generating one artifact; n tells apart
+// the entities of runs sharing an ID.
+func genRun(run string, n int) *provenance.RunLog {
+	art := fmt.Sprintf("%s-art-%d", run, n)
+	exec := fmt.Sprintf("%s-exec-%d", run, n)
+	return &provenance.RunLog{
+		Run:        provenance.Run{ID: run, WorkflowID: "wf", Status: provenance.StatusOK},
+		Artifacts:  []*provenance.Artifact{{ID: art, RunID: run, Type: "blob"}},
+		Executions: []*provenance.Execution{{ID: exec, RunID: run, ModuleID: "m", ModuleType: "T", Status: provenance.StatusOK}},
+		Events: []provenance.Event{
+			{Seq: 1, RunID: run, Kind: provenance.EventArtifactGen, ExecutionID: exec, ArtifactID: art},
+		},
+	}
+}
+
+// TestFollowerCheckpointCountsRuns: a follower FileStore counts
+// CheckpointEvery in applied runs, as its primary counts ingests, not in
+// shipped batches. One 4-run batch applied with CheckpointEvery 2 must
+// leave a checkpoint once Close has drained the trigger.
+func TestFollowerCheckpointCountsRuns(t *testing.T) {
+	primary, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	for i := 0; i < 4; i++ {
+		if err := primary.PutRunLog(genRun(fmt.Sprintf("run-%d", i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch, _, err := primary.ReadCommitted(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	follower, err := OpenFileStoreWith(dir, FileOptions{CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs, _, err := follower.ApplyReplicated(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != 4 {
+		t.Fatalf("one batch applied %d runs, want 4", len(logs))
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(CheckpointPath(dir)); err != nil {
+		t.Fatalf("no checkpoint after 4 runs applied with CheckpointEvery 2: %v", err)
 	}
 }

@@ -174,9 +174,9 @@ func TestQuickExpandClosureConformance(t *testing.T) {
 						t.Logf("%s %v: Closure(%s) = %v, %v; want %v, %v", s.Name(), dir, id, got, gerr, want, werr)
 						return false
 					}
-					fb, ferr := CloseOverExpand(s.Expand, id, dir)
+					fb, ferr := closeOverExpand(s.Expand, id, dir)
 					if (werr == nil) != (ferr == nil) || fmt.Sprint(fb) != fmt.Sprint(want) {
-						t.Logf("%s %v: CloseOverExpand(%s) = %v, %v; want %v, %v", s.Name(), dir, id, fb, ferr, want, werr)
+						t.Logf("%s %v: closeOverExpand(%s) = %v, %v; want %v, %v", s.Name(), dir, id, fb, ferr, want, werr)
 						return false
 					}
 				}

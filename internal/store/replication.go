@@ -131,6 +131,10 @@ func (s *FileStore) ApplyReplicated(data []byte) ([]*provenance.RunLog, int64, e
 	for i, rc := range recs {
 		logs[i] = rc.l
 	}
-	s.autoCkpt.Tick(s.Checkpoint)
+	// One tick per applied run, as an ingest counts: CheckpointEvery counts
+	// runs on a follower as on its primary, however the runs were batched.
+	for range logs {
+		s.autoCkpt.Tick(s.Checkpoint)
+	}
 	return logs, end, nil
 }

@@ -4,9 +4,9 @@ package shardedstore
 // + cross-shard frontier exchange): on chain-, star- and diamond-shaped
 // DAGs — including cross-shard generator re-declarations, the
 // last-write-wins case whose stale edges a shard's local walk may follow —
-// the pushdown must answer exactly like the per-edge reference BFS
-// (store.NaiveClosure) and the pre-pushdown per-hop path
-// (store.CloseOverExpand over Router.Expand), and its round count must stay
+// the pushdown must answer exactly like the per-edge reference BFS over
+// Router.Expand (store.NaiveClosure, the per-hop path the pushdown
+// replaced), and its round count must stay
 // within the cross-shard crossing bound. Run under -race in CI: the query
 // phase below exercises concurrent pushdowns against live ingest.
 
@@ -51,7 +51,7 @@ func shapedRun(runID string, execID string, uses, gens []string) *provenance.Run
 }
 
 // chainShape: run i consumes artifact i and generates artifact i+1 — the
-// deep-lineage worst case for per-hop scatter/gather. Occasional extra
+// deep-lineage worst case for a per-hop traversal. Occasional extra
 // runs re-declare the generator of an earlier chain artifact, which lands
 // on a (usually) different shard than the original declaration.
 func chainShape(rng *rand.Rand, tag string, n int) []*provenance.RunLog {
@@ -123,8 +123,8 @@ func diamondShape(rng *rand.Rand, tag string, n int) []*provenance.RunLog {
 }
 
 // assertPushdownConformance checks, for every entity and both directions,
-// that the pushdown Closure reproduces the per-edge reference BFS and the
-// per-hop path exactly, order included. (Round-count guarantees are pinned
+// that the pushdown Closure reproduces the per-edge reference BFS over
+// Router.Expand exactly, order included. (Round-count guarantees are pinned
 // separately against independently computed run placement — see
 // TestPushdownRoundsMatchChainCrossings — because the trace's own crossing
 // counter cannot discriminate a degraded round structure.)
@@ -133,18 +133,13 @@ func assertPushdownConformance(t *testing.T, r *Router, logs []*provenance.RunLo
 	for _, id := range entitiesOf(logs) {
 		for _, dir := range []store.Direction{store.Up, store.Down} {
 			want, werr := store.NaiveClosure(r, id, dir)
-			legacy, lerr := store.CloseOverExpand(r.Expand, id, dir)
 			got, _, gerr := r.TracedClosure(id, dir)
-			if (werr == nil) != (gerr == nil) || (lerr == nil) != (gerr == nil) {
-				t.Logf("%s %v: Closure(%s) errs: naive %v, legacy %v, pushdown %v", label, dir, id, werr, lerr, gerr)
+			if (werr == nil) != (gerr == nil) {
+				t.Logf("%s %v: Closure(%s) errs: naive %v, pushdown %v", label, dir, id, werr, gerr)
 				return false
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Logf("%s %v: pushdown Closure(%s) = %v, want naive %v", label, dir, id, got, want)
-				return false
-			}
-			if fmt.Sprint(got) != fmt.Sprint(legacy) {
-				t.Logf("%s %v: pushdown Closure(%s) = %v, want per-hop %v", label, dir, id, got, legacy)
 				return false
 			}
 		}
@@ -199,7 +194,7 @@ var shardKinds = []struct {
 }
 
 // Property: on chain, star and diamond DAGs with cross-shard generator
-// re-declarations, the pushdown Closure ≡ NaiveClosure ≡ the per-hop path
+// re-declarations, the pushdown Closure ≡ NaiveClosure over Router.Expand
 // at 1, 2 and 4 shards of either kind — with runs where placement puts
 // them (these small shapes mostly on one shard) and spread round-robin,
 // which puts chains, generator re-declarations and fan-ins across shards.

@@ -21,14 +21,14 @@
 //     O(entities), so the router reads no log and keeps no snapshot file of
 //     its own: each shard's checkpoint already restores the table the
 //     directory is derived from.
-//   - Parallel scatter/gather Expand: one BFS frontier fans out to every
-//     shard holding any frontier entity — one goroutine per shard with
-//     work — and the per-shard neighbor lists merge under the same
-//     tie-break/dedup rules as the single-store backends
+//   - Routed Expand: one BFS frontier is planned against the directory and
+//     every shard holding any frontier entity expands its share, in turn on
+//     the calling goroutine; the per-shard neighbor lists merge under the
+//     same tie-break/dedup rules as the single-store backends
 //     (store.MergeNeighbors; artifact Up edges come only from the
 //     generator's shard).
-//   - Closure pushdown in handles: instead of one scatter/gather round per
-//     BFS hop, each shard runs its local closure to fixpoint inside its own
+//   - Closure pushdown in handles: instead of one routed Expand per BFS
+//     hop, each shard runs its local closure to fixpoint inside its own
 //     lock (store.LocalCloser, the Shard contract), in its own handles, and
 //     only the frontier of entities whose edges continue on another shard
 //     is exchanged between rounds. Synchronization rounds drop from
@@ -44,8 +44,8 @@
 //     exact single-store BFS order. IDs become strings once, for the
 //     answer.
 //     TracedClosure exposes the round structure (-trace-rounds); the
-//     per-hop traversal this replaced is store.CloseOverExpand over
-//     Router.Expand, which the conformance tests still compare against.
+//     conformance tests compare every answer with store.NaiveClosure, the
+//     per-hop traversal over Router.Expand that the pushdown replaced.
 //
 // The router holds no edges of its own: shards own the graph, the router
 // owns only the run placement and the directory, so its resident footprint
@@ -76,13 +76,13 @@ import (
 // The underlying per-shard FileStores feed the prov_store_* families; these
 // series measure the routed operation end to end, so the gap between
 // prov_store_closure_seconds and prov_router_closure_seconds is the
-// scatter/gather + frontier-exchange overhead.
+// routing + frontier-exchange overhead.
 var (
 	mRouterIngestSecs  = obs.Default().Histogram("prov_router_ingest_seconds", "Routed PutRunLog latency: shard commit plus global index.")
 	mRouterClosureSecs = obs.Default().Histogram("prov_router_closure_seconds", "Sharded closure latency (the frontier-exchange pushdown, end to end).")
 	mRouterRounds      = obs.Default().ValueHistogram("prov_router_closure_rounds", "Pushdown rounds per sharded closure.")
 	mRouterCrossings   = obs.Default().ValueHistogram("prov_router_closure_crossings", "Cross-shard frontier crossings per sharded closure.")
-	mRouterFanout      = obs.Default().ValueHistogram("prov_router_scatter_shards", "Shards probed per scatter/gather Expand.")
+	mRouterFanout      = obs.Default().ValueHistogram("prov_router_scatter_shards", "Shards probed per Expand.")
 	// Runs placed, by the placeLocked rule that picked their shard.
 	mPlacedByInputs   = obs.Default().Counter("prov_router_placements_total", placementsHelp, obs.L("reason", "inputs"))
 	mPlacedForBalance = obs.Default().Counter("prov_router_placements_total", placementsHelp, obs.L("reason", "balance"))
@@ -104,8 +104,8 @@ type Shard interface {
 const maxShards = 64
 
 // Router implements store.Store over N underlying shards (memory- or
-// file-backed). Reads scatter to the shards named by the directory and
-// gather under the shared merge rules; ingests place whole runs on one
+// file-backed). Reads go to the shards named by the directory, taken in
+// turn, and merge under the shared rules; ingests place whole runs on one
 // shard. Safe for concurrent readers and concurrent writers: writers
 // serialize per shard (plus a brief placement and directory update), not
 // globally.
@@ -117,10 +117,8 @@ type Router struct {
 
 	autoCkpt *store.AutoCheckpoint
 
-	// scratch pools Expand's per-shard request/response buffers, closures
-	// a pushdown closure's walks and node state, so wide fan-out hops and
+	// closures pools a pushdown closure's walks and node state, so
 	// closures stop reallocating them.
-	scratch  sync.Pool
 	closures sync.Pool
 
 	mu       sync.RWMutex
@@ -214,7 +212,6 @@ func New(shards []Shard) (*Router, error) {
 		ids:      map[string]int32{},
 		local:    make([][]int32, len(shards)),
 	}
-	r.scratch.New = func() any { return &expandScratch{} }
 	r.closures.New = func() any {
 		return &closureScratch{
 			walks:   make([]store.LocalWalk, len(shards)),
@@ -917,147 +914,59 @@ func mergeRuns[T any](r *Router, order []string,
 	return nil
 }
 
-// --- Store: scatter/gather traversal -----------------------------------------
+// --- Store: routed traversal -------------------------------------------------
 
-// expandScratch holds the per-shard request/response buffers one Expand
-// call needs. Pooled on the router, so repeated wide fan-out hops reuse the
-// same buffers instead of re-growing fresh ones every call.
-type expandScratch struct {
-	perShard [][]string            // per-shard probe lists
-	results  []map[string][]string // per-shard Expand responses
-	errs     []error
-	lists    [][]string // per-entity gather workspace
-}
-
-// getScratch checks a scratch buffer set out of the pool, sized for the
-// router's shard count with every slot reset.
-func (r *Router) getScratch() *expandScratch {
-	sc := r.scratch.Get().(*expandScratch)
-	n := len(r.shards)
-	if cap(sc.perShard) < n {
-		sc.perShard = make([][]string, n)
-		sc.results = make([]map[string][]string, n)
-		sc.errs = make([]error, n)
-	} else {
-		sc.perShard = sc.perShard[:n]
-		sc.results = sc.results[:n]
-		sc.errs = sc.errs[:n]
-	}
-	for i := 0; i < n; i++ {
-		sc.perShard[i] = sc.perShard[i][:0]
-		sc.results[i] = nil
-		sc.errs[i] = nil
-	}
-	sc.lists = sc.lists[:0]
-	return sc
-}
-
-// Expand implements Store: the frontier is planned against the entity
-// index, scattered to every shard with work in parallel (one goroutine per
-// shard, or a direct call when a single shard holds the whole frontier),
-// and gathered under the shared merge rules. Known entities always get an
-// entry; artifact Up edges come only from the shard holding the artifact's
-// current generator edge, so a generator re-declared on another shard
-// never resurrects the stale edge. Neighbor lists in the result may alias
-// the shards' per-call response slices; callers must not mutate them.
+// Expand implements Store: the frontier is planned against the directory,
+// each shard with work expands its share in turn on the calling goroutine,
+// and the lists are gathered under the shared merge rules. Known entities
+// always get an entry; artifact Up edges come only from the shard holding
+// the artifact's current generator edge, so a generator re-declared on
+// another shard never resurrects the stale edge. Neighbor lists in the
+// result may alias the shards' per-call response slices; callers must not
+// mutate them.
 func (r *Router) Expand(ids []string, dir store.Direction) (map[string][]string, error) {
-	sc := r.getScratch()
-	defer r.scratch.Put(sc)
-	plan := make(map[string]uint64, len(ids))
+	perShard := make([][]string, len(r.shards))
+	out := make(map[string][]string, len(ids))
 	r.mu.RLock()
 	for _, id := range ids {
-		if _, done := plan[id]; done {
+		if _, done := out[id]; done {
 			continue
 		}
-		// Unknown IDs stay absent from the plan and the result; a known
-		// artifact without a generator plans no shard going Up and gets an
-		// empty entry.
+		// Unknown IDs stay absent from the result; a known artifact without
+		// a generator probes no shard going Up and keeps its empty entry.
 		if e := r.entryLocked(id); e.known() {
-			shards := e.allowed(dir)
-			plan[id] = shards
-			for m := shards; m != 0; m &= m - 1 {
+			out[id] = nil
+			for m := e.allowed(dir); m != 0; m &= m - 1 {
 				si := bits.TrailingZeros64(m)
-				sc.perShard[si] = append(sc.perShard[si], id)
+				perShard[si] = append(perShard[si], id)
 			}
 		}
 	}
 	r.mu.RUnlock()
 
-	if obs.Enabled() {
-		fanout := 0
-		for _, seeds := range sc.perShard {
-			if len(seeds) > 0 {
-				fanout++
+	fanout := 0
+	for si, seeds := range perShard {
+		if len(seeds) == 0 {
+			continue
+		}
+		fanout++
+		res, err := r.shards[si].Expand(seeds, dir)
+		if err != nil {
+			return nil, err
+		}
+		// Every store answers an empty list as nil, so an entity adopts its
+		// first non-empty list and merges any later one.
+		for _, id := range seeds {
+			switch ns := res[id]; {
+			case out[id] == nil:
+				out[id] = ns
+			case len(ns) > 0:
+				out[id] = store.MergeNeighbors(out[id], ns)
 			}
 		}
-		mRouterFanout.ObserveValue(uint64(fanout))
 	}
-
-	// Scatter: one concurrent Expand per shard with work.
-	if err := scatter(sc.perShard, sc.errs, func(si int, seeds []string) (err error) {
-		sc.results[si], err = r.shards[si].Expand(seeds, dir)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
-	// Gather: merge per-shard neighbor lists per frontier entity, the
-	// result map preallocated from the frontier size.
-	out := make(map[string][]string, len(ids))
-	for id, shards := range plan {
-		lists := sc.lists[:0]
-		for ; shards != 0; shards &= shards - 1 {
-			if ns, ok := sc.results[bits.TrailingZeros64(shards)][id]; ok {
-				lists = append(lists, ns)
-			}
-		}
-		switch len(lists) {
-		case 0:
-			out[id] = nil
-		case 1:
-			// Single-shard entities adopt the shard's freshly built list
-			// without the merge copy.
-			out[id] = lists[0]
-		default:
-			out[id] = store.MergeNeighbors(lists...)
-		}
-		sc.lists = lists[:0]
-	}
+	mRouterFanout.ObserveValue(uint64(fanout))
 	return out, nil
-}
-
-// scatter runs probe once per shard with pending seeds, in parallel when
-// more than one shard participates (the single-shard round of a deep chain
-// traversal pays no goroutine handoff), and joins the per-shard errors.
-func scatter(perShard [][]string, errs []error, probe func(si int, seeds []string) error) error {
-	active, last := 0, -1
-	for si, list := range perShard {
-		if len(list) > 0 {
-			active++
-			last = si
-		}
-	}
-	switch {
-	case active == 0:
-		return nil
-	case active == 1:
-		errs[last] = probe(last, perShard[last])
-		return errs[last]
-	default:
-		var wg sync.WaitGroup
-		for si, list := range perShard {
-			if len(list) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(si int, list []string) {
-				defer wg.Done()
-				errs[si] = probe(si, list)
-			}(si, list)
-		}
-		wg.Wait()
-	}
-	return errors.Join(errs...)
 }
 
 // ClosureTrace describes the round structure of one pushdown Closure: the
@@ -1233,7 +1142,7 @@ func (r *Router) pushdown(seed string, dir store.Direction, tr *ClosureTrace, tr
 			tr.Crossings += npending
 		}
 
-		// Scatter: one local fixpoint per shard with probes; each shard's
+		// One local fixpoint per shard with probes, in turn; each shard's
 		// walk stops at what it expanded in an earlier round.
 		var probed uint64
 		for si, seeds := range cs.pending {
@@ -1241,30 +1150,16 @@ func (r *Router) pushdown(seed string, dir store.Direction, tr *ClosureTrace, tr
 				probed |= 1 << uint(si)
 			}
 		}
-		for m := probed &^ begun; m != 0; m &= m - 1 {
-			si := bits.TrailingZeros64(m)
-			cs.walks[si].Begin()
-			cs.done[si] = 0
-		}
-		begun |= probed
-		if probed&(probed-1) == 0 {
-			si := bits.TrailingZeros64(probed)
-			r.shards[si].CloseLocal(&cs.walks[si], cs.pending[si], dir)
-		} else {
-			var wg sync.WaitGroup
-			for m := probed; m != 0; m &= m - 1 {
-				wg.Add(1)
-				go func(si int) {
-					defer wg.Done()
-					r.shards[si].CloseLocal(&cs.walks[si], cs.pending[si], dir)
-				}(bits.TrailingZeros64(m))
-			}
-			wg.Wait()
-		}
 		for m := probed; m != 0; m &= m - 1 {
 			si := bits.TrailingZeros64(m)
+			if begun&(1<<uint(si)) == 0 {
+				cs.walks[si].Begin()
+				cs.done[si] = 0
+			}
+			r.shards[si].CloseLocal(&cs.walks[si], cs.pending[si], dir)
 			cs.pending[si] = cs.pending[si][:0]
 		}
+		begun |= probed
 
 		r.rlockCovering(cs.walks, probed)
 		if sequential {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -200,7 +201,12 @@ func agreesWithReference(t *testing.T, r *Router, ref *store.MemStore, logs []*p
 			}
 		}
 	}
+	// The whole frontier, an unknown ID, then every other entity again: a
+	// repeated ID must come back once, with the oracle's list.
 	probe := append(append([]string(nil), entities...), "ghost-entity")
+	for i := 0; i < len(entities); i += 2 {
+		probe = append(probe, entities[i])
+	}
 	for _, dir := range []store.Direction{store.Up, store.Down} {
 		want, err := ref.Expand(probe, dir)
 		if err != nil {
@@ -290,7 +296,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Readers exercise scatter/gather and the index under ingest.
+	// Readers exercise routed reads and the directory under ingest.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
@@ -509,5 +515,47 @@ func TestEmptyRunIDRefused(t *testing.T) {
 			}
 		}
 		st.Close()
+	}
+}
+
+// BenchmarkRouterExpand times Router.Expand on 16-ID frontiers, the size
+// of provload's /v1/expand requests, over 4 file shards holding 2 000
+// runs with shared inputs, from parallel readers in each direction. A
+// frontier is 16 artifacts consecutive in creation order: related
+// entities, as one BFS hop would send them.
+func BenchmarkRouterExpand(b *testing.B) {
+	const runs, frontier = 2000, 16
+	r, err := OpenWith(b.TempDir(), 4, store.FileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	logs := synthLogs(7, runs)
+	for _, l := range logs {
+		if err := r.PutRunLog(l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var arts []string
+	for _, id := range entitiesOf(logs) {
+		if strings.HasPrefix(id, "art-") {
+			arts = append(arts, id)
+		}
+	}
+	for _, dir := range []store.Direction{store.Up, store.Down} {
+		b.Run("dir="+dir.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var start atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				at := int(start.Add(997))
+				for pb.Next() {
+					at = (at + frontier) % (len(arts) - frontier)
+					if _, err := r.Expand(arts[at:at+frontier], dir); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
 	}
 }

@@ -35,9 +35,8 @@
 // both natively: MemStore over its adjacency maps and TripleStore over its
 // SPO/POS indexes, each under one read lock; FileStore over its resident
 // entity table by handle, never touching disk. NaiveClosure (one
-// single-entity Expand per visited node) and CloseOverExpand (one Expand
-// per hop) are the reference BFSs that conformance tests and benchmarks
-// compare against.
+// single-entity Expand per visited node) is the reference BFS that
+// conformance tests and benchmarks compare against.
 package store
 
 import (
@@ -170,13 +169,11 @@ type LocalCloser interface {
 	CloseLocal(w *LocalWalk, seeds []string, dir Direction)
 }
 
-// CloseOverExpand is the shared Closure fallback for minimal Store
-// implementations whose only batch primitive is Expand: one Expand call
-// per hop, visiting neighbors in per-node sorted order, seed excluded,
-// ErrNotFound for unknown seeds. The built-in backends implement Closure
-// natively (a single-lock BFS); this BFS is the per-hop reference the
-// conformance tests compare them with, and the body of NaiveClosure.
-func CloseOverExpand(expand func([]string, Direction) (map[string][]string, error), seed string, dir Direction) ([]string, error) {
+// closeOverExpand is the BFS of a closure over an Expand function: one
+// Expand call per hop, visiting neighbors in per-node sorted order, seed
+// excluded, ErrNotFound for unknown seeds. It is the body of NaiveClosure;
+// the built-in backends implement Closure natively (a single-lock BFS).
+func closeOverExpand(expand func([]string, Direction) (map[string][]string, error), seed string, dir Direction) ([]string, error) {
 	seen := map[string]bool{}
 	var order []string
 	frontier := []string{seed}
@@ -240,7 +237,7 @@ func bfsClosure(seed string, dir Direction, neighbors func(id string, dir Direct
 func NaiveClosure(s interface {
 	Expand(ids []string, dir Direction) (map[string][]string, error)
 }, entityID string, dir Direction) ([]string, error) {
-	return CloseOverExpand(func(ids []string, dir Direction) (map[string][]string, error) {
+	return closeOverExpand(func(ids []string, dir Direction) (map[string][]string, error) {
 		out := make(map[string][]string, len(ids))
 		for _, id := range ids {
 			adj, err := s.Expand([]string{id}, dir)
