@@ -110,21 +110,72 @@ func closureResult(s store.Store, ids []string) (*Result, error) {
 	return res, nil
 }
 
-// compareLiteral compares numerically when both sides parse as numbers,
+// num is a value as a comparison sees it: its text, and its float64 when
+// the whole text parses as one.
+type num struct {
+	s  string
+	f  float64
+	ok bool
+}
+
+// numOf parses s once. Only a text whose first byte could start a float —
+// a sign, a digit, '.', or the i or n of inf and nan — reaches
+// strconv.ParseFloat, so an ID or a name costs no parse and no error value.
+// A text ParseFloat refuses, out-of-range ones such as 1e400 included, is
+// not a number.
+func numOf(s string) num {
+	n := num{s: s}
+	if len(s) == 0 {
+		return n
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		f, err := strconv.ParseFloat(s, 64)
+		n.f, n.ok = f, err == nil
+	}
+	return n
+}
+
+// compareNums compares numerically when both sides are numbers,
 // lexicographically otherwise.
-func compareLiteral(a, b string) int {
-	fa, ea := strconv.ParseFloat(a, 64)
-	fb, eb := strconv.ParseFloat(b, 64)
-	if ea == nil && eb == nil {
+func compareNums(a, b num) int {
+	if a.ok && b.ok {
 		switch {
-		case fa < fb:
+		case a.f < b.f:
 			return -1
-		case fa > fb:
+		case a.f > b.f:
 			return 1
 		}
 		return 0
 	}
-	return strings.Compare(a, b)
+	return strings.Compare(a.s, b.s)
+}
+
+// The compareNums results a comparison operator accepts, one bit each.
+const (
+	below = 1 << iota
+	equal
+	above
+)
+
+var accepts = map[string]uint8{"=": equal, "!=": below | above, "<": below, ">": above, "<=": below | equal, ">=": above | equal}
+
+// accepted reports whether mask holds the bit of comparison result c.
+func accepted(mask uint8, c int) bool { return mask&(1<<(c+1)) != 0 }
+
+// compileCmp compiles the test `cell op lit` of a WHERE comparison or
+// LIKE. The literal is parsed here, once; against a literal that is no
+// number every cell compares as text, unparsed.
+func compileCmp(op, lit string) func(cell string) bool {
+	mask, isCmp := accepts[op]
+	if !isCmp {
+		return func(cell string) bool { return matchLike(cell, lit) }
+	}
+	want := numOf(lit)
+	if !want.ok {
+		return func(cell string) bool { return accepted(mask, strings.Compare(cell, lit)) }
+	}
+	return func(cell string) bool { return accepted(mask, compareNums(numOf(cell), want)) }
 }
 
 // matchLike implements SQL LIKE with '%' wildcards (no '_' support).

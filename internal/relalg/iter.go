@@ -193,6 +193,8 @@ type joinIter struct {
 	mi      int
 	built   bool
 	build   func() error
+	keyVals []Val  // the current tuple's key values
+	key     []byte // their key, reused from probe to probe
 }
 
 // streamJoin hash-joins two iterators on leftCol = rightCol; the output
@@ -247,7 +249,6 @@ func newJoinIter(outer, build Iterator, probeKey, buildKey []int, schema []strin
 	j.build = func() error {
 		defer build.Close()
 		j.buildIdx = map[string][]int{}
-		var keyBuf []Val
 		for {
 			t, err := build.Next()
 			if err != nil {
@@ -256,16 +257,22 @@ func newJoinIter(outer, build Iterator, probeKey, buildKey []int, schema []strin
 			if t == nil {
 				return nil
 			}
-			keyBuf = keyBuf[:0]
-			for _, i := range j.buildKey {
-				keyBuf = append(keyBuf, t.Values[i])
-			}
-			k := valueKey(keyBuf)
+			j.setKey(t, j.buildKey)
+			k := string(j.key)
 			j.buildIdx[k] = append(j.buildIdx[k], len(j.buildTups))
 			j.buildTups = append(j.buildTups, *t)
 		}
 	}
 	return j
+}
+
+// setKey makes j.key the key of t's values at idx.
+func (j *joinIter) setKey(t *Tuple, idx []int) {
+	j.keyVals = j.keyVals[:0]
+	for _, i := range idx {
+		j.keyVals = append(j.keyVals, t.Values[i])
+	}
+	j.key = appendKey(j.key[:0], j.keyVals)
 }
 
 func (j *joinIter) Schema() []string { return j.schema }
@@ -279,7 +286,6 @@ func (j *joinIter) Next() (*Tuple, error) {
 		}
 		j.built = true
 	}
-	var keyBuf []Val
 	for {
 		for j.cur != nil && j.mi < len(j.matches) {
 			bt := &j.buildTups[j.matches[j.mi]]
@@ -304,12 +310,9 @@ func (j *joinIter) Next() (*Tuple, error) {
 		if t == nil || err != nil {
 			return nil, err
 		}
-		keyBuf = keyBuf[:0]
-		for _, i := range j.probeIdx {
-			keyBuf = append(keyBuf, t.Values[i])
-		}
+		j.setKey(t, j.probeIdx)
 		j.cur = t
-		j.matches = j.buildIdx[valueKey(keyBuf)]
+		j.matches = j.buildIdx[string(j.key)]
 		j.mi = 0
 	}
 }
@@ -360,7 +363,9 @@ func StreamProject(in Iterator, cols ...string) (Iterator, error) {
 		fill: func() ([]Tuple, error) {
 			defer in.Close()
 			var out []Tuple
+			var key []byte
 			byKey := map[string]int{}
+			vals := make([]Val, len(idx))
 			for {
 				t, err := in.Next()
 				if err != nil {
@@ -369,17 +374,17 @@ func StreamProject(in Iterator, cols ...string) (Iterator, error) {
 				if t == nil {
 					return out, nil
 				}
-				vals := make([]Val, len(idx))
 				for j, i := range idx {
 					vals[j] = t.Values[i]
 				}
-				k := valueKey(vals)
-				if at, ok := byKey[k]; ok {
+				key = appendKey(key[:0], vals)
+				if at, ok := byKey[string(key)]; ok {
 					out[at].Prov = unionWitnessSets(out[at].Prov, t.Prov)
 					continue
 				}
-				byKey[k] = len(out)
+				byKey[string(key)] = len(out)
 				out = append(out, Tuple{Values: vals, Prov: t.Prov})
+				vals = make([]Val, len(idx))
 			}
 		},
 	}, nil
@@ -398,14 +403,15 @@ func streamUnion(a, b Iterator) (Iterator, error) {
 			defer a.Close()
 			defer b.Close()
 			var out []Tuple
+			var key []byte
 			byKey := map[string]int{}
 			add := func(t *Tuple) {
-				k := valueKey(t.Values)
-				if at, ok := byKey[k]; ok {
+				key = appendKey(key[:0], t.Values)
+				if at, ok := byKey[string(key)]; ok {
 					out[at].Prov = unionWitnessSets(out[at].Prov, t.Prov)
 					return
 				}
-				byKey[k] = len(out)
+				byKey[string(key)] = len(out)
 				out = append(out, Tuple{Values: t.Values, Prov: t.Prov})
 			}
 			for _, in := range []Iterator{a, b} {
@@ -460,6 +466,7 @@ func streamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iter
 			}
 			groups := map[string]*group{}
 			var order []string
+			var key []byte
 			for {
 				t, err := in.Next()
 				if err != nil {
@@ -468,9 +475,10 @@ func streamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iter
 				if t == nil {
 					break
 				}
-				k := valueKey([]Val{t.Values[ki]})
-				g, ok := groups[k]
+				key = appendKey(key[:0], t.Values[ki:ki+1])
+				g, ok := groups[string(key)]
 				if !ok {
+					k := string(key)
 					g = &group{key: t.Values[ki], first: true}
 					groups[k] = g
 					order = append(order, k)
@@ -519,14 +527,17 @@ func streamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iter
 }
 
 // StreamSortBy drains and stable-sorts by an arbitrary comparator over the
-// named column: PQL's ORDER BY (numeric-aware, optionally descending)
-// plugs in here, carrying the sort key through the pipeline instead of
-// re-deriving it after projection.
+// named column.
 func StreamSortBy(in Iterator, col string, less func(a, b Val) bool) (Iterator, error) {
-	return streamSortBy(in, col, less)
+	return StreamSortByKey(in, col, func(v Val) Val { return v }, less)
 }
 
-func streamSortBy(in Iterator, col string, less func(a, b Val) bool) (Iterator, error) {
+// StreamSortByKey drains and stable-sorts by less over key(v) of each
+// tuple's value v in the named column, computed once per tuple rather than
+// once per comparison: PQL's ORDER BY (numeric-aware, optionally
+// descending) plugs in here, carrying the sort key through the pipeline
+// instead of re-deriving it after projection.
+func StreamSortByKey[K any](in Iterator, col string, key func(Val) K, less func(a, b K) bool) (Iterator, error) {
 	i, err := colIndex(in.Schema(), col)
 	if err != nil {
 		return nil, err
@@ -536,7 +547,11 @@ func streamSortBy(in Iterator, col string, less func(a, b Val) bool) (Iterator, 
 		schema: schema,
 		fill: func() ([]Tuple, error) {
 			defer in.Close()
-			var out []Tuple
+			type keyed struct {
+				k K
+				t Tuple
+			}
+			var rows []keyed
 			for {
 				t, err := in.Next()
 				if err != nil {
@@ -545,11 +560,13 @@ func streamSortBy(in Iterator, col string, less func(a, b Val) bool) (Iterator, 
 				if t == nil {
 					break
 				}
-				out = append(out, *t)
+				rows = append(rows, keyed{key(t.Values[i]), *t})
 			}
-			sort.SliceStable(out, func(a, b int) bool {
-				return less(out[a].Values[i], out[b].Values[i])
-			})
+			sort.SliceStable(rows, func(a, b int) bool { return less(rows[a].k, rows[b].k) })
+			out := make([]Tuple, len(rows))
+			for j := range rows {
+				out[j] = rows[j].t
+			}
 			return out, nil
 		},
 	}, nil

@@ -17,6 +17,7 @@ package relalg
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -241,10 +242,31 @@ func (r *Relation) String() string {
 
 // valueKey returns a canonical key of the tuple's values (for dedup and set
 // operations).
-func valueKey(vals []Val) string {
-	parts := make([]string, len(vals))
+func valueKey(vals []Val) string { return string(appendKey(nil, vals)) }
+
+// appendKey appends vals' key to buf: each value as its type name, \x01 and
+// its %v text, joined by \x00 — the bytes of fmt.Sprintf("%T\x01%v") per
+// value, written without fmt for the types a plan carries. Hot paths keep
+// one buffer and look a key up as m[string(buf)], which does not allocate.
+func appendKey(buf []byte, vals []Val) []byte {
 	for i, v := range vals {
-		parts[i] = fmt.Sprintf("%T\x01%v", v, v)
+		if i > 0 {
+			buf = append(buf, 0)
+		}
+		switch x := v.(type) {
+		case string:
+			buf = append(append(buf, "string\x01"...), x...)
+		case int64:
+			buf = strconv.AppendInt(append(buf, "int64\x01"...), x, 10)
+		case int:
+			buf = strconv.AppendInt(append(buf, "int\x01"...), int64(x), 10)
+		case float64:
+			buf = strconv.AppendFloat(append(buf, "float64\x01"...), x, 'g', -1, 64)
+		case bool:
+			buf = strconv.AppendBool(append(buf, "bool\x01"...), x)
+		default:
+			buf = fmt.Appendf(buf, "%T\x01%v", v, v)
+		}
 	}
-	return strings.Join(parts, "\x00")
+	return buf
 }
