@@ -186,72 +186,6 @@ func TestE17BatteryAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestSelectiveSelectAllocsFollowRowsReturned: a selective SELECT on a
-// FileStore's warm row image allocates for the rows it returns, not for the
-// rows it scans. Between 300 and 1 200 runs (1 800 and 7 200 executions
-// scanned) the Softmean query returns nothing at either size and may not
-// allocate more; the Contour query returns one execution in six and may
-// allocate a few more per extra row returned. Every execution carries a
-// wallNanos too large for strconv's small-number cache, so a leaf that
-// formats or boxes a row before testing it shows here: one that builds
-// every row's tuple first allocates about twelve times per row scanned,
-// tens of thousands more at the larger size.
-func TestSelectiveSelectAllocsFollowRowsReturned(t *testing.T) {
-	queries := []string{
-		"SELECT id, module FROM executions WHERE moduleType = 'Softmean'",
-		"SELECT id, module FROM executions WHERE moduleType = 'Contour'",
-	}
-	measure := func(runs int) (allocs []float64, rows []int) {
-		fs, err := store.OpenFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fs.Close()
-		for i := 0; i < runs; i++ {
-			l := e17SynthLog(i, 6)
-			for _, e := range l.Executions {
-				e.WallNanos = int64(1_000_000 + i) // a cell the query neither tests nor returns
-			}
-			if err := fs.PutRunLog(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, src := range queries {
-			q, err := pql.Parse(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := pql.Execute(fs, q) // builds the row image
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows = append(rows, len(res.Rows))
-			allocs = append(allocs, testing.AllocsPerRun(5, func() {
-				if _, err := pql.Execute(fs, q); err != nil {
-					t.Fatal(err)
-				}
-			}))
-		}
-		return allocs, rows
-	}
-	const perRowReturned, slack = 16, 64
-	smallAllocs, smallRows := measure(300)
-	largeAllocs, largeRows := measure(1200)
-	for i, src := range queries {
-		extra := largeRows[i] - smallRows[i]
-		limit := smallAllocs[i] + float64(perRowReturned*extra+slack)
-		t.Logf("%s: %.0f allocs for %d rows at 300 runs, %.0f for %d at 1200 (limit %.0f)",
-			src, smallAllocs[i], smallRows[i], largeAllocs[i], largeRows[i], limit)
-		if largeAllocs[i] > limit {
-			t.Errorf("%s: %.0f allocs at 1200 runs, more than %.0f: %.0f at 300 runs plus %d per extra row returned (%d) plus %d",
-				src, largeAllocs[i], limit, smallAllocs[i], perRowReturned, extra, slack)
-		}
-	}
-	if smallRows[0] != 0 || smallRows[1] == 0 {
-		t.Fatalf("rows returned at 300 runs: %v, want none and some", smallRows)
-	}
-}
-
 // TestConcurrentSelectsOnShards runs the E17 battery from four goroutines
 // at once over a 4-shard router, of memory and of file shards: every answer
 // must be the battery's serial answer. Under -race it checks that what a

@@ -2,8 +2,7 @@ package pql
 
 import (
 	"fmt"
-	"runtime/metrics"
-	"slices"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -17,23 +16,23 @@ import (
 // one leaf per table with every column a variable, the JOIN's ON column
 // sharing the FROM column's variable, and each top-level WHERE conjunct a
 // residual filter, which the planner runs on the one table it touches or
-// just above the join — and puts COUNT, ORDER BY, LIMIT and the projection
-// above the plan. The conjuncts the plan puts on a leaf run inside the
-// one pass over the store's rows (internal/query/scan, parallel across
-// shards on a sharded store), on each row's cells as strings: only a row
-// that passes becomes a flat []Val tuple, and the plan is bound with
-// BindSelected so they do not run twice. A conjunct's literal is parsed
-// when it is compiled, and a cell only when it could be a number
-// (numOf). The sort key is carried through the pipeline, parsed once per
-// tuple, so ORDER BY works on any addressable column, not just selected
-// ones. The plan is prepared before the scan, so every validation error —
-// unknown table or column, bad ON reference — is raised before the first
-// leaf scan and a query that fails validation reads nothing; with no
-// tuple counts at prepare time the planner keeps the text order (the FROM
-// table probes, the JOIN table builds). No WHERE conjunct becomes a
-// constant term: PQL's = compares numerically (compareNums), the
-// planner's constants match exactly. The eager evaluator this replaced is
-// the in-package test reference (reference_test.go).
+// just above the join — and puts COUNT, ORDER BY, LIMIT and the
+// projection above the plan. Virtual-table rows are flat []Val tuples (one
+// small slice per row instead of a map with qualified and bare keys), the
+// sort key is carried through the pipeline so ORDER BY works on any
+// addressable column, not just selected ones, and leaf scans go through
+// internal/query/scan, which fans out across shards in parallel on a
+// sharded store. A conjunct's literal is parsed when it is compiled
+// (compileCmp), an ORDER BY value once per tuple, and a cell only when
+// its first byte could start a number (numOf). The plan is prepared
+// before the scan, so every validation error — unknown table or column,
+// bad ON reference — is raised before the first leaf scan and a query
+// that fails validation reads nothing; with no tuple counts at prepare
+// time the planner keeps the text order (the FROM table probes, the JOIN
+// table builds). No WHERE conjunct becomes a constant term: PQL's =
+// compares numerically (compareNums), the planner's constants match
+// exactly. The eager evaluator this replaced is the in-package test
+// reference (reference_test.go).
 
 // Explain reports how a streaming query ran: the join roles chosen, every
 // operator's emitted-row count, the parallel scan width, and bytes
@@ -70,12 +69,11 @@ func (e *Explain) String() string {
 // returns the executed plan's counters alongside the result.
 func ExecuteExplain(s store.Store, q *Query) (*Result, *Explain, error) {
 	ex := &Explain{}
-	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(allocs)
-	before := allocs[0].Value.Uint64()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	res, err := executeWith(s, q, ex)
-	metrics.Read(allocs)
-	ex.AllocBytes = allocs[0].Value.Uint64() - before
+	runtime.ReadMemStats(&after)
+	ex.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	if err != nil {
 		return nil, nil, err
 	}
@@ -216,34 +214,25 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 	}
 
 	filters := make([]relalg.Filter, len(conjuncts))
-	conds := make([]cond, len(conjuncts))
 	for i, c := range conjuncts {
 		for _, col := range columns(c) {
 			filters[i].Vars = append(filters[i].Vars, varOf(col))
 		}
-		conds[i] = compileCond(c, new(int))
-		filters[i].Pred = overVals(conds[i], len(filters[i].Vars))
+		filters[i].Pred = compilePred(c, new(int))
 	}
 	pc, err := relalg.PrepareConj(leaves, output, filters)
 	if err != nil {
 		return nil, err
 	}
 
-	// Leaf scans: one pass over the store's rows fills every leaf, each
-	// testing its rows with the conjuncts the plan put on it before it
-	// builds a tuple.
-	scans := make([]*leafScan, len(leaves))
-	for i, l := range leaves {
-		scans[i] = newLeafScan(l, pc.LeafFilters(i), filters, conds)
-	}
-	shards, err := scanLeaves(s, scans)
+	// Leaf scans: one pass over the run logs fills every needed table.
+	scanned, shards, err := scanLeaves(s, tables)
 	if err != nil {
 		return nil, err
 	}
-	tuples := make([][]relalg.Tuple, len(scans))
-	examined := make([]int, len(scans))
-	for i, l := range scans {
-		tuples[i], examined[i] = l.tuples, l.examined
+	tuples := make([][]relalg.Tuple, len(tables))
+	for i, t := range tables {
+		tuples[i] = scanned[t]
 	}
 	var ops *[]*relalg.OpStat
 	if ex != nil {
@@ -251,7 +240,7 @@ func execSelectStream(s store.Store, sel *SelectStmt, ex *Explain) (*Result, err
 		ex.JoinOrder = tables
 		ops = &ex.Ops
 	}
-	it, err := pc.BindSelected(tuples, examined, ops)
+	it, err := pc.Bind(tuples, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -395,145 +384,76 @@ func columns(e Expr) []string {
 	return []string{e.(*cmpExpr).col}
 }
 
-// cond is a compiled WHERE expression over the string values it reads.
-type cond func(vals []string) bool
-
-// compileCond compiles an expression: the k-th column reference, left to
-// right as columns lists them, reads vals[k]; next counts the references
-// compiled so far.
-func compileCond(e Expr, next *int) cond {
+// compilePred compiles an expression into a closure over a filter's
+// values: the k-th column reference, left to right as columns lists them,
+// reads vals[k]; next counts the references compiled so far. Every
+// operator is one the parser accepts, and each comparison's literal is
+// parsed here, once (compileCmp).
+func compilePred(e Expr, next *int) relalg.Pred {
 	if x, ok := e.(*binExpr); ok {
-		l := compileCond(x.l, next)
-		r := compileCond(x.r, next)
+		l := compilePred(x.l, next)
+		r := compilePred(x.r, next)
 		if x.op == "and" {
-			return func(vals []string) bool { return l(vals) && r(vals) }
+			return func(vals []relalg.Val) bool { return l(vals) && r(vals) }
 		}
-		return func(vals []string) bool { return l(vals) || r(vals) }
+		return func(vals []relalg.Val) bool { return l(vals) || r(vals) }
 	}
 	x := e.(*cmpExpr)
 	i, test := *next, compileCmp(x.op, x.val)
 	*next++
-	return func(vals []string) bool { return test(vals[i]) }
+	return func(vals []relalg.Val) bool { return test(vals[i].(string)) }
 }
 
-// overVals is c as a planner filter, for a conjunct the plan runs above a
-// join: every PQL value is a string. The plan runs in one goroutine, so
-// one buffer serves every call.
-func overVals(c cond, n int) relalg.Pred {
-	buf := make([]string, n)
-	return func(vals []relalg.Val) bool {
-		for k, v := range vals {
-			buf[k] = v.(string)
+// scanLeaves fills the requested virtual tables in ONE pass over the
+// store's rows (parallel across shards on a sharded store, from the row
+// image on a file store), producing flat value tuples.
+func scanLeaves(s store.Store, tables []string) (map[string][]relalg.Tuple, int, error) {
+	out := make(map[string][]relalg.Tuple, len(tables))
+	want := map[string]bool{}
+	for _, t := range tables {
+		want[t] = true
+		out[t] = nil
+	}
+	add := func(table string, vals ...string) {
+		vs := make([]relalg.Val, len(vals))
+		for i, v := range vals {
+			vs[i] = v
 		}
-		return c(buf)
+		out[table] = append(out[table], relalg.Tuple{Values: vs})
 	}
-}
-
-// leafScan is one leaf's share of the single pass over the store's rows:
-// the table it reads, the conjuncts the plan placed on it, and the tuples
-// of the rows that passed them out of the rows examined.
-type leafScan struct {
-	table    string
-	tests    []leafTest
-	args     []string // one test's values, gathered from the row
-	intCol   int      // the table's integer column; -1 if it has none
-	readsInt bool     // some test reads it
-	examined int
-	tuples   []relalg.Tuple
-}
-
-// leafTest is one conjunct on a leaf: c over the row's cells at pos.
-type leafTest struct {
-	pos []int
-	c   cond
-}
-
-// newLeafScan prepares the scan of leaf l, which runs the conjuncts the
-// plan placed on it: placed indexes filters and conds.
-func newLeafScan(l relalg.Leaf, placed []int, filters []relalg.Filter, conds []cond) *leafScan {
-	ls := &leafScan{table: l.Name, intCol: intCol(l.Name)}
-	for _, f := range placed {
-		t := leafTest{c: conds[f]}
-		for _, v := range filters[f].Vars {
-			p := slices.IndexFunc(l.Terms, func(t relalg.PlanTerm) bool { return t.Var == v })
-			t.pos = append(t.pos, p)
-			ls.readsInt = ls.readsInt || p == ls.intCol
+	shards, err := scan.ShardedRows(s, func(r *store.RunRows) error {
+		if want["runs"] {
+			add("runs", r.Run.ID, r.Run.Workflow, r.Run.Hash, r.Run.Agent, r.Run.Status)
 		}
-		ls.args = make([]string, max(len(ls.args), len(t.pos)))
-		ls.tests = append(ls.tests, t)
-	}
-	return ls
-}
-
-// intCol is the position of table's one integer column (store.RowSchemas),
-// or -1 for a table of strings.
-func intCol(table string) int {
-	switch table {
-	case "executions":
-		return 5 // wallNanos
-	case "artifacts":
-		return 4 // size
-	}
-	return -1
-}
-
-// row takes one row of the leaf's table: cells holds its columns, the
-// integer one (at intCol) as n, formatted into its cell only when a test
-// reads it or the row passes. A row the tests drop allocates nothing.
-func (l *leafScan) row(cells []string, n int64) {
-	l.examined++
-	if l.readsInt {
-		cells[l.intCol] = strconv.FormatInt(n, 10)
-	}
-	for _, t := range l.tests {
-		args := l.args[:len(t.pos)]
-		for k, p := range t.pos {
-			args[k] = cells[p]
+		if want["executions"] {
+			for _, e := range r.Executions {
+				add("executions", e.ID, e.Run, e.Module, e.ModuleType, e.Status, strconv.FormatInt(e.WallNanos, 10))
+			}
 		}
-		if !t.c(args) {
-			return
+		if want["artifacts"] {
+			for _, a := range r.Artifacts {
+				add("artifacts", a.ID, a.Run, a.Type, a.ContentHash, strconv.FormatInt(a.Size, 10))
+			}
 		}
-	}
-	if l.intCol >= 0 && !l.readsInt {
-		cells[l.intCol] = strconv.FormatInt(n, 10)
-	}
-	vs := make([]relalg.Val, len(cells))
-	for i, c := range cells {
-		vs[i] = c
-	}
-	l.tuples = append(l.tuples, relalg.Tuple{Values: vs})
-}
-
-// scanLeaves fills every leaf in ONE pass over the store's rows (parallel
-// across shards on a sharded store, from the row image on a file store).
-// Each row is handed to a leaf as cells in one reused buffer.
-func scanLeaves(s store.Store, leaves []*leafScan) (shards int, err error) {
-	cells := make([]string, 0, 6)
-	return scan.ShardedRows(s, func(r *store.RunRows) error {
-		for _, l := range leaves {
-			switch l.table {
-			case "runs":
-				l.row(append(cells[:0], r.Run.ID, r.Run.Workflow, r.Run.Hash, r.Run.Agent, r.Run.Status), 0)
-			case "executions":
-				for _, e := range r.Executions {
-					l.row(append(cells[:0], e.ID, e.Run, e.Module, e.ModuleType, e.Status, ""), e.WallNanos)
+		if want["uses"] || want["gens"] {
+			for _, e := range r.Edges {
+				if e.Gen && want["gens"] {
+					add("gens", e.Exec, e.Artifact, e.Port)
 				}
-			case "artifacts":
-				for _, a := range r.Artifacts {
-					l.row(append(cells[:0], a.ID, a.Run, a.Type, a.ContentHash, ""), a.Size)
+				if !e.Gen && want["uses"] {
+					add("uses", e.Exec, e.Artifact, e.Port)
 				}
-			case "uses", "gens":
-				for _, e := range r.Edges {
-					if e.Gen == (l.table == "gens") {
-						l.row(append(cells[:0], e.Exec, e.Artifact, e.Port), 0)
-					}
-				}
-			case "annotations":
-				for _, an := range r.Annotations {
-					l.row(append(cells[:0], an.Subject, an.Key, an.Value, an.Author), 0)
-				}
+			}
+		}
+		if want["annotations"] {
+			for _, an := range r.Annotations {
+				add("annotations", an.Subject, an.Key, an.Value, an.Author)
 			}
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, shards, nil
 }

@@ -526,12 +526,6 @@ func streamGroupBy(in Iterator, keyCol string, agg AggFunc, aggCol string) (Iter
 	}, nil
 }
 
-// StreamSortBy drains and stable-sorts by an arbitrary comparator over the
-// named column.
-func StreamSortBy(in Iterator, col string, less func(a, b Val) bool) (Iterator, error) {
-	return StreamSortByKey(in, col, func(v Val) Val { return v }, less)
-}
-
 // StreamSortByKey drains and stable-sorts by less over key(v) of each
 // tuple's value v in the named column, computed once per tuple rather than
 // once per comparison: PQL's ORDER BY (numeric-aware, optionally

@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// valueKey is vals' key as one string.
+func valueKey(vals []Val) string { return string(appendKey(nil, vals)) }
+
 // TestValueKeyEqualityMatchesFmt pins valueKey's equality to that of the
 // key it replaced, fmt.Sprintf("%T\x01%v") per value joined by \x00: two
 // value lists get equal keys exactly when those keys are equal, and a list

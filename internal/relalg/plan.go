@@ -22,10 +22,7 @@ var mExecPlans = obs.Default().Counter("prov_exec_plans_total", "Conjunctive que
 // lowest point where its variables are bound — constants, repeated
 // variables and single-leaf filters on the leaf scan, the rest just above
 // the first join that binds them — and chains streaming natural hash joins
-// over the iterator layer in iter.go. A caller that reads its leaves from
-// raw rows (PQL) may run a leaf's filters itself, before it builds the
-// row's tuple, and bind only the rows that pass (LeafFilters,
-// BindSelected).
+// over the iterator layer in iter.go.
 
 // PlanTerm is one argument position of a leaf atom: either a variable
 // (Var non-empty) or a constant value.
@@ -72,12 +69,10 @@ type PreparedConj struct {
 }
 
 // placed is one selection at its place in the plan: pred over the row
-// values at pos. filter is its index in PrepareConj's filters, or -1 for a
-// leaf's constant or repeated-variable test.
+// values at pos.
 type placed struct {
-	pos    []int
-	pred   Pred
-	filter int
+	pos  []int
+	pred Pred
 }
 
 // preparedLeaf is the compiled shape of one atom: everything PrepareConj
@@ -128,13 +123,13 @@ func PrepareConj(leaves []Leaf, output []string, filters []Filter) (*PreparedCon
 		}
 	}
 	pc.post = make([][]placed, len(pc.order))
-	for fi, f := range filters {
+	for _, f := range filters {
 		for _, v := range f.Vars {
 			if _, ok := at[v]; !ok {
 				return nil, fmt.Errorf("relalg: plan: filter variable %q not bound by any leaf", v)
 			}
 		}
-		pc.place(fi, f, at, step)
+		pc.place(f, at, step)
 	}
 	if !slices.Equal(schema, output) {
 		pc.proj = make([]int, len(output))
@@ -145,13 +140,13 @@ func PrepareConj(leaves []Leaf, output []string, filters []Filter) (*PreparedCon
 	return pc, nil
 }
 
-// place puts f, the fi-th filter, on the first leaf in join order that
-// binds all its variables, or else just above the first join that does.
-func (pc *PreparedConj) place(fi int, f Filter, at, step map[string]int) {
+// place puts f on the first leaf in join order that binds all its
+// variables, or else just above the first join that does.
+func (pc *PreparedConj) place(f Filter, at, step map[string]int) {
 	for _, i := range pc.order {
 		pl := &pc.leaves[i]
 		if pos, ok := positions(pl.at, f.Vars); ok {
-			pl.sel = append(pl.sel, placed{pos, f.Pred, fi})
+			pl.sel = append(pl.sel, placed{pos, f.Pred})
 			return
 		}
 	}
@@ -160,19 +155,7 @@ func (pc *PreparedConj) place(fi int, f Filter, at, step map[string]int) {
 		k = max(k, step[v])
 	}
 	pos, _ := positions(at, f.Vars)
-	pc.post[k] = append(pc.post[k], placed{pos, f.Pred, fi})
-}
-
-// LeafFilters lists the filters the plan runs on leaf i's scan, as indices
-// into PrepareConj's filters. A caller that can test its rows before it
-// builds their tuples runs these itself and binds only the survivors
-// (BindSelected).
-func (pc *PreparedConj) LeafFilters(i int) []int {
-	var out []int
-	for _, s := range pc.leaves[i].sel {
-		out = append(out, s.filter)
-	}
-	return out
+	pc.post[k] = append(pc.post[k], placed{pos, f.Pred})
 }
 
 // positions looks up each of vars in at.
@@ -193,40 +176,13 @@ func positions(at map[string]int, vars []string) ([]int, bool) {
 // ops is non-nil, every scan, selection and join is counted, and its
 // OpStat appended to *ops in pipeline order (explain).
 func (pc *PreparedConj) Bind(tuples [][]Tuple, ops *[]*OpStat) (Iterator, error) {
-	return pc.bind(tuples, nil, ops)
-}
-
-// BindSelected is Bind over leaves whose rows the caller has already
-// tested with LeafFilters: tuples[i] holds the rows of leaf i that passed,
-// out of examined[i] rows tested. Those filters do not run again, and the
-// counters read as Bind's would: scan(leaf) the rows examined,
-// select(leaf) the rows that passed. Every leaf must be a list of distinct
-// variables, as a constant or a repeated variable is a test only Bind runs.
-func (pc *PreparedConj) BindSelected(tuples [][]Tuple, examined []int, ops *[]*OpStat) (Iterator, error) {
-	if len(examined) != len(pc.leaves) {
-		return nil, fmt.Errorf("relalg: bind: %d examined counts for %d leaves", len(examined), len(pc.leaves))
-	}
-	for _, pl := range pc.leaves {
-		if pl.bind != nil {
-			return nil, fmt.Errorf("relalg: bind: leaf %s has a constant or a repeated variable", pl.name)
-		}
-	}
-	return pc.bind(tuples, examined, ops)
-}
-
-// bind is Bind, and BindSelected when examined is non-nil.
-func (pc *PreparedConj) bind(tuples [][]Tuple, examined []int, ops *[]*OpStat) (Iterator, error) {
 	if len(tuples) != len(pc.leaves) {
 		return nil, fmt.Errorf("relalg: bind: %d tuple slices for %d leaves", len(tuples), len(pc.leaves))
 	}
 	var root Iterator
 	for k, i := range pc.order {
 		pl := &pc.leaves[i]
-		n := -1
-		if examined != nil {
-			n = examined[i]
-		}
-		it := pl.bindTuples(tuples[i], n, ops)
+		it := pl.bindTuples(tuples[i], ops)
 		if k == 0 {
 			root = it
 			continue
@@ -287,9 +243,9 @@ func prepareLeaf(l *Leaf) preparedLeaf {
 		case t.Var == "":
 			c := t.Const
 			pl.hasConst = true
-			pl.sel = append(pl.sel, placed{[]int{i}, func(v []Val) bool { return compareVals(v[0], c) == 0 }, -1})
+			pl.sel = append(pl.sel, placed{[]int{i}, func(v []Val) bool { return compareVals(v[0], c) == 0 }})
 		case seen:
-			pl.sel = append(pl.sel, placed{[]int{j, i}, func(v []Val) bool { return compareVals(v[0], v[1]) == 0 }, -1})
+			pl.sel = append(pl.sel, placed{[]int{j, i}, func(v []Val) bool { return compareVals(v[0], v[1]) == 0 }})
 		default:
 			pl.at[t.Var] = i
 			pl.vars = append(pl.vars, t.Var)
@@ -309,21 +265,10 @@ func prepareLeaf(l *Leaf) preparedLeaf {
 
 // bindTuples builds scan → selection → bind for one prepared atom over
 // fresh tuples. A leaf whose terms are distinct variables scans under
-// their names and needs no bind. When examined is not negative the caller
-// has run the selection on that many rows and tuples are the survivors:
-// the scan's count is examined and the selection only counts.
-func (pl *preparedLeaf) bindTuples(tuples []Tuple, examined int, ops *[]*OpStat) Iterator {
-	it := NewSliceScan(pl.name, pl.schema, tuples)
-	switch {
-	case len(pl.sel) == 0:
-		it = count(ops, it, "scan("+pl.name+")")
-	case examined >= 0:
-		if ops != nil {
-			*ops = append(*ops, &OpStat{Label: "scan(" + pl.name + ")", Rows: int64(examined)})
-		}
-		it = count(ops, it, "select("+pl.name+")")
-	default:
-		it = count(ops, it, "scan("+pl.name+")")
+// their names and needs no bind.
+func (pl *preparedLeaf) bindTuples(tuples []Tuple, ops *[]*OpStat) Iterator {
+	it := count(ops, NewSliceScan(pl.name, pl.schema, tuples), "scan("+pl.name+")")
+	if len(pl.sel) > 0 {
 		it = count(ops, streamSelect(it, selection(pl.sel)), "select("+pl.name+")")
 	}
 	if pl.bind != nil {

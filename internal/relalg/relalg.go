@@ -240,14 +240,11 @@ func (r *Relation) String() string {
 	return b.String()
 }
 
-// valueKey returns a canonical key of the tuple's values (for dedup and set
-// operations).
-func valueKey(vals []Val) string { return string(appendKey(nil, vals)) }
-
-// appendKey appends vals' key to buf: each value as its type name, \x01 and
-// its %v text, joined by \x00 — the bytes of fmt.Sprintf("%T\x01%v") per
-// value, written without fmt for the types a plan carries. Hot paths keep
-// one buffer and look a key up as m[string(buf)], which does not allocate.
+// appendKey appends vals' canonical key (for joins, dedup and set
+// operations) to buf: each value as its type name, \x01 and its %v text,
+// joined by \x00 — the bytes of fmt.Sprintf("%T\x01%v") per value, written
+// without fmt for the types a plan carries. Hot paths keep one buffer and
+// look a key up as m[string(buf)], which does not allocate.
 func appendKey(buf []byte, vals []Val) []byte {
 	for i, v := range vals {
 		if i > 0 {

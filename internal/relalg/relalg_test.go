@@ -278,7 +278,7 @@ func TestGroupByNonNumeric(t *testing.T) {
 
 func TestSortStable(t *testing.T) {
 	r := genes(t)
-	it, err := StreamSortBy(newScan(r), "score", func(a, b Val) bool { return compareVals(a, b) < 0 })
+	it, err := StreamSortByKey(newScan(r), "score", func(v Val) Val { return v }, func(a, b Val) bool { return compareVals(a, b) < 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

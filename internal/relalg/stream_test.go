@@ -185,7 +185,7 @@ func TestStreamingMatchesEagerOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sso, err := StreamSortBy(newScan(a), a.Schema[ci], func(x, y Val) bool { return compareVals(x, y) < 0 })
+		sso, err := StreamSortByKey(newScan(a), a.Schema[ci], func(v Val) Val { return v }, func(x, y Val) bool { return compareVals(x, y) < 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
