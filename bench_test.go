@@ -10,9 +10,11 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -38,7 +40,6 @@ import (
 	"repro/internal/store/closurecache"
 	"repro/internal/store/replica"
 	"repro/internal/store/shardedstore"
-	"repro/internal/store/wal"
 	"repro/internal/views"
 	"repro/internal/workloads"
 )
@@ -666,7 +667,8 @@ func BenchmarkClosureOverHTTP(b *testing.B) {
 // shards, so the directory derivation has claims to settle). fullscan
 // opens a directory without checkpoints: every record is decoded, once,
 // the shards side by side. checkpointed opens one whose shards
-// checkpointed after the last run: snapshots only, no log byte read.
+// checkpointed after the last run: snapshots only, no log byte read. It
+// also reports the four shard checkpoints' size as checkpoint_B.
 // `make bench-smoke` prints both in CI.
 func BenchmarkShardedReopen(b *testing.B) {
 	const runs = 2048
@@ -681,9 +683,17 @@ func BenchmarkShardedReopen(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		var ckptBytes int64
 		if arm == "checkpointed" {
 			if err := r.Checkpoint(); err != nil {
 				b.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				fi, err := os.Stat(store.CheckpointPath(filepath.Join(dir, fmt.Sprintf("shard-%03d", i))))
+				if err != nil {
+					b.Fatal(err)
+				}
+				ckptBytes += fi.Size()
 			}
 		}
 		if err := r.Close(); err != nil {
@@ -702,6 +712,9 @@ func BenchmarkShardedReopen(b *testing.B) {
 				}
 				r.Close()
 				b.StartTimer()
+			}
+			if ckptBytes > 0 {
+				b.ReportMetric(float64(ckptBytes), "checkpoint_B")
 			}
 		})
 	}
@@ -833,11 +846,10 @@ func BenchmarkE15WAL(b *testing.B) {
 	b.Run("mode=reopen/state=cold", func(b *testing.B) {
 		// Tolerant removal: the harness re-invokes this closure with a
 		// larger b.N after the files are already gone.
-		if err := wal.RemoveCheckpoint(store.CheckpointPath(dir)); err != nil {
-			b.Fatal(err)
-		}
-		if err := wal.RemoveCheckpoint(closurecache.SnapshotPath(dir)); err != nil {
-			b.Fatal(err)
+		for _, path := range []string{store.CheckpointPath(dir), closurecache.SnapshotPath(dir)} {
+			if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+				b.Fatal(err)
+			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

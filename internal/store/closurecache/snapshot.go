@@ -27,30 +27,73 @@ import (
 // history (different runs, truncated log) drops the snapshot, because the
 // log, not the snapshot, is authoritative.
 
+// snapshotFileName keeps its name from the JSON formats, as the store's
+// checkpoint does, so an upgraded directory holds one snapshot, not two.
 const snapshotFileName = "closures.json"
 
 // snapshotVersion is the format this build writes and the only one it
-// restores. Version 1 spelled out every member of every closure as a
-// quoted ID and carried no version field, so it decodes here as version 0
-// and leaves the cache cold like any other unreadable snapshot; the next
-// Checkpoint overwrites it.
-const snapshotVersion = 2
+// restores. Versions 1 and 2 were JSON: version 1 spelled out every member
+// of every closure as a quoted ID and carried no version field, and
+// version 2 held version 3's columns as JSON arrays. A JSON payload opens
+// with '{', which reads here as version −62, so it leaves the cache cold
+// like any other unreadable snapshot; the next Checkpoint overwrites it.
+const snapshotVersion = 3
 
 // cacheSnapshot is the on-disk form of the memoized closure state: the run
 // prefix it covers, then the live entries as a dictionary plus handle
 // columns. IDs holds each ID a live entry references once, in first-use
 // order; entry i is the closure of IDs[Roots[i]] in direction Dirs[i], and
-// its members are the next Lens[i] handles of Refs, in visit order.
+// its members are the next Lens[i] handles of Refs, in visit order. encode
+// writes the fields as wal columns in declaration order.
 type cacheSnapshot struct {
-	Version    int      `json:"version"`
-	Generation uint64   `json:"generation"`
-	RunCount   int      `json:"run_count"`
-	LastRun    string   `json:"last_run"`
-	IDs        []string `json:"ids"`
-	Roots      []int32  `json:"roots"`
-	Dirs       []int32  `json:"dirs"`
-	Lens       []int32  `json:"lens"`
-	Refs       []int32  `json:"refs"`
+	Version    int
+	Generation uint64
+	RunCount   int
+	LastRun    string
+	IDs        []string
+	Roots      []int32
+	Dirs       []int32
+	Lens       []int32
+	Refs       []int32
+}
+
+// encode is the snapshot's payload: its fields in declaration order, the
+// generation as the int64 of the same bits, LastRun as a dictionary of one
+// and IDs front-coded.
+func (s *cacheSnapshot) encode() []byte {
+	var w wal.ColumnWriter
+	w.Int(int64(s.Version))
+	w.Int(int64(s.Generation))
+	w.Int(int64(s.RunCount))
+	w.Strings([]string{s.LastRun})
+	w.Strings(s.IDs)
+	for _, col := range [][]int32{s.Roots, s.Dirs, s.Lens, s.Refs} {
+		w.Ints(col)
+	}
+	return w.Bytes()
+}
+
+// decodeSnapshot reads a payload encode wrote, refusing another version
+// before reading past it and any payload that is not exactly the columns
+// encode writes. Whether the columns agree is restoreIndex's to check.
+func decodeSnapshot(payload []byte) (*cacheSnapshot, bool) {
+	r := wal.NewColumnReader(payload)
+	s := &cacheSnapshot{Version: int(r.Int())}
+	if s.Version != snapshotVersion {
+		return nil, false
+	}
+	s.Generation = uint64(r.Int())
+	s.RunCount = int(r.Int())
+	lastRun := r.Strings()
+	s.IDs = r.Strings()
+	for _, col := range []*[]int32{&s.Roots, &s.Dirs, &s.Lens, &s.Refs} {
+		*col = r.Ints()
+	}
+	if r.Err() != nil || len(lastRun) != 1 {
+		return nil, false
+	}
+	s.LastRun = lastRun[0]
+	return s, true
 }
 
 // indexCopy is an Index's live entries in its own handles, copied under
@@ -279,7 +322,7 @@ func (c *Cache) saveSnapshot() error {
 	live := c.idx.copyLive()
 	c.mu.RUnlock()
 	live.columns(&snap)
-	return wal.SaveCheckpoint(SnapshotPath(c.opt.SnapshotDir), &snap)
+	return wal.SaveCheckpoint(SnapshotPath(c.opt.SnapshotDir), snap.encode())
 }
 
 // loadSnapshot restores a persisted snapshot at construction time: the
@@ -295,8 +338,9 @@ func (c *Cache) loadSnapshot() {
 		return
 	}
 	c.applied.prefix = len(runs)
-	var snap cacheSnapshot
-	if ok, _ := wal.LoadCheckpoint(SnapshotPath(c.opt.SnapshotDir), &snap); !ok {
+	payload, _ := wal.LoadCheckpoint(SnapshotPath(c.opt.SnapshotDir)) // none decodes as no version
+	snap, ok := decodeSnapshot(payload)
+	if !ok {
 		return
 	}
 	if snap.RunCount < 0 || len(runs) < snap.RunCount {
@@ -305,7 +349,7 @@ func (c *Cache) loadSnapshot() {
 	if snap.RunCount > 0 && runs[snap.RunCount-1] != snap.LastRun {
 		return // diverged history: the snapshot describes a different store
 	}
-	idx, ok := restoreIndex(&snap, c.opt.MaxClosures)
+	idx, ok := restoreIndex(snap, c.opt.MaxClosures)
 	if !ok {
 		return
 	}

@@ -570,26 +570,37 @@ func snapshotFixture(t testing.TB) (*cacheSnapshot, *store.MemStore, []Key) {
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	var snap cacheSnapshot
-	if ok, err := wal.LoadCheckpoint(SnapshotPath(dir), &snap); !ok || err != nil {
-		t.Fatalf("no snapshot written: %v", err)
+	snap, ok := decodeSnapshot(mustLoad(t, SnapshotPath(dir)))
+	if !ok {
+		t.Fatal("the snapshot does not decode")
 	}
-	return &snap, mem, keys
+	return snap, mem, keys
+}
+
+// mustLoad is the payload of the intact snapshot file at path.
+func mustLoad(t testing.TB, path string) []byte {
+	t.Helper()
+	payload, ok := wal.LoadCheckpoint(path)
+	if !ok {
+		t.Fatalf("no intact snapshot at %s", path)
+	}
+	return payload
 }
 
 // snapshotMutations are payloads one edit away from a valid snapshot, each
 // breaking one invariant restoreIndex must enforce.
 func snapshotMutations(t testing.TB, valid *cacheSnapshot) map[string][]byte {
 	mutate := func(edit func(s *cacheSnapshot)) []byte {
-		var s cacheSnapshot
-		if err := json.Unmarshal(mustMarshal(t, valid), &s); err != nil {
-			t.Fatal(err)
+		s, ok := decodeSnapshot(valid.encode())
+		if !ok {
+			t.Fatal("a fresh snapshot does not decode")
 		}
-		edit(&s)
-		return mustMarshal(t, &s)
+		edit(s)
+		return s.encode()
 	}
 	return map[string][]byte{
-		"wrong version":           mutate(func(s *cacheSnapshot) { s.Version = 1 }),
+		"version 1":               mutate(func(s *cacheSnapshot) { s.Version = 1 }),
+		"version 2":               mutate(func(s *cacheSnapshot) { s.Version = 2 }),
 		"short column":            mutate(func(s *cacheSnapshot) { s.Lens = s.Lens[1:] }),
 		"handle out of range":     mutate(func(s *cacheSnapshot) { s.Refs[0] = int32(len(s.IDs)) }),
 		"negative handle":         mutate(func(s *cacheSnapshot) { s.Refs[0] = -1 }),
@@ -621,12 +632,12 @@ func TestSnapshotRestoreRejectsBrokenInvariants(t *testing.T) {
 	}
 	load := func(body []byte) *Cache {
 		dir := t.TempDir()
-		if err := wal.SaveCheckpoint(SnapshotPath(dir), json.RawMessage(body)); err != nil {
+		if err := wal.SaveCheckpoint(SnapshotPath(dir), body); err != nil {
 			t.Fatal(err)
 		}
 		return New(mem, Options{SnapshotDir: dir})
 	}
-	if m := load(mustMarshal(t, valid)).Metrics(); m.Restored != uint64(len(keys)) {
+	if m := load(valid.encode()).Metrics(); m.Restored != uint64(len(keys)) {
 		t.Fatalf("the unmodified snapshot restored %d closures, want %d", m.Restored, len(keys))
 	}
 	for name, body := range snapshotMutations(t, valid) {
@@ -674,24 +685,61 @@ func v1Fixture(t testing.TB, mem *store.MemStore, tail string) *v1Snapshot {
 	return v1
 }
 
-// TestV1SnapshotLoadsCold: a closures.json of the previous format that
-// covers every run loads cold and answers as the store does; the next
-// Checkpoint writes version 2, which the next open restores warm.
+// jsonSnapshot is the version-2 payload, the last JSON one: version 3's
+// columns under these field names.
+type jsonSnapshot struct {
+	Version    int      `json:"version"`
+	Generation uint64   `json:"generation"`
+	RunCount   int      `json:"run_count"`
+	LastRun    string   `json:"last_run"`
+	IDs        []string `json:"ids"`
+	Roots      []int32  `json:"roots"`
+	Dirs       []int32  `json:"dirs"`
+	Lens       []int32  `json:"lens"`
+	Refs       []int32  `json:"refs"`
+}
+
+// v2Fixture is a version-2 snapshot covering every run of mem whose one
+// closure, tail's lineage, is wrong — so trusting it would show.
+func v2Fixture(t testing.TB, mem *store.MemStore, tail string) *jsonSnapshot {
+	runs, err := mem.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &jsonSnapshot{
+		Version: 2, Generation: 7, RunCount: len(runs), LastRun: runs[len(runs)-1],
+		IDs: []string{tail, "not-in-the-lineage"}, Roots: []int32{0}, Dirs: []int32{int32(store.Up)}, Lens: []int32{1}, Refs: []int32{1},
+	}
+}
+
+// TestV1SnapshotLoadsCold: a closures.json of the first format that covers
+// every run loads cold and answers as the store does; the next Checkpoint
+// writes the current version, which the next open restores warm.
 func TestV1SnapshotLoadsCold(t *testing.T) {
+	jsonSnapshotLoadsCold(t, func(mem *store.MemStore, tail string) any { return v1Fixture(t, mem, tail) })
+}
+
+// TestV2SnapshotLoadsCold is the upgrade path: a closures.json the last
+// JSON build wrote loads cold like a v1 one.
+func TestV2SnapshotLoadsCold(t *testing.T) {
+	jsonSnapshotLoadsCold(t, func(mem *store.MemStore, tail string) any { return v2Fixture(t, mem, tail) })
+}
+
+func jsonSnapshotLoadsCold(t *testing.T, fixture func(mem *store.MemStore, tail string) any) {
 	dir := t.TempDir()
 	mem := store.NewMemStore()
 	l, _, tail := chainLog(6)
 	if err := mem.PutRunLog(l); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.SaveCheckpoint(SnapshotPath(dir), v1Fixture(t, mem, tail)); err != nil {
+	if err := wal.SaveCheckpoint(SnapshotPath(dir), mustMarshal(t, fixture(mem, tail))); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := mem.Closure(tail, store.Up)
 
 	c := New(mem, Options{SnapshotDir: dir})
 	if m := c.Metrics(); m.Restored != 0 || m.ClosureEntries != 0 || m.Generation != 0 {
-		t.Fatalf("the v1 snapshot was restored: %+v", m)
+		t.Fatalf("the JSON snapshot was restored: %+v", m)
 	}
 	if got, err := c.Closure(tail, store.Up); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Closure after the cold load = %v, %v; want %v", got, err, want)
@@ -699,9 +747,8 @@ func TestV1SnapshotLoadsCold(t *testing.T) {
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	var snap cacheSnapshot
-	if ok, _ := wal.LoadCheckpoint(SnapshotPath(dir), &snap); !ok || snap.Version != snapshotVersion {
-		t.Fatalf("Checkpoint left version %d (loaded %v), want %d", snap.Version, ok, snapshotVersion)
+	if _, ok := decodeSnapshot(mustLoad(t, SnapshotPath(dir))); !ok {
+		t.Fatalf("Checkpoint left a file this build does not decode, want version %d", snapshotVersion)
 	}
 
 	warm := New(mem, Options{SnapshotDir: dir})
@@ -709,7 +756,7 @@ func TestV1SnapshotLoadsCold(t *testing.T) {
 		t.Fatalf("Closure after the warm load = %v, %v; want %v", got, err, want)
 	}
 	if m := warm.Metrics(); m.Restored != 1 || m.ClosureHits != 1 {
-		t.Fatalf("the version-2 snapshot was not restored warm: %+v", m)
+		t.Fatalf("the version-%d snapshot was not restored warm: %+v", snapshotVersion, m)
 	}
 }
 
@@ -735,9 +782,9 @@ func TestSnapshotSpellsEachIDOnce(t *testing.T) {
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	var snap cacheSnapshot
-	if ok, _ := wal.LoadCheckpoint(SnapshotPath(dir), &snap); !ok {
-		t.Fatal("no snapshot")
+	snap, ok := decodeSnapshot(mustLoad(t, SnapshotPath(dir)))
+	if !ok {
+		t.Fatal("the snapshot does not decode")
 	}
 	if len(snap.IDs) != 129 || len(snap.Refs) != members {
 		t.Fatalf("snapshot holds %d IDs and %d refs, want the chain's 129 and %d", len(snap.IDs), len(snap.Refs), members)
@@ -768,13 +815,10 @@ func snapshotOf(ix *Index, hdr cacheSnapshot) *cacheSnapshot {
 // load → save → load is a fixed point.
 func FuzzClosureSnapshot(f *testing.F) {
 	valid, mem, keys := snapshotFixture(f)
-	body := mustMarshal(f, valid)
 	v1 := mustMarshal(f, v1Fixture(f, mem, keys[1].ID))
-	for _, payload := range [][]byte{body, v1} {
-		framed, err := wal.EncodeCheckpoint(json.RawMessage(payload))
-		if err != nil {
-			f.Fatal(err)
-		}
+	v2 := mustMarshal(f, v2Fixture(f, mem, keys[1].ID))
+	for _, payload := range [][]byte{valid.encode(), v1, v2} {
+		framed := wal.EncodeCheckpoint(payload)
 		f.Add(payload)
 		f.Add(framed)
 		f.Add(payload[:len(payload)/2])
@@ -783,26 +827,26 @@ func FuzzClosureSnapshot(f *testing.F) {
 	for _, m := range snapshotMutations(f, valid) {
 		f.Add(m)
 	}
-	f.Add([]byte(`{"version":2}`))
 
 	const max = 3 // below the fixture's four closures: restore must truncate
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var s cacheSnapshot
-		if wal.DecodeCheckpoint(data, &s) {
-			restoreIndex(&s, max)
+		if payload, ok := wal.DecodeCheckpoint(data); ok {
+			if s, ok := decodeSnapshot(payload); ok {
+				restoreIndex(s, max)
+			}
 		}
-		s = cacheSnapshot{}
-		if json.Unmarshal(data, &s) != nil {
+		s, ok := decodeSnapshot(data)
+		if !ok {
 			return
 		}
-		ix, ok := restoreIndex(&s, max)
+		ix, ok := restoreIndex(s, max)
 		if !ok {
 			return
 		}
 		if ix.Len() > max {
 			t.Fatalf("restored %d closures, MaxClosures is %d", ix.Len(), max)
 		}
-		first := mustMarshal(t, snapshotOf(ix, s))
+		first := snapshotOf(ix, *s).encode()
 		for k, e := range ix.entries {
 			for _, id := range append(ix.Members(e), k.ID) {
 				if h, ok := ix.handles[id]; !ok || ix.ids[h] != id {
@@ -811,16 +855,16 @@ func FuzzClosureSnapshot(f *testing.F) {
 			}
 			ix.Apply(DeltaOf(extRun("fz", k.ID, "fz-out", k.ID)), mem.Expand)
 		}
-		var again cacheSnapshot
-		if err := json.Unmarshal(first, &again); err != nil {
-			t.Fatal(err)
-		}
-		ix2, ok := restoreIndex(&again, max)
+		again, ok := decodeSnapshot(first)
 		if !ok {
-			t.Fatalf("a saved snapshot was refused: %s", first)
+			t.Fatalf("a saved snapshot does not decode: %x", first)
 		}
-		if second := mustMarshal(t, snapshotOf(ix2, again)); !bytes.Equal(first, second) {
-			t.Fatalf("load → save → load is not a fixed point:\n%s\n%s", first, second)
+		ix2, ok := restoreIndex(again, max)
+		if !ok {
+			t.Fatalf("a saved snapshot was refused: %x", first)
+		}
+		if second := snapshotOf(ix2, *again).encode(); !bytes.Equal(first, second) {
+			t.Fatalf("load → save → load is not a fixed point:\n%x\n%x", first, second)
 		}
 	})
 }

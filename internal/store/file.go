@@ -130,7 +130,9 @@ type FileStore struct {
 // directory; tools (and the sharded router's layout detection) key on it.
 const LogFileName = "provlog.jsonl"
 
-// checkpointFileName holds the FileStore's folded-state snapshot.
+// checkpointFileName holds the FileStore's folded-state snapshot. The
+// name is kept from the JSON formats: a new one would leave the old file
+// behind in every upgraded directory, counted against disk twice.
 const checkpointFileName = "checkpoint.json"
 
 // CheckpointPath returns the checkpoint file a FileStore rooted at dir
@@ -192,10 +194,8 @@ func (s *FileStore) recover() error {
 	logSize := fi.Size()
 
 	var from int64
-	var ck fileCheckpoint
-	if ok, err := wal.LoadCheckpoint(filepath.Join(s.dir, checkpointFileName), &ck); err != nil {
-		return err
-	} else if ok && ck.LogOffset <= logSize && s.alignedOffset(ck.LogOffset) && s.restore(&ck) {
+	payload, _ := wal.LoadCheckpoint(filepath.Join(s.dir, checkpointFileName)) // none decodes as no version
+	if ck, ok := decodeFileCheckpoint(payload); ok && ck.LogOffset <= logSize && s.alignedOffset(ck.LogOffset) && s.restore(ck) {
 		// The snapshot is authoritative for the prefix: it is restored and
 		// only the suffix replays. The prefix bytes are never read here.
 		s.lastCkpt = ck.LogOffset
@@ -406,7 +406,7 @@ func (s *FileStore) Checkpoint() error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("store: checkpoint sync: %w", err)
 	}
-	if err := wal.SaveCheckpoint(filepath.Join(s.dir, checkpointFileName), ck); err != nil {
+	if err := wal.SaveCheckpoint(filepath.Join(s.dir, checkpointFileName), ck.encode()); err != nil {
 		return err
 	}
 	s.mu.Lock()

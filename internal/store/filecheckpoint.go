@@ -1,45 +1,97 @@
 package store
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/store/wal"
+)
 
 // fileCheckpointVersion is the format this build writes and the only one
-// it restores. Version 1 (before the entity table) wrote one string-keyed
-// JSON object per index and carried no version field, so it decodes here
-// as version 0; version 2 lacks the gen_run column, without which a sharded
-// router cannot place an artifact's generator edge. Either is refused like
-// any other unreadable checkpoint: the open scans the whole log and the
-// next Checkpoint overwrites the file.
-const fileCheckpointVersion = 3
+// it restores. Versions 1 to 3 were JSON: version 1 (before the entity
+// table) wrote one string-keyed object per index, version 2 lacks the
+// gen_run column, without which a sharded router cannot place an
+// artifact's generator edge, and version 3 held version 4's columns as JSON
+// arrays. A JSON payload opens with '{', which reads here as version −62:
+// it is refused like any other unreadable checkpoint, the open scans the
+// whole log and the next Checkpoint overwrites the file.
+const fileCheckpointVersion = 4
 
 // fileCheckpoint is the on-disk snapshot of a FileStore's folded state:
 // everything recover would rebuild by scanning the log up to LogOffset, as
 // a dictionary plus integer columns. IDs is the entity table's dictionary
 // (handle → ID, each string once); every other per-entity field is a
 // column aligned with it, and the neighbour lists are handle arrays. Runs
-// and RunOffsets are the run order and each run's record offset.
+// and RunOffsets are the run order and each run's record offset. encode
+// writes the fields as wal columns in declaration order.
 type fileCheckpoint struct {
-	Version    int      `json:"version"`
-	LogOffset  int64    `json:"log_offset"`
-	Events     int      `json:"events"`
-	Anns       int      `json:"annotations"`
-	Runs       []string `json:"runs"`
-	RunOffsets []int64  `json:"run_offsets"`
+	Version    int
+	LogOffset  int64
+	Events     int
+	Anns       int
+	Runs       []string
+	RunOffsets []int64
 
-	IDs       []string    `json:"ids"`
-	ArtRun    []int32     `json:"art_run"`  // index into Runs; noRun: not stored as an artifact
-	ExecRun   []int32     `json:"exec_run"` // index into Runs; noRun: not stored as an execution
-	Gen       []int32     `json:"gen"`      // generator handle, noGen when none
-	GenRun    []int32     `json:"gen_run"`  // index into Runs of the run that set Gen, one per handle that has a generator, in handle order
-	Consumers handleLists `json:"consumers"`
-	Used      handleLists `json:"used"`
-	Generated handleLists `json:"generated"`
+	IDs       []string
+	ArtRun    []int32 // index into Runs; noRun: not stored as an artifact
+	ExecRun   []int32 // index into Runs; noRun: not stored as an execution
+	Gen       []int32 // generator handle, noGen when none
+	GenRun    []int32 // index into Runs of the run that set Gen, one per handle that has a generator, in handle order
+	Consumers handleLists
+	Used      handleLists
+	Generated handleLists
 }
 
 // handleLists packs one neighbour list per entity: entity h's list is the
 // next Lens[h] handles of Refs.
 type handleLists struct {
-	Lens []int32 `json:"lens"`
-	Refs []int32 `json:"refs"`
+	Lens []int32
+	Refs []int32
+}
+
+// encode is the checkpoint's payload: its fields in declaration order,
+// the string columns front-coded and RunOffsets delta-coded.
+func (ck *fileCheckpoint) encode() []byte {
+	var w wal.ColumnWriter
+	w.Int(int64(ck.Version))
+	w.Int(ck.LogOffset)
+	w.Int(int64(ck.Events))
+	w.Int(int64(ck.Anns))
+	w.Strings(ck.Runs)
+	w.Offsets(ck.RunOffsets)
+	w.Strings(ck.IDs)
+	for _, col := range [][]int32{ck.ArtRun, ck.ExecRun, ck.Gen, ck.GenRun} {
+		w.Ints(col)
+	}
+	for _, p := range []*handleLists{&ck.Consumers, &ck.Used, &ck.Generated} {
+		w.Ints(p.Lens)
+		w.Ints(p.Refs)
+	}
+	return w.Bytes()
+}
+
+// decodeFileCheckpoint reads a payload encode wrote, refusing another
+// version before reading past it and any payload that is not exactly the
+// columns encode writes. Whether the columns agree is restore's to check.
+func decodeFileCheckpoint(payload []byte) (*fileCheckpoint, bool) {
+	r := wal.NewColumnReader(payload)
+	ck := &fileCheckpoint{Version: int(r.Int())}
+	if ck.Version != fileCheckpointVersion {
+		return nil, false
+	}
+	ck.LogOffset = r.Int()
+	ck.Events = int(r.Int())
+	ck.Anns = int(r.Int())
+	ck.Runs = r.Strings()
+	ck.RunOffsets = r.Offsets()
+	ck.IDs = r.Strings()
+	for _, col := range []*[]int32{&ck.ArtRun, &ck.ExecRun, &ck.Gen, &ck.GenRun} {
+		*col = r.Ints()
+	}
+	for _, p := range []*handleLists{&ck.Consumers, &ck.Used, &ck.Generated} {
+		p.Lens = r.Ints()
+		p.Refs = r.Ints()
+	}
+	return ck, r.Err() == nil
 }
 
 func (p *handleLists) add(list []int32) {

@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -46,13 +48,13 @@ func checkpointFixture(t testing.TB) *fileCheckpoint {
 
 // restored decodes a checkpoint payload the way recover does after the
 // frame check, into a store of its own.
-func restored(body []byte) (*FileStore, bool) {
-	var ck fileCheckpoint
-	if json.Unmarshal(body, &ck) != nil {
+func restored(payload []byte) (*FileStore, bool) {
+	ck, ok := decodeFileCheckpoint(payload)
+	if !ok {
 		return nil, false
 	}
 	s := &FileStore{}
-	if !s.restore(&ck) {
+	if !s.restore(ck) {
 		return nil, false
 	}
 	s.size = ck.LogOffset
@@ -68,21 +70,56 @@ func mustMarshal(t testing.TB, v any) []byte {
 	return b
 }
 
+// jsonCheckpoint is the version-3 payload, the last JSON one: version 4's
+// columns under these field names.
+type jsonCheckpoint struct {
+	Version    int       `json:"version"`
+	LogOffset  int64     `json:"log_offset"`
+	Events     int       `json:"events"`
+	Anns       int       `json:"annotations"`
+	Runs       []string  `json:"runs"`
+	RunOffsets []int64   `json:"run_offsets"`
+	IDs        []string  `json:"ids"`
+	ArtRun     []int32   `json:"art_run"`
+	ExecRun    []int32   `json:"exec_run"`
+	Gen        []int32   `json:"gen"`
+	GenRun     []int32   `json:"gen_run"`
+	Consumers  jsonLists `json:"consumers"`
+	Used       jsonLists `json:"used"`
+	Generated  jsonLists `json:"generated"`
+}
+
+type jsonLists struct {
+	Lens []int32 `json:"lens"`
+	Refs []int32 `json:"refs"`
+}
+
+// asVersion3 is ck as a version-3 build wrote it.
+func asVersion3(ck *fileCheckpoint) *jsonCheckpoint {
+	lists := func(p handleLists) jsonLists { return jsonLists{p.Lens, p.Refs} }
+	return &jsonCheckpoint{
+		Version: 3, LogOffset: ck.LogOffset, Events: ck.Events, Anns: ck.Anns, Runs: ck.Runs, RunOffsets: ck.RunOffsets,
+		IDs: ck.IDs, ArtRun: ck.ArtRun, ExecRun: ck.ExecRun, Gen: ck.Gen, GenRun: ck.GenRun,
+		Consumers: lists(ck.Consumers), Used: lists(ck.Used), Generated: lists(ck.Generated),
+	}
+}
+
 // checkpointMutations are payloads one edit away from a valid checkpoint,
 // each breaking one invariant restore must enforce.
 func checkpointMutations(t testing.TB, valid *fileCheckpoint) map[string][]byte {
 	mutate := func(edit func(ck *fileCheckpoint)) []byte {
-		var ck fileCheckpoint
-		if err := json.Unmarshal(mustMarshal(t, valid), &ck); err != nil {
-			t.Fatal(err)
+		ck, ok := decodeFileCheckpoint(valid.encode())
+		if !ok {
+			t.Fatal("a fresh checkpoint does not decode")
 		}
-		edit(&ck)
-		return mustMarshal(t, &ck)
+		edit(ck)
+		return ck.encode()
 	}
 	n := int32(len(valid.IDs))
 	return map[string][]byte{
 		"version 1":                   mutate(func(ck *fileCheckpoint) { ck.Version = 1 }),
 		"version 2":                   mutate(func(ck *fileCheckpoint) { ck.Version = 2 }),
+		"version 3":                   mutate(func(ck *fileCheckpoint) { ck.Version = 3 }),
 		"generating run missing":      mutate(func(ck *fileCheckpoint) { ck.GenRun = ck.GenRun[1:] }),
 		"generating run to spare":     mutate(func(ck *fileCheckpoint) { ck.GenRun = append(ck.GenRun, 0) }),
 		"generating run out of range": mutate(func(ck *fileCheckpoint) { ck.GenRun[0] = int32(len(ck.Runs)) }),
@@ -139,7 +176,7 @@ func checkpointMutations(t testing.TB, valid *fileCheckpoint) map[string][]byte 
 
 func TestCheckpointRestoreRejectsBrokenInvariants(t *testing.T) {
 	valid := checkpointFixture(t)
-	if _, ok := restored(mustMarshal(t, valid)); !ok {
+	if _, ok := restored(valid.encode()); !ok {
 		t.Fatal("the unmodified checkpoint was refused")
 	}
 	for name, body := range checkpointMutations(t, valid) {
@@ -206,7 +243,7 @@ func TestV1CheckpointIsNoCheckpoint(t *testing.T) {
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.SaveCheckpoint(CheckpointPath(dir), v1); err != nil {
+	if err := wal.SaveCheckpoint(CheckpointPath(dir), mustMarshal(t, v1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,6 +264,10 @@ func openIgnoresCheckpoint(t *testing.T, dir string, mem *MemStore, art, generat
 	if off, ok := re.LastCheckpoint(); ok {
 		t.Fatalf("the stale checkpoint was restored (offset %d)", off)
 	}
+	wantRuns, _ := mem.Runs()
+	if got, err := re.Runs(); err != nil || !slices.Equal(got, wantRuns) {
+		t.Fatalf("Runs after the full-scan open = %v, %v; want %v", got, err, wantRuns)
+	}
 	want, _ := NaiveClosure(mem, art, Up)
 	if got, err := re.Closure(art, Up); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("lineage after the full-scan open = %v, %v; want %v", got, err, want)
@@ -239,9 +280,8 @@ func openIgnoresCheckpoint(t *testing.T, dir string, mem *MemStore, art, generat
 	}
 	re.Close()
 
-	var ck fileCheckpoint
-	if ok, _ := wal.LoadCheckpoint(CheckpointPath(dir), &ck); !ok || ck.Version != fileCheckpointVersion {
-		t.Fatalf("Checkpoint left version %d (loaded %v), want %d", ck.Version, ok, fileCheckpointVersion)
+	if _, ok := decodeFileCheckpoint(mustLoad(t, CheckpointPath(dir))); !ok {
+		t.Fatalf("Checkpoint left a file this build does not decode, want version %d", fileCheckpointVersion)
 	}
 	warm, err := OpenFileStore(dir)
 	if err != nil {
@@ -256,10 +296,28 @@ func openIgnoresCheckpoint(t *testing.T, dir string, mem *MemStore, art, generat
 	}
 }
 
-// TestV2CheckpointIsNoCheckpoint: a version-2 file — this build's columns
-// without gen_run — is refused like a v1 one. The file here covers the
-// whole log but names a wrong generator, so trusting it would show.
+// TestV2CheckpointIsNoCheckpoint: a version-2 file — version 3's columns
+// without gen_run — is refused like a v1 one.
 func TestV2CheckpointIsNoCheckpoint(t *testing.T) {
+	jsonCheckpointIsNoCheckpoint(t, func(v3 map[string]any) {
+		v3["version"] = 2
+		delete(v3, "gen_run")
+	})
+}
+
+// TestV3CheckpointIsNoCheckpoint is the upgrade path: a directory whose
+// checkpoint.json the last JSON build wrote opens by full scan, answers
+// Runs, Closure and Expand as the log does, and its next Checkpoint writes
+// the binary version.
+func TestV3CheckpointIsNoCheckpoint(t *testing.T) {
+	jsonCheckpointIsNoCheckpoint(t, func(map[string]any) {})
+}
+
+// jsonCheckpointIsNoCheckpoint stores a six-run chain, writes its
+// checkpoint as a version-3 build would, edited by edit, and checks that
+// the open ignores it. The file covers the whole log but names a wrong
+// generator for every artifact, so trusting it would show.
+func jsonCheckpointIsNoCheckpoint(t *testing.T, edit func(v3 map[string]any)) {
 	dir := t.TempDir()
 	fs, err := OpenFileStore(dir)
 	if err != nil {
@@ -290,13 +348,12 @@ func TestV2CheckpointIsNoCheckpoint(t *testing.T) {
 			ck.Gen[h] = wrong
 		}
 	}
-	var v2 map[string]any
-	if err := json.Unmarshal(mustMarshal(t, ck), &v2); err != nil {
+	var v3 map[string]any
+	if err := json.Unmarshal(mustMarshal(t, asVersion3(ck)), &v3); err != nil {
 		t.Fatal(err)
 	}
-	v2["version"] = 2
-	delete(v2, "gen_run")
-	if err := wal.SaveCheckpoint(CheckpointPath(dir), v2); err != nil {
+	edit(v3)
+	if err := wal.SaveCheckpoint(CheckpointPath(dir), mustMarshal(t, v3)); err != nil {
 		t.Fatal(err)
 	}
 	openIgnoresCheckpoint(t, dir, mem, prev, "run-06-exec", ck.LogOffset)
@@ -309,25 +366,22 @@ func TestV2CheckpointIsNoCheckpoint(t *testing.T) {
 // what was loaded must load back to the same snapshot.
 func FuzzCheckpointLoad(f *testing.F) {
 	valid := checkpointFixture(f)
-	body := mustMarshal(f, valid)
-	f.Add(body)
-	framed, err := wal.EncodeCheckpoint(valid)
-	if err != nil {
-		f.Fatal(err)
+	for _, payload := range [][]byte{valid.encode(), mustMarshal(f, asVersion3(valid))} {
+		framed := wal.EncodeCheckpoint(payload)
+		f.Add(payload)
+		f.Add(framed)
+		f.Add(payload[:len(payload)/2])
+		f.Add(framed[:len(framed)/2])
 	}
-	f.Add(framed)
 	for _, m := range checkpointMutations(f, valid) {
 		f.Add(m)
 	}
 	f.Add(mustMarshal(f, v1Checkpoint{LogOffset: 10, Order: []string{"r"}, Offsets: map[string]int64{"r": 0}}))
-	f.Add([]byte(`{"version":2}`))
-	f.Add([]byte(`{"version":3}`))
 	f.Add([]byte("provckpt1 00000000 2\n{}"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ck fileCheckpoint
-		if wal.DecodeCheckpoint(data, &ck) {
-			new(FileStore).restore(&ck)
+		if payload, ok := wal.DecodeCheckpoint(data); ok {
+			restored(payload)
 		}
 		s, ok := restored(data)
 		if !ok {
@@ -354,20 +408,22 @@ func FuzzCheckpointLoad(f *testing.F) {
 			s.runOffsetLocked(e.artRun)
 			s.runOffsetLocked(e.execRun)
 		}
-		first := mustMarshal(t, s.snapshotLocked())
+		first := s.snapshotLocked().encode()
 		again, ok := restored(first)
 		if !ok {
-			t.Fatalf("a saved snapshot was refused: %s", first)
+			t.Fatalf("a saved snapshot was refused: %x", first)
 		}
-		if second := mustMarshal(t, again.snapshotLocked()); !bytes.Equal(first, second) {
-			t.Fatalf("load → snapshot → load is not a fixed point:\n%s\n%s", first, second)
+		if second := again.snapshotLocked().encode(); !bytes.Equal(first, second) {
+			t.Fatalf("load → snapshot → load is not a fixed point:\n%x\n%x", first, second)
 		}
 	})
 }
 
 // TestCheckpointSmallerThanLog pins the point of the dictionary encoding:
 // on a store of shared, repeatedly referenced entities the checkpoint
-// spells each ID once, so it stays a fraction of the log it indexes.
+// spells each ID once, so it stays a fraction of the log it indexes. This
+// store's checkpoint is 2 039 bytes for a 285 494-byte log (1/140; 1/48 as
+// JSON); the bound, 1/100, leaves it 40 % to grow.
 func TestCheckpointSmallerThanLog(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := OpenFileStore(dir)
@@ -387,13 +443,63 @@ func TestCheckpointSmallerThanLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := mustRead(t, CheckpointPath(dir))
+	ck, ok := decodeFileCheckpoint(mustLoad(t, CheckpointPath(dir)))
+	if !ok {
+		t.Fatal("the checkpoint does not decode")
+	}
 	for _, id := range []string{"a03", "e07", "x01"} {
-		if n := bytes.Count(data, []byte(`"`+id+`"`)); n != 1 {
+		if n := countOf(ck.IDs, id); n != 1 {
 			t.Errorf("checkpoint spells %s %d times, want once", id, n)
 		}
 	}
-	if st, _ := fs.Stats(); ckpt.Size()*4 > st.Bytes {
+	if st, _ := fs.Stats(); ckpt.Size()*100 > st.Bytes {
 		t.Errorf("checkpoint is %d bytes for a %d-byte log", ckpt.Size(), st.Bytes)
+	}
+}
+
+func countOf(col []string, s string) (n int) {
+	for _, c := range col {
+		if c == s {
+			n++
+		}
+	}
+	return n
+}
+
+// mustLoad is the payload of the intact checkpoint file at path.
+func mustLoad(t testing.TB, path string) []byte {
+	t.Helper()
+	payload, ok := wal.LoadCheckpoint(path)
+	if !ok {
+		t.Fatalf("no intact checkpoint at %s", path)
+	}
+	return payload
+}
+
+// TestCheckpointCountBeyondPayloadRefused: a payload that claims 2^31
+// dictionary entries in 16 bytes is refused before anything of that size
+// is allocated.
+func TestCheckpointCountBeyondPayloadRefused(t *testing.T) {
+	var w wal.ColumnWriter
+	w.Int(fileCheckpointVersion)
+	w.Int(0) // log offset
+	w.Int(0) // events
+	w.Int(0) // annotations
+	w.Strings(nil)
+	w.Offsets(nil)
+	payload := binary.AppendUvarint(w.Bytes(), 1<<31) // the dictionary's count
+	payload = append(payload, make([]byte, 16-len(payload))...)
+	if len(payload) != 16 {
+		t.Fatalf("payload is %d bytes, want 16", len(payload))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := decodeFileCheckpoint(payload)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("the payload was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Errorf("refusing it allocated %d bytes", grew)
 	}
 }

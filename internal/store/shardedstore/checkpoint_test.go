@@ -1,6 +1,9 @@
 package shardedstore
 
 import (
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,9 +130,9 @@ func TestRouterCheckpointReopen(t *testing.T) {
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	var meta routerMeta
-	if ok, err := wal.LoadCheckpoint(filepath.Join(dir, metaFileName), &meta); err != nil || !ok {
-		t.Fatalf("meta after checkpoint: ok=%v err=%v", ok, err)
+	meta, ok := loadMeta(t, dir)
+	if !ok {
+		t.Fatal("no meta after checkpoint")
 	}
 	if meta.Shards != 2 || len(meta.Checkpoints) != 2 {
 		t.Fatalf("meta = %+v", meta)
@@ -185,8 +188,7 @@ func TestRouterAutoCheckpoint(t *testing.T) {
 	// record carrying a shard checkpoint position.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var meta routerMeta
-		if ok, _ := wal.LoadCheckpoint(filepath.Join(dir, metaFileName), &meta); ok {
+		if meta, ok := loadMeta(t, dir); ok {
 			for _, off := range meta.Checkpoints {
 				if off > 0 {
 					return
@@ -204,4 +206,25 @@ func sortedCopyStrings(in []string) []string {
 	out := append([]string(nil), in...)
 	sort.Strings(out)
 	return out
+}
+
+// loadMeta reads dir's router-meta.json, ok=false when there is none. The
+// file must hold exactly what the builds before the binary checkpoints
+// wrote, the header line over json.Marshal's payload, so builds on either
+// side of that change open each other's sharded directories.
+func loadMeta(t *testing.T, dir string) (meta routerMeta, ok bool) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, metaFileName))
+	if err != nil {
+		return meta, false
+	}
+	payload, ok := wal.DecodeCheckpoint(data)
+	if !ok || json.Unmarshal(payload, &meta) != nil {
+		t.Fatalf("unreadable %s: %q", metaFileName, data)
+	}
+	body, _ := json.Marshal(meta)
+	if want := fmt.Sprintf("provckpt1 %08x %d\n%s", crc32.ChecksumIEEE(body), len(body), body); string(data) != want {
+		t.Fatalf("%s = %q, want %q", metaFileName, data, want)
+	}
+	return meta, true
 }

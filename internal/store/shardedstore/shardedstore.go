@@ -55,6 +55,7 @@
 package shardedstore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -274,7 +275,7 @@ func DetectShards(dir string) (n int, unsharded bool) {
 		return 0, true
 	}
 	var meta routerMeta
-	if ok, _ := wal.LoadCheckpoint(filepath.Join(dir, metaFileName), &meta); ok && meta.Shards > 0 {
+	if payload, ok := wal.LoadCheckpoint(filepath.Join(dir, metaFileName)); ok && json.Unmarshal(payload, &meta) == nil && meta.Shards > 0 {
 		return meta.Shards, false
 	}
 	for i := 0; ; i++ {
@@ -406,7 +407,8 @@ func (r *Router) writeMeta() error {
 		}
 		meta.Checkpoints = append(meta.Checkpoints, off)
 	}
-	return wal.SaveCheckpoint(filepath.Join(r.dir, metaFileName), meta)
+	payload, _ := json.Marshal(meta) // an int and an []int64 always marshal
+	return wal.SaveCheckpoint(filepath.Join(r.dir, metaFileName), payload)
 }
 
 // Checkpoint implements Store: every file shard checkpoints in

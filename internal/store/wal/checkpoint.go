@@ -2,15 +2,15 @@ package wal
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 )
 
-// Checkpoint files: a JSON payload framed by a one-line header carrying a
-// CRC32 of the payload, written atomically (temp file + fsync + rename).
+// Checkpoint files: an opaque payload (the owner's columns, or the
+// router's JSON) framed by a one-line header carrying a CRC32 and the
+// length of the payload, written atomically (temp file + fsync + rename).
 // A checkpoint is advisory state — the log remains authoritative — so
 // loaders treat a missing, torn or corrupt checkpoint as "no checkpoint"
 // and fall back to a full log scan rather than failing the open.
@@ -18,27 +18,17 @@ import (
 // checkpointMagic guards against loading a file that is not a checkpoint.
 const checkpointMagic = "provckpt1"
 
-// EncodeCheckpoint frames payload (JSON-encoded) as checkpoint file
-// contents: the integrity header, then the body.
-func EncodeCheckpoint(payload any) ([]byte, error) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encode checkpoint: %w", err)
-	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %08x %d\n", checkpointMagic, crc32.ChecksumIEEE(body), len(body))
-	buf.Write(body)
-	return buf.Bytes(), nil
+// EncodeCheckpoint frames payload as checkpoint file contents: the
+// integrity header, then the payload.
+func EncodeCheckpoint(payload []byte) []byte {
+	buf := fmt.Appendf(nil, "%s %08x %d\n", checkpointMagic, crc32.ChecksumIEEE(payload), len(payload))
+	return append(buf, payload...)
 }
 
-// SaveCheckpoint atomically writes payload (JSON-encoded) to path with an
-// integrity header through WriteFileAtomic.
-func SaveCheckpoint(path string, payload any) error {
-	data, err := EncodeCheckpoint(payload)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, data)
+// SaveCheckpoint atomically writes payload to path with an integrity
+// header through WriteFileAtomic.
+func SaveCheckpoint(path string, payload []byte) error {
+	return WriteFileAtomic(path, EncodeCheckpoint(payload))
 }
 
 // WriteFileAtomic replaces path with data: a temp file beside it is
@@ -84,43 +74,34 @@ func WriteFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint into dst.
-// ok=false (with a nil error) means no usable checkpoint exists — absent,
-// torn or corrupt — and the caller should rebuild from the log instead.
-func LoadCheckpoint(path string, dst any) (ok bool, err error) {
+// LoadCheckpoint returns the payload of a checkpoint written by
+// SaveCheckpoint. ok=false means no usable checkpoint exists — absent,
+// unreadable, torn or corrupt — and the caller should rebuild from the log
+// instead.
+func LoadCheckpoint(path string) (payload []byte, ok bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return false, nil
+		return nil, false
 	}
-	return DecodeCheckpoint(data, dst), nil
+	return DecodeCheckpoint(data)
 }
 
-// DecodeCheckpoint decodes checkpoint file contents into dst, reporting
-// false for anything but an intact frame around a payload dst accepts.
-func DecodeCheckpoint(data []byte, dst any) bool {
+// DecodeCheckpoint returns the payload of checkpoint file contents,
+// reporting false for anything but an intact frame.
+func DecodeCheckpoint(data []byte) (payload []byte, ok bool) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return false
+		return nil, false
 	}
 	var magic string
 	var sum uint32
 	var size int
 	if _, err := fmt.Sscanf(string(data[:nl]), "%s %x %d", &magic, &sum, &size); err != nil || magic != checkpointMagic {
-		return false
+		return nil, false
 	}
 	body := data[nl+1:]
 	if len(body) != size || crc32.ChecksumIEEE(body) != sum {
-		return false
+		return nil, false
 	}
-	return json.Unmarshal(body, dst) == nil
-}
-
-// RemoveCheckpoint deletes a checkpoint file if present (tests and tools
-// forcing a cold reopen).
-func RemoveCheckpoint(path string) error {
-	err := os.Remove(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
+	return body, true
 }

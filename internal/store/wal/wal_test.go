@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -167,26 +169,73 @@ func TestFlushDelayBatches(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip exercises save/load, corruption detection and
-// the missing-file path.
+// TestCheckpointRoundTrip saves a payload holding every column kind at
+// its edges, loads it back, and checks corruption detection, the
+// missing-file path and the reader's refusals.
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.json")
-	type payload struct {
-		N     int
-		Names []string
-	}
-	in := payload{N: 42, Names: []string{"a", "b"}}
-	if err := SaveCheckpoint(path, in); err != nil {
+	long := strings.Repeat("x", 2*maxShared)
+	ids := []string{"", "r-1", "r-10", "r-1", "e-1", "a-1", "r-2", long + "1", long + "2", long, "", "é", long + "3"}
+	ints := []int32{0, -1, 1, math.MaxInt32, math.MinInt32}
+	offs := []int64{0, 1169, 2340, 2340, 7, math.MaxInt64, math.MinInt64}
+	var w ColumnWriter
+	w.Int(math.MinInt64)
+	w.Strings(ids)
+	w.Ints(ints)
+	w.Offsets(offs)
+	w.Strings(nil)
+	if err := SaveCheckpoint(path, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	var out payload
-	ok, err := LoadCheckpoint(path, &out)
-	if err != nil || !ok {
-		t.Fatalf("load: ok=%v err=%v", ok, err)
+	payload, ok := LoadCheckpoint(path)
+	if !ok {
+		t.Fatal("load refused an intact checkpoint")
 	}
-	if out.N != in.N || len(out.Names) != 2 {
-		t.Fatalf("round trip = %+v", out)
+	r := NewColumnReader(payload)
+	if v := r.Int(); v != math.MinInt64 {
+		t.Errorf("Int = %d", v)
+	}
+	if got := r.Strings(); !slices.Equal(got, ids) {
+		t.Errorf("Strings = %q, want %q", got, ids)
+	}
+	if got := r.Ints(); !slices.Equal(got, ints) {
+		t.Errorf("Ints = %v, want %v", got, ints)
+	}
+	if got := r.Offsets(); !slices.Equal(got, offs) {
+		t.Errorf("Offsets = %v, want %v", got, offs)
+	}
+	if got := r.Strings(); len(got) != 0 {
+		t.Errorf("empty Strings = %q", got)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatalf("reading every column: %v", err)
+	}
+	if r.Int(); r.Err() == nil {
+		t.Error("a read past the end succeeded")
+	}
+	if r := NewColumnReader(payload); r.Int() != math.MinInt64 || r.Err() == nil {
+		t.Error("a reader stopping short reported no left-over bytes")
+	}
+
+	// Payloads a writer never produces.
+	for name, cols := range map[string][]byte{
+		"count past the bytes left":             {3, 0, 0},
+		"suffix past the bytes left":            {1, 0, 5, 'a'},
+		"shares more than the previous entry":   {2, 0, 1, 'a', 2 * dictBack, 0},
+		"shares with an entry before the first": {2, 0, 1, 'a', dictBack + 1, 0},
+		"shares more than maxShared":            append(append([]byte{2, 0, 0xac, 2}, long[:300]...), 0x80, 2*dictBack, 0),
+		"int beyond int32":                      {1, 0x80, 0x80, 0x80, 0x80, 0x10},
+	} {
+		r := NewColumnReader(cols)
+		if name == "int beyond int32" {
+			r.Ints()
+		} else {
+			r.Strings()
+		}
+		if r.Err() == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 
 	// Flip a payload byte: the CRC must reject it.
@@ -195,24 +244,21 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := LoadCheckpoint(path, &out); ok || err != nil {
-		t.Fatalf("corrupt checkpoint accepted: ok=%v err=%v", ok, err)
+	if _, ok := LoadCheckpoint(path); ok {
+		t.Fatal("corrupt checkpoint accepted")
 	}
 
 	// Truncated file.
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := LoadCheckpoint(path, &out); ok {
+	if _, ok := LoadCheckpoint(path); ok {
 		t.Fatal("torn checkpoint accepted")
 	}
 
-	// Missing file is not an error.
-	if ok, err := LoadCheckpoint(filepath.Join(dir, "nope.json"), &out); ok || err != nil {
-		t.Fatalf("missing checkpoint: ok=%v err=%v", ok, err)
-	}
-	if err := RemoveCheckpoint(filepath.Join(dir, "nope.json")); err != nil {
-		t.Fatal(err)
+	// A missing file is no checkpoint.
+	if _, ok := LoadCheckpoint(filepath.Join(dir, "nope.json")); ok {
+		t.Fatal("missing checkpoint loaded")
 	}
 }
 
@@ -277,7 +323,7 @@ func TestSaveCheckpointSweepsCrashedTemps(t *testing.T) {
 	if err := os.WriteFile(other, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCheckpoint(path, map[string]int{"x": 1}); err != nil {
+	if err := SaveCheckpoint(path, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	left, err := filepath.Glob(path + ".tmp-*")
@@ -290,8 +336,7 @@ func TestSaveCheckpointSweepsCrashedTemps(t *testing.T) {
 	if _, err := os.Stat(other); err != nil {
 		t.Fatalf("unrelated temp file was swept: %v", err)
 	}
-	var got map[string]int
-	if ok, err := LoadCheckpoint(path, &got); err != nil || !ok || got["x"] != 1 {
-		t.Fatalf("checkpoint not readable after sweep: ok=%v err=%v got=%v", ok, err, got)
+	if got, ok := LoadCheckpoint(path); !ok || string(got) != "x" {
+		t.Fatalf("checkpoint not readable after sweep: ok=%v got=%q", ok, got)
 	}
 }
